@@ -54,11 +54,6 @@ def _vars(nvars: int):
     return [MultiPoly.variable(nvars, k) for k in range(1, nvars + 1)]
 
 
-def _zeros(nvars: int, n: int):
-    z = MultiPoly.zero(nvars)
-    return [[z] * n for _ in range(n)]
-
-
 def _sym(rows) -> PolyMatrix:
     """Fill the lower triangle from the upper one."""
     n = len(rows)
@@ -66,10 +61,6 @@ def _sym(rows) -> PolyMatrix:
         for j in range(i):
             rows[i][j] = rows[j][i]
     return PolyMatrix(rows)
-
-
-def _real(nvars: int, n: int, value=0) -> MultiPoly:
-    return MultiPoly.const(nvars, value)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +406,6 @@ def _complex_data(nvars: int):
         ]
     )
     return g, gt0, [gt1, gt2]
-
-
-def segre4_normal_form_inputs() -> dict:
-    """(g, gt0) pairs at numeric parameter values, inputs for
-    solve_linear_conditions; keyed by Segre case id."""
-    out = {}
-    zero = MultiPoly.const(4, 0)
-    for case in (1, 2):
-        g, gt0, _ = _s22_data(case, 4)
-        out[f"s22-case{case}"] = (g, gt0(zero))
-        g, gt0, _ = _s31_data(case, 4)
-        out[f"s31-case{case}"] = (g, gt0(zero))
-    g, gt0, _ = _s4_data(4)
-    out["s4"] = (g, gt0(zero))
-    g, gt0c, _ = _complex_data(4)
-    out["complex"] = (g, gt0c(zero, zero))
-    return out
 
 
 def complexified_2d_operator() -> OperatorSpec:

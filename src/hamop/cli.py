@@ -77,10 +77,12 @@ def _write(args, payload: dict, text_lines) -> None:
 
 def _load_spec_file(path: str) -> OperatorSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as ex:
         raise SpecFileError(f"cannot read {path}: {ex}") from None
+    except UnicodeDecodeError as ex:
+        raise SpecFileError(f"{path} is not UTF-8 text: {ex}") from None
     return load_operator_spec(raw)
 
 
@@ -468,6 +470,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except HamopError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as ex:
+        # no traceback may pass for "verification failed" (exit 1)
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -35,3 +35,7 @@ class DisagreementBug(HamopError):
 
 class SpecFileError(HamopError):
     """Operator spec file failed to parse or validate."""
+
+
+class NonUnitDenominator(HamopError):
+    """A rational's denominator is divisible by the modulus of a prime field."""

@@ -48,10 +48,6 @@ class Connection:
         )
 
 
-def _lift(x) -> RationalFunction:
-    return RationalFunction(x) if isinstance(x, MultiPoly) else x
-
-
 def levi_civita(g: LinearMetric) -> Connection:
     """Connection of a non-degenerate linear metric, exact rational entries.
 
@@ -129,20 +125,6 @@ def riemann_curvature(g: LinearMetric) -> list:
                     out[i][j][k][l] = acc
                     out[i][j][l][k] = -acc
     return out
-
-
-def riemann_component(conn: Connection, i: int, j: int, k: int, l: int):
-    """Single curvature component R^i_{jkl} (0-based indices)."""
-    gm = conn.gamma
-    acc = gm[i][l][j].partial(k + 1) - gm[i][k][j].partial(l + 1)
-    for s in range(conn.n):
-        t1 = gm[i][k][s] * gm[s][l][j] if gm[i][k][s] and gm[s][l][j] else None
-        t2 = gm[i][l][s] * gm[s][k][j] if gm[i][l][s] and gm[s][k][j] else None
-        if t1 is not None:
-            acc = acc + t1
-        if t2 is not None:
-            acc = acc - t2
-    return acc
 
 
 def riemann_component_numerator(conn: Connection, i: int, j: int, k: int, l: int) -> MultiPoly:

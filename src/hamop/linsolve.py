@@ -97,31 +97,6 @@ def invert_numeric(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
     return [row[n:] for row in m]
 
 
-def det_numeric(a: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square Fraction matrix via Gaussian elimination."""
-    n = len(a)
-    m = [list(map(Fraction, row)) for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 class SparseSystem:
     """Incremental sparse Gaussian elimination over Q for homogeneous systems.
 

@@ -140,15 +140,6 @@ class LinearMetric:
         return f"LinearMetric(n={self.n}, {self.mat!r})"
 
 
-def symmetric_bivector(mat: PolyMatrix, n: int) -> PolyMatrix:
-    """Validate a raw symmetric bivector (no non-degeneracy requirement)."""
-    if mat.rows != n or mat.cols != n:
-        raise ValueError("bivector must be n x n")
-    if not mat.is_symmetric():
-        raise ValueError("bivector must be symmetric")
-    return mat
-
-
 class OperatorSpec:
     """d-tuple of metrics on n components defining a first-order operator."""
 

@@ -1,17 +1,29 @@
-"""Numeric (exact rational) evaluation of all verification conditions at
-sample points.
+"""Exact evaluation of the verification conditions at sample points.
 
-This is the sampled checking mode: every tensor is evaluated at a seeded
-random rational point and the conditions become exact rational identities
-there.  Zero tolerance still applies, the mode is just Schwartz-Zippel style
-instead of full polynomial identity checking.  Points where any required
-determinant vanishes are rejected and redrawn; after 100 rejections
-DegenerateEverywhere is raised.
+Every per-point formula here (metric jets, Christoffel symbols, curvature,
+the obstruction identities T1..T5, Nijenhuis, Killing, linearity) is written
+once against a field ``F`` that supplies ``of`` (the image of a rational),
+``red`` (the canonical form of a sum of products), ``inv`` and ``half``.
+There are two fields:
 
-The formulas mirror the symbolic module one-for-one; the test suite pins the
-two pipelines against each other on small cases.  Arithmetic uses gmpy2.mpq
-when available (exact, much faster on the large coordinates involved) and
-falls back to fractions.Fraction otherwise.
+* ``Q``: ``fractions.Fraction``, with ``red`` the identity.  Sampled mode
+  runs on it: each condition becomes an exact rational identity at a seeded
+  random point (Schwartz-Zippel style instead of full polynomial identity
+  checking), and a witness is the exact rational residual at its point.
+* ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
+  ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.  Only
+  the symbolic T1..T5 path screen (``verify._t_screen_failing``) runs on it,
+  and the screen never decides a verdict.  At an integer point where every
+  coefficient denominator and both determinants are units mod P, the F_p
+  value of a condition is the Q value reduced mod P, so a nonzero residue
+  certifies a nonzero rational value and a failing screen answer is exact.
+  A rational value that happens to be divisible by P only makes the screen
+  choose the reduced-rational path, which reaches the same verdict.
+
+Points where any metric's determinant vanishes in the field are rejected
+and redrawn; after 100 rejections DegenerateEverywhere is raised.  The
+formulas mirror the symbolic module one-for-one; the test suite pins the
+two pipelines against each other on small cases.
 """
 
 from __future__ import annotations
@@ -19,92 +31,138 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DegenerateEverywhere
+from .errors import DegenerateEverywhere, NonUnitDenominator
 from .metrics import LinearMetric
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-    _Q = Fraction
 
 SAMPLE_COUNT = 20
 SAMPLE_RANGE = 10**6
 MAX_REJECT = 100
 
+P = 2**61 - 1
 
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
+
+class Field:
+    """Scalar operations the per-point formulas are written against."""
+
+    __slots__ = ("of", "red", "inv", "half")
+
+    def __init__(self, of, red, inv, half):
+        self.of = of
+        self.red = red
+        self.inv = inv
+        self.half = half
+
+
+def _fp_of(q):
+    """Image of an int or Fraction in F_p."""
+    den = q.denominator
+    if den == 1:
+        return q.numerator % P
+    if den % P == 0:
+        raise NonUnitDenominator(f"denominator {den} is not a unit mod 2^61 - 1")
+    return q.numerator * pow(den, -1, P) % P
+
+
+Q = Field(Fraction, lambda x: x, lambda x: 1 / x, Fraction(1, 2))
+FP = Field(_fp_of, lambda x: x % P, lambda x: pow(x, -1, P), (P + 1) // 2)
+
+
+def _zeros(F, *shape):
+    z = F.of(0)
+    if len(shape) == 1:
+        return [z] * shape[0]
+    return [_zeros(F, *shape[1:]) for _ in range(shape[0])]
+
+
+def _mat_mul(F, a, b):
+    red = F.red
     rng = range(len(b))
-    return [[sum(a[i][s] * b[s][j] for s in rng) for j in range(m)] for i in range(n)]
+    return [
+        [red(sum(a[i][s] * b[s][j] for s in rng)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
-def _mat_neg(a):
-    return [[-x for x in row] for row in a]
+def _mat_neg(F, a):
+    return [[F.red(-x) for x in row] for row in a]
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+def _mat_add(F, a, b):
+    return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def _det(a):
+def _pivot_row(m, c):
+    for i in range(c, len(m)):
+        if m[i][c]:
+            return i
+    return None
+
+
+def _det(F, a):
+    red = F.red
     n = len(a)
     m = [row[:] for row in a]
-    det = _Q(1)
+    det = F.of(1)
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
+        pr = _pivot_row(m, c)
         if pr is None:
-            return _Q(0)
+            return F.of(0)
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+        det = red(det * m[c][c])
+        inv = F.inv(m[c][c])
         for i in range(c + 1, n):
             if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+                f = red(m[i][c] * inv)
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
     return det
 
 
-def _inv(a):
+def _inv(F, a):
+    red = F.red
     n = len(a)
-    m = [row[:] + [_Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [row[:] + [F.of(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
+        pr = _pivot_row(m, c)
         if pr is None:
             return None
         m[c], m[pr] = m[pr], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
+        pv = F.inv(m[c][c])
+        m[c] = [red(x * pv) for x in m[c]]
         for i in range(n):
             if i != c and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
 
 
-def _eval_matrix(pm, point):
-    return [[_Q(x.eval(point)) for x in row] for row in pm.entries]
+def _eval(F, p, point):
+    """Value of the polynomial p at point (field elements, one per variable)."""
+    red = F.red
+    total = F.of(0)
+    for e, c in p.terms.items():
+        t = F.of(c)
+        for x, v in zip(e, point):
+            if x:
+                t = red(t * v**x)
+        total += t
+    return red(total)
 
 
-def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT):
-    """Seeded points with coordinates in [-SAMPLE_RANGE, SAMPLE_RANGE] at which
-    every given metric is invertible."""
+def _eval_matrix(F, pm, point):
+    return [[_eval(F, x, point) for x in row] for row in pm.entries]
+
+
+def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, field=Q):
+    """Seeded points with integer coordinates in [-SAMPLE_RANGE, SAMPLE_RANGE],
+    as elements of ``field``, at which every given metric is invertible."""
     rng = random.Random(seed)
     pts = []
     rejects = 0
     while len(pts) < count:
-        pt = [Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
-        ok = all(_det(_eval_matrix(m.mat, pt)) != 0 for m in metrics)
+        pt = [field.of(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
+        ok = all(_det(field, _eval_matrix(field, m.mat, pt)) != 0 for m in metrics)
         if ok:
             pts.append(pt)
         else:
@@ -119,11 +177,12 @@ def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT):
 class PointFrame:
     """Jets of one linear metric at one point, computed lazily."""
 
-    def __init__(self, g: LinearMetric, point):
+    def __init__(self, g: LinearMetric, point, field=Q):
+        self.F = field
         self.n = g.n
         self.point = point
-        self.G = _eval_matrix(g.mat, point)
-        self.A = [_eval_matrix(m, point) for m in g.derivative_matrices()]
+        self.G = _eval_matrix(field, g.mat, point)
+        self.A = [_eval_matrix(field, m, point) for m in g.derivative_matrices()]
         self.constant = all(
             all(all(x == 0 for x in row) for row in a) for a in self.A
         )
@@ -136,7 +195,7 @@ class PointFrame:
     @property
     def Ginv(self):
         if self._ginv is None:
-            inv = _inv(self.G)
+            inv = _inv(self.F, self.G)
             if inv is None:
                 raise ZeroDivisionError("metric degenerate at sample point")
             self._ginv = inv
@@ -145,36 +204,35 @@ class PointFrame:
     @property
     def dGinv(self):
         if self._dginv is None:
-            n = self.n
+            F, n = self.F, self.n
             if self.constant:
-                z = _Q(0)
-                self._dginv = [[[z] * n for _ in range(n)] for _ in range(n)]
+                self._dginv = _zeros(F, n, n, n)
             else:
                 inv = self.Ginv
                 self._dginv = [
-                    _mat_neg(_mat_mul(inv, _mat_mul(self.A[k], inv))) for k in range(n)
+                    _mat_neg(F, _mat_mul(F, inv, _mat_mul(F, self.A[k], inv)))
+                    for k in range(n)
                 ]
         return self._dginv
 
     @property
     def ddGinv(self):
         if self._ddginv is None:
-            n = self.n
+            F, n = self.F, self.n
             if self.constant:
-                z = _Q(0)
-                self._ddginv = [
-                    [[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)
-                ]
+                self._ddginv = _zeros(F, n, n, n, n)
             else:
                 inv = self.Ginv
                 d = self.dGinv
                 self._ddginv = [
                     [
                         _mat_neg(
+                            F,
                             _mat_add(
-                                _mat_mul(d[r], _mat_mul(self.A[m], inv)),
-                                _mat_mul(inv, _mat_mul(self.A[m], d[r])),
-                            )
+                                F,
+                                _mat_mul(F, d[r], _mat_mul(F, self.A[m], inv)),
+                                _mat_mul(F, inv, _mat_mul(F, self.A[m], d[r])),
+                            ),
                         )
                         for m in range(n)
                     ]
@@ -185,21 +243,22 @@ class PointFrame:
     @property
     def Gamma(self):
         if self._gamma is None:
-            n = self.n
+            F, n = self.F, self.n
             if self.constant:
-                z = _Q(0)
-                self._gamma = [[[z] * n for _ in range(n)] for _ in range(n)]
+                self._gamma = _zeros(F, n, n, n)
             else:
-                half = _Q(1, 2)
+                red, half = F.red, F.half
                 G = self.G
                 d = self.dGinv
                 self._gamma = [
                     [
                         [
-                            half
-                            * sum(
-                                G[i][l] * (d[j][l][k] + d[k][l][j] - d[l][j][k])
-                                for l in range(n)
+                            red(
+                                half
+                                * sum(
+                                    G[i][l] * (d[j][l][k] + d[k][l][j] - d[l][j][k])
+                                    for l in range(n)
+                                )
                             )
                             for k in range(n)
                         ]
@@ -212,31 +271,30 @@ class PointFrame:
     @property
     def dGamma(self):
         if self._dgamma is None:
-            n = self.n
+            F, n = self.F, self.n
             if self.constant:
-                z = _Q(0)
-                self._dgamma = [
-                    [[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)
-                ]
+                self._dgamma = _zeros(F, n, n, n, n)
             else:
-                half = _Q(1, 2)
+                red, half = F.red, F.half
                 G, A = self.G, self.A
                 d, dd = self.dGinv, self.ddGinv
                 self._dgamma = [
                     [
                         [
                             [
-                                half
-                                * sum(
-                                    A[r][i][l]
-                                    * (d[j][l][k] + d[k][l][j] - d[l][j][k])
-                                    + G[i][l]
-                                    * (
-                                        dd[r][j][l][k]
-                                        + dd[r][k][l][j]
-                                        - dd[r][l][j][k]
+                                red(
+                                    half
+                                    * sum(
+                                        A[r][i][l]
+                                        * (d[j][l][k] + d[k][l][j] - d[l][j][k])
+                                        + G[i][l]
+                                        * (
+                                            dd[r][j][l][k]
+                                            + dd[r][k][l][j]
+                                            - dd[r][l][j][k]
+                                        )
+                                        for l in range(n)
                                     )
-                                    for l in range(n)
                                 )
                                 for k in range(n)
                             ]
@@ -266,11 +324,11 @@ class FrameCache:
 
 def riemann_at(f: PointFrame):
     """R^i_{jkl} from the frame jets."""
-    n = f.n
+    F, n = f.F, f.n
+    red = F.red
     G = f.Gamma
     dG = f.dGamma
-    z = _Q(0)
-    out = [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    out = _zeros(F, n, n, n, n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -278,8 +336,8 @@ def riemann_at(f: PointFrame):
                     acc = dG[k][i][l][j] - dG[l][i][k][j]
                     for s in range(n):
                         acc += G[i][k][s] * G[s][l][j] - G[i][l][s] * G[s][k][j]
-                    out[i][j][k][l] = acc
-                    out[i][j][l][k] = -acc
+                    out[i][j][k][l] = red(acc)
+                    out[i][j][l][k] = red(-acc)
     return out
 
 
@@ -301,15 +359,19 @@ def flat_at(f: PointFrame):
 def obstruction_at(fg: PointFrame, fh: PointFrame):
     """(T, dT, raised, dRaised) at the point."""
     n = fg.n
+    red = fg.F.red
     Gg, Gh = fg.G, fh.G
     T = [
-        [[fh.Gamma[i][j][k] - fg.Gamma[i][j][k] for k in range(n)] for j in range(n)]
+        [
+            [red(fh.Gamma[i][j][k] - fg.Gamma[i][j][k]) for k in range(n)]
+            for j in range(n)
+        ]
         for i in range(n)
     ]
     dT = [
         [
             [
-                [fh.dGamma[r][i][j][k] - fg.dGamma[r][i][j][k] for k in range(n)]
+                [red(fh.dGamma[r][i][j][k] - fg.dGamma[r][i][j][k]) for k in range(n)]
                 for j in range(n)
             ]
             for i in range(n)
@@ -320,24 +382,24 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     # staged contractions keep every sum at O(n) terms
     # W[i][j][b] = Gg[i][a] T[j][a][b]
     W = [
-        [[sum(Gg[i][a] * T[j][a][b] for a in rng) for b in rng] for j in rng]
+        [[red(sum(Gg[i][a] * T[j][a][b] for a in rng)) for b in rng] for j in rng]
         for i in rng
     ]
     raised = [
-        [[sum(W[i][j][b] * Gh[k][b] for b in rng) for k in rng] for j in rng]
+        [[red(sum(W[i][j][b] * Gh[k][b] for b in rng)) for k in rng] for j in rng]
         for i in rng
     ]
     Ag, Ah = fg.A, fh.A
     # M1[j][a][k] = Gh[k][b] T[j][a][b]
     M1 = [
-        [[sum(Gh[k][b] * T[j][a][b] for b in rng) for k in rng] for a in rng]
+        [[red(sum(Gh[k][b] * T[j][a][b] for b in rng)) for k in rng] for a in rng]
         for j in rng
     ]
     # V[r][i][j][b] = Gg[i][a] dT[r][j][a][b]
     V = [
         [
             [
-                [sum(Gg[i][a] * dT[r][j][a][b] for a in rng) for b in rng]
+                [red(sum(Gg[i][a] * dT[r][j][a][b] for a in rng)) for b in rng]
                 for j in rng
             ]
             for i in rng
@@ -348,9 +410,11 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
         [
             [
                 [
-                    sum(Ag[r][i][a] * M1[j][a][k] for a in rng)
-                    + sum(W[i][j][b] * Ah[r][k][b] for b in rng)
-                    + sum(V[r][i][j][b] * Gh[k][b] for b in rng)
+                    red(
+                        sum(Ag[r][i][a] * M1[j][a][k] for a in rng)
+                        + sum(W[i][j][b] * Ah[r][k][b] for b in rng)
+                        + sum(V[r][i][j][b] * Gh[k][b] for b in rng)
+                    )
                     for k in rng
                 ]
                 for j in rng
@@ -369,31 +433,36 @@ def _first(gen):
     return None
 
 
-def t1_at(raised, n):
+def t1_at(F, raised, n):
     return _first(
-        ((i + 1, j + 1, k + 1), raised[i][j][k] - raised[k][j][i])
+        ((i + 1, j + 1, k + 1), F.red(raised[i][j][k] - raised[k][j][i]))
         for i in range(n)
         for j in range(n)
         for k in range(n)
     )
 
 
-def t2_at(raised, n):
+def t2_at(F, raised, n):
     return _first(
-        ((i + 1, j + 1, k + 1), raised[i][j][k] + raised[j][k][i] + raised[k][i][j])
+        (
+            (i + 1, j + 1, k + 1),
+            F.red(raised[i][j][k] + raised[j][k][i] + raised[k][i][j]),
+        )
         for i in range(n)
         for j in range(n)
         for k in range(n)
     )
 
 
-def t3_at(raised, T, n):
+def t3_at(F, raised, T, n):
     return _first(
         (
             (i + 1, j + 1, r + 1, t + 1),
-            sum(
-                raised[i][j][s] * T[r][s][t] - raised[i][r][s] * T[j][s][t]
-                for s in range(n)
+            F.red(
+                sum(
+                    raised[i][j][s] * T[r][s][t] - raised[i][r][s] * T[j][s][t]
+                    for s in range(n)
+                )
             ),
         )
         for i in range(n)
@@ -404,6 +473,7 @@ def t3_at(raised, T, n):
 
 
 def _cov_deriv_t3_at(frame: PointFrame, raised, dRaised, n):
+    red = frame.F.red
     G = frame.Gamma
     for r in range(n):
         for i in range(n):
@@ -416,29 +486,36 @@ def _cov_deriv_t3_at(frame: PointFrame, raised, dRaised, n):
                             + G[j][r][l] * raised[i][l][k]
                             + G[k][r][l] * raised[i][j][l]
                         )
+                    acc = red(acc)
                     if acc:
                         return (r + 1, i + 1, j + 1, k + 1), acc
     return None
 
 
-def t4_at(fg, raised, dRaised, n):
-    return _cov_deriv_t3_at(fg, raised, dRaised, n)
-
-
-def t5_at(fh, raised, dRaised, n):
-    return _cov_deriv_t3_at(fh, raised, dRaised, n)
+def mokhov_at(fg: PointFrame, fh: PointFrame):
+    """Yield (name, hit) for T1..T5 at the frames' point, in order; a hit is
+    (indices, residual) of the first failing index tuple, or None."""
+    F, n = fg.F, fg.n
+    T, dT, raised, dRaised = obstruction_at(fg, fh)
+    yield "T1", t1_at(F, raised, n)
+    yield "T2", t2_at(F, raised, n)
+    yield "T3", t3_at(F, raised, T, n)
+    yield "T4", _cov_deriv_t3_at(fg, raised, dRaised, n)
+    yield "T5", _cov_deriv_t3_at(fh, raised, dRaised, n)
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame, n):
     """N(L) at the point for L = H * (G_gamma)^{-1}."""
+    F = fh.F
     H, Ah = fh.G, fh.A
     ginv = fgamma.Ginv
     dginv = fgamma.dGinv
-    L = _mat_mul(H, ginv)
+    L = _mat_mul(F, H, ginv)
     dL = [
-        _mat_add(_mat_mul(Ah[k], ginv), _mat_mul(H, dginv[k])) for k in range(n)
+        _mat_add(F, _mat_mul(F, Ah[k], ginv), _mat_mul(F, H, dginv[k]))
+        for k in range(n)
     ]
-    z = _Q(0)
+    z = F.of(0)
     for k in range(n):
         for i in range(n):
             for j in range(i + 1, n):
@@ -446,20 +523,24 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame, n):
                 for s in range(n):
                     acc += L[s][i] * dL[s][k][j] - L[s][j] * dL[s][k][i]
                     acc += L[k][s] * (dL[j][s][i] - dL[i][s][j])
+                acc = F.red(acc)
                 if acc:
                     return (k + 1, i + 1, j + 1), acc
     return None
 
 
 def killing_at(fg: PointFrame, fh: PointFrame, n):
+    F = fg.F
+    z = F.of(0)
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                acc = _Q(0)
+                acc = z
                 for s in range(n):
                     for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
                         acc += fg.G[a][s] * fh.A[s][b][c]
                         acc -= fh.G[a][s] * fg.A[s][b][c]
+                acc = F.red(acc)
                 if acc:
                     return (i + 1, j + 1, k + 1), acc
     return None
@@ -467,14 +548,17 @@ def killing_at(fg: PointFrame, fh: PointFrame, n):
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame, n):
     """Covariant Hessian of h with respect to the frame's connection."""
+    red = fh.F.red
     H, Ah = fh.G, fh.A
     G = fgamma.Gamma
     dG = fgamma.dGamma
     C = [
         [
             [
-                Ah[s][i][j]
-                + sum(G[i][s][m] * H[m][j] + G[j][s][m] * H[i][m] for m in range(n))
+                red(
+                    Ah[s][i][j]
+                    + sum(G[i][s][m] * H[m][j] + G[j][s][m] * H[i][m] for m in range(n))
+                )
                 for j in range(n)
             ]
             for i in range(n)
@@ -498,6 +582,7 @@ def linearity_at(fgamma: PointFrame, fh: PointFrame, n):
                             + G[j][r][m] * C[s][i][m]
                             - G[m][r][s] * C[m][i][j]
                         )
+                    acc = red(acc)
                     if acc:
                         return (r + 1, s + 1, i + 1, j + 1), acc
     return None

@@ -44,13 +44,6 @@ def univ_deriv(c: list[Fraction]) -> list[Fraction]:
     return _trim([c[i] * i for i in range(1, len(c))])
 
 
-def univ_eval(c: list[Fraction], x) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
 def univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     if not a or not b:
         return []

@@ -34,11 +34,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer string."""
-    return Fraction(text.strip())
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """Element a + b*i of Q(i), closed under +, -, *, / (by nonzero)."""

@@ -13,9 +13,15 @@ disagree (they cannot, unless the implementation is broken).  For d >= 3 the
 pairwise conditions (linearity / Nijenhuis / Killing per ordered pair) are
 checked with the first metric constant.
 
-Checks run symbolically for n <= 5 and by seeded 20-point exact evaluation
-for larger n; a mode flag overrides the default.  Witnesses always report the
-lexicographically first failing index tuple.
+Checks run symbolically for n <= 5 and by seeded 20-point exact rational
+evaluation for larger n; a mode flag overrides the default.  Witnesses always
+report the lexicographically first failing index tuple.
+
+Symbolic T1..T5 has two representations: polynomial numerators over powers
+of det h (cheap on failing pairs, thanks to the first-failure exit) and
+reduced rational functions (cheap on passing ones).  A two-point screen over
+F_p, p = 2^61 - 1, picks between them; both reach the same verdict, so the
+screen only affects cost.
 """
 
 from __future__ import annotations
@@ -24,7 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import pointcheck as pc
-from .errors import DisagreementBug, FirstMetricNotConstant
+from .errors import (
+    DegenerateEverywhere,
+    DisagreementBug,
+    FirstMetricNotConstant,
+    NonUnitDenominator,
+)
 from .geometry import (
     covariant_derivative_t3,
     covariant_hessian_bivector,
@@ -287,27 +298,25 @@ def _t_conditions_symbolic_const_g(g: LinearMetric, h: LinearMetric) -> list[Con
     return out
 
 
-def _t_screen_failing(g: LinearMetric, h: LinearMetric) -> bool:
-    """Cheap exact screening: evaluate the five conditions at two seeded
-    points; True when some condition already fails there.  Only used to pick
-    the faster symbolic representation, never to decide a verdict."""
+def _t_screen_failing(g: LinearMetric, h: LinearMetric, field=pc.FP) -> bool:
+    """Path screen: evaluate T1..T5 at two seeded points over ``field`` and
+    return True when some condition already fails there.
+
+    It only picks the faster symbolic representation, never a verdict.  Over
+    F_p (the default) a True is exact: a nonzero residue certifies a nonzero
+    rational value.  When no non-degenerate point exists or a coefficient
+    denominator is not a unit mod p, the screen answers False, which selects
+    the reduced-rational path and leaves the verdict unchanged.  The Q field
+    gives the exact reference screen the tests compare against."""
     try:
-        points = pc.sample_points(g.nvars, [g, h], seed=91, count=2)
-    except Exception:
+        points = pc.sample_points(g.nvars, [g, h], seed=91, count=2, field=field)
+        for pt in points:
+            fg = pc.PointFrame(g, pt, field)
+            fh = pc.PointFrame(h, pt, field)
+            if any(hit for _, hit in pc.mokhov_at(fg, fh)):
+                return True
+    except (DegenerateEverywhere, NonUnitDenominator):
         return False
-    n = g.n
-    for pt in points:
-        fg = pc.PointFrame(g, pt)
-        fh = pc.PointFrame(h, pt)
-        T, dT, raised, dRaised = pc.obstruction_at(fg, fh)
-        if (
-            pc.t1_at(raised, n)
-            or pc.t2_at(raised, n)
-            or pc.t3_at(raised, T, n)
-            or pc.t4_at(fg, raised, dRaised, n)
-            or pc.t5_at(fh, raised, dRaised, n)
-        ):
-            return True
     return False
 
 
@@ -379,20 +388,10 @@ def _t_conditions_symbolic(g: LinearMetric, h: LinearMetric) -> list[ConditionRe
 
 
 def _t_conditions_sampled(g, h, points, cache=None) -> list[ConditionResult]:
-    n = g.n
     cache = cache or pc.FrameCache()
     results = {name: ConditionResult(name, True) for name in ("T1", "T2", "T3", "T4", "T5")}
     for pt in points:
-        fg = cache.frame(g, pt)
-        fh = cache.frame(h, pt)
-        T, dT, raised, dRaised = pc.obstruction_at(fg, fh)
-        for name, hit in (
-            ("T1", pc.t1_at(raised, n)),
-            ("T2", pc.t2_at(raised, n)),
-            ("T3", pc.t3_at(raised, T, n)),
-            ("T4", pc.t4_at(fg, raised, dRaised, n)),
-            ("T5", pc.t5_at(fh, raised, dRaised, n)),
-        ):
+        for name, hit in pc.mokhov_at(cache.frame(g, pt), cache.frame(h, pt)):
             if hit is not None and results[name].passed:
                 results[name] = ConditionResult(name, False, _wit(hit[0], hit[1], pt))
     return [results[k] for k in ("T1", "T2", "T3", "T4", "T5")]
@@ -513,9 +512,13 @@ def theorem2_conditions(
     seed: int = DEFAULT_SEED,
     points=None,
     cache=None,
+    *,
+    derived_flat: bool = True,
 ) -> VerificationReport:
-    """Linearity + Nijenhuis + Killing for constant g; records flatness of h
-    as an informational (derived) entry."""
+    """Linearity + Nijenhuis + Killing for constant g.  With ``derived_flat``
+    it also records flatness of h as an informational (derived) entry, which
+    never enters the verdict; verify_operator leaves it out, since the
+    obstruction criterion already checks flat(g2)."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     mode = mode or default_mode(g.n)
@@ -534,6 +537,8 @@ def theorem2_conditions(
             points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
         cache = cache or pc.FrameCache()
     report.conditions.extend(pair_conditions_constant_g(g, h, mode, points, cache))
+    if not derived_flat:
+        return report
     # derived flatness of the second metric (Theorem-2 corollary), recorded
     # but not part of the verdict
     hm = _as_bivector(h)
@@ -588,7 +593,9 @@ def verify_operator(
         return report
     if spec.d == 2:
         mok = mokhov_conditions(spec.g, spec.gt, mode, seed, points, cache)
-        th2 = theorem2_conditions(spec.g, spec.gt, mode, seed, points, cache)
+        th2 = theorem2_conditions(
+            spec.g, spec.gt, mode, seed, points, cache, derived_flat=False
+        )
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "
@@ -596,9 +603,7 @@ def verify_operator(
             )
         report = VerificationReport(spec.n, 2, mode, seed)
         report.conditions.extend(mok.conditions)
-        report.conditions.extend(
-            c for c in th2.conditions if not c.informational
-        )
+        report.conditions.extend(th2.conditions)
         return report
     # d >= 3
     report = VerificationReport(spec.n, spec.d, mode, seed)

@@ -40,6 +40,25 @@ def test_verify_malformed_exit2(tmp_path, capsys):
     assert main(["verify", path]) == 2
 
 
+def test_verify_non_utf8_file_exit2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_unexpected_exception_exit3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("hamop.cli.verify_operator", boom)
+    path = write(tmp_path, "op5.json", op5_file())
+    assert main(["verify", path]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "internal error: RuntimeError: boom"
+
+
 def test_verify_json_deterministic(tmp_path):
     path = write(tmp_path, "op5.json", op5_file())
     out1 = tmp_path / "r1.json"
