@@ -63,14 +63,21 @@ def _default_seed() -> int:
         return 0
 
 
+class _OutputError(Exception):
+    """The report could not be written to the --out path (a usage error)."""
+
+
 def _write(args, payload: dict, text_lines) -> None:
     if args.output == "json":
         body = json.dumps(payload, indent=2) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as ex:
+            raise _OutputError(f"cannot write {args.out}: {ex}") from None
     else:
         sys.stdout.write(body)
 
@@ -131,8 +138,7 @@ def cmd_verify(args) -> int:
     lines = [f"mode: {report.mode}   seed: {report.seed}"]
     for c in report.conditions:
         mark = "PASS" if c.passed else "FAIL"
-        extra = " (informational)" if c.informational else ""
-        line = f"{mark} {c.name}{extra}"
+        line = f"{mark} {c.name}"
         if c.witness is not None:
             line += f"   witness @ {c.witness.indices}: {c.witness.residual}"
             if c.witness.point:
@@ -468,6 +474,9 @@ def main(argv=None) -> int:
         return int(ex.code or 0)
     try:
         return args.fn(args)
+    except _OutputError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     except HamopError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL

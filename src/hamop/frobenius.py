@@ -224,9 +224,9 @@ def intersection_matches_mu(f: FrobeniusData) -> bool:
 
 
 def _invert_rational(m):
-    from .linsolve import invert_numeric
+    from .linsolve import inverse
 
-    inv = invert_numeric([list(map(Fraction, row)) for row in m])
+    inv = inverse([list(map(Fraction, row)) for row in m])
     if inv is None:
         raise ValueError("metric is singular")
     return inv

@@ -2,7 +2,8 @@
 
 Levi-Civita connections, curvature, Nijenhuis torsion, the Killing residual
 in its polynomial form, second-covariant-derivative (linearity) residuals,
-obstruction tensors and Lie derivatives of bivectors.  Everything is exact:
+obstruction tensors, the obstruction identities T1..T5 (for every scalar
+representation) and Lie derivatives of bivectors.  Everything is exact:
 entries are MultiPoly or RationalFunction, and a condition "holds" iff the
 residual is identically zero.
 
@@ -298,18 +299,10 @@ class ObstructionTensor:
     t_raised: list  # t_raised[i][j][k], RationalFunction
 
 
-def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
+def raise_obstruction(g: LinearMetric, h: LinearMetric, t: list, zero) -> list:
+    """raised[i][j][k] = g^{ir} h^{ks} t[j][r][s]; ``zero`` is the zero of
+    the entries' type (MultiPoly numerators or RationalFunctions)."""
     n = g.n
-    cg = levi_civita(g)
-    ch = levi_civita(h)
-    t = [
-        [
-            [ch.gamma[i][j][k] - cg.gamma[i][j][k] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    zero = RationalFunction(MultiPoly.zero(g.nvars))
     raised = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -324,27 +317,88 @@ def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
                         if hks and t[j][r][s]:
                             acc = acc + (gir * hks) * t[j][r][s]
                 raised[i][j][k] = acc
-    return ObstructionTensor(n, t, raised)
+    return raised
 
 
-def covariant_derivative_t3(conn: Connection, T: list, n: int) -> list:
-    """nabla_r T^{ijk} for a (3,0)-tensor: d_r T + Gamma-corrections."""
-    gm = conn.gamma
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = T[i][j][k].partial(r + 1)
-                    for l in range(n):
-                        if gm[i][r][l] and T[l][j][k]:
-                            acc = acc + gm[i][r][l] * T[l][j][k]
-                        if gm[j][r][l] and T[i][l][k]:
-                            acc = acc + gm[j][r][l] * T[i][l][k]
-                        if gm[k][r][l] and T[i][j][l]:
-                            acc = acc + gm[k][r][l] * T[i][j][l]
-                    out[r][i][j][k] = acc
-    return out
+def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
+    n = g.n
+    cg = levi_civita(g)
+    ch = levi_civita(h)
+    t = [
+        [
+            [ch.gamma[i][j][k] - cg.gamma[i][j][k] for k in range(n)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    zero = RationalFunction(MultiPoly.zero(g.nvars))
+    return ObstructionTensor(n, t, raise_obstruction(g, h, t, zero))
+
+
+def mokhov_identities(raised, T, dRaised, gamma_g, gamma_h, n: int, red):
+    """Mokhov's obstruction identities T1..T5 on the raised obstruction
+    tensor R^{ijk} = g^{ir} h^{ks} T^j_{rs} (arXiv 1312.0475, section 2):
+
+        T1  R^{ijk} = R^{kji}
+        T2  R^{ijk} + R^{jki} + R^{kij} = 0
+        T3  R^{ijs} T^r_{st} = R^{irs} T^j_{st}
+        T4  nabla_r R^{ijk} = 0 for the connection gamma_g of g
+        T5  nabla_r R^{ijk} = 0 for the connection gamma_h of h
+
+    Written once for every scalar representation: the entries need only +,
+    -, * (int 0 included) and truthiness, and ``red`` brings a sum of
+    products into canonical form.  ``dRaised(r, i, j, k)`` is the
+    representation's d_r R^{ijk}.  Yields (name, stream) in order; a stream
+    lazily yields (1-based indices, residual), so a scan can stop at its
+    first nonzero residual.  Zero products are skipped."""
+    rng = range(n)
+    R = raised
+
+    def t1():
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    yield (i + 1, j + 1, k + 1), red(R[i][j][k] - R[k][j][i])
+
+    def t2():
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    yield (i + 1, j + 1, k + 1), red(R[i][j][k] + R[j][k][i] + R[k][i][j])
+
+    def t3():
+        for i in rng:
+            for j in rng:
+                for r in rng:
+                    for t in rng:
+                        acc = 0
+                        for s in rng:
+                            if R[i][j][s] and T[r][s][t]:
+                                acc = acc + R[i][j][s] * T[r][s][t]
+                            if R[i][r][s] and T[j][s][t]:
+                                acc = acc - R[i][r][s] * T[j][s][t]
+                        yield (i + 1, j + 1, r + 1, t + 1), red(acc)
+
+    def covariant(gm):
+        for r in rng:
+            for i in rng:
+                for j in rng:
+                    for k in rng:
+                        acc = dRaised(r, i, j, k)
+                        for l in rng:
+                            if gm[i][r][l] and R[l][j][k]:
+                                acc = acc + gm[i][r][l] * R[l][j][k]
+                            if gm[j][r][l] and R[i][l][k]:
+                                acc = acc + gm[j][r][l] * R[i][l][k]
+                            if gm[k][r][l] and R[i][j][l]:
+                                acc = acc + gm[k][r][l] * R[i][j][l]
+                        yield (r + 1, i + 1, j + 1, k + 1), red(acc)
+
+    yield "T1", t1()
+    yield "T2", t2()
+    yield "T3", t3()
+    yield "T4", covariant(gamma_g)
+    yield "T5", covariant(gamma_h)
 
 
 def lie_derivative_bivector(h, X: list, n: int | None = None) -> PolyMatrix:

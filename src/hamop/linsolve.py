@@ -1,4 +1,6 @@
-"""Exact linear algebra over Q and Q(i): RREF, rank, nullspace.
+"""Exact linear algebra over Q and Q(i): RREF, rank, nullspace, and the
+determinant and inverse over any ``Field`` (Q by default; pointcheck adds
+F_p).
 
 Dense routines take lists of lists of field elements (Fraction or
 GaussianRational; anything with field arithmetic and truthiness).  The
@@ -75,25 +77,74 @@ def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
     return basis
 
 
-def invert_numeric(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Inverse of a square Fraction matrix, or None if singular."""
+class Field:
+    """Scalar operations the field-generic routines are written against:
+    ``of`` (the image of a rational), ``red`` (the canonical form of a sum
+    of products), ``inv`` and ``half``."""
+
+    __slots__ = ("of", "red", "inv", "half")
+
+    def __init__(self, of, red, inv, half):
+        self.of = of
+        self.red = red
+        self.inv = inv
+        self.half = half
+
+
+def _same(x):
+    return x
+
+
+Q = Field(Fraction, _same, lambda x: 1 / x, Fraction(1, 2))
+
+
+def _pivot_row(m, c):
+    for i in range(c, len(m)):
+        if m[i][c]:
+            return i
+    return None
+
+
+def det(a: list[list], F: Field = Q):
+    """Determinant of a square matrix of elements of ``F``, by Gaussian
+    elimination."""
+    red = F.red
     n = len(a)
-    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [row[:] for row in a]
+    d = F.of(1)
     for c in range(n):
-        pr = None
-        for i in range(c, n):
+        pr = _pivot_row(m, c)
+        if pr is None:
+            return F.of(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d = red(d * m[c][c])
+        inv = F.inv(m[c][c])
+        for i in range(c + 1, n):
             if m[i][c]:
-                pr = i
-                break
+                f = red(m[i][c] * inv)
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
+    return d
+
+
+def inverse(a: list[list], F: Field = Q) -> list[list] | None:
+    """Inverse of a square matrix of elements of ``F``, by Gauss-Jordan
+    elimination, or None if it is singular."""
+    red = F.red
+    n = len(a)
+    m = [row[:] + [F.of(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pr = _pivot_row(m, c)
         if pr is None:
             return None
         m[c], m[pr] = m[pr], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
+        pv = F.inv(m[c][c])
+        m[c] = [red(x * pv) for x in m[c]]
         for i in range(n):
             if i != c and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
 
 

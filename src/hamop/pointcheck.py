@@ -1,10 +1,13 @@
 """Exact evaluation of the verification conditions at sample points.
 
 Every per-point formula here (metric jets, Christoffel symbols, curvature,
-the obstruction identities T1..T5, Nijenhuis, Killing, linearity) is written
-once against a field ``F`` that supplies ``of`` (the image of a rational),
-``red`` (the canonical form of a sum of products), ``inv`` and ``half``.
-There are two fields:
+the obstruction tensor and its derivative, Nijenhuis, Killing, linearity) is
+written once against a ``linsolve.Field`` ``F`` that supplies ``of`` (the
+image of a rational), ``red`` (the canonical form of a sum of products),
+``inv`` and ``half``.  The obstruction identities T1..T5 themselves are not
+restated here: ``mokhov_at`` feeds the point values to
+``geometry.mokhov_identities``, the one place they are written for every
+scalar representation.  There are two fields:
 
 * ``Q``: ``fractions.Fraction``, with ``red`` the identity.  Sampled mode
   runs on it: each condition becomes an exact rational identity at a seeded
@@ -22,16 +25,18 @@ There are two fields:
 
 Points where any metric's determinant vanishes in the field are rejected
 and redrawn; after 100 rejections DegenerateEverywhere is raised.  The
-formulas mirror the symbolic module one-for-one; the test suite pins the
-two pipelines against each other on small cases.
+flatness, Nijenhuis, Killing and linearity formulas mirror their symbolic
+counterparts in ``geometry`` one-for-one; the test suite pins the two
+pipelines against each other on small cases.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import DegenerateEverywhere, NonUnitDenominator
+from .geometry import mokhov_identities
+from .linsolve import Q, Field, det, inverse
 from .metrics import LinearMetric
 
 SAMPLE_COUNT = 20
@@ -39,18 +44,6 @@ SAMPLE_RANGE = 10**6
 MAX_REJECT = 100
 
 P = 2**61 - 1
-
-
-class Field:
-    """Scalar operations the per-point formulas are written against."""
-
-    __slots__ = ("of", "red", "inv", "half")
-
-    def __init__(self, of, red, inv, half):
-        self.of = of
-        self.red = red
-        self.inv = inv
-        self.half = half
 
 
 def _fp_of(q):
@@ -63,7 +56,6 @@ def _fp_of(q):
     return q.numerator * pow(den, -1, P) % P
 
 
-Q = Field(Fraction, lambda x: x, lambda x: 1 / x, Fraction(1, 2))
 FP = Field(_fp_of, lambda x: x % P, lambda x: pow(x, -1, P), (P + 1) // 2)
 
 
@@ -91,52 +83,6 @@ def _mat_add(F, a, b):
     return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def _pivot_row(m, c):
-    for i in range(c, len(m)):
-        if m[i][c]:
-            return i
-    return None
-
-
-def _det(F, a):
-    red = F.red
-    n = len(a)
-    m = [row[:] for row in a]
-    det = F.of(1)
-    for c in range(n):
-        pr = _pivot_row(m, c)
-        if pr is None:
-            return F.of(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det = red(det * m[c][c])
-        inv = F.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = red(m[i][c] * inv)
-                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
-    return det
-
-
-def _inv(F, a):
-    red = F.red
-    n = len(a)
-    m = [row[:] + [F.of(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pr = _pivot_row(m, c)
-        if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        pv = F.inv(m[c][c])
-        m[c] = [red(x * pv) for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
-
-
 def _eval(F, p, point):
     """Value of the polynomial p at point (field elements, one per variable)."""
     red = F.red
@@ -162,7 +108,7 @@ def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, fie
     rejects = 0
     while len(pts) < count:
         pt = [field.of(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
-        ok = all(_det(field, _eval_matrix(field, m.mat, pt)) != 0 for m in metrics)
+        ok = all(det(_eval_matrix(field, m.mat, pt), field) != 0 for m in metrics)
         if ok:
             pts.append(pt)
         else:
@@ -195,7 +141,7 @@ class PointFrame:
     @property
     def Ginv(self):
         if self._ginv is None:
-            inv = _inv(self.F, self.G)
+            inv = inverse(self.G, self.F)
             if inv is None:
                 raise ZeroDivisionError("metric degenerate at sample point")
             self._ginv = inv
@@ -426,82 +372,17 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     return T, dT, raised, dRaised
 
 
-def _first(gen):
-    for item in gen:
-        if item[1]:
-            return item
-    return None
-
-
-def t1_at(F, raised, n):
-    return _first(
-        ((i + 1, j + 1, k + 1), F.red(raised[i][j][k] - raised[k][j][i]))
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-
-
-def t2_at(F, raised, n):
-    return _first(
-        (
-            (i + 1, j + 1, k + 1),
-            F.red(raised[i][j][k] + raised[j][k][i] + raised[k][i][j]),
-        )
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-
-
-def t3_at(F, raised, T, n):
-    return _first(
-        (
-            (i + 1, j + 1, r + 1, t + 1),
-            F.red(
-                sum(
-                    raised[i][j][s] * T[r][s][t] - raised[i][r][s] * T[j][s][t]
-                    for s in range(n)
-                )
-            ),
-        )
-        for i in range(n)
-        for j in range(n)
-        for r in range(n)
-        for t in range(n)
-    )
-
-
-def _cov_deriv_t3_at(frame: PointFrame, raised, dRaised, n):
-    red = frame.F.red
-    G = frame.Gamma
-    for r in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = dRaised[r][i][j][k]
-                    for l in range(n):
-                        acc += (
-                            G[i][r][l] * raised[l][j][k]
-                            + G[j][r][l] * raised[i][l][k]
-                            + G[k][r][l] * raised[i][j][l]
-                        )
-                    acc = red(acc)
-                    if acc:
-                        return (r + 1, i + 1, j + 1, k + 1), acc
-    return None
-
-
 def mokhov_at(fg: PointFrame, fh: PointFrame):
     """Yield (name, hit) for T1..T5 at the frames' point, in order; a hit is
     (indices, residual) of the first failing index tuple, or None."""
-    F, n = fg.F, fg.n
-    T, dT, raised, dRaised = obstruction_at(fg, fh)
-    yield "T1", t1_at(F, raised, n)
-    yield "T2", t2_at(F, raised, n)
-    yield "T3", t3_at(F, raised, T, n)
-    yield "T4", _cov_deriv_t3_at(fg, raised, dRaised, n)
-    yield "T5", _cov_deriv_t3_at(fh, raised, dRaised, n)
+    T, _, raised, dRaised = obstruction_at(fg, fh)
+
+    def d_raised(r, i, j, k):
+        return dRaised[r][i][j][k]
+
+    ids = mokhov_identities(raised, T, d_raised, fg.Gamma, fh.Gamma, fg.n, fg.F.red)
+    for name, stream in ids:
+        yield name, next((hit for hit in stream if hit[1]), None)
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame, n):

@@ -19,15 +19,24 @@ report the lexicographically first failing index tuple.
 
 Symbolic T1..T5 has two representations: polynomial numerators over powers
 of det h (cheap on failing pairs, thanks to the first-failure exit) and
-reduced rational functions (cheap on passing ones).  A two-point screen over
-F_p, p = 2^61 - 1, picks between them; both reach the same verdict, so the
-screen only affects cost.
+reduced rational functions (cheap on passing ones).  Both feed the one
+statement of the identities, geometry.mokhov_identities.  Neither is cheaper
+everywhere; measured on one host (Python 3.11, no gmpy2):
+
+* the 36 passing catalog pairs with n <= 5: 11.4 s in total on numerators,
+  3.3 s on reduced rational functions (s22-case2-b4p: 5.0 s against 0.45 s);
+* failing n = 3 pencils of the benchmark's pencil corpus: 1.8-2.2 s each on
+  numerators, 3.8-5.2 s on reduced rational functions.
+
+So a two-point screen over F_p, p = 2^61 - 1, picks between them: numerators
+when some identity already fails at a point.  Both reach the same verdict and
+witnesses, so the screen only affects cost.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import pointcheck as pc
 from .errors import (
@@ -37,14 +46,15 @@ from .errors import (
     NonUnitDenominator,
 )
 from .geometry import (
-    covariant_derivative_t3,
     covariant_hessian_bivector,
     flatness_witness,
     killing_residual,
     levi_civita,
     lie_derivative_bivector,
+    mokhov_identities,
     nijenhuis_torsion,
     obstruction_tensor,
+    raise_obstruction,
     second_partials_residual,
 )
 from .matrices import PolyMatrix
@@ -79,14 +89,11 @@ class ConditionResult:
     name: str
     passed: bool
     witness: Witness | None = None
-    informational: bool = False
 
     def to_dict(self):
         d = {"name": self.name, "pass": self.passed}
         if self.witness is not None:
             d["witness"] = self.witness.to_dict()
-        if self.informational:
-            d["informational"] = True
         return d
 
 
@@ -100,7 +107,7 @@ class VerificationReport:
 
     @property
     def verdict(self) -> bool:
-        return all(c.passed for c in self.conditions if not c.informational)
+        return all(c.passed for c in self.conditions)
 
     def condition(self, name: str) -> ConditionResult:
         for c in self.conditions:
@@ -109,7 +116,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def failed_names(self) -> list[str]:
-        return [c.name for c in self.conditions if not c.passed and not c.informational]
+        return [c.name for c in self.conditions if not c.passed]
 
     def to_dict(self):
         return {
@@ -136,11 +143,16 @@ def _wit(indices, residual, point=None) -> Witness:
     return Witness(tuple(indices), residual, point)
 
 
-def _scan(name: str, gen) -> ConditionResult:
-    """Symbolic condition from a generator of (indices, residual)."""
+def _same(x):
+    return x
+
+
+def _scan(name: str, gen, value=_same) -> ConditionResult:
+    """Symbolic condition from a generator of (indices, residual); a witness
+    reports ``value(residual)``."""
     for indices, residual in gen:
         if residual:
-            return ConditionResult(name, False, _wit(indices, residual))
+            return ConditionResult(name, False, _wit(indices, value(residual)))
     return ConditionResult(name, True)
 
 
@@ -177,125 +189,48 @@ def _t_conditions_symbolic_const_g(g: LinearMetric, h: LinearMetric) -> list[Con
     With Gamma(g) = 0 the obstruction tensor is P/det^2 (P the Christoffel
     numerators of h, det = det h), the raised tensor is Q/det^2 with
     Q^{ijk} = g^{ir} h^{ks} P^j_{rs}, and each condition clears to a
-    polynomial identity over a power of det; scans exit at the first nonzero
-    numerator."""
-    from .geometry import levi_civita as _lc
-
+    polynomial identity over det^2 (T1, T2) or det^4 (T3..T5, where
+    d_r (Q/det^2) = (dQ*det - 2*Q*ddet)*det / det^4); scans exit at the
+    first nonzero numerator."""
     n = g.n
-    nvars = g.nvars
-    conn = _lc(h)
+    conn = levi_civita(h)
     det = conn.det
     if det is None:
         # h constant as well: everything vanishes identically
         return [ConditionResult(t, True) for t in ("T1", "T2", "T3", "T4", "T5")]
     P = conn.gamma_num
-    zero = MultiPoly.zero(nvars)
-    Q = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = zero
-                for r in range(n):
-                    gir = g.mat[i, r]
-                    if not gir:
-                        continue
-                    for s in range(n):
-                        hks = h.mat[k, s]
-                        if hks and P[j][r][s]:
-                            acc = acc + (gir * hks) * P[j][r][s]
-                Q[i][j][k] = acc
-    det2 = det * det
-    det3 = det2 * det
-    det4 = det2 * det2
-
-    def wit(indices, num, power):
-        dens = {2: det2, 3: det3, 4: det4}
-        return _wit(indices, RationalFunction(num, dens[power], base=det))
-
-    def scan_poly(name, gen, power):
-        for indices, num in gen:
-            if num:
-                return ConditionResult(name, False, wit(indices, num, power))
-        return ConditionResult(name, True)
-
-    out = [
-        scan_poly(
-            "T1",
-            (
-                ((i + 1, j + 1, k + 1), Q[i][j][k] - Q[k][j][i])
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            ),
-            2,
-        ),
-        scan_poly(
-            "T2",
-            (
-                ((i + 1, j + 1, k + 1), Q[i][j][k] + Q[j][k][i] + Q[k][i][j])
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            ),
-            2,
-        ),
-        scan_poly(
-            "T3",
-            (
-                (
-                    (i + 1, j + 1, r + 1, t + 1),
-                    sum(
-                        (
-                            Q[i][j][s] * P[r][s][t] - Q[i][r][s] * P[j][s][t]
-                            for s in range(n)
-                        ),
-                        start=zero,
-                    ),
-                )
-                for i in range(n)
-                for j in range(n)
-                for r in range(n)
-                for t in range(n)
-            ),
-            4,
-        ),
-    ]
+    zero = MultiPoly.zero(g.nvars)
+    Q = raise_obstruction(g, h, P, zero)
     ddet = [det.partial(m + 1) for m in range(n)]
 
-    def t4_gen():
-        # nabla = d for constant g: d_r (Q/det^2) has numerator
-        # dQ*det - 2*Q*ddet over det^3
-        for r in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        num = Q[i][j][k].partial(r + 1) * det - Q[i][j][k] * (
-                            2 * ddet[r]
-                        )
-                        yield (r + 1, i + 1, j + 1, k + 1), num
+    @functools.cache
+    def d_raised(r, i, j, k):
+        q = Q[i][j][k]
+        return (q.partial(r + 1) * det - q * (2 * ddet[r])) * det
 
-    out.append(scan_poly("T4", t4_gen(), 3))
-
-    def t5_gen():
-        for r in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = (
-                            Q[i][j][k].partial(r + 1) * det
-                            - Q[i][j][k] * (2 * ddet[r])
-                        ) * det
-                        for l in range(n):
-                            if P[i][r][l] and Q[l][j][k]:
-                                acc = acc + P[i][r][l] * Q[l][j][k]
-                            if P[j][r][l] and Q[i][l][k]:
-                                acc = acc + P[j][r][l] * Q[i][l][k]
-                            if P[k][r][l] and Q[i][j][l]:
-                                acc = acc + P[k][r][l] * Q[i][j][l]
-                        yield (r + 1, i + 1, j + 1, k + 1), acc
-
-    out.append(scan_poly("T5", t5_gen(), 4))
+    det2 = det * det
+    det4 = det2 * det2
+    gamma_g = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    out = []
+    for name, stream in mokhov_identities(Q, P, d_raised, gamma_g, P, n, _same):
+        den = det2 if name in ("T1", "T2") else det4
+        out.append(_scan(name, stream, lambda num: RationalFunction(num, den, base=det)))
     return out
+
+
+def _t_conditions_rational(g: LinearMetric, h: LinearMetric) -> list[ConditionResult]:
+    """Obstruction identities on the reduced rational obstruction tensor."""
+    obt = obstruction_tensor(g, h)
+    R = obt.t_raised
+
+    @functools.cache
+    def d_raised(r, i, j, k):
+        return R[i][j][k].partial(r + 1)
+
+    ids = mokhov_identities(
+        R, obt.t, d_raised, levi_civita(g).gamma, levi_civita(h).gamma, g.n, _same
+    )
+    return [_scan(name, stream) for name, stream in ids]
 
 
 def _t_screen_failing(g: LinearMetric, h: LinearMetric, field=pc.FP) -> bool:
@@ -325,66 +260,7 @@ def _t_conditions_symbolic(g: LinearMetric, h: LinearMetric) -> list[ConditionRe
         # a failing pair: dense numerator scans with first-failure exit are
         # much cheaper than reduced rational functions there
         return _t_conditions_symbolic_const_g(g, h)
-    n = g.n
-    obt = obstruction_tensor(g, h)
-    T, R = obt.t, obt.t_raised
-    out = [
-        _scan(
-            "T1",
-            (
-                ((i + 1, j + 1, k + 1), R[i][j][k] - R[k][j][i])
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            ),
-        ),
-        _scan(
-            "T2",
-            (
-                ((i + 1, j + 1, k + 1), R[i][j][k] + R[j][k][i] + R[k][i][j])
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            ),
-        ),
-        _scan(
-            "T3",
-            (
-                (
-                    (i + 1, j + 1, r + 1, t + 1),
-                    sum(
-                        (R[i][j][s] * T[r][s][t] - R[i][r][s] * T[j][s][t] for s in range(n)),
-                        start=MultiPoly.zero(g.nvars),
-                    ),
-                )
-                for i in range(n)
-                for j in range(n)
-                for r in range(n)
-                for t in range(n)
-            ),
-        ),
-    ]
-    for name, metric in (("T4", g), ("T5", h)):
-        conn = levi_civita(metric)
-        gm = conn.gamma
-
-        def grad_components(gm=gm):
-            for r in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc = R[i][j][k].partial(r + 1)
-                            for l in range(n):
-                                if gm[i][r][l] and R[l][j][k]:
-                                    acc = acc + gm[i][r][l] * R[l][j][k]
-                                if gm[j][r][l] and R[i][l][k]:
-                                    acc = acc + gm[j][r][l] * R[i][l][k]
-                                if gm[k][r][l] and R[i][j][l]:
-                                    acc = acc + gm[k][r][l] * R[i][j][l]
-                            yield (r + 1, i + 1, j + 1, k + 1), acc
-
-        out.append(_scan(name, grad_components()))
-    return out
+    return _t_conditions_rational(g, h)
 
 
 def _t_conditions_sampled(g, h, points, cache=None) -> list[ConditionResult]:
@@ -512,13 +388,9 @@ def theorem2_conditions(
     seed: int = DEFAULT_SEED,
     points=None,
     cache=None,
-    *,
-    derived_flat: bool = True,
 ) -> VerificationReport:
-    """Linearity + Nijenhuis + Killing for constant g.  With ``derived_flat``
-    it also records flatness of h as an informational (derived) entry, which
-    never enters the verdict; verify_operator leaves it out, since the
-    obstruction criterion already checks flat(g2)."""
+    """Linearity + Nijenhuis + Killing for constant g.  Flatness of h follows
+    from them (Theorem 2) and is checked by mokhov_conditions."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     mode = mode or default_mode(g.n)
@@ -537,27 +409,6 @@ def theorem2_conditions(
             points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
         cache = cache or pc.FrameCache()
     report.conditions.extend(pair_conditions_constant_g(g, h, mode, points, cache))
-    if not derived_flat:
-        return report
-    # derived flatness of the second metric (Theorem-2 corollary), recorded
-    # but not part of the verdict
-    hm = _as_bivector(h)
-    linear = all(
-        hm[i, j].degree_in_block(g.n) <= 1 for i in range(g.n) for j in range(g.n)
-    )
-    if linear:
-        h_metric = h if isinstance(h, LinearMetric) else None
-        if h_metric is None:
-            try:
-                h_metric = LinearMetric(g.n, hm)
-            except ValueError:
-                h_metric = None
-        if h_metric is not None:
-            if h_metric is not h and cache is not None:
-                cache = pc.FrameCache()  # fresh wrapper object, do not mix ids
-            flat = _flat_condition("flat(g2)", h_metric, mode, points, cache)
-            flat.informational = True
-            report.conditions.append(flat)
     return report
 
 
@@ -593,9 +444,7 @@ def verify_operator(
         return report
     if spec.d == 2:
         mok = mokhov_conditions(spec.g, spec.gt, mode, seed, points, cache)
-        th2 = theorem2_conditions(
-            spec.g, spec.gt, mode, seed, points, cache, derived_flat=False
-        )
+        th2 = theorem2_conditions(spec.g, spec.gt, mode, seed, points, cache)
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "

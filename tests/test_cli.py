@@ -48,6 +48,15 @@ def test_verify_non_utf8_file_exit2(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+def test_unwritable_out_exit2(tmp_path, capsys):
+    path = write(tmp_path, "op5.json", op5_file())
+    out = tmp_path / "missing" / "x.json"
+    assert main(["verify", path, "--output", "json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unexpected_exception_exit3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

@@ -1,0 +1,38 @@
+"""Byte-exact ``hamop verify --output json`` reports.
+
+Each report under ``golden/`` was written by
+
+    python -m hamop.cli verify golden/<case>.spec.json --output json \
+        --out golden/<case>.json [--mode sampled]
+
+The cases cover a passing catalog entry (mokhov-n3), a failing n = 2 pencil
+in default mode (numerator-path witnesses for T1..T5) and in sampled mode
+(point witnesses), and a d = 3 entry (thm5-3d-1).  The JSON of the same
+input and seed may change only together with ``cli.REPORT_VERSION``; a
+change that bumps it regenerates these files with the command above.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hamop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("mokhov-n3", "mokhov-n3", []),
+    ("pencil-n2-raw", "pencil-n2-raw", []),
+    ("pencil-n2-raw", "pencil-n2-raw.sampled", ["--mode", "sampled"]),
+    ("thm5-3d-1", "thm5-3d-1", []),
+]
+
+
+@pytest.mark.parametrize("spec, report, extra", CASES, ids=[c[1] for c in CASES])
+def test_verify_report_is_golden(tmp_path, spec, report, extra):
+    out = tmp_path / "report.json"
+    golden = (GOLDEN / f"{report}.json").read_bytes()
+    rc = main(["verify", str(GOLDEN / f"{spec}.spec.json"), "--output", "json",
+               "--out", str(out), *extra])
+    assert rc == (0 if b'"verdict": "pass"' in golden else 1)
+    assert out.read_bytes() == golden
