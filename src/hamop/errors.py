@@ -30,7 +30,9 @@ class NonSquareGamma(HamopError):
 
 
 class DisagreementBug(HamopError):
-    """The two independent 2D verification criteria disagreed; implementation defect."""
+    """Two computations that must agree disagreed (the two independent 2D
+    criteria, or a sampled condition over F_p and over Q); implementation
+    defect."""
 
 
 class SpecFileError(HamopError):
@@ -39,3 +41,7 @@ class SpecFileError(HamopError):
 
 class NonUnitDenominator(HamopError):
     """A rational's denominator is divisible by the modulus of a prime field."""
+
+
+class NonlinearBivector(HamopError, ValueError):
+    """Sampled mode was asked to check a bivector that is not linear in u."""

@@ -9,25 +9,28 @@ restated here: ``mokhov_at`` feeds the point values to
 ``geometry.mokhov_identities``, the one place they are written for every
 scalar representation.  There are two fields:
 
-* ``Q``: ``fractions.Fraction``, with ``red`` the identity.  Sampled mode
-  runs on it: each condition becomes an exact rational identity at a seeded
-  random point (Schwartz-Zippel style instead of full polynomial identity
-  checking), and a witness is the exact rational residual at its point.
 * ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
-  ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.  Only
-  the symbolic T1..T5 path screen (``verify._t_screen_failing``) runs on it,
-  and the screen never decides a verdict.  At an integer point where every
-  coefficient denominator and both determinants are units mod P, the F_p
-  value of a condition is the Q value reduced mod P, so a nonzero residue
-  certifies a nonzero rational value and a failing screen answer is exact.
-  A rational value that happens to be divisible by P only makes the screen
-  choose the reduced-rational path, which reaches the same verdict.
+  ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.
+  Sampled mode and the symbolic T1..T5 path screen
+  (``verify._t_screen_failing``) run on it.  At an integer point where every
+  coefficient denominator and every metric determinant is a unit mod P, the
+  F_p value of a condition is its Q value reduced mod P.  So a nonzero
+  residue certifies a nonzero rational value: a sampled failure is exact,
+  and its witness is recomputed over Q at the same point.  A sampled pass
+  means every tested value is 0 mod P; beyond the Schwartz-Zippel risk of
+  sampling itself, that errs only where a nonzero rational value is
+  divisible by P.
+* ``Q``: ``fractions.Fraction``, with ``red`` the identity.  It gives the
+  exact rational witnesses, the fallback where F_p cannot stand in for Q
+  (see ``FrameCache``), and the reference the tests compare F_p against.
 
-Points where any metric's determinant vanishes in the field are rejected
-and redrawn; after 100 rejections DegenerateEverywhere is raised.  The
-flatness, Nijenhuis, Killing and linearity formulas mirror their symbolic
-counterparts in ``geometry`` one-for-one; the test suite pins the two
-pipelines against each other on small cases.
+Sample points are seeded integer points; those where any metric's
+determinant vanishes in the field they are drawn in (Q for sampled mode) are
+rejected and redrawn, and after 100 rejections DegenerateEverywhere is
+raised.  The flatness, Nijenhuis, Killing
+and linearity formulas mirror their symbolic counterparts in ``geometry``
+one-for-one; the test suite pins the two pipelines against each other on
+small cases.
 """
 
 from __future__ import annotations
@@ -168,20 +171,14 @@ class PointFrame:
             if self.constant:
                 self._ddginv = _zeros(F, n, n, n, n)
             else:
+                # d_r d_m Ginv = -(d[r] A[m] Ginv + Ginv A[m] d[r]), and
+                # Ginv A[m] d[r] = d[m] A[r] Ginv as d[r] = -Ginv A[r] Ginv
                 inv = self.Ginv
                 d = self.dGinv
+                AI = [_mat_mul(F, a, inv) for a in self.A]
+                B = [[_mat_mul(F, d[r], AI[m]) for m in range(n)] for r in range(n)]
                 self._ddginv = [
-                    [
-                        _mat_neg(
-                            F,
-                            _mat_add(
-                                F,
-                                _mat_mul(F, d[r], _mat_mul(F, self.A[m], inv)),
-                                _mat_mul(F, inv, _mat_mul(F, self.A[m], d[r])),
-                            ),
-                        )
-                        for m in range(n)
-                    ]
+                    [_mat_neg(F, _mat_add(F, B[r][m], B[m][r])) for m in range(n)]
                     for r in range(n)
                 ]
         return self._ddginv
@@ -254,18 +251,45 @@ class PointFrame:
 
 
 class FrameCache:
-    """Shares PointFrames between conditions and criteria at fixed points."""
+    """Shares PointFrames between conditions and criteria at fixed points.
 
-    def __init__(self):
+    Points are rational (as ``sample_points`` draws them over Q); each one is
+    mapped into the cache's field only here.  With ``field=FP`` a frame
+    whose metric is singular mod P at a point that is not singular over Q
+    sends that point to Q: from then on every frame at it is built over Q,
+    and ``frames`` never mixes the two fields within one condition.  A
+    coefficient denominator that is not a unit mod P raises
+    NonUnitDenominator; ``verify`` then evaluates the whole report over Q.
+    ``frame(..., field=Q)`` gives the exact frames a witness is recomputed
+    on."""
+
+    def __init__(self, field=Q):
+        self.field = field
         self._frames = {}
+        self._on_q = set()  # ids of points sent to Q
 
-    def frame(self, metric: LinearMetric, point) -> PointFrame:
-        key = (id(metric), id(point))
+    def frame(self, metric: LinearMetric, point, field=None) -> PointFrame:
+        F = field or (Q if id(point) in self._on_q else self.field)
+        key = (id(metric), id(point), id(F))
         f = self._frames.get(key)
         if f is None:
-            f = PointFrame(metric, point)
+            image = point if F is Q else [F.of(x) for x in point]
+            f = PointFrame(metric, image, F)
+            if F is not Q:
+                try:
+                    f.Ginv
+                except ZeroDivisionError:  # det is 0 mod P but not over Q
+                    self._on_q.add(id(point))
+                    return self.frame(metric, point, Q)
             self._frames[key] = f
         return f
+
+    def frames(self, point, *metrics, field=None) -> list:
+        """Frames of ``metrics`` at ``point``, all over one field."""
+        fs = [self.frame(m, point, field) for m in metrics]
+        if any(f.F is not fs[-1].F for f in fs):  # the point went to Q midway
+            fs = [self.frame(m, point, Q) for m in metrics]
+        return fs
 
 
 def riemann_at(f: PointFrame):
@@ -385,9 +409,9 @@ def mokhov_at(fg: PointFrame, fh: PointFrame):
         yield name, next((hit for hit in stream if hit[1]), None)
 
 
-def nijenhuis_at(fh: PointFrame, fgamma: PointFrame, n):
+def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
     """N(L) at the point for L = H * (G_gamma)^{-1}."""
-    F = fh.F
+    F, n = fh.F, fh.n
     H, Ah = fh.G, fh.A
     ginv = fgamma.Ginv
     dginv = fgamma.dGinv
@@ -410,8 +434,8 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame, n):
     return None
 
 
-def killing_at(fg: PointFrame, fh: PointFrame, n):
-    F = fg.F
+def killing_at(fg: PointFrame, fh: PointFrame):
+    F, n = fg.F, fg.n
     z = F.of(0)
     for i in range(n):
         for j in range(i, n):
@@ -427,9 +451,9 @@ def killing_at(fg: PointFrame, fh: PointFrame, n):
     return None
 
 
-def linearity_at(fgamma: PointFrame, fh: PointFrame, n):
+def linearity_at(fgamma: PointFrame, fh: PointFrame):
     """Covariant Hessian of h with respect to the frame's connection."""
-    red = fh.F.red
+    red, n = fh.F.red, fh.n
     H, Ah = fh.G, fh.A
     G = fgamma.Gamma
     dG = fgamma.dGamma

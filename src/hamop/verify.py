@@ -13,9 +13,16 @@ disagree (they cannot, unless the implementation is broken).  For d >= 3 the
 pairwise conditions (linearity / Nijenhuis / Killing per ordered pair) are
 checked with the first metric constant.
 
-Checks run symbolically for n <= 5 and by seeded 20-point exact rational
-evaluation for larger n; a mode flag overrides the default.  Witnesses always
-report the lexicographically first failing index tuple.
+Checks run symbolically for n <= 5 and at 20 seeded integer points for
+larger n; a mode flag overrides the default.  Sampled conditions are
+evaluated over F_p, p = 2^61 - 1 (see pointcheck).  A sampled pass means
+every tested value is 0 mod p: besides the Schwartz-Zippel risk of sampling,
+that errs only where a nonzero rational value is divisible by p.  A sampled
+failure is certified, since a nonzero residue proves a nonzero rational
+value, and its witness is recomputed over Q at the first failing point.  A
+coefficient denominator that is not a unit mod p sends the whole report to
+Q.  Witnesses always report the lexicographically first failing index tuple
+(at the first failing point, in sampled mode).
 
 Symbolic T1..T5 has two representations: polynomial numerators over powers
 of det h (cheap on failing pairs, thanks to the first-failure exit) and
@@ -43,6 +50,7 @@ from .errors import (
     DegenerateEverywhere,
     DisagreementBug,
     FirstMetricNotConstant,
+    NonlinearBivector,
     NonUnitDenominator,
 )
 from .geometry import (
@@ -67,6 +75,8 @@ SYMBOLIC_MAX_N = 5
 
 MODE_SYMBOLIC = "symbolic"
 MODE_SAMPLED = "sampled"
+
+T_NAMES = ("T1", "T2", "T3", "T4", "T5")
 
 
 @dataclass(frozen=True)
@@ -156,26 +166,50 @@ def _scan(name: str, gen, value=_same) -> ConditionResult:
     return ConditionResult(name, True)
 
 
-def _scan_points(name: str, fn, points) -> ConditionResult:
-    """Sampled condition: fn(point) returns (indices, value) or None."""
+def _on_frames(run, cache):
+    """``run(cache)`` for a sampled check.  Without a cache it runs on F_p
+    frames, or on Q frames when a coefficient denominator is not a unit
+    mod p."""
+    if cache is not None:
+        return run(cache)
+    try:
+        return run(pc.FrameCache(pc.FP))
+    except NonUnitDenominator:
+        return run(pc.FrameCache(pc.Q))
+
+
+def _certified(name: str, pt, hit):
+    """The Q hit at a point where F_p found one: a nonzero residue mod p
+    proves a nonzero rational value, so a miss is a defect."""
+    if hit is None:
+        where = ", ".join(format_rational(x) for x in pt)
+        raise DisagreementBug(f"{name} is nonzero mod p but zero over Q at ({where})")
+    return hit
+
+
+def _scan_points(name: str, fn, metrics, points, cache) -> ConditionResult:
+    """Sampled condition: ``fn(*frames)`` on the frames of ``metrics`` at a
+    point returns (indices, value) or None.  A hit over F_p is recomputed
+    over Q at the same point for the witness."""
     for pt in points:
-        hit = fn(pt)
+        frames = cache.frames(pt, *metrics)
+        hit = fn(*frames)
         if hit is not None:
-            indices, value = hit
-            return ConditionResult(name, False, _wit(indices, value, pt))
+            if frames[0].F is not pc.Q:
+                hit = _certified(name, pt, fn(*cache.frames(pt, *metrics, field=pc.Q)))
+            return ConditionResult(name, False, _wit(*hit, pt))
     return ConditionResult(name, True)
 
 
 def _flat_condition(
-    name: str, g: LinearMetric, mode: str, points, cache=None
+    name: str, g: LinearMetric, mode: str, points, cache
 ) -> ConditionResult:
     if mode == MODE_SYMBOLIC:
         w = flatness_witness(g)
         if w is None:
             return ConditionResult(name, True)
         return ConditionResult(name, False, _wit(*w))
-    cache = cache or pc.FrameCache()
-    return _scan_points(name, lambda pt: pc.flat_at(cache.frame(g, pt)), points)
+    return _scan_points(name, pc.flat_at, (g,), points, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +231,7 @@ def _t_conditions_symbolic_const_g(g: LinearMetric, h: LinearMetric) -> list[Con
     det = conn.det
     if det is None:
         # h constant as well: everything vanishes identically
-        return [ConditionResult(t, True) for t in ("T1", "T2", "T3", "T4", "T5")]
+        return [ConditionResult(t, True) for t in T_NAMES]
     P = conn.gamma_num
     zero = MultiPoly.zero(g.nvars)
     Q = raise_obstruction(g, h, P, zero)
@@ -263,14 +297,25 @@ def _t_conditions_symbolic(g: LinearMetric, h: LinearMetric) -> list[ConditionRe
     return _t_conditions_rational(g, h)
 
 
-def _t_conditions_sampled(g, h, points, cache=None) -> list[ConditionResult]:
-    cache = cache or pc.FrameCache()
-    results = {name: ConditionResult(name, True) for name in ("T1", "T2", "T3", "T4", "T5")}
+def _t_conditions_sampled(g, h, points, cache) -> list[ConditionResult]:
+    """T1..T5 at each point until all have failed; hits over F_p are
+    recomputed over Q at their point for the witnesses."""
+    failed = {}
     for pt in points:
-        for name, hit in pc.mokhov_at(cache.frame(g, pt), cache.frame(h, pt)):
-            if hit is not None and results[name].passed:
-                results[name] = ConditionResult(name, False, _wit(hit[0], hit[1], pt))
-    return [results[k] for k in ("T1", "T2", "T3", "T4", "T5")]
+        frames = cache.frames(pt, g, h)
+        hits = {
+            name: hit
+            for name, hit in pc.mokhov_at(*frames)
+            if hit is not None and name not in failed
+        }
+        if hits and frames[0].F is not pc.Q:
+            exact = dict(pc.mokhov_at(*cache.frames(pt, g, h, field=pc.Q)))
+            hits = {name: _certified(name, pt, exact[name]) for name in hits}
+        for name, hit in hits.items():
+            failed[name] = ConditionResult(name, False, _wit(*hit, pt))
+        if len(failed) == len(T_NAMES):
+            break
+    return [failed.get(name) or ConditionResult(name, True) for name in T_NAMES]
 
 
 def mokhov_conditions(
@@ -284,16 +329,22 @@ def mokhov_conditions(
     """Flatness of both metrics plus the five obstruction-tensor identities."""
     mode = mode or default_mode(g.n)
     report = VerificationReport(g.n, 2, mode, seed)
-    if mode == MODE_SAMPLED:
+
+    def run(cache):
+        flat = [
+            _flat_condition("flat(g1)", g, mode, points, cache),
+            _flat_condition("flat(g2)", h, mode, points, cache),
+        ]
+        if mode == MODE_SYMBOLIC:
+            return flat + _t_conditions_symbolic(g, h)
+        return flat + _t_conditions_sampled(g, h, points, cache)
+
+    if mode == MODE_SYMBOLIC:
+        report.conditions = run(None)
+    else:
         if points is None:
             points = pc.sample_points(g.nvars, [g, h], seed)
-        cache = cache or pc.FrameCache()
-    report.conditions.append(_flat_condition("flat(g1)", g, mode, points, cache))
-    report.conditions.append(_flat_condition("flat(g2)", h, mode, points, cache))
-    if mode == MODE_SYMBOLIC:
-        report.conditions.extend(_t_conditions_symbolic(g, h))
-    else:
-        report.conditions.extend(_t_conditions_sampled(g, h, points, cache))
+        report.conditions = _on_frames(run, cache)
     return report
 
 
@@ -314,7 +365,7 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
 
 
 def pair_conditions_constant_g(
-    g: LinearMetric, h, mode: str, points, cache=None, suffix: str = ""
+    g: LinearMetric, h, mode: str, points, cache=None
 ) -> list[ConditionResult]:
     """linearity / nijenhuis / killing for constant g (polynomial checks)."""
     n = g.n
@@ -324,7 +375,7 @@ def pair_conditions_constant_g(
     sp = second_partials_residual(hm, n)
     out.append(
         _scan(
-            "linearity" + suffix,
+            "linearity",
             (
                 ((r + 1, s + 1, i + 1, j + 1), sp[r][s][i][j])
                 for r in range(n)
@@ -339,7 +390,7 @@ def pair_conditions_constant_g(
         N = nijenhuis_torsion(L, n)
         out.append(
             _scan(
-                "nijenhuis" + suffix,
+                "nijenhuis",
                 (
                     ((k + 1, i + 1, j + 1), N[k][i][j])
                     for k in range(n)
@@ -351,7 +402,7 @@ def pair_conditions_constant_g(
         K = killing_residual(g, h, n)
         out.append(
             _scan(
-                "killing" + suffix,
+                "killing",
                 (
                     ((i + 1, j + 1, k + 1), K[i][j][k])
                     for i in range(n)
@@ -361,17 +412,9 @@ def pair_conditions_constant_g(
             )
         )
     else:
-        cache = cache or pc.FrameCache()
         hw = _wrap_metric(h, g)
-
-        def nij(pt):
-            return pc.nijenhuis_at(cache.frame(hw, pt), cache.frame(g, pt), n)
-
-        def kil(pt):
-            return pc.killing_at(cache.frame(g, pt), cache.frame(hw, pt), n)
-
-        out.append(_scan_points("nijenhuis" + suffix, nij, points))
-        out.append(_scan_points("killing" + suffix, kil, points))
+        out.append(_scan_points("nijenhuis", pc.nijenhuis_at, (hw, g), points, cache))
+        out.append(_scan_points("killing", pc.killing_at, (g, hw), points, cache))
     return out
 
 
@@ -395,20 +438,23 @@ def theorem2_conditions(
         raise FirstMetricNotConstant("first metric must be constant")
     mode = mode or default_mode(g.n)
     report = VerificationReport(g.n, 2, mode, seed)
-    if mode == MODE_SAMPLED:
-        hm = _as_bivector(h)
-        if any(
-            hm[i, j].degree_in_block(g.n) > 1
-            for i in range(g.n)
-            for j in range(g.n)
-        ):
-            raise ValueError(
-                "nonlinear bivectors are checked symbolically; use mode='symbolic'"
-            )
-        if points is None:
-            points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
-        cache = cache or pc.FrameCache()
-    report.conditions.extend(pair_conditions_constant_g(g, h, mode, points, cache))
+    if mode == MODE_SYMBOLIC:
+        report.conditions = pair_conditions_constant_g(g, h, mode, None)
+        return report
+    hm = _as_bivector(h)
+    if any(
+        hm[i, j].degree_in_block(g.n) > 1
+        for i in range(g.n)
+        for j in range(g.n)
+    ):
+        raise NonlinearBivector(
+            "nonlinear bivectors are checked symbolically; use mode='symbolic'"
+        )
+    if points is None:
+        points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
+    report.conditions = _on_frames(
+        lambda c: pair_conditions_constant_g(g, h, mode, points, c), cache
+    )
     return report
 
 
@@ -432,12 +478,13 @@ def verify_operator(
             "operator spec must present the first metric in constant form"
         )
     mode = mode or default_mode(spec.n)
-    points = (
-        pc.sample_points(spec.nvars, spec.metrics, seed)
-        if mode == MODE_SAMPLED
-        else None
-    )
-    cache = pc.FrameCache() if mode == MODE_SAMPLED else None
+    if mode == MODE_SYMBOLIC:
+        return _check_operator(spec, mode, seed, None, None)
+    points = pc.sample_points(spec.nvars, spec.metrics, seed)
+    return _on_frames(lambda c: _check_operator(spec, mode, seed, points, c), None)
+
+
+def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
     if spec.d == 1:
         report = VerificationReport(spec.n, 1, mode, seed)
         report.conditions.append(_flat_condition("flat(g1)", spec.g, mode, points, cache))
@@ -482,7 +529,7 @@ def verify_operator(
 
 
 def _pair_conditions_general(
-    gb: LinearMetric, gc: LinearMetric, mode: str, points, bi: int, ci: int, cache=None
+    gb: LinearMetric, gc: LinearMetric, mode: str, points, bi: int, ci: int, cache
 ) -> list[ConditionResult]:
     """Ordered-pair conditions when the reference metric gc is not constant:
     linearity of gb measured by the covariant Hessian of gc's connection."""
@@ -528,20 +575,12 @@ def _pair_conditions_general(
             )
         )
     else:
-        cache = cache or pc.FrameCache()
-
-        def lin(pt):
-            return pc.linearity_at(cache.frame(gc, pt), cache.frame(gb, pt), n)
-
-        def nij(pt):
-            return pc.nijenhuis_at(cache.frame(gb, pt), cache.frame(gc, pt), n)
-
-        def kil(pt):
-            return pc.killing_at(cache.frame(gb, pt), cache.frame(gc, pt), n)
-
-        out.append(_scan_points(f"linearity[{bi}|{ci}]", lin, points))
-        out.append(_scan_points(f"nijenhuis[{bi}|{ci}]", nij, points))
-        out.append(_scan_points(f"killing[{ci}|{bi}]", kil, points))
+        for name, fn, metrics in (
+            (f"linearity[{bi}|{ci}]", pc.linearity_at, (gc, gb)),
+            (f"nijenhuis[{bi}|{ci}]", pc.nijenhuis_at, (gb, gc)),
+            (f"killing[{ci}|{bi}]", pc.killing_at, (gb, gc)),
+        ):
+            out.append(_scan_points(name, fn, metrics, points, cache))
     return out
 
 

@@ -7,7 +7,9 @@ Each report under ``golden/`` was written by
 
 The cases cover a passing catalog entry (mokhov-n3), a failing n = 2 pencil
 in default mode (numerator-path witnesses for T1..T5) and in sampled mode
-(point witnesses), and a d = 3 entry (thm5-3d-1).  The JSON of the same
+(point witnesses), a d = 3 entry (thm5-3d-1), a passing n = 6 entry that
+default mode samples (mokhov-n6), and a failing n = 3 pencil in sampled mode
+(point witnesses in eight conditions).  The JSON of the same
 input and seed may change only together with ``cli.REPORT_VERSION``; a
 change that bumps it regenerates these files with the command above.
 """
@@ -25,6 +27,8 @@ CASES = [
     ("pencil-n2-raw", "pencil-n2-raw", []),
     ("pencil-n2-raw", "pencil-n2-raw.sampled", ["--mode", "sampled"]),
     ("thm5-3d-1", "thm5-3d-1", []),
+    ("mokhov-n6", "mokhov-n6", []),
+    ("pencil-n3-raw", "pencil-n3-raw.sampled", ["--mode", "sampled"]),
 ]
 
 

@@ -1,9 +1,10 @@
-"""The point kernel over its two fields, and the F_p path screen.
+"""The point kernel over its two fields, the F_p path screen and sampled
+mode over F_p.
 
 The F_p kernel is the image of the Q kernel: at a seeded integer point every
 jet and every obstruction component over F_p equals the Q value reduced mod
 p.  The Q-field screen is the exact reference for the F_p screen's
-decisions.
+decisions, and a Q frame cache is the exact reference for sampled mode.
 """
 
 import random
@@ -13,11 +14,25 @@ import pytest
 
 from hamop import pointcheck as pc
 from hamop.catalog import catalog, get_entry
+from hamop.errors import (
+    DisagreementBug,
+    HamopError,
+    NonlinearBivector,
+    NonUnitDenominator,
+)
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
 from hamop.specfile import default_param_values, specialize_spec
-from hamop.verify import _t_screen_failing, verify_operator
+from hamop.verify import (
+    MODE_SAMPLED,
+    _check_operator,
+    _scan_points,
+    _t_screen_failing,
+    mokhov_conditions,
+    theorem2_conditions,
+    verify_operator,
+)
 
 from conftest import corpus_pairs, operator5_pair, u_vars
 
@@ -28,9 +43,13 @@ def _reduce(x):
     return pc.FP.of(x)
 
 
-def _catalog_pair(e):
+def _catalog_spec(e):
     values = default_param_values(e.spec)
-    spec = specialize_spec(e.spec, values) if values else e.spec
+    return specialize_spec(e.spec, values) if values else e.spec
+
+
+def _catalog_pair(e):
+    spec = _catalog_spec(e)
     return e.id, spec.g, spec.gt
 
 
@@ -84,3 +103,127 @@ def test_non_unit_denominator_keeps_verdict(failing):
     rep = verify_operator(OperatorSpec([g, hp]))
     assert rep.verdict == ref.verdict == (not failing)
     assert rep.failed_names() == ref.failed_names()
+
+
+def _sampled_both_ways(g, h, points=None):
+    """Sampled conditions of both criteria on F_p frames and on Q frames."""
+    runs = []
+    for cache in (None, pc.FrameCache(pc.Q)):
+        mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        th2 = theorem2_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        runs.append(mok.conditions + th2.conditions)
+    return runs
+
+
+def test_sampled_fp_matches_q():
+    # equal ConditionResults, witnesses (index tuple, exact residual, point)
+    # included; the catalog pairs pass at every point, so four points each
+    # keep the Q reference affordable
+    verdicts = set()
+    for e in catalog():
+        if e.n <= 4 and e.spec.d == 2:
+            _, g, h = _catalog_pair(e)
+            points = pc.sample_points(g.nvars, [g, h], seed=0, count=4)
+            fp, q = _sampled_both_ways(g, h, points)
+            assert fp == q, e.id
+            verdicts.add(all(c.passed for c in fp))
+    for name, g, h in _small_corpus(2, 31) + _small_corpus(3, 32):
+        fp, q = _sampled_both_ways(g, h)
+        assert fp == q, name
+        verdicts.add(all(c.passed for c in fp))
+    assert verdicts == {True, False}
+
+
+def test_sampled_fp_matches_q_pairwise():
+    # d = 3: flat(g1) plus linearity / Nijenhuis / Killing per ordered pair,
+    # against a constant and against a non-constant reference metric; the
+    # second spec swaps in a random (failing) third metric
+    base = _catalog_spec(get_entry("thm5-3d-1"))
+    _, (raw,) = corpus_pairs(3, random.Random(33), raw=1, killing=0, family=0, constant=0)
+    verdicts = []
+    for spec in (base, OperatorSpec([*base.metrics[:2], raw])):
+        points = pc.sample_points(spec.nvars, spec.metrics, seed=0, count=4)
+        fp = _check_operator(spec, MODE_SAMPLED, 0, points, pc.FrameCache(pc.FP))
+        q = _check_operator(spec, MODE_SAMPLED, 0, points, pc.FrameCache(pc.Q))
+        assert fp.conditions == q.conditions
+        verdicts.append(fp.verdict)
+    assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_sampled_non_unit_denominator_runs_on_q(failing):
+    # a coefficient 1/p cannot be mapped into F_p, so the whole report runs
+    # on Q; scaling h by a constant keeps every condition's zero pattern, so
+    # the report matches the unscaled pencil's (exactly, when it passes)
+    g, h = operator5_pair()
+    if failing:
+        u1, _ = u_vars(2)
+        z = MultiPoly.zero(2)
+        h = LinearMetric(2, PolyMatrix([[u1, z], [z, u1]]))
+    hp = LinearMetric(2, h.mat.scale(Fraction(1, pc.P)))
+    with pytest.raises(NonUnitDenominator):
+        pc.FrameCache(pc.FP).frame(hp, [Fraction(1), Fraction(2)])
+    fp, q = _sampled_both_ways(g, hp)
+    assert fp == q
+    rep = verify_operator(OperatorSpec([g, hp]), MODE_SAMPLED)
+    ref = verify_operator(OperatorSpec([g, h]), MODE_SAMPLED)
+    assert rep.verdict == ref.verdict == (not failing)
+    if failing:
+        def shape(r):
+            return [(c.name, c.witness.indices, c.witness.point)
+                    for c in r.conditions if not c.passed]
+        assert shape(rep) == shape(ref)
+    else:
+        assert rep.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("h22", ["one", "u1"])
+def test_point_singular_mod_p_runs_on_q(h22):
+    # det diag(u1, *) is 0 mod p at u1 = p but not over Q: every frame at
+    # that point is built over Q, the other point stays on F_p, and the
+    # report equals the Q report, witnesses at the first point included
+    # (both pencils fail there)
+    u1, _ = u_vars(2)
+    z = MultiPoly.zero(2)
+    second = MultiPoly.const(2, 1) if h22 == "one" else u1
+    g = LinearMetric.antidiagonal(2)
+    h = LinearMetric(2, PolyMatrix([[u1, z], [z, second]]))
+    points = [[Fraction(pc.P), Fraction(1)], [Fraction(3), Fraction(5)]]
+    runs = []
+    for cache in (pc.FrameCache(pc.FP), pc.FrameCache(pc.Q)):
+        mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        th2 = theorem2_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        runs.append((mok.conditions + th2.conditions, cache))
+    (fp, cache), (q, _) = runs
+    assert fp == q
+    assert cache.frame(g, points[0]).F is cache.frame(h, points[0]).F is pc.Q
+    assert cache.frame(g, points[1]).F is cache.frame(h, points[1]).F is pc.FP
+    failed = [c for c in fp if not c.passed]
+    assert failed
+    assert all(c.witness.point == (f"{pc.P}/1", "1/1") for c in failed)
+
+
+def test_sampled_nonlinear_bivector_error_is_typed():
+    g = LinearMetric.antidiagonal(2)
+    u1, u2 = u_vars(2)
+    hm = PolyMatrix([[u1 * u1, u2], [u2, MultiPoly.zero(2)]])
+    msg = "nonlinear bivectors are checked symbolically; use mode='symbolic'"
+    with pytest.raises(NonlinearBivector) as ex:
+        theorem2_conditions(g, hm, mode=MODE_SAMPLED)
+    assert str(ex.value) == msg
+    assert isinstance(ex.value, ValueError) and isinstance(ex.value, HamopError)
+
+
+def test_fp_hit_without_q_hit_is_an_internal_error():
+    # a nonzero residue mod p proves a nonzero rational value, so an F_p hit
+    # that the Q recomputation at the same point does not reproduce is a
+    # defect and must raise, not pass or report an F_p residue
+    g = LinearMetric.antidiagonal(2)
+    points = [[Fraction(3), Fraction(5)]]
+
+    def fp_only(f):
+        return ((1,), f.G[0][1]) if f.F is pc.FP else None
+
+    with pytest.raises(DisagreementBug, match=r"zero over Q at \(3/1, 5/1\)"):
+        _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.FP))
+    assert _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.Q)).passed
