@@ -2,10 +2,18 @@
 
 Levi-Civita connections, curvature, Nijenhuis torsion, the Killing residual
 in its polynomial form, second-covariant-derivative (linearity) residuals,
-obstruction tensors, the obstruction identities T1..T5 (for every scalar
-representation) and Lie derivatives of bivectors.  Everything is exact:
-entries are MultiPoly or RationalFunction, and a condition "holds" iff the
-residual is identically zero.
+obstruction tensors, the obstruction identities T1..T5 and Lie derivatives
+of bivectors.  Everything is exact: entries are MultiPoly or
+RationalFunction, and a condition "holds" iff the residual is identically
+zero.
+
+Each verification condition is stated once, as a lazy stream of
+(1-based indices, residual) that works for every scalar representation:
+``riemann_components`` (flatness), ``nijenhuis_components``,
+``killing_components``, ``hessian_components`` (linearity) and
+``mokhov_identities`` (T1..T5).  The caller passes the entries and their
+derivatives; the public tensors below feed them polynomials or rational
+functions, and ``pointcheck`` feeds them point values.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -14,6 +22,8 @@ parameter variables.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,50 +113,193 @@ def levi_civita(g: LinearMetric) -> Connection:
     return conn
 
 
-def riemann_curvature(g: LinearMetric) -> list:
-    """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{ks}Gamma^s_{lj}
-    - Gamma^i_{ls}Gamma^s_{kj}; antisymmetric in (k,l)."""
-    n = g.n
-    conn = levi_civita(g)
-    zero = RationalFunction(MultiPoly.zero(g.nvars))
-    gm = conn.gamma
-    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    acc = gm[i][l][j].partial(k + 1) - gm[i][k][j].partial(l + 1)
-                    for s in range(n):
-                        t1 = gm[i][k][s] * gm[s][l][j] if gm[i][k][s] and gm[s][l][j] else None
-                        t2 = gm[i][l][s] * gm[s][k][j] if gm[i][l][s] and gm[s][k][j] else None
-                        if t1 is not None:
-                            acc = acc + t1
-                        if t2 is not None:
-                            acc = acc - t2
-                    out[i][j][k][l] = acc
-                    out[i][j][l][k] = -acc
+def _same(x):
+    return x
+
+
+def _partials(m: PolyMatrix, n: int, lift=_same) -> list:
+    """out[s][a][b] = lift(d_s m[a, b])."""
+    return [
+        [[lift(m[a, b].partial(s + 1)) for b in range(n)] for a in range(n)]
+        for s in range(n)
+    ]
+
+
+def _plain(idx, value):
+    return ((idx, value),)
+
+
+def _antisymmetric(idx, value):
+    """Entries of a component antisymmetric in its last two indices."""
+    *head, a, b = idx
+    return ((idx, value), ((*head, b, a), -value))
+
+
+def _symmetric(idx, value):
+    return ((p, value) for p in set(itertools.permutations(idx)))
+
+
+def _tensor(stream, n: int, rank: int, zero, entries) -> list:
+    """Nested 0-based tensor from a stream of (1-based indices, value).
+    ``entries(indices, value)`` lists the (indices, value) of every entry a
+    component determines; entries the stream leaves out are ``zero``."""
+
+    def zeros(r):
+        return [zeros(r - 1) for _ in range(n)] if r else zero
+
+    out = zeros(rank)
+    for idx, value in stream:
+        for image, v in entries(idx, value or zero):
+            row = out
+            for i in image[:-1]:
+                row = row[i - 1]
+            row[image[-1] - 1] = v
     return out
 
 
-def riemann_component_numerator(conn: Connection, i: int, j: int, k: int, l: int) -> MultiPoly:
-    """det^4 * R^i_{jkl} as a polynomial, assembled from the Christoffel
-    numerators P = det^2 * Gamma:
+def riemann_components(gamma, d_gamma, n: int, red):
+    """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+    + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj} for k < l (R is
+    antisymmetric in k, l), lazily as (1-based indices, residual) in
+    lexicographic order; ``d_gamma(r, i, j, k)`` is d_r Gamma^i_{jk}.
 
-        R = (d_k P_{lj} det - 2 P_{lj} d_k det) det / det^4 - (k <-> l)
-            + sum_s (P_{ks} P_{slj} - P_{ls} P_{skj}) / det^4
-    """
+    Like every stream below (and ``mokhov_identities``) it is written once
+    for every scalar representation: entries need only +, -, * (int 0
+    included) and truthiness, ``red`` brings a sum of products into canonical
+    form, and zero products are skipped."""
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in range(k + 1, n):
+                    acc = d_gamma(k, i, l, j) - d_gamma(l, i, k, j)
+                    for s in rng:
+                        if gamma[i][k][s] and gamma[s][l][j]:
+                            acc = acc + gamma[i][k][s] * gamma[s][l][j]
+                        if gamma[i][l][s] and gamma[s][k][j]:
+                            acc = acc - gamma[i][l][s] * gamma[s][k][j]
+                    yield (i + 1, j + 1, k + 1, l + 1), red(acc)
+
+
+def nijenhuis_components(L, dL, n: int, red):
+    """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
+    + L^k_s (d_j L^s_i - d_i L^s_j) for i < j (N is antisymmetric in i, j);
+    L[a][b] = L^a_b and dL[s][a][b] = d_s L^a_b."""
+    rng = range(n)
+    for k in rng:
+        for i in rng:
+            for j in range(i + 1, n):
+                acc = 0
+                for s in rng:
+                    if L[s][i] and dL[s][k][j]:
+                        acc = acc + L[s][i] * dL[s][k][j]
+                    if L[s][j] and dL[s][k][i]:
+                        acc = acc - L[s][j] * dL[s][k][i]
+                    if L[k][s]:
+                        d = dL[j][s][i] - dL[i][s][j]
+                        if d:
+                            acc = acc + L[k][s] * d
+                yield (k + 1, i + 1, j + 1), red(acc)
+
+
+def killing_components(g, dg, h, dh, n: int, red):
+    """Killing residual of the symmetric bivectors g, h for i <= j <= k (it
+    is fully symmetric):
+
+        g^{is} d_s h^{jk} + g^{js} d_s h^{ik} + g^{ks} d_s h^{ij}
+      - h^{is} d_s g^{jk} - h^{js} d_s g^{ik} - h^{ks} d_s g^{ij},
+
+    with dg[s][a][b] = d_s g^{ab} and dh likewise."""
+    rng = range(n)
+    for i in rng:
+        for j in range(i, n):
+            for k in range(j, n):
+                acc = 0
+                for s in rng:
+                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
+                        if g[a][s] and dh[s][b][c]:
+                            acc = acc + g[a][s] * dh[s][b][c]
+                        if h[a][s] and dg[s][b][c]:
+                            acc = acc - h[a][s] * dg[s][b][c]
+                yield (i + 1, j + 1, k + 1), red(acc)
+
+
+def hessian_components(gamma, h, dh, dC, n: int, red):
+    """(nabla_r nabla_s h)^{ij} of a bivector h for the connection gamma:
+
+        C[s]^{ij} = d_s h^{ij} + Gamma^i_{sm} h^{mj} + Gamma^j_{sm} h^{im}
+        (nabla_r C[s])^{ij} = d_r C[s]^{ij} + Gamma^i_{rm} C[s]^{mj}
+            + Gamma^j_{rm} C[s]^{im} - Gamma^m_{rs} C[m]^{ij}
+
+    with dh[s][i][j] = d_s h^{ij} and ``dC(C, r, s, i, j)`` = d_r C[s]^{ij},
+    where ``C(s, i, j)`` is the memoised C[s]^{ij}."""
+    rng = range(n)
+
+    @functools.cache
+    def C(s, i, j):
+        acc = dh[s][i][j]
+        for m in rng:
+            if gamma[i][s][m] and h[m][j]:
+                acc = acc + gamma[i][s][m] * h[m][j]
+            if gamma[j][s][m] and h[i][m]:
+                acc = acc + gamma[j][s][m] * h[i][m]
+        return red(acc)
+
+    for r in rng:
+        for s in rng:
+            for i in rng:
+                for j in rng:
+                    acc = dC(C, r, s, i, j)
+                    for m in rng:
+                        if gamma[i][r][m] and C(s, m, j):
+                            acc = acc + gamma[i][r][m] * C(s, m, j)
+                        if gamma[j][r][m] and C(s, i, m):
+                            acc = acc + gamma[j][r][m] * C(s, i, m)
+                        if gamma[m][r][s] and C(m, i, j):
+                            acc = acc - gamma[m][r][s] * C(m, i, j)
+                    yield (r + 1, s + 1, i + 1, j + 1), red(acc)
+
+
+def det2_quotient_derivative(T, det: MultiPoly, n: int):
+    """Memoised d(r, i, j, k) = det^4 d_r (T[i][j][k] / det^2)
+    = (d_r T det - 2 T d_r det) det for polynomial numerators T."""
+    ddet = [det.partial(m + 1) for m in range(n)]
+
+    @functools.cache
+    def d(r, i, j, k):
+        t = T[i][j][k]
+        return (t.partial(r + 1) * det - t * (2 * ddet[r])) * det
+
+    return d
+
+
+def _riemann_numerators(g: LinearMetric):
+    """det^4 R^i_{jkl} (k < l) of a non-constant g as polynomials, from the
+    Christoffel numerators P = det^2 Gamma, det = det g."""
+    conn = levi_civita(g)
     P = conn.gamma_num
-    det = conn.det
-    ddet = [det.partial(m + 1) for m in range(conn.n)]
-    a = P[i][l][j].partial(k + 1) * det - P[i][l][j] * (2 * ddet[k])
-    b = P[i][k][j].partial(l + 1) * det - P[i][k][j] * (2 * ddet[l])
-    acc = (a - b) * det
-    for s in range(conn.n):
-        if P[i][k][s] and P[s][l][j]:
-            acc = acc + P[i][k][s] * P[s][l][j]
-        if P[i][l][s] and P[s][k][j]:
-            acc = acc - P[i][l][s] * P[s][k][j]
-    return acc
+    d = det2_quotient_derivative(P, conn.det, g.n)
+
+    def d_gamma(r, i, j, k):
+        # Gamma^i_{jk} = Gamma^i_{kj}: both orders share one memo entry
+        return d(r, i, j, k) if j <= k else d(r, i, k, j)
+
+    return riemann_components(P, d_gamma, g.n, _same)
+
+
+def riemann_curvature(g: LinearMetric) -> list:
+    """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{ks}Gamma^s_{lj}
+    - Gamma^i_{ls}Gamma^s_{kj}; antisymmetric in (k,l)."""
+    stream = ()
+    if not g.is_constant():
+        det = levi_civita(g).det
+        det4 = det ** 4
+        stream = (
+            (idx, RationalFunction(num, det4, base=det))
+            for idx, num in _riemann_numerators(g)
+        )
+    zero = RationalFunction(MultiPoly.zero(g.nvars))
+    return _tensor(stream, g.n, 4, zero, _antisymmetric)
 
 
 def flatness_witness(g: LinearMetric):
@@ -156,20 +309,10 @@ def flatness_witness(g: LinearMetric):
     component."""
     if g.is_constant():
         return None
-    n = g.n
-    conn = levi_civita(g)
-    det4 = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    num = riemann_component_numerator(conn, i, j, k, l)
-                    if num:
-                        if det4 is None:
-                            det4 = conn.det ** 4
-                        return (i + 1, j + 1, k + 1, l + 1), RationalFunction(
-                            num, det4, base=conn.det
-                        )
+    for idx, num in _riemann_numerators(g):
+        if num:
+            det = levi_civita(g).det
+            return idx, RationalFunction(num, det ** 4, base=det)
     return None
 
 
@@ -181,25 +324,8 @@ def nijenhuis_torsion(L: PolyMatrix, n: int | None = None) -> list:
     """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
     + L^k_s d_j L^s_i - L^k_s d_i L^s_j, antisymmetric in (i,j)."""
     n = n or L.rows
-    zero = MultiPoly.zero(L.nvars)
-    dL = [[[L[a, b].partial(s + 1) for b in range(n)] for a in range(n)] for s in range(n)]
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = zero
-                for s in range(n):
-                    if L[s, i] and dL[s][k][j]:
-                        acc = acc + L[s, i] * dL[s][k][j]
-                    if L[s, j] and dL[s][k][i]:
-                        acc = acc - L[s, j] * dL[s][k][i]
-                    if L[k, s]:
-                        d = dL[j][s][i] - dL[i][s][j]
-                        if d:
-                            acc = acc + L[k, s] * d
-                out[k][i][j] = acc
-                out[k][j][i] = -acc
-    return out
+    stream = nijenhuis_components(L.entries, _partials(L, n), n, _same)
+    return _tensor(stream, n, 3, MultiPoly.zero(L.nvars), _antisymmetric)
 
 
 def killing_residual(g, h, n: int | None = None) -> list:
@@ -214,36 +340,33 @@ def killing_residual(g, h, n: int | None = None) -> list:
     gm = g.mat if isinstance(g, LinearMetric) else g
     hm = h.mat if isinstance(h, LinearMetric) else h
     n = n or (g.n if isinstance(g, LinearMetric) else gm.rows)
-    zero = MultiPoly.zero(gm.nvars)
-    dg = [[[gm[a, b].partial(s + 1) for b in range(n)] for a in range(n)] for s in range(n)]
-    dh = [[[hm[a, b].partial(s + 1) for b in range(n)] for a in range(n)] for s in range(n)]
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc = zero
-                for s in range(n):
-                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
-                        if gm[a, s] and dh[s][b][c]:
-                            acc = acc + gm[a, s] * dh[s][b][c]
-                        if hm[a, s] and dg[s][b][c]:
-                            acc = acc - hm[a, s] * dg[s][b][c]
-                for (a, b, c) in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    out[a][b][c] = acc
-    return out
+    stream = killing_components(
+        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, _same
+    )
+    return _tensor(stream, n, 3, MultiPoly.zero(gm.nvars), _symmetric)
+
+
+def _partial_of_c(C, r, s, i, j):
+    return C(s, i, j).partial(r + 1)
+
+
+def covariant_hessian(h: PolyMatrix, n: int, g: LinearMetric | None = None):
+    """Lazy (1-based indices, residual) stream of (nabla_r nabla_s h)^{ij}
+    for the Levi-Civita connection of g, with RationalFunction entries.
+    Without g it is the plain second partials d_r d_s h^{ij} (the connection
+    of flat coordinates), with MultiPoly entries."""
+    if g is None:
+        gamma, lift = [[[0] * n for _ in range(n)] for _ in range(n)], _same
+    else:
+        gamma, lift = levi_civita(g).gamma, RationalFunction
+    return hessian_components(
+        gamma, h.entries, _partials(h, n, lift), _partial_of_c, n, _same
+    )
 
 
 def second_partials_residual(h: PolyMatrix, n: int) -> list:
     """d_r d_s h^{ij}; zero iff h is (at most) linear in the u-block."""
-    out = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            row.append(
-                [[h[i, j].partial(r + 1).partial(s + 1) for j in range(n)] for i in range(n)]
-            )
-        out.append(row)
-    return out
+    return _tensor(covariant_hessian(h, n), n, 4, MultiPoly.zero(h.nvars), _plain)
 
 
 def covariant_hessian_bivector(g: LinearMetric, h: PolyMatrix) -> list:
@@ -252,41 +375,8 @@ def covariant_hessian_bivector(g: LinearMetric, h: PolyMatrix) -> list:
     Zero iff h is linear in the flat coordinates of g; computed without any
     change of coordinates.
     """
-    n = g.n
-    conn = levi_civita(g)
-    gm = conn.gamma
     zero = RationalFunction(MultiPoly.zero(g.nvars))
-
-    def lift(x):
-        return RationalFunction(x) if isinstance(x, MultiPoly) else x
-
-    # C[s]^{ij} = nabla_s h^{ij}
-    C = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for s in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = lift(h[i, j].partial(s + 1))
-                for m in range(n):
-                    if gm[i][s][m] and h[m, j]:
-                        acc = acc + gm[i][s][m] * h[m, j]
-                    if gm[j][s][m] and h[i, m]:
-                        acc = acc + gm[j][s][m] * h[i, m]
-                C[s][i][j] = acc
-    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for s in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = C[s][i][j].partial(r + 1)
-                    for m in range(n):
-                        if gm[i][r][m] and C[s][m][j]:
-                            acc = acc + gm[i][r][m] * C[s][m][j]
-                        if gm[j][r][m] and C[s][i][m]:
-                            acc = acc + gm[j][r][m] * C[s][i][m]
-                        if gm[m][r][s] and C[m][i][j]:
-                            acc = acc - gm[m][r][s] * C[m][i][j]
-                    out[r][s][i][j] = acc
-    return out
+    return _tensor(covariant_hessian(h, g.n, g), g.n, 4, zero, _plain)
 
 
 @dataclass

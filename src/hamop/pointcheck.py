@@ -1,13 +1,16 @@
 """Exact evaluation of the verification conditions at sample points.
 
-Every per-point formula here (metric jets, Christoffel symbols, curvature,
-the obstruction tensor and its derivative, Nijenhuis, Killing, linearity) is
-written once against a ``linsolve.Field`` ``F`` that supplies ``of`` (the
-image of a rational), ``red`` (the canonical form of a sum of products),
-``inv`` and ``half``.  The obstruction identities T1..T5 themselves are not
-restated here: ``mokhov_at`` feeds the point values to
-``geometry.mokhov_identities``, the one place they are written for every
-scalar representation.  There are two fields:
+Every per-point formula here (metric jets, Christoffel symbols, the
+obstruction tensor and its derivative) is written once against a
+``linsolve.Field`` ``F`` that supplies ``of`` (the image of a rational),
+``red`` (the canonical form of a sum of products), ``inv`` and ``half``.
+The conditions themselves are not restated here: ``flat_at``,
+``mokhov_at``, ``nijenhuis_at``, ``killing_at`` and ``linearity_at`` feed
+point values (and the derivative each needs) to the one statement of their
+condition in ``geometry`` (``riemann_components``, ``mokhov_identities``,
+``nijenhuis_components``, ``killing_components``, ``hessian_components``),
+written once for every scalar representation, and return its first hit.
+There are two fields:
 
 * ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
   ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.
@@ -27,10 +30,8 @@ scalar representation.  There are two fields:
 Sample points are seeded integer points; those where any metric's
 determinant vanishes in the field they are drawn in (Q for sampled mode) are
 rejected and redrawn, and after 100 rejections DegenerateEverywhere is
-raised.  The flatness, Nijenhuis, Killing
-and linearity formulas mirror their symbolic counterparts in ``geometry``
-one-for-one; the test suite pins the two pipelines against each other on
-small cases.
+raised.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
+pins the symbolic and the point feeds component by component.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from __future__ import annotations
 import random
 
 from .errors import DegenerateEverywhere, NonUnitDenominator
-from .geometry import mokhov_identities
+from .geometry import (
+    hessian_components,
+    killing_components,
+    mokhov_identities,
+    nijenhuis_components,
+    riemann_components,
+)
 from .linsolve import Q, Field, det, inverse
 from .metrics import LinearMetric
 
@@ -292,38 +299,19 @@ class FrameCache:
         return fs
 
 
-def riemann_at(f: PointFrame):
-    """R^i_{jkl} from the frame jets."""
-    F, n = f.F, f.n
-    red = F.red
-    G = f.Gamma
-    dG = f.dGamma
-    out = _zeros(F, n, n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    acc = dG[k][i][l][j] - dG[l][i][k][j]
-                    for s in range(n):
-                        acc += G[i][k][s] * G[s][l][j] - G[i][l][s] * G[s][k][j]
-                    out[i][j][k][l] = red(acc)
-                    out[i][j][l][k] = red(-acc)
-    return out
+def _first(stream):
+    """First (indices, residual) of a stream with a nonzero residual, or None."""
+    return next((hit for hit in stream if hit[1]), None)
 
 
 def flat_at(f: PointFrame):
-    """First failing index tuple of R = 0, or None."""
+    """First failing (indices, residual) of R = 0, or None."""
     if f.constant:
         return None
-    r = riemann_at(f)
-    n = f.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if r[i][j][k][l]:
-                        return (i + 1, j + 1, k + 1, l + 1), r[i][j][k][l]
-    return None
+    dG = f.dGamma
+    return _first(
+        riemann_components(f.Gamma, lambda r, i, j, k: dG[r][i][j][k], f.n, f.F.red)
+    )
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
@@ -406,11 +394,11 @@ def mokhov_at(fg: PointFrame, fh: PointFrame):
 
     ids = mokhov_identities(raised, T, d_raised, fg.Gamma, fh.Gamma, fg.n, fg.F.red)
     for name, stream in ids:
-        yield name, next((hit for hit in stream if hit[1]), None)
+        yield name, _first(stream)
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
-    """N(L) at the point for L = H * (G_gamma)^{-1}."""
+    """First failing (indices, residual) of N(L) = 0 for L = H (G_gamma)^-1."""
     F, n = fh.F, fh.n
     H, Ah = fh.G, fh.A
     ginv = fgamma.Ginv
@@ -420,74 +408,29 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
         _mat_add(F, _mat_mul(F, Ah[k], ginv), _mat_mul(F, H, dginv[k]))
         for k in range(n)
     ]
-    z = F.of(0)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = z
-                for s in range(n):
-                    acc += L[s][i] * dL[s][k][j] - L[s][j] * dL[s][k][i]
-                    acc += L[k][s] * (dL[j][s][i] - dL[i][s][j])
-                acc = F.red(acc)
-                if acc:
-                    return (k + 1, i + 1, j + 1), acc
-    return None
+    return _first(nijenhuis_components(L, dL, n, F.red))
 
 
 def killing_at(fg: PointFrame, fh: PointFrame):
-    F, n = fg.F, fg.n
-    z = F.of(0)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc = z
-                for s in range(n):
-                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
-                        acc += fg.G[a][s] * fh.A[s][b][c]
-                        acc -= fh.G[a][s] * fg.A[s][b][c]
-                acc = F.red(acc)
-                if acc:
-                    return (i + 1, j + 1, k + 1), acc
-    return None
+    """First failing (indices, residual) of the Killing residual of (g, h)."""
+    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n, fg.F.red))
 
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame):
-    """Covariant Hessian of h with respect to the frame's connection."""
-    red, n = fh.F.red, fh.n
+    """First failing (indices, residual) of the covariant Hessian of h with
+    respect to the frame's connection."""
+    rng = range(fh.n)
     H, Ah = fh.G, fh.A
-    G = fgamma.Gamma
-    dG = fgamma.dGamma
-    C = [
-        [
-            [
-                red(
-                    Ah[s][i][j]
-                    + sum(G[i][s][m] * H[m][j] + G[j][s][m] * H[i][m] for m in range(n))
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for s in range(n)
-    ]
-    for r in range(n):
-        for s in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = sum(
-                        dG[r][i][s][m] * H[m][j]
-                        + G[i][s][m] * Ah[r][m][j]
-                        + dG[r][j][s][m] * H[i][m]
-                        + G[j][s][m] * Ah[r][i][m]
-                        for m in range(n)
-                    )
-                    for m in range(n):
-                        acc += (
-                            G[i][r][m] * C[s][m][j]
-                            + G[j][r][m] * C[s][i][m]
-                            - G[m][r][s] * C[m][i][j]
-                        )
-                    acc = red(acc)
-                    if acc:
-                        return (r + 1, s + 1, i + 1, j + 1), acc
-    return None
+    G, dG = fgamma.Gamma, fgamma.dGamma
+
+    def dC(C, r, s, i, j):
+        # product rule on C[s]^{ij}; d_r d_s h = 0 as h is linear
+        return sum(
+            dG[r][i][s][m] * H[m][j]
+            + G[i][s][m] * Ah[r][m][j]
+            + dG[r][j][s][m] * H[i][m]
+            + G[j][s][m] * Ah[r][i][m]
+            for m in rng
+        )
+
+    return _first(hessian_components(G, H, Ah, dC, fh.n, fh.F.red))

@@ -18,8 +18,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FirstMetricNotConstant, UnsupportedEigenvalueField
-from .linsolve import rref
+from .errors import (
+    DegenerateEverywhere,
+    FirstMetricNotConstant,
+    UnsupportedEigenvalueField,
+)
+from .linsolve import rank, rref
 from .matrices import PolyMatrix
 from .metrics import LinearMetric
 from .roots import char_poly, rational_roots
@@ -104,17 +108,13 @@ def format_segre_type(key: tuple) -> str:
     return "+".join(parts)
 
 
-def _rank_gauss(mat: list[list]) -> int:
-    return len(rref(mat)[1])
-
-
 def _partition_for(lp, lam, multiplicity: int, n: int) -> tuple:
     """Block-size partition via the rank sequence of powers of (L - lam I)."""
     m = [[lp[i][j] - (lam if i == j else 0 * lam) for j in range(n)] for i in range(n)]
     ranks = [n]
     power = m
     while ranks[-1] > n - multiplicity:
-        ranks.append(_rank_gauss(power))
+        ranks.append(rank(power))
         if len(ranks) > n + 1:
             break
         power = _mat_mul_generic(power, m)
@@ -168,7 +168,6 @@ def segre_sample_points(
 ):
     """Seeded small-coordinate points; points where any guard polynomial
     (typically the metric determinants) vanishes are rejected and redrawn."""
-    from .errors import DegenerateEverywhere
 
     rng = random.Random(seed)
     pts = []

@@ -11,7 +11,10 @@ Two independent criteria are implemented for d = 2:
 verify_operator runs both on 2D input and raises DisagreementBug if they ever
 disagree (they cannot, unless the implementation is broken).  For d >= 3 the
 pairwise conditions (linearity / Nijenhuis / Killing per ordered pair) are
-checked with the first metric constant.
+checked with the first metric constant; one function, pair_conditions,
+checks an ordered pair in both modes.  Against a non-constant reference
+metric, symbolic linearity scans the covariant Hessian lazily and stops at
+its first failing component.
 
 Checks run symbolically for n <= 5 and at 20 seeded integer points for
 larger n; a mode flag overrides the default.  Sampled conditions are
@@ -43,6 +46,7 @@ witnesses, so the screen only affects cost.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from . import pointcheck as pc
@@ -54,7 +58,8 @@ from .errors import (
     NonUnitDenominator,
 )
 from .geometry import (
-    covariant_hessian_bivector,
+    covariant_hessian,
+    det2_quotient_derivative,
     flatness_witness,
     killing_residual,
     levi_civita,
@@ -63,7 +68,6 @@ from .geometry import (
     nijenhuis_torsion,
     obstruction_tensor,
     raise_obstruction,
-    second_partials_residual,
 )
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
@@ -235,13 +239,7 @@ def _t_conditions_symbolic_const_g(g: LinearMetric, h: LinearMetric) -> list[Con
     P = conn.gamma_num
     zero = MultiPoly.zero(g.nvars)
     Q = raise_obstruction(g, h, P, zero)
-    ddet = [det.partial(m + 1) for m in range(n)]
-
-    @functools.cache
-    def d_raised(r, i, j, k):
-        q = Q[i][j][k]
-        return (q.partial(r + 1) * det - q * (2 * ddet[r])) * det
-
+    d_raised = det2_quotient_derivative(Q, det, n)
     det2 = det * det
     det4 = det2 * det2
     gamma_g = [[[zero] * n for _ in range(n)] for _ in range(n)]
@@ -364,58 +362,59 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
     return g.inverse().map(lambda r: r.as_poly())
 
 
-def pair_conditions_constant_g(
-    g: LinearMetric, h, mode: str, points, cache=None
+def _entries(tensor, rank: int):
+    """(1-based indices, entry) of a nested tensor in lexicographic order.
+    For the symmetric and antisymmetric residual tensors the first nonzero
+    entry is the first hit of their geometry stream."""
+    for idx in itertools.product(range(len(tensor)), repeat=rank):
+        entry = tensor
+        for i in idx:
+            entry = entry[i]
+        yield tuple(i + 1 for i in idx), entry
+
+
+def pair_conditions(
+    g: LinearMetric, h, mode: str, points, cache=None, tag=None
 ) -> list[ConditionResult]:
-    """linearity / nijenhuis / killing for constant g (polynomial checks)."""
+    """linearity / nijenhuis / killing of the ordered pair (reference g, h).
+
+    ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
+    names them linearity[b|c], nijenhuis[b|c] and killing[c|b].  The mode
+    only picks the input: symbolic residuals, or ``_scan_points`` on point
+    frames.  Linearity is the covariant Hessian of h for g's connection;
+    for constant g that is the plain second partials, which are cheap, so it
+    stays symbolic in sampled mode.  The symbolic Hessian is scanned lazily,
+    so a failing pair stops at its first nonzero component."""
     n = g.n
     hm = _as_bivector(h)
-    out = []
-    # plain second partials are cheap, so linearity is always symbolic here
-    sp = second_partials_residual(hm, n)
-    out.append(
-        _scan(
-            "linearity",
-            (
-                ((r + 1, s + 1, i + 1, j + 1), sp[r][s][i][j])
-                for r in range(n)
-                for s in range(n)
-                for i in range(n)
-                for j in range(n)
-            ),
-        )
-    )
-    L = hm @ constant_inverse(g)
+    lin, nij, kil = "linearity", "nijenhuis", "killing"
+    if tag:
+        b, c = tag
+        lin, nij, kil = f"{lin}[{b}|{c}]", f"{nij}[{b}|{c}]", f"{kil}[{c}|{b}]"
+    flat = g.is_constant()
+
+    def killing_args(x):
+        # the Killing residual is antisymmetric in its two bivectors; reports
+        # take it as K(g, h) for constant g and as K(h, g) otherwise
+        return (g, x) if flat else (x, g)
+
     if mode == MODE_SYMBOLIC:
-        N = nijenhuis_torsion(L, n)
-        out.append(
-            _scan(
-                "nijenhuis",
-                (
-                    ((k + 1, i + 1, j + 1), N[k][i][j])
-                    for k in range(n)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                ),
-            )
-        )
-        K = killing_residual(g, h, n)
-        out.append(
-            _scan(
-                "killing",
-                (
-                    ((i + 1, j + 1, k + 1), K[i][j][k])
-                    for i in range(n)
-                    for j in range(i, n)
-                    for k in range(j, n)
-                ),
-            )
-        )
+        L = hm @ (constant_inverse(g) if flat else g.inverse())
+        return [
+            _scan(lin, covariant_hessian(hm, n, None if flat else g)),
+            _scan(nij, _entries(nijenhuis_torsion(L, n), 3)),
+            _scan(kil, _entries(killing_residual(*killing_args(hm), n), 3)),
+        ]
+    hw = _wrap_metric(h, g)
+    if flat:
+        linearity = _scan(lin, covariant_hessian(hm, n))
     else:
-        hw = _wrap_metric(h, g)
-        out.append(_scan_points("nijenhuis", pc.nijenhuis_at, (hw, g), points, cache))
-        out.append(_scan_points("killing", pc.killing_at, (g, hw), points, cache))
-    return out
+        linearity = _scan_points(lin, pc.linearity_at, (g, hw), points, cache)
+    return [
+        linearity,
+        _scan_points(nij, pc.nijenhuis_at, (hw, g), points, cache),
+        _scan_points(kil, pc.killing_at, killing_args(hw), points, cache),
+    ]
 
 
 def _wrap_metric(h, like: LinearMetric) -> LinearMetric:
@@ -439,7 +438,7 @@ def theorem2_conditions(
     mode = mode or default_mode(g.n)
     report = VerificationReport(g.n, 2, mode, seed)
     if mode == MODE_SYMBOLIC:
-        report.conditions = pair_conditions_constant_g(g, h, mode, None)
+        report.conditions = pair_conditions(g, h, mode, None)
         return report
     hm = _as_bivector(h)
     if any(
@@ -453,7 +452,7 @@ def theorem2_conditions(
     if points is None:
         points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
     report.conditions = _on_frames(
-        lambda c: pair_conditions_constant_g(g, h, mode, points, c), cache
+        lambda c: pair_conditions(g, h, mode, points, c), cache
     )
     return report
 
@@ -504,84 +503,13 @@ def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
     # d >= 3
     report = VerificationReport(spec.n, spec.d, mode, seed)
     report.conditions.append(_flat_condition("flat(g1)", spec.g, mode, points, cache))
-    n = spec.n
-    for b in range(spec.d):
-        for c in range(spec.d):
-            if b == c:
-                continue
-            gb, gc = spec.metrics[b], spec.metrics[c]
-            tag = f"[{b+1}|{c+1}]"
-            if gc.is_constant():
-                results = pair_conditions_constant_g(gc, gb, mode, points, cache)
-                rename = {
-                    "linearity": f"linearity{tag}",
-                    "nijenhuis": f"nijenhuis{tag}",
-                    "killing": f"killing[{c+1}|{b+1}]",
-                }
-                for r in results:
-                    r.name = rename[r.name]
-                    report.conditions.append(r)
-            else:
+    for b, gb in enumerate(spec.metrics, 1):
+        for c, gc in enumerate(spec.metrics, 1):
+            if b != c:
                 report.conditions.extend(
-                    _pair_conditions_general(gb, gc, mode, points, b + 1, c + 1, cache)
+                    pair_conditions(gc, gb, mode, points, cache, (b, c))
                 )
     return report
-
-
-def _pair_conditions_general(
-    gb: LinearMetric, gc: LinearMetric, mode: str, points, bi: int, ci: int, cache
-) -> list[ConditionResult]:
-    """Ordered-pair conditions when the reference metric gc is not constant:
-    linearity of gb measured by the covariant Hessian of gc's connection."""
-    n = gb.n
-    out = []
-    if mode == MODE_SYMBOLIC:
-        hess = covariant_hessian_bivector(gc, gb.mat)
-        out.append(
-            _scan(
-                f"linearity[{bi}|{ci}]",
-                (
-                    ((r + 1, s + 1, i + 1, j + 1), hess[r][s][i][j])
-                    for r in range(n)
-                    for s in range(n)
-                    for i in range(n)
-                    for j in range(n)
-                ),
-            )
-        )
-        L = gb.mat @ gc.inverse()
-        N = nijenhuis_torsion(L, n)
-        out.append(
-            _scan(
-                f"nijenhuis[{bi}|{ci}]",
-                (
-                    ((k + 1, i + 1, j + 1), N[k][i][j])
-                    for k in range(n)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                ),
-            )
-        )
-        K = killing_residual(gb, gc, n)
-        out.append(
-            _scan(
-                f"killing[{ci}|{bi}]",
-                (
-                    ((i + 1, j + 1, k + 1), K[i][j][k])
-                    for i in range(n)
-                    for j in range(i, n)
-                    for k in range(j, n)
-                ),
-            )
-        )
-    else:
-        for name, fn, metrics in (
-            (f"linearity[{bi}|{ci}]", pc.linearity_at, (gc, gb)),
-            (f"nijenhuis[{bi}|{ci}]", pc.nijenhuis_at, (gb, gc)),
-            (f"killing[{ci}|{bi}]", pc.killing_at, (gb, gc)),
-        ):
-            out.append(_scan_points(name, fn, metrics, points, cache))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ Each report under ``golden/`` was written by
 The cases cover a passing catalog entry (mokhov-n3), a failing n = 2 pencil
 in default mode (numerator-path witnesses for T1..T5) and in sampled mode
 (point witnesses), a d = 3 entry (thm5-3d-1), a passing n = 6 entry that
-default mode samples (mokhov-n6), and a failing n = 3 pencil in sampled mode
-(point witnesses in eight conditions).  The JSON of the same
-input and seed may change only together with ``cli.REPORT_VERSION``; a
-change that bumps it regenerates these files with the command above.
+default mode samples (mokhov-n6), a failing n = 3 pencil in sampled mode
+(point witnesses in eight conditions), and a failing n = 2, d = 3 spec in
+default and in sampled mode (linearity / Nijenhuis / Killing witnesses
+against a constant and against non-constant reference metrics).  The JSON
+of the same input and seed may change only together with
+``cli.REPORT_VERSION``; a change that bumps it regenerates these files with
+the command above.
 """
 
 from pathlib import Path
@@ -29,6 +32,8 @@ CASES = [
     ("thm5-3d-1", "thm5-3d-1", []),
     ("mokhov-n6", "mokhov-n6", []),
     ("pencil-n3-raw", "pencil-n3-raw.sampled", ["--mode", "sampled"]),
+    ("pencil-n2-d3", "pencil-n2-d3", []),
+    ("pencil-n2-d3", "pencil-n2-d3.sampled", ["--mode", "sampled"]),
 ]
 
 

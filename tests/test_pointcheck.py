@@ -7,6 +7,7 @@ p.  The Q-field screen is the exact reference for the F_p screen's
 decisions, and a Q frame cache is the exact reference for sampled mode.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,14 @@ from hamop.errors import (
     NonlinearBivector,
     NonUnitDenominator,
 )
+from hamop.geometry import (
+    covariant_hessian_bivector,
+    flatness_witness,
+    killing_residual,
+    levi_civita,
+    nijenhuis_torsion,
+    riemann_curvature,
+)
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
@@ -29,6 +38,7 @@ from hamop.verify import (
     _check_operator,
     _scan_points,
     _t_screen_failing,
+    constant_inverse,
     mokhov_conditions,
     theorem2_conditions,
     verify_operator,
@@ -227,3 +237,86 @@ def test_fp_hit_without_q_hit_is_an_internal_error():
     with pytest.raises(DisagreementBug, match=r"zero over Q at \(3/1, 5/1\)"):
         _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.FP))
     assert _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.Q)).passed
+
+
+def _first_hit(tensor, shape, value):
+    """(1-based indices, value(entry)) of the first entry of ``tensor``, in
+    lexicographic order, whose value is nonzero, or None."""
+    for idx in itertools.product(*(range(k) for k in shape)):
+        entry = tensor
+        for i in idx:
+            entry = entry[i]
+        if value(entry):
+            return tuple(i + 1 for i in idx), value(entry)
+    return None
+
+
+def _riemann_numerator_hit(h, point):
+    """First (1-based indices, value) of R^i_{jkl} = N_{ijkl} / det^4 nonzero
+    at ``point``, N assembled lazily from the Christoffel numerators
+    P = det^2 Gamma of h (det = det h)."""
+    conn = levi_civita(h)
+    if conn.det is None:
+        return None
+    n, P, det = h.n, conn.gamma_num, conn.det
+    dd = [det.partial(m + 1) for m in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        a = P[i][l][j].partial(k + 1) * det - P[i][l][j] * (2 * dd[k])
+        b = P[i][k][j].partial(l + 1) * det - P[i][k][j] * (2 * dd[l])
+        num = (a - b) * det
+        for s in range(n):
+            num = num + P[i][k][s] * P[s][l][j] - P[i][l][s] * P[s][k][j]
+        value = num.eval(point)
+        if value:
+            return (i + 1, j + 1, k + 1, l + 1), value / det.eval(point) ** 4
+    return None
+
+
+def test_symbolic_tensors_match_point_hits():
+    # component-level link between the symbolic and the point feeds: at one
+    # Q point per ordered (reference g, other h) pair, the first component of
+    # each symbolic residual tensor that is nonzero there is the point hit
+    # over Q, and over F_p it is the same index tuple with the value reduced
+    # mod p.  The curvature is the Riemann numerator over det^4 (at n = 2
+    # also riemann_curvature), and the symbolic flatness witness is the
+    # first curvature component that is nonzero at the point
+    pairs = _small_corpus(2, 41) + _small_corpus(3, 42)
+    spec = _catalog_spec(get_entry("thm5-3d-1"))
+    pairs += [(f"thm5-3d-1[{b}|{c}]", gc, gb)
+              for b, gb in enumerate(spec.metrics, 1)
+              for c, gc in enumerate(spec.metrics, 1) if b != c]
+    verdicts = set()
+    for name, g, h in pairs:
+        n = g.n
+        qpt = pc.sample_points(g.nvars, [g, h], seed=5, count=1)[0]
+
+        def at(e):
+            return e.eval(qpt)
+
+        L = h.mat @ (constant_inverse(g) if g.is_constant() else g.inverse())
+        sym = {
+            "flat": _riemann_numerator_hit(h, qpt),
+            "nijenhuis": _first_hit(nijenhuis_torsion(L, n), (n,) * 3, at),
+            "killing": _first_hit(killing_residual(g, h, n), (n,) * 3, at),
+            "linearity": _first_hit(covariant_hessian_bivector(g, h.mat), (n,) * 4, at),
+        }
+        if n == 2:
+            assert _first_hit(riemann_curvature(h), (n,) * 4, at) == sym["flat"], name
+        point = {}
+        for field, pt in ((pc.Q, qpt), (pc.FP, _reduce(qpt))):
+            fg, fh = pc.PointFrame(g, pt, field), pc.PointFrame(h, pt, field)
+            point[field] = {
+                "flat": pc.flat_at(fh),
+                "nijenhuis": pc.nijenhuis_at(fh, fg),
+                "killing": pc.killing_at(fg, fh),
+                "linearity": pc.linearity_at(fg, fh),
+            }
+        assert point[pc.Q] == sym, name
+        reduced = {k: hit and (hit[0], pc.FP.of(hit[1])) for k, hit in sym.items()}
+        assert point[pc.FP] == reduced, name
+        w = flatness_witness(h)
+        assert (w is None) == (sym["flat"] is None), name
+        if w is not None:
+            assert w[0] == sym["flat"][0] and at(w[1]) == sym["flat"][1], name
+        verdicts.add(all(hit is None for hit in sym.values()))
+    assert verdicts == {True, False}
