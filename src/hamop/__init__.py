@@ -10,9 +10,9 @@ dimensions), normalizes single-Jordan-block families by terminating Lie
 flows, and exposes everything through a CLI with deterministic JSON reports.
 
 All arithmetic is exact: rationals, Gaussian rationals, sparse multivariate
-polynomials, and normalized rational functions; the screen that picks a
-symbolic path for T1..T5 works modulo the prime 2^61 - 1.  No floating point
-enters any verification path.
+polynomials, and normalized rational functions; the point scans that
+``verify`` runs in both modes work modulo the prime 2^61 - 1.  No floating
+point enters any verification path.
 """
 
 from .errors import (

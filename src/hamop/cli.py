@@ -48,7 +48,7 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -13,7 +13,9 @@ Each verification condition is stated once, as a lazy stream of
 ``killing_components``, ``hessian_components`` (linearity) and
 ``mokhov_identities`` (T1..T5).  The caller passes the entries and their
 derivatives; the public tensors below feed them polynomials or rational
-functions, and ``pointcheck`` feeds them point values.
+functions, ``covariant_hessian``, ``nijenhuis_stream`` and
+``killing_stream`` hand the symbolic streams out lazily, and ``pointcheck``
+feeds them point values.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -320,12 +322,28 @@ def is_flat(g: LinearMetric) -> bool:
     return flatness_witness(g) is None
 
 
+def nijenhuis_stream(L: PolyMatrix, n: int):
+    """Lazy (1-based indices, residual) stream of the Nijenhuis torsion of
+    L (``nijenhuis_components``), with L's entry type."""
+    return nijenhuis_components(L.entries, _partials(L, n), n, _same)
+
+
 def nijenhuis_torsion(L: PolyMatrix, n: int | None = None) -> list:
     """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
     + L^k_s d_j L^s_i - L^k_s d_i L^s_j, antisymmetric in (i,j)."""
     n = n or L.rows
-    stream = nijenhuis_components(L.entries, _partials(L, n), n, _same)
-    return _tensor(stream, n, 3, MultiPoly.zero(L.nvars), _antisymmetric)
+    return _tensor(nijenhuis_stream(L, n), n, 3, MultiPoly.zero(L.nvars), _antisymmetric)
+
+
+def killing_stream(g, h, n: int):
+    """Lazy (1-based indices, residual) stream of the Killing residual of
+    (g, h) (``killing_components``); g and h are LinearMetrics or
+    PolyMatrix bivectors."""
+    gm = g.mat if isinstance(g, LinearMetric) else g
+    hm = h.mat if isinstance(h, LinearMetric) else h
+    return killing_components(
+        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, _same
+    )
 
 
 def killing_residual(g, h, n: int | None = None) -> list:
@@ -337,13 +355,9 @@ def killing_residual(g, h, n: int | None = None) -> list:
 
     Vanishes iff h is a Killing bivector for (the Levi-Civita connection of) g.
     """
-    gm = g.mat if isinstance(g, LinearMetric) else g
-    hm = h.mat if isinstance(h, LinearMetric) else h
-    n = n or (g.n if isinstance(g, LinearMetric) else gm.rows)
-    stream = killing_components(
-        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, _same
-    )
-    return _tensor(stream, n, 3, MultiPoly.zero(gm.nvars), _symmetric)
+    n = n or (g.n if isinstance(g, LinearMetric) else g.rows)
+    zero = MultiPoly.zero(g.nvars)
+    return _tensor(killing_stream(g, h, n), n, 3, zero, _symmetric)
 
 
 def _partial_of_c(C, r, s, i, j):

@@ -14,12 +14,11 @@ There are two fields:
 
 * ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
   ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.
-  Sampled mode and the symbolic T1..T5 path screen
-  (``verify._t_screen_failing``) run on it.  At an integer point where every
-  coefficient denominator and every metric determinant is a unit mod P, the
-  F_p value of a condition is its Q value reduced mod P.  So a nonzero
-  residue certifies a nonzero rational value: a sampled failure is exact,
-  and its witness is recomputed over Q at the same point.  A sampled pass
+  Every point scan of ``verify`` runs on it, in both modes.  At an integer
+  point where every coefficient denominator and every metric determinant is
+  a unit mod P, the F_p value of a condition is its Q value reduced mod P.
+  So a nonzero residue certifies a nonzero rational value: a failure at a
+  point is exact, and its witness is recomputed over Q there.  A sampled pass
   means every tested value is 0 mod P; beyond the Schwartz-Zippel risk of
   sampling itself, that errs only where a nonzero rational value is
   divisible by P.

@@ -12,7 +12,8 @@ Normalization relies on monomial fast paths, exact trial division, and a
 content/primitive-part recursive gcd; when the gcd looks too expensive
 (product of term counts above ``GCD_TERM_CAP``) the quotient is kept
 unreduced, which never affects zero tests (a quotient vanishes iff its
-numerator does).
+numerator does).  Equality is always exact: reduced quotients compare
+termwise, and unreduced ones by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from math import gcd as int_gcd
 from typing import Iterable, Mapping
 
 # Reduction cost guard: skip gcd-based reduction when len(num)*len(den)
-# exceeds this (the fallback keeps quotients unreduced and compares by
-# cross-multiplication or seeded sampling; see rf_equal).
+# exceeds this (the quotient is then kept unreduced; rf_equal compares such
+# quotients by cross-multiplication).
 GCD_TERM_CAP = 100_000
 
 # Abort the PRS gcd once this many term-operations have been spent; the
@@ -34,10 +35,6 @@ GCD_OP_BUDGET = 50_000
 
 class GcdBudgetExceeded(Exception):
     """Internal: the gcd computation became more expensive than it is worth."""
-
-# Points used by the sampled equality fallback for oversized quotients.
-EQ_SAMPLE_POINTS = 20
-EQ_SAMPLE_SEED = 20
 
 
 def _grlex_key(expt: tuple) -> tuple:
@@ -870,25 +867,9 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly, base: MultiPoly | None = None)
     return num / c, den / c, reduced, None
 
 
-def rf_equal(a: RationalFunction, b: RationalFunction, seed: int = EQ_SAMPLE_SEED) -> bool:
-    """Exact equality; falls back to seeded random evaluation when the
-    cross-multiplication would exceed the term cap (documented probabilistic
-    path for oversized unreduced quotients)."""
+def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
+    """Exact equality: termwise for reduced quotients, by
+    cross-multiplication otherwise."""
     if a.reduced and b.reduced:
         return a.num == b.num and a.den == b.den
-    if len(a.num) * len(b.den) + len(b.num) * len(a.den) <= GCD_TERM_CAP:
-        return a.num * b.den == b.num * a.den
-    import random
-
-    rng = random.Random(seed)
-    nvars = a.nvars
-    for _ in range(EQ_SAMPLE_POINTS):
-        for _ in range(100):
-            pt = [Fraction(rng.randint(-10**6, 10**6)) for _ in range(nvars)]
-            if a.den.eval(pt) != 0 and b.den.eval(pt) != 0:
-                break
-        else:
-            raise ZeroDivisionError("no nonsingular sample point found")
-        if a.eval(pt) != b.eval(pt):
-            return False
-    return True
+    return a.num * b.den == b.num * a.den

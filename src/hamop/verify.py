@@ -12,41 +12,37 @@ verify_operator runs both on 2D input and raises DisagreementBug if they ever
 disagree (they cannot, unless the implementation is broken).  For d >= 3 the
 pairwise conditions (linearity / Nijenhuis / Killing per ordered pair) are
 checked with the first metric constant; one function, pair_conditions,
-checks an ordered pair in both modes.  Against a non-constant reference
-metric, symbolic linearity scans the covariant Hessian lazily and stops at
-its first failing component.
+checks an ordered pair.
 
-Checks run symbolically for n <= 5 and at 20 seeded integer points for
-larger n; a mode flag overrides the default.  Sampled conditions are
-evaluated over F_p, p = 2^61 - 1 (see pointcheck).  A sampled pass means
-every tested value is 0 mod p: besides the Schwartz-Zippel risk of sampling,
-that errs only where a nonzero rational value is divisible by p.  A sampled
-failure is certified, since a nonzero residue proves a nonzero rational
-value, and its witness is recomputed over Q at the first failing point.  A
-coefficient denominator that is not a unit mod p sends the whole report to
-Q.  Witnesses always report the lexicographically first failing index tuple
-(at the first failing point, in sampled mode).
+Every condition runs through one pipeline in both modes.  It is first
+evaluated at seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).
+A hit there is certified, since a nonzero residue proves a nonzero rational
+value, and its witness is recomputed over Q at that point.  In symbolic mode
+(the default for n <= 5) the points are the first SCAN_POINTS of the seed's
+sample, and a condition without a hit is then decided by its exact identity:
+flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
+reduced rational obstruction tensor, and the lazy linearity / Nijenhuis /
+Killing streams of geometry.  A failure found there carries a witness with
+no point.  In sampled mode (larger n) all SAMPLE_COUNT points are scanned
+and a pass is not proven: it means every tested value is 0 mod p, which,
+besides the Schwartz-Zippel risk of sampling, errs only where a nonzero
+rational value is divisible by p.  So the mode decides only how many points
+are scanned and whether passes are proven.  Linearity against a constant
+metric (the plain second partials) is exact and cheap, and is always
+decided symbolically.
 
-Symbolic T1..T5 has two representations: polynomial numerators over powers
-of det h (cheap on failing pairs, thanks to the first-failure exit) and
-reduced rational functions (cheap on passing ones).  Both feed the one
-statement of the identities, geometry.mokhov_identities.  Neither is cheaper
-everywhere; measured on one host (Python 3.11, no gmpy2):
-
-* the 36 passing catalog pairs with n <= 5: 11.4 s in total on numerators,
-  3.3 s on reduced rational functions (s22-case2-b4p: 5.0 s against 0.45 s);
-* failing n = 3 pencils of the benchmark's pencil corpus: 1.8-2.2 s each on
-  numerators, 3.8-5.2 s on reduced rational functions.
-
-So a two-point screen over F_p, p = 2^61 - 1, picks between them: numerators
-when some identity already fails at a point.  Both reach the same verdict and
-witnesses, so the screen only affects cost.
+A coefficient denominator that is not a unit mod p sends the whole report to
+Q.  Witnesses always report the lexicographically first failing index tuple,
+at the first failing point when one is given.  Some inputs get no point scan
+and are decided by their identities alone: a bivector passed to
+theorem2_conditions in symbolic mode that is not linear in u or is
+degenerate everywhere, and callers that pass no points to pair_conditions,
+such as the formal families of ``families``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from . import pointcheck as pc
@@ -59,23 +55,23 @@ from .errors import (
 )
 from .geometry import (
     covariant_hessian,
-    det2_quotient_derivative,
     flatness_witness,
-    killing_residual,
+    killing_stream,
     levi_civita,
     lie_derivative_bivector,
     mokhov_identities,
-    nijenhuis_torsion,
+    nijenhuis_stream,
     obstruction_tensor,
-    raise_obstruction,
 )
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
-from .poly import MultiPoly, RationalFunction
+from .poly import MultiPoly
 from .scalars import format_rational
 
 DEFAULT_SEED = 0
 SYMBOLIC_MAX_N = 5
+# points scanned before the exact identities in symbolic mode
+SCAN_POINTS = 2
 
 MODE_SYMBOLIC = "symbolic"
 MODE_SAMPLED = "sampled"
@@ -147,6 +143,13 @@ def default_mode(n: int) -> str:
     return MODE_SYMBOLIC if n <= SYMBOLIC_MAX_N else MODE_SAMPLED
 
 
+def _sample(nvars: int, metrics, mode: str, seed: int):
+    """The scan points of a mode: the first SCAN_POINTS of the seed's sample
+    in symbolic mode, all of it in sampled mode."""
+    count = SCAN_POINTS if mode == MODE_SYMBOLIC else pc.SAMPLE_COUNT
+    return pc.sample_points(nvars, metrics, seed, count)
+
+
 def _wit(indices, residual, point=None) -> Witness:
     if point is not None:
         point = tuple(format_rational(x) for x in point)
@@ -161,17 +164,16 @@ def _same(x):
     return x
 
 
-def _scan(name: str, gen, value=_same) -> ConditionResult:
-    """Symbolic condition from a generator of (indices, residual); a witness
-    reports ``value(residual)``."""
+def _scan(name: str, gen) -> ConditionResult:
+    """Symbolic condition from a generator of (indices, residual)."""
     for indices, residual in gen:
         if residual:
-            return ConditionResult(name, False, _wit(indices, value(residual)))
+            return ConditionResult(name, False, _wit(indices, residual))
     return ConditionResult(name, True)
 
 
 def _on_frames(run, cache):
-    """``run(cache)`` for a sampled check.  Without a cache it runs on F_p
+    """``run(cache)`` for a check at points.  Without a cache it runs on F_p
     frames, or on Q frames when a coefficient denominator is not a unit
     mod p."""
     if cache is not None:
@@ -191,10 +193,13 @@ def _certified(name: str, pt, hit):
     return hit
 
 
-def _scan_points(name: str, fn, metrics, points, cache) -> ConditionResult:
-    """Sampled condition: ``fn(*frames)`` on the frames of ``metrics`` at a
-    point returns (indices, value) or None.  A hit over F_p is recomputed
-    over Q at the same point for the witness."""
+def _scan_points(name: str, fn, metrics, points, cache, proof=None) -> ConditionResult:
+    """One condition: ``fn(*frames)`` on the frames of ``metrics`` at a point
+    returns (indices, value) or None.  A hit over F_p is recomputed over Q at
+    the same point for the witness.  Without a hit, ``proof()`` (symbolic
+    mode) is the condition's exact identity as a lazy (indices, residual)
+    stream, which decides it; with no proof (sampled mode) it passes on the
+    points."""
     for pt in points:
         frames = cache.frames(pt, *metrics)
         hit = fn(*frames)
@@ -202,18 +207,17 @@ def _scan_points(name: str, fn, metrics, points, cache) -> ConditionResult:
             if frames[0].F is not pc.Q:
                 hit = _certified(name, pt, fn(*cache.frames(pt, *metrics, field=pc.Q)))
             return ConditionResult(name, False, _wit(*hit, pt))
-    return ConditionResult(name, True)
+    return _scan(name, proof()) if proof else ConditionResult(name, True)
 
 
-def _flat_condition(
-    name: str, g: LinearMetric, mode: str, points, cache
-) -> ConditionResult:
-    if mode == MODE_SYMBOLIC:
-        w = flatness_witness(g)
-        if w is None:
-            return ConditionResult(name, True)
-        return ConditionResult(name, False, _wit(*w))
-    return _scan_points(name, pc.flat_at, (g,), points, cache)
+def _flatness_proof(g: LinearMetric):
+    w = flatness_witness(g)
+    return [w] if w else []
+
+
+def _flat_condition(name: str, g: LinearMetric, mode: str, points, cache) -> ConditionResult:
+    proof = mode == MODE_SYMBOLIC and (lambda: _flatness_proof(g))
+    return _scan_points(name, pc.flat_at, (g,), points, cache, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +225,9 @@ def _flat_condition(
 # ---------------------------------------------------------------------------
 
 
-def _t_conditions_symbolic_const_g(g: LinearMetric, h: LinearMetric) -> list[ConditionResult]:
-    """Obstruction identities for constant g as polynomial-numerator scans.
-
-    With Gamma(g) = 0 the obstruction tensor is P/det^2 (P the Christoffel
-    numerators of h, det = det h), the raised tensor is Q/det^2 with
-    Q^{ijk} = g^{ir} h^{ks} P^j_{rs}, and each condition clears to a
-    polynomial identity over det^2 (T1, T2) or det^4 (T3..T5, where
-    d_r (Q/det^2) = (dQ*det - 2*Q*ddet)*det / det^4); scans exit at the
-    first nonzero numerator."""
-    n = g.n
-    conn = levi_civita(h)
-    det = conn.det
-    if det is None:
-        # h constant as well: everything vanishes identically
-        return [ConditionResult(t, True) for t in T_NAMES]
-    P = conn.gamma_num
-    zero = MultiPoly.zero(g.nvars)
-    Q = raise_obstruction(g, h, P, zero)
-    d_raised = det2_quotient_derivative(Q, det, n)
-    det2 = det * det
-    det4 = det2 * det2
-    gamma_g = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    out = []
-    for name, stream in mokhov_identities(Q, P, d_raised, gamma_g, P, n, _same):
-        den = det2 if name in ("T1", "T2") else det4
-        out.append(_scan(name, stream, lambda num: RationalFunction(num, den, base=det)))
-    return out
-
-
-def _t_conditions_rational(g: LinearMetric, h: LinearMetric) -> list[ConditionResult]:
-    """Obstruction identities on the reduced rational obstruction tensor."""
+def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
+    """name -> the lazy stream of that identity on the reduced rational
+    obstruction tensor."""
     obt = obstruction_tensor(g, h)
     R = obt.t_raised
 
@@ -259,61 +235,35 @@ def _t_conditions_rational(g: LinearMetric, h: LinearMetric) -> list[ConditionRe
     def d_raised(r, i, j, k):
         return R[i][j][k].partial(r + 1)
 
-    ids = mokhov_identities(
-        R, obt.t, d_raised, levi_civita(g).gamma, levi_civita(h).gamma, g.n, _same
-    )
-    return [_scan(name, stream) for name, stream in ids]
+    gamma_g, gamma_h = levi_civita(g).gamma, levi_civita(h).gamma
+    return dict(mokhov_identities(R, obt.t, d_raised, gamma_g, gamma_h, g.n, _same))
 
 
-def _t_screen_failing(g: LinearMetric, h: LinearMetric, field=pc.FP) -> bool:
-    """Path screen: evaluate T1..T5 at two seeded points over ``field`` and
-    return True when some condition already fails there.
-
-    It only picks the faster symbolic representation, never a verdict.  Over
-    F_p (the default) a True is exact: a nonzero residue certifies a nonzero
-    rational value.  When no non-degenerate point exists or a coefficient
-    denominator is not a unit mod p, the screen answers False, which selects
-    the reduced-rational path and leaves the verdict unchanged.  The Q field
-    gives the exact reference screen the tests compare against."""
-    try:
-        points = pc.sample_points(g.nvars, [g, h], seed=91, count=2, field=field)
-        for pt in points:
-            fg = pc.PointFrame(g, pt, field)
-            fh = pc.PointFrame(h, pt, field)
-            if any(hit for _, hit in pc.mokhov_at(fg, fh)):
-                return True
-    except (DegenerateEverywhere, NonUnitDenominator):
-        return False
-    return False
-
-
-def _t_conditions_symbolic(g: LinearMetric, h: LinearMetric) -> list[ConditionResult]:
-    if g.is_constant() and not h.is_constant() and _t_screen_failing(g, h):
-        # a failing pair: dense numerator scans with first-failure exit are
-        # much cheaper than reduced rational functions there
-        return _t_conditions_symbolic_const_g(g, h)
-    return _t_conditions_rational(g, h)
-
-
-def _t_conditions_sampled(g, h, points, cache) -> list[ConditionResult]:
+def _t_conditions(g, h, points, cache, prove: bool) -> list[ConditionResult]:
     """T1..T5 at each point until all have failed; hits over F_p are
-    recomputed over Q at their point for the witnesses."""
-    failed = {}
+    recomputed over Q at their point for the witnesses.  With ``prove``
+    (symbolic mode) the identities without a hit are then decided by their
+    streams."""
+    decided = {}
     for pt in points:
         frames = cache.frames(pt, g, h)
         hits = {
             name: hit
             for name, hit in pc.mokhov_at(*frames)
-            if hit is not None and name not in failed
+            if hit is not None and name not in decided
         }
         if hits and frames[0].F is not pc.Q:
             exact = dict(pc.mokhov_at(*cache.frames(pt, g, h, field=pc.Q)))
             hits = {name: _certified(name, pt, exact[name]) for name in hits}
         for name, hit in hits.items():
-            failed[name] = ConditionResult(name, False, _wit(*hit, pt))
-        if len(failed) == len(T_NAMES):
+            decided[name] = ConditionResult(name, False, _wit(*hit, pt))
+        if len(decided) == len(T_NAMES):
             break
-    return [failed.get(name) or ConditionResult(name, True) for name in T_NAMES]
+    unhit = [name for name in T_NAMES if name not in decided]
+    if prove and unhit:
+        streams = _t_streams(g, h)
+        decided.update((name, _scan(name, streams[name])) for name in unhit)
+    return [decided.get(name) or ConditionResult(name, True) for name in T_NAMES]
 
 
 def mokhov_conditions(
@@ -327,22 +277,17 @@ def mokhov_conditions(
     """Flatness of both metrics plus the five obstruction-tensor identities."""
     mode = mode or default_mode(g.n)
     report = VerificationReport(g.n, 2, mode, seed)
+    if points is None:
+        points = _sample(g.nvars, [g, h], mode, seed)
 
     def run(cache):
-        flat = [
+        return [
             _flat_condition("flat(g1)", g, mode, points, cache),
             _flat_condition("flat(g2)", h, mode, points, cache),
+            *_t_conditions(g, h, points, cache, mode == MODE_SYMBOLIC),
         ]
-        if mode == MODE_SYMBOLIC:
-            return flat + _t_conditions_symbolic(g, h)
-        return flat + _t_conditions_sampled(g, h, points, cache)
 
-    if mode == MODE_SYMBOLIC:
-        report.conditions = run(None)
-    else:
-        if points is None:
-            points = pc.sample_points(g.nvars, [g, h], seed)
-        report.conditions = _on_frames(run, cache)
+    report.conditions = _on_frames(run, cache)
     return report
 
 
@@ -362,58 +307,46 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
     return g.inverse().map(lambda r: r.as_poly())
 
 
-def _entries(tensor, rank: int):
-    """(1-based indices, entry) of a nested tensor in lexicographic order.
-    For the symmetric and antisymmetric residual tensors the first nonzero
-    entry is the first hit of their geometry stream."""
-    for idx in itertools.product(range(len(tensor)), repeat=rank):
-        entry = tensor
-        for i in idx:
-            entry = entry[i]
-        yield tuple(i + 1 for i in idx), entry
-
-
 def pair_conditions(
     g: LinearMetric, h, mode: str, points, cache=None, tag=None
 ) -> list[ConditionResult]:
     """linearity / nijenhuis / killing of the ordered pair (reference g, h).
 
     ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
-    names them linearity[b|c], nijenhuis[b|c] and killing[c|b].  The mode
-    only picks the input: symbolic residuals, or ``_scan_points`` on point
-    frames.  Linearity is the covariant Hessian of h for g's connection;
-    for constant g that is the plain second partials, which are cheap, so it
-    stays symbolic in sampled mode.  The symbolic Hessian is scanned lazily,
-    so a failing pair stops at its first nonzero component."""
+    names them linearity[b|c], nijenhuis[b|c] and killing[c|b]; the Killing
+    residual is always K(g, h), reference first.  Each condition is scanned
+    at ``points`` (none: no scan) and, in symbolic mode, proven by its lazy
+    stream, which stops at the first nonzero component.  Linearity is the
+    covariant Hessian of h for g's connection; for constant g that is the
+    plain second partials, which are cheap, so it is always symbolic."""
     n = g.n
     hm = _as_bivector(h)
     lin, nij, kil = "linearity", "nijenhuis", "killing"
     if tag:
         b, c = tag
         lin, nij, kil = f"{lin}[{b}|{c}]", f"{nij}[{b}|{c}]", f"{kil}[{c}|{b}]"
+    points = points or ()
+    hw = _wrap_metric(h, g) if points else None
+    prove = mode == MODE_SYMBOLIC
     flat = g.is_constant()
-
-    def killing_args(x):
-        # the Killing residual is antisymmetric in its two bivectors; reports
-        # take it as K(g, h) for constant g and as K(h, g) otherwise
-        return (g, x) if flat else (x, g)
-
-    if mode == MODE_SYMBOLIC:
-        L = hm @ (constant_inverse(g) if flat else g.inverse())
-        return [
-            _scan(lin, covariant_hessian(hm, n, None if flat else g)),
-            _scan(nij, _entries(nijenhuis_torsion(L, n), 3)),
-            _scan(kil, _entries(killing_residual(*killing_args(hm), n), 3)),
-        ]
-    hw = _wrap_metric(h, g)
     if flat:
         linearity = _scan(lin, covariant_hessian(hm, n))
     else:
-        linearity = _scan_points(lin, pc.linearity_at, (g, hw), points, cache)
+        linearity = _scan_points(
+            lin, pc.linearity_at, (g, hw), points, cache,
+            prove and (lambda: covariant_hessian(hm, n, g)),
+        )
+
+    def nijenhuis():
+        return nijenhuis_stream(hm @ (constant_inverse(g) if flat else g.inverse()), n)
+
     return [
         linearity,
-        _scan_points(nij, pc.nijenhuis_at, (hw, g), points, cache),
-        _scan_points(kil, pc.killing_at, killing_args(hw), points, cache),
+        _scan_points(nij, pc.nijenhuis_at, (hw, g), points, cache, prove and nijenhuis),
+        _scan_points(
+            kil, pc.killing_at, (g, hw), points, cache,
+            prove and (lambda: killing_stream(g, hm, n)),
+        ),
     ]
 
 
@@ -432,25 +365,31 @@ def theorem2_conditions(
     cache=None,
 ) -> VerificationReport:
     """Linearity + Nijenhuis + Killing for constant g.  Flatness of h follows
-    from them (Theorem 2) and is checked by mokhov_conditions."""
+    from them (Theorem 2) and is checked by mokhov_conditions.  A bivector
+    that is not linear in u, or that is degenerate at every sample point, is
+    checked symbolically with no point scan; sampled mode rejects it."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     mode = mode or default_mode(g.n)
     report = VerificationReport(g.n, 2, mode, seed)
-    if mode == MODE_SYMBOLIC:
-        report.conditions = pair_conditions(g, h, mode, None)
-        return report
     hm = _as_bivector(h)
     if any(
         hm[i, j].degree_in_block(g.n) > 1
         for i in range(g.n)
         for j in range(g.n)
     ):
-        raise NonlinearBivector(
-            "nonlinear bivectors are checked symbolically; use mode='symbolic'"
-        )
-    if points is None:
-        points = pc.sample_points(g.nvars, [g, _wrap_metric(h, g)], seed)
+        if mode != MODE_SYMBOLIC:
+            raise NonlinearBivector(
+                "nonlinear bivectors are checked symbolically; use mode='symbolic'"
+            )
+        points = ()
+    elif points is None:
+        try:
+            points = _sample(g.nvars, [g, _wrap_metric(h, g)], mode, seed)
+        except DegenerateEverywhere:
+            if mode != MODE_SYMBOLIC:
+                raise
+            points = ()
     report.conditions = _on_frames(
         lambda c: pair_conditions(g, h, mode, points, c), cache
     )
@@ -477,9 +416,7 @@ def verify_operator(
             "operator spec must present the first metric in constant form"
         )
     mode = mode or default_mode(spec.n)
-    if mode == MODE_SYMBOLIC:
-        return _check_operator(spec, mode, seed, None, None)
-    points = pc.sample_points(spec.nvars, spec.metrics, seed)
+    points = _sample(spec.nvars, spec.metrics, mode, seed)
     return _on_frames(lambda c: _check_operator(spec, mode, seed, points, c), None)
 
 

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hamop.catalog import catalog, exampleN_operator, get_entry, theorem5_3d_operators
-from hamop.errors import FirstMetricNotConstant
+from hamop.errors import DegenerateEverywhere, FirstMetricNotConstant
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
@@ -12,8 +13,6 @@ from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
     MODE_SAMPLED,
     MODE_SYMBOLIC,
-    _t_conditions_rational,
-    _t_conditions_symbolic_const_g,
     exactness_check,
     mokhov_conditions,
     theorem2_conditions,
@@ -107,23 +106,84 @@ def test_sampled_and_symbolic_agree_conditionwise():
             assert m_smp.condition(c1.name).passed == c1.passed, c1.name
 
 
-def test_symbolic_representations_agree():
-    # polynomial numerators over powers of det h and reduced rational
-    # functions give the same result per condition, witnesses included
-    pairs = []
-    for e in catalog():
-        if e.n <= 3 and e.spec.d == 2:
-            values = default_param_values(e.spec)
-            spec = specialize_spec(e.spec, values) if values else e.spec
-            pairs.append((e.id, spec.g, spec.gt))
-    g, hs = corpus_pairs(2, random.Random(5), raw=3, killing=3, family=2, constant=1)
-    pairs += [(f"corpus-n2-{k}", g, h) for k, h in enumerate(hs)]
-    verdicts = set()
-    for name, g, h in pairs:
-        num = _t_conditions_symbolic_const_g(g, h)
-        assert num == _t_conditions_rational(g, h), name
-        verdicts.add(all(c.passed for c in num))
-    assert verdicts == {True, False}
+def test_symbolic_mode_is_sampled_mode_plus_proofs():
+    # symbolic mode scans the first SCAN_POINTS points of the seed's sample
+    # and proves what passed there, so per condition it agrees with sampled
+    # mode, and a failure found at a scan point carries the sampled witness
+    verdicts, at_points = set(), 0
+    for n, seed in ((2, 61), (3, 62)):
+        g, hs = corpus_pairs(n, random.Random(seed), raw=3, killing=3, family=2, constant=1)
+        for h in hs:
+            spec = OperatorSpec([g, h])
+            sym = verify_operator(spec, MODE_SYMBOLIC)
+            smp = verify_operator(spec, MODE_SAMPLED)
+            assert [c.name for c in sym.conditions] == [c.name for c in smp.conditions]
+            for c1, c2 in zip(sym.conditions, smp.conditions):
+                assert c1.passed == c2.passed, (n, c1.name)
+                if not c1.passed and c1.witness.point is not None:
+                    assert c1 == c2, (n, c1.name)
+                    at_points += 1
+            verdicts.add(sym.verdict)
+    assert verdicts == {True, False} and at_points
+
+
+def test_proof_catches_a_failure_the_scan_misses():
+    # the Nijenhuis torsion of this Killing-space pencil, (-9 u1 - 9/2, 9 u2),
+    # vanishes at (-1/2, 0): a scan of that point alone passes, and symbolic
+    # mode's proof still finds the failure, with a witness that has no point
+    u1, u2 = u_vars(2)
+    g = LinearMetric.antidiagonal(2)
+    off = u1 * Fraction(-3, 4) + u2 * Fraction(3, 2) + Fraction(1, 2)
+    h = LinearMetric(2, PolyMatrix([[u1 * -3 + Fraction(-3, 2), off], [off, u2 * Fraction(3, 2)]]))
+    points = [[Fraction(-1, 2), Fraction(0)]]
+    assert theorem2_conditions(g, h, MODE_SAMPLED, points=points).verdict
+    rep = theorem2_conditions(g, h, MODE_SYMBOLIC, points=points)
+    assert rep.failed_names() == ["nijenhuis"]
+    w = rep.condition("nijenhuis").witness
+    assert w.indices == (1, 1, 2) and w.residual == "-9/1*u1 + -9/2" and w.point is None
+    # with the seed's own scan points the failure is found at a point; with
+    # none at all, flatness, T1..T5 and the triple are decided by their proofs
+    scanned = verify_operator(OperatorSpec([g, h]))
+    assert scanned.condition("nijenhuis").witness.point
+    proven = mokhov_conditions(g, h, MODE_SYMBOLIC, points=[]).conditions
+    proven += theorem2_conditions(g, h, MODE_SYMBOLIC, points=[]).conditions
+    assert [c.passed for c in proven] == [c.passed for c in scanned.conditions]
+    assert not scanned.verdict
+    assert all(c.witness.point is None for c in proven if not c.passed)
+
+
+def test_degenerate_bivector_is_decided_without_points():
+    # no sample point makes diag(u1, 0) invertible: symbolic mode skips the
+    # scan and proves each condition, sampled mode has no point to test
+    u1, _ = u_vars(2)
+    z = MultiPoly.zero(2)
+    g = LinearMetric.antidiagonal(2)
+    h = PolyMatrix([[u1, z], [z, z]])
+    rep = theorem2_conditions(g, h, MODE_SYMBOLIC)
+    assert rep.failed_names() == ["killing"]
+    w = rep.condition("killing").witness
+    assert (w.indices, w.residual, w.point) == ((1, 1, 2), "1/1", None)
+    with pytest.raises(DegenerateEverywhere):
+        theorem2_conditions(g, h, MODE_SAMPLED)
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
+def test_killing_residual_takes_the_reference_metric_first(mode):
+    # killing[c|b] is K(g_c, g_b) and K is antisymmetric in its bivectors, so
+    # the two orders of a pair of non-constant metrics fail at the same point
+    # and index tuple with opposite residuals
+    g, hs = corpus_pairs(2, random.Random(33), raw=2, killing=1, family=0, constant=0)
+    rep = verify_operator(OperatorSpec([g, hs[2], hs[0]]), mode)
+    pairs = 0
+    for b, c in itertools.combinations((1, 2, 3), 2):
+        w1 = rep.condition(f"killing[{c}|{b}]").witness
+        w2 = rep.condition(f"killing[{b}|{c}]").witness
+        assert (w1 is None) == (w2 is None)
+        if w1 is not None:
+            assert (w1.point, w1.indices) == (w2.point, w2.indices)
+            assert Fraction(w1.residual) == -Fraction(w2.residual)
+            pairs += b > 1 and c > 1
+    assert pairs == 1
 
 
 def test_verify_operator_merges_both_criteria():
