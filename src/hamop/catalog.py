@@ -46,9 +46,6 @@ class CatalogEntry:
     def d(self) -> int:
         return self.spec.d
 
-    def var_names(self) -> list[str]:
-        return [f"u{i+1}" for i in range(self.n)] + list(self.params)
-
 
 def _vars(nvars: int):
     return [MultiPoly.variable(nvars, k) for k in range(1, nvars + 1)]
@@ -371,43 +368,6 @@ def _s4_data(nvars: int):
     return g, gt0, [gt1, gt2, gt3]
 
 
-def _complex_data(nvars: int):
-    """(g, gt0(nu, lam), [gt1, gt2]) for the complex-conjugate case."""
-    u = _vars(nvars)
-    g = LinearMetric.antidiagonal(4, nvars)
-
-    def gt0(nu_poly, lam_poly):
-        z = MultiPoly.zero(nvars)
-        one = MultiPoly.const(nvars, 1)
-        return PolyMatrix(
-            [
-                [z, one, -lam_poly, nu_poly],
-                [one, z, nu_poly, lam_poly],
-                [-lam_poly, nu_poly, z, z],
-                [nu_poly, lam_poly, z, z],
-            ]
-        )
-
-    z = MultiPoly.zero(nvars)
-    gt1 = _sym(
-        [
-            [2 * u[1], -2 * u[0], -u[3], u[2]],
-            [None, -2 * u[1], u[2], u[3]],
-            [None, None, z, z],
-            [None, None, None, z],
-        ]
-    )
-    gt2 = _sym(
-        [
-            [2 * u[0], 2 * u[1], -u[2], -u[3]],
-            [None, -2 * u[0], -u[3], u[2]],
-            [None, None, z, z],
-            [None, None, None, z],
-        ]
-    )
-    return g, gt0, [gt1, gt2]
-
-
 def complexified_2d_operator() -> OperatorSpec:
     """Real 4-component form of the complexified two-component operator:
     z^1 = u^1 + i u^2, z^2 = u^3 + i u^4, complex metrics
@@ -544,9 +504,6 @@ def segre4_families() -> list[CatalogEntry]:
     """All 4-component normal-form branches with formal parameters."""
     entries = []
     h = Fraction(1, 2)
-
-    def lam_of(nvars, slot):
-        return MultiPoly.variable(nvars, slot)
 
     # ---- [2,2] case 1: gt0 + k1 gt1 + k2 gt2
     nvars = 7  # u1..u4, kappa1, kappa2, lambda

@@ -185,9 +185,10 @@ def cmd_classify(args) -> int:
     # classification is independent of Hamiltonianity; it only needs the
     # affinor of the first two metrics
     npts = max(SEGRE_POINTS, spec.nvars + 2)
-    guards = [m.det() for m in spec.metrics]
     try:
-        points = segre_sample_points(spec.nvars, args.seed, count=npts, guards=guards)
+        points = segre_sample_points(
+            spec.nvars, args.seed, count=npts, metrics=spec.metrics
+        )
         report = segre_of_spec(spec, points=points, seed=args.seed)
     except (UnsupportedEigenvalueField, DegenerateEverywhere) as ex:
         print(f"error: {ex}", file=sys.stderr)
@@ -265,10 +266,7 @@ def cmd_catalog(args) -> int:
                 name: format_rational(v) for name, v in zip(e.params, values)
             },
         }
-        if args.output == "json":
-            _write(args, payload, lines)
-        else:
-            _write(args, payload, lines)
+        _write(args, payload, lines)
         if not args.out:
             print(f"# {meta}", file=sys.stderr)
         return EXIT_PASS

@@ -290,10 +290,6 @@ class SolutionFamily:
     def formal_g(self) -> LinearMetric:
         return self.g.extended(self.g.nvars + len(self.basis))
 
-    def coefficient_vectors(self):
-        idx = _BivectorIndex(self.g.n)
-        return [idx.from_bivector(b)[: idx.c_count] for b in self.basis]
-
 
 def _nijenhuis_bilinear_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex):
     """Columns of the linearized Nijenhuis condition around L0 = gt0 g^{-1}.

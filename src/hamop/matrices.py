@@ -1,17 +1,20 @@
 """Matrices with polynomial or rational-function entries.
 
 Entries are homogeneous per matrix (all MultiPoly or all RationalFunction).
-Determinants of polynomial matrices use fraction-free Bareiss elimination;
-inverses are returned in adjugate/determinant form with gcd-normalized
+``determinant`` and ``adjugate_det`` take polynomial entries only (anything
+else raises ValueError) and use fraction-free Bareiss elimination; inverses
+are returned in adjugate/determinant form with gcd-normalized
 rational-function entries, so m * m^-1 is exactly the identity.
+``PolyMatrix.at_point`` evaluates polynomial entries in any
+``linsolve.Field``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import IdenticallySingular
+from .linsolve import Q, Field
 from .poly import MultiPoly, RationalFunction, divide_exact
 
 
@@ -148,11 +151,12 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
 
-    def at_point(self, point) -> list[list[Fraction]]:
-        return [[x.eval(point) for x in row] for row in self.entries]
-
-    def to_lists(self):
-        return [list(row) for row in self.entries]
+    def at_point(self, point, F: Field = Q) -> list[list]:
+        """Polynomial entries evaluated at ``point`` (one element of ``F``
+        per variable), as elements of ``F``."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
+        return [[_eval(F, x, point) for x in row] for row in self.entries]
 
     def __repr__(self):
         body = "; ".join(
@@ -161,45 +165,30 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _as_poly_entries(m: PolyMatrix) -> tuple[list[list[MultiPoly]], MultiPoly]:
-    """Clear denominators: returns polynomial entries and the common scale D
-    such that returned[i][j] = D * m[i][j]."""
-    if all(isinstance(x, MultiPoly) for row in m.entries for x in row):
-        return [list(row) for row in m.entries], MultiPoly.const(m.nvars, 1)
-    scale = MultiPoly.const(m.nvars, 1)
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, RationalFunction) and not x.den.is_constant():
-                q = divide_exact(scale, x.den)
-                if q is None:
-                    scale = scale * x.den
-    out = []
-    for row in m.entries:
-        r = []
-        for x in row:
-            if isinstance(x, RationalFunction):
-                q = divide_exact(scale, x.den)
-                r.append(x.num * q)
-            else:
-                r.append(x * scale)
-        out.append(r)
-    return out, scale
+def _eval(F: Field, p: MultiPoly, point):
+    """Value of the polynomial p at point (field elements, one per variable)."""
+    red = F.red
+    total = F.of(0)
+    for e, c in p.terms.items():
+        t = F.of(c)
+        for x, v in zip(e, point):
+            if x:
+                t = red(t * v**x)
+        total += t
+    return red(total)
+
+
+def _poly_entries(m: PolyMatrix, what: str) -> list[list[MultiPoly]]:
+    if not m.is_square:
+        raise ValueError(f"{what} of non-square matrix")
+    if not all(isinstance(x, MultiPoly) for row in m.entries for x in row):
+        raise ValueError(f"{what} expects polynomial entries")
+    return m.entries
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square polynomial matrix (Bareiss)."""
-    if not m.is_square:
-        raise ValueError("determinant of non-square matrix")
-    a, scale = _as_poly_entries(m)
-    n = m.rows
-    det = _bareiss_det(a, m.nvars)
-    if not scale.is_constant():
-        # det was computed on scale*m; divide by scale^n
-        rf = RationalFunction(det, scale**n)
-        if not rf.is_polynomial():
-            raise AssertionError("denominator failed to clear in determinant")
-        return rf.as_poly()
-    return det
+    return _bareiss_det(_poly_entries(m, "determinant"), m.nvars)
 
 
 def _bareiss_det(a: list[list[MultiPoly]], nvars: int) -> MultiPoly:
@@ -238,14 +227,10 @@ def _minor(a: list[list[MultiPoly]], i: int, j: int) -> list[list[MultiPoly]]:
 
 def adjugate_det(m: PolyMatrix) -> tuple[PolyMatrix, MultiPoly]:
     """(adjugate, determinant) of a square polynomial matrix."""
-    if not m.is_square:
-        raise ValueError("adjugate of non-square matrix")
-    a, scale = _as_poly_entries(m)
-    if not scale.is_constant():
-        raise ValueError("adjugate_det expects polynomial entries")
+    a = _poly_entries(m, "adjugate_det")
     n = m.rows
     nvars = m.nvars
-    det = _bareiss_det(a, nvars)
+    det = determinant(m)
     if n == 1:
         return PolyMatrix.from_scalars(nvars, [[1]]), det
     adj = [[None] * n for _ in range(n)]

@@ -10,6 +10,15 @@ identity.
 An OperatorSpec is the d-tuple of metrics defining a first-order operator
 P^{ij} = sum_a ( g^{ij,a} d/dx^a + b^{ij,a}_k u^k_{x^a} ) with the b's the
 contravariant Christoffel symbols of the corresponding metric.
+
+Non-degeneracy is decided here, once and exactly.  ``degenerate_at`` takes
+the determinant of a matrix's value at one point, in any ``linsolve.Field``;
+``pointcheck`` and ``spectral`` reject sample points with it.
+``identically_degenerate`` (the check every LinearMetric makes) evaluates
+at one seeded integer point over Q: a nonzero value there proves
+det g is not the zero polynomial, and only a zero there falls back to the
+symbolic Bareiss determinant.  A spec needs no further check on its generic
+combination of metrics (see OperatorSpec).
 """
 
 from __future__ import annotations
@@ -18,14 +27,38 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .linsolve import Q, Field, det
 from .matrices import PolyMatrix, determinant, matrix_inverse
 from .poly import MultiPoly
+
+PROBE_SEED = 0
+PROBE_RANGE = 10**6
+
+
+def probe_point(nvars: int) -> list[Fraction]:
+    """The seeded integer point at which ``identically_degenerate`` first
+    evaluates a matrix in ``nvars`` variables."""
+    rng = random.Random(PROBE_SEED)
+    return [Fraction(rng.randint(-PROBE_RANGE, PROBE_RANGE)) for _ in range(nvars)]
+
+
+def degenerate_at(mat: PolyMatrix, point, F: Field = Q) -> bool:
+    """Whether the square polynomial matrix ``mat`` is singular at ``point``
+    (coordinates in ``F``): its value there has determinant 0 in ``F``."""
+    return not det(mat.at_point(point, F), F)
+
+
+def identically_degenerate(mat: PolyMatrix) -> bool:
+    """Whether det(mat) is the zero polynomial, decided exactly: a nonzero
+    value at ``probe_point`` proves it is not; only a zero there is settled
+    by the symbolic determinant."""
+    return degenerate_at(mat, probe_point(mat.nvars)) and determinant(mat).is_zero()
 
 
 class LinearMetric:
     """Non-degenerate symmetric bivector, degree <= 1 in the u-block."""
 
-    __slots__ = ("n", "nvars", "mat", "_det", "_inv", "_conn", "_derivs")
+    __slots__ = ("n", "nvars", "mat", "_inv", "_conn", "_derivs")
 
     def __init__(self, n: int, mat: PolyMatrix, check_nondegenerate: bool = True):
         if mat.rows != n or mat.cols != n:
@@ -44,11 +77,10 @@ class LinearMetric:
         self.n = n
         self.nvars = mat.nvars
         self.mat = mat
-        self._det = None
         self._inv = None
         self._conn = None
         self._derivs = None
-        if check_nondegenerate and self.det().is_zero():
+        if check_nondegenerate and identically_degenerate(mat):
             raise ValueError("metric is identically degenerate (det = 0)")
 
     # -- constructors ---------------------------------------------------
@@ -84,11 +116,6 @@ class LinearMetric:
 
     # -- cached geometry ---------------------------------------------------
 
-    def det(self) -> MultiPoly:
-        if self._det is None:
-            self._det = determinant(self.mat)
-        return self._det
-
     def inverse(self) -> PolyMatrix:
         """Covariant metric g_{ij} (RationalFunction entries)."""
         if self._inv is None:
@@ -116,10 +143,6 @@ class LinearMetric:
     def u_linear_part(self) -> PolyMatrix:
         return self.mat - self.u_constant_part()
 
-    def c_coeff(self, i: int, j: int, k: int) -> MultiPoly:
-        """c^{ij}_k = d g^{ij} / d u^k (1-based indices)."""
-        return self.mat.entries[i - 1][j - 1].partial(k)
-
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.mat.entries[i - 1][j - 1]
 
@@ -141,11 +164,17 @@ class LinearMetric:
 
 
 class OperatorSpec:
-    """d-tuple of metrics on n components defining a first-order operator."""
+    """d-tuple of metrics on n components defining a first-order operator.
+
+    The generic combination sum_a c_a g^a of the metrics is never degenerate,
+    so it is not checked: det(sum_a c_a g^a) is a polynomial in (c, u) that
+    equals det g^1 at c = e_1, and LinearMetric has already shown that
+    det g^1 is not the zero polynomial.
+    """
 
     __slots__ = ("n", "d", "nvars", "metrics")
 
-    def __init__(self, metrics: Sequence[LinearMetric], seed: int = 0):
+    def __init__(self, metrics: Sequence[LinearMetric]):
         if not metrics:
             raise ValueError("need at least one metric")
         n = metrics[0].n
@@ -157,19 +186,6 @@ class OperatorSpec:
         self.d = len(metrics)
         self.nvars = nvars
         self.metrics = tuple(metrics)
-        if self.d > 1:
-            self._check_generic_combination(seed)
-
-    def _check_generic_combination(self, seed: int) -> None:
-        rng = random.Random(seed)
-        for _ in range(5):
-            coeffs = [Fraction(rng.randint(1, 50)) for _ in self.metrics]
-            combo = self.metrics[0].mat.scale(coeffs[0])
-            for c, m in zip(coeffs[1:], self.metrics[1:]):
-                combo = combo + m.mat.scale(c)
-            if not determinant(combo).is_zero():
-                return
-        raise ValueError("generic combination of metrics is degenerate")
 
     @property
     def g(self) -> LinearMetric:

@@ -26,10 +26,10 @@ There are two fields:
   exact rational witnesses, the fallback where F_p cannot stand in for Q
   (see ``FrameCache``), and the reference the tests compare F_p against.
 
-Sample points are seeded integer points; those where any metric's
-determinant vanishes in the field they are drawn in (Q for sampled mode) are
-rejected and redrawn, and after 100 rejections DegenerateEverywhere is
-raised.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
+Sample points are seeded integer points; those where any metric is singular
+(``metrics.degenerate_at``) in the field they are drawn in (Q for sampled
+mode) are rejected and redrawn, and after 100 rejections
+DegenerateEverywhere is raised.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
 pins the symbolic and the point feeds component by component.
 """
 
@@ -45,8 +45,8 @@ from .geometry import (
     nijenhuis_components,
     riemann_components,
 )
-from .linsolve import Q, Field, det, inverse
-from .metrics import LinearMetric
+from .linsolve import Q, Field, inverse
+from .metrics import LinearMetric, degenerate_at
 
 SAMPLE_COUNT = 20
 SAMPLE_RANGE = 10**6
@@ -92,23 +92,6 @@ def _mat_add(F, a, b):
     return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def _eval(F, p, point):
-    """Value of the polynomial p at point (field elements, one per variable)."""
-    red = F.red
-    total = F.of(0)
-    for e, c in p.terms.items():
-        t = F.of(c)
-        for x, v in zip(e, point):
-            if x:
-                t = red(t * v**x)
-        total += t
-    return red(total)
-
-
-def _eval_matrix(F, pm, point):
-    return [[_eval(F, x, point) for x in row] for row in pm.entries]
-
-
 def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, field=Q):
     """Seeded points with integer coordinates in [-SAMPLE_RANGE, SAMPLE_RANGE],
     as elements of ``field``, at which every given metric is invertible."""
@@ -117,8 +100,7 @@ def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, fie
     rejects = 0
     while len(pts) < count:
         pt = [field.of(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
-        ok = all(det(_eval_matrix(field, m.mat, pt), field) != 0 for m in metrics)
-        if ok:
+        if not any(degenerate_at(m.mat, pt, field) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1
@@ -136,8 +118,8 @@ class PointFrame:
         self.F = field
         self.n = g.n
         self.point = point
-        self.G = _eval_matrix(field, g.mat, point)
-        self.A = [_eval_matrix(field, m, point) for m in g.derivative_matrices()]
+        self.G = g.mat.at_point(point, field)
+        self.A = [m.at_point(point, field) for m in g.derivative_matrices()]
         self.constant = all(
             all(all(x == 0 for x in row) for row in a) for a in self.A
         )

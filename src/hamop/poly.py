@@ -105,11 +105,6 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in_block(self, nblock: int) -> int:
         """Max total degree restricted to the first nblock variables."""
         if not self.terms:

@@ -227,11 +227,6 @@ class RootReport:
         self.gaussian = gaussian      # GaussianRational (im != 0) -> multiplicity
         self.residual = residual      # monic dense coefficients, [1] if fully split
 
-    def all_roots(self) -> dict:
-        out: dict = dict(self.rational)
-        out.update(self.gaussian)
-        return out
-
     @property
     def fully_split(self) -> bool:
         return len(self.residual) <= 1

@@ -45,10 +45,6 @@ class GaussianRational:
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 

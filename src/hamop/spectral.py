@@ -7,9 +7,10 @@ r_k = rank((L - lambda I)^k): the number of blocks of size >= k equals
 r_{k-1} - r_k.  Eigenvalues are extracted exactly over Q and Q(i); anything
 outside those fields raises UnsupportedEigenvalueField rather than degrading.
 
-Sampling uses 5 deterministic seeded points; the generic type is the one
-attained by the most points (ties broken toward coarser block structure),
-and ``consistent`` records whether all points agreed.
+Sampling uses 5 deterministic seeded points, redrawn where any metric of
+the pair or spec is singular (``metrics.degenerate_at``); the generic type
+is the one attained by the most points (ties broken toward coarser block
+structure), and ``consistent`` records whether all points agreed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .linsolve import rank, rref
 from .matrices import PolyMatrix
-from .metrics import LinearMetric
+from .metrics import LinearMetric, degenerate_at
 from .roots import char_poly, rational_roots
 from .scalars import GaussianRational
 from .verify import constant_inverse
@@ -164,10 +165,10 @@ def segre_sample_points(
     nvars: int,
     seed: int,
     count: int = SEGRE_POINTS,
-    guards=(),
+    metrics=(),
 ):
-    """Seeded small-coordinate points; points where any guard polynomial
-    (typically the metric determinants) vanishes are rejected and redrawn."""
+    """Seeded small-coordinate points; points where any of the given metrics
+    is singular are rejected and redrawn."""
 
     rng = random.Random(seed)
     pts = []
@@ -181,7 +182,7 @@ def segre_sample_points(
             while x == 0:
                 x = rng.randint(-SEGRE_RANGE, SEGRE_RANGE)
             pt.append(Fraction(x))
-        if all(g.eval(pt) != 0 for g in guards):
+        if not any(degenerate_at(m.mat, pt) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1
@@ -195,12 +196,13 @@ def segre_type(
     points=None,
     seed: int = 0,
     n: int | None = None,
-    guards=(),
+    metrics=(),
 ) -> SegreReport:
-    """Segre classification of an affinor at sample points."""
+    """Segre classification of an affinor at sample points (drawn, when not
+    given, away from the points where any of ``metrics`` is singular)."""
     n = n or L.rows
     if points is None:
-        points = segre_sample_points(L.nvars, seed, guards=guards)
+        points = segre_sample_points(L.nvars, seed, metrics=metrics)
     spectra = []
     unsupported = 0
     for pt in points:
@@ -229,22 +231,19 @@ def segre_type(
 def segre_of_pair(g: LinearMetric, h, points=None, seed: int = 0) -> SegreReport:
     """Segre report of the affinor of a pair; sample points are rejected
     where either metric degenerates."""
-    guards = [g.det()]
-    if isinstance(h, LinearMetric):
-        guards.append(h.det())
-    return segre_type(affinor(g, h), points=points, seed=seed, n=g.n, guards=guards)
+    metrics = [g, h] if isinstance(h, LinearMetric) else [g]
+    return segre_type(affinor(g, h), points=points, seed=seed, n=g.n, metrics=metrics)
 
 
 def segre_of_spec(spec, points=None, seed: int = 0) -> SegreReport:
-    """Segre report of an operator spec: affinor of (g^1, g^2), with every
-    metric's determinant guarding the sample points."""
-    guards = [m.det() for m in spec.metrics]
+    """Segre report of an operator spec: affinor of (g^1, g^2), at sample
+    points where no metric of the spec is singular."""
     return segre_type(
         affinor(spec.metrics[0], spec.metrics[1]),
         points=points,
         seed=seed,
         n=spec.n,
-        guards=guards,
+        metrics=spec.metrics,
     )
 
 

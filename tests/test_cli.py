@@ -186,3 +186,23 @@ def test_env_seed(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", path, "--output", "json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 42
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_identically_degenerate_metric_exit2(tmp_path, capsys, command, slot):
+    # [[u1, u1], [u1, u1]]: non-constant, with det = 0 identically
+    data = op5_file()
+    data["metrics"][slot] = {
+        "constant": [["0/1", "0/1"], ["0/1", "0/1"]],
+        "linear": [
+            {"i": i, "j": j, "k": 1, "coeff": "1/1"}
+            for i, j in ((1, 1), (1, 2), (2, 2))
+        ],
+    }
+    path = write(tmp_path, "degenerate.json", data)
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"metrics[{slot}]: metric is identically degenerate" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hamop.errors import IdenticallySingular
-from hamop.matrices import PolyMatrix, determinant, matrix_inverse
+from hamop.matrices import PolyMatrix, adjugate_det, determinant, matrix_inverse
 from hamop.poly import MultiPoly, RationalFunction
 
 from conftest import operator5_pair, u_vars
@@ -36,6 +36,16 @@ def test_identically_singular():
     u1 = MultiPoly.variable(1, 1)
     with pytest.raises(IdenticallySingular):
         matrix_inverse(PolyMatrix([[u1, u1], [u1, u1]]))
+
+
+def test_determinant_and_adjugate_take_polynomial_entries_only():
+    u1, u2 = u_vars(2)
+    m = PolyMatrix([[u1, u2], [u2, u1]]).map(RationalFunction)
+    for fn in (determinant, adjugate_det):
+        with pytest.raises(ValueError, match="polynomial entries"):
+            fn(m)
+        with pytest.raises(ValueError, match="non-square"):
+            fn(PolyMatrix([[u1, u2]]))
 
 
 def test_inverse_identity_randomized():
