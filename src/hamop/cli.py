@@ -6,7 +6,9 @@ timing field stays null unless --timing is given, so identical inputs and
 seed produce byte-identical output) or as human-readable text.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
-2 parse or usage error; 3 internal error.
+2 parse or usage error; 3 internal error; 4 input outside what the command
+supports (a well-formed spec whose affinor has eigenvalues outside Q(i) at
+every sample point, or with no point where every metric is non-degenerate).
 """
 
 from __future__ import annotations
@@ -48,19 +50,15 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_UNSUPPORTED = 4
 
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV, "0"))
-    except ValueError:
-        return 0
+UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere)
 
 
 class _OutputError(Exception):
@@ -97,7 +95,7 @@ def _segre_payload(spec: OperatorSpec, seed: int):
     try:
         report = segre_of_spec(spec, seed=seed)
         return report, report.to_dict()
-    except (UnsupportedEigenvalueField, DegenerateEverywhere) as ex:
+    except UNSUPPORTED as ex:
         return None, {"error": str(ex)}
 
 
@@ -118,6 +116,9 @@ def cmd_verify(args) -> int:
     except DisagreementBug as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
+    except UNSUPPORTED as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except HamopError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
@@ -190,9 +191,9 @@ def cmd_classify(args) -> int:
             spec.nvars, args.seed, count=npts, metrics=spec.metrics
         )
         report = segre_of_spec(spec, points=points, seed=args.seed)
-    except (UnsupportedEigenvalueField, DegenerateEverywhere) as ex:
+    except UNSUPPORTED as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_UNSUPPORTED
     fits = interpolate_affine_eigenvalues(report, spec.n, spec.nvars)
     matches = [
         e.id
@@ -416,14 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, with_mode=False):
-        sp.add_argument("--seed", type=int, default=_default_seed(),
+        # argparse converts a string default with ``type``, so a bad
+        # $HAMOP_SEED is a usage error unless --seed overrides it
+        sp.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"),
                         help=f"random seed (default from ${SEED_ENV} or 0)")
         sp.add_argument("--output", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="write the report to this path")
         if with_mode:
             sp.add_argument("--mode", choices=("symbolic", "sampled"), default=None,
                             help="identity-check mode (default: symbolic for "
-                            "n <= 5, sampled otherwise)")
+                            "n <= 7, sampled otherwise)")
 
     sp = sub.add_parser("verify", help="verify Hamiltonianity of a spec file")
     sp.add_argument("input", help="operator spec JSON file")

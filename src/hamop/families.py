@@ -225,21 +225,8 @@ def killing_bivector_space(g: LinearMetric) -> list[PolyMatrix]:
     RREF order) followed by the constant unit bivectors."""
     if not g.is_constant():
         raise ValueError("killing_bivector_space needs a constant metric")
-    n = g.n
-    gv = [[_const_value(g.mat[i, j]) for j in range(n)] for i in range(n)]
-    idx = _BivectorIndex(n, with_constant=True)
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                row = [Fraction(0)] * idx.total
-                for s in range(n):
-                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
-                        if gv[a][s]:
-                            row[idx.c_idx(b, c, s)] += gv[a][s]
-                if any(row):
-                    rows.append(row)
-    basis = nullspace(rows, idx.total)
+    idx = _BivectorIndex(g.n, with_constant=True)
+    basis = nullspace(_killing_rows_constant_g(g, idx), idx.total)
     return [idx.to_bivector(v, g.nvars) for v in basis]
 
 
@@ -324,13 +311,16 @@ def _nijenhuis_bilinear_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorInd
 
 
 def _killing_rows_constant_g(g: LinearMetric, idx: _BivectorIndex):
+    """The Killing condition of a constant g on the unknowns of ``idx``, one
+    row per i <= j <= k; it involves only the linear coefficients, so the
+    constant columns (when ``idx`` has them) stay zero."""
     n = g.n
     gv = [[_const_value(g.mat[i, j]) for j in range(n)] for i in range(n)]
     rows = []
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                row = [Fraction(0)] * idx.c_count
+                row = [Fraction(0)] * idx.total
                 for s in range(n):
                     for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
                         if gv[a][s]:

@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linsolve import identity
 from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric
 from .poly import MultiPoly, RationalFunction
@@ -115,11 +116,7 @@ def levi_civita(g: LinearMetric) -> Connection:
     return conn
 
 
-def _same(x):
-    return x
-
-
-def _partials(m: PolyMatrix, n: int, lift=_same) -> list:
+def _partials(m: PolyMatrix, n: int, lift=identity) -> list:
     """out[s][a][b] = lift(d_s m[a, b])."""
     return [
         [[lift(m[a, b].partial(s + 1)) for b in range(n)] for a in range(n)]
@@ -286,7 +283,7 @@ def _riemann_numerators(g: LinearMetric):
         # Gamma^i_{jk} = Gamma^i_{kj}: both orders share one memo entry
         return d(r, i, j, k) if j <= k else d(r, i, k, j)
 
-    return riemann_components(P, d_gamma, g.n, _same)
+    return riemann_components(P, d_gamma, g.n, identity)
 
 
 def riemann_curvature(g: LinearMetric) -> list:
@@ -325,7 +322,7 @@ def is_flat(g: LinearMetric) -> bool:
 def nijenhuis_stream(L: PolyMatrix, n: int):
     """Lazy (1-based indices, residual) stream of the Nijenhuis torsion of
     L (``nijenhuis_components``), with L's entry type."""
-    return nijenhuis_components(L.entries, _partials(L, n), n, _same)
+    return nijenhuis_components(L.entries, _partials(L, n), n, identity)
 
 
 def nijenhuis_torsion(L: PolyMatrix, n: int | None = None) -> list:
@@ -342,7 +339,7 @@ def killing_stream(g, h, n: int):
     gm = g.mat if isinstance(g, LinearMetric) else g
     hm = h.mat if isinstance(h, LinearMetric) else h
     return killing_components(
-        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, _same
+        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, identity
     )
 
 
@@ -370,11 +367,11 @@ def covariant_hessian(h: PolyMatrix, n: int, g: LinearMetric | None = None):
     Without g it is the plain second partials d_r d_s h^{ij} (the connection
     of flat coordinates), with MultiPoly entries."""
     if g is None:
-        gamma, lift = [[[0] * n for _ in range(n)] for _ in range(n)], _same
+        gamma, lift = [[[0] * n for _ in range(n)] for _ in range(n)], identity
     else:
         gamma, lift = levi_civita(g).gamma, RationalFunction
     return hessian_components(
-        gamma, h.entries, _partials(h, n, lift), _partial_of_c, n, _same
+        gamma, h.entries, _partials(h, n, lift), _partial_of_c, n, identity
     )
 
 

@@ -91,11 +91,12 @@ class Field:
         self.half = half
 
 
-def _same(x):
+def identity(x):
+    """The reduction of exact representations, which are already canonical."""
     return x
 
 
-Q = Field(Fraction, _same, lambda x: 1 / x, Fraction(1, 2))
+Q = Field(Fraction, identity, lambda x: 1 / x, Fraction(1, 2))
 
 
 def _pivot_row(m, c):

@@ -9,11 +9,12 @@ in descending canonical order with coefficients written "p/q".
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
 Normalization relies on monomial fast paths, exact trial division, and a
-content/primitive-part recursive gcd; when the gcd looks too expensive
-(product of term counts above ``GCD_TERM_CAP``) the quotient is kept
-unreduced, which never affects zero tests (a quotient vanishes iff its
-numerator does).  Equality is always exact: reduced quotients compare
-termwise, and unreduced ones by cross-multiplication.
+content/primitive-part recursive gcd.  A quotient built with a ``base``
+hint (its denominator a power of the base) is only stripped of whole base
+factors, so it may stay unreduced when the base is reducible; that never
+affects zero tests (a quotient vanishes iff its numerator does).  Equality
+is always exact: reduced quotients compare termwise, and unreduced ones by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -22,20 +23,6 @@ import heapq
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Mapping
-
-# Reduction cost guard: skip gcd-based reduction when len(num)*len(den)
-# exceeds this (the quotient is then kept unreduced; rf_equal compares such
-# quotients by cross-multiplication).
-GCD_TERM_CAP = 100_000
-
-# Abort the PRS gcd once this many term-operations have been spent; the
-# caller then keeps the quotient unreduced, which never affects zero tests.
-GCD_OP_BUDGET = 50_000
-
-
-class GcdBudgetExceeded(Exception):
-    """Internal: the gcd computation became more expensive than it is worth."""
-
 
 def _grlex_key(expt: tuple) -> tuple:
     return (sum(expt), expt)
@@ -453,7 +440,7 @@ def _from_univ(coeffs: dict[int, MultiPoly], var0: int, nvars: int) -> MultiPoly
     return MultiPoly._raw(nvars, terms)
 
 
-def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], nvars: int, budget: list):
+def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], nvars: int):
     """Pseudo-remainder of univariate-view polynomials (dense-in-degree dicts)."""
     df = max(f)
     dg = max(g)
@@ -465,32 +452,26 @@ def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], nvars: int, bu
         # r = lg*r - lr*x^(dr-dg)*g
         nr: dict[int, MultiPoly] = {}
         for d, q in r.items():
-            budget[0] -= len(q) * len(lg)
             nr[d] = q * lg
         for d, q in g.items():
             dd = d + dr - dg
-            budget[0] -= len(q) * len(lr)
             nr[dd] = nr.get(dd, MultiPoly(nvars)) - lr * q
-        if budget[0] < 0:
-            raise GcdBudgetExceeded
         r = {d: q for d, q in nr.items() if not q.is_zero()}
         if r and max(r) == dr:
             raise AssertionError("pseudo-remainder failed to reduce degree")
     return r
 
 
-def poly_gcd(a: MultiPoly, b: MultiPoly, budget: int = GCD_OP_BUDGET) -> MultiPoly:
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Gcd over Q[u], normalized primitive with positive leading coefficient.
 
     Content/primitive-part recursion with a primitive PRS in the lowest shared
-    variable; monomial and constant cases short-circuit.  Raises
-    GcdBudgetExceeded when the PRS grows past the op budget; callers treat
-    that as "keep the quotient unreduced".
+    variable; monomial and constant cases short-circuit.
     """
-    return _poly_gcd(a, b, [budget])
+    return _poly_gcd(a, b)
 
 
-def _poly_gcd(a: MultiPoly, b: MultiPoly, budget: list) -> MultiPoly:
+def _poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.nvars != b.nvars:
         raise ValueError("nvars mismatch")
     nvars = a.nvars
@@ -502,13 +483,13 @@ def _poly_gcd(a: MultiPoly, b: MultiPoly, budget: list) -> MultiPoly:
     mono = tuple(min(x, y) for x, y in zip(ma, mb))
     a = _shift_down(a, ma)
     b = _shift_down(b, mb)
-    g = _gcd_primitive(primitive_part(a), primitive_part(b), budget)
+    g = _gcd_primitive(primitive_part(a), primitive_part(b))
     if any(mono):
         g = g * MultiPoly.monomial(nvars, 1, mono)
     return g
 
 
-def _gcd_primitive(a: MultiPoly, b: MultiPoly, budget: list) -> MultiPoly:
+def _gcd_primitive(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     nvars = a.nvars
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(nvars, 1)
@@ -530,31 +511,31 @@ def _gcd_primitive(a: MultiPoly, b: MultiPoly, budget: list) -> MultiPoly:
     v0 = shared[0] - 1
     fa = _univ_coeffs(a, v0)
     fb = _univ_coeffs(b, v0)
-    cont_a = _list_gcd(list(fa.values()), budget)
-    cont_b = _list_gcd(list(fb.values()), budget)
+    cont_a = _list_gcd(list(fa.values()))
+    cont_b = _list_gcd(list(fb.values()))
     pa = {d: divide_exact(q, cont_a) for d, q in fa.items()}
     pb = {d: divide_exact(q, cont_b) for d, q in fb.items()}
-    cont = _poly_gcd(cont_a, cont_b, budget)
+    cont = _poly_gcd(cont_a, cont_b)
     # primitive PRS on pa, pb
     f, g = (pa, pb) if max(pa) >= max(pb) else (pb, pa)
     while True:
-        r = _pseudo_rem(f, g, nvars, budget)
+        r = _pseudo_rem(f, g, nvars)
         if not r:
             gg = _from_univ(g, v0, nvars)
             return primitive_part(gg) * cont
         if max(r) == 0:
             return cont
-        rp = _list_gcd(list(r.values()), budget)
+        rp = _list_gcd(list(r.values()))
         r = {d: divide_exact(q, rp) for d, q in r.items()}
         f, g = g, r
 
 
-def _list_gcd(polys: list[MultiPoly], budget: list) -> MultiPoly:
+def _list_gcd(polys: list[MultiPoly]) -> MultiPoly:
     g = polys[0]
     for p in polys[1:]:
         if g.is_constant():
             break
-        g = _poly_gcd(g, p, budget)
+        g = _poly_gcd(g, p)
     return primitive_part(g)
 
 
@@ -846,20 +827,12 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly, base: MultiPoly | None = None)
         if q is not None:
             c = content_int(q)
             return MultiPoly.const(nvars, 1 / c), q / c, True, None
-    reduced = True
-    if len(num) * len(den) <= GCD_TERM_CAP:
-        try:
-            g = poly_gcd(num, den)
-        except GcdBudgetExceeded:
-            reduced = False
-        else:
-            if not g.is_constant():
-                num = divide_exact(num, g)
-                den = divide_exact(den, g)
-    else:
-        reduced = False
+    g = poly_gcd(num, den)
+    if not g.is_constant():
+        num = divide_exact(num, g)
+        den = divide_exact(den, g)
     c = content_int(den)
-    return num / c, den / c, reduced, None
+    return num / c, den / c, True, None
 
 
 def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:

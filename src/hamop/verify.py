@@ -9,27 +9,34 @@ Two independent criteria are implemented for d = 2:
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 
 verify_operator runs both on 2D input and raises DisagreementBug if they ever
-disagree (they cannot, unless the implementation is broken).  For d >= 3 the
-pairwise conditions (linearity / Nijenhuis / Killing per ordered pair) are
-checked with the first metric constant; one function, pair_conditions,
-checks an ordered pair.
+disagree (they cannot, unless the implementation is broken).  For d >= 3,
+with the first metric constant, it checks one linearity / Nijenhuis /
+Killing triple per unordered pair {g_b, g_c}, c < b, against the earlier
+metric g_c, so every pair with g1 has the constant reference.  The other
+order is redundant: if every pair with g1 passes, each g_b is flat (the 2D
+operator (g1, g_b) is Hamiltonian), and for two flat metrics the paper's
+theorem makes the triple of either order equivalent to the pair being
+Hamiltonian; if a pair with g1 fails, the verdict fails either way.  One
+function, pair_conditions, checks an ordered pair.
 
-Every condition runs through one pipeline in both modes.  It is first
+Every condition runs through one pipeline in both modes, and one function,
+_scan_points, runs it for the conditions that share a set of frames (the
+Mokhov conditions; the triple of a pair).  Each condition is first
 evaluated at seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).
 A hit there is certified, since a nonzero residue proves a nonzero rational
 value, and its witness is recomputed over Q at that point.  In symbolic mode
-(the default for n <= 5) the points are the first SCAN_POINTS of the seed's
-sample, and a condition without a hit is then decided by its exact identity:
-flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
-reduced rational obstruction tensor, and the lazy linearity / Nijenhuis /
-Killing streams of geometry.  A failure found there carries a witness with
-no point.  In sampled mode (larger n) all SAMPLE_COUNT points are scanned
-and a pass is not proven: it means every tested value is 0 mod p, which,
-besides the Schwartz-Zippel risk of sampling, errs only where a nonzero
-rational value is divisible by p.  So the mode decides only how many points
-are scanned and whether passes are proven.  Linearity against a constant
-metric (the plain second partials) is exact and cheap, and is always
-decided symbolically.
+(the default for n <= 7, where it is also the faster mode) the points are
+the first SCAN_POINTS of the seed's sample, and a condition without a hit
+is then decided by its exact identity: flatness_witness, the T1..T5 streams
+of geometry.mokhov_identities on the reduced rational obstruction tensor,
+and the lazy linearity / Nijenhuis / Killing streams of geometry.  A failure
+found there carries a witness with no point.  In sampled mode (larger n)
+all SAMPLE_COUNT points are scanned and a pass is not proven: it means
+every tested value is 0 mod p, which, besides the Schwartz-Zippel risk of
+sampling, errs only where a nonzero rational value is divisible by p.  So
+the mode decides only how many points are scanned and whether passes are
+proven.  Linearity against a constant metric (the plain second partials)
+is exact and cheap, and is always decided symbolically.
 
 A coefficient denominator that is not a unit mod p sends the whole report to
 Q.  Witnesses always report the lexicographically first failing index tuple,
@@ -63,13 +70,14 @@ from .geometry import (
     nijenhuis_stream,
     obstruction_tensor,
 )
+from .linsolve import identity
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
 from .poly import MultiPoly
 from .scalars import format_rational
 
 DEFAULT_SEED = 0
-SYMBOLIC_MAX_N = 5
+SYMBOLIC_MAX_N = 7
 # points scanned before the exact identities in symbolic mode
 SCAN_POINTS = 2
 
@@ -160,10 +168,6 @@ def _wit(indices, residual, point=None) -> Witness:
     return Witness(tuple(indices), residual, point)
 
 
-def _same(x):
-    return x
-
-
 def _scan(name: str, gen) -> ConditionResult:
     """Symbolic condition from a generator of (indices, residual)."""
     for indices, residual in gen:
@@ -193,21 +197,48 @@ def _certified(name: str, pt, hit):
     return hit
 
 
-def _scan_points(name: str, fn, metrics, points, cache, proof=None) -> ConditionResult:
-    """One condition: ``fn(*frames)`` on the frames of ``metrics`` at a point
-    returns (indices, value) or None.  A hit over F_p is recomputed over Q at
-    the same point for the witness.  Without a hit, ``proof()`` (symbolic
-    mode) is the condition's exact identity as a lazy (indices, residual)
-    stream, which decides it; with no proof (sampled mode) it passes on the
-    points."""
+def _hits(pairs, names) -> dict:
+    """name -> hit for each of ``names`` whose hit in the (name, hit)
+    ``pairs`` is not None; reading stops once every name has been seen."""
+    pending = set(names)
+    hits = {}
+    for name, hit in pairs:
+        if name in pending:
+            pending.discard(name)
+            if hit is not None:
+                hits[name] = hit
+            if not pending:
+                break
+    return hits
+
+
+def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[ConditionResult]:
+    """The conditions named by ``proofs``, in its order, scanned at points
+    together: ``fn(*frames)`` on the frames of ``metrics`` at a point yields
+    (name, hit) for them, a hit being (indices, value) or None.  A hit over
+    F_p is recomputed over Q at the same point for the witness, and points
+    are scanned until every condition has failed.  With ``prove`` (symbolic
+    mode) a condition without a hit is then decided by ``proofs[name]()``,
+    its exact identity as a lazy (indices, residual) stream; otherwise it
+    passes on the points.  A condition's first failing point and index tuple
+    do not depend on which conditions share the scan."""
+    decided = {}
     for pt in points:
         frames = cache.frames(pt, *metrics)
-        hit = fn(*frames)
-        if hit is not None:
-            if frames[0].F is not pc.Q:
-                hit = _certified(name, pt, fn(*cache.frames(pt, *metrics, field=pc.Q)))
-            return ConditionResult(name, False, _wit(*hit, pt))
-    return _scan(name, proof()) if proof else ConditionResult(name, True)
+        hits = _hits(fn(*frames), proofs.keys() - decided.keys())
+        if hits and frames[0].F is not pc.Q:
+            exact = _hits(fn(*cache.frames(pt, *metrics, field=pc.Q)), hits)
+            hits = {name: _certified(name, pt, exact.get(name)) for name in hits}
+        for name, hit in hits.items():
+            decided[name] = ConditionResult(name, False, _wit(*hit, pt))
+        if len(decided) == len(proofs):
+            break
+    return [
+        decided[name] if name in decided
+        else _scan(name, proof()) if prove
+        else ConditionResult(name, True)
+        for name, proof in proofs.items()
+    ]
 
 
 def _flatness_proof(g: LinearMetric):
@@ -215,9 +246,12 @@ def _flatness_proof(g: LinearMetric):
     return [w] if w else []
 
 
-def _flat_condition(name: str, g: LinearMetric, mode: str, points, cache) -> ConditionResult:
-    proof = mode == MODE_SYMBOLIC and (lambda: _flatness_proof(g))
-    return _scan_points(name, pc.flat_at, (g,), points, cache, proof)
+def _flat_condition(g: LinearMetric, mode: str, points, cache) -> ConditionResult:
+    """flat(g1) on its own (d = 1 and d >= 3)."""
+    return _scan_points(
+        {"flat(g1)": lambda: _flatness_proof(g)}, lambda f: [("flat(g1)", pc.flat_at(f))],
+        (g,), points, cache, mode == MODE_SYMBOLIC,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +270,14 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
         return R[i][j][k].partial(r + 1)
 
     gamma_g, gamma_h = levi_civita(g).gamma, levi_civita(h).gamma
-    return dict(mokhov_identities(R, obt.t, d_raised, gamma_g, gamma_h, g.n, _same))
+    return dict(mokhov_identities(R, obt.t, d_raised, gamma_g, gamma_h, g.n, identity))
 
 
-def _t_conditions(g, h, points, cache, prove: bool) -> list[ConditionResult]:
-    """T1..T5 at each point until all have failed; hits over F_p are
-    recomputed over Q at their point for the witnesses.  With ``prove``
-    (symbolic mode) the identities without a hit are then decided by their
-    streams."""
-    decided = {}
-    for pt in points:
-        frames = cache.frames(pt, g, h)
-        hits = {
-            name: hit
-            for name, hit in pc.mokhov_at(*frames)
-            if hit is not None and name not in decided
-        }
-        if hits and frames[0].F is not pc.Q:
-            exact = dict(pc.mokhov_at(*cache.frames(pt, g, h, field=pc.Q)))
-            hits = {name: _certified(name, pt, exact[name]) for name in hits}
-        for name, hit in hits.items():
-            decided[name] = ConditionResult(name, False, _wit(*hit, pt))
-        if len(decided) == len(T_NAMES):
-            break
-    unhit = [name for name in T_NAMES if name not in decided]
-    if prove and unhit:
-        streams = _t_streams(g, h)
-        decided.update((name, _scan(name, streams[name])) for name in unhit)
-    return [decided.get(name) or ConditionResult(name, True) for name in T_NAMES]
+def _mokhov_at(fg, fh):
+    """(name, hit) of flat(g1), flat(g2) and T1..T5 at a point."""
+    yield "flat(g1)", pc.flat_at(fg)
+    yield "flat(g2)", pc.flat_at(fh)
+    yield from pc.mokhov_at(fg, fh)
 
 
 def mokhov_conditions(
@@ -280,14 +294,16 @@ def mokhov_conditions(
     if points is None:
         points = _sample(g.nvars, [g, h], mode, seed)
 
-    def run(cache):
-        return [
-            _flat_condition("flat(g1)", g, mode, points, cache),
-            _flat_condition("flat(g2)", h, mode, points, cache),
-            *_t_conditions(g, h, points, cache, mode == MODE_SYMBOLIC),
-        ]
-
-    report.conditions = _on_frames(run, cache)
+    t_streams = functools.cache(lambda: _t_streams(g, h))
+    proofs = {
+        "flat(g1)": lambda: _flatness_proof(g),
+        "flat(g2)": lambda: _flatness_proof(h),
+        **{name: (lambda name=name: t_streams()[name]) for name in T_NAMES},
+    }
+    report.conditions = _on_frames(
+        lambda c: _scan_points(proofs, _mokhov_at, (g, h), points, c, mode == MODE_SYMBOLIC),
+        cache,
+    )
     return report
 
 
@@ -325,29 +341,24 @@ def pair_conditions(
     if tag:
         b, c = tag
         lin, nij, kil = f"{lin}[{b}|{c}]", f"{nij}[{b}|{c}]", f"{kil}[{c}|{b}]"
-    points = points or ()
-    hw = _wrap_metric(h, g) if points else None
-    prove = mode == MODE_SYMBOLIC
     flat = g.is_constant()
-    if flat:
-        linearity = _scan(lin, covariant_hessian(hm, n))
-    else:
-        linearity = _scan_points(
-            lin, pc.linearity_at, (g, hw), points, cache,
-            prove and (lambda: covariant_hessian(hm, n, g)),
-        )
+    linearity = [_scan(lin, covariant_hessian(hm, n))] if flat else []
+    proofs = {} if flat else {lin: lambda: covariant_hessian(hm, n, g)}
+    proofs[nij] = lambda: nijenhuis_stream(
+        hm @ (constant_inverse(g) if flat else g.inverse()), n
+    )
+    proofs[kil] = lambda: killing_stream(g, hm, n)
 
-    def nijenhuis():
-        return nijenhuis_stream(hm @ (constant_inverse(g) if flat else g.inverse()), n)
+    def at(fg, fh):
+        yield nij, pc.nijenhuis_at(fh, fg)
+        yield kil, pc.killing_at(fg, fh)
+        if not flat:
+            yield lin, pc.linearity_at(fg, fh)
 
-    return [
-        linearity,
-        _scan_points(nij, pc.nijenhuis_at, (hw, g), points, cache, prove and nijenhuis),
-        _scan_points(
-            kil, pc.killing_at, (g, hw), points, cache,
-            prove and (lambda: killing_stream(g, hm, n)),
-        ),
-    ]
+    hw = _wrap_metric(h, g) if points else None
+    return linearity + _scan_points(
+        proofs, at, (g, hw), points or (), cache, mode == MODE_SYMBOLIC
+    )
 
 
 def _wrap_metric(h, like: LinearMetric) -> LinearMetric:
@@ -408,8 +419,8 @@ def verify_operator(
 
     2D: obstruction-tensor and linearity/Nijenhuis/Killing criteria both run
     and must agree (DisagreementBug otherwise).  d >= 3: flatness of the
-    (constant) first metric plus the pairwise conditions for every ordered
-    pair of distinct metrics.
+    (constant) first metric plus the pairwise conditions of each unordered
+    pair, against its earlier metric.
     """
     if not spec.metrics[0].is_constant():
         raise FirstMetricNotConstant(
@@ -423,7 +434,7 @@ def verify_operator(
 def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
     if spec.d == 1:
         report = VerificationReport(spec.n, 1, mode, seed)
-        report.conditions.append(_flat_condition("flat(g1)", spec.g, mode, points, cache))
+        report.conditions.append(_flat_condition(spec.g, mode, points, cache))
         return report
     if spec.d == 2:
         mok = mokhov_conditions(spec.g, spec.gt, mode, seed, points, cache)
@@ -437,15 +448,12 @@ def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
         report.conditions.extend(mok.conditions)
         report.conditions.extend(th2.conditions)
         return report
-    # d >= 3
+    # d >= 3: one triple per unordered pair, against the earlier metric
     report = VerificationReport(spec.n, spec.d, mode, seed)
-    report.conditions.append(_flat_condition("flat(g1)", spec.g, mode, points, cache))
+    report.conditions.append(_flat_condition(spec.g, mode, points, cache))
     for b, gb in enumerate(spec.metrics, 1):
-        for c, gc in enumerate(spec.metrics, 1):
-            if b != c:
-                report.conditions.extend(
-                    pair_conditions(gc, gb, mode, points, cache, (b, c))
-                )
+        for c, gc in enumerate(spec.metrics[: b - 1], 1):
+            report.conditions.extend(pair_conditions(gc, gb, mode, points, cache, (b, c)))
     return report
 
 

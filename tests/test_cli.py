@@ -188,6 +188,32 @@ def test_env_seed(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["seed"] == 42
 
 
+def test_bad_env_seed_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("HAMOP_SEED", "abc")
+    path = write(tmp_path, "op5.json", op5_file())
+    assert main(["verify", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage:") == 1
+    assert err.endswith("error: argument --seed: invalid int value: 'abc'\n")
+    assert main(["verify", path, "--seed", "3"]) == 0
+    assert "seed: 3" in capsys.readouterr().out
+
+
+def test_classify_eigenvalues_outside_q_i_exit4(tmp_path, capsys):
+    # L = diag(2, 1) J has characteristic polynomial x^2 - 2, which does not
+    # split over Q(i) at any point: a well-formed spec the classifier does
+    # not support, so not a usage error
+    from hamop.metrics import LinearMetric, OperatorSpec
+
+    spec = OperatorSpec([LinearMetric.antidiagonal(2), LinearMetric.constant([[2, 0], [0, 1]])])
+    path = write(tmp_path, "sqrt2.json", dump_operator_spec(spec))
+    assert main(["classify", path]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: characteristic polynomial does not split over Q(i)")
+    assert main(["verify", path]) == 0
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("slot", [0, 1])
 def test_identically_degenerate_metric_exit2(tmp_path, capsys, command, slot):

@@ -6,11 +6,12 @@ Each report under ``golden/`` was written by
         --out golden/<case>.json [--mode sampled]
 
 The cases cover a passing catalog entry (mokhov-n3), a d = 3 entry
-(thm5-3d-1), a passing n = 6 entry that default mode samples (mokhov-n6), and
-three failing specs in default and in sampled mode: an n = 2 and an n = 3
-pencil (witnesses in eight conditions), and an n = 2, d = 3 spec
-(linearity / Nijenhuis / Killing witnesses against a constant and against
-non-constant reference metrics).  A failing default-mode report finds its
+(thm5-3d-1), a passing n = 6 entry in default (symbolic) and in sampled mode
+(mokhov-n6), and three failing specs in default and in sampled mode: an
+n = 2 and an n = 3 pencil (witnesses in eight conditions), and an n = 2,
+d = 3 spec (one linearity / Nijenhuis / Killing triple per unordered pair,
+with witnesses against the constant and against a non-constant reference
+metric).  A failing default-mode report finds its
 failures at the scan points and equals the sampled report apart from
 ``"mode"``.  The JSON of the same input and seed may change only together
 with ``cli.REPORT_VERSION``; a change that bumps it regenerates these files
@@ -31,6 +32,7 @@ CASES = [
     ("pencil-n2-raw", "pencil-n2-raw.sampled", ["--mode", "sampled"]),
     ("thm5-3d-1", "thm5-3d-1", []),
     ("mokhov-n6", "mokhov-n6", []),
+    ("mokhov-n6", "mokhov-n6.sampled", ["--mode", "sampled"]),
     ("pencil-n3-raw", "pencil-n3-raw", []),
     ("pencil-n3-raw", "pencil-n3-raw.sampled", ["--mode", "sampled"]),
     ("pencil-n2-d3", "pencil-n2-d3", []),

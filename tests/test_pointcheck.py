@@ -130,7 +130,7 @@ def test_sampled_fp_matches_q():
 
 
 def test_sampled_fp_matches_q_pairwise():
-    # d = 3: flat(g1) plus linearity / Nijenhuis / Killing per ordered pair,
+    # d = 3: flat(g1) plus linearity / Nijenhuis / Killing per unordered pair,
     # against a constant and against a non-constant reference metric; the
     # second spec swaps in a random (failing) third metric
     base = _catalog_spec(get_entry("thm5-3d-1"))
@@ -217,11 +217,13 @@ def test_fp_hit_without_q_hit_is_an_internal_error():
     points = [[Fraction(3), Fraction(5)]]
 
     def fp_only(f):
-        return ((1,), f.G[0][1]) if f.F is pc.FP else None
+        yield "probe", ((1,), f.G[0][1]) if f.F is pc.FP else None
 
+    proofs = {"probe": list}
     with pytest.raises(DisagreementBug, match=r"zero over Q at \(3/1, 5/1\)"):
-        _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.FP))
-    assert _scan_points("probe", fp_only, (g,), points, pc.FrameCache(pc.Q)).passed
+        _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.FP), False)
+    (result,) = _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.Q), False)
+    assert result.passed
 
 
 def _first_hit(tensor, shape, value):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hamop.catalog import catalog, exampleN_operator, get_entry, theorem5_3d_operators
+from hamop import pointcheck as pc
 from hamop.errors import DegenerateEverywhere, FirstMetricNotConstant
+from hamop.geometry import killing_stream, nijenhuis_stream
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
@@ -13,8 +15,11 @@ from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
     MODE_SAMPLED,
     MODE_SYMBOLIC,
+    _sample,
+    default_mode,
     exactness_check,
     mokhov_conditions,
+    pair_conditions,
     theorem2_conditions,
     verify_operator,
 )
@@ -168,22 +173,87 @@ def test_degenerate_bivector_is_decided_without_points():
 
 
 @pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
-def test_killing_residual_takes_the_reference_metric_first(mode):
-    # killing[c|b] is K(g_c, g_b) and K is antisymmetric in its bivectors, so
-    # the two orders of a pair of non-constant metrics fail at the same point
-    # and index tuple with opposite residuals
+def test_killing_is_reported_against_the_earlier_metric(mode):
+    # d = 3 checks one triple per unordered pair c < b, and killing[c|b] is
+    # K(g_c, g_b): its witness is the first component of
+    # killing_stream(g_c, g_b) that is nonzero at the witness point.  K is
+    # antisymmetric, so the residual's sign pins the order
     g, hs = corpus_pairs(2, random.Random(33), raw=2, killing=1, family=0, constant=0)
-    rep = verify_operator(OperatorSpec([g, hs[2], hs[0]]), mode)
-    pairs = 0
-    for b, c in itertools.combinations((1, 2, 3), 2):
-        w1 = rep.condition(f"killing[{c}|{b}]").witness
-        w2 = rep.condition(f"killing[{b}|{c}]").witness
-        assert (w1 is None) == (w2 is None)
-        if w1 is not None:
-            assert (w1.point, w1.indices) == (w2.point, w2.indices)
-            assert Fraction(w1.residual) == -Fraction(w2.residual)
-            pairs += b > 1 and c > 1
-    assert pairs == 1
+    spec = OperatorSpec([g, hs[2], hs[0]])
+    rep = verify_operator(spec, mode)
+    pairs = ((2, 1), (3, 1), (3, 2))
+    assert [c.name for c in rep.conditions] == ["flat(g1)"] + [
+        name for b, c in pairs
+        for name in (f"linearity[{b}|{c}]", f"nijenhuis[{b}|{c}]", f"killing[{c}|{b}]")
+    ]
+    failing = []
+    for b, c in pairs:
+        w = rep.condition(f"killing[{c}|{b}]").witness
+        if w is None:
+            continue
+        pt = [Fraction(x) for x in w.point]
+        stream = killing_stream(spec.metrics[c - 1], spec.metrics[b - 1], 2)
+        first = next((idx, r.eval(pt)) for idx, r in stream if r.eval(pt))
+        assert first == (w.indices, Fraction(w.residual)), (b, c)
+        failing.append((b, c))
+    assert failing == [(3, 1), (3, 2)]
+
+
+def _invertible_pairs():
+    """Ordered pairs of seeded n = 2 metrics, passing and failing."""
+    pairs = []
+    for seed in (71, 73):
+        g, hs = corpus_pairs(2, random.Random(seed), raw=1, killing=1, family=2, constant=1)
+        pairs += itertools.permutations([g, *hs], 2)
+    return pairs
+
+
+def test_nijenhuis_vanishes_for_an_affinor_iff_for_its_inverse():
+    # N(L) = 0 <=> N(L^-1) = 0 for invertible L, so the Nijenhuis condition
+    # of a pair does not depend on which metric is the reference
+    verdicts = set()
+    for a, b in _invertible_pairs():
+        n = a.n
+        flat_l = not any(r for _, r in nijenhuis_stream(a.mat @ b.inverse(), n))
+        flat_inv = not any(r for _, r in nijenhuis_stream(b.mat @ a.inverse(), n))
+        assert flat_l == flat_inv
+        verdicts.add(flat_l)
+    assert verdicts == {True, False}
+
+
+def test_killing_stream_is_antisymmetric():
+    verdicts = set()
+    for a, b in _invertible_pairs():
+        ab = list(killing_stream(a, b, a.n))
+        assert ab == [(idx, -r) for idx, r in killing_stream(b, a, a.n)]
+        verdicts.add(any(r for _, r in ab))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
+def test_unordered_pairs_give_the_ordered_pairs_verdict(mode):
+    # the d >= 3 verdict from one triple per unordered pair equals the
+    # verdict of the triples of every ordered pair at the same points
+    verdicts = []
+    for n, seed in ((2, 1), (3, 3)):
+        g, hs = corpus_pairs(n, random.Random(seed), raw=2, killing=2, family=3, constant=2)
+        for h1, h2 in itertools.combinations(hs, 2):
+            spec = OperatorSpec([g, h1, h2])
+            points = _sample(spec.nvars, spec.metrics, mode, 0)
+            cache = pc.FrameCache(pc.FP)
+            ordered = all(
+                r.passed
+                for gb, gc in itertools.permutations(spec.metrics, 2)
+                for r in pair_conditions(gc, gb, mode, points, cache)
+            )
+            verdicts.append(verify_operator(spec, mode).verdict)
+            assert verdicts[-1] == ordered, (n, mode)
+    assert set(verdicts) == {True, False}
+
+
+def test_default_mode_is_symbolic_up_to_n7():
+    assert default_mode(7) == MODE_SYMBOLIC
+    assert default_mode(8) == MODE_SAMPLED
 
 
 def test_verify_operator_merges_both_criteria():
