@@ -8,7 +8,9 @@ seed produce byte-identical output) or as human-readable text.
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 parse or usage error; 3 internal error; 4 input outside what the command
 supports (a well-formed spec whose affinor has eigenvalues outside Q(i) at
-every sample point, or with no point where every metric is non-degenerate).
+every sample point, or with no point where every metric is non-degenerate,
+or, for classify, a spec with one metric, which has no affinor; verify
+reports that in its "segre" field and exits 0 or 1 on its verdict).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     DisagreementBug,
     HamopError,
     ScalingNotNormalized,
+    SingleMetric,
     SpecFileError,
     UnsupportedEigenvalueField,
 )
@@ -58,7 +61,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_UNSUPPORTED = 4
 
-UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere)
+UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere, SingleMetric)
 
 
 class _OutputError(Exception):

@@ -21,6 +21,10 @@ class UnsupportedEigenvalueField(HamopError):
     """Eigenvalues do not lie in Q or Q(i) at any sample point."""
 
 
+class SingleMetric(HamopError):
+    """A Segre type was asked of a spec with one metric, which has no affinor."""
+
+
 class ScalingNotNormalized(HamopError):
     """Normalization pipeline requires the leading family coefficient to be 1."""
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import mu_bivector
+from .linsolve import inverse
 from .matrices import PolyMatrix
 from .poly import MultiPoly
 
@@ -201,7 +202,9 @@ def check_frobenius_axioms(f: FrobeniusData) -> FrobeniusReport:
 def intersection_form(f: FrobeniusData) -> PolyMatrix:
     """gt^{ij} = g^{il} c^j_{lk} E^k with the printed (unnormalized) E."""
     n = f.n
-    g_up = _invert_rational(f.g_cov)
+    g_up = inverse(f.g_cov)
+    if g_up is None:
+        raise ValueError("metric is singular")
     rows = []
     for i in range(n):
         row = []
@@ -221,15 +224,6 @@ def intersection_form(f: FrobeniusData) -> PolyMatrix:
 
 def intersection_matches_mu(f: FrobeniusData) -> bool:
     return (intersection_form(f) - mu_bivector(f.n, 0)).is_zero()
-
-
-def _invert_rational(m):
-    from .linsolve import inverse
-
-    inv = inverse([list(map(Fraction, row)) for row in m])
-    if inv is None:
-        raise ValueError("metric is singular")
-    return inv
 
 
 def cohomology_ring_correspondence(n: int) -> bool:

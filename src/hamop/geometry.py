@@ -37,10 +37,11 @@ from .poly import MultiPoly, RationalFunction
 
 @dataclass
 class Connection:
-    """Levi-Civita data: Christoffel symbols and contravariant symbols.
+    """Levi-Civita data of the metric ``mat``: Christoffel symbols and
+    contravariant symbols.
 
     gamma[i][j][k] = Gamma^i_{jk} (symmetric in j,k);
-    b_upper[i][j][k] = b^{ij}_k = -g^{is} Gamma^j_{sk}.
+    b_upper[i][j][k] = b^{ij}_k = -g^{is} Gamma^j_{sk}, built on first read.
 
     For non-constant metrics the polynomial numerators gamma_num (with
     Gamma = gamma_num / det^2) are kept alongside: curvature scans assemble
@@ -49,9 +50,29 @@ class Connection:
 
     n: int
     gamma: list
-    b_upper: list
+    mat: PolyMatrix
     gamma_num: list | None = None
     det: MultiPoly | None = None
+
+    @functools.cached_property
+    def b_upper(self) -> list:
+        n, nvars = self.n, self.mat.nvars
+        if self.gamma_num is None:  # constant metric
+            zero = RationalFunction(MultiPoly.zero(nvars))
+            return [[[zero] * n for _ in range(n)] for _ in range(n)]
+        p_num, det = self.gamma_num, self.det
+        det2 = det * det
+        b_upper = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = MultiPoly.zero(nvars)
+                    for s in range(n):
+                        gis = self.mat[i, s]
+                        if gis and p_num[j][s][k]:
+                            acc = acc - gis * p_num[j][s][k]
+                    b_upper[i][j][k] = RationalFunction(acc, det2, base=det)
+        return b_upper
 
     def is_zero(self) -> bool:
         return all(
@@ -75,8 +96,7 @@ def levi_civita(g: LinearMetric) -> Connection:
     nvars = g.nvars
     zero = RationalFunction(MultiPoly.zero(nvars))
     if g.is_constant():
-        z3 = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        conn = Connection(n, z3, [[[zero] * n for _ in range(n)] for _ in range(n)])
+        conn = Connection(n, [[[zero] * n for _ in range(n)] for _ in range(n)], g.mat)
         g._conn = conn
         return conn
     adj, det = adjugate_det(g.mat)
@@ -101,17 +121,7 @@ def levi_civita(g: LinearMetric) -> Connection:
                 val = RationalFunction(num, det2, base=det)
                 gamma[i][j][k] = val
                 gamma[i][k][j] = val
-    b_upper = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = MultiPoly.zero(nvars)
-                for s in range(n):
-                    gis = g.mat[i, s]
-                    if gis and p_num[j][s][k]:
-                        acc = acc - gis * p_num[j][s][k]
-                b_upper[i][j][k] = RationalFunction(acc, det2, base=det)
-    conn = Connection(n, gamma, b_upper, gamma_num=p_num, det=det)
+    conn = Connection(n, gamma, g.mat, gamma_num=p_num, det=det)
     g._conn = conn
     return conn
 

@@ -1,80 +1,24 @@
-"""Exact linear algebra over Q and Q(i): RREF, rank, nullspace, and the
-determinant and inverse over any ``Field`` (Q by default; pointcheck adds
-F_p).
+"""Exact linear algebra over any ``Field``: Q by default, which also serves
+Q(i) (GaussianRational entries have field arithmetic too), and F_p from
+``pointcheck``.
 
-Dense routines take lists of lists of field elements (Fraction or
-GaussianRational; anything with field arithmetic and truthiness).  The
-sparse echelon solver handles the larger structured systems (a few thousand
-rows with a handful of nonzeros each) that arise when solving coefficient
-equations for metric families.
+Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
+``rank``, ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
+``span_rref`` read it.  ``mat_mul`` is the one dense matrix product, and
+``det`` takes the determinant by Gaussian elimination.  ``SparseSystem``
+eliminates homogeneous systems over Q row by row, sparse in the columns; it
+carries the larger structured systems (a few thousand rows with a handful
+of nonzeros each) that solving coefficient equations for metric families
+gives, and ``nullspace`` is built on it.
 
-Nullspace bases are deterministic: reduced row echelon form with pivots
-chosen in increasing column order, free columns generating one basis vector
-each (unit at the free column).
+Dense routines take lists of lists of field elements.  Nullspace bases are
+deterministic: the reduced row echelon form is unique, and each free column
+gives one basis vector, with a unit at that column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rank(rows: list[list]) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for empty system")
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
 
 
 class Field:
@@ -99,11 +43,44 @@ def identity(x):
 Q = Field(Fraction, identity, lambda x: 1 / x, Fraction(1, 2))
 
 
-def _pivot_row(m, c):
-    for i in range(c, len(m)):
-        if m[i][c]:
-            return i
-    return None
+def rref(rows: list[list], F: Field = Q) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (nonzero rref rows, pivot columns)."""
+    red = F.red
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F.inv(m[r][c])
+        m[r] = [red(x * inv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [red(a - f * b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def rank(rows: list[list]) -> int:
+    return len(rref(rows)[1])
+
+
+def mat_mul(a: list[list], b: list[list], F: Field = Q) -> list[list]:
+    """The product of two matrices of elements of ``F``."""
+    red = F.red
+    rng = range(len(b))
+    return [
+        [red(sum(a[i][s] * b[s][j] for s in rng)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def det(a: list[list], F: Field = Q):
@@ -114,7 +91,7 @@ def det(a: list[list], F: Field = Q):
     m = [row[:] for row in a]
     d = F.of(1)
     for c in range(n):
-        pr = _pivot_row(m, c)
+        pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
             return F.of(0)
         if pr != c:
@@ -130,23 +107,46 @@ def det(a: list[list], F: Field = Q):
 
 
 def inverse(a: list[list], F: Field = Q) -> list[list] | None:
-    """Inverse of a square matrix of elements of ``F``, by Gauss-Jordan
-    elimination, or None if it is singular."""
-    red = F.red
+    """Inverse of a square matrix of elements of ``F``, or None if it is
+    singular: the right half of the reduced [A | I]."""
     n = len(a)
-    m = [row[:] + [F.of(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pr = _pivot_row(m, c)
-        if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        pv = F.inv(m[c][c])
-        m[c] = [red(x * pv) for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    one, zero = F.of(1), F.of(0)
+    red, pivots = rref(
+        [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)],
+        F,
+    )
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def solve(rows: list[list], rhs: list) -> list | None:
+    """A solution x of rows * x = rhs over Q, with every free unknown 0, or
+    None if the system is inconsistent (a pivot in the right-hand column).
+    The reduced system is equivalent to the given one, so the solution
+    satisfies every row."""
+    ncols = len(rows[0])
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = red[r][ncols]
+    return sol
+
+
+def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
+    """Basis of the right nullspace over Q, one vector per free column."""
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for empty system")
+        ncols = len(rows[0])
+    system = SparseSystem(ncols)
+    for row in rows:
+        system.add_row(dict(enumerate(row)))
+    return [
+        [v.get(c, Fraction(0)) for c in range(ncols)] for v in system.nullspace_basis()
+    ]
 
 
 class SparseSystem:
@@ -210,15 +210,10 @@ class SparseSystem:
 
 
 def span_rref(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Canonical basis (RREF rows) of the span of the given vectors."""
-    red, _ = rref(vectors)
-    return [row for row in red if any(row)]
+    """Canonical basis (the nonzero RREF rows) of the span of the vectors."""
+    return rref(vectors)[0]
 
 
 def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
     """Exact span equality via canonical RREF comparison."""
-    if not a and not b:
-        return True
-    if (not a) != (not b):
-        return bool(not span_rref(a or b))
     return span_rref(a) == span_rref(b)

@@ -6,7 +6,8 @@ else raises ValueError) and use fraction-free Bareiss elimination; inverses
 are returned in adjugate/determinant form with gcd-normalized
 rational-function entries, so m * m^-1 is exactly the identity.
 ``PolyMatrix.at_point`` evaluates polynomial entries in any
-``linsolve.Field``.
+``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator;
+dense products of scalar matrices are ``linsolve.mat_mul``.
 """
 
 from __future__ import annotations
@@ -153,29 +154,14 @@ class PolyMatrix:
 
     def at_point(self, point, F: Field = Q) -> list[list]:
         """Polynomial entries evaluated at ``point`` (one element of ``F``
-        per variable), as elements of ``F``."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        return [[_eval(F, x, point) for x in row] for row in self.entries]
+        per variable) by ``MultiPoly.eval``, as elements of ``F``."""
+        return [[x.eval(point, F) for x in row] for row in self.entries]
 
     def __repr__(self):
         body = "; ".join(
             ", ".join(str(x) for x in row) for row in self.entries
         )
         return f"PolyMatrix[{body}]"
-
-
-def _eval(F: Field, p: MultiPoly, point):
-    """Value of the polynomial p at point (field elements, one per variable)."""
-    red = F.red
-    total = F.of(0)
-    for e, c in p.terms.items():
-        t = F.of(c)
-        for x, v in zip(e, point):
-            if x:
-                t = red(t * v**x)
-        total += t
-    return red(total)
 
 
 def _poly_entries(m: PolyMatrix, what: str) -> list[list[MultiPoly]]:

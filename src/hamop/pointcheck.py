@@ -45,7 +45,7 @@ from .geometry import (
     nijenhuis_components,
     riemann_components,
 )
-from .linsolve import Q, Field, inverse
+from .linsolve import Q, Field, inverse, mat_mul
 from .metrics import LinearMetric, degenerate_at
 
 SAMPLE_COUNT = 20
@@ -73,15 +73,6 @@ def _zeros(F, *shape):
     if len(shape) == 1:
         return [z] * shape[0]
     return [_zeros(F, *shape[1:]) for _ in range(shape[0])]
-
-
-def _mat_mul(F, a, b):
-    red = F.red
-    rng = range(len(b))
-    return [
-        [red(sum(a[i][s] * b[s][j] for s in rng)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def _mat_neg(F, a):
@@ -147,7 +138,7 @@ class PointFrame:
             else:
                 inv = self.Ginv
                 self._dginv = [
-                    _mat_neg(F, _mat_mul(F, inv, _mat_mul(F, self.A[k], inv)))
+                    _mat_neg(F, mat_mul(inv, mat_mul(self.A[k], inv, F), F))
                     for k in range(n)
                 ]
         return self._dginv
@@ -163,8 +154,8 @@ class PointFrame:
                 # Ginv A[m] d[r] = d[m] A[r] Ginv as d[r] = -Ginv A[r] Ginv
                 inv = self.Ginv
                 d = self.dGinv
-                AI = [_mat_mul(F, a, inv) for a in self.A]
-                B = [[_mat_mul(F, d[r], AI[m]) for m in range(n)] for r in range(n)]
+                AI = [mat_mul(a, inv, F) for a in self.A]
+                B = [[mat_mul(d[r], AI[m], F) for m in range(n)] for r in range(n)]
                 self._ddginv = [
                     [_mat_neg(F, _mat_add(F, B[r][m], B[m][r])) for m in range(n)]
                     for r in range(n)
@@ -242,14 +233,15 @@ class FrameCache:
     """Shares PointFrames between conditions and criteria at fixed points.
 
     Points are rational (as ``sample_points`` draws them over Q); each one is
-    mapped into the cache's field only here.  With ``field=FP`` a frame
-    whose metric is singular mod P at a point that is not singular over Q
-    sends that point to Q: from then on every frame at it is built over Q,
-    and ``frames`` never mixes the two fields within one condition.  A
-    coefficient denominator that is not a unit mod P raises
-    NonUnitDenominator; ``verify`` then evaluates the whole report over Q.
-    ``frame(..., field=Q)`` gives the exact frames a witness is recomputed
-    on."""
+    mapped into the cache's field only here.  This is the one place where
+    F_p falls back to Q: with ``field=FP``, a frame that cannot be built mod
+    P at a point sends that point to Q, from then on every frame at it is
+    built over Q, and ``frames`` never mixes the two fields within one
+    condition.  A frame cannot be built mod P when its metric is singular
+    mod P at a point where it is not singular over Q, or when a coefficient
+    denominator is not a unit mod P (NonUnitDenominator; then every point
+    goes to Q).  ``frame(..., field=Q)`` gives the exact frames a witness is
+    recomputed on."""
 
     def __init__(self, field=Q):
         self.field = field
@@ -261,12 +253,13 @@ class FrameCache:
         key = (id(metric), id(point), id(F))
         f = self._frames.get(key)
         if f is None:
-            image = point if F is Q else [F.of(x) for x in point]
-            f = PointFrame(metric, image, F)
-            if F is not Q:
+            if F is Q:
+                f = PointFrame(metric, point, Q)
+            else:
                 try:
+                    f = PointFrame(metric, [F.of(x) for x in point], F)
                     f.Ginv
-                except ZeroDivisionError:  # det is 0 mod P but not over Q
+                except (ZeroDivisionError, NonUnitDenominator):
                     self._on_q.add(id(point))
                     return self.frame(metric, point, Q)
             self._frames[key] = f
@@ -384,9 +377,9 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
     H, Ah = fh.G, fh.A
     ginv = fgamma.Ginv
     dginv = fgamma.dGinv
-    L = _mat_mul(F, H, ginv)
+    L = mat_mul(H, ginv, F)
     dL = [
-        _mat_add(F, _mat_mul(F, Ah[k], ginv), _mat_mul(F, H, dginv[k]))
+        _mat_add(F, mat_mul(Ah[k], ginv, F), mat_mul(H, dginv[k], F))
         for k in range(n)
     ]
     return _first(nijenhuis_components(L, dL, n, F.red))

@@ -6,10 +6,14 @@ canonical term order is graded lexicographic: compare total degree first,
 then the exponent tuple itself, with u1 heaviest.  Serialization emits terms
 in descending canonical order with coefficients written "p/q".
 
+``MultiPoly.eval`` is the one polynomial evaluator, in any ``linsolve.Field``
+(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).
+
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
-Normalization relies on monomial fast paths, exact trial division, and a
-content/primitive-part recursive gcd.  A quotient built with a ``base``
+Normalization relies on monomial fast paths, exact trial division, and
+``poly_gcd``, which has one algorithm: content/primitive-part recursion with
+a primitive pseudo-remainder sequence.  A quotient built with a ``base``
 hint (its denominator a power of the base) is only stripped of whole base
 factors, so it may stay unreduced when the base is reducible; that never
 affects zero tests (a quotient vanishes iff its numerator does).  Equality
@@ -22,7 +26,9 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
+
+from .linsolve import Q, Field
 
 def _grlex_key(expt: tuple) -> tuple:
     return (sum(expt), expt)
@@ -229,19 +235,20 @@ class MultiPoly:
                 out[ne] = out.get(ne, Fraction(0)) + c * e[i]
         return MultiPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
 
-    def eval(self, point: Iterable) -> Fraction:
-        """Exact evaluation at a full point (one value per variable)."""
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.nvars:
-            raise ValueError(f"point length {len(vals)} != nvars {self.nvars}")
-        total = Fraction(0)
+    def eval(self, point: Sequence, F: Field = Q):
+        """Value at a full point (one element of ``F`` per variable, ints
+        for Q too), as an element of ``F``."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
+        red = F.red
+        total = F.of(0)
         for e, c in self.terms.items():
-            t = c
-            for x, v in zip(e, vals):
+            t = F.of(c)
+            for x, v in zip(e, point):
                 if x:
-                    t *= v**x
+                    t = red(t * v**x)
             total += t
-        return total
+        return red(total)
 
     def substitute(self, values: Mapping[int, Fraction]) -> "MultiPoly":
         """Replace the given 1-based variables by rational values."""
@@ -465,13 +472,12 @@ def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], nvars: int):
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Gcd over Q[u], normalized primitive with positive leading coefficient.
 
-    Content/primitive-part recursion with a primitive PRS in the lowest shared
-    variable; monomial and constant cases short-circuit.
+    One algorithm: the common monomial factor times the gcd of the primitive
+    parts, which recurses on contents and runs a primitive PRS
+    (pseudo-remainder sequence) in the lowest shared variable.  Only a
+    constant or monomial operand, or operands with no shared variable,
+    short-circuit to 1.
     """
-    return _poly_gcd(a, b)
-
-
-def _poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.nvars != b.nvars:
         raise ValueError("nvars mismatch")
     nvars = a.nvars
@@ -496,17 +502,8 @@ def _gcd_primitive(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if len(a) == 1 or len(b) == 1:
         # monomial case already had common factor stripped
         return MultiPoly.const(nvars, 1)
-    # quick exact-division shortcuts
-    if divide_exact(b, a) is not None:
-        return primitive_part(a)
-    if divide_exact(a, b) is not None:
-        return primitive_part(b)
-    va = set(a.used_vars())
-    vb = set(b.used_vars())
-    shared = sorted(va & vb)
+    shared = sorted(set(a.used_vars()) & set(b.used_vars()))
     if not shared:
-        return MultiPoly.const(nvars, 1)
-    if _gcd_unit_certificate(a, b, shared):
         return MultiPoly.const(nvars, 1)
     v0 = shared[0] - 1
     fa = _univ_coeffs(a, v0)
@@ -515,7 +512,7 @@ def _gcd_primitive(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     cont_b = _list_gcd(list(fb.values()))
     pa = {d: divide_exact(q, cont_a) for d, q in fa.items()}
     pb = {d: divide_exact(q, cont_b) for d, q in fb.items()}
-    cont = _poly_gcd(cont_a, cont_b)
+    cont = poly_gcd(cont_a, cont_b)
     # primitive PRS on pa, pb
     f, g = (pa, pb) if max(pa) >= max(pb) else (pb, pa)
     while True:
@@ -535,71 +532,8 @@ def _list_gcd(polys: list[MultiPoly]) -> MultiPoly:
     for p in polys[1:]:
         if g.is_constant():
             break
-        g = _poly_gcd(g, p)
+        g = poly_gcd(g, p)
     return primitive_part(g)
-
-
-def _degree_in(p: MultiPoly, v0: int) -> int:
-    return max((e[v0] for e in p.terms), default=0)
-
-
-def _specialize_univ(p: MultiPoly, v0: int, point: dict) -> list[Fraction]:
-    """Dense coefficients of p in variable slot v0 with the other variables
-    evaluated at the given point (slot -> value)."""
-    deg = _degree_in(p, v0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        val = c
-        for i, x in enumerate(e):
-            if i == v0 or not x:
-                continue
-            val *= point[i] ** x
-        out[e[v0]] += val
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _univ_gcd_degree(f: list[Fraction], g: list[Fraction]) -> int:
-    while g:
-        # plain Euclid; inputs are small dense lists
-        while len(f) >= len(g):
-            if not f:
-                break
-            q = f[-1] / g[-1]
-            d = len(f) - len(g)
-            for i, x in enumerate(g):
-                f[i + d] -= q * x
-            while f and f[-1] == 0:
-                f.pop()
-        f, g = g, f
-    return len(f) - 1
-
-
-def _gcd_unit_certificate(a: MultiPoly, b: MultiPoly, shared) -> bool:
-    """True when gcd(a, b) is provably constant.
-
-    For each shared variable v: specialize the others at a point where both
-    leading v-coefficients keep their degree; if the univariate gcd there is
-    constant, every common divisor has v-degree 0.  If that holds for all
-    shared variables the (primitive) gcd is a unit."""
-    for v in shared:
-        v0 = v - 1
-        certified = False
-        for trial in range(4):
-            point = {
-                i: Fraction(trial * 7 + 3 + 2 * i) for i in range(a.nvars)
-            }
-            fa = _specialize_univ(a, v0, point)
-            fb = _specialize_univ(b, v0, point)
-            if len(fa) - 1 != _degree_in(a, v0) or len(fb) - 1 != _degree_in(b, v0):
-                continue
-            if _univ_gcd_degree(fa, fb) == 0:
-                certified = True
-            break
-        if not certified:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -626,23 +560,12 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den, self.reduced, self.base = _rf_normalize(num, den, base)
 
-    @staticmethod
-    def of(value, nvars: int) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, MultiPoly):
-            return RationalFunction(value)
-        return RationalFunction(MultiPoly.const(nvars, value))
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def as_poly(self) -> MultiPoly:
         if not self.den.is_constant():
@@ -703,17 +626,6 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            r = object.__new__(RationalFunction)
-            if f == 0:
-                r.num, r.den = MultiPoly(self.nvars), MultiPoly.const(self.nvars, 1)
-                r.reduced = True
-                r.base = None
-            else:
-                r.num, r.den, r.reduced = self.num * f, self.den, self.reduced
-                r.base = self.base
-            return r
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -724,20 +636,6 @@ class RationalFunction:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def partial(self, k: int) -> "RationalFunction":
         """d/du_k via the quotient rule."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from .linsolve import mat_mul
 from .poly import MultiPoly
 from .scalars import GaussianRational, rational_sqrt
 
@@ -299,10 +300,7 @@ def char_poly(a: list[list[Fraction]]) -> list[Fraction]:
     coeffs[n] = Fraction(1)
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = [
-            [sum(a[i][s] * m[s][j] for s in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        am = mat_mul(a, m)
         ck = Fraction(-1, k) * sum(am[i][i] for i in range(n))
         coeffs[n - k] = ck
         for i in range(n):

@@ -22,9 +22,10 @@ from fractions import Fraction
 from .errors import (
     DegenerateEverywhere,
     FirstMetricNotConstant,
+    SingleMetric,
     UnsupportedEigenvalueField,
 )
-from .linsolve import rank, rref
+from .linsolve import mat_mul, rank, solve
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, degenerate_at
 from .roots import char_poly, rational_roots
@@ -118,7 +119,7 @@ def _partition_for(lp, lam, multiplicity: int, n: int) -> tuple:
         ranks.append(rank(power))
         if len(ranks) > n + 1:
             break
-        power = _mat_mul_generic(power, m)
+        power = mat_mul(power, m)
     ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     partition = []
     for k in range(1, len(ge) + 1):
@@ -128,20 +129,6 @@ def _partition_for(lp, lam, multiplicity: int, n: int) -> tuple:
     if sum(partition) != multiplicity:
         raise AssertionError("rank sequence inconsistent with multiplicity")
     return tuple(partition)
-
-
-def _mat_mul_generic(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for s in range(1, n):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def spectrum_at_point(L: PolyMatrix, point, n: int) -> PointSpectrum | None:
@@ -237,7 +224,10 @@ def segre_of_pair(g: LinearMetric, h, points=None, seed: int = 0) -> SegreReport
 
 def segre_of_spec(spec, points=None, seed: int = 0) -> SegreReport:
     """Segre report of an operator spec: affinor of (g^1, g^2), at sample
-    points where no metric of the spec is singular."""
+    points where no metric of the spec is singular.  A spec with one metric
+    has no affinor and raises SingleMetric."""
+    if spec.d < 2:
+        raise SingleMetric("a Segre type needs two metrics; the spec has d = 1")
     return segre_type(
         affinor(spec.metrics[0], spec.metrics[1]),
         points=points,
@@ -273,26 +263,9 @@ def interpolate_affine_eigenvalues(report: SegreReport, n: int, nvars: int):
                 rhs_im.append(Fraction(0))
         fit = []
         for rhs in (rhs_re, rhs_im):
-            sol = _least_exact_solve(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is None:
                 return None
             fit.append(sol)
         fits.append((fit[0], fit[1]))
     return fits
-
-
-def _least_exact_solve(rows, rhs):
-    """Solve an overdetermined exact linear system; None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None  # inconsistent
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
-    # verify exactly on all rows (free columns fixed at zero)
-    for row, b in zip(rows, rhs):
-        if sum(x * s for x, s in zip(row, sol)) != b:
-            return None
-    return sol

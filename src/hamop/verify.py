@@ -38,10 +38,12 @@ the mode decides only how many points are scanned and whether passes are
 proven.  Linearity against a constant metric (the plain second partials)
 is exact and cheap, and is always decided symbolically.
 
-A coefficient denominator that is not a unit mod p sends the whole report to
-Q.  Witnesses always report the lexicographically first failing index tuple,
-at the first failing point when one is given.  Some inputs get no point scan
-and are decided by their identities alone: a bivector passed to
+A point where a frame cannot be built mod p (a metric singular mod p there,
+or a coefficient denominator that is not a unit mod p) is scanned over Q
+instead; ``pointcheck.FrameCache`` makes that one fallback.  Witnesses
+always report the lexicographically first failing index tuple, at the first
+failing point when one is given.  Some inputs get no point scan and are
+decided by their identities alone: a bivector passed to
 theorem2_conditions in symbolic mode that is not linear in u or is
 degenerate everywhere, and callers that pass no points to pair_conditions,
 such as the formal families of ``families``.
@@ -58,7 +60,6 @@ from .errors import (
     DisagreementBug,
     FirstMetricNotConstant,
     NonlinearBivector,
-    NonUnitDenominator,
 )
 from .geometry import (
     covariant_hessian,
@@ -176,18 +177,6 @@ def _scan(name: str, gen) -> ConditionResult:
     return ConditionResult(name, True)
 
 
-def _on_frames(run, cache):
-    """``run(cache)`` for a check at points.  Without a cache it runs on F_p
-    frames, or on Q frames when a coefficient denominator is not a unit
-    mod p."""
-    if cache is not None:
-        return run(cache)
-    try:
-        return run(pc.FrameCache(pc.FP))
-    except NonUnitDenominator:
-        return run(pc.FrameCache(pc.Q))
-
-
 def _certified(name: str, pt, hit):
     """The Q hit at a point where F_p found one: a nonzero residue mod p
     proves a nonzero rational value, so a miss is a defect."""
@@ -300,9 +289,9 @@ def mokhov_conditions(
         "flat(g2)": lambda: _flatness_proof(h),
         **{name: (lambda name=name: t_streams()[name]) for name in T_NAMES},
     }
-    report.conditions = _on_frames(
-        lambda c: _scan_points(proofs, _mokhov_at, (g, h), points, c, mode == MODE_SYMBOLIC),
-        cache,
+    report.conditions = _scan_points(
+        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP),
+        mode == MODE_SYMBOLIC,
     )
     return report
 
@@ -401,8 +390,8 @@ def theorem2_conditions(
             if mode != MODE_SYMBOLIC:
                 raise
             points = ()
-    report.conditions = _on_frames(
-        lambda c: pair_conditions(g, h, mode, points, c), cache
+    report.conditions = pair_conditions(
+        g, h, mode, points, cache or pc.FrameCache(pc.FP)
     )
     return report
 
@@ -428,7 +417,7 @@ def verify_operator(
         )
     mode = mode or default_mode(spec.n)
     points = _sample(spec.nvars, spec.metrics, mode, seed)
-    return _on_frames(lambda c: _check_operator(spec, mode, seed, points, c), None)
+    return _check_operator(spec, mode, seed, points, pc.FrameCache(pc.FP))
 
 
 def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):

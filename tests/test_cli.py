@@ -232,3 +232,21 @@ def test_identically_degenerate_metric_exit2(tmp_path, capsys, command, slot):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"metrics[{slot}]: metric is identically degenerate" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "sampled"]])
+def test_single_metric_spec(tmp_path, capsys, mode):
+    # d = 1 has no affinor: verify checks flat(g1) alone and reports the
+    # missing Segre type in its payload; classify does not support the spec
+    data = {"n": 2, "d": 1, "metrics": [op5_file()["metrics"][0]]}
+    path = write(tmp_path, "single.json", data)
+    assert main(["verify", path, "--output", "json", *mode]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["d"] == 1 and report["verdict"] == "pass"
+    assert [c["name"] for c in report["conditions"]] == ["flat(g1)"]
+    assert report["segre"] == {
+        "error": "a Segre type needs two metrics; the spec has d = 1"
+    }
+    assert main(["classify", path]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a Segre type needs two metrics; the spec has d = 1\n"

@@ -1,9 +1,14 @@
-"""Byte-exact ``hamop verify --output json`` reports.
+"""Byte-exact ``hamop verify`` and ``hamop classify`` JSON reports.
 
-Each report under ``golden/`` was written by
+Each verify report under ``golden/`` was written by
 
     python -m hamop.cli verify golden/<case>.spec.json --output json \
         --out golden/<case>.json [--mode sampled]
+
+and each classify report by
+
+    python -m hamop.cli classify golden/<case>.spec.json --output json \
+        --out golden/<case>.classify.json
 
 The cases cover a passing catalog entry (mokhov-n3), a d = 3 entry
 (thm5-3d-1), a passing n = 6 entry in default (symbolic) and in sampled mode
@@ -13,9 +18,16 @@ d = 3 spec (one linearity / Nijenhuis / Killing triple per unordered pair,
 with witnesses against the constant and against a non-constant reference
 metric).  A failing default-mode report finds its
 failures at the scan points and equals the sampled report apart from
-``"mode"``.  The JSON of the same input and seed may change only together
+``"mode"``.
+
+The classify cases cover an affine eigenvalue fit over Q (mokhov-n3), ranks
+over Q(i) with a conjugate pair of eigenvalues (complex-2x2, whose
+``"eigenvalues"`` is null: the conjugate slots are sorted by real and then
+imaginary part, so they swap with the sign of u4 and admit no affine fit),
+and a failing Killing pencil (pencil-n2-killing) whose sample points do not
+all split over Q(i).  The JSON of the same input and seed may change only together
 with ``cli.REPORT_VERSION``; a change that bumps it regenerates these files
-with the command above.
+with the commands above.
 """
 
 from pathlib import Path
@@ -48,3 +60,15 @@ def test_verify_report_is_golden(tmp_path, spec, report, extra):
                "--out", str(out), *extra])
     assert rc == (0 if b'"verdict": "pass"' in golden else 1)
     assert out.read_bytes() == golden
+
+
+CLASSIFY_CASES = ["mokhov-n3", "complex-2x2", "pencil-n2-killing"]
+
+
+@pytest.mark.parametrize("spec", CLASSIFY_CASES)
+def test_classify_report_is_golden(tmp_path, spec):
+    out = tmp_path / "report.json"
+    rc = main(["classify", str(GOLDEN / f"{spec}.spec.json"), "--output", "json",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"{spec}.classify.json").read_bytes()
