@@ -175,28 +175,10 @@ def direct_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec:
     pb = b.nvars - b.n
     nvars = n + pa + pb
 
-    def lift_a(p: MultiPoly) -> MultiPoly:
-        # u-block stays 1..a.n, params move to n+1..n+pa
-        out = {}
-        for e, c in p.terms.items():
-            ne = [0] * nvars
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                ne[i if i < a.n else n + (i - a.n)] = x
-            out[tuple(ne)] = c
-        return MultiPoly(nvars, out)
-
-    def lift_b(p: MultiPoly) -> MultiPoly:
-        out = {}
-        for e, c in p.terms.items():
-            ne = [0] * nvars
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                ne[(a.n + i) if i < b.n else n + pa + (i - b.n)] = x
-            out[tuple(ne)] = c
-        return MultiPoly(nvars, out)
+    # a's u-block stays 1..a.n and b's follows it; a's params move to
+    # n+1..n+pa, b's after them
+    slots_a = [k if k <= a.n else n + k - a.n for k in range(1, a.nvars + 1)]
+    slots_b = [a.n + k if k <= b.n else n + pa + k - b.n for k in range(1, b.nvars + 1)]
 
     metrics = []
     zero = MultiPoly.zero(nvars)
@@ -204,10 +186,10 @@ def direct_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec:
         rows = [[zero] * n for _ in range(n)]
         for i in range(a.n):
             for j in range(a.n):
-                rows[i][j] = lift_a(ma.mat[i, j])
+                rows[i][j] = ma.mat[i, j].extended(nvars, slots_a)
         for i in range(b.n):
             for j in range(b.n):
-                rows[a.n + i][a.n + j] = lift_b(mb.mat[i, j])
+                rows[a.n + i][a.n + j] = mb.mat[i, j].extended(nvars, slots_b)
         metrics.append(LinearMetric(n, PolyMatrix(rows)))
     return OperatorSpec(metrics)
 

@@ -40,7 +40,8 @@ def identity(x):
     return x
 
 
-Q = Field(Fraction, identity, lambda x: 1 / x, Fraction(1, 2))
+# Fraction(1) / x, not 1 / x: an int x must give an exact inverse, not a float
+Q = Field(Fraction, identity, lambda x: Fraction(1) / x, Fraction(1, 2))
 
 
 def rref(rows: list[list], F: Field = Q) -> tuple[list[list], list[int]]:

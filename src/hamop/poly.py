@@ -1,13 +1,35 @@
 """Sparse multivariate polynomials and rational functions over the rationals.
 
-A polynomial is a map from exponent tuples (length ``nvars``, 0-based slots
-for the 1-based variables u1..uN) to nonzero Fraction coefficients.  The
-canonical term order is graded lexicographic: compare total degree first,
-then the exponent tuple itself, with u1 heaviest.  Serialization emits terms
-in descending canonical order with coefficients written "p/q".
+A ``MultiPoly`` in ``nvars`` variables u1..uN has one representation: a dict
+from packed exponents to nonzero int numerators, over one positive common
+denominator.
+
+* Packed exponents.  An exponent vector is one int made of N + 1 fields of
+  ``FIELD_BITS`` bits: the total degree in the top field, then the exponents
+  of u1, ..., uN, u1 highest.  So int order on packed exponents is the
+  canonical graded lexicographic term order (total degree first, then the
+  exponent tuple, u1 heaviest), a monomial product is one int addition, and
+  u^a divides u^b iff b - a has none of the fields' top (guard) bits set
+  (Monagan & Pearce, CASC 2007; JSC 2011).
+* Width check.  A field holds at most ``MAX_DEGREE``, so its guard bit stays
+  clear.  Every exponent is at most the total degree, so bounding the total
+  degree bounds every field: it is checked when exponents are packed and
+  wherever degrees are added (``*``, ``**``); ``extended`` only moves
+  exponents to distinct fields.  An overflow raises OverflowError instead of
+  wrapping into the next field.
+* Canonical form.  The gcd of the numerators and the denominator is 1, and
+  the zero polynomial has denominator 1.  So equal polynomials have equal
+  dicts and denominators, which is what ``==`` and ``hash`` compare.
+
+Coefficients leave the module as Fractions: ``leading``, ``sorted_terms``,
+``constant_value``, ``univariate_coeffs`` and ``terms``, a read-only
+exponent tuple -> Fraction view built on first read, which no arithmetic goes
+through.  Serialization emits terms in descending canonical order with
+coefficients written "p/q".
 
 ``MultiPoly.eval`` is the one polynomial evaluator, in any ``linsolve.Field``
-(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).
+(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).  It
+unpacks a polynomial's exponents once, on its first evaluation.
 
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
@@ -25,34 +47,103 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd as int_gcd
+from functools import cache
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .linsolve import Q, Field
 
-def _grlex_key(expt: tuple) -> tuple:
-    return (sum(expt), expt)
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+
+
+@cache
+def _layout(nvars: int) -> tuple[tuple[int, ...], int, int]:
+    """The bit shifts of the variables' fields (u1 first), the shift of the
+    total-degree field and the mask of every field's guard bit."""
+    shifts = tuple(FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
+    guard = sum(1 << (FIELD_BITS * j + FIELD_BITS - 1) for j in range(nvars + 1))
+    return shifts, FIELD_BITS * nvars, guard
+
+
+def _check_degree(total: int) -> None:
+    if total > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {total} exceeds the packed exponent width (at most {MAX_DEGREE})"
+        )
+
+
+def _pack(nvars: int, exps) -> int:
+    if len(exps) != nvars:
+        raise ValueError(f"exponent {tuple(exps)} has wrong length for nvars={nvars}")
+    key = total = 0
+    for x in exps:
+        if x < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        key = key << FIELD_BITS | x
+        total += x
+    _check_degree(total)
+    return total << FIELD_BITS * nvars | key
+
+
+def _unpack(nvars: int, e: int) -> tuple:
+    return tuple((e >> s) & FIELD_MASK for s in _layout(nvars)[0])
+
+
+def _canon(nvars: int, coeffs: dict, den: int) -> "MultiPoly":
+    """The polynomial with numerators ``coeffs`` (none zero) over ``den`` > 0,
+    in canonical form."""
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            den //= g
+            coeffs = {e: c // g for e, c in coeffs.items()}
+    return MultiPoly._raw(nvars, coeffs, den)
+
+
+def _from_rationals(nvars: int, values: dict, den: int = 1) -> "MultiPoly":
+    """The polynomial with int or Fraction coefficients ``values`` (packed
+    exponent -> coefficient), divided by ``den``."""
+    values = {e: c for e, c in values.items() if c}
+    common = lcm(*(c.denominator for c in values.values()))
+    return _canon(
+        nvars,
+        {e: c.numerator * (common // c.denominator) for e, c in values.items()},
+        common * den,
+    )
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in nvars variables over Fraction."""
+    """Immutable sparse polynomial in nvars variables over Q."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_coeffs", "_den", "_hash", "_view", "_monos")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] | None = None):
+        """The polynomial with coefficients ``terms`` (exponent tuple ->
+        rational)."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        self.nvars = nvars
-        clean: dict[tuple, Fraction] = {}
+        coeffs, den = {}, 1
         if terms:
-            for e, c in terms.items():
-                if len(e) != nvars:
-                    raise ValueError(f"exponent {e} has wrong length for nvars={nvars}")
-                c = Fraction(c)
-                if c != 0:
-                    clean[e] = c
-        self.terms = clean
-        self._hash = None
+            p = _from_rationals(
+                nvars, {_pack(nvars, e): Fraction(c) for e, c in terms.items()}
+            )
+            coeffs, den = p._coeffs, p._den
+        self.nvars = nvars
+        self._coeffs = coeffs
+        self._den = den
+        self._hash = self._view = self._monos = None
+
+    @staticmethod
+    def _raw(nvars: int, coeffs: dict, den: int = 1) -> "MultiPoly":
+        p = object.__new__(MultiPoly)
+        p.nvars = nvars
+        p._coeffs = coeffs
+        p._den = den
+        p._hash = p._view = p._monos = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -65,60 +156,78 @@ class MultiPoly:
         value = Fraction(value)
         if value == 0:
             return MultiPoly(nvars)
-        return MultiPoly(nvars, {(0,) * nvars: value})
+        return MultiPoly._raw(nvars, {0: value.numerator}, value.denominator)
 
     @staticmethod
     def variable(nvars: int, k: int) -> "MultiPoly":
         """The variable u_k (1-based)."""
         if not 1 <= k <= nvars:
             raise ValueError(f"variable index {k} out of range 1..{nvars}")
-        e = [0] * nvars
-        e[k - 1] = 1
-        return MultiPoly(nvars, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def monomial(nvars: int, coeff, exps: tuple) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(exps): Fraction(coeff)})
+        return MultiPoly._raw(nvars, {1 << _layout(nvars)[0][k - 1] | 1 << FIELD_BITS * nvars: 1})
 
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        c = self._coeffs
+        return not c or (len(c) == 1 and 0 in c)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (the constant term in general)."""
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._coeffs.get(0, 0), self._den)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._coeffs)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._coeffs)
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only view exponent tuple -> Fraction coefficient."""
+        if self._view is None:
+            nvars, den = self.nvars, self._den
+            self._view = MappingProxyType(
+                {_unpack(nvars, e): Fraction(c, den) for e, c in self._coeffs.items()}
+            )
+        return self._view
 
     def degree_in_block(self, nblock: int) -> int:
         """Max total degree restricted to the first nblock variables."""
-        if not self.terms:
+        if not self._coeffs:
             return 0
-        return max(sum(e[:nblock]) for e in self.terms)
+        shifts = _layout(self.nvars)[0][:nblock]
+        return max(sum((e >> s) & FIELD_MASK for s in shifts) for e in self._coeffs)
 
     def leading(self) -> tuple[tuple, Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
-        if not self.terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self._coeffs)
+        return _unpack(self.nvars, e), Fraction(self._coeffs[e], self._den)
 
     def used_vars(self) -> list[int]:
         """1-based indices of variables that actually occur."""
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i + 1)
-        return sorted(used)
+        acc = 0
+        for e in self._coeffs:
+            acc |= e
+        return [i + 1 for i, s in enumerate(_layout(self.nvars)[0]) if (acc >> s) & FIELD_MASK]
+
+    def univariate_coeffs(self) -> list[Fraction]:
+        """Dense coefficients, by ascending degree, of a polynomial using at
+        most one variable ([] for the zero polynomial)."""
+        used = self.used_vars()
+        if len(used) > 1:
+            raise ValueError(f"polynomial is not univariate (uses u{used})")
+        if not self._coeffs:
+            return []
+        ts = FIELD_BITS * self.nvars
+        out = [Fraction(0)] * ((max(self._coeffs) >> ts) + 1)
+        for e, c in self._coeffs.items():
+            out[e >> ts] = Fraction(c, self._den)
+        return out
 
     # -- arithmetic ----------------------------------------------------
 
@@ -135,27 +244,35 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms:
+        if not self._coeffs:
             return o
-        if not o.terms:
+        if not o._coeffs:
             return self
-        out = dict(self.terms)
-        for e, c in o.terms.items():
+        den, oden = self._den, o._den
+        if den == oden:
+            out, terms = dict(self._coeffs), o._coeffs
+        else:
+            g = gcd(den, oden)
+            scale, oscale = oden // g, den // g
+            out = {e: c * scale for e, c in self._coeffs.items()}
+            terms = {e: c * oscale for e, c in o._coeffs.items()}
+            den *= scale
+        for e, c in terms.items():
             s = out.get(e)
             if s is None:
                 out[e] = c
             else:
-                s = s + c
+                s += c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return MultiPoly._raw(self.nvars, out)
+        return _canon(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self._coeffs.items()}, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -168,28 +285,31 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
+            if not other:
                 return MultiPoly(self.nvars)
-            return MultiPoly._raw(self.nvars, {e: c * f for e, c in self.terms.items()})
+            f = other.numerator
+            return _canon(
+                self.nvars,
+                {e: c * f for e, c in self._coeffs.items()},
+                self._den * other.denominator,
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
+        a, b = self._coeffs, o._coeffs
+        if not a or not b:
             return MultiPoly(self.nvars)
-        a, b = self.terms, o.terms
+        ts = FIELD_BITS * self.nvars
+        _check_degree((max(a) >> ts) + (max(b) >> ts))
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple, Fraction] = {}
+        out: dict[int, int] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e)
-                if s is None:
-                    out[e] = ca * cb
-                else:
-                    out[e] = s + ca * cb
-        return MultiPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        return _canon(self.nvars, {e: c for e, c in out.items() if c}, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -204,6 +324,8 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
+        if self._coeffs:
+            _check_degree((max(self._coeffs) >> FIELD_BITS * self.nvars) * k)
         out = MultiPoly.const(self.nvars, 1)
         base = self
         while k:
@@ -213,80 +335,90 @@ class MultiPoly:
             k >>= 1
         return out
 
-    @staticmethod
-    def _raw(nvars: int, terms: dict) -> "MultiPoly":
-        p = object.__new__(MultiPoly)
-        p.nvars = nvars
-        p.terms = terms
-        p._hash = None
-        return p
-
     # -- calculus ------------------------------------------------------
 
     def partial(self, k: int) -> "MultiPoly":
         """Formal partial derivative with respect to u_k (1-based)."""
         if not 1 <= k <= self.nvars:
             raise ValueError(f"derivative index {k} out of range 1..{self.nvars}")
-        i = k - 1
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return MultiPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
+        s = _layout(self.nvars)[0][k - 1]
+        step = 1 << s | 1 << FIELD_BITS * self.nvars
+        out = {}
+        for e, c in self._coeffs.items():
+            x = (e >> s) & FIELD_MASK
+            if x:
+                out[e - step] = c * x
+        return _canon(self.nvars, out, self._den)
 
     def eval(self, point: Sequence, F: Field = Q):
         """Value at a full point (one element of ``F`` per variable, ints
         for Q too), as an element of ``F``."""
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
+        monos = self._monos
+        if monos is None:
+            shifts = _layout(self.nvars)[0]
+            monos = self._monos = [
+                (c, [(i, x) for i, s in enumerate(shifts) if (x := (e >> s) & FIELD_MASK)])
+                for e, c in self._coeffs.items()
+            ]
         red = F.red
-        total = F.of(0)
-        for e, c in self.terms.items():
-            t = F.of(c)
-            for x, v in zip(e, point):
-                if x:
-                    t = red(t * v**x)
+        total = 0
+        for t, mono in monos:
+            for i, x in mono:
+                t = red(t * point[i] ** x)
             total += t
-        return red(total)
+        value = F.of(total)
+        if self._den != 1:
+            # F.of of 1/den, not of total/den: a denominator that is no unit
+            # of F must raise even where the numerator cancels it
+            value = red(value * F.of(Fraction(1, self._den)))
+        return value
 
     def substitute(self, values: Mapping[int, Fraction]) -> "MultiPoly":
         """Replace the given 1-based variables by rational values."""
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            t = c
-            ne = list(e)
-            for k, v in values.items():
-                x = e[k - 1]
+        shifts = _layout(self.nvars)[0]
+        ts = FIELD_BITS * self.nvars
+        subs = [(shifts[k - 1], Fraction(v)) for k, v in values.items()]
+        out: dict = {}
+        for e, c in self._coeffs.items():
+            for s, v in subs:
+                x = (e >> s) & FIELD_MASK
                 if x:
-                    t *= Fraction(v) ** x
-                ne[k - 1] = 0
-            if t:
-                key = tuple(ne)
-                s = out.get(key, Fraction(0)) + t
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return MultiPoly._raw(self.nvars, out)
+                    c *= v**x
+                    e -= (x << s) + (x << ts)
+            out[e] = out.get(e, 0) + c
+        return _from_rationals(self.nvars, out, self._den)
 
-    def extended(self, new_nvars: int, offset: int = 0) -> "MultiPoly":
-        """Re-embed into a ring with new_nvars variables, shifting by offset."""
-        if offset < 0 or new_nvars < self.nvars + offset:
-            # allow shrinking only when the dropped slots are unused
-            for e in self.terms:
-                head = e[: max(0, -offset)]
-                tail = e[new_nvars - offset :] if new_nvars - offset < len(e) else ()
-                if any(head) or any(tail):
-                    raise ValueError("cannot shrink ring: variable in use")
+    def extended(self, new_nvars: int, slots: int | Sequence[int] = 0) -> "MultiPoly":
+        """Re-embed into a ring with new_nvars variables.  ``slots`` gives the
+        new 1-based index of each variable, as a sequence, or as an offset
+        (u_k becomes u_{k + slots}).  A variable sent outside 1..new_nvars is
+        dropped, which is an error if it occurs; the variables that occur
+        must go to distinct indices."""
+        if isinstance(slots, int):
+            slots = range(1 + slots, self.nvars + 1 + slots)
+        if len(slots) != self.nvars:
+            raise ValueError(f"{len(slots)} slots for {self.nvars} variables")
+        old, new = _layout(self.nvars)[0], _layout(new_nvars)[0]
+        used = self.used_vars()
+        moves = []
+        for k, slot in enumerate(slots, 1):
+            if 1 <= slot <= new_nvars:
+                if k in used:
+                    moves.append((old[k - 1], new[slot - 1]))
+            elif k in used:
+                raise ValueError("cannot shrink ring: variable in use")
+        if len({s for _, s in moves}) != len(moves):
+            raise ValueError("variables must go to distinct slots")
+        ts, new_ts = FIELD_BITS * self.nvars, FIELD_BITS * new_nvars
         out = {}
-        for e, c in self.terms.items():
-            ne = [0] * new_nvars
-            for i, x in enumerate(e):
-                if x:
-                    ne[i + offset] = x
-            out[tuple(ne)] = c
-        return MultiPoly._raw(new_nvars, out)
+        for e, c in self._coeffs.items():
+            ne = e >> ts << new_ts
+            for s, t in moves:
+                ne |= ((e >> s) & FIELD_MASK) << t
+            out[ne] = c
+        return MultiPoly._raw(new_nvars, out, self._den)
 
     # -- comparisons / output -------------------------------------------
 
@@ -295,20 +427,28 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self.nvars == other.nvars
+            and self._den == other._den
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self._den, frozenset(self._coeffs.items())))
         return self._hash
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        nvars, den, coeffs = self.nvars, self._den, self._coeffs
+        return [
+            (_unpack(nvars, e), Fraction(coeffs[e], den))
+            for e in sorted(coeffs, reverse=True)
+        ]
 
     def to_str(self, names: list[str] | None = None) -> str:
         """Canonical text form, e.g. "-4/1*u1 + 2/3*u2^2"."""
-        if not self.terms:
+        if not self._coeffs:
             return "0/1"
         if names is None:
             names = [f"u{i+1}" for i in range(self.nvars)]
@@ -335,74 +475,78 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _heap_key(e: tuple) -> tuple:
-    # min-heap ordering that pops the graded-lex largest exponent first
-    return (-sum(e), tuple(-x for x in e))
-
-
 def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
-    """Return f/g if g divides f exactly, else None."""
+    """Return f/g if g divides f exactly, else None.
+
+    Heap division (Monagan & Pearce) of f's numerators by the primitive part
+    of g's.  Where that part divides them, the quotient has integer
+    coefficients (Gauss's lemma), so the first leading coefficient or
+    leading monomial that does not divide proves that g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return MultiPoly(f.nvars)
     if g.is_constant():
         return f / g.constant_value()
-    eg, cg = g.leading()
-    rem = dict(f.terms)
-    heap = [(_heap_key(e), e) for e in rem]
+    gc = g._coeffs
+    content = gcd(*gc.values())
+    eg = max(gc)
+    cg = gc[eg] // content
+    tail = [(e, c // content) for e, c in gc.items() if e != eg]
+    guard = _layout(f.nvars)[2]
+    rem = dict(f._coeffs)
+    heap = [-e for e in rem]
     heapq.heapify(heap)
-    qterms: dict[tuple, Fraction] = {}
+    quot = {}
     while rem:
         # pop until a live leading term (heap entries may be stale)
-        while heap and heap[0][1] not in rem:
+        while heap and -heap[0] not in rem:
             heapq.heappop(heap)
         if not heap:
             raise AssertionError("heap drained before remainder")
-        ef = heapq.heappop(heap)[1]
-        cf = rem.pop(ef)
-        qe = tuple(a - b for a, b in zip(ef, eg))
-        if any(x < 0 for x in qe):
+        ef = -heapq.heappop(heap)
+        qe = ef - eg
+        if qe & guard:
             return None
-        qc = cf / cg
-        qterms[qe] = qc
-        # rem -= (qc * u^qe) * g  (the leading term cancels by construction)
-        for e2, c2 in g.terms.items():
-            if e2 == eg:
-                continue
-            e = tuple(a + b for a, b in zip(qe, e2))
+        qc, r = divmod(rem.pop(ef), cg)
+        if r:
+            return None
+        quot[qe] = qc
+        # rem -= qc * u^qe * (g without its leading term)
+        for e2, c2 in tail:
+            e = qe + e2
             old = rem.get(e)
             if old is None:
                 rem[e] = -qc * c2
-                heapq.heappush(heap, (_heap_key(e), e))
+                heapq.heappush(heap, -e)
             else:
                 s = old - qc * c2
                 if s:
                     rem[e] = s
                 else:
                     del rem[e]
-    return MultiPoly._raw(f.nvars, qterms)
+    # f / g = (quot * g's primitive part / f._den) / (content * primitive part / g._den)
+    dg = g._den
+    return _canon(f.nvars, {e: c * dg for e, c in quot.items()}, f._den * content)
 
 
-def _monomial_gcd(p: MultiPoly) -> tuple:
-    """Componentwise min exponent over all terms of p."""
-    it = iter(p.terms)
-    first = next(it)
-    mins = list(first)
-    for e in it:
-        for i, x in enumerate(e):
-            if x < mins[i]:
-                mins[i] = x
-    return tuple(mins)
+def _monomial_gcd(nvars: int, keys) -> int:
+    """Componentwise minimum of the packed exponents ``keys``, packed."""
+    if 0 in keys:
+        return 0
+    shifts, ts, _ = _layout(nvars)
+    out = total = 0
+    for s in shifts:
+        m = min((e >> s) & FIELD_MASK for e in keys)
+        out |= m << s
+        total += m
+    return out | total << ts
 
 
-def _shift_down(p: MultiPoly, mono: tuple) -> MultiPoly:
-    if not any(mono):
+def _shift_down(p: MultiPoly, mono: int) -> MultiPoly:
+    if not mono:
         return p
-    return MultiPoly._raw(
-        p.nvars,
-        {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()},
-    )
+    return MultiPoly._raw(p.nvars, {e - mono: c for e, c in p._coeffs.items()}, p._den)
 
 
 def content_int(p: MultiPoly) -> Fraction:
@@ -410,41 +554,46 @@ def content_int(p: MultiPoly) -> Fraction:
     leading coefficient (graded-lex); 0 for the zero polynomial."""
     if p.is_zero():
         return Fraction(0)
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    c = Fraction(num_gcd, den_lcm)
-    if p.leading()[1] < 0:
-        c = -c
-    return c
+    c = Fraction(gcd(*p._coeffs.values()), p._den)
+    return -c if p._coeffs[max(p._coeffs)] < 0 else c
 
 
 def primitive_part(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    return p / content_int(p)
+    coeffs = p._coeffs
+    g = gcd(*coeffs.values())
+    if coeffs[max(coeffs)] < 0:
+        g = -g
+    if g == 1 and p._den == 1:
+        return p
+    return MultiPoly._raw(p.nvars, {e: c // g for e, c in coeffs.items()})
 
 
 def _univ_coeffs(p: MultiPoly, var0: int) -> dict[int, MultiPoly]:
     """View p as univariate in variable index var0 (0-based); coefficients are
     polynomials in the remaining slots (exponent at var0 zeroed)."""
+    s = _layout(p.nvars)[0][var0]
+    ts = FIELD_BITS * p.nvars
     out: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        d = e[var0]
-        re = e[:var0] + (0,) + e[var0 + 1 :]
-        out.setdefault(d, {})[re] = c
-    return {d: MultiPoly._raw(p.nvars, t) for d, t in out.items()}
+    for e, c in p._coeffs.items():
+        d = (e >> s) & FIELD_MASK
+        out.setdefault(d, {})[e - (d << s) - (d << ts)] = c
+    return {d: _canon(p.nvars, t, p._den) for d, t in out.items()}
 
 
 def _from_univ(coeffs: dict[int, MultiPoly], var0: int, nvars: int) -> MultiPoly:
-    terms: dict[tuple, Fraction] = {}
+    s = _layout(nvars)[0][var0]
+    ts = FIELD_BITS * nvars
+    den = lcm(*(q._den for q in coeffs.values()))
+    terms = {}
     for d, q in coeffs.items():
-        for e, c in q.terms.items():
-            ne = e[:var0] + (d,) + e[var0 + 1 :]
-            terms[ne] = c
-    return MultiPoly._raw(nvars, terms)
+        _check_degree(d + (max(q._coeffs) >> ts))
+        scale = den // q._den
+        step = (d << s) + (d << ts)
+        for e, c in q._coeffs.items():
+            terms[e + step] = c * scale
+    return _canon(nvars, terms, den)
 
 
 def _pseudo_rem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], nvars: int):
@@ -485,13 +634,13 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return primitive_part(b)
     if b.is_zero():
         return primitive_part(a)
-    ma, mb = _monomial_gcd(a), _monomial_gcd(b)
-    mono = tuple(min(x, y) for x, y in zip(ma, mb))
+    ma, mb = _monomial_gcd(nvars, a._coeffs), _monomial_gcd(nvars, b._coeffs)
+    mono = _monomial_gcd(nvars, (ma, mb))
     a = _shift_down(a, ma)
     b = _shift_down(b, mb)
     g = _gcd_primitive(primitive_part(a), primitive_part(b))
-    if any(mono):
-        g = g * MultiPoly.monomial(nvars, 1, mono)
+    if mono:
+        g = g * MultiPoly._raw(nvars, {mono: 1})
     return g
 
 
@@ -681,8 +830,10 @@ def _rf_normalize(num: MultiPoly, den: MultiPoly, base: MultiPoly | None = None)
     if num.is_zero():
         return num, one, True, None
     # strip shared monomial factor
-    mono = tuple(min(x, y) for x, y in zip(_monomial_gcd(num), _monomial_gcd(den)))
-    if any(mono):
+    mono = _monomial_gcd(
+        nvars, (_monomial_gcd(nvars, num._coeffs), _monomial_gcd(nvars, den._coeffs))
+    )
+    if mono:
         num = _shift_down(num, mono)
         den = _shift_down(den, mono)
     if den.is_constant():

@@ -25,22 +25,6 @@ def _trim(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def univ_from_multipoly(p: MultiPoly) -> list[Fraction]:
-    """Dense coefficients of a MultiPoly using at most one variable."""
-    used = p.used_vars()
-    if len(used) > 1:
-        raise ValueError(f"polynomial is not univariate (uses u{used})")
-    if not used:
-        v = p.constant_value()
-        return [v] if v else []
-    k = used[0] - 1
-    deg = max(e[k] for e in p.terms)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        out[e[k]] = c
-    return out
-
-
 def univ_deriv(c: list[Fraction]) -> list[Fraction]:
     return _trim([c[i] * i for i in range(1, len(c))])
 
@@ -236,7 +220,7 @@ class RootReport:
 def rational_roots(p: MultiPoly | list[Fraction]) -> RootReport:
     """All rational roots with multiplicity, Gaussian roots of residual
     quadratics when available, and the remaining factor."""
-    c = univ_from_multipoly(p) if isinstance(p, MultiPoly) else _trim(list(p))
+    c = p.univariate_coeffs() if isinstance(p, MultiPoly) else _trim(list(p))
     if not c:
         raise ValueError("zero polynomial has no root structure")
     rational: dict[Fraction, int] = {}

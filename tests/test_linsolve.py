@@ -101,3 +101,23 @@ def test_solve():
     assert solve(rows, [Fraction(5), Fraction(11), Fraction(2)]) is None
     # a free unknown is set to 0
     assert solve([[Fraction(1), Fraction(1)]], [Fraction(3)]) == [3, 0]
+
+
+def _exact(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def test_int_matrices_give_exact_rationals():
+    a = [[3, 1], [1, 1]]
+    red, pivots = rref([[3, 1, 1], [1, 1, 0]])
+    assert pivots == [0, 1] and _exact(x for row in red for x in row)
+    assert red == [[1, 0, Fraction(1, 2)], [0, 1, Fraction(-1, 2)]]
+    inv = inverse(a)
+    assert _exact(x for row in inv for x in row)
+    assert inv == [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
+    d = det([[3, 1], [1, 2]])
+    assert type(d) is Fraction and d == 5
+    x = solve(a, [1, 0])
+    assert _exact(x) and x == [Fraction(1, 2), Fraction(-1, 2)]
+    third = inverse([[3]])
+    assert third == [[Fraction(1, 3)]]

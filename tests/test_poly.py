@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hamop.poly import (
+    MAX_DEGREE,
     MultiPoly,
     RationalFunction,
     divide_exact,
@@ -63,6 +65,19 @@ def test_eval_examples():
         p.eval([1])
 
 
+def test_eval_non_unit_denominator_raises_at_every_point():
+    # a coefficient 1/P has no image in F_p, also where its term vanishes
+    from hamop.errors import NonUnitDenominator
+    from hamop.pointcheck import FP, P
+
+    u1, u2 = u_vars(2)
+    p = u1 * Fraction(1, P) + u2
+    for point in ([0, 0], [0, 5], [3, 5]):
+        with pytest.raises(NonUnitDenominator):
+            p.eval(point, FP)
+    assert (u1 * Fraction(1, 3) + u2).eval([0, 5], FP) == 5
+
+
 def test_eval_commutes_with_arith():
     rng = random.Random(11)
     for _ in range(40):
@@ -102,6 +117,12 @@ def test_substitute_and_extend():
     assert small.nvars == 2
     with pytest.raises(ValueError):
         p.extended(2)  # u3 in use
+    # a slot map: u1 -> u4, u2 unused and dropped, u3 -> u1
+    assert (u1 * u3 * u3 + 3).extended(4, [4, 0, 1]) == MultiPoly(
+        4, {(2, 0, 0, 1): 1, (0, 0, 0, 0): 3}
+    )
+    with pytest.raises(ValueError):
+        p.extended(4, [4, 4, 1])  # u1 and u2 both to u4
 
 
 def test_divide_exact():
@@ -155,3 +176,60 @@ def test_rational_function_arithmetic():
     # quotient rule: d/du2 (u1/u2) = -u1/u2^2
     assert a.partial(2) == RationalFunction(-u1, u2 * u2)
     assert a.eval([Fraction(3), Fraction(2)]) == Fraction(3, 2)
+
+
+def test_degree_beyond_the_packing_width_raises():
+    u1, u2 = u_vars(2)
+    top = u1**MAX_DEGREE
+    assert top.terms == {(MAX_DEGREE, 0): 1}
+    with pytest.raises(OverflowError):
+        top * u1
+    # each exponent fits its field, but the total degree does not
+    with pytest.raises(OverflowError):
+        top * u2
+    with pytest.raises(OverflowError):
+        u1 ** (MAX_DEGREE + 1)
+    with pytest.raises(OverflowError):
+        MultiPoly(2, {(MAX_DEGREE, 1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(-1, 1): 1})
+
+
+def test_equal_polynomials_from_different_routes_hash_equal():
+    u1, u2 = u_vars(2)
+    half_third = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 3)})
+    routes = [
+        half_third,
+        (3 * u1 + 2) * Fraction(1, 6),
+        (9 * u1 + 6) / 18,
+        u1 / 2 + Fraction(1, 3) + (u2 / 5 - u2 * Fraction(2, 10)),
+        divide_exact((u1 * Fraction(3, 7) + Fraction(2, 7)) * (u2 - 1), (u2 - 1) * 6 / 7),
+    ]
+    for p in routes:
+        assert p == half_third and hash(p) == hash(half_third)
+    one = Fraction(1, 2) * u1 + Fraction(1, 2) * u1 - u1 + 1
+    assert one == 1 and hash(one) == hash(MultiPoly.const(2, 1))
+    assert hash(half_third - half_third) == hash(MultiPoly.zero(2))
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b, c = (random_poly(rng, 3) for _ in range(3))
+        assert (a + b) * c == a * c + b * c
+        assert hash((a + b) * c) == hash(a * c + b * c)
+
+
+_polys = st.integers(1, 4).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * n),
+        st.fractions(max_denominator=10**6).filter(bool),
+        min_size=1,
+        max_size=12,
+    ).map(lambda t: MultiPoly(n, t))
+)
+
+
+@given(_polys)
+def test_sorted_terms_are_descending_grlex(p):
+    keys = [(sum(e), e) for e, _ in p.sorted_terms()]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+    assert dict(p.sorted_terms()) == p.terms
+    assert p.leading() == p.sorted_terms()[0]
