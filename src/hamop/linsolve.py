@@ -3,9 +3,13 @@ Q(i) (GaussianRational entries have field arithmetic too), and F_p from
 ``pointcheck``.
 
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
-``rank``, ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
-``span_rref`` read it.  ``mat_mul`` is the one dense matrix product, and
-``det`` takes the determinant by Gaussian elimination.  ``SparseSystem``
+``inverse`` (the right half of the reduced [A | I]), ``solve`` and
+``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
+F_p for ``pointcheck``'s frames, and over plain ints for the powers in the
+Segre rank sequences of ``spectral``.  ``det`` takes the determinant by
+Gaussian elimination.  Ranks are taken over Z only: ``int_rank`` is
+fraction-free Bareiss elimination, and ``gaussian_rank`` reads the rank of
+X + iY off the real embedding.  ``SparseSystem``
 eliminates homogeneous systems over Q row by row, sparse in the columns; it
 carries the larger structured systems (a few thousand rows with a handful
 of nonzeros each) that solving coefficient equations for metric families
@@ -70,8 +74,45 @@ def rref(rows: list[list], F: Field = Q) -> tuple[list[list], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[list]) -> int:
-    return len(rref(rows)[1])
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination.
+
+    After the k-th pivot every entry below the pivot rows is a (k+1)-minor
+    of the input, so the division by the previous pivot is exact and the
+    entries stay integers no larger than those minors."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r]
+        piv = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            row[c] = 0
+            for j in range(c + 1, ncols):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def gaussian_rank(x: list[list[int]], y: list[list[int]]) -> int:
+    """Rank over Q(i) of X + iY with integer X, Y: half the rank of the
+    real embedding [[X, -Y], [Y, X]], which is similar over C to
+    (X + iY) (+) (X - iY)."""
+    upper = [xr + [-v for v in yr] for xr, yr in zip(x, y)]
+    lower = [yr + xr for xr, yr in zip(x, y)]
+    return int_rank(upper + lower) // 2
 
 
 def mat_mul(a: list[list], b: list[list], F: Field = Q) -> list[list]:

@@ -6,8 +6,10 @@ else raises ValueError) and use fraction-free Bareiss elimination; inverses
 are returned in adjugate/determinant form with gcd-normalized
 rational-function entries, so m * m^-1 is exactly the identity.
 ``PolyMatrix.at_point`` evaluates polynomial entries in any
-``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator;
-dense products of scalar matrices are ``linsolve.mat_mul``.
+``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator.
+Dense products of the evaluated matrices are ``linsolve.mat_mul``: over F_p
+in ``pointcheck``'s frames, and over Z in ``spectral``'s rank sequences,
+which scale the value at a point to an integer matrix first.
 """
 
 from __future__ import annotations

@@ -1,18 +1,23 @@
-"""Univariate root extraction over Q and Q(i).
+"""Univariate root extraction over Q and Q(i), and characteristic polynomials.
 
 The entry point rational_roots() takes a univariate MultiPoly, peels off all
-rational roots (rational root theorem on the integer-scaled polynomial) and,
-after a square-free decomposition, also splits residual quadratic factors
-whose discriminant is minus a rational square into Gaussian conjugate pairs.
-Whatever cannot be resolved in Q(i) is returned as the residual factor.
+rational roots and, after a square-free decomposition, also splits residual
+quadratic factors whose discriminant is minus a rational square into
+Gaussian conjugate pairs.  Whatever cannot be resolved in Q(i) is returned
+as the residual factor.  Rational roots come from the rational root theorem
+on the integer-scaled factor: each candidate p/q is tested with integer
+Horner, sum c_k p^k q^(d-k) = 0, and only a confirmed root is divided out.
+
+char_poly() is Berkowitz's division-free algorithm, so an integer matrix
+gives an integer characteristic polynomial with no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 
-from .linsolve import mat_mul
 from .poly import MultiPoly
 from .scalars import GaussianRational, rational_sqrt
 
@@ -175,19 +180,33 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _rational_root_candidates(c: list[Fraction]) -> list[Fraction]:
-    """Rational root theorem candidates for a polynomial with c[0] != 0."""
-    mult = 1
-    for x in c:
-        mult = mult * x.denominator // int_gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in c]
-    a0, an = ints[0], ints[-1]
+def _integer_scaled(c: list[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators."""
+    mult = lcm(*(x.denominator for x in c))
+    return [x.numerator * (mult // x.denominator) for x in c]
+
+
+def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
+    """Rational root theorem candidates for an integer polynomial with
+    ints[0] != 0."""
     cands = set()
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
+
+
+def _is_root(ints: list[int], r: Fraction) -> bool:
+    """Whether r = p/q is a root: integer Horner on the homogenised form,
+    sum ints[k] p^k q^(d-k) = 0."""
+    p, q = r.numerator, r.denominator
+    acc = ints[-1]
+    qk = 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc == 0
 
 
 def _gaussian_quadratic_roots(c: list[Fraction]):
@@ -241,13 +260,14 @@ def rational_roots(p: MultiPoly | list[Fraction]) -> RootReport:
                 continue
             if len(f) > 3:
                 # rational root theorem on the square-free factor
-                for r in _rational_root_candidates(f):
-                    q, rem = univ_divmod(f, [-r, Fraction(1)])
-                    if not rem:
-                        f = q
+                ints = _integer_scaled(f)
+                for r in _rational_root_candidates(ints):
+                    if _is_root(ints, r):
+                        f, _ = univ_divmod(f, [-r, Fraction(1)])
                         rational[r] = rational.get(r, 0) + mult
                         if len(f) <= 2:
                             break
+                        ints = _integer_scaled(f)
                 if len(f) == 2:
                     r = -f[0] / f[1]
                     rational[r] = rational.get(r, 0) + mult
@@ -276,18 +296,24 @@ def _power(c: list[Fraction], k: int) -> list[Fraction]:
     return out
 
 
-def char_poly(a: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(x*I - A) of a Fraction matrix, dense
-    ascending coefficients (Faddeev-LeVerrier; exact over Q)."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = Fraction(-1, k) * sum(am[i][i] for i in range(n))
-        coeffs[n - k] = ck
-        for i in range(n):
-            am[i][i] += ck
-        m = am
-    return coeffs
+def char_poly(a: list[list]) -> list:
+    """Characteristic polynomial det(x*I - A), dense ascending coefficients,
+    by Berkowitz's division-free algorithm: exact over any commutative
+    ring, so an int matrix gives int coefficients.
+
+    With A_k the leading k x k block, [[A_(k-1), c], [r, a]], the
+    coefficients of det(x*I - A_k), highest first, are a lower-triangular
+    Toeplitz matrix with first column (1, -a, -r c, -r A_(k-1) c, ...,
+    -r A_(k-1)^(k-2) c) times those of det(x*I - A_(k-1))."""
+    p = [1]  # det(x*I - A_0), highest coefficient first
+    for k in range(len(a)):
+        lead = [r[:k] for r in a[:k]]
+        row = a[k][:k]
+        v = [r[k] for r in a[:k]]
+        t = [1, -a[k][k]]
+        for _ in range(k):
+            t.append(-sum(x * y for x, y in zip(row, v)))
+            v = [sum(x * y for x, y in zip(r, v)) for r in lead]
+        p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+             for i in range(k + 2)]
+    return p[::-1]

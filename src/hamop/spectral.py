@@ -7,6 +7,16 @@ r_k = rank((L - lambda I)^k): the number of blocks of size >= k equals
 r_{k-1} - r_k.  Eigenvalues are extracted exactly over Q and Q(i); anything
 outside those fields raises UnsupportedEigenvalueField rather than degrading.
 
+Each point spectrum is computed over the integers.  The value of L at the
+point is scaled to A = D L(pt), D the lcm of the entry denominators; the
+characteristic polynomial of A is Berkowitz's, over Z, and
+chi_L(x) = chi_A(D x) / D^n.  For lambda = p/q the rank sequence is that of
+the powers of the integer matrix q A - p D I, a nonzero multiple of
+L - lambda I.  For lambda = (r + s i)/q it is that of X + iY with
+X = q A - r D I and Y = -s D I, whose powers are kept as pairs of integer
+matrices; their ranks over Q(i) are half the ranks of the real embeddings
+(``linsolve.gaussian_rank``).
+
 Sampling uses 5 deterministic seeded points, redrawn where any metric of
 the pair or spec is singular (``metrics.degenerate_at``); the generic type
 is the one attained by the most points (ties broken toward coarser block
@@ -18,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateEverywhere,
@@ -25,7 +36,7 @@ from .errors import (
     SingleMetric,
     UnsupportedEigenvalueField,
 )
-from .linsolve import mat_mul, rank, solve
+from .linsolve import gaussian_rank, int_rank, mat_mul, solve
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, degenerate_at
 from .roots import char_poly, rational_roots
@@ -110,17 +121,15 @@ def format_segre_type(key: tuple) -> str:
     return "+".join(parts)
 
 
-def _partition_for(lp, lam, multiplicity: int, n: int) -> tuple:
-    """Block-size partition via the rank sequence of powers of (L - lam I)."""
-    m = [[lp[i][j] - (lam if i == j else 0 * lam) for j in range(n)] for i in range(n)]
-    ranks = [n]
-    power = m
-    while ranks[-1] > n - multiplicity:
-        ranks.append(rank(power))
-        if len(ranks) > n + 1:
+def _partition_for(ranks, multiplicity: int, n: int) -> tuple:
+    """Block-size partition from the ranks of the powers M, M^2, ... of a
+    multiple of L - lambda I (an iterator, read until it stabilises)."""
+    seq = [n]
+    for r in ranks:
+        seq.append(r)
+        if r <= n - multiplicity or len(seq) > n + 1:
             break
-        power = mat_mul(power, m)
-    ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    ge = [seq[k - 1] - seq[k] for k in range(1, len(seq))]
     partition = []
     for k in range(1, len(ge) + 1):
         exactly = ge[k - 1] - (ge[k] if k < len(ge) else 0)
@@ -131,20 +140,55 @@ def _partition_for(lp, lam, multiplicity: int, n: int) -> tuple:
     return tuple(partition)
 
 
+def _real_ranks(b: list[list[int]]):
+    """rank(B^k) for k = 1, 2, ..."""
+    power = b
+    while True:
+        yield int_rank(power)
+        power = mat_mul(power, b)
+
+
+def _gaussian_ranks(x: list[list[int]], t: int):
+    """rank((X + i t I)^k) for k = 1, 2, ...; the power P + iQ is a pair of
+    integer matrices, and (P + iQ)(X + i t I) = (P X - t Q) + i (Q X + t P)."""
+    n = len(x)
+    p, q = x, [[t if i == j else 0 for j in range(n)] for i in range(n)]
+    while True:
+        yield gaussian_rank(p, q)
+        px, qx = mat_mul(p, x), mat_mul(q, x)
+        p, q = (
+            [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(px, q)],
+            [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(qx, p)],
+        )
+
+
+def _shifted(a: list[list[int]], c: int, s: int) -> list[list[int]]:
+    """c A - s I."""
+    return [
+        [c * x - (s if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(a)
+    ]
+
+
 def spectrum_at_point(L: PolyMatrix, point, n: int) -> PointSpectrum | None:
     """Eigenvalues and partitions at one point; None when the characteristic
     polynomial does not split over Q(i)."""
     lp = L.at_point(point)
-    report = rational_roots(char_poly(lp))
+    d = lcm(*(x.denominator for row in lp for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in lp]
+    chi = char_poly(a)
+    report = rational_roots([Fraction(c, d ** (len(a) - k)) for k, c in enumerate(chi)])
     if not report.fully_split:
         return None
     blocks = []
     for lam, mult in sorted(report.rational.items()):
-        blocks.append(EigenBlock(lam, _partition_for(lp, lam, mult, n)))
+        b = _shifted(a, lam.denominator, lam.numerator * d)
+        blocks.append(EigenBlock(lam, _partition_for(_real_ranks(b), mult, n)))
     gauss = sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im))
     for lam, mult in gauss:
-        glp = [[GaussianRational(x) for x in row] for row in lp]
-        blocks.append(EigenBlock(lam, _partition_for(glp, lam, mult, n)))
+        q = lcm(lam.re.denominator, lam.im.denominator)
+        x = _shifted(a, q, int(lam.re * q) * d)
+        ranks = _gaussian_ranks(x, -int(lam.im * q) * d)
+        blocks.append(EigenBlock(lam, _partition_for(ranks, mult, n)))
     return PointSpectrum(tuple(point), blocks)
 
 

@@ -1,10 +1,21 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from hamop.linsolve import det, inverse, mat_mul, nullspace, rank, rref, solve
+from hamop.linsolve import (
+    det,
+    gaussian_rank,
+    int_rank,
+    inverse,
+    mat_mul,
+    nullspace,
+    rref,
+    solve,
+)
 from hamop.pointcheck import FP
+from hamop.scalars import GaussianRational
 
 
 def _matrix(rng, rows, cols):
@@ -33,6 +44,15 @@ def _cases(seed):
 
 def _mod_p(m):
     return [[FP.of(x) for x in row] for row in m]
+
+
+def _integer_rows(m):
+    """Each row times the lcm of its denominators: the same row space."""
+    out = []
+    for row in m:
+        mult = lcm(*(x.denominator for x in row))
+        out.append([int(x * mult) for x in row])
+    return out
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -81,7 +101,7 @@ def test_nullspace_basis(seed):
         basis = nullspace(a)
         _, pivots = rref(a)
         free = [c for c in range(ncols) if c not in pivots]
-        assert len(basis) == ncols - rank(a) == len(free)
+        assert len(basis) == ncols - int_rank(_integer_rows(a)) == len(free)
         for v, c in zip(basis, free):
             assert all(x == 0 for row in mat_mul(a, [[x] for x in v]) for x in row)
             assert [v[f] for f in free] == [int(f == c) for f in free]
@@ -121,3 +141,51 @@ def test_int_matrices_give_exact_rationals():
     assert _exact(x) and x == [Fraction(1, 2), Fraction(-1, 2)]
     third = inverse([[3]])
     assert third == [[Fraction(1, 3)]]
+
+
+def _int_matrix(rng, rows, cols, rank_at_most):
+    """A seeded integer matrix, a product rows x k times k x cols, with
+    some zero columns spliced in."""
+    k = rng.randint(0, rank_at_most)
+    left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(k)]
+    m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    zero = rng.randrange(cols)
+    return [row[:zero] + [0] + row[zero:] for row in m]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_rank_is_the_rref_rank(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _int_matrix(rng, rows, cols, min(rows, cols))
+        assert int_rank(m) == len(rref(m)[1])
+    assert int_rank([]) == 0
+    assert int_rank([[10**30, 1], [10**30 + 1, 1]]) == 2
+
+
+def _gaussian_low_rank(rng, n, k):
+    """X, Y with X + iY a sum of k outer products u v^T of Gaussian integer
+    vectors u = (ur, ui), v = (vr, vi): rank at most k over Q(i)."""
+    x = [[0] * n for _ in range(n)]
+    y = [[0] * n for _ in range(n)]
+    for _ in range(k):
+        ur, ui, vr, vi = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(4))
+        for i in range(n):
+            for j in range(n):
+                x[i][j] += ur[i] * vr[j] - ui[i] * vi[j]
+                y[i][j] += ur[i] * vi[j] + ui[i] * vr[j]
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gaussian_rank_is_the_rank_over_q_i(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        x, y = _gaussian_low_rank(rng, n, rng.randint(0, n))
+        z = [[GaussianRational.of(p, q) for p, q in zip(xr, yr)] for xr, yr in zip(x, y)]
+        assert gaussian_rank(x, y) == len(rref(z)[1])
+    # rank 1 over Q(i), rank 2 over Q for the real and imaginary parts alone
+    assert gaussian_rank([[1, 0], [0, -1]], [[0, 1], [1, 0]]) == 1

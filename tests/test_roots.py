@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from hamop.linsolve import det
 from hamop.poly import MultiPoly
 from hamop.roots import char_poly, rational_roots, squarefree_decomposition
 from hamop.scalars import GaussianRational
@@ -75,7 +77,8 @@ def test_squarefree_decomposition():
 
 
 def test_charpoly_large_entries():
-    # Faddeev-LeVerrier stays exact with big rationals
+    # Berkowitz is division-free, so it is exact over any ring: big
+    # rationals too
     a = [[Fraction(10**6, 7), Fraction(1)], [Fraction(0), Fraction(-3, 2)]]
     cp = char_poly(a)
     tr = a[0][0] + a[1][1]
@@ -90,3 +93,25 @@ def test_non_univariate_rejected():
         rational_roots(u1 * u2)
     with pytest.raises(ValueError):
         rational_roots(MultiPoly.zero(1))
+
+
+def test_charpoly_of_int_matrix_is_int_and_is_det_x_minus_a():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        a = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        cp = char_poly(a)
+        assert len(cp) == n + 1 and cp[-1] == 1
+        assert all(type(c) is int for c in cp)
+        for x in (-2, 0, 3):
+            xa = [[x * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
+            assert sum(c * x**k for k, c in enumerate(cp)) == det(xa)
+
+
+def test_integer_root_test_on_candidates():
+    x = x_poly()
+    # roots with large coprime numerators and denominators, and a quartic
+    # factor with no rational root left once they are divided out
+    p = (999 * x - 10**6) * (7 * x + 10**6 + 1) * (x**4 + x + 1)
+    rep = rational_roots(p)
+    assert rep.rational == {Fraction(10**6, 999): 1, Fraction(-(10**6 + 1), 7): 1}
+    assert rep.residual == [1, 1, 0, 0, 1]

@@ -5,7 +5,7 @@ import pytest
 
 from hamop.catalog import direct_sum, get_entry, mokhov_operator
 from hamop.errors import FirstMetricNotConstant, UnsupportedEigenvalueField
-from hamop.linsolve import inverse
+from hamop.linsolve import inverse, mat_mul
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
@@ -149,3 +149,89 @@ def test_report_shape():
     assert d["segre_type"] == "[2]"
     assert d["consistent"] is True
     assert len(d["points"]) == 5
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[k + i][k : k + len(b)] = [Fraction(x) for x in row]
+        k += len(b)
+    return out
+
+
+def _jordan(lam, size):
+    return [[lam if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
+
+
+def _real_jordan(re, im, size):
+    """The real Jordan block of the pair re +- i im with size x size complex
+    blocks: [[C, I], [0, C]] with C = [[re, -im], [im, re]]."""
+    out = [[0] * (2 * size) for _ in range(2 * size)]
+    for k in range(size):
+        out[2 * k][2 * k : 2 * k + 2] = [re, -im]
+        out[2 * k + 1][2 * k : 2 * k + 2] = [im, re]
+        if k + 1 < size:
+            out[2 * k][2 * k + 2] = out[2 * k + 1][2 * k + 3] = 1
+    return out
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its integer inverse:
+    a product of elementary row additions."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    pinv = [row[:] for row in p]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in pinv:  # right-multiply by the inverse elementary matrix
+            row[j] -= c * row[i]
+    return p, pinv
+
+
+def _planted(rng, j):
+    """P J P^-1 for a seeded unimodular P, as a constant PolyMatrix."""
+    p, pinv = _unimodular(rng, len(j))
+    assert mat_mul(p, pinv) == [[int(a == b) for b in range(len(j))] for a in range(len(j))]
+    m = mat_mul(mat_mul(p, j), pinv)
+    return PolyMatrix.from_scalars(1, m), m
+
+
+PLANTED = {
+    # [3, 1] at a non-unit denominator: the rank sequence is that of 3A + 5D I
+    "rational": (
+        lambda: _block_diag(_jordan(Fraction(-5, 3), 3), _jordan(Fraction(-5, 3), 1),
+                            _jordan(Fraction(7), 2)),
+        {Fraction(-5, 3): (3, 1), Fraction(7): (2,)},
+    ),
+    # one 2 x 2 complex Jordan block per conjugate, beside a rational block
+    "gaussian": (
+        lambda: _block_diag(_real_jordan(Fraction(1, 2), Fraction(3, 2), 2),
+                            _jordan(Fraction(-1), 1)),
+        {GaussianRational.of(Fraction(1, 2), Fraction(3, 2)): (2,),
+         GaussianRational.of(Fraction(1, 2), Fraction(-3, 2)): (2,),
+         Fraction(-1): (1,)},
+    ),
+    # eigenvalues near 10^6 over coprime denominators: D^n is about 10^19
+    "large": (
+        lambda: _block_diag(_jordan(Fraction(10**6 + 1, 999), 2),
+                            _jordan(Fraction(10**6 + 1, 999), 2),
+                            _jordan(Fraction(-(10**6), 7), 1)),
+        {Fraction(10**6 + 1, 999): (2, 2), Fraction(-(10**6), 7): (1,)},
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_planted_jordan_structure(case, seed):
+    make, expected = PLANTED[case]
+    L, m = _planted(random.Random(seed), make())
+    assert m != make()  # the conjugation really mixed the blocks
+    s = spectrum_at_point(L, [Fraction(seed + 1)], len(m))
+    assert {b.value: b.partition for b in s.blocks} == expected
+    rep = segre_type(L, points=[[Fraction(1)], [Fraction(-2)]])
+    assert rep.consistent
