@@ -5,6 +5,11 @@ emitted as deterministic JSON (stable field order, rationals as "p/q"; the
 timing field stays null unless --timing is given, so identical inputs and
 seed produce byte-identical output) or as human-readable text.
 
+verify always proves the linearity / Nijenhuis / Killing triple, so its
+verdict is exact; the report's "mode" (--mode, default symbolic for n <= 8,
+sampled otherwise) says how the d = 2 Mokhov cross-check (flatness and
+T1..T5) ran: proven, or scanned at seeded points mod p.
+
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 parse or usage error; 3 internal error; 4 input outside what the command
 supports (a well-formed spec whose affinor has eigenvalues outside Q(i) at
@@ -53,7 +58,7 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -428,8 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report to this path")
         if with_mode:
             sp.add_argument("--mode", choices=("symbolic", "sampled"), default=None,
-                            help="identity-check mode (default: symbolic for "
-                            "n <= 7, sampled otherwise)")
+                            help="how the d = 2 Mokhov cross-check runs: proven "
+                            "(symbolic) or at seeded points mod p (sampled); the "
+                            "linearity/Nijenhuis/Killing triple is always proven "
+                            "(default: symbolic for n <= 8, sampled otherwise)")
 
     sp = sub.add_parser("verify", help="verify Hamiltonianity of a spec file")
     sp.add_argument("input", help="operator spec JSON file")

@@ -46,6 +46,3 @@ class SpecFileError(HamopError):
 class NonUnitDenominator(HamopError):
     """A rational's denominator is divisible by the modulus of a prime field."""
 
-
-class NonlinearBivector(HamopError, ValueError):
-    """Sampled mode was asked to check a bivector that is not linear in u."""

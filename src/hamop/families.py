@@ -25,7 +25,7 @@ from .matrices import PolyMatrix
 from .metrics import LinearMetric
 from .poly import MultiPoly
 from .scalars import rational_sqrt
-from .verify import MODE_SYMBOLIC, constant_inverse, pair_conditions
+from .verify import constant_inverse, pair_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _verify_family(family: SolutionFamily) -> None:
     (this includes the full quadratic part of the Nijenhuis condition)."""
     gt = family.formal_metric()
     g = family.formal_g()
-    results = pair_conditions(g, gt, MODE_SYMBOLIC, None)
+    results = pair_conditions(g, gt, None)
     bad = [r.name for r in results if not r.passed]
     if bad:
         raise ValueError(f"family fails {bad} for formal parameters")

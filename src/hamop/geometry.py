@@ -1,6 +1,6 @@
 """Symbolic differential geometry of linear metrics.
 
-Levi-Civita connections, curvature, Nijenhuis torsion, the Killing residual
+Levi-Civita connections, flatness, Nijenhuis torsion, the Killing residual
 in its polynomial form, second-covariant-derivative (linearity) residuals,
 obstruction tensors, the obstruction identities T1..T5 and Lie derivatives
 of bivectors.  Everything is exact: entries are MultiPoly or
@@ -12,10 +12,10 @@ Each verification condition is stated once, as a lazy stream of
 ``riemann_components`` (flatness), ``nijenhuis_components``,
 ``killing_components``, ``hessian_components`` (linearity) and
 ``mokhov_identities`` (T1..T5).  The caller passes the entries and their
-derivatives; the public tensors below feed them polynomials or rational
-functions, ``covariant_hessian``, ``nijenhuis_stream`` and
-``killing_stream`` hand the symbolic streams out lazily, and ``pointcheck``
-feeds them point values.
+derivatives; ``flatness_witness``, ``covariant_hessian``,
+``nijenhuis_stream`` and ``killing_stream`` run the symbolic streams
+lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
+from them, and ``pointcheck`` feeds them point values.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -74,14 +74,6 @@ class Connection:
                     b_upper[i][j][k] = RationalFunction(acc, det2, base=det)
         return b_upper
 
-    def is_zero(self) -> bool:
-        return all(
-            not self.gamma[i][j][k]
-            for i in range(self.n)
-            for j in range(self.n)
-            for k in range(self.n)
-        )
-
 
 def levi_civita(g: LinearMetric) -> Connection:
     """Connection of a non-degenerate linear metric, exact rational entries.
@@ -132,10 +124,6 @@ def _partials(m: PolyMatrix, n: int, lift=identity) -> list:
         [[lift(m[a, b].partial(s + 1)) for b in range(n)] for a in range(n)]
         for s in range(n)
     ]
-
-
-def _plain(idx, value):
-    return ((idx, value),)
 
 
 def _antisymmetric(idx, value):
@@ -296,21 +284,6 @@ def _riemann_numerators(g: LinearMetric):
     return riemann_components(P, d_gamma, g.n, identity)
 
 
-def riemann_curvature(g: LinearMetric) -> list:
-    """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{ks}Gamma^s_{lj}
-    - Gamma^i_{ls}Gamma^s_{kj}; antisymmetric in (k,l)."""
-    stream = ()
-    if not g.is_constant():
-        det = levi_civita(g).det
-        det4 = det ** 4
-        stream = (
-            (idx, RationalFunction(num, det4, base=det))
-            for idx, num in _riemann_numerators(g)
-        )
-    zero = RationalFunction(MultiPoly.zero(g.nvars))
-    return _tensor(stream, g.n, 4, zero, _antisymmetric)
-
-
 def flatness_witness(g: LinearMetric):
     """None when g is flat, else ((i,j,k,l), residual) at the first failing
     index tuple in lexicographic order (1-based indices); components are
@@ -323,10 +296,6 @@ def flatness_witness(g: LinearMetric):
             det = levi_civita(g).det
             return idx, RationalFunction(num, det ** 4, base=det)
     return None
-
-
-def is_flat(g: LinearMetric) -> bool:
-    return flatness_witness(g) is None
 
 
 def nijenhuis_stream(L: PolyMatrix, n: int):
@@ -383,21 +352,6 @@ def covariant_hessian(h: PolyMatrix, n: int, g: LinearMetric | None = None):
     return hessian_components(
         gamma, h.entries, _partials(h, n, lift), _partial_of_c, n, identity
     )
-
-
-def second_partials_residual(h: PolyMatrix, n: int) -> list:
-    """d_r d_s h^{ij}; zero iff h is (at most) linear in the u-block."""
-    return _tensor(covariant_hessian(h, n), n, 4, MultiPoly.zero(h.nvars), _plain)
-
-
-def covariant_hessian_bivector(g: LinearMetric, h: PolyMatrix) -> list:
-    """(nabla_r nabla_s h)^{ij} with nabla the Levi-Civita connection of g.
-
-    Zero iff h is linear in the flat coordinates of g; computed without any
-    change of coordinates.
-    """
-    zero = RationalFunction(MultiPoly.zero(g.nvars))
-    return _tensor(covariant_hessian(h, g.n, g), g.n, 4, zero, _plain)
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 Entries are homogeneous per matrix (all MultiPoly or all RationalFunction).
 ``determinant`` and ``adjugate_det`` take polynomial entries only (anything
-else raises ValueError) and use fraction-free Bareiss elimination; inverses
-are returned in adjugate/determinant form with gcd-normalized
-rational-function entries, so m * m^-1 is exactly the identity.
+else raises ValueError) and share one division-free computation: the
+characteristic polynomial by Berkowitz's algorithm (``roots.char_poly``),
+whose constant term gives the determinant and whose coefficients give the
+adjugate by Cayley-Hamilton.  Inverses are returned in adjugate/determinant
+form with gcd-normalized rational-function entries, so m * m^-1 is exactly
+the identity.
 ``PolyMatrix.at_point`` evaluates polynomial entries in any
 ``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator.
 Dense products of the evaluated matrices are ``linsolve.mat_mul``: over F_p
@@ -18,7 +21,8 @@ from typing import Callable, Sequence
 
 from .errors import IdenticallySingular
 from .linsolve import Q, Field
-from .poly import MultiPoly, RationalFunction, divide_exact
+from .poly import MultiPoly, RationalFunction
+from .roots import char_poly
 
 
 class PolyMatrix:
@@ -166,67 +170,36 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _poly_entries(m: PolyMatrix, what: str) -> list[list[MultiPoly]]:
+def _char_poly(m: PolyMatrix, what: str) -> tuple[list[MultiPoly], MultiPoly]:
+    """(coefficients c_0..c_n of det(x I - m), det m) of a square polynomial
+    matrix, by ``roots.char_poly`` (Berkowitz, division-free)."""
     if not m.is_square:
         raise ValueError(f"{what} of non-square matrix")
     if not all(isinstance(x, MultiPoly) for row in m.entries for x in row):
         raise ValueError(f"{what} expects polynomial entries")
-    return m.entries
+    c = [MultiPoly.zero(m.nvars) + x for x in char_poly(m.entries)]
+    return c, (c[0] if m.rows % 2 == 0 else -c[0])
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant of a square polynomial matrix (Bareiss)."""
-    return _bareiss_det(_poly_entries(m, "determinant"), m.nvars)
-
-
-def _bareiss_det(a: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    n = len(a)
-    a = [row[:] for row in a]
-    sign = 1
-    prev = MultiPoly.const(nvars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(nvars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q = divide_exact(num, prev)
-                if q is None:
-                    raise AssertionError("Bareiss exact division failed")
-                a[i][j] = q
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _minor(a: list[list[MultiPoly]], i: int, j: int) -> list[list[MultiPoly]]:
-    return [
-        [a[r][c] for c in range(len(a)) if c != j]
-        for r in range(len(a))
-        if r != i
-    ]
+    """Exact determinant of a square polynomial matrix, (-1)^n chi(0)."""
+    return _char_poly(m, "determinant")[1]
 
 
 def adjugate_det(m: PolyMatrix) -> tuple[PolyMatrix, MultiPoly]:
-    """(adjugate, determinant) of a square polynomial matrix."""
-    a = _poly_entries(m, "adjugate_det")
-    n = m.rows
-    nvars = m.nvars
-    det = determinant(m)
-    if n == 1:
-        return PolyMatrix.from_scalars(nvars, [[1]]), det
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = _bareiss_det(_minor(a, i, j), nvars)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return PolyMatrix(adj), det
+    """(adjugate, determinant) of a square polynomial matrix, both from one
+    characteristic polynomial chi(x) = x^n + c_(n-1) x^(n-1) + ... + c_0.
+    By Cayley-Hamilton A (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
+    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner."""
+    c, det = _char_poly(m, "adjugate_det")
+    n, a = m.rows, m.entries
+    sign = 1 if n % 2 else -1
+    zero = MultiPoly.zero(m.nvars)
+    b = [[MultiPoly.const(m.nvars, sign * (i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n - 1, 0, -1):
+        b = [[sum((a[i][s] * b[s][j] for s in range(n) if a[i][s] and b[s][j]),
+                  c[k] * sign if i == j else zero) for j in range(n)] for i in range(n)]
+    return PolyMatrix(b), det
 
 
 def matrix_inverse(m: PolyMatrix) -> PolyMatrix:

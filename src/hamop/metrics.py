@@ -17,7 +17,7 @@ the determinant of a matrix's value at one point, in any ``linsolve.Field``;
 ``identically_degenerate`` (the check every LinearMetric makes) evaluates
 at one seeded integer point over Q: a nonzero value there proves
 det g is not the zero polynomial, and only a zero there falls back to the
-symbolic Bareiss determinant.  A spec needs no further check on its generic
+symbolic (Berkowitz) determinant.  A spec needs no further check on its generic
 combination of metrics (see OperatorSpec).
 """
 

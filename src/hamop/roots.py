@@ -9,7 +9,8 @@ on the integer-scaled factor: each candidate p/q is tested with integer
 Horner, sum c_k p^k q^(d-k) = 0, and only a confirmed root is divided out.
 
 char_poly() is Berkowitz's division-free algorithm, so an integer matrix
-gives an integer characteristic polynomial with no rational arithmetic.
+gives an integer characteristic polynomial with no rational arithmetic;
+``matrices`` runs it on polynomial matrices for determinants and adjugates.
 """
 
 from __future__ import annotations

@@ -19,24 +19,30 @@ theorem makes the triple of either order equivalent to the pair being
 Hamiltonian; if a pair with g1 fails, the verdict fails either way.  One
 function, pair_conditions, checks an ordered pair.
 
-Every condition runs through one pipeline in both modes, and one function,
-_scan_points, runs it for the conditions that share a set of frames (the
-Mokhov conditions; the triple of a pair).  Each condition is first
-evaluated at seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).
-A hit there is certified, since a nonzero residue proves a nonzero rational
-value, and its witness is recomputed over Q at that point.  In symbolic mode
-(the default for n <= 7, where it is also the faster mode) the points are
-the first SCAN_POINTS of the seed's sample, and a condition without a hit
+Every condition runs through one pipeline, and one function, _scan_points,
+runs it for the conditions that share a set of frames (the Mokhov
+conditions; the triple of a pair).  Each condition is first evaluated at
+seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).  A hit there
+is certified, since a nonzero residue proves a nonzero rational value, and
+its witness is recomputed over Q at that point.  A condition without a hit
 is then decided by its exact identity: flatness_witness, the T1..T5 streams
 of geometry.mokhov_identities on the reduced rational obstruction tensor,
-and the lazy linearity / Nijenhuis / Killing streams of geometry.  A failure
-found there carries a witness with no point.  In sampled mode (larger n)
-all SAMPLE_COUNT points are scanned and a pass is not proven: it means
-every tested value is 0 mod p, which, besides the Schwartz-Zippel risk of
-sampling, errs only where a nonzero rational value is divisible by p.  So
-the mode decides only how many points are scanned and whether passes are
-proven.  Linearity against a constant metric (the plain second partials)
-is exact and cheap, and is always decided symbolically.
+and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
+failure found there carries a witness with no point.
+
+The linearity / Nijenhuis / Killing triple is always proven, after a scan
+of the first SCAN_POINTS points of the seed's sample.  flat(g1) of the
+constant first metric is exact in every mode: flatness_witness decides it,
+or a point scan of a metric whose derivatives all vanish.  The mode decides
+only how the d = 2 Mokhov cross-check (flat(g2), T1..T5) runs.  In
+symbolic mode (the default for n <= 8, where it is also the faster mode) it
+runs like the triple.  In sampled mode (larger n) it scans all SAMPLE_COUNT
+points and a pass is not proven: it means every tested value is 0 mod p,
+which, besides the Schwartz-Zippel risk of sampling, errs only where a
+nonzero rational value is divisible by p.  So the Mokhov point scan is the
+one step of a verdict that is not exact, and the verdict itself always is:
+when the triple fails and the sampled Mokhov side passes every point, that
+side is rerun symbolically before the criteria are compared.
 
 A point where a frame cannot be built mod p (a metric singular mod p there,
 or a coefficient denominator that is not a unit mod p) is scanned over Q
@@ -44,9 +50,9 @@ instead; ``pointcheck.FrameCache`` makes that one fallback.  Witnesses
 always report the lexicographically first failing index tuple, at the first
 failing point when one is given.  Some inputs get no point scan and are
 decided by their identities alone: a bivector passed to
-theorem2_conditions in symbolic mode that is not linear in u or is
-degenerate everywhere, and callers that pass no points to pair_conditions,
-such as the formal families of ``families``.
+theorem2_conditions that is not linear in u or is degenerate everywhere,
+and callers that pass no points to pair_conditions, such as the formal
+families of ``families``.
 """
 
 from __future__ import annotations
@@ -55,12 +61,7 @@ import functools
 from dataclasses import dataclass, field
 
 from . import pointcheck as pc
-from .errors import (
-    DegenerateEverywhere,
-    DisagreementBug,
-    FirstMetricNotConstant,
-    NonlinearBivector,
-)
+from .errors import DegenerateEverywhere, DisagreementBug, FirstMetricNotConstant
 from .geometry import (
     covariant_hessian,
     flatness_witness,
@@ -78,8 +79,8 @@ from .poly import MultiPoly
 from .scalars import format_rational
 
 DEFAULT_SEED = 0
-SYMBOLIC_MAX_N = 7
-# points scanned before the exact identities in symbolic mode
+SYMBOLIC_MAX_N = 8
+# points scanned before the exact identities
 SCAN_POINTS = 2
 
 MODE_SYMBOLIC = "symbolic"
@@ -206,11 +207,12 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[
     together: ``fn(*frames)`` on the frames of ``metrics`` at a point yields
     (name, hit) for them, a hit being (indices, value) or None.  A hit over
     F_p is recomputed over Q at the same point for the witness, and points
-    are scanned until every condition has failed.  With ``prove`` (symbolic
-    mode) a condition without a hit is then decided by ``proofs[name]()``,
-    its exact identity as a lazy (indices, residual) stream; otherwise it
-    passes on the points.  A condition's first failing point and index tuple
-    do not depend on which conditions share the scan."""
+    are scanned until every condition has failed.  With ``prove`` (the
+    triple, and the Mokhov conditions in symbolic mode) a condition without
+    a hit is then decided by ``proofs[name]()``, its exact identity as a
+    lazy (indices, residual) stream; otherwise it passes on the points.  A
+    condition's first failing point and index tuple do not depend on which
+    conditions share the scan."""
     decided = {}
     for pt in points:
         frames = cache.frames(pt, *metrics)
@@ -233,14 +235,6 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[
 def _flatness_proof(g: LinearMetric):
     w = flatness_witness(g)
     return [w] if w else []
-
-
-def _flat_condition(g: LinearMetric, mode: str, points, cache) -> ConditionResult:
-    """flat(g1) on its own (d = 1 and d >= 3)."""
-    return _scan_points(
-        {"flat(g1)": lambda: _flatness_proof(g)}, lambda f: [("flat(g1)", pc.flat_at(f))],
-        (g,), points, cache, mode == MODE_SYMBOLIC,
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +306,16 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
     return g.inverse().map(lambda r: r.as_poly())
 
 
-def pair_conditions(
-    g: LinearMetric, h, mode: str, points, cache=None, tag=None
-) -> list[ConditionResult]:
+def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[ConditionResult]:
     """linearity / nijenhuis / killing of the ordered pair (reference g, h).
 
     ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
     names them linearity[b|c], nijenhuis[b|c] and killing[c|b]; the Killing
     residual is always K(g, h), reference first.  Each condition is scanned
-    at ``points`` (none: no scan) and, in symbolic mode, proven by its lazy
-    stream, which stops at the first nonzero component.  Linearity is the
-    covariant Hessian of h for g's connection; for constant g that is the
-    plain second partials, which are cheap, so it is always symbolic."""
+    at ``points`` (none: no scan) and, without a hit there, proven by its
+    lazy stream, which stops at the first nonzero component.  Linearity is
+    the covariant Hessian of h for g's connection; for constant g that is
+    the plain second partials, which are cheap, so it is not scanned."""
     n = g.n
     hm = _as_bivector(h)
     lin, nij, kil = "linearity", "nijenhuis", "killing"
@@ -346,7 +338,7 @@ def pair_conditions(
 
     hw = _wrap_metric(h, g) if points else None
     return linearity + _scan_points(
-        proofs, at, (g, hw), points or (), cache, mode == MODE_SYMBOLIC
+        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP), True
     )
 
 
@@ -357,42 +349,29 @@ def _wrap_metric(h, like: LinearMetric) -> LinearMetric:
 
 
 def theorem2_conditions(
-    g: LinearMetric,
-    h,
-    mode: str | None = None,
-    seed: int = DEFAULT_SEED,
-    points=None,
-    cache=None,
+    g: LinearMetric, h, seed: int = DEFAULT_SEED, points=None, cache=None
 ) -> VerificationReport:
-    """Linearity + Nijenhuis + Killing for constant g.  Flatness of h follows
-    from them (Theorem 2) and is checked by mokhov_conditions.  A bivector
-    that is not linear in u, or that is degenerate at every sample point, is
-    checked symbolically with no point scan; sampled mode rejects it."""
+    """Linearity + Nijenhuis + Killing for constant g, scanned at ``points``
+    (by default the first SCAN_POINTS of the seed's sample) and proven.
+    Flatness of h follows from them (Theorem 2) and is checked by
+    mokhov_conditions.  A bivector that is not linear in u, or that is
+    degenerate at every sample point, gets no point scan."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
-    mode = mode or default_mode(g.n)
-    report = VerificationReport(g.n, 2, mode, seed)
+    report = VerificationReport(g.n, 2, MODE_SYMBOLIC, seed)
     hm = _as_bivector(h)
     if any(
         hm[i, j].degree_in_block(g.n) > 1
         for i in range(g.n)
         for j in range(g.n)
     ):
-        if mode != MODE_SYMBOLIC:
-            raise NonlinearBivector(
-                "nonlinear bivectors are checked symbolically; use mode='symbolic'"
-            )
         points = ()
     elif points is None:
         try:
-            points = _sample(g.nvars, [g, _wrap_metric(h, g)], mode, seed)
+            points = _sample(g.nvars, [g, _wrap_metric(h, g)], MODE_SYMBOLIC, seed)
         except DegenerateEverywhere:
-            if mode != MODE_SYMBOLIC:
-                raise
             points = ()
-    report.conditions = pair_conditions(
-        g, h, mode, points, cache or pc.FrameCache(pc.FP)
-    )
+    report.conditions = pair_conditions(g, h, points, cache)
     return report
 
 
@@ -409,7 +388,9 @@ def verify_operator(
     2D: obstruction-tensor and linearity/Nijenhuis/Killing criteria both run
     and must agree (DisagreementBug otherwise).  d >= 3: flatness of the
     (constant) first metric plus the pairwise conditions of each unordered
-    pair, against its earlier metric.
+    pair, against its earlier metric.  The triple is proven in every mode;
+    ``mode`` (default: default_mode(n)) says how the 2D Mokhov cross-check
+    runs.
     """
     if not spec.metrics[0].is_constant():
         raise FirstMetricNotConstant(
@@ -421,28 +402,27 @@ def verify_operator(
 
 
 def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
-    if spec.d == 1:
-        report = VerificationReport(spec.n, 1, mode, seed)
-        report.conditions.append(_flat_condition(spec.g, mode, points, cache))
-        return report
+    report = VerificationReport(spec.n, spec.d, mode, seed)
+    scan = points[:SCAN_POINTS]
     if spec.d == 2:
         mok = mokhov_conditions(spec.g, spec.gt, mode, seed, points, cache)
-        th2 = theorem2_conditions(spec.g, spec.gt, mode, seed, points, cache)
+        th2 = theorem2_conditions(spec.g, spec.gt, seed, scan, cache)
+        if mok.verdict and not th2.verdict and mode == MODE_SAMPLED:
+            # the Mokhov side passed every point: prove it
+            mok = mokhov_conditions(spec.g, spec.gt, MODE_SYMBOLIC, seed, scan, cache)
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "
                 f"linearity/nijenhuis/killing={th2.verdict}"
             )
-        report = VerificationReport(spec.n, 2, mode, seed)
-        report.conditions.extend(mok.conditions)
-        report.conditions.extend(th2.conditions)
+        report.conditions = mok.conditions + th2.conditions
         return report
-    # d >= 3: one triple per unordered pair, against the earlier metric
-    report = VerificationReport(spec.n, spec.d, mode, seed)
-    report.conditions.append(_flat_condition(spec.g, mode, points, cache))
+    # d = 1, or d >= 3 with one triple per unordered pair, against the
+    # earlier metric; the first metric is constant, so flat(g1) is proven
+    report.conditions.append(_scan("flat(g1)", _flatness_proof(spec.g)))
     for b, gb in enumerate(spec.metrics, 1):
         for c, gc in enumerate(spec.metrics[: b - 1], 1):
-            report.conditions.extend(pair_conditions(gc, gb, mode, points, cache, (b, c)))
+            report.conditions.extend(pair_conditions(gc, gb, scan, cache, (b, c)))
     return report
 
 

@@ -6,14 +6,13 @@ import pytest
 from hamop.errors import IdenticallySingular
 from hamop.families import flow_field, mu_bivector, p_coeff
 from hamop.geometry import (
+    covariant_hessian,
     flatness_witness,
-    is_flat,
     killing_residual,
     levi_civita,
     lie_derivative_bivector,
     nijenhuis_torsion,
     obstruction_tensor,
-    second_partials_residual,
 )
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric
@@ -31,7 +30,7 @@ def zero3(t, n):
 
 def test_constant_metric_has_zero_connection():
     conn = levi_civita(LinearMetric.antidiagonal(4))
-    assert conn.is_zero()
+    assert zero3(conn.gamma, 4)
     assert zero3(conn.b_upper, 4)
 
 
@@ -90,12 +89,12 @@ def test_mokhov_n3_symbols_match_formula():
 
 
 def test_constant_metric_flat():
-    assert is_flat(LinearMetric.constant([[1, 0], [0, -1]]))
+    assert flatness_witness(LinearMetric.constant([[1, 0], [0, -1]])) is None
 
 
 def test_operator5_second_metric_flat():
     _, gt = operator5_pair()
-    assert is_flat(gt)
+    assert flatness_witness(gt) is None
 
 
 def test_diag_u2_not_flat_with_witness():
@@ -111,7 +110,7 @@ def test_diag_u2_not_flat_with_witness():
     assert indices == (1, 2, 1, 2)
     assert residual == RationalFunction(MultiPoly.const(2, -3) / 4, u2 * u2)
     flat = LinearMetric(2, PolyMatrix([[u1, z], [z, MultiPoly.const(2, 1)]]))
-    assert is_flat(flat)
+    assert flatness_witness(flat) is None
 
 
 # -- Nijenhuis torsion ----------------------------------------------------
@@ -214,15 +213,13 @@ def test_killing_residual_full_symmetry(rng):
 
 def test_linearity_residuals():
     g, gt = operator5_pair()
-    sp = second_partials_residual(gt.mat, 2)
-    assert all(
-        sp[r][s][i][j].is_zero() for r in range(2) for s in range(2) for i in range(2) for j in range(2)
-    )
+    stream = list(covariant_hessian(gt.mat, 2))
+    assert len(stream) == 16 and not any(r for _, r in stream)
     u1, u2 = u_vars(2)
     z = MultiPoly.zero(2)
     quad = PolyMatrix([[u1 * u1, z], [z, z]])
-    sp2 = second_partials_residual(quad, 2)
-    assert sp2[0][0][0][0] == MultiPoly.const(2, 2)
+    hits = [(idx, r) for idx, r in covariant_hessian(quad, 2) if r]
+    assert hits == [((1, 1, 1, 1), MultiPoly.const(2, 2))]
 
 
 # -- obstruction tensor ---------------------------------------------------

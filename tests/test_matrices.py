@@ -83,3 +83,27 @@ def test_matrix_ops():
     ]
     with pytest.raises(ValueError):
         PolyMatrix([[u1], [u2, u1]])
+
+
+def _linear_symmetric(rng, n, nvars):
+    """Seeded symmetric matrix with entries linear in the nvars variables."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            p = MultiPoly.const(nvars, rng.randint(-3, 3))
+            for k in range(1, nvars + 1):
+                if rng.random() < 0.5:
+                    p = p + MultiPoly.variable(nvars, k) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            rows[i][j] = rows[j][i] = p
+    return PolyMatrix(rows)
+
+
+def test_adjugate_times_matrix_is_det_identity():
+    # the Cayley-Hamilton adjugate: A adj(A) = adj(A) A = det(A) I
+    rng = random.Random(37)
+    for n in range(1, 8):
+        m = _linear_symmetric(rng, n, 3)
+        adj, det = adjugate_det(m)
+        assert det == determinant(m) and det
+        want = PolyMatrix.identity(n, 3).scale(det)
+        assert m @ adj == want and adj @ m == want, n

@@ -3,7 +3,7 @@
 The F_p kernel is the image of the Q kernel: at a seeded integer point every
 jet and every obstruction component over F_p equals the Q value reduced mod
 p.  A Q frame cache is the exact reference for the F_p point scans, which
-both modes run, and the symbolic residual tensors are pinned to the point
+both modes run, and the symbolic residual streams are pinned to the point
 hits component by component.
 """
 
@@ -15,18 +15,13 @@ import pytest
 
 from hamop import pointcheck as pc
 from hamop.catalog import catalog, get_entry
-from hamop.errors import (
-    DisagreementBug,
-    HamopError,
-    NonlinearBivector,
-)
+from hamop.errors import DisagreementBug
 from hamop.geometry import (
-    covariant_hessian_bivector,
+    covariant_hessian,
     flatness_witness,
-    killing_residual,
+    killing_stream,
     levi_civita,
-    nijenhuis_torsion,
-    riemann_curvature,
+    nijenhuis_stream,
 )
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
@@ -104,7 +99,7 @@ def _sampled_both_ways(g, h, points=None):
     runs = []
     for cache in (None, pc.FrameCache(pc.Q)):
         mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
-        th2 = theorem2_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        th2 = theorem2_conditions(g, h, points=points, cache=cache)
         runs.append(mok.conditions + th2.conditions)
     return runs
 
@@ -185,7 +180,7 @@ def test_point_singular_mod_p_runs_on_q(h22):
     runs = []
     for cache in (pc.FrameCache(pc.FP), pc.FrameCache(pc.Q)):
         mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
-        th2 = theorem2_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        th2 = theorem2_conditions(g, h, points=points, cache=cache)
         runs.append((mok.conditions + th2.conditions, cache))
     (fp, cache), (q, _) = runs
     assert fp == q
@@ -194,17 +189,6 @@ def test_point_singular_mod_p_runs_on_q(h22):
     failed = [c for c in fp if not c.passed]
     assert failed
     assert all(c.witness.point == (f"{pc.P}/1", "1/1") for c in failed)
-
-
-def test_sampled_nonlinear_bivector_error_is_typed():
-    g = LinearMetric.antidiagonal(2)
-    u1, u2 = u_vars(2)
-    hm = PolyMatrix([[u1 * u1, u2], [u2, MultiPoly.zero(2)]])
-    msg = "nonlinear bivectors are checked symbolically; use mode='symbolic'"
-    with pytest.raises(NonlinearBivector) as ex:
-        theorem2_conditions(g, hm, mode=MODE_SAMPLED)
-    assert str(ex.value) == msg
-    assert isinstance(ex.value, ValueError) and isinstance(ex.value, HamopError)
 
 
 def test_fp_hit_without_q_hit_is_an_internal_error():
@@ -224,16 +208,10 @@ def test_fp_hit_without_q_hit_is_an_internal_error():
     assert result.passed
 
 
-def _first_hit(tensor, shape, value):
-    """(1-based indices, value(entry)) of the first entry of ``tensor``, in
-    lexicographic order, whose value is nonzero, or None."""
-    for idx in itertools.product(*(range(k) for k in shape)):
-        entry = tensor
-        for i in idx:
-            entry = entry[i]
-        if value(entry):
-            return tuple(i + 1 for i in idx), value(entry)
-    return None
+def _first_hit(stream, value):
+    """(1-based indices, value(residual)) of the first component of a lazy
+    (indices, residual) stream whose value is nonzero, or None."""
+    return next(((idx, value(r)) for idx, r in stream if r and value(r)), None)
 
 
 def _riemann_numerator_hit(h, point):
@@ -260,11 +238,11 @@ def _riemann_numerator_hit(h, point):
 def test_symbolic_tensors_match_point_hits():
     # component-level link between the symbolic and the point feeds: at one
     # Q point per ordered (reference g, other h) pair, the first component of
-    # each symbolic residual tensor that is nonzero there is the point hit
+    # each symbolic residual stream that is nonzero there is the point hit
     # over Q, and over F_p it is the same index tuple with the value reduced
-    # mod p.  The curvature is the Riemann numerator over det^4 (at n = 2
-    # also riemann_curvature), and the symbolic flatness witness is the
-    # first curvature component that is nonzero at the point
+    # mod p.  The curvature is the Riemann numerator over det^4, and the
+    # symbolic flatness witness is the first curvature component that is
+    # nonzero at the point
     pairs = _small_corpus(2, 41) + _small_corpus(3, 42)
     spec = _catalog_spec(get_entry("thm5-3d-1"))
     pairs += [(f"thm5-3d-1[{b}|{c}]", gc, gb)
@@ -281,12 +259,10 @@ def test_symbolic_tensors_match_point_hits():
         L = h.mat @ (constant_inverse(g) if g.is_constant() else g.inverse())
         sym = {
             "flat": _riemann_numerator_hit(h, qpt),
-            "nijenhuis": _first_hit(nijenhuis_torsion(L, n), (n,) * 3, at),
-            "killing": _first_hit(killing_residual(g, h, n), (n,) * 3, at),
-            "linearity": _first_hit(covariant_hessian_bivector(g, h.mat), (n,) * 4, at),
+            "nijenhuis": _first_hit(nijenhuis_stream(L, n), at),
+            "killing": _first_hit(killing_stream(g, h, n), at),
+            "linearity": _first_hit(covariant_hessian(h.mat, n, g), at),
         }
-        if n == 2:
-            assert _first_hit(riemann_curvature(h), (n,) * 4, at) == sym["flat"], name
         point = {}
         for field, pt in ((pc.Q, qpt), (pc.FP, _reduce(qpt))):
             fg, fh = pc.PointFrame(g, pt, field), pc.PointFrame(h, pt, field)

@@ -15,6 +15,8 @@ from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
     MODE_SAMPLED,
     MODE_SYMBOLIC,
+    T_NAMES,
+    _check_operator,
     _sample,
     default_mode,
     exactness_check,
@@ -100,8 +102,8 @@ def test_sampled_and_symbolic_agree_conditionwise():
     z = MultiPoly.zero(2)
     bad = LinearMetric(2, PolyMatrix([[u1, z], [z, u2]]))
     for h in (gt, bad):
-        sym = theorem2_conditions(g, h, mode=MODE_SYMBOLIC)
-        smp = theorem2_conditions(g, h, mode=MODE_SAMPLED, seed=4)
+        sym = theorem2_conditions(g, h)
+        smp = theorem2_conditions(g, h, seed=4)
         for c1 in sym.conditions:
             c2 = smp.condition(c1.name)
             assert c1.passed == c2.passed, c1.name
@@ -132,17 +134,23 @@ def test_symbolic_mode_is_sampled_mode_plus_proofs():
     assert verdicts == {True, False} and at_points
 
 
-def test_proof_catches_a_failure_the_scan_misses():
-    # the Nijenhuis torsion of this Killing-space pencil, (-9 u1 - 9/2, 9 u2),
-    # vanishes at (-1/2, 0): a scan of that point alone passes, and symbolic
-    # mode's proof still finds the failure, with a witness that has no point
+def _killing_pencil():
+    """A failing Killing-space pencil over the antidiagonal metric, whose
+    Nijenhuis torsion (-9 u1 - 9/2, 9 u2) vanishes at (-1/2, 0)."""
     u1, u2 = u_vars(2)
     g = LinearMetric.antidiagonal(2)
     off = u1 * Fraction(-3, 4) + u2 * Fraction(3, 2) + Fraction(1, 2)
-    h = LinearMetric(2, PolyMatrix([[u1 * -3 + Fraction(-3, 2), off], [off, u2 * Fraction(3, 2)]]))
+    return g, LinearMetric(2, PolyMatrix([[u1 * -3 + Fraction(-3, 2), off], [off, u2 * Fraction(3, 2)]]))
+
+
+def test_proof_catches_a_failure_the_scan_misses():
+    # a scan of (-1/2, 0) alone has no Nijenhuis hit, and the proof still
+    # finds the failure, with a witness that has no point
+    g, h = _killing_pencil()
     points = [[Fraction(-1, 2), Fraction(0)]]
-    assert theorem2_conditions(g, h, MODE_SAMPLED, points=points).verdict
-    rep = theorem2_conditions(g, h, MODE_SYMBOLIC, points=points)
+    fg, fh = (pc.PointFrame(m, points[0]) for m in (g, h))
+    assert pc.nijenhuis_at(fh, fg) is None
+    rep = theorem2_conditions(g, h, points=points)
     assert rep.failed_names() == ["nijenhuis"]
     w = rep.condition("nijenhuis").witness
     assert w.indices == (1, 1, 2) and w.residual == "-9/1*u1 + -9/2" and w.point is None
@@ -151,25 +159,59 @@ def test_proof_catches_a_failure_the_scan_misses():
     scanned = verify_operator(OperatorSpec([g, h]))
     assert scanned.condition("nijenhuis").witness.point
     proven = mokhov_conditions(g, h, MODE_SYMBOLIC, points=[]).conditions
-    proven += theorem2_conditions(g, h, MODE_SYMBOLIC, points=[]).conditions
+    proven += theorem2_conditions(g, h, points=[]).conditions
     assert [c.passed for c in proven] == [c.passed for c in scanned.conditions]
     assert not scanned.verdict
     assert all(c.witness.point is None for c in proven if not c.passed)
 
 
+def test_sampled_mode_proves_the_mokhov_side_when_the_triple_fails():
+    # with no scan point at all, the triple fails by its proofs while the
+    # sampled Mokhov side has nothing to test: verify then proves the Mokhov
+    # side too, and the criteria agree (no DisagreementBug)
+    g, h = _killing_pencil()
+    spec = OperatorSpec([g, h])
+    rep = _check_operator(spec, MODE_SAMPLED, 0, [], pc.FrameCache(pc.FP))
+    assert rep.mode == MODE_SAMPLED and not rep.verdict
+    assert "nijenhuis" in rep.failed_names() and "T1" in rep.failed_names()
+    assert all(c.witness.point is None for c in rep.conditions if not c.passed)
+    proven = _check_operator(spec, MODE_SYMBOLIC, 0, [], pc.FrameCache(pc.FP))
+    assert rep.conditions == proven.conditions
+
+
+def test_triple_is_the_same_in_both_modes():
+    # both modes scan the triple at the first SCAN_POINTS points of the
+    # seed's sample and prove what passed there, so its ConditionResults,
+    # witnesses included, do not depend on the mode: d = 2 corpus pairs, and
+    # the d = 3 specs of test_unordered_pairs_give_the_ordered_pairs_verdict
+    specs, verdicts = [], set()
+    for n, seed in ((2, 61), (3, 62)):
+        g, hs = corpus_pairs(n, random.Random(seed), raw=3, killing=3, family=2, constant=1)
+        specs += [OperatorSpec([g, h]) for h in hs]
+    for n, seed in ((2, 1), (3, 3)):
+        g, hs = corpus_pairs(n, random.Random(seed), raw=2, killing=2, family=3, constant=2)
+        specs += [OperatorSpec([g, h1, h2]) for h1, h2 in itertools.combinations(hs, 2)]
+    for spec in specs:
+        sym, smp = (verify_operator(spec, mode) for mode in (MODE_SYMBOLIC, MODE_SAMPLED))
+        triple = slice(len(T_NAMES) + 2 if spec.d == 2 else 0, None)
+        assert sym.conditions[triple] == smp.conditions[triple]
+        verdicts.add(smp.verdict)
+    assert verdicts == {True, False}
+
+
 def test_degenerate_bivector_is_decided_without_points():
-    # no sample point makes diag(u1, 0) invertible: symbolic mode skips the
-    # scan and proves each condition, sampled mode has no point to test
+    # no sample point makes diag(u1, 0) invertible: theorem2_conditions
+    # skips the scan and proves each condition
     u1, _ = u_vars(2)
     z = MultiPoly.zero(2)
     g = LinearMetric.antidiagonal(2)
     h = PolyMatrix([[u1, z], [z, z]])
-    rep = theorem2_conditions(g, h, MODE_SYMBOLIC)
+    with pytest.raises(DegenerateEverywhere):
+        pc.sample_points(2, [g, LinearMetric(2, h, check_nondegenerate=False)], 0)
+    rep = theorem2_conditions(g, h)
     assert rep.failed_names() == ["killing"]
     w = rep.condition("killing").witness
     assert (w.indices, w.residual, w.point) == ((1, 1, 2), "1/1", None)
-    with pytest.raises(DegenerateEverywhere):
-        theorem2_conditions(g, h, MODE_SAMPLED)
 
 
 @pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
@@ -244,16 +286,16 @@ def test_unordered_pairs_give_the_ordered_pairs_verdict(mode):
             ordered = all(
                 r.passed
                 for gb, gc in itertools.permutations(spec.metrics, 2)
-                for r in pair_conditions(gc, gb, mode, points, cache)
+                for r in pair_conditions(gc, gb, points, cache)
             )
             verdicts.append(verify_operator(spec, mode).verdict)
             assert verdicts[-1] == ordered, (n, mode)
     assert set(verdicts) == {True, False}
 
 
-def test_default_mode_is_symbolic_up_to_n7():
-    assert default_mode(7) == MODE_SYMBOLIC
-    assert default_mode(8) == MODE_SAMPLED
+def test_default_mode_is_symbolic_up_to_n8():
+    assert default_mode(8) == MODE_SYMBOLIC
+    assert default_mode(9) == MODE_SAMPLED
 
 
 def test_verify_operator_merges_both_criteria():
