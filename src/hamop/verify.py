@@ -31,18 +31,23 @@ and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
 failure found there carries a witness with no point.
 
 The linearity / Nijenhuis / Killing triple is always proven, after a scan
-of the first SCAN_POINTS points of the seed's sample.  flat(g1) of the
-constant first metric is exact in every mode: flatness_witness decides it,
-or a point scan of a metric whose derivatives all vanish.  The mode decides
-only how the d = 2 Mokhov cross-check (flat(g2), T1..T5) runs.  In
-symbolic mode (the default for n <= 8, where it is also the faster mode) it
-runs like the triple.  In sampled mode (larger n) it scans all SAMPLE_COUNT
-points and a pass is not proven: it means every tested value is 0 mod p,
-which, besides the Schwartz-Zippel risk of sampling, errs only where a
-nonzero rational value is divisible by p.  So the Mokhov point scan is the
-one step of a verdict that is not exact, and the verdict itself always is:
-when the triple fails and the sampled Mokhov side passes every point, that
-side is rerun symbolically before the criteria are compared.
+of the first SCAN_POINTS points of the seed's sample, and on d = 2 input it
+runs first.  flat(g1) of the constant first metric is exact in every mode:
+flatness_witness decides it, or a point scan of a metric whose derivatives
+all vanish.  The mode decides only how the d = 2 Mokhov cross-check
+(flat(g2), T1..T5) runs.  In symbolic mode (the default for n <= 8, where
+it is also the faster mode) it is proven, and scanned at the triple's points
+first only when the triple failed.  That skips no check: by the paper's
+theorem a proven triple means every Mokhov condition holds, and a scan hit
+is certified, a nonzero rational value, so after a passing triple a hit
+could only end in DisagreementBug, which the proofs raise just the same.
+In sampled mode (larger n) the Mokhov side scans all SAMPLE_COUNT points,
+whatever the triple gave, and a pass is not proven: it means every tested
+value is 0 mod p, which, besides the Schwartz-Zippel risk of sampling, errs
+only where a nonzero rational value is divisible by p.  So the Mokhov point
+scan is the one step of a verdict that is not exact, and the verdict itself
+always is: when the triple fails and the sampled Mokhov side passes every
+point, that side is rerun symbolically before the criteria are compared.
 
 A point where a frame cannot be built mod p (a metric singular mod p there,
 or a coefficient denominator that is not a unit mod p) is scanned over Q
@@ -385,28 +390,39 @@ def verify_operator(
 ) -> VerificationReport:
     """Full Hamiltonianity verification of an operator spec.
 
-    2D: obstruction-tensor and linearity/Nijenhuis/Killing criteria both run
-    and must agree (DisagreementBug otherwise).  d >= 3: flatness of the
-    (constant) first metric plus the pairwise conditions of each unordered
-    pair, against its earlier metric.  The triple is proven in every mode;
-    ``mode`` (default: default_mode(n)) says how the 2D Mokhov cross-check
-    runs.
+    2D: the linearity/Nijenhuis/Killing triple runs first, then the
+    obstruction-tensor criterion, and the two must agree (DisagreementBug
+    otherwise).  d >= 3: flatness of the (constant) first metric plus the
+    pairwise conditions of each unordered pair, against its earlier metric.
+    The triple is proven in every mode; ``mode`` (default: default_mode(n))
+    says how the 2D Mokhov cross-check runs: proven, and scanned first only
+    after a failing triple (symbolic), or scanned at SAMPLE_COUNT points
+    (sampled).
     """
     if not spec.metrics[0].is_constant():
         raise FirstMetricNotConstant(
             "operator spec must present the first metric in constant form"
         )
     mode = mode or default_mode(spec.n)
-    points = _sample(spec.nvars, spec.metrics, mode, seed)
+    # only the d = 2 sampled Mokhov scan reads past the first SCAN_POINTS
+    points = _sample(spec.nvars, spec.metrics, mode if spec.d == 2 else MODE_SYMBOLIC, seed)
     return _check_operator(spec, mode, seed, points, pc.FrameCache(pc.FP))
 
 
 def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
+    """verify_operator at the seed's ``points``: the triple and the d >= 3
+    pairs scan their first SCAN_POINTS; the d = 2 Mokhov side scans all of
+    them in sampled mode, the same SCAN_POINTS in symbolic mode after a
+    failing triple, and none after a passing one.  ``report.conditions``
+    lists the Mokhov conditions before the triple's."""
     report = VerificationReport(spec.n, spec.d, mode, seed)
     scan = points[:SCAN_POINTS]
     if spec.d == 2:
-        mok = mokhov_conditions(spec.g, spec.gt, mode, seed, points, cache)
         th2 = theorem2_conditions(spec.g, spec.gt, seed, scan, cache)
+        # after a proven triple a symbolic Mokhov scan cannot hit (the
+        # paper's theorem; a hit is certified), so it goes to its proofs
+        mok_points = () if th2.verdict and mode == MODE_SYMBOLIC else points
+        mok = mokhov_conditions(spec.g, spec.gt, mode, seed, mok_points, cache)
         if mok.verdict and not th2.verdict and mode == MODE_SAMPLED:
             # the Mokhov side passed every point: prove it
             mok = mokhov_conditions(spec.g, spec.gt, MODE_SYMBOLIC, seed, scan, cache)

@@ -1,5 +1,10 @@
 """Byte-exact ``hamop verify`` and ``hamop classify`` JSON reports.
 
+The spec of a catalog entry under ``golden/`` can be written by
+
+    python -m hamop.cli catalog --id <case> --output json \
+        --out golden/<case>.spec.json
+
 Each verify report under ``golden/`` was written by
 
     python -m hamop.cli verify golden/<case>.spec.json --output json \
@@ -12,7 +17,9 @@ and each classify report by
 
 The cases cover a passing catalog entry (mokhov-n3), a d = 3 entry
 (thm5-3d-1), a passing n = 6 entry in default (symbolic) and in sampled mode
-(mokhov-n6), and three failing specs in default and in sampled mode: an
+(mokhov-n6), a passing n = 4 entry with Segre type [2,2] in default mode
+(s22-case2-b4p, whose Mokhov side is proven without a scan after its triple
+passes), and three failing specs in default and in sampled mode: an
 n = 2 and an n = 3 pencil (witnesses in eight conditions), and an n = 2,
 d = 3 spec (one linearity / Nijenhuis / Killing triple per unordered pair,
 with witnesses against the constant and against a non-constant reference
@@ -45,6 +52,7 @@ CASES = [
     ("thm5-3d-1", "thm5-3d-1", []),
     ("mokhov-n6", "mokhov-n6", []),
     ("mokhov-n6", "mokhov-n6.sampled", ["--mode", "sampled"]),
+    ("s22-case2-b4p", "s22-case2-b4p", []),
     ("pencil-n3-raw", "pencil-n3-raw", []),
     ("pencil-n3-raw", "pencil-n3-raw.sampled", ["--mode", "sampled"]),
     ("pencil-n2-d3", "pencil-n2-d3", []),

@@ -6,7 +6,8 @@ import pytest
 
 from hamop.catalog import catalog, exampleN_operator, get_entry, theorem5_3d_operators
 from hamop import pointcheck as pc
-from hamop.errors import DegenerateEverywhere, FirstMetricNotConstant
+from hamop import verify as vf
+from hamop.errors import DegenerateEverywhere, DisagreementBug, FirstMetricNotConstant
 from hamop.geometry import killing_stream, nijenhuis_stream
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
@@ -15,6 +16,7 @@ from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
     MODE_SAMPLED,
     MODE_SYMBOLIC,
+    SCAN_POINTS,
     T_NAMES,
     _check_operator,
     _sample,
@@ -114,9 +116,11 @@ def test_sampled_and_symbolic_agree_conditionwise():
 
 
 def test_symbolic_mode_is_sampled_mode_plus_proofs():
-    # symbolic mode scans the first SCAN_POINTS points of the seed's sample
-    # and proves what passed there, so per condition it agrees with sampled
-    # mode, and a failure found at a scan point carries the sampled witness
+    # symbolic mode scans the triple at the first SCAN_POINTS points of the
+    # seed's sample, and the Mokhov side there too when the triple fails
+    # (after a passing triple it has nothing to find at a point), and it
+    # proves what passed, so per condition it agrees with sampled mode, and
+    # a failure found at a scan point carries the sampled witness
     verdicts, at_points = set(), 0
     for n, seed in ((2, 61), (3, 62)):
         g, hs = corpus_pairs(n, random.Random(seed), raw=3, killing=3, family=2, constant=1)
@@ -177,6 +181,89 @@ def test_sampled_mode_proves_the_mokhov_side_when_the_triple_fails():
     assert all(c.witness.point is None for c in rep.conditions if not c.passed)
     proven = _check_operator(spec, MODE_SYMBOLIC, 0, [], pc.FrameCache(pc.FP))
     assert rep.conditions == proven.conditions
+
+
+def _passing_specs():
+    """operator5_pair and the mokhov-n3 catalog entry: d = 2, both pass."""
+    e = get_entry("mokhov-n3")
+    values = default_param_values(e.spec)
+    return [OperatorSpec(list(operator5_pair())),
+            specialize_spec(e.spec, values) if values else e.spec]
+
+
+def _refuse(*args):
+    raise AssertionError("Mokhov point kernel evaluated")
+
+
+def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
+    # the triple runs first; once it is proven, a Mokhov scan hit would be
+    # a certified nonzero value against the paper's theorem, so symbolic
+    # mode proves flat(g2) and T1..T5 without evaluating them at a point
+    specs = _passing_specs()
+    reports = [verify_operator(spec).to_dict() for spec in specs]
+    monkeypatch.setattr(pc, "mokhov_at", _refuse)
+    monkeypatch.setattr(pc, "flat_at", _refuse)
+    for spec, expected in zip(specs, reports):
+        rep = verify_operator(spec, MODE_SYMBOLIC)
+        assert rep.verdict and rep.to_dict() == expected
+
+
+def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
+    # the proofs that replace the scan still cross-check the triple: a
+    # nonzero T3 or flat(g2) residual on a passing spec raises
+    g, h = operator5_pair()
+    spec = OperatorSpec([g, h])
+    t_streams = vf._t_streams
+
+    def t3_fails(g, h):
+        return {**t_streams(g, h), "T3": [((1, 1, 1), 1)]}
+
+    with monkeypatch.context() as m:
+        m.setattr(vf, "_t_streams", t3_fails)
+        with pytest.raises(DisagreementBug, match="criteria disagree"):
+            verify_operator(spec, MODE_SYMBOLIC)
+    witness = vf.flatness_witness
+    monkeypatch.setattr(
+        vf, "flatness_witness", lambda m: ((1, 2, 1, 2), 1) if m is h else witness(m)
+    )
+    with pytest.raises(DisagreementBug, match="criteria disagree"):
+        verify_operator(spec, MODE_SYMBOLIC)
+
+
+def test_sampled_mode_scans_mokhov_at_every_point_after_a_passing_triple(monkeypatch):
+    # sampled mode does not prove the Mokhov side: its scan of all
+    # SAMPLE_COUNT points is the cross-check there
+    calls = []
+    mokhov_at = pc.mokhov_at
+
+    def counted(fg, fh):
+        calls.append(fg.point)
+        return mokhov_at(fg, fh)
+
+    monkeypatch.setattr(pc, "mokhov_at", counted)
+    rep = verify_operator(_passing_specs()[1], MODE_SAMPLED)
+    assert rep.verdict and len(calls) == pc.SAMPLE_COUNT
+
+
+@pytest.mark.parametrize("spec, count", [
+    (theorem5_3d_operators()[0], SCAN_POINTS),
+    (OperatorSpec(list(operator5_pair())), pc.SAMPLE_COUNT),
+], ids=["d3", "d2"])
+def test_sampled_mode_draws_only_the_points_it_reads(monkeypatch, spec, count):
+    # only the d = 2 sampled Mokhov scan reads past the first SCAN_POINTS
+    # points; the seeded draw is a prefix, so fewer points change nothing
+    draws = []
+    sample_points = pc.sample_points
+
+    def counted(nvars, metrics, seed, count=pc.SAMPLE_COUNT, field=pc.Q):
+        draws.append(count)
+        return sample_points(nvars, metrics, seed, count, field)
+
+    monkeypatch.setattr(pc, "sample_points", counted)
+    rep = verify_operator(spec, MODE_SAMPLED)
+    assert rep.verdict and draws == [count]
+    assert sample_points(spec.nvars, spec.metrics, 0, SCAN_POINTS) == \
+        sample_points(spec.nvars, spec.metrics, 0)[:SCAN_POINTS]
 
 
 def test_triple_is_the_same_in_both_modes():
