@@ -31,6 +31,7 @@ from .catalog import catalog, find_entries
 from .errors import (
     DegenerateEverywhere,
     DisagreementBug,
+    FirstMetricNotConstant,
     HamopError,
     ScalingNotNormalized,
     SingleMetric,
@@ -202,6 +203,10 @@ def cmd_classify(args) -> int:
     except UNSUPPORTED as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except FirstMetricNotConstant as ex:
+        # as in verify: the spec file breaks the input contract
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     fits = interpolate_affine_eigenvalues(report, spec.n, spec.nvars)
     matches = [
         e.id

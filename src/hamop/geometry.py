@@ -400,6 +400,9 @@ def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
     return ObstructionTensor(n, t, raise_obstruction(g, h, t, zero))
 
 
+T_NAMES = ("T1", "T2", "T3", "T4", "T5")
+
+
 def mokhov_identities(raised, T, dRaised, gamma_g, gamma_h, n: int, red):
     """Mokhov's obstruction identities T1..T5 on the raised obstruction
     tensor R^{ijk} = g^{ir} h^{ks} T^j_{rs} (arXiv 1312.0475, section 2):
@@ -459,11 +462,7 @@ def mokhov_identities(raised, T, dRaised, gamma_g, gamma_h, n: int, red):
                                 acc = acc + gm[k][r][l] * R[i][j][l]
                         yield (r + 1, i + 1, j + 1, k + 1), red(acc)
 
-    yield "T1", t1()
-    yield "T2", t2()
-    yield "T3", t3()
-    yield "T4", covariant(gamma_g)
-    yield "T5", covariant(gamma_h)
+    yield from zip(T_NAMES, (t1(), t2(), t3(), covariant(gamma_g), covariant(gamma_h)))
 
 
 def lie_derivative_bivector(h, X: list, n: int | None = None) -> PolyMatrix:

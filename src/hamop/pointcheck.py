@@ -10,6 +10,17 @@ point values (and the derivative each needs) to the one statement of their
 condition in ``geometry`` (``riemann_components``, ``mokhov_identities``,
 ``nijenhuis_components``, ``killing_components``, ``hessian_components``),
 written once for every scalar representation, and return its first hit.
+
+The jets are computed as a condition reads them, in both fields and by the
+same formulas.  ``PointFrame`` builds G^-1, its first derivatives and the
+Christoffel symbols whole on first read, the second derivatives of G^-1 one
+direction r at a time, and d_r Gamma^i_{jk} one entry at a time;
+``obstruction_at`` builds T and the raised tensor whole and their
+derivatives one direction at a time.  A stream that stops at its first
+failing component so computes no jet past it: the Q recomputation of a
+certified hit (see ``verify._scan_points``) pays for the entries its
+witness reads, and a passing F_p scan reads every entry once.
+
 There are two fields:
 
 * ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
@@ -35,10 +46,12 @@ pins the symbolic and the point feeds component by component.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import DegenerateEverywhere, NonUnitDenominator
 from .geometry import (
+    T_NAMES,
     hessian_components,
     killing_components,
     mokhov_identities,
@@ -103,7 +116,16 @@ def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, fie
 
 
 class PointFrame:
-    """Jets of one linear metric at one point, computed lazily."""
+    """Jets of one linear metric at one point.
+
+    G (the bivector) and A[r] = d_r G are evaluated on construction.  Every
+    other jet is computed on first read and memoised: G^-1, its first
+    derivatives dGinv and the Christoffel symbols Gamma whole; the second
+    derivatives d_r d_m G^-1 one direction r at a time (``ddGinv(r)``, a
+    slice of n matrices); d_r Gamma^i_{jk} one entry at a time
+    (``dgamma``).  A kernel that stops at its first failing component, like
+    the recomputation of a certified hit over Q, so pays only for the
+    slices and entries it read."""
 
     def __init__(self, g: LinearMetric, point, field=Q):
         self.F = field
@@ -116,9 +138,11 @@ class PointFrame:
         )
         self._ginv = None
         self._dginv = None
-        self._ddginv = None
         self._gamma = None
-        self._dgamma = None
+        self._ai = None  # A[k] Ginv, set with dGinv
+        self._dd = {}  # (r, m), r <= m -> d_r d_m Ginv
+        self._chris = {}  # None, or a direction r -> _first_kind(r)
+        self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk}
 
     @property
     def Ginv(self):
@@ -134,33 +158,30 @@ class PointFrame:
         if self._dginv is None:
             F, n = self.F, self.n
             if self.constant:
-                self._dginv = _zeros(F, n, n, n)
+                self._ai = self._dginv = _zeros(F, n, n, n)
             else:
+                # d_k Ginv = -Ginv A[k] Ginv; A[k] Ginv is kept for ddGinv
                 inv = self.Ginv
-                self._dginv = [
-                    _mat_neg(F, mat_mul(inv, mat_mul(self.A[k], inv, F), F))
-                    for k in range(n)
-                ]
+                self._ai = [mat_mul(a, inv, F) for a in self.A]
+                self._dginv = [_mat_neg(F, mat_mul(inv, ai, F)) for ai in self._ai]
         return self._dginv
 
-    @property
-    def ddGinv(self):
-        if self._ddginv is None:
-            F, n = self.F, self.n
-            if self.constant:
-                self._ddginv = _zeros(F, n, n, n, n)
-            else:
-                # d_r d_m Ginv = -(d[r] A[m] Ginv + Ginv A[m] d[r]), and
-                # Ginv A[m] d[r] = d[m] A[r] Ginv as d[r] = -Ginv A[r] Ginv
-                inv = self.Ginv
-                d = self.dGinv
-                AI = [mat_mul(a, inv, F) for a in self.A]
-                B = [[mat_mul(d[r], AI[m], F) for m in range(n)] for r in range(n)]
-                self._ddginv = [
-                    [_mat_neg(F, _mat_add(F, B[r][m], B[m][r])) for m in range(n)]
-                    for r in range(n)
-                ]
-        return self._ddginv
+    def ddGinv(self, r):
+        """[d_r d_m Ginv for m in 0..n-1], the slice of direction r."""
+        return [self._ddpair(min(r, m), max(r, m)) for m in range(self.n)]
+
+    def _ddpair(self, r, m):
+        # d_r d_m Ginv = -(B + B^T) with B = d[r] A[m] Ginv: d[r] = -Ginv
+        # A[r] Ginv with Ginv and A[m] symmetric makes B^T = d[m] A[r] Ginv.
+        # One product per unordered pair, shared by the slices r and m
+        dd = self._dd.get((r, m))
+        if dd is None:
+            F, rng = self.F, range(self.n)
+            B = mat_mul(self.dGinv[r], self._ai[m], F)
+            dd = self._dd[r, m] = [
+                [F.red(-(B[a][b] + B[b][a])) for b in rng] for a in rng
+            ]
+        return dd
 
     @property
     def Gamma(self):
@@ -169,64 +190,50 @@ class PointFrame:
             if self.constant:
                 self._gamma = _zeros(F, n, n, n)
             else:
-                red, half = F.red, F.half
-                G = self.G
-                d = self.dGinv
+                red, half, rng = F.red, F.half, range(n)
+                G, C = self.G, self._first_kind(None)
                 self._gamma = [
                     [
-                        [
-                            red(
-                                half
-                                * sum(
-                                    G[i][l] * (d[j][l][k] + d[k][l][j] - d[l][j][k])
-                                    for l in range(n)
-                                )
-                            )
-                            for k in range(n)
-                        ]
-                        for j in range(n)
+                        [red(half * sum(G[i][l] * C[l][j][k] for l in rng)) for k in rng]
+                        for j in rng
                     ]
-                    for i in range(n)
+                    for i in rng
                 ]
         return self._gamma
 
-    @property
-    def dGamma(self):
-        if self._dgamma is None:
-            F, n = self.F, self.n
-            if self.constant:
-                self._dgamma = _zeros(F, n, n, n, n)
-            else:
-                red, half = F.red, F.half
-                G, A = self.G, self.A
-                d, dd = self.dGinv, self.ddGinv
-                self._dgamma = [
-                    [
-                        [
-                            [
-                                red(
-                                    half
-                                    * sum(
-                                        A[r][i][l]
-                                        * (d[j][l][k] + d[k][l][j] - d[l][j][k])
-                                        + G[i][l]
-                                        * (
-                                            dd[r][j][l][k]
-                                            + dd[r][k][l][j]
-                                            - dd[r][l][j][k]
-                                        )
-                                        for l in range(n)
-                                    )
-                                )
-                                for k in range(n)
-                            ]
-                            for j in range(n)
-                        ]
-                        for i in range(n)
-                    ]
-                    for r in range(n)
-                ]
-        return self._dgamma
+    def _first_kind(self, r):
+        """C[l][j][k] = d[j][l][k] + d[k][l][j] - d[l][j][k], twice the
+        Christoffel symbols of the first kind, with d = dGinv (r = None), or
+        its derivative d_r, with d = ddGinv(r); memoised."""
+        C = self._chris.get(r)
+        if C is None:
+            red, rng = self.F.red, range(self.n)
+            d = self.dGinv if r is None else self.ddGinv(r)
+            C = self._chris[r] = [
+                [[red(d[j][l][k] + d[k][l][j] - d[l][j][k]) for k in rng] for j in rng]
+                for l in rng
+            ]
+        return C
+
+    def dgamma(self, r, i, j, k):
+        """d_r Gamma^i_{jk} = (A[r]^{il} C[l][j][k] + G^{il} d_r C[l][j][k]) / 2,
+        memoised (it is symmetric in j, k)."""
+        if j > k:
+            j, k = k, j
+        v = self._dgamma.get((r, i, j, k))
+        if v is None:
+            v = self._dgamma[r, i, j, k] = self._dgamma_entry(r, i, j, k)
+        return v
+
+    def _dgamma_entry(self, r, i, j, k):
+        F = self.F
+        if self.constant:
+            return F.of(0)
+        C, dC = self._first_kind(None), self._first_kind(r)
+        Ar, G = self.A[r][i], self.G[i]
+        return F.red(
+            F.half * sum(Ar[l] * C[l][j][k] + G[l] * dC[l][j][k] for l in range(self.n))
+        )
 
 
 class FrameCache:
@@ -282,14 +289,14 @@ def flat_at(f: PointFrame):
     """First failing (indices, residual) of R = 0, or None."""
     if f.constant:
         return None
-    dG = f.dGamma
-    return _first(
-        riemann_components(f.Gamma, lambda r, i, j, k: dG[r][i][j][k], f.n, f.F.red)
-    )
+    return _first(riemann_components(f.Gamma, f.dgamma, f.n, f.F.red))
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
-    """(T, dT, raised, dRaised) at the point."""
+    """(T, raised, dT, dRaised) at the point: T^i_{jk} and the raised
+    R^{ijk} = Gg^{ia} Gh^{kb} T^j_{ab} whole, and their derivatives in one
+    direction as memoised slices, dT(r)[i][j][k] = d_r T^i_{jk} and
+    dRaised(r)[i][j][k] = d_r R^{ijk}."""
     n = fg.n
     red = fg.F.red
     Gg, Gh = fg.G, fh.G
@@ -299,16 +306,6 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
             for j in range(n)
         ]
         for i in range(n)
-    ]
-    dT = [
-        [
-            [
-                [red(fh.dGamma[r][i][j][k] - fg.dGamma[r][i][j][k]) for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for r in range(n)
     ]
     rng = range(n)
     # staged contractions keep every sum at O(n) terms
@@ -327,25 +324,30 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
         [[red(sum(Gh[k][b] * T[j][a][b] for b in rng)) for k in rng] for a in rng]
         for j in rng
     ]
-    # V[r][i][j][b] = Gg[i][a] dT[r][j][a][b]
-    V = [
-        [
-            [
-                [red(sum(Gg[i][a] * dT[r][j][a][b] for a in rng)) for b in rng]
-                for j in rng
-            ]
+
+    @functools.cache
+    def dT(r):
+        dh, dg = fh.dgamma, fg.dgamma
+        return [
+            [[red(dh(r, i, j, k) - dg(r, i, j, k)) for k in rng] for j in rng]
             for i in rng
         ]
-        for r in rng
-    ]
-    dRaised = [
-        [
+
+    @functools.cache
+    def dRaised(r):
+        dTr, Agr, Ahr = dT(r), Ag[r], Ah[r]
+        # V[i][j][b] = Gg[i][a] dT[r][j][a][b]
+        V = [
+            [[red(sum(Gg[i][a] * dTr[j][a][b] for a in rng)) for b in rng] for j in rng]
+            for i in rng
+        ]
+        return [
             [
                 [
                     red(
-                        sum(Ag[r][i][a] * M1[j][a][k] for a in rng)
-                        + sum(W[i][j][b] * Ah[r][k][b] for b in rng)
-                        + sum(V[r][i][j][b] * Gh[k][b] for b in rng)
+                        sum(Agr[i][a] * M1[j][a][k] for a in rng)
+                        + sum(W[i][j][b] * Ahr[k][b] for b in rng)
+                        + sum(V[i][j][b] * Gh[k][b] for b in rng)
                     )
                     for k in rng
                 ]
@@ -353,22 +355,29 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
             ]
             for i in rng
         ]
-        for r in rng
-    ]
-    return T, dT, raised, dRaised
+
+    return T, raised, dT, dRaised
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):
-    """Yield (name, hit) for T1..T5 at the frames' point, in order; a hit is
-    (indices, residual) of the first failing index tuple, or None."""
-    T, _, raised, dRaised = obstruction_at(fg, fh)
+    """Yield (name, thunk) for T1..T5 at the frames' point, in order;
+    ``thunk()`` is the hit, (indices, residual) of the first failing index
+    tuple, or None.  The obstruction tensor is built by the first thunk
+    called, and only the dRaised slices that T4 and T5 read are."""
 
-    def d_raised(r, i, j, k):
-        return dRaised[r][i][j][k]
+    @functools.cache
+    def streams():
+        T, raised, _, dRaised = obstruction_at(fg, fh)
 
-    ids = mokhov_identities(raised, T, d_raised, fg.Gamma, fh.Gamma, fg.n, fg.F.red)
-    for name, stream in ids:
-        yield name, _first(stream)
+        def d_raised(r, i, j, k):
+            return dRaised(r)[i][j][k]
+
+        return dict(
+            mokhov_identities(raised, T, d_raised, fg.Gamma, fh.Gamma, fg.n, fg.F.red)
+        )
+
+    for name in T_NAMES:
+        yield name, lambda name=name: _first(streams()[name])
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
@@ -395,15 +404,18 @@ def linearity_at(fgamma: PointFrame, fh: PointFrame):
     respect to the frame's connection."""
     rng = range(fh.n)
     H, Ah = fh.G, fh.A
-    G, dG = fgamma.Gamma, fgamma.dGamma
+    G = fgamma.Gamma
+
+    @functools.cache
+    def dG(r, i, s):
+        # [d_r Gamma^i_{sm} for every m], read n times per row
+        return [fgamma.dgamma(r, i, s, m) for m in rng]
 
     def dC(C, r, s, i, j):
         # product rule on C[s]^{ij}; d_r d_s h = 0 as h is linear
+        dGi, dGj, Gi, Gj, Ar = dG(r, i, s), dG(r, j, s), G[i][s], G[j][s], Ah[r]
         return sum(
-            dG[r][i][s][m] * H[m][j]
-            + G[i][s][m] * Ah[r][m][j]
-            + dG[r][j][s][m] * H[i][m]
-            + G[j][s][m] * Ah[r][i][m]
+            dGi[m] * H[m][j] + Gi[m] * Ar[m][j] + dGj[m] * H[i][m] + Gj[m] * Ar[i][m]
             for m in rng
         )
 

@@ -43,6 +43,11 @@ def _rational(text, where: str) -> Fraction:
         raise SpecFileError(f"{where}: bad rational {text!r}: {ex}") from None
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, though bool is an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_operator_spec(data) -> OperatorSpec:
     """Parse and validate a spec file (dict, JSON text, or path)."""
     if isinstance(data, str):
@@ -59,9 +64,9 @@ def load_operator_spec(data) -> OperatorSpec:
         if req not in data:
             raise SpecFileError(f"missing field {req!r}")
     n, d = data["n"], data["d"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecFileError("n must be a positive integer")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise SpecFileError("d must be a positive integer")
     variables = data.get("variables")
     if variables is not None:
@@ -85,7 +90,11 @@ def load_operator_spec(data) -> OperatorSpec:
         const = mraw.get("constant")
         if const is None:
             raise SpecFileError(f"{where}: missing constant matrix")
-        if len(const) != n or any(len(row) != n for row in const):
+        if (
+            not isinstance(const, list)
+            or len(const) != n
+            or any(not isinstance(row, list) or len(row) != n for row in const)
+        ):
             raise SpecFileError(f"{where}: constant matrix must be {n}x{n}")
         g0 = [
             [_rational(const[i][j], f"{where}.constant[{i}][{j}]") for j in range(n)]
@@ -99,7 +108,10 @@ def load_operator_spec(data) -> OperatorSpec:
                     )
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         seen = set()
-        for t, entry in enumerate(mraw.get("linear", [])):
+        linear = mraw.get("linear", [])
+        if not isinstance(linear, list):
+            raise SpecFileError(f"{where}: linear must be a list of entries")
+        for t, entry in enumerate(linear):
             ew = f"{where}.linear[{t}]"
             if not isinstance(entry, dict):
                 raise SpecFileError(f"{ew}: must be an object")
@@ -111,7 +123,7 @@ def load_operator_spec(data) -> OperatorSpec:
             except KeyError as ex:
                 raise SpecFileError(f"{ew}: missing {ex}") from None
             for name, v in (("i", i), ("j", j), ("k", k)):
-                if not isinstance(v, int) or not 1 <= v <= n:
+                if not _is_int(v) or not 1 <= v <= n:
                     raise SpecFileError(f"{ew}: index {name}={v!r} out of 1..{n}")
             slot = (min(i, j), max(i, j), k)
             if slot in seen:

@@ -24,7 +24,9 @@ runs it for the conditions that share a set of frames (the Mokhov
 conditions; the triple of a pair).  Each condition is first evaluated at
 seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).  A hit there
 is certified, since a nonzero residue proves a nonzero rational value, and
-its witness is recomputed over Q at that point.  A condition without a hit
+its witness is recomputed over Q at that point, which evaluates only the
+conditions that hit, and of each only the jets up to its first failing
+component (see pointcheck).  A condition without a hit
 is then decided by its exact identity: flatness_witness, the T1..T5 streams
 of geometry.mokhov_identities on the reduced rational obstruction tensor,
 and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
@@ -68,6 +70,7 @@ from dataclasses import dataclass, field
 from . import pointcheck as pc
 from .errors import DegenerateEverywhere, DisagreementBug, FirstMetricNotConstant
 from .geometry import (
+    T_NAMES,
     covariant_hessian,
     flatness_witness,
     killing_stream,
@@ -90,8 +93,6 @@ SCAN_POINTS = 2
 
 MODE_SYMBOLIC = "symbolic"
 MODE_SAMPLED = "sampled"
-
-T_NAMES = ("T1", "T2", "T3", "T4", "T5")
 
 
 @dataclass(frozen=True)
@@ -193,13 +194,16 @@ def _certified(name: str, pt, hit):
 
 
 def _hits(pairs, names) -> dict:
-    """name -> hit for each of ``names`` whose hit in the (name, hit)
-    ``pairs`` is not None; reading stops once every name has been seen."""
+    """name -> hit for each of ``names`` whose hit is not None.  ``pairs``
+    yields (name, thunk), and ``thunk()`` computes that condition's hit at
+    the point: it is called only for a name in ``names``, and reading stops
+    once every name has been seen, so no other condition is evaluated."""
     pending = set(names)
     hits = {}
-    for name, hit in pairs:
+    for name, thunk in pairs:
         if name in pending:
             pending.discard(name)
+            hit = thunk()
             if hit is not None:
                 hits[name] = hit
             if not pending:
@@ -210,12 +214,16 @@ def _hits(pairs, names) -> dict:
 def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[ConditionResult]:
     """The conditions named by ``proofs``, in its order, scanned at points
     together: ``fn(*frames)`` on the frames of ``metrics`` at a point yields
-    (name, hit) for them, a hit being (indices, value) or None.  A hit over
-    F_p is recomputed over Q at the same point for the witness, and points
-    are scanned until every condition has failed.  With ``prove`` (the
-    triple, and the Mokhov conditions in symbolic mode) a condition without
-    a hit is then decided by ``proofs[name]()``, its exact identity as a
-    lazy (indices, residual) stream; otherwise it passes on the points.  A
+    (name, thunk) for them, and ``thunk()`` gives the condition's hit there,
+    (indices, value) of its first failing component, or None.  At each point
+    only the conditions not yet decided are evaluated, over F_p; a hit is
+    recomputed over Q at the same point for the witness, and that Q pass
+    evaluates only the conditions that hit, on Q frames whose jets are
+    built as the hit's first failing component reads them.  Points are
+    scanned until every condition has failed.  With ``prove`` (the triple,
+    and the Mokhov conditions in symbolic mode) a condition without a hit
+    is then decided by ``proofs[name]()``, its exact identity as a lazy
+    (indices, residual) stream; otherwise it passes on the points.  A
     condition's first failing point and index tuple do not depend on which
     conditions share the scan."""
     decided = {}
@@ -262,9 +270,9 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
 
 
 def _mokhov_at(fg, fh):
-    """(name, hit) of flat(g1), flat(g2) and T1..T5 at a point."""
-    yield "flat(g1)", pc.flat_at(fg)
-    yield "flat(g2)", pc.flat_at(fh)
+    """(name, thunk) of flat(g1), flat(g2) and T1..T5 at a point."""
+    yield "flat(g1)", lambda: pc.flat_at(fg)
+    yield "flat(g2)", lambda: pc.flat_at(fh)
     yield from pc.mokhov_at(fg, fh)
 
 
@@ -336,10 +344,10 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
     proofs[kil] = lambda: killing_stream(g, hm, n)
 
     def at(fg, fh):
-        yield nij, pc.nijenhuis_at(fh, fg)
-        yield kil, pc.killing_at(fg, fh)
+        yield nij, lambda: pc.nijenhuis_at(fh, fg)
+        yield kil, lambda: pc.killing_at(fg, fh)
         if not flat:
-            yield lin, pc.linearity_at(fg, fh)
+            yield lin, lambda: pc.linearity_at(fg, fh)
 
     hw = _wrap_metric(h, g) if points else None
     return linearity + _scan_points(

@@ -250,3 +250,43 @@ def test_single_metric_spec(tmp_path, capsys, mode):
     assert main(["classify", path]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "error: a Segre type needs two metrics; the spec has d = 1\n"
+
+
+def _mutated(path, value):
+    """op5_file() with the node at ``path`` (keys and list indices) set to ``value``."""
+    data = op5_file()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("path, value, message", [
+    (("metrics", 0, "constant"), 5, "metrics[0]: constant matrix must be 2x2"),
+    (("metrics", 0, "constant"), [5, 6], "metrics[0]: constant matrix must be 2x2"),
+    (("metrics", 1, "linear"), 5, "metrics[1]: linear must be a list of entries"),
+    (("n",), True, "n must be a positive integer"),
+    (("d",), True, "d must be a positive integer"),
+    (("metrics", 1, "linear", 0, "i"), True, "metrics[1].linear[0]: index i=True out of 1..2"),
+], ids=["constant-int", "constant-int-rows", "linear-int", "n-true", "d-true", "index-true"])
+def test_spec_type_errors_exit2(tmp_path, capsys, command, path, value, message):
+    # a JSON value of the wrong type is a usage error, never an internal
+    # error, and true is not the integer 1
+    spec = write(tmp_path, "typed.json", _mutated(path, value))
+    assert main([command, spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_non_constant_first_metric_exit2(tmp_path, capsys, command):
+    # both commands need the first metric in constant form: a usage error
+    data = op5_file()
+    data["metrics"].reverse()
+    spec = write(tmp_path, "swapped.json", data)
+    assert main([command, spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "first metric" in err and "constant" in err

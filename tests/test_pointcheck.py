@@ -29,7 +29,9 @@ from hamop.poly import MultiPoly
 from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
     MODE_SAMPLED,
+    SCAN_POINTS,
     _check_operator,
+    _mokhov_at,
     _scan_points,
     constant_inverse,
     mokhov_conditions,
@@ -70,12 +72,19 @@ def test_fp_kernel_is_q_kernel_mod_p():
         assert fpt == _reduce(qpt), name
         qg, qh = pc.PointFrame(g, qpt), pc.PointFrame(h, qpt)
         fg, fh = pc.PointFrame(g, fpt, pc.FP), pc.PointFrame(h, fpt, pc.FP)
+        rng = range(g.n)
         for qf, ff in ((qg, fg), (qh, fh)):
-            for jet in ("G", "Ginv", "Gamma", "dGamma"):
+            for jet in ("G", "Ginv", "Gamma"):
                 assert getattr(ff, jet) == _reduce(getattr(qf, jet)), (name, jet)
-        parts = ("T", "dT", "raised", "dRaised")
-        for part, qv, fv in zip(parts, pc.obstruction_at(qg, qh), pc.obstruction_at(fg, fh)):
-            assert fv == _reduce(qv), (name, part)
+            for idx in itertools.product(rng, repeat=4):
+                assert ff.dgamma(*idx) == pc.FP.of(qf.dgamma(*idx)), (name, "dGamma", idx)
+        # T and raised whole; dT and dRaised one direction r at a time
+        (qT, qR, qdT, qdR), (fT, fR, fdT, fdR) = pc.obstruction_at(qg, qh), pc.obstruction_at(fg, fh)
+        assert fT == _reduce(qT), (name, "T")
+        assert fR == _reduce(qR), (name, "raised")
+        for r in rng:
+            assert fdT(r) == _reduce(qdT(r)), (name, "dT", r)
+            assert fdR(r) == _reduce(qdR(r)), (name, "dRaised", r)
 
 
 @pytest.mark.parametrize("failing", [False, True])
@@ -199,13 +208,60 @@ def test_fp_hit_without_q_hit_is_an_internal_error():
     points = [[Fraction(3), Fraction(5)]]
 
     def fp_only(f):
-        yield "probe", ((1,), f.G[0][1]) if f.F is pc.FP else None
+        yield "probe", lambda: ((1,), f.G[0][1]) if f.F is pc.FP else None
 
     proofs = {"probe": list}
     with pytest.raises(DisagreementBug, match=r"zero over Q at \(3/1, 5/1\)"):
         _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.FP), False)
     (result,) = _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.Q), False)
     assert result.passed
+
+
+def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
+    # the Q recomputation of a certified flat(g2) hit builds d_r Gamma entry
+    # by entry, as the curvature components up to the first failing one read
+    # them, not all n^4; the witness is still the numerator oracle's
+    g, (h,) = corpus_pairs(4, random.Random(43), raw=1, killing=0, family=0, constant=0)
+    entries = []
+    entry = pc.PointFrame._dgamma_entry
+
+    def counted(f, *idx):
+        if f.F is pc.Q:
+            entries.append(idx)
+        return entry(f, *idx)
+
+    monkeypatch.setattr(pc.PointFrame, "_dgamma_entry", counted)
+    points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
+    (flat,) = _scan_points(
+        {"flat(g2)": list}, _mokhov_at, (g, h), points, pc.FrameCache(pc.FP), False
+    )
+    assert not flat.passed
+    assert 0 < len(entries) < g.n**4
+    idx, value = _riemann_numerator_hit(h, [Fraction(x) for x in flat.witness.point])
+    assert flat.witness.indices == idx
+    assert flat.witness.residual == f"{value.numerator}/{value.denominator}"
+
+
+def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
+    # h = diag(u1, 1) is flat: flat(g1) and flat(g2) have no F_p hit, so the
+    # Q passes that recompute the T-identity and triple hits never run the
+    # flatness kernel over Q
+    u1, _ = u_vars(2)
+    z = MultiPoly.zero(2)
+    g = LinearMetric.antidiagonal(2)
+    h = LinearMetric(2, PolyMatrix([[u1, z], [z, MultiPoly.const(2, 1)]]))
+    fields = []
+    flat_at = pc.flat_at
+
+    def counted(f):
+        fields.append(f.F)
+        return flat_at(f)
+
+    monkeypatch.setattr(pc, "flat_at", counted)
+    rep = verify_operator(OperatorSpec([g, h]))
+    assert rep.failed_names() == ["T1", "T2", "T5", "nijenhuis", "killing"]
+    assert all(c.witness.point for c in rep.conditions if not c.passed)
+    assert pc.FP in fields and pc.Q not in fields
 
 
 def _first_hit(stream, value):
