@@ -42,7 +42,7 @@ from .families import JordanFamilyCoeffs, lie_flow_normalize, lie_flow_normalize
 from .frobenius import build_cp_frobenius, check_frobenius_axioms, intersection_matches_mu
 from .metrics import OperatorSpec
 from .poly import MultiPoly
-from .scalars import format_rational
+from .scalars import format_rational, parse_rational
 from .spectral import (
     SEGRE_POINTS,
     format_segre_type,
@@ -70,8 +70,9 @@ EXIT_UNSUPPORTED = 4
 UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere, SingleMetric)
 
 
-class _OutputError(Exception):
-    """The report could not be written to the --out path (a usage error)."""
+class _UsageError(Exception):
+    """A bad option value, or a report that could not be written to the
+    --out path."""
 
 
 def _write(args, payload: dict, text_lines) -> None:
@@ -84,7 +85,7 @@ def _write(args, payload: dict, text_lines) -> None:
             with open(args.out, "w") as fh:
                 fh.write(body)
         except OSError as ex:
-            raise _OutputError(f"cannot write {args.out}: {ex}") from None
+            raise _UsageError(f"cannot write {args.out}: {ex}") from None
     else:
         sys.stdout.write(body)
 
@@ -321,17 +322,23 @@ def _normal_form_text(n: int, xi, lam=None, with_gt0: bool = False) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def cmd_normalize(args) -> int:
+def _rational_option(name: str, text: str) -> Fraction:
     try:
-        xi = [Fraction(x.strip()) for x in args.xi.split(",") if x.strip()]
-    except (ValueError, ZeroDivisionError) as ex:
-        print(f"error: bad --xi value: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+        return parse_rational(text)
+    except ValueError as ex:
+        raise _UsageError(f"bad {name} value {text!r}: {ex}") from None
+
+
+def cmd_normalize(args) -> int:
     n = args.n
+    if n < 2:
+        print("error: --n must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    xi = [_rational_option("--xi", x.strip()) for x in args.xi.split(",") if x.strip()]
     if len(xi) != n - 1:
         print(f"error: --xi needs n-1 = {n-1} values", file=sys.stderr)
         return EXIT_USAGE
-    lam = Fraction(args.lam) if args.lam is not None else Fraction(0)
+    lam = _rational_option("--lam", args.lam) if args.lam is not None else Fraction(0)
     coeffs = JordanFamilyCoeffs(n, xi, lam)
     constant_mode = xi[0] == 0
     if constant_mode and args.alpha is None:
@@ -488,9 +495,14 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         # argparse exits 2 on usage errors already
         return int(ex.code or 0)
+    # an exact report prints every digit of its rationals, however many;
+    # Python (3.10.7 on) caps int-to-string conversion at 4300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except _OutputError as ex:
+    except _UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except HamopError as ex:
@@ -500,6 +512,9 @@ def main(argv=None) -> int:
         # no traceback may pass for "verification failed" (exit 1)
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,13 @@
 """Solution families: Killing solvers, shifted bivectors, Lie-flow
 normalization, scaling, and complexification.
 
+Over a constant first metric g the Hamiltonian conditions on a linear second
+metric are linear in its coefficients c^{ij}_k, apart from the quadratic
+part of the Nijenhuis torsion.  The bivector solvers state no condition of
+their own: column t of their equation system is ``geometry.killing_components``
+or ``geometry.nijenhuis_components`` evaluated on unit unknown t, and the
+nullspace of the system spans the linear parts.
+
 The shifted symmetric bivectors
 
     mu(n;k)^{ij} = [3(i+j) - 2(n+2-k)] u^{i+j-1+k}
@@ -19,8 +26,8 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonSquareGamma, ScalingNotNormalized
-from .geometry import killing_residual, lie_derivative_bivector, nijenhuis_torsion
-from .linsolve import SparseSystem, nullspace, same_span
+from .geometry import killing_components, nijenhuis_components
+from .linsolve import identity, mat_mul, nullspace, same_span
 from .matrices import PolyMatrix
 from .metrics import LinearMetric
 from .poly import MultiPoly
@@ -117,12 +124,23 @@ def _const_value(p: MultiPoly) -> Fraction:
     return p.constant_value()
 
 
+def _const_matrix(m: PolyMatrix, n: int) -> list:
+    """Values of a constant n x n matrix, as ints where they are integers:
+    the condition streams then run on int arithmetic."""
+
+    def value(p):
+        v = _const_value(p)
+        return v.numerator if v.denominator == 1 else v
+
+    return [[value(m[i, j]) for j in range(n)] for i in range(n)]
+
+
 def killing_vector_basis(g: LinearMetric) -> KillingBasis:
     """All affine fields with Lie_X g = 0: solve A g + g A^T = 0, c free."""
     if not g.is_constant():
         raise ValueError("killing_vector_basis needs a constant metric")
     n = g.n
-    gv = [[_const_value(g.mat[i, j]) for j in range(n)] for i in range(n)]
+    gv = _const_matrix(g.mat, n)
     rows = []
     for i in range(n):
         for j in range(i, n):
@@ -226,7 +244,7 @@ def killing_bivector_space(g: LinearMetric) -> list[PolyMatrix]:
     if not g.is_constant():
         raise ValueError("killing_bivector_space needs a constant metric")
     idx = _BivectorIndex(g.n, with_constant=True)
-    basis = nullspace(_killing_rows_constant_g(g, idx), idx.total)
+    basis = nullspace(_killing_rows(g, idx), idx.total)
     return [idx.to_bivector(v, g.nvars) for v in basis]
 
 
@@ -278,56 +296,52 @@ class SolutionFamily:
         return self.g.extended(self.g.nvars + len(self.basis))
 
 
-def _nijenhuis_bilinear_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex):
-    """Columns of the linearized Nijenhuis condition around L0 = gt0 g^{-1}.
+def _slices(n: int, k: int, m) -> list:
+    """[d_1, ..., d_n] of a bivector whose only nonzero derivative is d_{k+1} = m."""
+    zero = [[0] * n for _ in range(n)]
+    return [m if s == k else zero for s in range(n)]
 
-    For each unknown basis bivector E the bilinear part of N(L0 + L_E) is
-    constant in u; its components give one equation row per (k, i<j)."""
-    n = g.n
-    nvars = g.nvars
-    gcov = constant_inverse(g)
-    L0 = gt0 @ gcov
-    ncomp = [(k, i, j) for k in range(n) for i in range(n) for j in range(i + 1, n)]
+
+def _condition_rows(idx: _BivectorIndex, condition) -> list:
+    """Equation rows of a condition that is linear in the unknowns c^{ij}_k
+    of ``idx``.  Column t holds the values of the stream ``condition(k, dE)``
+    on unit unknown t, E^{ij} = E^{ji} = u^{k+1}, whose one nonzero
+    derivative d_{k+1} E is the constant unit bivector dE on {i, j}.  Zero
+    rows are dropped, and the constant unknowns (if any) get zero columns."""
+    n = idx.n
     columns = []
-    for col in range(idx.c_count):
-        vec = [Fraction(0)] * idx.total
-        vec[col] = Fraction(1)
-        E = idx.to_bivector(vec, nvars)
-        LE = E @ gcov
-        n_full = nijenhuis_torsion(L0 + LE, n)
-        n_quad = nijenhuis_torsion(LE, n)
-        columns.append(
-            [
-                (n_full[k][i][j] - n_quad[k][i][j]).constant_value()
-                for (k, i, j) in ncomp
-            ]
-        )
-    rows = []
-    for r in range(len(ncomp)):
-        row = [columns[c][r] for c in range(idx.c_count)]
-        if any(row):
-            rows.append(row)
-    return rows
+    for i, j in idx.pairs:
+        dE = [[int({a, b} == {i, j}) for b in range(n)] for a in range(n)]
+        for k in range(n):
+            columns.append([value for _, value in condition(k, dE)])
+    pad = [0] * (idx.total - idx.c_count)
+    return [list(row) + pad for row in zip(*columns) if any(row)]
 
 
-def _killing_rows_constant_g(g: LinearMetric, idx: _BivectorIndex):
-    """The Killing condition of a constant g on the unknowns of ``idx``, one
-    row per i <= j <= k; it involves only the linear coefficients, so the
-    constant columns (when ``idx`` has them) stay zero."""
+def _killing_rows(g: LinearMetric, idx: _BivectorIndex) -> list:
+    """``killing_components`` of the constant g and the unknown bivector E:
+    the terms E d g vanish because dg = 0, so E enters only through dE, and
+    zero stands in for its values."""
     n = g.n
-    gv = [[_const_value(g.mat[i, j]) for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                row = [Fraction(0)] * idx.total
-                for s in range(n):
-                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
-                        if gv[a][s]:
-                            row[idx.c_idx(b, c, s)] += gv[a][s]
-                if any(row):
-                    rows.append(row)
-    return rows
+    gv = _const_matrix(g.mat, n)
+    zero = [[0] * n for _ in range(n)]
+    return _condition_rows(
+        idx,
+        lambda k, dE: killing_components(gv, [zero] * n, zero, _slices(n, k, dE), n, identity),
+    )
+
+
+def _nijenhuis_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex) -> list:
+    """The Nijenhuis condition linearized around the constant affinor
+    L0 = gt0 g^{-1}: since d L0 = 0, ``nijenhuis_components(L0, d L_E)`` is
+    N(L0 + L_E) - N(L_E) for L_E = E g^{-1}."""
+    n = g.n
+    ginv = _const_matrix(constant_inverse(g), n)
+    L0 = mat_mul(_const_matrix(gt0, n), ginv)
+    return _condition_rows(
+        idx,
+        lambda k, dE: nijenhuis_components(L0, _slices(n, k, mat_mul(dE, ginv)), n, identity),
+    )
 
 
 def _verify_family(family: SolutionFamily) -> None:
@@ -345,18 +359,16 @@ def _verify_family(family: SolutionFamily) -> None:
 def solve_linear_conditions(
     g: LinearMetric, gt0: PolyMatrix, verify: bool = True
 ) -> SolutionFamily:
-    """General solution of the joint linear system (Killing + symmetry +
-    linearized Nijenhuis around gt0) for the linear part of the second
-    metric, verified against the quadratic Nijenhuis condition with formal
-    parameters."""
+    """The family gt0 + span(basis) over the constant metric g: the basis
+    spans the linear bivectors E that are Killing for g and solve the
+    Nijenhuis condition linearized around the constant gt0.  With
+    ``verify`` the three pair conditions, the quadratic part of Nijenhuis
+    included, are checked with formal parameters."""
     if not g.is_constant():
         raise ValueError("solve_linear_conditions needs a constant first metric")
-    n = g.n
-    idx = _BivectorIndex(n)
-    rows = _killing_rows_constant_g(g, idx)
-    rows.extend(_nijenhuis_bilinear_rows(g, gt0, idx))
-    basis_vecs = nullspace(rows, idx.c_count)
-    basis = [idx.to_bivector(v, g.nvars) for v in basis_vecs]
+    idx = _BivectorIndex(g.n)
+    rows = _killing_rows(g, idx) + _nijenhuis_rows(g, gt0, idx)
+    basis = [idx.to_bivector(v, g.nvars) for v in nullspace(rows, idx.c_count)]
     family = SolutionFamily(g, gt0, basis)
     if verify:
         _verify_family(family)
@@ -364,76 +376,21 @@ def solve_linear_conditions(
 
 
 def solve_jordan_family(n: int, lam=Fraction(0), verify: bool = True) -> SolutionFamily:
-    """Single-Jordan-block family over the antidiagonal metric.
-
-    Builds the three quoted linear equation systems on the affinor
-    coefficients c^k_{ij} (linearized Nijenhuis, bivector symmetry, Killing),
-    solves the sparse nullspace, checks the quadratic Nijenhuis part on the
-    result, and asserts the span equals {mu(n;0), ..., mu(n;n-2)}."""
+    """Single-Jordan-block family over the antidiagonal metric: the
+    ``solve_linear_conditions`` family around ``jordan_gt0(n, lam)``, which
+    is asserted to have dimension n - 1 and the span of mu(n;0), ...,
+    mu(n;n-2).  The linearized conditions do not depend on lam."""
     if n < 2:
         raise ValueError("need n >= 2")
-    N3 = n * n * n
-
-    def cidx(k: int, i: int, j: int) -> int:
-        # 1-based tensor indices to flat 0-based
-        return ((k - 1) * n + (i - 1)) * n + (j - 1)
-
-    sys = SparseSystem(N3)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                # linearized Nijenhuis: c^k_{j,i-1} - c^k_{i,j-1}
-                #                      + c^{k+1}_{ij} - c^{k+1}_{ji} = 0
-                row: dict[int, Fraction] = {}
-
-                def bump(idx_, val):
-                    row[idx_] = row.get(idx_, Fraction(0)) + val
-
-                if i >= 2:
-                    bump(cidx(k, j, i - 1), Fraction(1))
-                if j >= 2:
-                    bump(cidx(k, i, j - 1), Fraction(-1))
-                if k <= n - 1:
-                    bump(cidx(k + 1, i, j), Fraction(1))
-                    bump(cidx(k + 1, j, i), Fraction(-1))
-                sys.add_row(row)
-                # symmetry: c^{n+1-i}_{jk} = c^{n+1-j}_{ik}
-                row2: dict[int, Fraction] = {}
-                row2[cidx(n + 1 - i, j, k)] = Fraction(1)
-                a2 = cidx(n + 1 - j, i, k)
-                row2[a2] = row2.get(a2, Fraction(0)) - 1
-                sys.add_row(row2)
-                # Killing: c^{n+1-i}_{jk} + c^{n+1-k}_{ij} + c^{n+1-j}_{ki} = 0
-                row3: dict[int, Fraction] = {}
-                for idx_ in (cidx(n + 1 - i, j, k), cidx(n + 1 - k, i, j), cidx(n + 1 - j, k, i)):
-                    row3[idx_] = row3.get(idx_, Fraction(0)) + 1
-                sys.add_row(row3)
-    basis_sparse = sys.nullspace_basis()
-    # affinor coefficients -> bivector linear part: c_biv^{ij}_k = c^i_{n+1-j,k}
-    g = LinearMetric.antidiagonal(n)
-    biv_idx = _BivectorIndex(n)
-    vectors = []
-    for vec in basis_sparse:
-        bv = [Fraction(0)] * biv_idx.total
-        for flat, val in vec.items():
-            k1 = flat // (n * n) + 1
-            i1 = (flat // n) % n + 1
-            j1 = flat % n + 1
-            # c^{k1}_{i1,j1} contributes to bivector entry (k1, n+1-i1) coeff of u^{j1}
-            a, b = k1 - 1, n - i1
-            if a > b:
-                a, b = b, a
-            bv[biv_idx.c_idx(a, b, j1 - 1)] = val
-        vectors.append(bv)
-    basis = [biv_idx.to_bivector(v, n) for v in vectors]
-    gt0 = jordan_gt0(n, lam)
-    family = SolutionFamily(g, gt0, basis)
-    mu_span = [biv_idx.from_bivector(mu_bivector(n, m))[: biv_idx.c_count] for m in range(n - 1)]
-    got_span = [v[: biv_idx.c_count] for v in vectors]
-    if not same_span(mu_span, got_span):
+    family = solve_linear_conditions(
+        LinearMetric.antidiagonal(n), jordan_gt0(n, lam), verify=False
+    )
+    idx = _BivectorIndex(n)
+    mu_span = [idx.from_bivector(mu_bivector(n, m)) for m in range(n - 1)]
+    if not same_span(mu_span, [idx.from_bivector(b) for b in family.basis]):
         raise AssertionError("jordan family span differs from the mu(n;m) span")
-    if len(basis) != n - 1:
-        raise AssertionError(f"jordan family dimension {len(basis)} != n-1")
+    if family.dimension != n - 1:
+        raise AssertionError(f"jordan family dimension {family.dimension} != n-1")
     if verify:
         _verify_family(family)
     return family

@@ -15,7 +15,8 @@ Each verification condition is stated once, as a lazy stream of
 derivatives; ``flatness_witness``, ``covariant_hessian``,
 ``nijenhuis_stream`` and ``killing_stream`` run the symbolic streams
 lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
-from them, and ``pointcheck`` feeds them point values.
+from them, ``pointcheck`` feeds them point values, and ``families`` the
+constant derivatives of one unknown coefficient at a time.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal

@@ -5,15 +5,18 @@ Q(i) (GaussianRational entries have field arithmetic too), and F_p from
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
 ``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
-F_p for ``pointcheck``'s frames, and over plain ints for the powers in the
-Segre rank sequences of ``spectral``.  ``det`` takes the determinant by
+F_p for ``pointcheck``'s frames, over plain ints for the powers in the
+Segre rank sequences of ``spectral``, and over Q for the unit columns of
+``families``.  ``det`` takes the determinant by
 Gaussian elimination.  Ranks are taken over Z only: ``int_rank`` is
 fraction-free Bareiss elimination, and ``gaussian_rank`` reads the rank of
 X + iY off the real embedding.  ``SparseSystem``
-eliminates homogeneous systems over Q row by row, sparse in the columns; it
-carries the larger structured systems (a few thousand rows with a handful
-of nonzeros each) that solving coefficient equations for metric families
-gives, and ``nullspace`` is built on it.
+eliminates homogeneous systems over Q row by row, sparse in the columns, and
+``nullspace`` is built on it.  The coefficient equations of metric families
+are sparse: the n = 8 Jordan-block family of ``families`` has 344 rows over
+288 unknowns, with about three nonzeros a row.  Its nullspace takes 0.04 s
+by ``SparseSystem`` and 2.7-3.9 s by a dense ``rref`` (Python 3.11, one
+core of a shared 2-core host).
 
 Dense routines take lists of lists of field elements.  Nullspace bases are
 deterministic: the reduced row echelon form is unique, and each free column

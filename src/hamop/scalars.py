@@ -9,6 +9,7 @@ has an irreducible quadratic factor with discriminant minus a square.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -27,6 +28,22 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     if rp * rp != p or rq * rq != q:
         return None
     return Fraction(rp, rq)
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as an integer or "p/q" (ASCII digits, optional
+    sign).  Any other text raises ValueError, a zero denominator too; the
+    exponent forms that ``Fraction`` also reads are refused, so a short
+    string cannot stand for a huge number."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("expected an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def format_rational(x: Fraction) -> str:

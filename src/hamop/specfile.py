@@ -1,7 +1,7 @@
 """JSON operator-spec files and report serialization.
 
-An operator spec file carries exact rationals as "p/q" strings (never
-floats) and 1-based indices matching u1..un:
+An operator spec file carries exact rationals as "p/q" or integer strings
+(never floats, decimals or exponents) and 1-based indices matching u1..un:
 
     {
       "n": 2, "d": 2,
@@ -24,10 +24,8 @@ import json
 from fractions import Fraction
 
 from .errors import SpecFileError
-from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
-from .poly import MultiPoly
-from .scalars import format_rational
+from .scalars import format_rational, parse_rational
 
 _TOP_FIELDS = {"n", "d", "variables", "metrics"}
 _METRIC_FIELDS = {"constant", "linear"}
@@ -38,8 +36,8 @@ def _rational(text, where: str) -> Fraction:
     if isinstance(text, bool) or isinstance(text, float):
         raise SpecFileError(f"{where}: rationals must be strings \"p/q\"")
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as ex:
+        return parse_rational(str(text))
+    except ValueError as ex:
         raise SpecFileError(f"{where}: bad rational {text!r}: {ex}") from None
 
 

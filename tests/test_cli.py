@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +172,19 @@ def test_normalize_commands(capsys):
     assert main(["normalize", "--n", "5", "--xi", "1,2"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "3", "--xi", "1,2", "--lam", "abc"], "bad --lam value 'abc': expected an integer or p/q"),
+    (["--n", "3", "--xi", "1,2", "--lam", "1/0"], "bad --lam value '1/0': zero denominator"),
+    (["--n", "1", "--xi", ","], "--n must be at least 2"),
+    (["--n", "3", "--xi", "1e3,2"], "bad --xi value '1e3': expected an integer or p/q"),
+], ids=["lam-text", "lam-zero-denominator", "n-1", "xi-exponent"])
+def test_normalize_bad_values_exit2(capsys, argv, message):
+    # a malformed option value is a usage error, never an internal error
+    assert main(["normalize", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_frobenius_command(capsys):
     assert main(["frobenius", "--n", "4"]) == 0
     out = capsys.readouterr().out
@@ -290,3 +305,37 @@ def test_non_constant_first_metric_exit2(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
     assert "first metric" in err and "constant" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("coeff", ["1e3000", "1e999999999"])
+def test_exponent_coefficient_exit2(tmp_path, capsys, command, coeff):
+    # spec rationals are integers or p/q: an exponent form is refused before
+    # it builds its power of ten
+    spec = write(tmp_path, "exponent.json", _mutated(("metrics", 1, "linear", 0, "coeff"), coeff))
+    assert main([command, spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: metrics[1].linear[0].coeff: bad rational '{coeff}': "
+        "expected an integer or p/q\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "sampled"]])
+def test_many_digit_residuals_print_exactly(tmp_path, capsys, mode):
+    # c^{11}_1 = 10^2500 in mokhov-n3 (it was -4) breaks Killing at (1,1,3),
+    # whose residual c^{11}_1 + 2 c^{13}_3 is 10^2500 + 4 at every point;
+    # other residuals have more digits than Python's default string limit
+    data = json.loads((Path(__file__).parent / "golden" / "mokhov-n3.spec.json").read_text())
+    assert data["metrics"][1]["linear"][0] == {"i": 1, "j": 1, "k": 1, "coeff": "-4/1"}
+    data["metrics"][1]["linear"][0]["coeff"] = f"{10**2500}/1"
+    path = write(tmp_path, "big.json", data)
+    limit = sys.get_int_max_str_digits()
+    assert main(["verify", path, "--output", "json", *mode]) == 1
+    assert sys.get_int_max_str_digits() == limit
+    out, err = capsys.readouterr()
+    assert err == ""
+    conditions = {c["name"]: c for c in json.loads(out)["conditions"]}
+    killing = conditions["killing"]["witness"]
+    assert killing["indices"] == [1, 1, 3] and killing["residual"] == f"{10**2500 + 4}/1"
+    assert max(len(c.get("witness", {}).get("residual", "")) for c in conditions.values()) > 4300

@@ -25,7 +25,7 @@ from hamop.families import (
     _BivectorIndex,
 )
 from hamop.geometry import killing_residual, lie_derivative_bivector
-from hamop.linsolve import nullspace, same_span, span_rref
+from hamop.linsolve import SparseSystem, nullspace, same_span, span_rref
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly
@@ -249,6 +249,46 @@ def test_lambda_independence_of_family_equations():
     assert same_span(space_vectors(fam0.basis, 3), space_vectors(fam5.basis, 3))
 
 
+def quoted_affinor_family(n):
+    """The Jordan family's linear parts from the paper's three quoted systems
+    on the affinor coefficients c^k_{ij} (1-based; a term with an index 0
+    or n + 1 is absent):
+
+        c^k_{j,i-1} - c^k_{i,j-1} + c^{k+1}_{ij} - c^{k+1}_{ji} = 0
+        c^{n+1-i}_{jk} = c^{n+1-j}_{ik}
+        c^{n+1-i}_{jk} + c^{n+1-k}_{ij} + c^{n+1-j}_{ki} = 0
+
+    as vectors in the layout of _BivectorIndex(n), by
+    c_biv^{ij}_k = c^i_{n+1-j,k}."""
+
+    def c(k, i, j):
+        return ((k - 1) * n + i - 1) * n + j - 1
+
+    def equation(*terms):
+        row = {}
+        for coeff, k, i, j in terms:
+            if 1 <= min(k, i, j) and max(k, i, j) <= n:
+                row[c(k, i, j)] = row.get(c(k, i, j), 0) + coeff
+        system.add_row(row)
+
+    system = SparseSystem(n**3)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                equation((1, k, j, i - 1), (-1, k, i, j - 1), (1, k + 1, i, j), (-1, k + 1, j, i))
+                equation((1, n + 1 - i, j, k), (-1, n + 1 - j, i, k))
+                equation((1, n + 1 - i, j, k), (1, n + 1 - k, i, j), (1, n + 1 - j, k, i))
+    idx = _BivectorIndex(n)
+    out = []
+    for v in system.nullspace_basis():
+        biv = [Fraction(0)] * idx.total
+        for i, j in idx.pairs:
+            for k in range(n):
+                biv[idx.c_idx(i, j, k)] = v.get(c(i + 1, n - j, k + 1), Fraction(0))
+        out.append(biv)
+    return out
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_jordan_family_dimension_and_span(n):
     fam = solve_jordan_family(n, verify=(n <= 5))
@@ -257,6 +297,8 @@ def test_jordan_family_dimension_and_span(n):
     mu_span = [idx.from_bivector(mu_bivector(n, m))[: idx.c_count] for m in range(n - 1)]
     got = [idx.from_bivector(b)[: idx.c_count] for b in fam.basis]
     assert same_span(mu_span, got)
+    # the geometry streams give the family of the paper's affinor systems
+    assert same_span(quoted_affinor_family(n), got)
 
 
 def test_jordan_family_member_eigenvalue():

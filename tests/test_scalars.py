@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamop.scalars import GaussianRational, format_rational, rational_sqrt
+from hamop.scalars import GaussianRational, format_rational, parse_rational, rational_sqrt
 
 
 def random_gaussian(rng):
@@ -52,3 +52,23 @@ def test_format():
     assert format_rational(Fraction(-4)) == "-4/1"
     assert str(GaussianRational.of(1, -1)) == "1/1-1/1i"
     assert str(GaussianRational.of(Fraction(1, 2))) == "1/2"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)), ("0/5", Fraction(0)),
+])
+def test_parse_rational(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1e999999999", "1.5", ".5", " 1", "1/2 ", "1_000", "1/-2", "", "/2", "inf", "\u0663",
+])
+def test_parse_rational_takes_only_integers_and_p_over_q(text):
+    with pytest.raises(ValueError, match="expected an integer or p/q"):
+        parse_rational(text)
+
+
+def test_parse_rational_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
