@@ -11,13 +11,13 @@ flows, and exposes everything through a CLI with deterministic JSON reports.
 
 All arithmetic is exact: rationals, Gaussian rationals, sparse multivariate
 polynomials, and normalized rational functions; the point scans that
-``verify`` runs in both modes work modulo the prime 2^61 - 1.  No floating
-point enters any verification path.  The Hamiltonian verdict is exact in
-every mode: the linearity / Nijenhuis / Killing triple of the paper's main
-theorem is always proven.  The one step that is not exact is the Mokhov
-cross-check (flatness of the second metric and T1..T5) in sampled mode,
-the default above n = 8, where a pass means every value at the seeded
-points is 0 mod p.
+``verify`` runs before its proofs work modulo the prime 2^61 - 1, where a
+nonzero value certifies a failure.  No floating point enters any
+verification path.  Every condition of a verdict is exact: the linearity /
+Nijenhuis / Killing triple of the paper's main theorem and the Mokhov
+cross-check (flatness of both metrics and T1..T5) are proven, the latter on
+the constant contravariant connection of the second metric where it has
+one.
 """
 
 from .errors import (

@@ -5,10 +5,8 @@ emitted as deterministic JSON (stable field order, rationals as "p/q"; the
 timing field stays null unless --timing is given, so identical inputs and
 seed produce byte-identical output) or as human-readable text.
 
-verify always proves the linearity / Nijenhuis / Killing triple, so its
-verdict is exact; the report's "mode" (--mode, default symbolic for n <= 8,
-sampled otherwise) says how the d = 2 Mokhov cross-check (flatness and
-T1..T5) ran: proven, or scanned at seeded points mod p.
+verify decides every condition exactly: the linearity / Nijenhuis /
+Killing triple and, for d = 2, the Mokhov cross-check (flatness and T1..T5).
 
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 parse or usage error; 3 internal error; 4 input outside what the command
@@ -59,7 +57,7 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -122,7 +120,7 @@ def cmd_verify(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = verify_operator(spec, mode=args.mode, seed=args.seed)
+        report = verify_operator(spec, seed=args.seed)
     except DisagreementBug as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -137,16 +135,11 @@ def cmd_verify(args) -> int:
         "tool": "hamop",
         "report_version": REPORT_VERSION,
         "command": "verify",
-        "n": spec.n,
-        "d": spec.d,
-        "mode": report.mode,
-        "seed": report.seed,
-        "verdict": "pass" if report.verdict else "fail",
-        "conditions": [c.to_dict() for c in report.conditions],
+        **report.to_dict(),
         "segre": segre,
         "timing_ms": int((time.monotonic() - t0) * 1000) if args.timing else None,
     }
-    lines = [f"mode: {report.mode}   seed: {report.seed}"]
+    lines = [f"seed: {report.seed}"]
     for c in report.conditions:
         mark = "PASS" if c.passed else "FAIL"
         line = f"{mark} {c.name}"
@@ -436,25 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_mode=False):
+    def common(sp):
         # argparse converts a string default with ``type``, so a bad
         # $HAMOP_SEED is a usage error unless --seed overrides it
         sp.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"),
                         help=f"random seed (default from ${SEED_ENV} or 0)")
         sp.add_argument("--output", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="write the report to this path")
-        if with_mode:
-            sp.add_argument("--mode", choices=("symbolic", "sampled"), default=None,
-                            help="how the d = 2 Mokhov cross-check runs: proven "
-                            "(symbolic) or at seeded points mod p (sampled); the "
-                            "linearity/Nijenhuis/Killing triple is always proven "
-                            "(default: symbolic for n <= 8, sampled otherwise)")
 
     sp = sub.add_parser("verify", help="verify Hamiltonianity of a spec file")
     sp.add_argument("input", help="operator spec JSON file")
     sp.add_argument("--timing", action="store_true",
                     help="include wall-clock timing in the report")
-    common(sp, with_mode=True)
+    common(sp)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("classify", help="Segre classification of a spec file")

@@ -1,11 +1,12 @@
 """Symbolic differential geometry of linear metrics.
 
-Levi-Civita connections, flatness, Nijenhuis torsion, the Killing residual
-in its polynomial form, second-covariant-derivative (linearity) residuals,
-obstruction tensors, the obstruction identities T1..T5 and Lie derivatives
-of bivectors.  Everything is exact: entries are MultiPoly or
-RationalFunction, and a condition "holds" iff the residual is identically
-zero.
+Levi-Civita connections (and ``constant_connection``, the contravariant
+connection of a metric whose connection is constant), flatness, Nijenhuis
+torsion, the Killing residual in its polynomial form,
+second-covariant-derivative (linearity) residuals, obstruction tensors, the
+obstruction identities T1..T5 and Lie derivatives of bivectors.  Everything
+is exact: entries are MultiPoly or RationalFunction, and a condition
+"holds" iff the residual is identically zero.
 
 Each verification condition is stated once, as a lazy stream of
 (1-based indices, residual) that works for every scalar representation:
@@ -117,6 +118,47 @@ def levi_civita(g: LinearMetric) -> Connection:
     conn = Connection(n, gamma, g.mat, gamma_num=p_num, det=det)
     g._conn = conn
     return conn
+
+
+def constant_connection(h: LinearMetric, u0):
+    """(c, den) with c[i][j][k] / den = b^{ij}_k = -h^{is} Gamma^j_{sk}, the
+    contravariant Levi-Civita connection of h, when it does not depend on u;
+    else None.  c and den are Fractions, or polynomials in h's formal
+    parameters.  The candidate is b at the point u0 of the u-block, from one
+    adjugate of h0 = h(u0) (the parameters stay symbolic):
+
+        2 b^{ij}_k = d_k h^{ij} + (h0^{is} d_s h^{jq} - h0^{js} d_s h^{iq}) h0_{qk}.
+
+    d h is constant, so it is metric-compatible, b^{ij}_k + b^{ji}_k =
+    d_k h^{ij}, at every u.  The result rests only on the torsion-free
+    identity h^{is} b^{jk}_s = h^{js} b^{ik}_s, checked at every u on linear
+    polynomials: with it the candidate is the connection, which is unique."""
+    n, rng = h.n, range(h.n)
+    at_u0 = {k + 1: u0[k] for k in rng}
+    h0 = h.mat.map(lambda p: p.substitute(at_u0))
+    adj, det = adjugate_det(h0)
+    if not det:
+        return None
+    lift = MultiPoly.constant_value if h.nvars == n else identity
+    h0, adj = ([[lift(p) for p in row] for row in m.entries] for m in (h0, adj))
+    dh = _partials(h.mat, n, lift)
+    # a[i][j][q] = h0^{is} d_s h^{jq}, e[i][j][k] = a[i][j][q] adj_{qk}
+    dh_s = [[[dh[s][j][q] for s in rng] for q in rng] for j in rng]
+    adj_q = list(zip(*adj))
+    a = [[[_dot(h0[i], dh_s[j][q]) for q in rng] for j in rng] for i in rng]
+    e = [[[_dot(a[i][j], adj_q[k]) for k in rng] for j in rng] for i in rng]
+    c = [[[det * dh[k][i][j] + e[i][j][k] - e[j][i][k] for k in rng] for j in rng] for i in rng]
+    hm = h.mat.entries
+    # torsion-free: h^{is} c^{jk}_s = h^{js} c^{ik}_s
+    if any(_dot(hm[i], c[j][k]) != _dot(hm[j], c[i][k])
+           for i in rng for j in range(i + 1, n) for k in rng):
+        return None
+    return c, 2 * det
+
+
+def _dot(xs, ys):
+    """sum x * y over the pairs of nonzero entries (int 0 if there is none)."""
+    return sum((x * y for x, y in zip(xs, ys) if x and y), 0)
 
 
 def _partials(m: PolyMatrix, n: int, lift=identity) -> list:

@@ -25,21 +25,19 @@ There are two fields:
 
 * ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
   ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.
-  Every point scan of ``verify`` runs on it, in both modes.  At an integer
-  point where every coefficient denominator and every metric determinant is
-  a unit mod P, the F_p value of a condition is its Q value reduced mod P.
-  So a nonzero residue certifies a nonzero rational value: a failure at a
-  point is exact, and its witness is recomputed over Q there.  A sampled pass
-  means every tested value is 0 mod P; beyond the Schwartz-Zippel risk of
-  sampling itself, that errs only where a nonzero rational value is
-  divisible by P.
+  Every point scan of ``verify`` runs on it.  At an integer point where
+  every coefficient denominator and every metric determinant is a unit
+  mod P, the F_p value of a condition is its Q value reduced mod P.  So a
+  nonzero residue certifies a nonzero rational value: a failure at a point
+  is exact, and its witness is recomputed over Q there.  A condition with
+  no hit is not decided here: ``verify`` proves it by its exact identity.
 * ``Q``: ``fractions.Fraction``, with ``red`` the identity.  It gives the
   exact rational witnesses, the fallback where F_p cannot stand in for Q
   (see ``FrameCache``), and the reference the tests compare F_p against.
 
 Sample points are seeded integer points; those where any metric is singular
-(``metrics.degenerate_at``) in the field they are drawn in (Q for sampled
-mode) are rejected and redrawn, and after 100 rejections
+(``metrics.degenerate_at``) in the field they are drawn in (Q for
+``verify``) are rejected and redrawn, and after 100 rejections
 DegenerateEverywhere is raised.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
 pins the symbolic and the point feeds component by component.
 """
@@ -61,7 +59,6 @@ from .geometry import (
 from .linsolve import Q, Field, inverse, mat_mul
 from .metrics import LinearMetric, degenerate_at
 
-SAMPLE_COUNT = 20
 SAMPLE_RANGE = 10**6
 MAX_REJECT = 100
 
@@ -96,9 +93,10 @@ def _mat_add(F, a, b):
     return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def sample_points(nvars: int, metrics, seed: int, count: int = SAMPLE_COUNT, field=Q):
-    """Seeded points with integer coordinates in [-SAMPLE_RANGE, SAMPLE_RANGE],
-    as elements of ``field``, at which every given metric is invertible."""
+def sample_points(nvars: int, metrics, seed: int, count: int, field=Q):
+    """The first ``count`` seeded points with integer coordinates in
+    [-SAMPLE_RANGE, SAMPLE_RANGE], as elements of ``field``, at which every
+    given metric is invertible."""
     rng = random.Random(seed)
     pts = []
     rejects = 0

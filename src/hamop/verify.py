@@ -32,24 +32,17 @@ of geometry.mokhov_identities on the reduced rational obstruction tensor,
 and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
 failure found there carries a witness with no point.
 
-The linearity / Nijenhuis / Killing triple is always proven, after a scan
-of the first SCAN_POINTS points of the seed's sample, and on d = 2 input it
-runs first.  flat(g1) of the constant first metric is exact in every mode:
-flatness_witness decides it, or a point scan of a metric whose derivatives
-all vanish.  The mode decides only how the d = 2 Mokhov cross-check
-(flat(g2), T1..T5) runs.  In symbolic mode (the default for n <= 8, where
-it is also the faster mode) it is proven, and scanned at the triple's points
-first only when the triple failed.  That skips no check: by the paper's
-theorem a proven triple means every Mokhov condition holds, and a scan hit
-is certified, a nonzero rational value, so after a passing triple a hit
-could only end in DisagreementBug, which the proofs raise just the same.
-In sampled mode (larger n) the Mokhov side scans all SAMPLE_COUNT points,
-whatever the triple gave, and a pass is not proven: it means every tested
-value is 0 mod p, which, besides the Schwartz-Zippel risk of sampling, errs
-only where a nonzero rational value is divisible by p.  So the Mokhov point
-scan is the one step of a verdict that is not exact, and the verdict itself
-always is: when the triple fails and the sampled Mokhov side passes every
-point, that side is rerun symbolically before the criteria are compared.
+Every condition is exact.  On d = 2 input the triple runs first; the
+Mokhov cross-check (flat(g1), flat(g2), T1..T5) is scanned at the same
+points only after a failing triple, since after a passing one a certified
+hit could only end in DisagreementBug, which the proofs raise just the same.
+flat(g2) or T1..T5 without a hit is first tried on the constant
+contravariant connection of h (geometry.constant_connection, at the first
+scan point), and that proof is taken only where it shows the condition to
+hold; any other condition goes to its identity above, which gives the
+witness.  A Hamiltonian pencil satisfies T4, which for constant g says that
+the contravariant connection b of h is constant (Dubrovin-Novikov), so there
+every Mokhov condition is proven on constants, with no rational stream.
 
 A point where a frame cannot be built mod p (a metric singular mod p there,
 or a coefficient denominator that is not a unit mod p) is scanned over Q
@@ -66,11 +59,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import pointcheck as pc
 from .errors import DegenerateEverywhere, DisagreementBug, FirstMetricNotConstant
 from .geometry import (
     T_NAMES,
+    constant_connection,
     covariant_hessian,
     flatness_witness,
     killing_stream,
@@ -79,6 +74,7 @@ from .geometry import (
     mokhov_identities,
     nijenhuis_stream,
     obstruction_tensor,
+    riemann_components,
 )
 from .linsolve import identity
 from .matrices import PolyMatrix
@@ -87,12 +83,8 @@ from .poly import MultiPoly
 from .scalars import format_rational
 
 DEFAULT_SEED = 0
-SYMBOLIC_MAX_N = 8
 # points scanned before the exact identities
 SCAN_POINTS = 2
-
-MODE_SYMBOLIC = "symbolic"
-MODE_SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,6 @@ class ConditionResult:
 class VerificationReport:
     n: int
     d: int
-    mode: str
     seed: int
     conditions: list = field(default_factory=list)
 
@@ -148,31 +139,21 @@ class VerificationReport:
         return {
             "n": self.n,
             "d": self.d,
-            "mode": self.mode,
             "seed": self.seed,
             "verdict": "pass" if self.verdict else "fail",
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
 
-def default_mode(n: int) -> str:
-    return MODE_SYMBOLIC if n <= SYMBOLIC_MAX_N else MODE_SAMPLED
-
-
-def _sample(nvars: int, metrics, mode: str, seed: int):
-    """The scan points of a mode: the first SCAN_POINTS of the seed's sample
-    in symbolic mode, all of it in sampled mode."""
-    count = SCAN_POINTS if mode == MODE_SYMBOLIC else pc.SAMPLE_COUNT
-    return pc.sample_points(nvars, metrics, seed, count)
+def _sample(nvars: int, metrics, seed: int):
+    """The scan points: the first SCAN_POINTS of the seed's sample."""
+    return pc.sample_points(nvars, metrics, seed, SCAN_POINTS)
 
 
 def _wit(indices, residual, point=None) -> Witness:
     if point is not None:
         point = tuple(format_rational(x) for x in point)
-    if hasattr(residual, "numerator"):
-        residual = f"{residual.numerator}/{residual.denominator}"
-    else:
-        residual = str(residual)
+    residual = format_rational(residual) if hasattr(residual, "numerator") else str(residual)
     return Witness(tuple(indices), residual, point)
 
 
@@ -211,7 +192,7 @@ def _hits(pairs, names) -> dict:
     return hits
 
 
-def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[ConditionResult]:
+def _scan_points(proofs: dict, fn, metrics, points, cache) -> list[ConditionResult]:
     """The conditions named by ``proofs``, in its order, scanned at points
     together: ``fn(*frames)`` on the frames of ``metrics`` at a point yields
     (name, thunk) for them, and ``thunk()`` gives the condition's hit there,
@@ -220,12 +201,10 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[
     recomputed over Q at the same point for the witness, and that Q pass
     evaluates only the conditions that hit, on Q frames whose jets are
     built as the hit's first failing component reads them.  Points are
-    scanned until every condition has failed.  With ``prove`` (the triple,
-    and the Mokhov conditions in symbolic mode) a condition without a hit
+    scanned until every condition has failed.  A condition without a hit
     is then decided by ``proofs[name]()``, its exact identity as a lazy
-    (indices, residual) stream; otherwise it passes on the points.  A
-    condition's first failing point and index tuple do not depend on which
-    conditions share the scan."""
+    (indices, residual) stream.  A condition's first failing point and
+    index tuple do not depend on which conditions share the scan."""
     decided = {}
     for pt in points:
         frames = cache.frames(pt, *metrics)
@@ -237,12 +216,7 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, prove: bool) -> list[
             decided[name] = ConditionResult(name, False, _wit(*hit, pt))
         if len(decided) == len(proofs):
             break
-    return [
-        decided[name] if name in decided
-        else _scan(name, proof()) if prove
-        else ConditionResult(name, True)
-        for name, proof in proofs.items()
-    ]
+    return [decided.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
 
 
 def _flatness_proof(g: LinearMetric):
@@ -269,6 +243,42 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     return dict(mokhov_identities(R, obt.t, d_raised, gamma_g, gamma_h, g.n, identity))
 
 
+def _zero(*_):
+    return 0
+
+
+def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
+    """The Mokhov conditions that hold for constant g on the constant
+    contravariant connection of h: when b^{ij}_k = -h^{is} Gamma~^j_{sk} is
+    constant (``constant_connection`` with candidate point u0, giving
+    c = den * b), each of flat(g2) and T1..T5 that holds there.
+
+    Then R^{ijk} = g^{ir} h^{ks} Gamma~^j_{rs} = -g^{ir} b^{kj}_r is constant,
+    so T4 (nabla R = d R) holds, and the others go to their one statement in
+    ``geometry`` with d b = 0: flat(g2) is Dubrovin's contravariant curvature
+    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h; T3 is
+    contracted with h over its last index, T^r_{st} h^{tm} = -b^{mr}_s, and
+    T5 over its derivative index, h^{mr} Gamma~^i_{rl} = -b^{mi}_l.  Each
+    identity is homogeneous in b, so it holds on b iff on c."""
+    conn = constant_connection(h, u0)
+    if conn is None:
+        return set()
+    c, den = conn
+    n, rng = g.n, range(g.n)
+    # g's constant entries in the scalar type of c
+    gm = [[x.constant_value() if isinstance(den, Fraction) else x for x in row]
+          for row in g.mat.entries]
+    R = [[[-sum((gm[i][r] * c[k][j][r] for r in rng if gm[i][r] and c[k][j][r]), 0)
+           for k in rng] for j in rng] for i in rng]
+    T = [[[-c[m][r][s] for m in rng] for s in rng] for r in rng]
+    gamma = [[[-c[m][i][l] for l in rng] for m in rng] for i in rng]
+    # T4 holds, so its stream (the only reader of gamma_g) is not read
+    streams = dict(mokhov_identities(R, T, _zero, None, gamma, n, identity))
+    streams["T4"] = ()
+    streams["flat(g2)"] = riemann_components(c, _zero, n, identity)
+    return {name for name, stream in streams.items() if not any(r for _, r in stream)}
+
+
 def _mokhov_at(fg, fh):
     """(name, thunk) of flat(g1), flat(g2) and T1..T5 at a point."""
     yield "flat(g1)", lambda: pc.flat_at(fg)
@@ -279,26 +289,38 @@ def _mokhov_at(fg, fh):
 def mokhov_conditions(
     g: LinearMetric,
     h: LinearMetric,
-    mode: str | None = None,
     seed: int = DEFAULT_SEED,
     points=None,
     cache=None,
 ) -> VerificationReport:
-    """Flatness of both metrics plus the five obstruction-tensor identities."""
-    mode = mode or default_mode(g.n)
-    report = VerificationReport(g.n, 2, mode, seed)
+    """Flatness of both metrics plus the five obstruction-tensor identities,
+    scanned at ``points`` (by default the first SCAN_POINTS of the seed's
+    sample) and, without a hit there, proven: on the constant contravariant
+    connection of h where that shows the condition to hold (constant g; the
+    candidate point is the first of ``points``, or of the seed's sample),
+    else by ``flatness_witness`` or the condition's T1..T5 stream."""
+    report = VerificationReport(g.n, 2, seed)
     if points is None:
-        points = _sample(g.nvars, [g, h], mode, seed)
+        points = _sample(g.nvars, [g, h], seed)
+
+    @functools.cache
+    def proven():
+        if not g.is_constant():
+            return set()
+        u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
+        return _constant_connection_proofs(g, h, u0)
+
+    def proof(name, stream):
+        return lambda: () if name in proven() else stream()
 
     t_streams = functools.cache(lambda: _t_streams(g, h))
     proofs = {
         "flat(g1)": lambda: _flatness_proof(g),
-        "flat(g2)": lambda: _flatness_proof(h),
-        **{name: (lambda name=name: t_streams()[name]) for name in T_NAMES},
+        "flat(g2)": proof("flat(g2)", lambda: _flatness_proof(h)),
+        **{name: proof(name, lambda name=name: t_streams()[name]) for name in T_NAMES},
     }
     report.conditions = _scan_points(
-        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP),
-        mode == MODE_SYMBOLIC,
+        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP)
     )
     return report
 
@@ -351,7 +373,7 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
 
     hw = _wrap_metric(h, g) if points else None
     return linearity + _scan_points(
-        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP), True
+        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP)
     )
 
 
@@ -371,7 +393,7 @@ def theorem2_conditions(
     degenerate at every sample point, gets no point scan."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
-    report = VerificationReport(g.n, 2, MODE_SYMBOLIC, seed)
+    report = VerificationReport(g.n, 2, seed)
     hm = _as_bivector(h)
     if any(
         hm[i, j].degree_in_block(g.n) > 1
@@ -381,7 +403,7 @@ def theorem2_conditions(
         points = ()
     elif points is None:
         try:
-            points = _sample(g.nvars, [g, _wrap_metric(h, g)], MODE_SYMBOLIC, seed)
+            points = _sample(g.nvars, [g, _wrap_metric(h, g)], seed)
         except DegenerateEverywhere:
             points = ()
     report.conditions = pair_conditions(g, h, points, cache)
@@ -393,47 +415,35 @@ def theorem2_conditions(
 # ---------------------------------------------------------------------------
 
 
-def verify_operator(
-    spec: OperatorSpec, mode: str | None = None, seed: int = DEFAULT_SEED
-) -> VerificationReport:
-    """Full Hamiltonianity verification of an operator spec.
+def verify_operator(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> VerificationReport:
+    """Full Hamiltonianity verification of an operator spec, every
+    condition exact.
 
     2D: the linearity/Nijenhuis/Killing triple runs first, then the
     obstruction-tensor criterion, and the two must agree (DisagreementBug
     otherwise).  d >= 3: flatness of the (constant) first metric plus the
     pairwise conditions of each unordered pair, against its earlier metric.
-    The triple is proven in every mode; ``mode`` (default: default_mode(n))
-    says how the 2D Mokhov cross-check runs: proven, and scanned first only
-    after a failing triple (symbolic), or scanned at SAMPLE_COUNT points
-    (sampled).
     """
     if not spec.metrics[0].is_constant():
         raise FirstMetricNotConstant(
             "operator spec must present the first metric in constant form"
         )
-    mode = mode or default_mode(spec.n)
-    # only the d = 2 sampled Mokhov scan reads past the first SCAN_POINTS
-    points = _sample(spec.nvars, spec.metrics, mode if spec.d == 2 else MODE_SYMBOLIC, seed)
-    return _check_operator(spec, mode, seed, points, pc.FrameCache(pc.FP))
+    points = _sample(spec.nvars, spec.metrics, seed)
+    return _check_operator(spec, seed, points, pc.FrameCache(pc.FP))
 
 
-def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
-    """verify_operator at the seed's ``points``: the triple and the d >= 3
-    pairs scan their first SCAN_POINTS; the d = 2 Mokhov side scans all of
-    them in sampled mode, the same SCAN_POINTS in symbolic mode after a
-    failing triple, and none after a passing one.  ``report.conditions``
-    lists the Mokhov conditions before the triple's."""
-    report = VerificationReport(spec.n, spec.d, mode, seed)
-    scan = points[:SCAN_POINTS]
+def _check_operator(spec: OperatorSpec, seed: int, points, cache):
+    """verify_operator at the seed's scan ``points``: the triple and the
+    d >= 3 pairs scan them; the d = 2 Mokhov side scans them after a failing
+    triple and goes straight to its proofs after a passing one.
+    ``report.conditions`` lists the Mokhov conditions before the triple's."""
+    report = VerificationReport(spec.n, spec.d, seed)
     if spec.d == 2:
-        th2 = theorem2_conditions(spec.g, spec.gt, seed, scan, cache)
-        # after a proven triple a symbolic Mokhov scan cannot hit (the
-        # paper's theorem; a hit is certified), so it goes to its proofs
-        mok_points = () if th2.verdict and mode == MODE_SYMBOLIC else points
-        mok = mokhov_conditions(spec.g, spec.gt, mode, seed, mok_points, cache)
-        if mok.verdict and not th2.verdict and mode == MODE_SAMPLED:
-            # the Mokhov side passed every point: prove it
-            mok = mokhov_conditions(spec.g, spec.gt, MODE_SYMBOLIC, seed, scan, cache)
+        th2 = theorem2_conditions(spec.g, spec.gt, seed, points, cache)
+        # after a proven triple a Mokhov scan cannot hit (the paper's
+        # theorem; a hit is certified), so it goes to its proofs
+        mok_points = () if th2.verdict else points
+        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, cache)
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "
@@ -446,7 +456,7 @@ def _check_operator(spec: OperatorSpec, mode: str, seed: int, points, cache):
     report.conditions.append(_scan("flat(g1)", _flatness_proof(spec.g)))
     for b, gb in enumerate(spec.metrics, 1):
         for c, gc in enumerate(spec.metrics[: b - 1], 1):
-            report.conditions.extend(pair_conditions(gc, gb, scan, cache, (b, c)))
+            report.conditions.extend(pair_conditions(gc, gb, points, cache, (b, c)))
     return report
 
 

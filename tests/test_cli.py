@@ -90,12 +90,19 @@ def test_verify_timing_flag(tmp_path):
     assert json.loads(out.read_text())["timing_ms"] is not None
 
 
-def test_verify_sampled_mode_flag(tmp_path):
+def test_verify_sampled_mode_flag(tmp_path, capsys):
+    # verify has one exact mode and no option to choose one: the former
+    # flag is argparse's usage error, and no report is written
+    flag = "--" + "mode"
     path = write(tmp_path, "op5.json", op5_file())
     out = tmp_path / "s.json"
-    assert main(["verify", path, "--mode", "sampled", "--output", "json", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["mode"] == "sampled"
+    assert main(["verify", path, flag, "sampled", "--output", "json", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("usage: hamop ")
+    assert err.endswith(f"hamop: error: unrecognized arguments: {flag} sampled\n")
+    assert not out.exists()
+    assert main(["verify", "--help"]) == 0
+    assert "mode" not in capsys.readouterr().out
 
 
 def test_classify_operator5(tmp_path, capsys):
@@ -249,13 +256,12 @@ def test_identically_degenerate_metric_exit2(tmp_path, capsys, command, slot):
     assert f"metrics[{slot}]: metric is identically degenerate" in err
 
 
-@pytest.mark.parametrize("mode", [[], ["--mode", "sampled"]])
-def test_single_metric_spec(tmp_path, capsys, mode):
+def test_single_metric_spec(tmp_path, capsys):
     # d = 1 has no affinor: verify checks flat(g1) alone and reports the
     # missing Segre type in its payload; classify does not support the spec
     data = {"n": 2, "d": 1, "metrics": [op5_file()["metrics"][0]]}
     path = write(tmp_path, "single.json", data)
-    assert main(["verify", path, "--output", "json", *mode]) == 0
+    assert main(["verify", path, "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["d"] == 1 and report["verdict"] == "pass"
     assert [c["name"] for c in report["conditions"]] == ["flat(g1)"]
@@ -321,8 +327,7 @@ def test_exponent_coefficient_exit2(tmp_path, capsys, command, coeff):
     )
 
 
-@pytest.mark.parametrize("mode", [[], ["--mode", "sampled"]])
-def test_many_digit_residuals_print_exactly(tmp_path, capsys, mode):
+def test_many_digit_residuals_print_exactly(tmp_path, capsys):
     # c^{11}_1 = 10^2500 in mokhov-n3 (it was -4) breaks Killing at (1,1,3),
     # whose residual c^{11}_1 + 2 c^{13}_3 is 10^2500 + 4 at every point;
     # other residuals have more digits than Python's default string limit
@@ -331,7 +336,7 @@ def test_many_digit_residuals_print_exactly(tmp_path, capsys, mode):
     data["metrics"][1]["linear"][0]["coeff"] = f"{10**2500}/1"
     path = write(tmp_path, "big.json", data)
     limit = sys.get_int_max_str_digits()
-    assert main(["verify", path, "--output", "json", *mode]) == 1
+    assert main(["verify", path, "--output", "json"]) == 1
     assert sys.get_int_max_str_digits() == limit
     out, err = capsys.readouterr()
     assert err == ""

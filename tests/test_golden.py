@@ -8,24 +8,22 @@ The spec of a catalog entry under ``golden/`` can be written by
 Each verify report under ``golden/`` was written by
 
     python -m hamop.cli verify golden/<case>.spec.json --output json \
-        --out golden/<case>.json [--mode sampled]
+        --out golden/<case>.json
 
 and each classify report by
 
     python -m hamop.cli classify golden/<case>.spec.json --output json \
         --out golden/<case>.classify.json
 
-The cases cover a passing catalog entry (mokhov-n3), a d = 3 entry
-(thm5-3d-1), a passing n = 6 entry in default (symbolic) and in sampled mode
-(mokhov-n6), a passing n = 4 entry with Segre type [2,2] in default mode
-(s22-case2-b4p, whose Mokhov side is proven without a scan after its triple
-passes), and three failing specs in default and in sampled mode: an
-n = 2 and an n = 3 pencil (witnesses in eight conditions), and an n = 2,
-d = 3 spec (one linearity / Nijenhuis / Killing triple per unordered pair,
-with witnesses against the constant and against a non-constant reference
-metric).  A failing default-mode report finds its
-failures at the scan points and equals the sampled report apart from
-``"mode"``.
+Every verify condition is exact, so each report is the one result of its
+input and seed.  The cases cover a passing catalog entry (mokhov-n3), a
+d = 3 entry (thm5-3d-1), a passing n = 6 entry (mokhov-n6), a passing
+n = 4 entry with Segre type [2,2] (s22-case2-b4p), whose Mokhov side, like
+mokhov-n6's, is proven on the constant contravariant connection without a
+scan, and three failing specs: an n = 2 and an n = 3 pencil (witnesses in
+eight conditions, found at the scan points), and an n = 2, d = 3 spec (one
+linearity / Nijenhuis / Killing triple per unordered pair, with witnesses
+against the constant and against a non-constant reference metric).
 
 The classify cases cover an affine eigenvalue fit over Q (mokhov-n3), ranks
 over Q(i) with a conjugate pair of eigenvalues (complex-2x2, whose
@@ -46,26 +44,17 @@ from hamop.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
-    ("mokhov-n3", "mokhov-n3", []),
-    ("pencil-n2-raw", "pencil-n2-raw", []),
-    ("pencil-n2-raw", "pencil-n2-raw.sampled", ["--mode", "sampled"]),
-    ("thm5-3d-1", "thm5-3d-1", []),
-    ("mokhov-n6", "mokhov-n6", []),
-    ("mokhov-n6", "mokhov-n6.sampled", ["--mode", "sampled"]),
-    ("s22-case2-b4p", "s22-case2-b4p", []),
-    ("pencil-n3-raw", "pencil-n3-raw", []),
-    ("pencil-n3-raw", "pencil-n3-raw.sampled", ["--mode", "sampled"]),
-    ("pencil-n2-d3", "pencil-n2-d3", []),
-    ("pencil-n2-d3", "pencil-n2-d3.sampled", ["--mode", "sampled"]),
+    "mokhov-n3", "pencil-n2-raw", "thm5-3d-1", "mokhov-n6", "s22-case2-b4p",
+    "pencil-n3-raw", "pencil-n2-d3",
 ]
 
 
-@pytest.mark.parametrize("spec, report, extra", CASES, ids=[c[1] for c in CASES])
-def test_verify_report_is_golden(tmp_path, spec, report, extra):
+@pytest.mark.parametrize("case", CASES)
+def test_verify_report_is_golden(tmp_path, case):
     out = tmp_path / "report.json"
-    golden = (GOLDEN / f"{report}.json").read_bytes()
-    rc = main(["verify", str(GOLDEN / f"{spec}.spec.json"), "--output", "json",
-               "--out", str(out), *extra])
+    golden = (GOLDEN / f"{case}.json").read_bytes()
+    rc = main(["verify", str(GOLDEN / f"{case}.spec.json"), "--output", "json",
+               "--out", str(out)])
     assert rc == (0 if b'"verdict": "pass"' in golden else 1)
     assert out.read_bytes() == golden
 

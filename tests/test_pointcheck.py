@@ -2,8 +2,8 @@
 
 The F_p kernel is the image of the Q kernel: at a seeded integer point every
 jet and every obstruction component over F_p equals the Q value reduced mod
-p.  A Q frame cache is the exact reference for the F_p point scans, which
-both modes run, and the symbolic residual streams are pinned to the point
+p.  A Q frame cache is the exact reference for the F_p point scans of
+verify, and the symbolic residual streams are pinned to the point
 hits component by component.
 """
 
@@ -28,7 +28,6 @@ from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
 from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
-    MODE_SAMPLED,
     SCAN_POINTS,
     _check_operator,
     _mokhov_at,
@@ -104,10 +103,10 @@ def test_non_unit_denominator_keeps_verdict(failing):
 
 
 def _sampled_both_ways(g, h, points=None):
-    """Sampled conditions of both criteria on F_p frames and on Q frames."""
+    """Conditions of both criteria, scanned on F_p frames and on Q frames."""
     runs = []
     for cache in (None, pc.FrameCache(pc.Q)):
-        mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        mok = mokhov_conditions(g, h, points=points, cache=cache)
         th2 = theorem2_conditions(g, h, points=points, cache=cache)
         runs.append(mok.conditions + th2.conditions)
     return runs
@@ -141,8 +140,8 @@ def test_sampled_fp_matches_q_pairwise():
     verdicts = []
     for spec in (base, OperatorSpec([*base.metrics[:2], raw])):
         points = pc.sample_points(spec.nvars, spec.metrics, seed=0, count=4)
-        fp = _check_operator(spec, MODE_SAMPLED, 0, points, pc.FrameCache(pc.FP))
-        q = _check_operator(spec, MODE_SAMPLED, 0, points, pc.FrameCache(pc.Q))
+        fp = _check_operator(spec, 0, points, pc.FrameCache(pc.FP))
+        q = _check_operator(spec, 0, points, pc.FrameCache(pc.Q))
         assert fp.conditions == q.conditions
         verdicts.append(fp.verdict)
     assert verdicts == [True, False]
@@ -162,8 +161,8 @@ def test_sampled_non_unit_denominator_runs_on_q(failing):
     assert pc.FrameCache(pc.FP).frame(hp, [Fraction(1), Fraction(2)]).F is pc.Q
     fp, q = _sampled_both_ways(g, hp)
     assert fp == q
-    rep = verify_operator(OperatorSpec([g, hp]), MODE_SAMPLED)
-    ref = verify_operator(OperatorSpec([g, h]), MODE_SAMPLED)
+    rep = verify_operator(OperatorSpec([g, hp]))
+    ref = verify_operator(OperatorSpec([g, h]))
     assert rep.verdict == ref.verdict == (not failing)
     if failing:
         def shape(r):
@@ -188,7 +187,7 @@ def test_point_singular_mod_p_runs_on_q(h22):
     points = [[Fraction(pc.P), Fraction(1)], [Fraction(3), Fraction(5)]]
     runs = []
     for cache in (pc.FrameCache(pc.FP), pc.FrameCache(pc.Q)):
-        mok = mokhov_conditions(g, h, MODE_SAMPLED, points=points, cache=cache)
+        mok = mokhov_conditions(g, h, points=points, cache=cache)
         th2 = theorem2_conditions(g, h, points=points, cache=cache)
         runs.append((mok.conditions + th2.conditions, cache))
     (fp, cache), (q, _) = runs
@@ -212,8 +211,8 @@ def test_fp_hit_without_q_hit_is_an_internal_error():
 
     proofs = {"probe": list}
     with pytest.raises(DisagreementBug, match=r"zero over Q at \(3/1, 5/1\)"):
-        _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.FP), False)
-    (result,) = _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.Q), False)
+        _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.FP))
+    (result,) = _scan_points(proofs, fp_only, (g,), points, pc.FrameCache(pc.Q))
     assert result.passed
 
 
@@ -233,7 +232,7 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
     monkeypatch.setattr(pc.PointFrame, "_dgamma_entry", counted)
     points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
     (flat,) = _scan_points(
-        {"flat(g2)": list}, _mokhov_at, (g, h), points, pc.FrameCache(pc.FP), False
+        {"flat(g2)": list}, _mokhov_at, (g, h), points, pc.FrameCache(pc.FP)
     )
     assert not flat.passed
     assert 0 < len(entries) < g.n**4
@@ -243,9 +242,10 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
 
 
 def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
-    # h = diag(u1, 1) is flat: flat(g1) and flat(g2) have no F_p hit, so the
-    # Q passes that recompute the T-identity and triple hits never run the
-    # flatness kernel over Q
+    # h = diag(u1, 1) is flat: with it as the (non-constant) first metric
+    # nothing is proven on a constant connection, flat(g1) and flat(g2)
+    # are scanned and have no F_p hit, so the Q passes that recompute the
+    # T-identity hits never run the flatness kernel over Q
     u1, _ = u_vars(2)
     z = MultiPoly.zero(2)
     g = LinearMetric.antidiagonal(2)
@@ -258,8 +258,8 @@ def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
         return flat_at(f)
 
     monkeypatch.setattr(pc, "flat_at", counted)
-    rep = verify_operator(OperatorSpec([g, h]))
-    assert rep.failed_names() == ["T1", "T2", "T5", "nijenhuis", "killing"]
+    rep = mokhov_conditions(h, g)
+    assert rep.failed_names() == ["T1", "T2", "T4"]
     assert all(c.witness.point for c in rep.conditions if not c.passed)
     assert pc.FP in fields and pc.Q not in fields
 

@@ -14,13 +14,9 @@ from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
 from hamop.specfile import default_param_values, specialize_spec
 from hamop.verify import (
-    MODE_SAMPLED,
-    MODE_SYMBOLIC,
     SCAN_POINTS,
-    T_NAMES,
     _check_operator,
     _sample,
-    default_mode,
     exactness_check,
     mokhov_conditions,
     pair_conditions,
@@ -99,43 +95,18 @@ def test_first_metric_not_constant():
 
 
 def test_sampled_and_symbolic_agree_conditionwise():
+    # per condition, a scan at another seed's points followed by the proofs
+    # agrees with the proofs alone (no scan point)
     g, gt = operator5_pair()
     u1, u2 = u_vars(2)
     z = MultiPoly.zero(2)
     bad = LinearMetric(2, PolyMatrix([[u1, z], [z, u2]]))
     for h in (gt, bad):
-        sym = theorem2_conditions(g, h)
-        smp = theorem2_conditions(g, h, seed=4)
-        for c1 in sym.conditions:
-            c2 = smp.condition(c1.name)
-            assert c1.passed == c2.passed, c1.name
-        m_sym = mokhov_conditions(g, h, mode=MODE_SYMBOLIC)
-        m_smp = mokhov_conditions(g, h, mode=MODE_SAMPLED, seed=4)
-        for c1 in m_sym.conditions:
-            assert m_smp.condition(c1.name).passed == c1.passed, c1.name
-
-
-def test_symbolic_mode_is_sampled_mode_plus_proofs():
-    # symbolic mode scans the triple at the first SCAN_POINTS points of the
-    # seed's sample, and the Mokhov side there too when the triple fails
-    # (after a passing triple it has nothing to find at a point), and it
-    # proves what passed, so per condition it agrees with sampled mode, and
-    # a failure found at a scan point carries the sampled witness
-    verdicts, at_points = set(), 0
-    for n, seed in ((2, 61), (3, 62)):
-        g, hs = corpus_pairs(n, random.Random(seed), raw=3, killing=3, family=2, constant=1)
-        for h in hs:
-            spec = OperatorSpec([g, h])
-            sym = verify_operator(spec, MODE_SYMBOLIC)
-            smp = verify_operator(spec, MODE_SAMPLED)
-            assert [c.name for c in sym.conditions] == [c.name for c in smp.conditions]
-            for c1, c2 in zip(sym.conditions, smp.conditions):
-                assert c1.passed == c2.passed, (n, c1.name)
-                if not c1.passed and c1.witness.point is not None:
-                    assert c1 == c2, (n, c1.name)
-                    at_points += 1
-            verdicts.add(sym.verdict)
-    assert verdicts == {True, False} and at_points
+        for check in (theorem2_conditions, mokhov_conditions):
+            smp = check(g, h, seed=4)
+            sym = check(g, h, points=[])
+            for c1 in sym.conditions:
+                assert smp.condition(c1.name).passed == c1.passed, c1.name
 
 
 def _killing_pencil():
@@ -162,25 +133,22 @@ def test_proof_catches_a_failure_the_scan_misses():
     # none at all, flatness, T1..T5 and the triple are decided by their proofs
     scanned = verify_operator(OperatorSpec([g, h]))
     assert scanned.condition("nijenhuis").witness.point
-    proven = mokhov_conditions(g, h, MODE_SYMBOLIC, points=[]).conditions
+    proven = mokhov_conditions(g, h, points=[]).conditions
     proven += theorem2_conditions(g, h, points=[]).conditions
     assert [c.passed for c in proven] == [c.passed for c in scanned.conditions]
     assert not scanned.verdict
     assert all(c.witness.point is None for c in proven if not c.passed)
 
 
-def test_sampled_mode_proves_the_mokhov_side_when_the_triple_fails():
-    # with no scan point at all, the triple fails by its proofs while the
-    # sampled Mokhov side has nothing to test: verify then proves the Mokhov
-    # side too, and the criteria agree (no DisagreementBug)
+def test_both_criteria_are_proven_without_scan_points():
+    # with no scan point at all, the triple fails by its proofs and the
+    # Mokhov side is proven too: the criteria agree (no DisagreementBug),
+    # and every failure carries a witness with no point
     g, h = _killing_pencil()
-    spec = OperatorSpec([g, h])
-    rep = _check_operator(spec, MODE_SAMPLED, 0, [], pc.FrameCache(pc.FP))
-    assert rep.mode == MODE_SAMPLED and not rep.verdict
+    rep = _check_operator(OperatorSpec([g, h]), 0, [], pc.FrameCache(pc.FP))
+    assert not rep.verdict
     assert "nijenhuis" in rep.failed_names() and "T1" in rep.failed_names()
     assert all(c.witness.point is None for c in rep.conditions if not c.passed)
-    proven = _check_operator(spec, MODE_SYMBOLIC, 0, [], pc.FrameCache(pc.FP))
-    assert rep.conditions == proven.conditions
 
 
 def _passing_specs():
@@ -197,93 +165,68 @@ def _refuse(*args):
 
 def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
     # the triple runs first; once it is proven, a Mokhov scan hit would be
-    # a certified nonzero value against the paper's theorem, so symbolic
-    # mode proves flat(g2) and T1..T5 without evaluating them at a point
+    # a certified nonzero value against the paper's theorem.  flat(g1)
+    # holds for the constant g, and on a Hamiltonian pencil the
+    # contravariant connection of h is constant, so flat(g2) and T1..T5 are
+    # proven on it, without a point scan or a rational stream
     specs = _passing_specs()
     reports = [verify_operator(spec).to_dict() for spec in specs]
     monkeypatch.setattr(pc, "mokhov_at", _refuse)
     monkeypatch.setattr(pc, "flat_at", _refuse)
+    monkeypatch.setattr(vf, "_t_streams", _refuse)
     for spec, expected in zip(specs, reports):
-        rep = verify_operator(spec, MODE_SYMBOLIC)
+        monkeypatch.setattr(vf, "flatness_witness", lambda m: m is spec.gt and _refuse())
+        rep = verify_operator(spec)
         assert rep.verdict and rep.to_dict() == expected
 
 
 def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
     # the proofs that replace the scan still cross-check the triple: a
-    # nonzero T3 or flat(g2) residual on a passing spec raises
+    # nonzero T3 or flat(g2) residual on a passing spec raises.  The
+    # constant-connection proof and the streams it falls back to both run
+    # geometry's one statement of each condition
     g, h = operator5_pair()
     spec = OperatorSpec([g, h])
-    t_streams = vf._t_streams
+    identities = vf.mokhov_identities
 
-    def t3_fails(g, h):
-        return {**t_streams(g, h), "T3": [((1, 1, 1), 1)]}
+    def t3_fails(*args):
+        return [(name, [((1, 1, 1, 1), 1)] if name == "T3" else stream)
+                for name, stream in identities(*args)]
 
     with monkeypatch.context() as m:
-        m.setattr(vf, "_t_streams", t3_fails)
+        m.setattr(vf, "mokhov_identities", t3_fails)
         with pytest.raises(DisagreementBug, match="criteria disagree"):
-            verify_operator(spec, MODE_SYMBOLIC)
+            verify_operator(spec)
     witness = vf.flatness_witness
+    monkeypatch.setattr(vf, "riemann_components", lambda *args: [((1, 2, 1, 2), 1)])
     monkeypatch.setattr(
         vf, "flatness_witness", lambda m: ((1, 2, 1, 2), 1) if m is h else witness(m)
     )
     with pytest.raises(DisagreementBug, match="criteria disagree"):
-        verify_operator(spec, MODE_SYMBOLIC)
+        verify_operator(spec)
 
 
-def test_sampled_mode_scans_mokhov_at_every_point_after_a_passing_triple(monkeypatch):
-    # sampled mode does not prove the Mokhov side: its scan of all
-    # SAMPLE_COUNT points is the cross-check there
-    calls = []
-    mokhov_at = pc.mokhov_at
-
-    def counted(fg, fh):
-        calls.append(fg.point)
-        return mokhov_at(fg, fh)
-
-    monkeypatch.setattr(pc, "mokhov_at", counted)
-    rep = verify_operator(_passing_specs()[1], MODE_SAMPLED)
-    assert rep.verdict and len(calls) == pc.SAMPLE_COUNT
-
-
-@pytest.mark.parametrize("spec, count", [
-    (theorem5_3d_operators()[0], SCAN_POINTS),
-    (OperatorSpec(list(operator5_pair())), pc.SAMPLE_COUNT),
+@pytest.mark.parametrize("spec, draws", [
+    (theorem5_3d_operators()[0], [SCAN_POINTS]),
+    (OperatorSpec(list(operator5_pair())), [SCAN_POINTS, 1]),
 ], ids=["d3", "d2"])
-def test_sampled_mode_draws_only_the_points_it_reads(monkeypatch, spec, count):
-    # only the d = 2 sampled Mokhov scan reads past the first SCAN_POINTS
-    # points; the seeded draw is a prefix, so fewer points change nothing
-    draws = []
+def test_verify_draws_only_the_points_it_scans(monkeypatch, spec, draws):
+    # verify draws the first SCAN_POINTS points of the seed's sample; after
+    # a passing triple the unscanned Mokhov side draws only the first, the
+    # candidate point of the constant connection.  The seeded draw is a
+    # prefix, so that is the first scan point
+    counts = []
     sample_points = pc.sample_points
 
-    def counted(nvars, metrics, seed, count=pc.SAMPLE_COUNT, field=pc.Q):
-        draws.append(count)
+    def counted(nvars, metrics, seed, count, field=pc.Q):
+        counts.append(count)
         return sample_points(nvars, metrics, seed, count, field)
 
     monkeypatch.setattr(pc, "sample_points", counted)
-    rep = verify_operator(spec, MODE_SAMPLED)
-    assert rep.verdict and draws == [count]
+    rep = verify_operator(spec)
+    assert rep.verdict and counts == draws
     assert sample_points(spec.nvars, spec.metrics, 0, SCAN_POINTS) == \
-        sample_points(spec.nvars, spec.metrics, 0)[:SCAN_POINTS]
-
-
-def test_triple_is_the_same_in_both_modes():
-    # both modes scan the triple at the first SCAN_POINTS points of the
-    # seed's sample and prove what passed there, so its ConditionResults,
-    # witnesses included, do not depend on the mode: d = 2 corpus pairs, and
-    # the d = 3 specs of test_unordered_pairs_give_the_ordered_pairs_verdict
-    specs, verdicts = [], set()
-    for n, seed in ((2, 61), (3, 62)):
-        g, hs = corpus_pairs(n, random.Random(seed), raw=3, killing=3, family=2, constant=1)
-        specs += [OperatorSpec([g, h]) for h in hs]
-    for n, seed in ((2, 1), (3, 3)):
-        g, hs = corpus_pairs(n, random.Random(seed), raw=2, killing=2, family=3, constant=2)
-        specs += [OperatorSpec([g, h1, h2]) for h1, h2 in itertools.combinations(hs, 2)]
-    for spec in specs:
-        sym, smp = (verify_operator(spec, mode) for mode in (MODE_SYMBOLIC, MODE_SAMPLED))
-        triple = slice(len(T_NAMES) + 2 if spec.d == 2 else 0, None)
-        assert sym.conditions[triple] == smp.conditions[triple]
-        verdicts.add(smp.verdict)
-    assert verdicts == {True, False}
+        sample_points(spec.nvars, spec.metrics, 0, 5)[:SCAN_POINTS]
 
 
 def test_degenerate_bivector_is_decided_without_points():
@@ -294,22 +237,21 @@ def test_degenerate_bivector_is_decided_without_points():
     g = LinearMetric.antidiagonal(2)
     h = PolyMatrix([[u1, z], [z, z]])
     with pytest.raises(DegenerateEverywhere):
-        pc.sample_points(2, [g, LinearMetric(2, h, check_nondegenerate=False)], 0)
+        pc.sample_points(2, [g, LinearMetric(2, h, check_nondegenerate=False)], 0, SCAN_POINTS)
     rep = theorem2_conditions(g, h)
     assert rep.failed_names() == ["killing"]
     w = rep.condition("killing").witness
     assert (w.indices, w.residual, w.point) == ((1, 1, 2), "1/1", None)
 
 
-@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
-def test_killing_is_reported_against_the_earlier_metric(mode):
+def test_killing_is_reported_against_the_earlier_metric():
     # d = 3 checks one triple per unordered pair c < b, and killing[c|b] is
     # K(g_c, g_b): its witness is the first component of
     # killing_stream(g_c, g_b) that is nonzero at the witness point.  K is
     # antisymmetric, so the residual's sign pins the order
     g, hs = corpus_pairs(2, random.Random(33), raw=2, killing=1, family=0, constant=0)
     spec = OperatorSpec([g, hs[2], hs[0]])
-    rep = verify_operator(spec, mode)
+    rep = verify_operator(spec)
     pairs = ((2, 1), (3, 1), (3, 2))
     assert [c.name for c in rep.conditions] == ["flat(g1)"] + [
         name for b, c in pairs
@@ -359,8 +301,7 @@ def test_killing_stream_is_antisymmetric():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("mode", [MODE_SYMBOLIC, MODE_SAMPLED])
-def test_unordered_pairs_give_the_ordered_pairs_verdict(mode):
+def test_unordered_pairs_give_the_ordered_pairs_verdict():
     # the d >= 3 verdict from one triple per unordered pair equals the
     # verdict of the triples of every ordered pair at the same points
     verdicts = []
@@ -368,21 +309,16 @@ def test_unordered_pairs_give_the_ordered_pairs_verdict(mode):
         g, hs = corpus_pairs(n, random.Random(seed), raw=2, killing=2, family=3, constant=2)
         for h1, h2 in itertools.combinations(hs, 2):
             spec = OperatorSpec([g, h1, h2])
-            points = _sample(spec.nvars, spec.metrics, mode, 0)
+            points = _sample(spec.nvars, spec.metrics, 0)
             cache = pc.FrameCache(pc.FP)
             ordered = all(
                 r.passed
                 for gb, gc in itertools.permutations(spec.metrics, 2)
                 for r in pair_conditions(gc, gb, points, cache)
             )
-            verdicts.append(verify_operator(spec, mode).verdict)
-            assert verdicts[-1] == ordered, (n, mode)
+            verdicts.append(verify_operator(spec).verdict)
+            assert verdicts[-1] == ordered, n
     assert set(verdicts) == {True, False}
-
-
-def test_default_mode_is_symbolic_up_to_n8():
-    assert default_mode(8) == MODE_SYMBOLIC
-    assert default_mode(9) == MODE_SAMPLED
 
 
 def test_verify_operator_merges_both_criteria():
