@@ -57,7 +57,7 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

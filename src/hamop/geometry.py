@@ -8,6 +8,17 @@ obstruction identities T1..T5 and Lie derivatives of bivectors.  Everything
 is exact: entries are MultiPoly or RationalFunction, and a condition
 "holds" iff the residual is identically zero.
 
+``mokhov_identities`` states T1..T5 for a constant metric g on the
+contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
+(``connection_numerators``) and R^{ijk} = -g^{ir} b^{kj}_r
+(``raised_obstruction``).  Mokhov's T3 and T5 are contracted with the
+invertible h there, by the two identities
+
+    T^r_{st} h^{tm} = -b^{mr}_s,    h^{mr} Gamma~^i_{rl} = -b^{mi}_l,
+
+which hold because T = Gamma~ for constant g.  ``obstruction_tensor``
+keeps the paper's uncontracted form for any pair, as a reference.
+
 Each verification condition is stated once, as a lazy stream of
 (1-based indices, residual) that works for every scalar representation:
 ``riemann_components`` (flatness), ``nijenhuis_components``,
@@ -124,15 +135,13 @@ def constant_connection(h: LinearMetric, u0):
     """(c, den) with c[i][j][k] / den = b^{ij}_k = -h^{is} Gamma^j_{sk}, the
     contravariant Levi-Civita connection of h, when it does not depend on u;
     else None.  c and den are Fractions, or polynomials in h's formal
-    parameters.  The candidate is b at the point u0 of the u-block, from one
-    adjugate of h0 = h(u0) (the parameters stay symbolic):
-
-        2 b^{ij}_k = d_k h^{ij} + (h0^{is} d_s h^{jq} - h0^{js} d_s h^{iq}) h0_{qk}.
-
-    d h is constant, so it is metric-compatible, b^{ij}_k + b^{ji}_k =
-    d_k h^{ij}, at every u.  The result rests only on the torsion-free
-    identity h^{is} b^{jk}_s = h^{js} b^{ik}_s, checked at every u on linear
-    polynomials: with it the candidate is the connection, which is unique."""
+    parameters.  The candidate is ``connection_numerators`` at the point u0
+    of the u-block, from one adjugate of h0 = h(u0) (the parameters stay
+    symbolic).  d h is constant, so it is metric-compatible,
+    b^{ij}_k + b^{ji}_k = d_k h^{ij}, at every u.  The result rests only on
+    the torsion-free identity h^{is} b^{jk}_s = h^{js} b^{ik}_s, checked at
+    every u on linear polynomials: with it the candidate is the connection,
+    which is unique."""
     n, rng = h.n, range(h.n)
     at_u0 = {k + 1: u0[k] for k in rng}
     h0 = h.mat.map(lambda p: p.substitute(at_u0))
@@ -142,18 +151,38 @@ def constant_connection(h: LinearMetric, u0):
     lift = MultiPoly.constant_value if h.nvars == n else identity
     h0, adj = ([[lift(p) for p in row] for row in m.entries] for m in (h0, adj))
     dh = _partials(h.mat, n, lift)
-    # a[i][j][q] = h0^{is} d_s h^{jq}, e[i][j][k] = a[i][j][q] adj_{qk}
-    dh_s = [[[dh[s][j][q] for s in rng] for q in rng] for j in rng]
     adj_q = list(zip(*adj))
-    a = [[[_dot(h0[i], dh_s[j][q]) for q in rng] for j in rng] for i in rng]
-    e = [[[_dot(a[i][j], adj_q[k]) for k in rng] for j in rng] for i in rng]
-    c = [[[det * dh[k][i][j] + e[i][j][k] - e[j][i][k] for k in rng] for j in rng] for i in rng]
+    f = [[[_dot(row, col) for col in adj_q] for row in m] for m in dh]  # d_s h adj
+    c = connection_numerators(h0, f, dh, det, identity)
     hm = h.mat.entries
     # torsion-free: h^{is} c^{jk}_s = h^{js} c^{ik}_s
     if any(_dot(hm[i], c[j][k]) != _dot(hm[j], c[i][k])
            for i in rng for j in range(i + 1, n) for k in rng):
         return None
     return c, 2 * det
+
+
+def connection_numerators(h0, f, dh, det, red):
+    """c[i][j][k] = det d_k h^{ij} + e^{ij}_k - e^{ji}_k with
+    e^{ij}_k = h0^{is} f[s][j][k]; ``dh[s][a][b]`` = d_s h^{ab}.  For
+    h0 = h(u) and f[s] = d_s h inv, inv = det h0^{-1}, it is 2 det b^{ij}_k,
+    the contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma^j_{sk} of
+    h at u:
+
+        2 b^{ij}_k = d_k h^{ij} + h^{is} d_s h^{jq} h_{qk} - h^{js} d_s h^{iq} h_{qk}."""
+    rng = range(len(h0))
+    f_s = [[[f[s][j][k] for s in rng] for k in rng] for j in rng]
+    e = [[[red(_dot(h0[i], f_s[j][k])) for k in rng] for j in rng] for i in rng]
+    return [[[red(det * dh[k][i][j] + e[i][j][k] - e[j][i][k]) for k in rng]
+             for j in rng] for i in rng]
+
+
+def raised_obstruction(g, b, n: int, red) -> list:
+    """R^{ijk} = -g^{ir} b^{kj}_r, the raised obstruction tensor
+    g^{ir} h^{ks} T^j_{rs} of a constant metric g (T = Gamma~, and
+    h^{ks} Gamma~^j_{sr} = -b^{kj}_r); g[i][r] = g^{ir}, b[i][j][k] = b^{ij}_k."""
+    rng = range(n)
+    return [[[red(-_dot(g[i], b[k][j])) for k in rng] for j in rng] for i in rng]
 
 
 def _dot(xs, ys):
@@ -407,63 +436,52 @@ class ObstructionTensor:
     t_raised: list  # t_raised[i][j][k], RationalFunction
 
 
-def raise_obstruction(g: LinearMetric, h: LinearMetric, t: list, zero) -> list:
-    """raised[i][j][k] = g^{ir} h^{ks} t[j][r][s]; ``zero`` is the zero of
-    the entries' type (MultiPoly numerators or RationalFunctions)."""
-    n = g.n
-    raised = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = zero
-                for r in range(n):
-                    gir = g.mat[i, r]
-                    if not gir:
-                        continue
-                    for s in range(n):
-                        hks = h.mat[k, s]
-                        if hks and t[j][r][s]:
-                            acc = acc + (gir * hks) * t[j][r][s]
-                raised[i][j][k] = acc
-    return raised
-
-
 def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
-    n = g.n
-    cg = levi_civita(g)
-    ch = levi_civita(h)
-    t = [
-        [
-            [ch.gamma[i][j][k] - cg.gamma[i][j][k] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    """The obstruction tensor of (g, h) as the paper defines it, for any
+    pair of metrics; ``mokhov_identities`` reads it, for constant g, through
+    the contravariant connection of h (``raised_obstruction``)."""
+    rng = range(g.n)
+    cg, ch = levi_civita(g).gamma, levi_civita(h).gamma
+    t = [[[ch[i][j][k] - cg[i][j][k] for k in rng] for j in rng] for i in rng]
+    gm, hm = g.mat.entries, h.mat.entries
     zero = RationalFunction(MultiPoly.zero(g.nvars))
-    return ObstructionTensor(n, t, raise_obstruction(g, h, t, zero))
+    raised = [[[sum((gm[i][r] * hm[k][s] * t[j][r][s] for r in rng for s in rng
+                     if gm[i][r] and hm[k][s] and t[j][r][s]), zero)
+                for k in rng] for j in rng] for i in rng]
+    return ObstructionTensor(g.n, t, raised)
 
 
 T_NAMES = ("T1", "T2", "T3", "T4", "T5")
 
 
-def mokhov_identities(raised, T, dRaised, gamma_g, gamma_h, n: int, red):
-    """Mokhov's obstruction identities T1..T5 on the raised obstruction
-    tensor R^{ijk} = g^{ir} h^{ks} T^j_{rs} (arXiv 1312.0475, section 2):
+def mokhov_identities(R, dR, b, h, n: int, red):
+    """Mokhov's obstruction identities T1..T5 (arXiv 1312.0475, section 2)
+    for a constant metric g and a metric h, on the contravariant
+    Christoffel symbols b[i][j][k] = b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
+    and the raised obstruction tensor R^{ijk} = -g^{ir} b^{kj}_r
+    (``raised_obstruction``):
 
-        T1  R^{ijk} = R^{kji}
-        T2  R^{ijk} + R^{jki} + R^{kij} = 0
-        T3  R^{ijs} T^r_{st} = R^{irs} T^j_{st}
-        T4  nabla_r R^{ijk} = 0 for the connection gamma_g of g
-        T5  nabla_r R^{ijk} = 0 for the connection gamma_h of h
+        T1  R^{ijk} - R^{kji}
+        T2  R^{ijk} + R^{jki} + R^{kij}
+        T3  R^{irs} b^{mj}_s - R^{ijs} b^{mr}_s
+        T4  d_r R^{ijk}
+        T5  h^{mr} d_r R^{ijk} - b^{mi}_l R^{ljk} - b^{mj}_l R^{ilk}
+            - b^{mk}_l R^{ijl}
+
+    each of which must vanish.  With g constant, nabla R = d R, and T3 and
+    T5 are Mokhov's R^{ijs} T^r_{st} = R^{irs} T^j_{st} and
+    nabla~_r R^{ijk} = 0 contracted with the invertible h (module
+    docstring), so they vanish iff those do.
 
     Written once for every scalar representation: the entries need only +,
     -, * (int 0 included) and truthiness, and ``red`` brings a sum of
-    products into canonical form.  ``dRaised(r, i, j, k)`` is the
-    representation's d_r R^{ijk}.  Yields (name, stream) in order; a stream
-    lazily yields (1-based indices, residual), so a scan can stop at its
-    first nonzero residual.  Zero products are skipped."""
+    products into canonical form.  ``dR(r, i, j, k)`` is the representation's
+    d_r R^{ijk} and h[m][r] = h^{mr}.  Yields (name, stream) in order; a
+    stream lazily yields (1-based indices, residual), so a scan can stop at
+    its first nonzero residual.  Zero products are skipped."""
     rng = range(n)
-    R = raised
+    # (r, h^{mr}) of the nonzero entries of each row m of h
+    h_rows = [[(r, x) for r, x in enumerate(row) if x] for row in h]
 
     def t1():
         for i in rng:
@@ -481,31 +499,43 @@ def mokhov_identities(raised, T, dRaised, gamma_g, gamma_h, n: int, red):
         for i in rng:
             for j in rng:
                 for r in rng:
-                    for t in rng:
+                    for m in rng:
                         acc = 0
                         for s in rng:
-                            if R[i][j][s] and T[r][s][t]:
-                                acc = acc + R[i][j][s] * T[r][s][t]
-                            if R[i][r][s] and T[j][s][t]:
-                                acc = acc - R[i][r][s] * T[j][s][t]
-                        yield (i + 1, j + 1, r + 1, t + 1), red(acc)
+                            if R[i][r][s] and b[m][j][s]:
+                                acc = acc + R[i][r][s] * b[m][j][s]
+                            if R[i][j][s] and b[m][r][s]:
+                                acc = acc - R[i][j][s] * b[m][r][s]
+                        yield (i + 1, j + 1, r + 1, m + 1), red(acc)
 
-    def covariant(gm):
+    def t4():
         for r in rng:
             for i in rng:
                 for j in rng:
                     for k in rng:
-                        acc = dRaised(r, i, j, k)
-                        for l in rng:
-                            if gm[i][r][l] and R[l][j][k]:
-                                acc = acc + gm[i][r][l] * R[l][j][k]
-                            if gm[j][r][l] and R[i][l][k]:
-                                acc = acc + gm[j][r][l] * R[i][l][k]
-                            if gm[k][r][l] and R[i][j][l]:
-                                acc = acc + gm[k][r][l] * R[i][j][l]
-                        yield (r + 1, i + 1, j + 1, k + 1), red(acc)
+                        yield (r + 1, i + 1, j + 1, k + 1), red(dR(r, i, j, k))
 
-    yield from zip(T_NAMES, (t1(), t2(), t3(), covariant(gamma_g), covariant(gamma_h)))
+    def t5():
+        for m in rng:
+            bm = b[m]
+            for i in rng:
+                for j in rng:
+                    for k in rng:
+                        acc = 0
+                        for r, x in h_rows[m]:
+                            d = dR(r, i, j, k)
+                            if d:
+                                acc = acc + x * d
+                        for l in rng:
+                            if bm[i][l] and R[l][j][k]:
+                                acc = acc - bm[i][l] * R[l][j][k]
+                            if bm[j][l] and R[i][l][k]:
+                                acc = acc - bm[j][l] * R[i][l][k]
+                            if bm[k][l] and R[i][j][l]:
+                                acc = acc - bm[k][l] * R[i][j][l]
+                        yield (m + 1, i + 1, j + 1, k + 1), red(acc)
+
+    yield from zip(T_NAMES, (t1(), t2(), t3(), t4(), t5()))
 
 
 def lie_derivative_bivector(h, X: list, n: int | None = None) -> PolyMatrix:

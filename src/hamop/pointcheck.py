@@ -1,7 +1,7 @@
 """Exact evaluation of the verification conditions at sample points.
 
 Every per-point formula here (metric jets, Christoffel symbols, the
-obstruction tensor and its derivative) is written once against a
+contravariant connection of h and its derivative) is written once against a
 ``linsolve.Field`` ``F`` that supplies ``of`` (the image of a rational),
 ``red`` (the canonical form of a sum of products), ``inv`` and ``half``.
 The conditions themselves are not restated here: ``flat_at``,
@@ -14,12 +14,14 @@ written once for every scalar representation, and return its first hit.
 The jets are computed as a condition reads them, in both fields and by the
 same formulas.  ``PointFrame`` builds G^-1, its first derivatives and the
 Christoffel symbols whole on first read, the second derivatives of G^-1 one
-direction r at a time, and d_r Gamma^i_{jk} one entry at a time;
-``obstruction_at`` builds T and the raised tensor whole and their
-derivatives one direction at a time.  A stream that stops at its first
-failing component so computes no jet past it: the Q recomputation of a
-certified hit (see ``verify._scan_points``) pays for the entries its
-witness reads, and a passing F_p scan reads every entry once.
+direction r at a time, and d_r Gamma^i_{jk} one entry at a time; the second
+jets serve flatness and linearity only.  The Mokhov side reads first jets
+only: ``obstruction_at`` builds b and R whole from G, A and G^-1 of h, and
+their derivatives one entry at a time from the same jets.  A stream
+that stops at its first failing component so computes no jet past it: the
+Q recomputation of a certified hit (see ``verify._scan_points``) pays for
+the entries its witness reads, and a passing F_p scan reads every entry
+once.
 
 There are two fields:
 
@@ -50,10 +52,12 @@ import random
 from .errors import DegenerateEverywhere, NonUnitDenominator
 from .geometry import (
     T_NAMES,
+    connection_numerators,
     hessian_components,
     killing_components,
     mokhov_identities,
     nijenhuis_components,
+    raised_obstruction,
     riemann_components,
 )
 from .linsolve import Q, Field, inverse, mat_mul
@@ -291,88 +295,46 @@ def flat_at(f: PointFrame):
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
-    """(T, raised, dT, dRaised) at the point: T^i_{jk} and the raised
-    R^{ijk} = Gg^{ia} Gh^{kb} T^j_{ab} whole, and their derivatives in one
-    direction as memoised slices, dT(r)[i][j][k] = d_r T^i_{jk} and
-    dRaised(r)[i][j][k] = d_r R^{ijk}."""
-    n = fg.n
-    red = fg.F.red
-    Gg, Gh = fg.G, fh.G
-    T = [
-        [
-            [red(fh.Gamma[i][j][k] - fg.Gamma[i][j][k]) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    rng = range(n)
-    # staged contractions keep every sum at O(n) terms
-    # W[i][j][b] = Gg[i][a] T[j][a][b]
-    W = [
-        [[red(sum(Gg[i][a] * T[j][a][b] for a in rng)) for b in rng] for j in rng]
-        for i in rng
-    ]
-    raised = [
-        [[red(sum(W[i][j][b] * Gh[k][b] for b in rng)) for k in rng] for j in rng]
-        for i in rng
-    ]
-    Ag, Ah = fg.A, fh.A
-    # M1[j][a][k] = Gh[k][b] T[j][a][b]
-    M1 = [
-        [[red(sum(Gh[k][b] * T[j][a][b] for b in rng)) for k in rng] for a in rng]
-        for j in rng
-    ]
+    """(b, R, db, dR) at the point, for a constant metric g: the
+    contravariant Christoffel symbols b^{ij}_k of h and the raised
+    obstruction R^{ijk} = -Gg^{ir} b^{kj}_r whole, and their derivatives as
+    memoised entries, db(r, i, j, k) = d_r b^{ij}_k and
+    dR(r, i, j, k) = d_r R^{ijk}.  Only first jets are read: 2b is
+    ``geometry.connection_numerators`` on H and f[s] = A[s] H^-1, that is
+    2b = A + e - e^T with e^{ij}_k = H^{is} f[s][j][k], and d_r b its
+    product rule with d_r H = A[r] and d_r f[s] = A[s] d_r H^-1 =
+    -f[s] f[r], where -(e - e^T) f[r] = -(2b - A) f[r]."""
+    F, n = fh.F, fh.n
+    red, half, rng = F.red, F.half, range(n)
+    H, A, Gg = fh.G, fh.A, fg.G
+    f = [mat_mul(a, fh.Ginv, F) for a in A]
+    b2 = connection_numerators(H, f, A, 1, red)
+    b = [[[red(half * x) for x in row] for row in plane] for plane in b2]
+    w = [[[red(b2[i][j][s] - A[s][i][j]) for s in rng] for j in rng] for i in rng]
 
     @functools.cache
-    def dT(r):
-        dh, dg = fh.dgamma, fg.dgamma
-        return [
-            [[red(dh(r, i, j, k) - dg(r, i, j, k)) for k in rng] for j in rng]
-            for i in rng
-        ]
+    def db(r, i, j, k):
+        Ar, wij, fr = A[r], w[i][j], f[r]
+        return red(half * sum(Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k]
+                              - wij[s] * fr[s][k] for s in rng))
 
     @functools.cache
-    def dRaised(r):
-        dTr, Agr, Ahr = dT(r), Ag[r], Ah[r]
-        # V[i][j][b] = Gg[i][a] dT[r][j][a][b]
-        V = [
-            [[red(sum(Gg[i][a] * dTr[j][a][b] for a in rng)) for b in rng] for j in rng]
-            for i in rng
-        ]
-        return [
-            [
-                [
-                    red(
-                        sum(Agr[i][a] * M1[j][a][k] for a in rng)
-                        + sum(W[i][j][b] * Ahr[k][b] for b in rng)
-                        + sum(V[i][j][b] * Gh[k][b] for b in rng)
-                    )
-                    for k in rng
-                ]
-                for j in rng
-            ]
-            for i in rng
-        ]
+    def dR(r, i, j, k):
+        return red(-sum(Gg[i][s] * db(r, k, j, s) for s in rng if Gg[i][s]))
 
-    return T, raised, dT, dRaised
+    return b, raised_obstruction(Gg, b, n, red), db, dR
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):
     """Yield (name, thunk) for T1..T5 at the frames' point, in order;
     ``thunk()`` is the hit, (indices, residual) of the first failing index
-    tuple, or None.  The obstruction tensor is built by the first thunk
-    called, and only the dRaised slices that T4 and T5 read are."""
+    tuple, or None.  b and R are built by the first thunk called, and only
+    the derivative entries that T4 and T5 read are."""
 
     @functools.cache
     def streams():
-        T, raised, _, dRaised = obstruction_at(fg, fh)
-
-        def d_raised(r, i, j, k):
-            return dRaised(r)[i][j][k]
-
-        return dict(
-            mokhov_identities(raised, T, d_raised, fg.Gamma, fh.Gamma, fg.n, fg.F.red)
-        )
+        b, R, _, dR = obstruction_at(fg, fh)
+        return dict(mokhov_identities(R, dR, b, fh.G, fg.n, fg.F.red))
 
     for name in T_NAMES:
         yield name, lambda name=name: _first(streams()[name])

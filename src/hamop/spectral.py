@@ -18,9 +18,11 @@ matrices; their ranks over Q(i) are half the ranks of the real embeddings
 (``linsolve.gaussian_rank``).
 
 Sampling uses 5 deterministic seeded points, redrawn where any metric of
-the pair or spec is singular (``metrics.degenerate_at``); the generic type
-is the one attained by the most points (ties broken toward coarser block
-structure), and ``consistent`` records whether all points agreed.
+the pair or spec is singular (``metrics.degenerate_at``).  The generic type
+is the maximum of the types seen by semicontinuity (``_genericity``): a
+special point can only merge eigenvalues or lower the ranks, never split
+or raise them.  ``observed_types`` lists the types seen in that order, and
+``consistent`` records whether all points agreed.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class SegreReport:
     spectra: list            # list[PointSpectrum]
     segre_type: tuple        # generic type key
     consistent: bool
-    observed_types: list     # distinct type keys seen, in canonical order
+    observed_types: list     # distinct type keys seen, most generic first
     unsupported_points: int = 0
 
     def to_dict(self):
@@ -222,6 +224,14 @@ def segre_sample_points(
     return pts
 
 
+def _genericity(key: tuple):
+    """Order of Segre types by semicontinuity: rank((L - lambda)^k) is lower
+    semicontinuous in u, so off the generic type a point can only merge
+    eigenvalues or lower ranks.  More distinct eigenvalues first, then the
+    larger ranks, i.e. the larger sum of squared block sizes, then the key."""
+    return len(key), sum(sum(b * b for b in partition) for partition, _ in key), key
+
+
 def segre_type(
     L: PolyMatrix,
     points=None,
@@ -246,16 +256,9 @@ def segre_type(
         raise UnsupportedEigenvalueField(
             "characteristic polynomial does not split over Q(i) at any sample point"
         )
-    counts: dict[tuple, int] = {}
-    for s in spectra:
-        counts[s.type_key()] = counts.get(s.type_key(), 0) + 1
-
-    def coarseness(key: tuple):
-        return sum(sum(b * b for b in partition) for partition, _ in key)
-
-    generic = max(counts, key=lambda k: (counts[k], coarseness(k), k))
-    consistent = len(counts) == 1 and unsupported == 0
-    observed = sorted(counts, key=lambda k: (-counts[k], -coarseness(k), k))
+    observed = sorted({s.type_key() for s in spectra}, key=_genericity, reverse=True)
+    consistent = len(observed) == 1 and unsupported == 0
+    generic = observed[0]
     return SegreReport(spectra, generic, consistent, observed, unsupported)
 
 

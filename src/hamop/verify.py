@@ -2,9 +2,13 @@
 
 Two independent criteria are implemented for d = 2:
 
-* the five obstruction-tensor identities (T1..T5) on
-  T^{ijk} = g^{ir} h^{ks} (Gamma~ - Gamma)^j_{rs}, together with flatness of
-  both metrics;
+* Mokhov's five obstruction-tensor identities (T1..T5) together with
+  flatness of both metrics.  The first metric is constant, so the
+  identities depend only on the contravariant connection
+  b^{ij}_k = -h^{is} Gamma~^j_{sk} of h, and geometry.mokhov_identities
+  states them once on b; three feeds supply it: the constant connection,
+  the rational b_upper of levi_civita(h), and b at a point from first jets
+  (pointcheck.obstruction_at);
 * the equivalent triple: linearity of h in the flat coordinates of g,
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 
@@ -28,13 +32,14 @@ its witness is recomputed over Q at that point, which evaluates only the
 conditions that hit, and of each only the jets up to its first failing
 component (see pointcheck).  A condition without a hit
 is then decided by its exact identity: flatness_witness, the T1..T5 streams
-of geometry.mokhov_identities on the reduced rational obstruction tensor,
+of geometry.mokhov_identities on the reduced rational connection b of h,
 and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
 failure found there carries a witness with no point.
 
-Every condition is exact.  On d = 2 input the triple runs first; the
-Mokhov cross-check (flat(g1), flat(g2), T1..T5) is scanned at the same
-points only after a failing triple, since after a passing one a certified
+Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
+holds for the constant first metric, as for d >= 3; the rest of the Mokhov
+cross-check (flat(g2), T1..T5) is scanned at the same points only after a
+failing triple, since after a passing one a certified
 hit could only end in DisagreementBug, which the proofs raise just the same.
 flat(g2) or T1..T5 without a hit is first tried on the constant
 contravariant connection of h (geometry.constant_connection, at the first
@@ -73,7 +78,7 @@ from .geometry import (
     lie_derivative_bivector,
     mokhov_identities,
     nijenhuis_stream,
-    obstruction_tensor,
+    raised_obstruction,
     riemann_components,
 )
 from .linsolve import identity
@@ -231,16 +236,15 @@ def _flatness_proof(g: LinearMetric):
 
 def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     """name -> the lazy stream of that identity on the reduced rational
-    obstruction tensor."""
-    obt = obstruction_tensor(g, h)
-    R = obt.t_raised
+    contravariant connection of h."""
+    b = levi_civita(h).b_upper
+    R = raised_obstruction(g.mat.entries, b, g.n, identity)
 
     @functools.cache
     def d_raised(r, i, j, k):
-        return R[i][j][k].partial(r + 1)
+        return R[i][j][k] and R[i][j][k].partial(r + 1)
 
-    gamma_g, gamma_h = levi_civita(g).gamma, levi_civita(h).gamma
-    return dict(mokhov_identities(R, obt.t, d_raised, gamma_g, gamma_h, g.n, identity))
+    return dict(mokhov_identities(R, d_raised, b, h.mat.entries, g.n, identity))
 
 
 def _zero(*_):
@@ -251,37 +255,26 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     """The Mokhov conditions that hold for constant g on the constant
     contravariant connection of h: when b^{ij}_k = -h^{is} Gamma~^j_{sk} is
     constant (``constant_connection`` with candidate point u0, giving
-    c = den * b), each of flat(g2) and T1..T5 that holds there.
-
-    Then R^{ijk} = g^{ir} h^{ks} Gamma~^j_{rs} = -g^{ir} b^{kj}_r is constant,
-    so T4 (nabla R = d R) holds, and the others go to their one statement in
-    ``geometry`` with d b = 0: flat(g2) is Dubrovin's contravariant curvature
-    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h; T3 is
-    contracted with h over its last index, T^r_{st} h^{tm} = -b^{mr}_s, and
-    T5 over its derivative index, h^{mr} Gamma~^i_{rl} = -b^{mi}_l.  Each
+    c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0.
+    flat(g2) is Dubrovin's contravariant curvature
+    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h.  Each
     identity is homogeneous in b, so it holds on b iff on c."""
     conn = constant_connection(h, u0)
     if conn is None:
         return set()
     c, den = conn
-    n, rng = g.n, range(g.n)
+    n = g.n
     # g's constant entries in the scalar type of c
     gm = [[x.constant_value() if isinstance(den, Fraction) else x for x in row]
           for row in g.mat.entries]
-    R = [[[-sum((gm[i][r] * c[k][j][r] for r in rng if gm[i][r] and c[k][j][r]), 0)
-           for k in rng] for j in rng] for i in rng]
-    T = [[[-c[m][r][s] for m in rng] for s in rng] for r in rng]
-    gamma = [[[-c[m][i][l] for l in rng] for m in rng] for i in rng]
-    # T4 holds, so its stream (the only reader of gamma_g) is not read
-    streams = dict(mokhov_identities(R, T, _zero, None, gamma, n, identity))
-    streams["T4"] = ()
+    R = raised_obstruction(gm, c, n, identity)
+    streams = dict(mokhov_identities(R, _zero, c, h.mat.entries, n, identity))
     streams["flat(g2)"] = riemann_components(c, _zero, n, identity)
     return {name for name, stream in streams.items() if not any(r for _, r in stream)}
 
 
 def _mokhov_at(fg, fh):
-    """(name, thunk) of flat(g1), flat(g2) and T1..T5 at a point."""
-    yield "flat(g1)", lambda: pc.flat_at(fg)
+    """(name, thunk) of flat(g2) and T1..T5 at a point."""
     yield "flat(g2)", lambda: pc.flat_at(fh)
     yield from pc.mokhov_at(fg, fh)
 
@@ -293,20 +286,21 @@ def mokhov_conditions(
     points=None,
     cache=None,
 ) -> VerificationReport:
-    """Flatness of both metrics plus the five obstruction-tensor identities,
+    """Flatness of both metrics plus the five obstruction-tensor identities
+    for constant g.  flat(g1) holds for the constant g.  The others are
     scanned at ``points`` (by default the first SCAN_POINTS of the seed's
     sample) and, without a hit there, proven: on the constant contravariant
-    connection of h where that shows the condition to hold (constant g; the
-    candidate point is the first of ``points``, or of the seed's sample),
-    else by ``flatness_witness`` or the condition's T1..T5 stream."""
+    connection of h where that shows the condition to hold (the candidate
+    point is the first of ``points``, or of the seed's sample), else by
+    ``flatness_witness`` or the condition's T1..T5 stream."""
+    if not g.is_constant():
+        raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
 
     @functools.cache
     def proven():
-        if not g.is_constant():
-            return set()
         u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
         return _constant_connection_proofs(g, h, u0)
 
@@ -315,11 +309,10 @@ def mokhov_conditions(
 
     t_streams = functools.cache(lambda: _t_streams(g, h))
     proofs = {
-        "flat(g1)": lambda: _flatness_proof(g),
         "flat(g2)": proof("flat(g2)", lambda: _flatness_proof(h)),
         **{name: proof(name, lambda name=name: t_streams()[name]) for name in T_NAMES},
     }
-    report.conditions = _scan_points(
+    report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(
         proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP)
     )
     return report

@@ -1,17 +1,28 @@
-"""The constant contravariant connection and the Mokhov proofs built on it.
+"""The contravariant connection b of h and the Mokhov identities stated on it.
 
 ``geometry.constant_connection`` is checked against the symbolic reference
-``levi_civita(h).b_upper``, and ``verify``'s proofs on it against the
-identities they stand in for, condition by condition: ``flatness_witness``
-and the T1..T5 streams on the reduced rational obstruction tensor.
+``levi_civita(h).b_upper``.  ``geometry.mokhov_identities`` states T3 and T5
+contracted with h, on b; its symbolic feed (``verify._t_streams``) and
+``verify``'s proofs on the constant connection are checked, condition by
+condition, against Mokhov's identities as the paper states them, written
+here from ``obstruction_tensor`` and the Christoffel symbols of h, and
+against ``flatness_witness``.
 """
 
+import functools
+import itertools
 import random
 
 from hamop import pointcheck as pc
 from hamop import verify as vf
 from hamop.catalog import catalog
-from hamop.geometry import constant_connection, flatness_witness, levi_civita
+from hamop.geometry import (
+    T_NAMES,
+    constant_connection,
+    flatness_witness,
+    levi_civita,
+    obstruction_tensor,
+)
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly, RationalFunction
@@ -106,11 +117,67 @@ def _catalog_h_against_constant_g(max_n):
     return out
 
 
+def _uncontracted(g, h) -> dict:
+    """name -> Mokhov's T1..T5 for constant g as the paper states them, as a
+    lazy (1-based indices, residual) stream: on T = Gamma~ - Gamma (Gamma = 0)
+    and R^{ijk} = g^{ir} h^{ks} T^j_{rs} of ``obstruction_tensor``, with
+    nabla R = d R for g and nabla~ R from the Christoffel symbols of h."""
+    obt = obstruction_tensor(g, h)
+    R, T, G = obt.t_raised, obt.t, levi_civita(h).gamma
+    rng = range(g.n)
+
+    @functools.cache
+    def dR(r, i, j, k):
+        return R[i][j][k].partial(r + 1)
+
+    def stream(rank, residual):
+        for idx in itertools.product(rng, repeat=rank):
+            yield tuple(x + 1 for x in idx), residual(*idx)
+
+    return {
+        "T1": stream(3, lambda i, j, k: R[i][j][k] - R[k][j][i]),
+        "T2": stream(3, lambda i, j, k: R[i][j][k] + R[j][k][i] + R[k][i][j]),
+        "T3": stream(4, lambda i, j, r, t: sum(
+            R[i][j][s] * T[r][s][t] - R[i][r][s] * T[j][s][t] for s in rng)),
+        "T4": stream(4, dR),
+        "T5": stream(4, lambda r, i, j, k: dR(r, i, j, k) + sum(
+            G[i][r][l] * R[l][j][k] + G[j][r][l] * R[i][l][k] + G[k][r][l] * R[i][j][l]
+            for l in rng)),
+    }
+
+
+def _first(stream):
+    return next(((idx, str(r)) for idx, r in stream if r), None)
+
+
 def _stream_passes(g, h) -> set:
-    """The conditions among flat(g2), T1..T5 that their identities prove."""
+    """The conditions among flat(g2), T1..T5 that their streams prove;
+    ``test_b_form_agrees_with_the_uncontracted_identities`` pins the
+    T-streams to the identities as the paper states them."""
     passing = {name for name, stream in vf._t_streams(g, h).items()
                if not any(r for _, r in stream)}
     return passing | ({"flat(g2)"} if flatness_witness(h) is None else set())
+
+
+def test_b_form_agrees_with_the_uncontracted_identities():
+    # per condition the same pass / fail, and for T1, T2 and T4, which the
+    # contraction leaves alone, the same first witness; T3 and T5 are
+    # contracted with h, so only their outcome is compared
+    pairs = (_catalog_pairs(4) + _catalog_h_against_constant_g(3)
+             + _corpus_pencils() + [_conformal_pencil()])
+    outcomes, kinds = set(), set()
+    for name, g, h in pairs:
+        b_form = vf._t_streams(g, h)
+        reference = _uncontracted(g, h)
+        for t in T_NAMES:
+            got, want = _first(b_form[t]), _first(reference[t])
+            assert (got is None) == (want is None), (name, t)
+            if t in ("T1", "T2", "T4"):
+                assert got == want, (name, t)
+            outcomes.add((t, got is None))
+        kinds.add(_b_depends_on_u(h))
+    assert outcomes == {(t, passed) for t in T_NAMES for passed in (True, False)}
+    assert kinds == {True, False}
 
 
 def test_constant_connection_proofs_agree_with_the_streams():

@@ -17,6 +17,7 @@ from hamop import pointcheck as pc
 from hamop.catalog import catalog, get_entry
 from hamop.errors import DisagreementBug
 from hamop.geometry import (
+    T_NAMES,
     covariant_hessian,
     flatness_witness,
     killing_stream,
@@ -77,13 +78,37 @@ def test_fp_kernel_is_q_kernel_mod_p():
                 assert getattr(ff, jet) == _reduce(getattr(qf, jet)), (name, jet)
             for idx in itertools.product(rng, repeat=4):
                 assert ff.dgamma(*idx) == pc.FP.of(qf.dgamma(*idx)), (name, "dGamma", idx)
-        # T and raised whole; dT and dRaised one direction r at a time
-        (qT, qR, qdT, qdR), (fT, fR, fdT, fdR) = pc.obstruction_at(qg, qh), pc.obstruction_at(fg, fh)
-        assert fT == _reduce(qT), (name, "T")
+        # b and R whole, db and dR entry by entry; over Q, b and d_r b are
+        # the symbolic b_upper and its partial at the point
+        (qb, qR, qdb, qdR), (fb, fR, fdb, fdR) = pc.obstruction_at(qg, qh), pc.obstruction_at(fg, fh)
+        b_upper = levi_civita(h).b_upper
+        assert qb == [[[x.eval(qpt) for x in row] for row in plane] for plane in b_upper], name
+        assert fb == _reduce(qb), (name, "b")
         assert fR == _reduce(qR), (name, "raised")
-        for r in rng:
-            assert fdT(r) == _reduce(qdT(r)), (name, "dT", r)
-            assert fdR(r) == _reduce(qdR(r)), (name, "dRaised", r)
+        for r, i, j, k in itertools.product(rng, repeat=4):
+            assert qdb(r, i, j, k) == b_upper[i][j][k].partial(r + 1).eval(qpt), (name, "db")
+            assert fdb(r, i, j, k) == pc.FP.of(qdb(r, i, j, k)), (name, "db")
+            assert fdR(r, i, j, k) == pc.FP.of(qdR(r, i, j, k)), (name, "dRaised")
+
+
+def test_mokhov_kernel_reads_first_jets_only(monkeypatch):
+    # b, R and their derivatives come from G, A, G^-1 and d G^-1 of h; the
+    # second jets of either frame are never read
+    def refuse(*args):
+        raise AssertionError("second jet read")
+
+    monkeypatch.setattr(pc.PointFrame, "dgamma", refuse)
+    monkeypatch.setattr(pc.PointFrame, "ddGinv", refuse)
+    hits = set()
+    for name, g, h in _small_corpus(2, 11) + _small_corpus(3, 12):
+        for field in (pc.Q, pc.FP):
+            pt = pc.sample_points(g.nvars, [g, h], seed=7, count=1, field=field)[0]
+            fg, fh = pc.PointFrame(g, pt, field), pc.PointFrame(h, pt, field)
+            _, _, db, dR = pc.obstruction_at(fg, fh)
+            for idx in itertools.product(range(g.n), repeat=4):
+                db(*idx), dR(*idx)
+            hits |= {t for t, thunk in pc.mokhov_at(fg, fh) if thunk() is not None}
+    assert hits == set(T_NAMES)
 
 
 @pytest.mark.parametrize("failing", [False, True])
@@ -242,10 +267,11 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
 
 
 def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
-    # h = diag(u1, 1) is flat: with it as the (non-constant) first metric
-    # nothing is proven on a constant connection, flat(g1) and flat(g2)
-    # are scanned and have no F_p hit, so the Q passes that recompute the
-    # T-identity hits never run the flatness kernel over Q
+    # h = diag(u1, 1) is flat, so flat(g2) is scanned and has no F_p hit;
+    # its contravariant connection is constant (b^{11}_1 = 1/2), and against
+    # the antidiagonal metric T1, T2 and T5 fail at the first scan point.
+    # The Q passes that recompute those hits never run the flatness kernel
+    # over Q
     u1, _ = u_vars(2)
     z = MultiPoly.zero(2)
     g = LinearMetric.antidiagonal(2)
@@ -258,8 +284,8 @@ def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
         return flat_at(f)
 
     monkeypatch.setattr(pc, "flat_at", counted)
-    rep = mokhov_conditions(h, g)
-    assert rep.failed_names() == ["T1", "T2", "T4"]
+    rep = mokhov_conditions(g, h)
+    assert rep.failed_names() == ["T1", "T2", "T5"]
     assert all(c.witness.point for c in rep.conditions if not c.passed)
     assert pc.FP in fields and pc.Q not in fields
 

@@ -10,6 +10,7 @@ from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
 from hamop.scalars import GaussianRational
+from hamop.specfile import default_param_values, specialize_spec
 from hamop.spectral import (
     affinor,
     format_segre_type,
@@ -132,6 +133,24 @@ def test_conjugation_invariance(rng):
         for s1, s2 in zip(rep.spectra, rep2.spectra):
             assert [b.value for b in s1.blocks] == [b.value for b in s2.blocks]
             assert [b.partition for b in s1.blocks] == [b.partition for b in s2.blocks]
+
+
+def test_generic_type_is_the_most_generic_seen():
+    # s22-case2-b3p has type [2,2]; at seed 125 three of its five sample
+    # points lie where the ranks drop to [2,1,1].  Ranks are lower
+    # semicontinuous, so the generic type is the maximum seen, not the
+    # majority.  The points are also passed explicitly, so that a change of
+    # the sampling cannot hide a regression of the rule
+    e = get_entry("s22-case2-b3p")
+    spec = specialize_spec(e.spec, default_param_values(e.spec))
+    points = [(-2, -2, 9, -4), (2, -5, -9, -7), (-5, 6, 7, 4), (-6, -1, -4, 6),
+              (-4, 6, -5, -8)]
+    for rep in (segre_of_spec(spec, seed=125), segre_of_spec(spec, points=points)):
+        assert [format_segre_type(s.type_key()) for s in rep.spectra] == \
+            ["[2,1,1]"] * 3 + ["[2,2]"] * 2
+        assert rep.segre_type == e.expected_segre
+        assert [format_segre_type(t) for t in rep.observed_types] == ["[2,2]", "[2,1,1]"]
+        assert not rep.consistent
 
 
 def test_unsupported_eigenvalue_field():

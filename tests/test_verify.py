@@ -91,6 +91,8 @@ def test_first_metric_not_constant():
     with pytest.raises(FirstMetricNotConstant):
         theorem2_conditions(gt, g)
     with pytest.raises(FirstMetricNotConstant):
+        mokhov_conditions(gt, g)
+    with pytest.raises(FirstMetricNotConstant):
         verify_operator(OperatorSpec([gt, g]))
 
 
