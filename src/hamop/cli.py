@@ -19,6 +19,7 @@ reports that in its "segre" field and exits 0 or 1 on its verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -420,7 +421,10 @@ def cmd_frobenius(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, list]:
+    """The parser and its --seed actions, built once, on the first call of
+    ``main`` (not at import)."""
     p = argparse.ArgumentParser(
         prog="hamop",
         description="Exact verification, classification and normalization of "
@@ -428,12 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         "flat contravariant metrics.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    seeds = []
 
     def common(sp):
-        # argparse converts a string default with ``type``, so a bad
-        # $HAMOP_SEED is a usage error unless --seed overrides it
-        sp.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"),
-                        help=f"random seed (default from ${SEED_ENV} or 0)")
+        seeds.append(sp.add_argument("--seed", type=int, default="0",
+                                     help=f"random seed (default from ${SEED_ENV} or 0)"))
         sp.add_argument("--output", choices=("json", "text"), default="text")
         sp.add_argument("--out", help="write the report to this path")
 
@@ -472,11 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_frobenius)
 
-    return p
+    return p, seeds
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, seeds = _parser()
+    for action in seeds:
+        # $HAMOP_SEED is read at every call.  argparse converts a string
+        # default with ``type``, so a bad value is a usage error unless
+        # --seed overrides it
+        action.default = os.environ.get(SEED_ENV, "0")
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

@@ -7,10 +7,10 @@ Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
 F_p for ``pointcheck``'s frames, over plain ints for the powers in the
 Segre rank sequences of ``spectral``, and over Q for the unit columns of
-``families``.  ``det`` takes the determinant by
-Gaussian elimination.  Ranks are taken over Z only: ``int_rank`` is
-fraction-free Bareiss elimination, and ``gaussian_rank`` reads the rank of
-X + iY off the real embedding.  ``SparseSystem``
+``families``.  Ranks are taken over Z only: ``int_rank`` is fraction-free
+Bareiss elimination, which also decides singularity at a point
+(``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
+off the real embedding.  ``SparseSystem``
 eliminates homogeneous systems over Q row by row, sparse in the columns, and
 ``nullspace`` is built on it.  The coefficient equations of metric families
 are sparse: the n = 8 Jordan-block family of ``families`` has 344 rows over
@@ -126,29 +126,6 @@ def mat_mul(a: list[list], b: list[list], F: Field = Q) -> list[list]:
         [red(sum(a[i][s] * b[s][j] for s in rng)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
-
-
-def det(a: list[list], F: Field = Q):
-    """Determinant of a square matrix of elements of ``F``, by Gaussian
-    elimination."""
-    red = F.red
-    n = len(a)
-    m = [row[:] for row in a]
-    d = F.of(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return F.of(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d = red(d * m[c][c])
-        inv = F.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = red(m[i][c] * inv)
-                m[i] = [red(x - f * y) for x, y in zip(m[i], m[c])]
-    return d
 
 
 def inverse(a: list[list], F: Field = Q) -> list[list] | None:

@@ -9,14 +9,18 @@ adjugate by Cayley-Hamilton.  Inverses are returned in adjugate/determinant
 form with gcd-normalized rational-function entries, so m * m^-1 is exactly
 the identity.
 ``PolyMatrix.at_point`` evaluates polynomial entries in any
-``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator.
-Dense products of the evaluated matrices are ``linsolve.mat_mul``: over F_p
-in ``pointcheck``'s frames, and over Z in ``spectral``'s rank sequences,
-which scale the value at a point to an integer matrix first.
+``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator;
+``pointcheck``'s frames read it.  ``PolyMatrix.int_at`` gives the value at
+an integer point as an integer matrix A = D M(pt) with its scale D, in int
+arithmetic only: ``metrics.degenerate_at`` and ``spectral``'s point spectra
+read that one.  Dense products of the evaluated matrices are
+``linsolve.mat_mul``: over F_p in the frames, and over Z in ``spectral``'s
+rank sequences.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import IdenticallySingular
@@ -162,6 +166,17 @@ class PolyMatrix:
         """Polynomial entries evaluated at ``point`` (one element of ``F``
         per variable) by ``MultiPoly.eval``, as elements of ``F``."""
         return [[x.eval(point, F) for x in row] for row in self.entries]
+
+    def int_at(self, point) -> tuple[list[list[int]], int]:
+        """(A, D) with A = D M(point) an int matrix, at a point with integer
+        coordinates (ints or Fractions), by ``MultiPoly.int_eval``; D is the
+        lcm of the entries' coefficient denominators."""
+        if any(x.denominator != 1 for x in point):
+            raise ValueError("int_at needs a point with integer coordinates")
+        point = [x.numerator for x in point]
+        values = [[x.int_eval(point) for x in row] for row in self.entries]
+        d = lcm(*(den for row in values for _, den in row))
+        return [[num * (d // den) for num, den in row] for row in values], d
 
     def __repr__(self):
         body = "; ".join(

@@ -11,14 +11,15 @@ An OperatorSpec is the d-tuple of metrics defining a first-order operator
 P^{ij} = sum_a ( g^{ij,a} d/dx^a + b^{ij,a}_k u^k_{x^a} ) with the b's the
 contravariant Christoffel symbols of the corresponding metric.
 
-Non-degeneracy is decided here, once and exactly.  ``degenerate_at`` takes
-the determinant of a matrix's value at one point, in any ``linsolve.Field``;
-``pointcheck`` and ``spectral`` reject sample points with it.
-``identically_degenerate`` (the check every LinearMetric makes) evaluates
-at one seeded integer point over Q: a nonzero value there proves
-det g is not the zero polynomial, and only a zero there falls back to the
-symbolic (Berkowitz) determinant.  A spec needs no further check on its generic
-combination of metrics (see OperatorSpec).
+Non-degeneracy is decided here, once and exactly, over Z.  ``degenerate_at``
+scales a matrix's value at an integer point to an integer matrix
+(``PolyMatrix.int_at``) and compares its fraction-free Bareiss rank
+(``linsolve.int_rank``) with n; ``pointcheck`` and ``spectral`` reject
+sample points with it.  ``identically_degenerate`` (the check every
+LinearMetric makes) evaluates at one seeded integer point: a nonzero value
+there proves det g is not the zero polynomial, and only a zero there falls
+back to the symbolic (Berkowitz) determinant.  A spec needs no further check
+on its generic combination of metrics (see OperatorSpec).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .linsolve import Q, Field, det
+from .linsolve import int_rank
 from .matrices import PolyMatrix, determinant, matrix_inverse
 from .poly import MultiPoly
 
@@ -42,10 +43,10 @@ def probe_point(nvars: int) -> list[Fraction]:
     return [Fraction(rng.randint(-PROBE_RANGE, PROBE_RANGE)) for _ in range(nvars)]
 
 
-def degenerate_at(mat: PolyMatrix, point, F: Field = Q) -> bool:
-    """Whether the square polynomial matrix ``mat`` is singular at ``point``
-    (coordinates in ``F``): its value there has determinant 0 in ``F``."""
-    return not det(mat.at_point(point, F), F)
+def degenerate_at(mat: PolyMatrix, point) -> bool:
+    """Whether the square polynomial matrix ``mat`` is singular at the
+    integer point ``point``: the integer matrix D mat(point) has rank < n."""
+    return int_rank(mat.int_at(point)[0]) < mat.rows
 
 
 def identically_degenerate(mat: PolyMatrix) -> bool:

@@ -37,10 +37,12 @@ There are two fields:
   exact rational witnesses, the fallback where F_p cannot stand in for Q
   (see ``FrameCache``), and the reference the tests compare F_p against.
 
-Sample points are seeded integer points; those where any metric is singular
-(``metrics.degenerate_at``) in the field they are drawn in (Q for
-``verify``) are rejected and redrawn, and after 100 rejections
-DegenerateEverywhere is raised.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
+Sample points are seeded integer points (as Fractions); those where any
+metric is singular are rejected and redrawn, and after 100 rejections
+DegenerateEverywhere is raised.  Rejection is integer work: each
+metric's value at the point is scaled to an integer matrix and its Bareiss
+rank read (``metrics.degenerate_at``).  ``FrameCache`` maps a drawn point
+into F_p.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
 pins the symbolic and the point feeds component by component.
 """
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 
 from .errors import DegenerateEverywhere, NonUnitDenominator
 from .geometry import (
@@ -97,16 +100,16 @@ def _mat_add(F, a, b):
     return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def sample_points(nvars: int, metrics, seed: int, count: int, field=Q):
+def sample_points(nvars: int, metrics, seed: int, count: int):
     """The first ``count`` seeded points with integer coordinates in
-    [-SAMPLE_RANGE, SAMPLE_RANGE], as elements of ``field``, at which every
-    given metric is invertible."""
+    [-SAMPLE_RANGE, SAMPLE_RANGE], as Fractions, at which every given metric
+    is invertible (decided over Z by ``metrics.degenerate_at``)."""
     rng = random.Random(seed)
     pts = []
     rejects = 0
     while len(pts) < count:
-        pt = [field.of(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
-        if not any(degenerate_at(m.mat, pt, field) for m in metrics):
+        pt = [Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
+        if not any(degenerate_at(m.mat, pt) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1

@@ -28,8 +28,10 @@ through.  Serialization emits terms in descending canonical order with
 coefficients written "p/q".
 
 ``MultiPoly.eval`` is the one polynomial evaluator, in any ``linsolve.Field``
-(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).  It
-unpacks a polynomial's exponents once, on its first evaluation.
+(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).
+``MultiPoly.int_eval`` is its int form at a point of ints: the numerator
+sum and the common denominator, with no Fraction (``PolyMatrix.int_at``).
+Both unpack a polynomial's exponents once, on its first evaluation.
 
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
@@ -350,9 +352,9 @@ class MultiPoly:
                 out[e - step] = c * x
         return _canon(self.nvars, out, self._den)
 
-    def eval(self, point: Sequence, F: Field = Q):
-        """Value at a full point (one element of ``F`` per variable, ints
-        for Q too), as an element of ``F``."""
+    def _monomials(self, point: Sequence) -> list:
+        """(numerator, [(variable index, exponent), ...]) per term, unpacked
+        on the first evaluation; ``point`` is checked to be a full point."""
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
         monos = self._monos
@@ -362,9 +364,24 @@ class MultiPoly:
                 (c, [(i, x) for i, s in enumerate(shifts) if (x := (e >> s) & FIELD_MASK)])
                 for e, c in self._coeffs.items()
             ]
+        return monos
+
+    def int_eval(self, point: Sequence[int]) -> tuple[int, int]:
+        """(N, den) at a point of ints: the value there is N / den, with
+        ``den`` the polynomial's common denominator.  Int arithmetic only."""
+        total = 0
+        for t, mono in self._monomials(point):
+            for i, x in mono:
+                t *= point[i] ** x
+            total += t
+        return total, self._den
+
+    def eval(self, point: Sequence, F: Field = Q):
+        """Value at a full point (one element of ``F`` per variable, ints
+        for Q too), as an element of ``F``."""
         red = F.red
         total = 0
-        for t, mono in monos:
+        for t, mono in self._monomials(point):
             for i, x in mono:
                 t = red(t * point[i] ** x)
             total += t

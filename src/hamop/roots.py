@@ -1,44 +1,53 @@
 """Univariate root extraction over Q and Q(i), and characteristic polynomials.
 
-The entry point rational_roots() takes a univariate MultiPoly, peels off all
-rational roots and, after a square-free decomposition, also splits residual
-quadratic factors whose discriminant is minus a rational square into
-Gaussian conjugate pairs.  Whatever cannot be resolved in Q(i) is returned
-as the residual factor.  Rational roots come from the rational root theorem
-on the integer-scaled factor: each candidate p/q is tested with integer
-Horner, sum c_k p^k q^(d-k) = 0, and only a confirmed root is divided out.
+The entry point rational_roots() takes a univariate MultiPoly or dense
+coefficients (ints or Fractions) and works over Z throughout: the
+coefficients are scaled to integers once, and Yun's square-free
+decomposition runs on integer polynomials (``squarefree_decomposition``).
+Its gcds are primitive pseudo-remainder sequences, content removed at each
+step, and its divisions are exact integer divisions by primitive factors
+(Gauss's lemma).  Each square-free factor then gives up its rational roots
+by the rational root theorem, each candidate p/q tested with integer
+Horner, sum c_k p^k q^(d-k) = 0, and only a confirmed root divided out.  A
+square-free factor that is left as one quadratic is split by its integer
+discriminant and ``math.isqrt``: into rational roots, or into a Gaussian
+conjugate pair when the discriminant is minus a square.  Whatever is left
+is returned as the residual factor.  A Gaussian pair lands there too when
+its square-free factor holds another factor with no rational root, for
+example a second Gaussian pair of the same multiplicity.
 
 char_poly() is Berkowitz's division-free algorithm, so an integer matrix
 gives an integer characteristic polynomial with no rational arithmetic;
-``matrices`` runs it on polynomial matrices for determinants and adjugates.
+``matrices`` runs it on polynomial matrices for determinants and adjugates,
+and ``spectral`` on the integer value of an affinor at a point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
+from math import isqrt, lcm
 
 from .poly import MultiPoly
-from .scalars import GaussianRational, rational_sqrt
+from .scalars import GaussianRational
 
-# dense univariate polynomials: list of Fraction coefficients, ascending degree
+# dense univariate polynomials: list of int coefficients, ascending degree
 
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
+def _trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def univ_deriv(c: list[Fraction]) -> list[Fraction]:
+def univ_deriv(c: list[int]) -> list[int]:
     return _trim([c[i] * i for i in range(1, len(c))])
 
 
-def univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def univ_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -47,68 +56,90 @@ def univ_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def univ_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _trim(a):
-        d = len(a) - len(b)
-        f = a[-1] * inv
-        q[d] = f
-        for i, y in enumerate(b):
-            a[d + i] -= f * y
-        _trim(a)
-    return _trim(q), _trim(a)
-
-
-def univ_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = univ_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [x * inv for x in a]
-    return a
-
-
-def _univ_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
     return _trim(out)
 
 
-def squarefree_decomposition(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: returns [(factor_i, multiplicity_i)] with factor_i
-    monic square-free, product of factor_i^mult_i = c up to a constant."""
+def _primitive(c: list[int]) -> list[int]:
+    """c over its content, with a positive leading coefficient ([] for 0)."""
+    if not c:
+        return c
+    g = int_gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of lc(b)^k a on division by b: a - q b over Z."""
+    a = list(a)
+    lc, m = b[-1], len(b) - 1
+    while len(a) > m:
+        f, d = a[-1], len(a) - 1 - m
+        a = [lc * x for x in a]
+        for i, y in enumerate(b):
+            a[d + i] -= f * y
+        _trim(a)
+    return a
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z, positive leading coefficient: the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
+
+
+def _divide(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a b that divides a in Z[x] (b primitive dividing a over Q
+    is enough, by Gauss's lemma); an inexact step raises ArithmeticError."""
+    a = list(a)
+    lc, m = b[-1], len(b) - 1
+    q = [0] * (len(a) - m)
+    for d in range(len(q) - 1, -1, -1):
+        f, r = divmod(a[d + m], lc)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        q[d] = f
+        if f:
+            for i, y in enumerate(b):
+                a[d + i] -= f * y
+    if any(a[:m]):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def squarefree_decomposition(c: list) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z on dense ascending coefficients (ints or
+    Fractions, scaled to ints first): [(factor_i, multiplicity_i)] with
+    factor_i primitive, square-free and with a positive leading coefficient,
+    whose product of factor_i^mult_i is c up to a constant.
+
+    A gcd normalised by any constant leaves Yun's invariants intact: w and
+    z are divided by the same factor at each step, so z - w' stays exact."""
     c = _trim(list(c))
     if len(c) <= 1:
         return []
-    inv = 1 / c[-1]
-    c = [x * inv for x in c]
+    c = _primitive(_integer_scaled(c))
     d = univ_deriv(c)
-    g = univ_gcd(c, d)
+    g = _gcd(c, d)
     if len(g) == 1:
         return [(c, 1)]
-    w, _ = univ_divmod(c, g)
-    y, _ = univ_divmod(d, g)
-    z = _univ_sub(y, univ_deriv(w))
+    w = _divide(c, g)
+    z = _sub(_divide(d, g), univ_deriv(w))
     out = []
     i = 1
     while len(w) > 1:
-        f = univ_gcd(w, z)
+        f = _gcd(w, z)
         if len(f) > 1:
             out.append((f, i))
-        w, _ = univ_divmod(w, f)
-        y, _ = univ_divmod(z, f)
-        z = _univ_sub(y, univ_deriv(w))
+        w = _divide(w, f)
+        z = _sub(_divide(z, f), univ_deriv(w))
         i += 1
     return out
 
@@ -181,47 +212,32 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _integer_scaled(c: list[Fraction]) -> list[int]:
-    """The coefficients times the lcm of their denominators."""
+def _integer_scaled(c: list) -> list[int]:
+    """The coefficients (ints or Fractions) times the lcm of their
+    denominators."""
     mult = lcm(*(x.denominator for x in c))
     return [x.numerator * (mult // x.denominator) for x in c]
 
 
-def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
-    """Rational root theorem candidates for an integer polynomial with
-    ints[0] != 0."""
-    cands = set()
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+def _root_candidates(ints: list[int]):
+    """Rational root theorem candidates p/q of an integer polynomial with
+    ints[0] != 0, as pairs (p, q) in lowest terms with q > 0."""
+    for q in _divisors(ints[-1]):
+        for p in _divisors(ints[0]):
+            if int_gcd(p, q) == 1:
+                yield p, q
+                yield -p, q
 
 
-def _is_root(ints: list[int], r: Fraction) -> bool:
-    """Whether r = p/q is a root: integer Horner on the homogenised form,
+def _is_root(ints: list[int], p: int, q: int) -> bool:
+    """Whether p/q is a root: integer Horner on the homogenised form,
     sum ints[k] p^k q^(d-k) = 0."""
-    p, q = r.numerator, r.denominator
     acc = ints[-1]
     qk = 1
     for c in reversed(ints[:-1]):
         qk *= q
         acc = acc * p + c * qk
     return acc == 0
-
-
-def _gaussian_quadratic_roots(c: list[Fraction]):
-    """Roots of a*x^2+b*x+c over Q(i) when disc is minus a rational square."""
-    c0, b, a = c[0], c[1], c[2]
-    disc = b * b - 4 * a * c0
-    if disc >= 0:
-        return None
-    s = rational_sqrt(-disc)
-    if s is None:
-        return None
-    re = -b / (2 * a)
-    im = s / (2 * a)
-    return [GaussianRational(re, im), GaussianRational(re, -im)]
 
 
 class RootReport:
@@ -237,14 +253,19 @@ class RootReport:
         return len(self.residual) <= 1
 
 
-def rational_roots(p: MultiPoly | list[Fraction]) -> RootReport:
+def rational_roots(p: MultiPoly | list) -> RootReport:
     """All rational roots with multiplicity, Gaussian roots of residual
-    quadratics when available, and the remaining factor."""
-    c = p.univariate_coeffs() if isinstance(p, MultiPoly) else _trim(list(p))
+    quadratics when available, and the remaining factor, of a univariate
+    MultiPoly or of dense ascending coefficients (ints or Fractions)."""
+    c = _trim(p.univariate_coeffs() if isinstance(p, MultiPoly) else list(p))
     if not c:
         raise ValueError("zero polynomial has no root structure")
     rational: dict[Fraction, int] = {}
     gaussian: dict[GaussianRational, int] = {}
+
+    def add(roots, r, mult):
+        roots[r] = roots.get(r, 0) + mult
+
     # strip x^k
     k = 0
     while c[0] == 0:
@@ -252,46 +273,38 @@ def rational_roots(p: MultiPoly | list[Fraction]) -> RootReport:
         k += 1
     if k:
         rational[Fraction(0)] = k
-    residual = [Fraction(1)]
-    if len(c) > 1:
-        for factor, mult in squarefree_decomposition(c):
-            f = factor
-            if len(f) == 2:
-                rational[-f[0] / f[1]] = rational.get(-f[0] / f[1], 0) + mult
+    residual = [1]
+    for f, mult in squarefree_decomposition(c):
+        if len(f) > 3:
+            # rational root theorem on the square-free factor
+            for num, den in _root_candidates(f):
+                if _is_root(f, num, den):
+                    f = _divide(f, [-num, den])
+                    add(rational, Fraction(num, den), mult)
+                    if len(f) <= 3:
+                        break
+        if len(f) == 2:
+            add(rational, Fraction(-f[0], f[1]), mult)
+            continue
+        if len(f) == 3:
+            c0, c1, c2 = f
+            disc = c1 * c1 - 4 * c2 * c0
+            s = isqrt(abs(disc))
+            if s * s == abs(disc):
+                if disc >= 0:
+                    add(rational, Fraction(-c1 + s, 2 * c2), mult)
+                    add(rational, Fraction(-c1 - s, 2 * c2), mult)
+                else:
+                    re = Fraction(-c1, 2 * c2)
+                    add(gaussian, GaussianRational(re, Fraction(s, 2 * c2)), mult)
+                    add(gaussian, GaussianRational(re, Fraction(-s, 2 * c2)), mult)
                 continue
-            if len(f) > 3:
-                # rational root theorem on the square-free factor
-                ints = _integer_scaled(f)
-                for r in _rational_root_candidates(ints):
-                    if _is_root(ints, r):
-                        f, _ = univ_divmod(f, [-r, Fraction(1)])
-                        rational[r] = rational.get(r, 0) + mult
-                        if len(f) <= 2:
-                            break
-                        ints = _integer_scaled(f)
-                if len(f) == 2:
-                    r = -f[0] / f[1]
-                    rational[r] = rational.get(r, 0) + mult
-                    continue
-            if len(f) == 3:
-                disc = f[1] * f[1] - 4 * f[2] * f[0]
-                s = rational_sqrt(disc) if disc >= 0 else None
-                if s is not None:
-                    for r in ((-f[1] + s) / (2 * f[2]), (-f[1] - s) / (2 * f[2])):
-                        rational[r] = rational.get(r, 0) + mult
-                    continue
-                g = _gaussian_quadratic_roots(f)
-                if g is not None:
-                    for root in g:
-                        gaussian[root] = gaussian.get(root, 0) + mult
-                    continue
-            if len(f) > 1:
-                residual = univ_mul(residual, _power(f, mult))
-    return RootReport(rational, gaussian, residual)
+        residual = univ_mul(residual, _power(f, mult))
+    return RootReport(rational, gaussian, [Fraction(x, residual[-1]) for x in residual])
 
 
-def _power(c: list[Fraction], k: int) -> list[Fraction]:
-    out = [Fraction(1)]
+def _power(c: list[int], k: int) -> list[int]:
+    out = [1]
     for _ in range(k):
         out = univ_mul(out, c)
     return out

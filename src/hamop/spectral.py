@@ -7,21 +7,23 @@ r_k = rank((L - lambda I)^k): the number of blocks of size >= k equals
 r_{k-1} - r_k.  Eigenvalues are extracted exactly over Q and Q(i); anything
 outside those fields raises UnsupportedEigenvalueField rather than degrading.
 
-Each point spectrum is computed over the integers.  The value of L at the
-point is scaled to A = D L(pt), D the lcm of the entry denominators; the
-characteristic polynomial of A is Berkowitz's, over Z, and
-chi_L(x) = chi_A(D x) / D^n.  For lambda = p/q the rank sequence is that of
-the powers of the integer matrix q A - p D I, a nonzero multiple of
-L - lambda I.  For lambda = (r + s i)/q it is that of X + iY with
-X = q A - r D I and Y = -s D I, whose powers are kept as pairs of integer
+The whole point spectrum is computed over the integers.  The value of L at
+an integer point is the integer matrix A = D L(pt) (``PolyMatrix.int_at``,
+D the lcm of the entries' coefficient denominators); the characteristic
+polynomial of A is Berkowitz's, over Z, and ``roots.rational_roots`` splits
+it over Z (Yun's algorithm, integer Horner, integer discriminants).  A root
+mu of chi_A is the eigenvalue mu / D of L.  For mu = p/q the rank sequence
+is that of the powers of the integer matrix q A - p I, a nonzero multiple
+of L - lambda I.  For mu = (r + s i)/q it is that of X + iY with
+X = q A - r I and Y = -s I, whose powers are kept as pairs of integer
 matrices; their ranks over Q(i) are half the ranks of the real embeddings
-(``linsolve.gaussian_rank``).
+(``linsolve.gaussian_rank``).  Only the reported eigenvalues are Fractions.
 
 Sampling uses 5 deterministic seeded points, redrawn where any metric of
-the pair or spec is singular (``metrics.degenerate_at``).  The generic type
-is the maximum of the types seen by semicontinuity (``_genericity``): a
-special point can only merge eigenvalues or lower the ranks, never split
-or raise them.  ``observed_types`` lists the types seen in that order, and
+the pair or spec is singular (``metrics.degenerate_at``, an integer rank).
+The generic type is the maximum of the types seen by semicontinuity
+(``_genericity``): a special point can only merge eigenvalues or lower the
+ranks, never split or raise them.  ``observed_types`` lists the types seen in that order, and
 ``consistent`` records whether all points agreed.
 """
 
@@ -171,25 +173,29 @@ def _shifted(a: list[list[int]], c: int, s: int) -> list[list[int]]:
     ]
 
 
+def _over(x: Fraction, d: int) -> Fraction:
+    """x / d for a positive int d, with no Fraction arithmetic."""
+    return Fraction(x.numerator, x.denominator * d)
+
+
 def spectrum_at_point(L: PolyMatrix, point, n: int) -> PointSpectrum | None:
-    """Eigenvalues and partitions at one point; None when the characteristic
-    polynomial does not split over Q(i)."""
-    lp = L.at_point(point)
-    d = lcm(*(x.denominator for row in lp for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in lp]
-    chi = char_poly(a)
-    report = rational_roots([Fraction(c, d ** (len(a) - k)) for k, c in enumerate(chi)])
+    """Eigenvalues and partitions at one integer point; None when the
+    characteristic polynomial does not split over Q(i)."""
+    a, d = L.int_at(point)
+    report = rational_roots(char_poly(a))
     if not report.fully_split:
         return None
     blocks = []
-    for lam, mult in sorted(report.rational.items()):
-        b = _shifted(a, lam.denominator, lam.numerator * d)
-        blocks.append(EigenBlock(lam, _partition_for(_real_ranks(b), mult, n)))
+    for r, mult in sorted(report.rational.items()):
+        b = _shifted(a, r.denominator, r.numerator)
+        blocks.append(EigenBlock(_over(r, d), _partition_for(_real_ranks(b), mult, n)))
     gauss = sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im))
-    for lam, mult in gauss:
-        q = lcm(lam.re.denominator, lam.im.denominator)
-        x = _shifted(a, q, int(lam.re * q) * d)
-        ranks = _gaussian_ranks(x, -int(lam.im * q) * d)
+    for z, mult in gauss:
+        re, im = z.re, z.im
+        q = lcm(re.denominator, im.denominator)
+        x = _shifted(a, q, re.numerator * (q // re.denominator))
+        ranks = _gaussian_ranks(x, -im.numerator * (q // im.denominator))
+        lam = GaussianRational(_over(re, d), _over(im, d))
         blocks.append(EigenBlock(lam, _partition_for(ranks, mult, n)))
     return PointSpectrum(tuple(point), blocks)
 

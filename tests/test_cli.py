@@ -210,6 +210,20 @@ def test_env_seed(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["seed"] == 42
 
 
+def test_env_seed_is_read_at_every_call(monkeypatch, tmp_path):
+    # the parser is built once per process; the seed default is not
+    path = write(tmp_path, "op5.json", op5_file())
+    out = tmp_path / "r.json"
+    seeds = []
+    for value in ("42", "7"):
+        monkeypatch.setenv("HAMOP_SEED", value)
+        assert main(["verify", path, "--output", "json", "--out", str(out)]) == 0
+        seeds.append(json.loads(out.read_text())["seed"])
+    monkeypatch.delenv("HAMOP_SEED")
+    assert main(["verify", path, "--output", "json", "--out", str(out)]) == 0
+    assert seeds + [json.loads(out.read_text())["seed"]] == [42, 7, 0]
+
+
 def test_bad_env_seed_is_a_usage_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("HAMOP_SEED", "abc")
     path = write(tmp_path, "op5.json", op5_file())

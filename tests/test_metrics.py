@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import hamop.metrics as metrics
+from hamop.catalog import catalog
+from hamop.linsolve import inverse
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import degenerate_at, identically_degenerate, probe_point
 from hamop.pointcheck import FP
@@ -66,16 +68,38 @@ def test_symbolic_fallback_runs_only_on_a_zero_at_the_probe_point(monkeypatch):
     assert calls == []
 
 
+def _param_family_cases(rng):
+    """(metric matrix, point) pairs from the catalog entries with formal
+    parameters: the point gives the parameters coordinates too."""
+    out = []
+    for e in catalog():
+        if e.params and e.n <= 4:
+            for m in e.spec.metrics:
+                for _ in range(3):
+                    out.append((m.mat, [Fraction(rng.randint(-2, 2)) for _ in range(m.nvars)]))
+    return out
+
+
 def test_degenerate_at_is_the_value_of_the_determinant():
     rng = random.Random(11)
     u1, _ = u_vars(2)
     one, zero = MultiPoly.const(2, 1), MultiPoly.zero(2)
     on_locus = PolyMatrix([[u1 - 3, zero], [zero, one]])
+    x1 = probe_point(2)[0]
+    on_probe = PolyMatrix([[u1 - x1, zero], [zero, one]])
     pairs = [(on_locus, [Fraction(3), Fraction(-7)]), (on_locus, [Fraction(4), Fraction(0)])]
+    pairs += [(on_probe, probe_point(2))]
     for _ in range(20):
         m = _random_square(rng, rng.randint(1, 3), nvars=2)
         pairs.append((m, [Fraction(rng.randint(-3, 3)) for _ in range(2)]))
+        # coefficient denominators that are not units of Z, and the probe point
+        big = m.map(lambda p: p * Fraction(rng.randint(1, 9), rng.choice((7, 10**6 + 3, 2**40))))
+        pairs += [(big, [Fraction(rng.randint(-3, 3)) for _ in range(2)]), (big, probe_point(2))]
+    pairs += _param_family_cases(rng)
+    assert sum(determinant(m).eval(pt) == 0 for m, pt in pairs) >= 5
     for m, pt in pairs:
         value = determinant(m).eval(pt)
         assert degenerate_at(m, pt) == (value == 0)
-        assert degenerate_at(m, [FP.of(x) for x in pt], FP) == (FP.of(value) == 0)
+        # the same Q point mapped into F_p, as ``pointcheck.FrameCache`` maps it
+        fp_value = m.at_point([FP.of(x) for x in pt], FP)
+        assert (inverse(fp_value, FP) is None) == (FP.of(value) == 0)

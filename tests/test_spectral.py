@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamop.catalog import direct_sum, get_entry, mokhov_operator
+from hamop.catalog import catalog, direct_sum, get_entry, mokhov_operator
 from hamop.errors import FirstMetricNotConstant, UnsupportedEigenvalueField
 from hamop.linsolve import inverse, mat_mul
 from hamop.matrices import PolyMatrix
@@ -19,6 +19,7 @@ from hamop.spectral import (
     segre_type,
     spectrum_at_point,
 )
+from hamop.verify import _sample
 
 from conftest import operator5_pair, u_vars
 
@@ -254,3 +255,32 @@ def test_planted_jordan_structure(case, seed):
     assert {b.value: b.partition for b in s.blocks} == expected
     rep = segre_type(L, points=[[Fraction(1)], [Fraction(-2)]])
     assert rep.consistent
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                       "__mod__", "__rmod__", "__pow__", "__rpow__")
+
+
+def test_segre_path_and_sample_rejection_do_no_fraction_arithmetic(monkeypatch):
+    # between L(pt) and the partitions, and in the rejection of sample
+    # points, everything is int arithmetic: PolyMatrix.int_at, Berkowitz,
+    # Yun over Z, Bareiss ranks.  Only the Fraction evaluation could feed a
+    # Fraction path, so it must not be called at all; the Fraction operators
+    # are refused too once the affinors (which invert g over Q) are built
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the integer path")
+
+    monkeypatch.setattr(PolyMatrix, "at_point", refuse)
+    specs = [e.spec for e in catalog() if e.n <= 5]
+    pencils = [(s, affinor(s.metrics[0], s.metrics[1])) for s in specs if s.d >= 2]
+    types = [segre_of_spec(s, seed=11).segre_type for s, _ in pencils]
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    for seed in (0, 11):
+        for spec in specs:
+            _sample(spec.nvars, spec.metrics, seed)
+        got = [segre_type(L, seed=seed, n=s.n, metrics=s.metrics).segre_type for s, L in pencils]
+        if seed == 11:
+            assert got == types
+    assert len(pencils) >= 40

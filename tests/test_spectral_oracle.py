@@ -2,12 +2,17 @@
 
 ``roots.char_poly`` (Berkowitz over Z) is checked against
 ``Matrix.charpoly``, ``linsolve.int_rank`` and ``linsolve.gaussian_rank``
-against ``Matrix.rank``, and the per-point partitions of
+against ``Matrix.rank``, ``roots.rational_roots`` and
+``roots.squarefree_decomposition`` (Yun over Z) against ``factor_list``,
+``roots`` and ``sqf_list``, and the per-point partitions of
 ``spectral.spectrum_at_point`` against ``Matrix.jordan_form`` on every
-catalog entry with n <= 4, at two seeded points each."""
+catalog entry with n <= 4 and on seeded corpus pencils at n = 2 and 3, at
+two seeded points each; at a point where the characteristic polynomial
+does not split over Q(i), ``spectrum_at_point`` must give None."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,9 +20,11 @@ sympy = pytest.importorskip("sympy")
 
 from hamop.catalog import catalog  # noqa: E402
 from hamop.linsolve import gaussian_rank, int_rank  # noqa: E402
-from hamop.roots import char_poly  # noqa: E402
+from hamop.roots import char_poly, rational_roots, squarefree_decomposition  # noqa: E402
 from hamop.scalars import GaussianRational  # noqa: E402
 from hamop.spectral import affinor, segre_sample_points, spectrum_at_point  # noqa: E402
+
+from conftest import corpus_pairs  # noqa: E402
 
 SEEDS = range(6)
 
@@ -66,6 +73,131 @@ def test_integer_ranks_are_sympy_ranks(seed):
         assert gaussian_rank(x, y) == z.rank()
 
 
+X = sympy.Symbol("x")
+
+
+def _seeded_polynomial(rng, split=False):
+    """A product of seeded factors with multiplicities, times a rational
+    constant: linear factors with non-unit leading coefficients, quadratics
+    with a Gaussian pair (q x - p)^2 + t^2, quadratics with a real
+    irrational or rational pair, and random cubics and quartics (mostly
+    irreducible).  A ``split`` one has linear factors and, first, a
+    Gaussian pair of multiplicity 2 or 3 only."""
+    p = sympy.Rational(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 12))
+    kinds = ("linear", "gaussian") if split else ("linear", "linear", "gaussian", "real", "high")
+    for k in range(rng.randint(1, 4)):
+        kind = "gaussian" if split and k == 0 else rng.choice(kinds)
+        if kind == "linear":
+            f = rng.randint(1, 6) * X - rng.randint(-40, 40)
+        elif kind == "gaussian":
+            f = (rng.randint(1, 4) * X - rng.randint(-9, 9)) ** 2 + rng.randint(1, 7) ** 2
+        elif kind == "real":
+            f = rng.randint(1, 3) * X**2 + rng.randint(-9, 9) * X - rng.randint(1, 20)
+        else:
+            f = sum(rng.randint(-5, 5) * X**k for k in range(rng.randint(3, 4))) + X ** rng.randint(3, 4) * rng.randint(1, 3)
+        p *= f ** (rng.choice((2, 3)) if split and k == 0 else rng.choice((1, 1, 2, 3)))
+    return sympy.Poly(sympy.expand(p), X, domain="QQ")
+
+
+def _coeffs(poly):
+    """Dense ascending Fraction coefficients of a sympy Poly over QQ."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+def _expected_roots(poly):
+    """(rational roots, Gaussian roots, monic residual over Q(i)) from
+    sympy's irreducible factors: a linear factor gives a rational root, a
+    quadratic whose ``roots`` lie in Q(i) a conjugate pair, and every other
+    factor stays in the residual."""
+    rational, gaussian, residual = {}, {}, sympy.Poly(1, X, domain="QQ")
+    for f, m in sympy.factor_list(poly)[1]:
+        values = [_field_value(r) for r in sympy.roots(f)] if f.degree() <= 2 else [None]
+        if None in values:
+            residual *= f ** m
+            continue
+        for v in values:
+            into = gaussian if isinstance(v, GaussianRational) else rational
+            into[v] = into.get(v, 0) + m
+    return rational, gaussian, residual.monic()
+
+
+def _reported_roots(poly):
+    """What ``rational_roots`` promises, from sympy's square-free factors:
+    every rational root, and the Gaussian pair of a square-free factor whose
+    rest, once its rational roots are divided out, is one quadratic with
+    roots in Q(i); every other rest stays in the residual."""
+    rational, gaussian, residual = {}, {}, sympy.Poly(1, X, domain="QQ")
+    for f, m in sympy.sqf_list(poly)[1]:
+        rest = sympy.Poly(1, X, domain="QQ")
+        for g, _ in sympy.factor_list(f)[1]:
+            if g.degree() == 1:
+                (v,) = [_field_value(r) for r in sympy.roots(g)]
+                rational[v] = m
+            else:
+                rest *= g
+        values = [_field_value(r) for r in sympy.roots(rest)] if rest.degree() == 2 else [None]
+        if rest.degree() > 0 and None in values:
+            residual *= rest ** m
+        elif rest.degree() > 0:
+            gaussian.update((v, m) for v in values)
+    return rational, gaussian, residual.monic()
+
+
+def _root_factor(v):
+    """The monic irreducible factor over Q of a Fraction or of a Gaussian
+    rational with its conjugate."""
+    if isinstance(v, GaussianRational):
+        re, im = (sympy.Rational(x.numerator, x.denominator) for x in (v.re, v.im))
+        return sympy.Poly((X - re) ** 2 + im**2, X, domain="QQ")
+    return sympy.Poly(X - sympy.Rational(v.numerator, v.denominator), X, domain="QQ")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rational_roots_are_sympy_roots(seed):
+    # every rational root is found, and the Gaussian pair of a square-free
+    # factor that is one quadratic once its rational roots are divided out;
+    # the residual is the monic rest
+    rng = random.Random(seed)
+    kinds = set()
+    for k in range(12):
+        poly = _seeded_polynomial(rng, split=k < 2)
+        c = _coeffs(poly)
+        rational, gaussian, residual = _reported_roots(poly)
+        true_rational, true_gaussian, true_residual = _expected_roots(poly)
+        assert rational == true_rational and gaussian.items() <= true_gaussian.items()
+        for coeffs in (c, _integer_multiple(c)):
+            rep = rational_roots(coeffs)
+            assert (rep.rational, rep.gaussian) == (rational, gaussian), poly
+            got = sympy.Poly([sympy.Rational(x.numerator, x.denominator)
+                              for x in reversed(rep.residual)], X, domain="QQ")
+            assert got == residual, poly
+            assert rep.fully_split == (residual.degree() == 0)
+            # one quadratic per conjugate pair
+            split = sympy.Poly(1, X, domain="QQ")
+            for v, m in [*rep.rational.items(), *((v, m) for v, m in rep.gaussian.items() if v.im > 0)]:
+                split *= _root_factor(v) ** m
+            assert got * split == poly.monic(), poly
+        # Yun over Z against sympy's square-free factorisation
+        want = sorted((str(f.monic()), m) for f, m in sympy.sqf_list(poly)[1] if f.degree() > 0)
+        got = sorted((str(sympy.Poly(list(reversed(f)), X, domain="QQ").monic()), m)
+                     for f, m in squarefree_decomposition(c))
+        assert got == want, poly
+        kinds |= {("repeated", m > 1) for m in rep.rational.values()}
+        kinds |= {("gaussian", m) for m in rep.gaussian.values()}
+        kinds.add(("residual degree >= 3", true_residual.degree() >= 3))
+        kinds.add(("non-monic", c[-1] != 1))
+    assert {("repeated", True), ("residual degree >= 3", True), ("non-monic", True)} <= kinds
+    assert any(k[0] == "gaussian" and k[1] > 1 for k in kinds), kinds
+
+
+def _integer_multiple(c):
+    """The coefficients as ints, times the lcm of their denominators."""
+    mult = 1
+    for x in c:
+        mult = mult * x.denominator // gcd(mult, x.denominator)
+    return [int(x * mult) for x in c]
+
+
 def _field_value(v):
     """A sympy eigenvalue as a Fraction or GaussianRational, or None when it
     lies outside Q(i)."""
@@ -76,9 +208,15 @@ def _field_value(v):
     return GaussianRational(re, im) if im else re
 
 
+def _splits_over_q_i(m):
+    """Whether sympy's characteristic polynomial of m splits over Q(i)."""
+    chi = sympy.Matrix(m).charpoly(X)
+    _, _, residual = _expected_roots(sympy.Poly(chi.as_expr(), X, domain="QQ"))
+    return residual.degree() == 0
+
+
 def _jordan_partitions(m):
-    """{eigenvalue: descending block sizes} from sympy's Jordan form, or
-    None when an eigenvalue lies outside Q(i)."""
+    """{eigenvalue: descending block sizes} from sympy's Jordan form."""
     _, j = sympy.Matrix(m).jordan_form()
     n = j.rows
     out = {}
@@ -87,12 +225,24 @@ def _jordan_partitions(m):
         size = 1
         while i + size < n and j[i + size - 1, i + size] == 1:
             size += 1
-        value = _field_value(j[i, i])
-        if value is None:
-            return None
-        out.setdefault(value, []).append(size)
+        out.setdefault(_field_value(j[i, i]), []).append(size)
         i += size
     return {v: tuple(sorted(p, reverse=True)) for v, p in out.items()}
+
+
+def _check_points(L, metrics, n):
+    """spectrum_at_point against sympy at two seeded points; returns how
+    many of them split over Q(i)."""
+    split = 0
+    for pt in segre_sample_points(L.nvars, seed=7, count=2, metrics=metrics):
+        lp = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in L.at_point(pt)]
+        got = spectrum_at_point(L, pt, n)
+        if not _splits_over_q_i(lp):
+            assert got is None
+            continue
+        split += 1
+        assert {b.value: b.partition for b in got.blocks} == _jordan_partitions(lp)
+    return split
 
 
 ENTRIES = [e for e in catalog() if e.n <= 4 and e.d >= 2]
@@ -102,12 +252,13 @@ ENTRIES = [e for e in catalog() if e.n <= 4 and e.d >= 2]
 def test_point_partitions_are_sympy_jordan_forms(entry):
     spec = entry.spec
     L = affinor(spec.metrics[0], spec.metrics[1])
-    for pt in segre_sample_points(L.nvars, seed=7, count=2, metrics=spec.metrics):
-        lp = L.at_point(pt)
-        want = _jordan_partitions([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                                   for row in lp])
-        got = spectrum_at_point(L, pt, spec.n)
-        if want is None:
-            assert got is None
-        else:
-            assert {b.value: b.partition for b in got.blocks} == want
+    assert _check_points(L, spec.metrics, spec.n) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_corpus_point_partitions_are_sympy_jordan_forms(n):
+    g, hs = corpus_pairs(n, random.Random(60 + n))
+    split = [_check_points(affinor(g, h), [g, h], n) for h in hs]
+    # the corpus reaches both branches: split points and points where the
+    # characteristic polynomial has a factor outside Q(i)
+    assert sum(split) > 0 and sum(2 - s for s in split) > 0

@@ -220,9 +220,9 @@ def test_verify_draws_only_the_points_it_scans(monkeypatch, spec, draws):
     counts = []
     sample_points = pc.sample_points
 
-    def counted(nvars, metrics, seed, count, field=pc.Q):
+    def counted(nvars, metrics, seed, count):
         counts.append(count)
-        return sample_points(nvars, metrics, seed, count, field)
+        return sample_points(nvars, metrics, seed, count)
 
     monkeypatch.setattr(pc, "sample_points", counted)
     rep = verify_operator(spec)
