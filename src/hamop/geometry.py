@@ -6,7 +6,12 @@ torsion, the Killing residual in its polynomial form,
 second-covariant-derivative (linearity) residuals, obstruction tensors, the
 obstruction identities T1..T5 and Lie derivatives of bivectors.  Everything
 is exact: entries are MultiPoly or RationalFunction, and a condition
-"holds" iff the residual is identically zero.
+"holds" iff the residual is identically zero.  ``coefficient_arrays``
+writes a matrix at most linear in u as D m = M0 + u_s M_s with int entries
+(integer-coefficient polynomials in the formal parameters, where they
+occur); for a constant metric and a linear one every condition is an
+identity among these constants, which ``constant_connection`` and
+``verify``'s proofs check in int arithmetic.
 
 ``mokhov_identities`` states T1..T5 for a constant metric g on the
 contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
@@ -41,6 +46,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linsolve import identity
 from .matrices import PolyMatrix, adjugate_det
@@ -131,35 +137,52 @@ def levi_civita(g: LinearMetric) -> Connection:
     return conn
 
 
+def coefficient_arrays(m: PolyMatrix, n: int):
+    """(D, [M0, M1, ..., Mn]) with D m = M0 + u1 M1 + ... + un Mn, D the
+    lcm of the entries' coefficient denominators, or None when an entry has
+    degree > 1 in the u-block.  The arrays' entries are free of u: ints, or
+    integer-coefficient MultiPolys where an entry involves the formal
+    parameters.  So d_s m = M_(s+1) / D, and every condition of a constant
+    metric and a linear one is an identity among these constants."""
+    split = [[p.affine_parts(n) for p in row] for row in m.entries]
+    if any(x is None for row in split for x in row):
+        return None
+    D = lcm(*(den for row in split for den, _ in row))
+    return D, [[[parts[k] * (D // den) for den, parts in row] for row in split]
+               for k in range(n + 1)]
+
+
 def constant_connection(h: LinearMetric, u0):
     """(c, den) with c[i][j][k] / den = b^{ij}_k = -h^{is} Gamma^j_{sk}, the
     contravariant Levi-Civita connection of h, when it does not depend on u;
-    else None.  c and den are Fractions, or polynomials in h's formal
-    parameters.  The candidate is ``connection_numerators`` at the point u0
-    of the u-block, from one adjugate of h0 = h(u0) (the parameters stay
-    symbolic).  d h is constant, so it is metric-compatible,
-    b^{ij}_k + b^{ji}_k = d_k h^{ij}, at every u.  The result rests only on
-    the torsion-free identity h^{is} b^{jk}_s = h^{js} b^{ik}_s, checked at
-    every u on linear polynomials: with it the candidate is the connection,
-    which is unique."""
+    else None.  c and den are ints, or integer-coefficient polynomials in
+    h's formal parameters.  Everything runs on the coefficient arrays
+    D h = H0 + u_s H_s (``coefficient_arrays``).  The candidate is
+    ``connection_numerators`` of D h at the integer point u0 of the u-block,
+    from one adjugate of D h(u0) (the parameters stay symbolic).  d h is
+    constant, so it is metric-compatible, b^{ij}_k + b^{ji}_k = d_k h^{ij},
+    at every u.  The result rests only on the torsion-free identity
+    h^{is} b^{jk}_s = h^{js} b^{ik}_s, which is affine in u and so is checked
+    on H0 and each H_s: with it the candidate is the connection, which is
+    unique.  The connection of D h is D b, as Gamma does not change when h
+    is scaled."""
     n, rng = h.n, range(h.n)
-    at_u0 = {k + 1: u0[k] for k in rng}
-    h0 = h.mat.map(lambda p: p.substitute(at_u0))
+    if any(x.denominator != 1 for x in u0[:n]):
+        raise ValueError("constant_connection needs an integer point")
+    u = [x.numerator for x in u0[:n]]
+    D, (H0, *dH) = coefficient_arrays(h.mat, n)
+    h0 = [[H0[i][j] + _dot(u, [m[i][j] for m in dH]) for j in rng] for i in rng]
     adj, det = adjugate_det(h0)
     if not det:
         return None
-    lift = MultiPoly.constant_value if h.nvars == n else identity
-    h0, adj = ([[lift(p) for p in row] for row in m.entries] for m in (h0, adj))
-    dh = _partials(h.mat, n, lift)
     adj_q = list(zip(*adj))
-    f = [[[_dot(row, col) for col in adj_q] for row in m] for m in dh]  # d_s h adj
-    c = connection_numerators(h0, f, dh, det, identity)
-    hm = h.mat.entries
-    # torsion-free: h^{is} c^{jk}_s = h^{js} c^{ik}_s
-    if any(_dot(hm[i], c[j][k]) != _dot(hm[j], c[i][k])
-           for i in rng for j in range(i + 1, n) for k in rng):
+    f = [[[_dot(row, col) for col in adj_q] for row in m] for m in dH]  # d_s h adj
+    c = connection_numerators(h0, f, dH, det, identity)
+    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s for H = H0 and each H_s
+    if any(_dot(m[i], c[j][k]) != _dot(m[j], c[i][k])
+           for m in (H0, *dH) for i in rng for j in range(i + 1, n) for k in rng):
         return None
-    return c, 2 * det
+    return c, 2 * det * D
 
 
 def connection_numerators(h0, f, dh, det, red):

@@ -1,11 +1,13 @@
 """Matrices with polynomial or rational-function entries.
 
 Entries are homogeneous per matrix (all MultiPoly or all RationalFunction).
-``determinant`` and ``adjugate_det`` take polynomial entries only (anything
-else raises ValueError) and share one division-free computation: the
-characteristic polynomial by Berkowitz's algorithm (``roots.char_poly``),
+``determinant`` and ``adjugate_det`` share one division-free computation:
+the characteristic polynomial by Berkowitz's algorithm (``roots.char_poly``),
 whose constant term gives the determinant and whose coefficients give the
-adjugate by Cayley-Hamilton.  Inverses are returned in adjugate/determinant
+adjugate by Cayley-Hamilton.  On a PolyMatrix they take polynomial entries
+only (anything else raises ValueError); ``adjugate_det`` also takes a plain
+list of rows over any ring, such as the integer coefficient arrays of
+``geometry.coefficient_arrays``.  Inverses are returned in adjugate/determinant
 form with gcd-normalized rational-function entries, so m * m^-1 is exactly
 the identity.
 ``PolyMatrix.at_point`` evaluates polynomial entries in any
@@ -201,20 +203,31 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     return _char_poly(m, "determinant")[1]
 
 
-def adjugate_det(m: PolyMatrix) -> tuple[PolyMatrix, MultiPoly]:
-    """(adjugate, determinant) of a square polynomial matrix, both from one
+def adjugate_det(m):
+    """(adjugate, determinant) of a square matrix, both from one
     characteristic polynomial chi(x) = x^n + c_(n-1) x^(n-1) + ... + c_0.
     By Cayley-Hamilton A (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
-    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner."""
-    c, det = _char_poly(m, "adjugate_det")
-    n, a = m.rows, m.entries
+    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner.
+
+    ``m`` is a PolyMatrix of polynomials, giving (PolyMatrix, MultiPoly),
+    or a square list of rows over any commutative ring (ints, or
+    integer-coefficient MultiPolys), giving (rows, det) in that ring, with
+    int 0 standing in for zero."""
+    if isinstance(m, PolyMatrix):
+        c, det = _char_poly(m, "adjugate_det")
+        zero, one = MultiPoly.zero(m.nvars), MultiPoly.const(m.nvars, 1)
+        a = m.entries
+    else:
+        a, zero, one = m, 0, 1
+        c = char_poly(a)
+        det = c[0] if len(a) % 2 == 0 else -c[0]
+    n = len(a)
     sign = 1 if n % 2 else -1
-    zero = MultiPoly.zero(m.nvars)
-    b = [[MultiPoly.const(m.nvars, sign * (i == j)) for j in range(n)] for i in range(n)]
+    b = [[sign * one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(n - 1, 0, -1):
         b = [[sum((a[i][s] * b[s][j] for s in range(n) if a[i][s] and b[s][j]),
                   c[k] * sign if i == j else zero) for j in range(n)] for i in range(n)]
-    return PolyMatrix(b), det
+    return (PolyMatrix(b) if isinstance(m, PolyMatrix) else b), det
 
 
 def matrix_inverse(m: PolyMatrix) -> PolyMatrix:

@@ -32,6 +32,9 @@ coefficients written "p/q".
 ``MultiPoly.int_eval`` is its int form at a point of ints: the numerator
 sum and the common denominator, with no Fraction (``PolyMatrix.int_at``).
 Both unpack a polynomial's exponents once, on its first evaluation.
+``MultiPoly.affine_parts`` splits a polynomial of degree <= 1 in the
+u-block into integer-coefficient parts over its common denominator
+(``geometry.coefficient_arrays``).
 
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
@@ -202,6 +205,28 @@ class MultiPoly:
             return 0
         shifts = _layout(self.nvars)[0][:nblock]
         return max(sum((e >> s) & FIELD_MASK for s in shifts) for e in self._coeffs)
+
+    def affine_parts(self, nblock: int):
+        """(den, parts) with self = (parts[0] + u1 parts[1] + ... +
+        u_nblock parts[nblock]) / den, ``den`` the common denominator and
+        each part free of u1..u_nblock: an int where it is a constant, else
+        an integer-coefficient polynomial.  None when the degree in
+        u1..u_nblock exceeds 1."""
+        shifts = _layout(self.nvars)[0][:nblock]
+        ts = FIELD_BITS * self.nvars
+        parts = [{} for _ in range(nblock + 1)]
+        for e, c in self._coeffs.items():
+            k = 0
+            for s, shift in enumerate(shifts, 1):
+                x = (e >> shift) & FIELD_MASK
+                if x:
+                    if k or x > 1:
+                        return None
+                    k, e = s, e - (1 << shift) - (1 << ts)
+            parts[k][e] = c
+        return self._den, [
+            p.get(0, 0) if p.keys() <= {0} else MultiPoly._raw(self.nvars, p) for p in parts
+        ]
 
     def leading(self) -> tuple[tuple, Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
@@ -732,11 +757,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def as_poly(self) -> MultiPoly:
-        if not self.den.is_constant():
-            raise ValueError("not a polynomial")
-        return self.num / self.den.constant_value()
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -25,29 +25,40 @@ function, pair_conditions, checks an ordered pair.
 
 Every condition runs through one pipeline, and one function, _scan_points,
 runs it for the conditions that share a set of frames (the Mokhov
-conditions; the triple of a pair).  Each condition is first evaluated at
-seeded integer points over F_p, p = 2^61 - 1 (see pointcheck).  A hit there
-is certified, since a nonzero residue proves a nonzero rational value, and
-its witness is recomputed over Q at that point, which evaluates only the
-conditions that hit, and of each only the jets up to its first failing
-component (see pointcheck).  A condition without a hit
-is then decided by its exact identity: flatness_witness, the T1..T5 streams
-of geometry.mokhov_identities on the reduced rational connection b of h,
-and the lazy linearity / Nijenhuis / Killing streams of geometry.  A
-failure found there carries a witness with no point.
+conditions; the triple of a pair).  With a constant reference metric each
+condition is first decided on integer coefficient arrays, before any point
+scan: geometry.coefficient_arrays writes D m = M0 + u_s M_s for a metric
+that is at most linear in u, with int entries (integer-coefficient
+polynomials in the formal parameters where they occur).  The triple of a
+pair (g constant, h) is decided there by _triple_proofs: linearity holds iff
+the arrays of h exist, Killing is one constant array, and the Nijenhuis
+torsion of L = H adj(G), affine in u, is nijenhuis_components on its n + 1
+arrays.  The Mokhov conditions are decided on the constant contravariant
+connection of h (geometry.constant_connection, whose candidate point is the
+first scan point), over the same arrays.  A condition proven there passes
+and builds no frame; the arrays claim only passes, so a failing condition's
+witness comes from the pipeline below, as it would without them.
+
+Every other condition is evaluated at seeded integer points over F_p,
+p = 2^61 - 1 (see pointcheck).  A hit there is certified, since a nonzero
+residue proves a nonzero rational value, and its witness is recomputed over
+Q at that point, which evaluates only the conditions that hit, and of each
+only the jets up to its first failing component (see pointcheck).  A
+condition without a hit is then decided by its exact identity:
+flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
+reduced rational connection b of h, and the lazy linearity / Nijenhuis /
+Killing streams of geometry.  A failure found there carries a witness with
+no point.
 
 Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
 holds for the constant first metric, as for d >= 3; the rest of the Mokhov
 cross-check (flat(g2), T1..T5) is scanned at the same points only after a
-failing triple, since after a passing one a certified
-hit could only end in DisagreementBug, which the proofs raise just the same.
-flat(g2) or T1..T5 without a hit is first tried on the constant
-contravariant connection of h (geometry.constant_connection, at the first
-scan point), and that proof is taken only where it shows the condition to
-hold; any other condition goes to its identity above, which gives the
-witness.  A Hamiltonian pencil satisfies T4, which for constant g says that
-the contravariant connection b of h is constant (Dubrovin-Novikov), so there
-every Mokhov condition is proven on constants, with no rational stream.
+failing triple, since after a passing one a certified hit could only end in
+DisagreementBug, which the proofs raise just the same.  A Hamiltonian
+pencil satisfies the triple, which the arrays prove, and T4, which for
+constant g says that the contravariant connection b of h is constant
+(Dubrovin-Novikov), so there every condition is proven on constants, with
+no point scan and no rational stream.
 
 A point where a frame cannot be built mod p (a metric singular mod p there,
 or a coefficient denominator that is not a unit mod p) is scanned over Q
@@ -67,22 +78,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import pointcheck as pc
-from .errors import DegenerateEverywhere, DisagreementBug, FirstMetricNotConstant
+from .errors import (
+    DegenerateEverywhere,
+    DisagreementBug,
+    FirstMetricNotConstant,
+    IdenticallySingular,
+)
 from .geometry import (
     T_NAMES,
+    coefficient_arrays,
     constant_connection,
     covariant_hessian,
     flatness_witness,
+    killing_components,
     killing_stream,
     levi_civita,
     lie_derivative_bivector,
     mokhov_identities,
+    nijenhuis_components,
     nijenhuis_stream,
     raised_obstruction,
     riemann_components,
 )
-from .linsolve import identity
-from .matrices import PolyMatrix
+from .linsolve import identity, mat_mul
+from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric, OperatorSpec
 from .poly import MultiPoly
 from .scalars import format_rational
@@ -197,21 +216,25 @@ def _hits(pairs, names) -> dict:
     return hits
 
 
-def _scan_points(proofs: dict, fn, metrics, points, cache) -> list[ConditionResult]:
+def _scan_points(proofs: dict, fn, metrics, points, cache, proven=()) -> list[ConditionResult]:
     """The conditions named by ``proofs``, in its order, scanned at points
-    together: ``fn(*frames)`` on the frames of ``metrics`` at a point yields
-    (name, thunk) for them, and ``thunk()`` gives the condition's hit there,
-    (indices, value) of its first failing component, or None.  At each point
-    only the conditions not yet decided are evaluated, over F_p; a hit is
-    recomputed over Q at the same point for the witness, and that Q pass
-    evaluates only the conditions that hit, on Q frames whose jets are
-    built as the hit's first failing component reads them.  Points are
-    scanned until every condition has failed.  A condition without a hit
-    is then decided by ``proofs[name]()``, its exact identity as a lazy
-    (indices, residual) stream.  A condition's first failing point and
+    together: the conditions in ``proven``, already shown to hold, pass
+    without a scan, and ``fn(*frames)`` on the frames of ``metrics`` at a
+    point yields (name, thunk) for the others, where ``thunk()`` gives the
+    condition's hit there, (indices, value) of its first failing component,
+    or None.  At each point only the conditions not yet decided are
+    evaluated, over F_p; a hit is recomputed over Q at the same point for
+    the witness, and that Q pass evaluates only the conditions that hit, on
+    Q frames whose jets are built as the hit's first failing component
+    reads them.  Points are scanned until every condition is decided, so a
+    scan with every condition proven builds no frame.  A condition without
+    a hit is then decided by ``proofs[name]()``, its exact identity as a
+    lazy (indices, residual) stream.  A condition's first failing point and
     index tuple do not depend on which conditions share the scan."""
-    decided = {}
+    decided = {name: ConditionResult(name, True) for name in proven}
     for pt in points:
+        if len(decided) == len(proofs):
+            break
         frames = cache.frames(pt, *metrics)
         hits = _hits(fn(*frames), proofs.keys() - decided.keys())
         if hits and frames[0].F is not pc.Q:
@@ -219,8 +242,6 @@ def _scan_points(proofs: dict, fn, metrics, points, cache) -> list[ConditionResu
             hits = {name: _certified(name, pt, exact.get(name)) for name in hits}
         for name, hit in hits.items():
             decided[name] = ConditionResult(name, False, _wit(*hit, pt))
-        if len(decided) == len(proofs):
-            break
     return [decided.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
 
 
@@ -255,19 +276,20 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     """The Mokhov conditions that hold for constant g on the constant
     contravariant connection of h: when b^{ij}_k = -h^{is} Gamma~^j_{sk} is
     constant (``constant_connection`` with candidate point u0, giving
-    c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0.
-    flat(g2) is Dubrovin's contravariant curvature
-    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h.  Each
-    identity is homogeneous in b, so it holds on b iff on c."""
+    c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0,
+    and on R = -G c for the constant coefficient array G = D g
+    (``coefficient_arrays``), all in the arithmetic of c: ints, or
+    polynomials in the formal parameters.  flat(g2) is Dubrovin's
+    contravariant curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the
+    invertible h.  Each identity is homogeneous in b and in R, so it holds
+    on b and g iff on c and G."""
     conn = constant_connection(h, u0)
     if conn is None:
         return set()
-    c, den = conn
+    c, _ = conn
     n = g.n
-    # g's constant entries in the scalar type of c
-    gm = [[x.constant_value() if isinstance(den, Fraction) else x for x in row]
-          for row in g.mat.entries]
-    R = raised_obstruction(gm, c, n, identity)
+    _, (G, *_) = coefficient_arrays(g.mat, n)
+    R = raised_obstruction(G, c, n, identity)
     streams = dict(mokhov_identities(R, _zero, c, h.mat.entries, n, identity))
     streams["flat(g2)"] = riemann_components(c, _zero, n, identity)
     return {name for name, stream in streams.items() if not any(r for _, r in stream)}
@@ -288,32 +310,26 @@ def mokhov_conditions(
 ) -> VerificationReport:
     """Flatness of both metrics plus the five obstruction-tensor identities
     for constant g.  flat(g1) holds for the constant g.  The others are
-    scanned at ``points`` (by default the first SCAN_POINTS of the seed's
-    sample) and, without a hit there, proven: on the constant contravariant
-    connection of h where that shows the condition to hold (the candidate
-    point is the first of ``points``, or of the seed's sample), else by
+    first tried on the constant contravariant connection of h, whose
+    candidate point is the first of ``points`` (by default the first
+    SCAN_POINTS of the seed's sample), or the seed's first sample point when
+    ``points`` is empty; a condition proven there passes without a scan.
+    The rest are scanned at ``points`` and, without a hit there, proven by
     ``flatness_witness`` or the condition's T1..T5 stream."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
-
-    @functools.cache
-    def proven():
-        u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
-        return _constant_connection_proofs(g, h, u0)
-
-    def proof(name, stream):
-        return lambda: () if name in proven() else stream()
-
+    u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
     t_streams = functools.cache(lambda: _t_streams(g, h))
     proofs = {
-        "flat(g2)": proof("flat(g2)", lambda: _flatness_proof(h)),
-        **{name: proof(name, lambda name=name: t_streams()[name]) for name in T_NAMES},
+        "flat(g2)": lambda: _flatness_proof(h),
+        **{name: lambda name=name: t_streams()[name] for name in T_NAMES},
     }
     report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(
-        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP)
+        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP),
+        _constant_connection_proofs(g, h, u0),
     )
     return report
 
@@ -328,10 +344,49 @@ def _as_bivector(h) -> PolyMatrix:
 
 
 def constant_inverse(g: LinearMetric) -> PolyMatrix:
-    """Inverse of a constant metric with polynomial (constant) entries."""
+    """Inverse of a constant metric with polynomial (constant) entries:
+    D adj(G) / det(G) for the coefficient array G = D g
+    (``coefficient_arrays``), from one integer adjugate."""
     if not g.is_constant():
         raise FirstMetricNotConstant("metric must be constant")
-    return g.inverse().map(lambda r: r.as_poly())
+    D, (G, *_) = coefficient_arrays(g.mat, g.n)
+    adj, det = adjugate_det(G)
+    if not det:
+        raise IdenticallySingular("matrix determinant is identically zero")
+    if not isinstance(det, int):
+        if not det.is_constant():
+            raise ValueError("not a polynomial")
+        det = det.constant_value()
+    zero = MultiPoly.zero(g.nvars)
+    return PolyMatrix([[zero + x * Fraction(D) / det for x in row] for row in adj])
+
+
+def _triple_proofs(g: LinearMetric, hm: PolyMatrix) -> set:
+    """Which of linearity, nijenhuis and killing hold for the constant g and
+    the bivector hm, decided on their coefficient arrays G = D' g and
+    D h = H0 + u_s H_s (``coefficient_arrays``) before any point scan.
+    Linearity in the flat coordinates of g holds iff every entry of h has
+    u-degree <= 1, i.e. iff the arrays exist; without them nothing is
+    proven.  The Killing residual reads g and d_s h = H_s / D only, so it
+    is one constant array.  L = H adj(G) is a nonzero multiple of h g^-1,
+    affine in u with constant d_s L = L_s = H_s adj(G); N(L) is linear in
+    L for fixed d L, so it vanishes iff ``nijenhuis_components`` vanishes on
+    each of L_0 = H0 adj(G), L_1, ..., L_n with d L = [L_1, ..., L_n]."""
+    n = g.n
+    arrays = coefficient_arrays(hm, n)
+    if arrays is None:
+        return set()
+    _, H = arrays
+    _, (G, *_) = coefficient_arrays(g.mat, n)
+    proven = {"linearity"}
+    zero = [[[0] * n for _ in range(n)] for _ in range(n)]
+    if not any(r for _, r in killing_components(G, zero, H[0], H[1:], n, identity)):
+        proven.add("killing")
+    adj, _ = adjugate_det(G)
+    L = [mat_mul(m, adj) for m in H]
+    if not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n, identity)):
+        proven.add("nijenhuis")
+    return proven
 
 
 def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[ConditionResult]:
@@ -339,11 +394,14 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
 
     ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
     names them linearity[b|c], nijenhuis[b|c] and killing[c|b]; the Killing
-    residual is always K(g, h), reference first.  Each condition is scanned
-    at ``points`` (none: no scan) and, without a hit there, proven by its
-    lazy stream, which stops at the first nonzero component.  Linearity is
-    the covariant Hessian of h for g's connection; for constant g that is
-    the plain second partials, which are cheap, so it is not scanned."""
+    residual is always K(g, h), reference first.  For a constant g each
+    condition is first decided on integer coefficient arrays
+    (``_triple_proofs``), and one proven there passes without a scan.  The
+    others are scanned at ``points`` (none: no scan) and, without a hit
+    there, proven by their lazy streams, which stop at the first nonzero
+    component.  Linearity is the covariant Hessian of h for g's
+    connection; for constant g that is the plain second partials, which
+    are not scanned."""
     n = g.n
     hm = _as_bivector(h)
     lin, nij, kil = "linearity", "nijenhuis", "killing"
@@ -351,22 +409,22 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
         b, c = tag
         lin, nij, kil = f"{lin}[{b}|{c}]", f"{nij}[{b}|{c}]", f"{kil}[{c}|{b}]"
     flat = g.is_constant()
-    linearity = [_scan(lin, covariant_hessian(hm, n))] if flat else []
-    proofs = {} if flat else {lin: lambda: covariant_hessian(hm, n, g)}
-    proofs[nij] = lambda: nijenhuis_stream(
-        hm @ (constant_inverse(g) if flat else g.inverse()), n
-    )
-    proofs[kil] = lambda: killing_stream(g, hm, n)
+    proofs = {
+        lin: lambda: covariant_hessian(hm, n, None if flat else g),
+        nij: lambda: nijenhuis_stream(hm @ (constant_inverse(g) if flat else g.inverse()), n),
+        kil: lambda: killing_stream(g, hm, n),
+    }
+    names = dict(zip(("linearity", "nijenhuis", "killing"), proofs))
+    proven = {names[k] for k in _triple_proofs(g, hm)} if flat else set()
 
     def at(fg, fh):
         yield nij, lambda: pc.nijenhuis_at(fh, fg)
         yield kil, lambda: pc.killing_at(fg, fh)
-        if not flat:
-            yield lin, lambda: pc.linearity_at(fg, fh)
+        yield lin, lambda: None if flat else pc.linearity_at(fg, fh)
 
     hw = _wrap_metric(h, g) if points else None
-    return linearity + _scan_points(
-        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP)
+    return _scan_points(
+        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP), proven
     )
 
 
@@ -387,12 +445,7 @@ def theorem2_conditions(
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
-    hm = _as_bivector(h)
-    if any(
-        hm[i, j].degree_in_block(g.n) > 1
-        for i in range(g.n)
-        for j in range(g.n)
-    ):
+    if coefficient_arrays(_as_bivector(h), g.n) is None:  # not linear in u
         points = ()
     elif points is None:
         try:

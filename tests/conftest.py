@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hamop import matrices
+from hamop import pointcheck as pc
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly
@@ -43,6 +46,30 @@ def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50):
         if not nondegenerate or not determinant(mat).is_zero():
             return mat
     raise AssertionError("could not draw a non-degenerate bivector")
+
+
+def refuse_symbolic_work(monkeypatch, message):
+    """Make the passing path's forbidden symbolic work raise AssertionError:
+    the Nijenhuis and Killing point kernels and ``adjugate_det`` of a
+    PolyMatrix, in every hamop module that binds it.  ``adjugate_det`` on
+    coefficient arrays (lists of rows) still runs."""
+
+    def refuse(*args):
+        raise AssertionError(message)
+
+    adjugate_det = matrices.adjugate_det
+
+    def arrays_only(m):
+        if isinstance(m, PolyMatrix):
+            refuse()
+        return adjugate_det(m)
+
+    monkeypatch.setattr(pc, "nijenhuis_at", refuse)
+    monkeypatch.setattr(pc, "killing_at", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hamop") and getattr(module, "adjugate_det", None) is adjugate_det:
+            monkeypatch.setattr(module, "adjugate_det", arrays_only)
+    return refuse
 
 
 @pytest.fixture

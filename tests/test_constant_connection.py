@@ -1,4 +1,4 @@
-"""The contravariant connection b of h and the Mokhov identities stated on it.
+"""The proofs on integer coefficient arrays for a constant reference metric.
 
 ``geometry.constant_connection`` is checked against the symbolic reference
 ``levi_civita(h).b_upper``.  ``geometry.mokhov_identities`` states T3 and T5
@@ -6,7 +6,10 @@ contracted with h, on b; its symbolic feed (``verify._t_streams``) and
 ``verify``'s proofs on the constant connection are checked, condition by
 condition, against Mokhov's identities as the paper states them, written
 here from ``obstruction_tensor`` and the Christoffel symbols of h, and
-against ``flatness_witness``.
+against ``flatness_witness``.  ``verify._triple_proofs`` (linearity,
+Nijenhuis and Killing on the arrays) is checked against the symbolic
+streams ``covariant_hessian``, ``nijenhuis_stream`` (of h times the
+symbolic inverse of g) and ``killing_stream``.
 """
 
 import functools
@@ -19,8 +22,11 @@ from hamop.catalog import catalog
 from hamop.geometry import (
     T_NAMES,
     constant_connection,
+    covariant_hessian,
     flatness_witness,
+    killing_stream,
     levi_civita,
+    nijenhuis_stream,
     obstruction_tensor,
 )
 from hamop.matrices import PolyMatrix, determinant
@@ -28,24 +34,26 @@ from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly, RationalFunction
 from hamop.specfile import default_param_values, specialize_spec
 
-from conftest import corpus_pairs, random_rational, u_vars
+from conftest import corpus_pairs, operator5_pair, random_rational, u_vars
 
 
 def _u0(g, h):
     return pc.sample_points(g.nvars, [g, h], 0, 1)[0]
 
 
-def _catalog_pairs(max_n):
-    """(name, g, h) of every d = 2 catalog entry with n <= max_n, formal
-    and with its parameters specialized."""
+def _catalog_pairs(max_n, dims=(2,)):
+    """(name, g, h) of the pairs (g1, g_b), b >= 2, of every catalog entry
+    with d in ``dims`` and n <= max_n, formal and with its parameters
+    specialized."""
     out = []
     for e in catalog():
-        if e.spec.d == 2 and e.n <= max_n:
-            out.append((e.id, e.spec.g, e.spec.gt))
+        if e.spec.d in dims and e.n <= max_n:
             values = default_param_values(e.spec)
+            specs = [(e.id, e.spec)]
             if values:
-                spec = specialize_spec(e.spec, values)
-                out.append((f"{e.id}@{values}", spec.g, spec.gt))
+                specs.append((f"{e.id}@{values}", specialize_spec(e.spec, values)))
+            for name, spec in specs:
+                out += [(f"{name}/g{b}", spec.g, h) for b, h in enumerate(spec.metrics[1:], 2)]
     return out
 
 
@@ -195,3 +203,47 @@ def test_constant_connection_proofs_agree_with_the_streams():
         branches.add(constant)
         failing += constant and 1 + len(vf.T_NAMES) - len(passing)
     assert branches == {True, False} and failing
+
+
+def _quadratic_bivector():
+    """A bivector of degree 2 in u: linearity fails, so nothing is proven."""
+    u1, u2 = u_vars(2)
+    z = MultiPoly.zero(2)
+    return "quadratic", LinearMetric.antidiagonal(2), PolyMatrix([[u1 * u1 - 2 * u1, u2], [u2, z]])
+
+
+def _shifted_operator5():
+    """operator5's h plus a constant: its Nijenhuis torsion is the nonzero
+    constant N^2_{12} = 4, so only the u-free array L0 shows the failure."""
+    g, h = operator5_pair()
+    return "operator5+diag(0,1)", g, h.mat + PolyMatrix.from_scalars(2, [[0, 0], [0, 1]])
+
+
+def _triple_stream_passes(g, hm) -> set:
+    n = g.n
+    streams = {
+        "linearity": covariant_hessian(hm, n),
+        "nijenhuis": nijenhuis_stream(hm @ g.inverse(), n),
+        "killing": killing_stream(g, hm, n),
+    }
+    return {name for name, stream in streams.items() if not any(r for _, r in stream)}
+
+
+def test_triple_proofs_agree_with_the_streams():
+    # the arrays prove exactly the conditions whose streams pass, for
+    # every pencil linear in u; for one that is not, they prove nothing,
+    # and its linearity stream fails
+    pairs = (_catalog_pairs(5, dims=(2, 3, 4, 5)) + _corpus_pencils()
+             + _catalog_h_against_constant_g(3))
+    pairs = [(name, g, h.mat) for name, g, h in pairs] + [_shifted_operator5(), _quadratic_bivector()]
+    outcomes = set()
+    for name, g, hm in pairs:
+        proven = vf._triple_proofs(g, hm)
+        passing = _triple_stream_passes(g, hm)
+        linear = all(p.degree_in_block(g.n) <= 1 for row in hm.entries for p in row)
+        assert proven == (passing if linear else set()), name
+        assert linear == ("linearity" in passing), name
+        assert vf.constant_inverse(g) == g.inverse(), name
+        outcomes |= {(c, c in passing) for c in ("linearity", "nijenhuis", "killing")}
+    assert outcomes == {(c, passed) for c in ("linearity", "nijenhuis", "killing")
+                        for passed in (True, False)}

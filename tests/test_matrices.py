@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hamop.errors import IdenticallySingular
+from hamop.linsolve import mat_mul
 from hamop.matrices import PolyMatrix, adjugate_det, determinant, matrix_inverse
 from hamop.poly import MultiPoly, RationalFunction
 
@@ -107,3 +108,11 @@ def test_adjugate_times_matrix_is_det_identity():
         assert det == determinant(m) and det
         want = PolyMatrix.identity(n, 3).scale(det)
         assert m @ adj == want and adj @ m == want, n
+        # the same code on a list of rows: of the polynomials, and of the
+        # integer matrix A = D m(pt)
+        rows, d = adjugate_det(m.entries)
+        assert d == det and all(x == y for r, s in zip(rows, adj.entries) for x, y in zip(r, s))
+        a, _ = m.int_at([2, -3, 5])
+        rows, d = adjugate_det(a)
+        assert mat_mul(a, rows) == [[d * (i == j) for j in range(n)] for i in range(n)]
+        assert all(isinstance(x, int) for row in rows for x in row)

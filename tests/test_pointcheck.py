@@ -266,11 +266,12 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
 
 
 def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
-    # h = diag(u1, 1) is flat, so flat(g2) is scanned and has no F_p hit;
-    # its contravariant connection is constant (b^{11}_1 = 1/2), and against
-    # the antidiagonal metric T1, T2 and T5 fail at the first scan point.
-    # The Q passes that recompute those hits never run the flatness kernel
-    # over Q
+    # h = diag(u1, 1) is flat, and against the antidiagonal metric T1, T2
+    # and T5 fail at the first scan point.  Its contravariant connection is
+    # constant (b^{11}_1 = 1/2), so mokhov_conditions proves flat(g2) on it
+    # and never runs the flatness kernel; a scan of every Mokhov condition
+    # runs it over F_p without a hit, and the Q passes that recompute the
+    # T hits never run it over Q
     u1, _ = u_vars(2)
     z = MultiPoly.zero(2)
     g = LinearMetric.antidiagonal(2)
@@ -286,6 +287,13 @@ def test_q_pass_runs_only_the_conditions_that_hit(monkeypatch):
     rep = mokhov_conditions(g, h)
     assert rep.failed_names() == ["T1", "T2", "T5"]
     assert all(c.witness.point for c in rep.conditions if not c.passed)
+    assert fields == []
+    points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
+    scanned = _scan_points(
+        dict.fromkeys(("flat(g2)", *T_NAMES), list), _mokhov_at, (g, h), points,
+        pc.FrameCache(pc.FP),
+    )
+    assert [c.to_dict() for c in scanned] == [c.to_dict() for c in rep.conditions[1:]]
     assert pc.FP in fields and pc.Q not in fields
 
 

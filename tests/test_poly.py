@@ -125,6 +125,21 @@ def test_substitute_and_extend():
         p.extended(4, [4, 4, 1])  # u1 and u2 both to u4
 
 
+def test_affine_parts_split_the_u_block():
+    # p = (u1 + 2 u2 k + 3) / 6 in (u1, u2, k) with the u-block (u1, u2):
+    # the parts are ints where constant, polynomials in k otherwise
+    u1, u2, k = u_vars(3)
+    p = (u1 + 2 * u2 * k + 3) / 6
+    den, parts = p.affine_parts(2)
+    assert den == 6 and parts[:2] == [3, 1] and parts[2] == 2 * k
+    rebuilt = parts[0] + u1 * parts[1] + u2 * parts[2]
+    assert rebuilt / den == p
+    assert MultiPoly.zero(3).affine_parts(2) == (1, [0, 0, 0])
+    for nonlinear in (u1 * u1, u1 * u2 * k, u2 * u2 + u1):
+        assert nonlinear.affine_parts(2) is None
+    assert (u1 * k * k).affine_parts(2) == (1, [0, k * k, 0])
+
+
 def test_divide_exact():
     u1, u2 = u_vars(2)
     f = (u1 + u2) * (u1 - 2 * u2 + 1)

@@ -24,7 +24,7 @@ from hamop.verify import (
     verify_operator,
 )
 
-from conftest import corpus_pairs, operator5_pair, u_vars
+from conftest import corpus_pairs, operator5_pair, refuse_symbolic_work, u_vars
 
 
 def test_operator5_passes_both_criteria():
@@ -170,9 +170,12 @@ def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
     # a certified nonzero value against the paper's theorem.  flat(g1)
     # holds for the constant g, and on a Hamiltonian pencil the
     # contravariant connection of h is constant, so flat(g2) and T1..T5 are
-    # proven on it, without a point scan or a rational stream
+    # proven on it, without a point scan or a rational stream.  The triple
+    # itself is proven on the integer coefficient arrays of g and h, with no
+    # point kernel and no symbolic adjugate
     specs = _passing_specs()
     reports = [verify_operator(spec).to_dict() for spec in specs]
+    refuse_symbolic_work(monkeypatch, "passing spec left its integer arrays")
     monkeypatch.setattr(pc, "mokhov_at", _refuse)
     monkeypatch.setattr(pc, "flat_at", _refuse)
     monkeypatch.setattr(vf, "_t_streams", _refuse)
