@@ -150,6 +150,8 @@ def cmd_verify(args) -> int:
                 line += f" at point {list(c.witness.point)}"
         lines.append(line)
     lines.append(f"verdict: {'pass' if report.verdict else 'fail'}")
+    if args.timing:
+        lines.append(f"timing_ms: {payload['timing_ms']}")
     _write(args, payload, lines)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 

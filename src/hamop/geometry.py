@@ -9,9 +9,11 @@ is exact: entries are MultiPoly or RationalFunction, and a condition
 "holds" iff the residual is identically zero.  ``coefficient_arrays``
 writes a matrix at most linear in u as D m = M0 + u_s M_s with int entries
 (integer-coefficient polynomials in the formal parameters, where they
-occur); for a constant metric and a linear one every condition is an
-identity among these constants, which ``constant_connection`` and
-``verify``'s proofs check in int arithmetic.
+occur).  For a constant metric and a linear one every condition is an
+identity among these constants, and so is every condition of a pair whose
+linear metric has a constant contravariant connection
+(``constant_connection``, ``contravariant_derivative``) and whose other
+metric is constant; ``verify``'s proofs check them in int arithmetic.
 
 ``mokhov_identities`` states T1..T5 for a constant metric g on the
 contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
@@ -198,6 +200,29 @@ def connection_numerators(h0, f, dh, det, red):
     e = [[[red(_dot(h0[i], f_s[j][k])) for k in rng] for j in rng] for i in rng]
     return [[[red(det * dh[k][i][j] + e[i][j][k] - e[j][i][k]) for k in rng]
              for j in rng] for i in rng]
+
+
+def contravariant_derivative(g, dT, b, T, n: int) -> dict:
+    """nabla^a T = g^{ar} d_r T - sum over the slots p of T of
+    b^{a i_p}_m T[... m ...], for the contravariant connection
+    b[i][j][k] = b^{ij}_k of g, as a sparse dict (a, *idx) -> nonzero entry.
+    T and each dT[r] = d_r T are such dicts, keyed by 0-based index tuples;
+    g[a][r] = g^{ar}.  Since g^{ar} Gamma^i_{rm} = -b^{ai}_m, it is
+    g^{ar} nabla_r T.  Entries need only +, -, * (int 0 included)."""
+    rng = range(n)
+    out = {}
+    for r, dTr in enumerate(dT):
+        col = [(a, g[a][r]) for a in rng if g[a][r]]
+        for idx, v in dTr.items():
+            for a, x in col:
+                out[(a, *idx)] = out.get((a, *idx), 0) + x * v
+    by_m = [[(a, i, b[a][i][m]) for a in rng for i in rng if b[a][i][m]] for m in rng]
+    for idx, v in T.items():
+        for p, m in enumerate(idx):
+            for a, i, x in by_m[m]:
+                key = (a, *idx[:p], i, *idx[p + 1:])
+                out[key] = out.get(key, 0) - x * v
+    return {k: v for k, v in out.items() if v}
 
 
 def raised_obstruction(g, b, n: int, red) -> list:

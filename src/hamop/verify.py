@@ -25,19 +25,24 @@ function, pair_conditions, checks an ordered pair.
 
 Every condition runs through one pipeline, and one function, _scan_points,
 runs it for the conditions that share a set of frames (the Mokhov
-conditions; the triple of a pair).  With a constant reference metric each
-condition is first decided on integer coefficient arrays, before any point
-scan: geometry.coefficient_arrays writes D m = M0 + u_s M_s for a metric
-that is at most linear in u, with int entries (integer-coefficient
-polynomials in the formal parameters where they occur).  The triple of a
-pair (g constant, h) is decided there by _triple_proofs: linearity holds iff
-the arrays of h exist, Killing is one constant array, and the Nijenhuis
-torsion of L = H adj(G), affine in u, is nijenhuis_components on its n + 1
-arrays.  The Mokhov conditions are decided on the constant contravariant
-connection of h (geometry.constant_connection, whose candidate point is the
-first scan point), over the same arrays.  A condition proven there passes
-and builds no frame; the arrays claim only passes, so a failing condition's
-witness comes from the pipeline below, as it would without them.
+conditions; the triple of a pair).  Each condition is first decided on
+integer coefficient arrays, before any point scan:
+geometry.coefficient_arrays writes D m = M0 + u_s M_s for a metric that is
+at most linear in u, with int entries (integer-coefficient polynomials in
+the formal parameters where they occur).  The triple of a pair (linear g,
+h) is decided there by _triple_proofs, where each residual is affine in u
+and so vanishes iff its n + 1 coefficient arrays do: Killing is the sum of
+u_k K(G_k, H_k); Nijenhuis is nijenhuis_components on L = H adj(G0) for
+constant g, or on L^-1 up to a factor, G adj(H0), for constant h with
+det H0 != 0; linearity is the contravariant Hessian of h on the constant
+contravariant connection of g (geometry.constant_connection, whose
+candidate point is the first scan point; for constant g it is 0).  The
+Mokhov conditions are decided on the constant contravariant connection of h,
+over the same arrays.  A Hamiltonian pair (g1, g2) has a constant
+connection on g2 (T4), so the d >= 3 pairs of g2 with a constant metric are
+decided there too.  A condition proven there passes and builds no frame;
+the arrays claim only passes, so a failing condition's witness comes from
+the pipeline below, as it would without them.
 
 Every other condition is evaluated at seeded integer points over F_p,
 p = 2^61 - 1 (see pointcheck).  A hit there is certified, since a nonzero
@@ -88,6 +93,7 @@ from .geometry import (
     T_NAMES,
     coefficient_arrays,
     constant_connection,
+    contravariant_derivative,
     covariant_hessian,
     flatness_witness,
     killing_components,
@@ -361,31 +367,64 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
     return PolyMatrix([[zero + x * Fraction(D) / det for x in row] for row in adj])
 
 
-def _triple_proofs(g: LinearMetric, hm: PolyMatrix) -> set:
-    """Which of linearity, nijenhuis and killing hold for the constant g and
-    the bivector hm, decided on their coefficient arrays G = D' g and
-    D h = H0 + u_s H_s (``coefficient_arrays``) before any point scan.
-    Linearity in the flat coordinates of g holds iff every entry of h has
-    u-degree <= 1, i.e. iff the arrays exist; without them nothing is
-    proven.  The Killing residual reads g and d_s h = H_s / D only, so it
-    is one constant array.  L = H adj(G) is a nonzero multiple of h g^-1,
-    affine in u with constant d_s L = L_s = H_s adj(G); N(L) is linear in
-    L for fixed d L, so it vanishes iff ``nijenhuis_components`` vanishes on
-    each of L_0 = H0 adj(G), L_1, ..., L_n with d L = [L_1, ..., L_n]."""
+def _triple_proofs(g: LinearMetric, hm: PolyMatrix, u0=None) -> set:
+    """Which of linearity, nijenhuis and killing hold for the linear
+    reference g and the bivector hm, decided on their coefficient arrays
+    D' g = G0 + u_s G_s and D h = H0 + u_s H_s (``coefficient_arrays``)
+    before any point scan; without the arrays of h nothing is proven.  Each
+    residual is affine in u, so it vanishes iff each of its n + 1
+    coefficient arrays does (u_0 = 1):
+
+    * Killing is linear in (g, h) for fixed derivatives, so its arrays are
+      ``killing_components(G_k, [G_s], H_k, [H_s])``; those with k >= 1
+      vanish for constant g.
+    * Nijenhuis is linear in L for fixed d L.  For constant g,
+      L = H adj(G0) is a nonzero multiple of h g^-1; for constant h with
+      det H0 != 0, L = G adj(H0) is a nonzero multiple of its inverse
+      g h^-1, and N(L) = 0 iff N(L^-1) = 0.  With both non-constant
+      nothing is proven.
+    * Linearity is the contravariant Hessian nabla^a nabla^b h
+      (``contravariant_derivative``), g^{ar} g^{bs} nabla_r nabla_s h for
+      the invertible g, on g's contravariant connection b = c / den
+      (``constant_connection`` with candidate point u0).  With b constant
+      both nabla^b h and the Hessian are affine in u.  For constant g,
+      b = 0 and d g = 0, so it is d d h = 0: linearity holds iff the arrays
+      exist.  Without u0, or when b is not constant, it is not proven."""
     n = g.n
     arrays = coefficient_arrays(hm, n)
     if arrays is None:
         return set()
     _, H = arrays
-    _, (G, *_) = coefficient_arrays(g.mat, n)
-    proven = {"linearity"}
-    zero = [[[0] * n for _ in range(n)] for _ in range(n)]
-    if not any(r for _, r in killing_components(G, zero, H[0], H[1:], n, identity)):
+    Dg, G = coefficient_arrays(g.mat, n)
+
+    def constant(M):
+        return not any(x for m in M[1:] for row in m for x in row)
+
+    flat = constant(G)
+    proven = set()
+    ks = range(1 if flat else n + 1)
+    if not any(r for k in ks for _, r in killing_components(G[k], G[1:], H[k], H[1:], n, identity)):
         proven.add("killing")
-    adj, _ = adjugate_det(G)
-    L = [mat_mul(m, adj) for m in H]
-    if not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n, identity)):
-        proven.add("nijenhuis")
+    A, B = (H, G) if flat else (G, H)
+    if flat or constant(H):
+        adj, det = adjugate_det(B[0])
+        L = [mat_mul(m, adj) for m in A]
+        if det and not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n, identity)):
+            proven.add("nijenhuis")
+    if flat:
+        proven.add("linearity")
+    elif u0 is not None and (conn := constant_connection(g, u0)):
+        c, den = conn
+        gs = [[[den * x for x in row] for row in m] for m in G]
+        cs = [[[Dg * x for x in row] for row in plane] for plane in c]
+
+        def nabla(T):
+            return [contravariant_derivative(gs[k], T[1:], cs, T[k], n) for k in range(n + 1)]
+
+        sparse = [{(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+                  for m in H]
+        if not any(nabla(nabla(sparse))):
+            proven.add("linearity")
     return proven
 
 
@@ -394,10 +433,13 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
 
     ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
     names them linearity[b|c], nijenhuis[b|c] and killing[c|b]; the Killing
-    residual is always K(g, h), reference first.  For a constant g each
-    condition is first decided on integer coefficient arrays
-    (``_triple_proofs``), and one proven there passes without a scan.  The
-    others are scanned at ``points`` (none: no scan) and, without a hit
+    residual is always K(g, h), reference first.  Each condition is first
+    decided on integer coefficient arrays (``_triple_proofs``, whose
+    candidate point for g's contravariant connection is the first of
+    ``points``), and one proven there passes without a scan: every
+    condition of a linear h against a constant g, and of a linear g with a
+    constant contravariant connection against a constant invertible h.
+    The others are scanned at ``points`` (none: no scan) and, without a hit
     there, proven by their lazy streams, which stop at the first nonzero
     component.  Linearity is the covariant Hessian of h for g's
     connection; for constant g that is the plain second partials, which
@@ -415,7 +457,7 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
         kil: lambda: killing_stream(g, hm, n),
     }
     names = dict(zip(("linearity", "nijenhuis", "killing"), proofs))
-    proven = {names[k] for k in _triple_proofs(g, hm)} if flat else set()
+    proven = {names[k] for k in _triple_proofs(g, hm, points[0] if points else None)}
 
     def at(fg, fh):
         yield nij, lambda: pc.nijenhuis_at(fh, fg)

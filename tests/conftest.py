@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamop import matrices
+from hamop import geometry, matrices
 from hamop import pointcheck as pc
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import LinearMetric
@@ -29,17 +29,19 @@ def random_rational(rng, bound=6, dens=(1, 2, 3)):
     return Fraction(rng.randint(-bound, bound), rng.choice(dens))
 
 
-def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50):
-    """Seeded random symmetric linear bivector, resampled until det != 0."""
+def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50, nvars=None):
+    """Seeded random symmetric linear bivector in ``nvars`` (default n)
+    variables, linear in u1..un, resampled until det != 0."""
+    nvars = nvars or n
     for _ in range(max_tries):
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                p = MultiPoly.const(n, random_rational(rng))
+                p = MultiPoly.const(nvars, random_rational(rng))
                 for k in range(1, n + 1):
                     c = random_rational(rng, bound=3)
                     if c:
-                        p = p + MultiPoly.variable(n, k) * c
+                        p = p + MultiPoly.variable(nvars, k) * c
                 rows[i][j] = p
                 rows[j][i] = p
         mat = PolyMatrix(rows)
@@ -50,25 +52,37 @@ def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50):
 
 def refuse_symbolic_work(monkeypatch, message):
     """Make the passing path's forbidden symbolic work raise AssertionError:
-    the Nijenhuis and Killing point kernels and ``adjugate_det`` of a
-    PolyMatrix, in every hamop module that binds it.  ``adjugate_det`` on
-    coefficient arrays (lists of rows) still runs."""
+    the linearity, Nijenhuis and Killing point kernels,
+    ``LinearMetric.inverse``, and, in every hamop module that binds them,
+    ``adjugate_det`` of a PolyMatrix and ``levi_civita`` of a non-constant
+    metric.  ``adjugate_det`` on coefficient arrays (lists of rows) and the
+    connection of a constant metric still run."""
 
     def refuse(*args):
         raise AssertionError(message)
 
-    adjugate_det = matrices.adjugate_det
+    adjugate_det, levi_civita = matrices.adjugate_det, geometry.levi_civita
 
     def arrays_only(m):
         if isinstance(m, PolyMatrix):
             refuse()
         return adjugate_det(m)
 
-    monkeypatch.setattr(pc, "nijenhuis_at", refuse)
-    monkeypatch.setattr(pc, "killing_at", refuse)
+    def constant_only(g):
+        if not g.is_constant():
+            refuse()
+        return levi_civita(g)
+
+    for kernel in ("linearity_at", "nijenhuis_at", "killing_at"):
+        monkeypatch.setattr(pc, kernel, refuse)
+    monkeypatch.setattr(LinearMetric, "inverse", refuse)
+    guards = (("adjugate_det", adjugate_det, arrays_only),
+              ("levi_civita", levi_civita, constant_only))
     for name, module in list(sys.modules.items()):
-        if name.startswith("hamop") and getattr(module, "adjugate_det", None) is adjugate_det:
-            monkeypatch.setattr(module, "adjugate_det", arrays_only)
+        if name.startswith("hamop"):
+            for attr, original, guard in guards:
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, guard)
     return refuse
 
 

@@ -90,6 +90,19 @@ def test_verify_timing_flag(tmp_path):
     assert json.loads(out.read_text())["timing_ms"] is not None
 
 
+def test_verify_timing_flag_in_text(tmp_path, capsys):
+    # the text report ends with a timing line only when --timing is given
+    path = write(tmp_path, "op5.json", op5_file())
+    assert main(["verify", path]) == 0
+    plain = capsys.readouterr().out
+    assert "timing" not in plain
+    assert main(["verify", path, "--timing"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert timed[:-1] == plain.splitlines()
+    label, value = timed[-1].split(": ")
+    assert label == "timing_ms" and int(value) >= 0
+
+
 def test_verify_sampled_mode_flag(tmp_path, capsys):
     # verify has one exact mode and no option to choose one: the former
     # flag is argparse's usage error, and no report is written

@@ -9,7 +9,9 @@ here from ``obstruction_tensor`` and the Christoffel symbols of h, and
 against ``flatness_witness``.  ``verify._triple_proofs`` (linearity,
 Nijenhuis and Killing on the arrays) is checked against the symbolic
 streams ``covariant_hessian``, ``nijenhuis_stream`` (of h times the
-symbolic inverse of g) and ``killing_stream``.
+symbolic inverse of g) and ``killing_stream``, for constant reference
+metrics and for the linear g2 of the d >= 3 entries, whose contravariant
+connection is constant.
 """
 
 import functools
@@ -29,12 +31,13 @@ from hamop.geometry import (
     nijenhuis_stream,
     obstruction_tensor,
 )
+from hamop.linsolve import nullspace
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly, RationalFunction
 from hamop.specfile import default_param_values, specialize_spec
 
-from conftest import corpus_pairs, operator5_pair, random_rational, u_vars
+from conftest import corpus_pairs, operator5_pair, random_linear_bivector, random_rational, u_vars
 
 
 def _u0(g, h):
@@ -222,7 +225,7 @@ def _shifted_operator5():
 def _triple_stream_passes(g, hm) -> set:
     n = g.n
     streams = {
-        "linearity": covariant_hessian(hm, n),
+        "linearity": covariant_hessian(hm, n, None if g.is_constant() else g),
         "nijenhuis": nijenhuis_stream(hm @ g.inverse(), n),
         "killing": killing_stream(g, hm, n),
     }
@@ -247,3 +250,98 @@ def test_triple_proofs_agree_with_the_streams():
         outcomes |= {(c, c in passing) for c in ("linearity", "nijenhuis", "killing")}
     assert outcomes == {(c, passed) for c in ("linearity", "nijenhuis", "killing")
                         for passed in (True, False)}
+
+
+def _linear_references():
+    """(name, spec) of the d >= 3 entries whose second metric is linear
+    with a constant contravariant connection, formal and specialized."""
+    out = []
+    for e in catalog():
+        if e.id in ("thm5-3d-1", "thm5-3d-2", "exampleN-N3", "exampleN-N4"):
+            values = default_param_values(e.spec)
+            out.append((e.id, e.spec))
+            if values:
+                out.append((f"{e.id}@{values}", specialize_spec(e.spec, values)))
+    return out
+
+
+def _singular_constant(n, nvars, rng):
+    """A seeded constant bivector of rank 1, so adj = 0 for n >= 3."""
+    v = [random_rational(rng, bound=4) or 1 for _ in range(n)]
+    return PolyMatrix.from_scalars(nvars, [[x * y for y in v] for x in v])
+
+
+def _inputs_against(spec, rng):
+    """Bivectors to pair with the reference g2: seeded constant ones (one
+    singular), a seeded linear one, sums of the spec's own metrics, and the
+    unit bivectors E_ij + E_ji with g1 + g3 + E_ij + E_ji, which pass some
+    conditions and fail others."""
+    n, nvars = spec.n, spec.nvars
+    g1, g2, g3 = (m.mat for m in spec.metrics[:3])
+    units = [PolyMatrix.from_scalars(nvars, [[int({a, b} == {i, j}) for b in range(n)]
+                                             for a in range(n)])
+             for i in range(n) for j in range(i, n)]
+    return [
+        _random_constant_metric(n, nvars, rng).mat,
+        _singular_constant(n, nvars, rng),
+        random_linear_bivector(rng, n, nvars=nvars),
+        g3, g1 + g3, g2 + g3, g1 + g2.scale(2),
+        *units, *(g1 + g3 + e for e in units),
+    ]
+
+
+def _vanishing_at_origin(g, stream):
+    """Bivectors linear in u whose residual ``stream(g, hm)`` vanishes at
+    u = 0 but not identically, from the nullspace of the residual at 0 on
+    the unit bivectors u_s (E_ij + E_ji), u_0 = 1.  Only the arrays of u^0
+    see them fail."""
+    n, nvars = g.n, g.nvars
+    origin = [0] * nvars
+    z = MultiPoly.zero(nvars)
+    units = [PolyMatrix([[MultiPoly.variable(nvars, s) if s and {a, b} == {i, j}
+                          else MultiPoly.const(nvars, int(not s and {a, b} == {i, j}))
+                          for b in range(n)] for a in range(n)])
+             for s in range(n + 1) for i in range(n) for j in range(i, n)]
+    at_origin = [[r.eval(origin) if r else 0 for _, r in stream(g, hm)] for hm in units]
+    out = []
+    for v in nullspace([list(row) for row in zip(*at_origin)], len(units)):
+        hm = PolyMatrix([[z] * n for _ in range(n)])
+        for x, e in zip(v, units):
+            if x:
+                hm = hm + e.scale(x)
+        if any(r for _, r in stream(g, hm)):
+            out.append(hm)
+    return out
+
+
+def test_linear_reference_proofs_agree_with_the_streams():
+    # against a linear g with a constant contravariant connection, the
+    # arrays decide linearity and Killing for every linear h, and Nijenhuis
+    # for every constant h with det h != 0; a singular constant h is never
+    # proven Nijenhuis, and a proof is only ever a pass of its stream
+    rng = random.Random(93)
+    conditions = {"linearity", "nijenhuis", "killing"}
+    proven_once, failing_once, singular = set(), set(), 0
+    for name, spec in _linear_references():
+        g = spec.metrics[1]
+        u0 = pc.sample_points(g.nvars, [g], 0, 1)[0]
+        assert constant_connection(g, u0) is not None, name
+        hms = _inputs_against(spec, rng)
+        if spec.nvars == spec.n == 3:
+            hms += _vanishing_at_origin(g, lambda g, hm: killing_stream(g, hm, g.n))
+            hms += _vanishing_at_origin(g, lambda g, hm: covariant_hessian(hm, g.n, g))
+        for hm in hms:
+            proven = vf._triple_proofs(g, hm, u0)
+            passing = _triple_stream_passes(g, hm)
+            constant = all(p.is_constant() for row in hm.entries for p in row)
+            invertible = constant and not determinant(hm).is_zero()
+            decided = conditions - ({"nijenhuis"} if not invertible else set())
+            assert proven <= passing, (name, hm)
+            assert proven & decided == passing & decided, (name, hm)
+            if constant and not invertible:
+                assert "nijenhuis" not in proven, (name, hm)
+                singular += "nijenhuis" not in passing
+            proven_once |= proven
+            failing_once |= conditions - passing
+    assert proven_once == failing_once == conditions
+    assert singular

@@ -17,8 +17,11 @@ and each classify report by
 
 Every verify condition is exact, so each report is the one result of its
 input and seed.  The cases cover a passing catalog entry (mokhov-n3), a
-d = 3 entry (thm5-3d-1), a passing n = 6 entry (mokhov-n6), a passing
-n = 4 entry with Segre type [2,2] (s22-case2-b4p), whose Mokhov side, like
+d = 3 entry (thm5-3d-1), a d = 4 entry with one formal parameter
+(exampleN-N4, whose pairs against the linear g2 are proven on integer
+coefficient arrays whose entries are polynomials in the parameter), a
+passing n = 6 entry (mokhov-n6), a passing n = 4 entry with Segre type
+[2,2] (s22-case2-b4p), whose Mokhov side, like
 mokhov-n6's, is proven on the constant contravariant connection without a
 scan, and three failing specs: an n = 2 and an n = 3 pencil (witnesses in
 eight conditions, found at the scan points), and an n = 2, d = 3 spec (one
@@ -44,8 +47,8 @@ from hamop.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
-    "mokhov-n3", "pencil-n2-raw", "thm5-3d-1", "mokhov-n6", "s22-case2-b4p",
-    "pencil-n3-raw", "pencil-n2-d3",
+    "mokhov-n3", "pencil-n2-raw", "thm5-3d-1", "exampleN-N4", "mokhov-n6",
+    "s22-case2-b4p", "pencil-n3-raw", "pencil-n2-d3",
 ]
 
 

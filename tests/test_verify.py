@@ -185,6 +185,23 @@ def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
         assert rep.verdict and rep.to_dict() == expected
 
 
+def test_d3_catalog_pairs_are_proven_on_their_arrays(monkeypatch):
+    # every pair of a d >= 3 entry has a constant metric on one side; the
+    # contravariant connection of the linear g2 is constant, so its pairs
+    # are proven on the coefficient arrays too, with no point kernel, no
+    # Christoffel symbols of a non-constant metric, no symbolic inverse
+    # and no symbolic adjugate
+    specs = []
+    for e in catalog():
+        if e.spec.d >= 3 and e.n <= 5:
+            values = default_param_values(e.spec)
+            specs += [e.spec] + ([specialize_spec(e.spec, values)] if values else [])
+    assert len(specs) >= 5 and any(not m.is_constant() for s in specs for m in s.metrics)
+    refuse_symbolic_work(monkeypatch, "d >= 3 pair left its arrays")
+    for spec in specs:
+        assert verify_operator(spec).verdict
+
+
 def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
     # the proofs that replace the scan still cross-check the triple: a
     # nonzero T3 or flat(g2) residual on a passing spec raises.  The
