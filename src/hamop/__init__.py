@@ -11,8 +11,8 @@ flows, and exposes everything through a CLI with deterministic JSON reports.
 
 All arithmetic is exact: rationals, Gaussian rationals, sparse multivariate
 polynomials, and normalized rational functions; the point scans that
-``verify`` runs before its proofs work modulo the prime 2^61 - 1, where a
-nonzero value certifies a failure.  No floating point enters any
+``verify`` runs before its proofs work over Q, where a nonzero value is a
+failure's witness.  No floating point enters any
 verification path.  Every condition of a verdict is exact: the linearity /
 Nijenhuis / Killing triple of the paper's main theorem and the Mokhov
 cross-check (flatness of both metrics and T1..T5) are proven, the latter on

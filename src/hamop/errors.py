@@ -34,15 +34,10 @@ class NonSquareGamma(HamopError):
 
 
 class DisagreementBug(HamopError):
-    """Two computations that must agree disagreed (the two independent 2D
-    criteria, or a sampled condition over F_p and over Q); implementation
-    defect."""
+    """The two independent 2D criteria disagreed; implementation defect."""
 
 
 class SpecFileError(HamopError):
     """Operator spec file failed to parse or validate."""
 
-
-class NonUnitDenominator(HamopError):
-    """A rational's denominator is divisible by the modulus of a prime field."""
 

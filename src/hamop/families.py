@@ -27,7 +27,7 @@ from math import factorial
 
 from .errors import NonSquareGamma, ScalingNotNormalized
 from .geometry import killing_components, nijenhuis_components
-from .linsolve import identity, mat_mul, nullspace, same_span
+from .linsolve import mat_mul, nullspace, same_span
 from .matrices import PolyMatrix
 from .metrics import LinearMetric
 from .poly import MultiPoly
@@ -327,7 +327,7 @@ def _killing_rows(g: LinearMetric, idx: _BivectorIndex) -> list:
     zero = [[0] * n for _ in range(n)]
     return _condition_rows(
         idx,
-        lambda k, dE: killing_components(gv, [zero] * n, zero, _slices(n, k, dE), n, identity),
+        lambda k, dE: killing_components(gv, [zero] * n, zero, _slices(n, k, dE), n),
     )
 
 
@@ -340,7 +340,7 @@ def _nijenhuis_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex) -> li
     L0 = mat_mul(_const_matrix(gt0, n), ginv)
     return _condition_rows(
         idx,
-        lambda k, dE: nijenhuis_components(L0, _slices(n, k, mat_mul(dE, ginv)), n, identity),
+        lambda k, dE: nijenhuis_components(L0, _slices(n, k, mat_mul(dE, ginv)), n),
     )
 
 

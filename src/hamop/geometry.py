@@ -27,15 +27,16 @@ which hold because T = Gamma~ for constant g.  ``obstruction_tensor``
 keeps the paper's uncontracted form for any pair, as a reference.
 
 Each verification condition is stated once, as a lazy stream of
-(1-based indices, residual) that works for every scalar representation:
+(1-based indices, residual) that works for every exact scalar
+representation (ints, Fractions, MultiPoly, RationalFunction):
 ``riemann_components`` (flatness), ``nijenhuis_components``,
 ``killing_components``, ``hessian_components`` (linearity) and
 ``mokhov_identities`` (T1..T5).  The caller passes the entries and their
 derivatives; ``flatness_witness``, ``covariant_hessian``,
 ``nijenhuis_stream`` and ``killing_stream`` run the symbolic streams
 lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
-from them, ``pointcheck`` feeds them point values, and ``families`` the
-constant derivatives of one unknown coefficient at a time.
+from them, ``pointcheck`` feeds them Fraction values at a point, and
+``families`` the constant derivatives of one unknown coefficient at a time.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linsolve import identity
 from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric
 from .poly import MultiPoly, RationalFunction
@@ -179,7 +179,7 @@ def constant_connection(h: LinearMetric, u0):
         return None
     adj_q = list(zip(*adj))
     f = [[[_dot(row, col) for col in adj_q] for row in m] for m in dH]  # d_s h adj
-    c = connection_numerators(h0, f, dH, det, identity)
+    c = connection_numerators(h0, f, dH, det)
     # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s for H = H0 and each H_s
     if any(_dot(m[i], c[j][k]) != _dot(m[j], c[i][k])
            for m in (H0, *dH) for i in rng for j in range(i + 1, n) for k in rng):
@@ -187,7 +187,7 @@ def constant_connection(h: LinearMetric, u0):
     return c, 2 * det * D
 
 
-def connection_numerators(h0, f, dh, det, red):
+def connection_numerators(h0, f, dh, det):
     """c[i][j][k] = det d_k h^{ij} + e^{ij}_k - e^{ji}_k with
     e^{ij}_k = h0^{is} f[s][j][k]; ``dh[s][a][b]`` = d_s h^{ab}.  For
     h0 = h(u) and f[s] = d_s h inv, inv = det h0^{-1}, it is 2 det b^{ij}_k,
@@ -197,8 +197,8 @@ def connection_numerators(h0, f, dh, det, red):
         2 b^{ij}_k = d_k h^{ij} + h^{is} d_s h^{jq} h_{qk} - h^{js} d_s h^{iq} h_{qk}."""
     rng = range(len(h0))
     f_s = [[[f[s][j][k] for s in rng] for k in rng] for j in rng]
-    e = [[[red(_dot(h0[i], f_s[j][k])) for k in rng] for j in rng] for i in rng]
-    return [[[red(det * dh[k][i][j] + e[i][j][k] - e[j][i][k]) for k in rng]
+    e = [[[_dot(h0[i], f_s[j][k]) for k in rng] for j in rng] for i in rng]
+    return [[[det * dh[k][i][j] + e[i][j][k] - e[j][i][k] for k in rng]
              for j in rng] for i in rng]
 
 
@@ -225,12 +225,12 @@ def contravariant_derivative(g, dT, b, T, n: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def raised_obstruction(g, b, n: int, red) -> list:
+def raised_obstruction(g, b, n: int) -> list:
     """R^{ijk} = -g^{ir} b^{kj}_r, the raised obstruction tensor
     g^{ir} h^{ks} T^j_{rs} of a constant metric g (T = Gamma~, and
     h^{ks} Gamma~^j_{sr} = -b^{kj}_r); g[i][r] = g^{ir}, b[i][j][k] = b^{ij}_k."""
     rng = range(n)
-    return [[[red(-_dot(g[i], b[k][j])) for k in rng] for j in rng] for i in rng]
+    return [[[-_dot(g[i], b[k][j]) for k in rng] for j in rng] for i in rng]
 
 
 def _dot(xs, ys):
@@ -238,7 +238,7 @@ def _dot(xs, ys):
     return sum((x * y for x, y in zip(xs, ys) if x and y), 0)
 
 
-def _partials(m: PolyMatrix, n: int, lift=identity) -> list:
+def _partials(m: PolyMatrix, n: int, lift=lambda x: x) -> list:
     """out[s][a][b] = lift(d_s m[a, b])."""
     return [
         [[lift(m[a, b].partial(s + 1)) for b in range(n)] for a in range(n)]
@@ -274,16 +274,15 @@ def _tensor(stream, n: int, rank: int, zero, entries) -> list:
     return out
 
 
-def riemann_components(gamma, d_gamma, n: int, red):
+def riemann_components(gamma, d_gamma, n: int):
     """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj} for k < l (R is
     antisymmetric in k, l), lazily as (1-based indices, residual) in
     lexicographic order; ``d_gamma(r, i, j, k)`` is d_r Gamma^i_{jk}.
 
     Like every stream below (and ``mokhov_identities``) it is written once
-    for every scalar representation: entries need only +, -, * (int 0
-    included) and truthiness, ``red`` brings a sum of products into canonical
-    form, and zero products are skipped."""
+    for every exact scalar representation: entries need only +, -, * (int 0
+    included) and truthiness, and zero products are skipped."""
     rng = range(n)
     for i in rng:
         for j in rng:
@@ -295,10 +294,10 @@ def riemann_components(gamma, d_gamma, n: int, red):
                             acc = acc + gamma[i][k][s] * gamma[s][l][j]
                         if gamma[i][l][s] and gamma[s][k][j]:
                             acc = acc - gamma[i][l][s] * gamma[s][k][j]
-                    yield (i + 1, j + 1, k + 1, l + 1), red(acc)
+                    yield (i + 1, j + 1, k + 1, l + 1), acc
 
 
-def nijenhuis_components(L, dL, n: int, red):
+def nijenhuis_components(L, dL, n: int):
     """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
     + L^k_s (d_j L^s_i - d_i L^s_j) for i < j (N is antisymmetric in i, j);
     L[a][b] = L^a_b and dL[s][a][b] = d_s L^a_b."""
@@ -316,10 +315,10 @@ def nijenhuis_components(L, dL, n: int, red):
                         d = dL[j][s][i] - dL[i][s][j]
                         if d:
                             acc = acc + L[k][s] * d
-                yield (k + 1, i + 1, j + 1), red(acc)
+                yield (k + 1, i + 1, j + 1), acc
 
 
-def killing_components(g, dg, h, dh, n: int, red):
+def killing_components(g, dg, h, dh, n: int):
     """Killing residual of the symmetric bivectors g, h for i <= j <= k (it
     is fully symmetric):
 
@@ -338,10 +337,10 @@ def killing_components(g, dg, h, dh, n: int, red):
                             acc = acc + g[a][s] * dh[s][b][c]
                         if h[a][s] and dg[s][b][c]:
                             acc = acc - h[a][s] * dg[s][b][c]
-                yield (i + 1, j + 1, k + 1), red(acc)
+                yield (i + 1, j + 1, k + 1), acc
 
 
-def hessian_components(gamma, h, dh, dC, n: int, red):
+def hessian_components(gamma, h, dh, dC, n: int):
     """(nabla_r nabla_s h)^{ij} of a bivector h for the connection gamma:
 
         C[s]^{ij} = d_s h^{ij} + Gamma^i_{sm} h^{mj} + Gamma^j_{sm} h^{im}
@@ -360,7 +359,7 @@ def hessian_components(gamma, h, dh, dC, n: int, red):
                 acc = acc + gamma[i][s][m] * h[m][j]
             if gamma[j][s][m] and h[i][m]:
                 acc = acc + gamma[j][s][m] * h[i][m]
-        return red(acc)
+        return acc
 
     for r in rng:
         for s in rng:
@@ -374,7 +373,7 @@ def hessian_components(gamma, h, dh, dC, n: int, red):
                             acc = acc + gamma[j][r][m] * C(s, i, m)
                         if gamma[m][r][s] and C(m, i, j):
                             acc = acc - gamma[m][r][s] * C(m, i, j)
-                    yield (r + 1, s + 1, i + 1, j + 1), red(acc)
+                    yield (r + 1, s + 1, i + 1, j + 1), acc
 
 
 def det2_quotient_derivative(T, det: MultiPoly, n: int):
@@ -401,7 +400,7 @@ def _riemann_numerators(g: LinearMetric):
         # Gamma^i_{jk} = Gamma^i_{kj}: both orders share one memo entry
         return d(r, i, j, k) if j <= k else d(r, i, k, j)
 
-    return riemann_components(P, d_gamma, g.n, identity)
+    return riemann_components(P, d_gamma, g.n)
 
 
 def flatness_witness(g: LinearMetric):
@@ -421,7 +420,7 @@ def flatness_witness(g: LinearMetric):
 def nijenhuis_stream(L: PolyMatrix, n: int):
     """Lazy (1-based indices, residual) stream of the Nijenhuis torsion of
     L (``nijenhuis_components``), with L's entry type."""
-    return nijenhuis_components(L.entries, _partials(L, n), n, identity)
+    return nijenhuis_components(L.entries, _partials(L, n), n)
 
 
 def nijenhuis_torsion(L: PolyMatrix, n: int | None = None) -> list:
@@ -437,9 +436,7 @@ def killing_stream(g, h, n: int):
     PolyMatrix bivectors."""
     gm = g.mat if isinstance(g, LinearMetric) else g
     hm = h.mat if isinstance(h, LinearMetric) else h
-    return killing_components(
-        gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n, identity
-    )
+    return killing_components(gm.entries, _partials(gm, n), hm.entries, _partials(hm, n), n)
 
 
 def killing_residual(g, h, n: int | None = None) -> list:
@@ -466,12 +463,10 @@ def covariant_hessian(h: PolyMatrix, n: int, g: LinearMetric | None = None):
     Without g it is the plain second partials d_r d_s h^{ij} (the connection
     of flat coordinates), with MultiPoly entries."""
     if g is None:
-        gamma, lift = [[[0] * n for _ in range(n)] for _ in range(n)], identity
+        gamma, dh = [[[0] * n for _ in range(n)] for _ in range(n)], _partials(h, n)
     else:
-        gamma, lift = levi_civita(g).gamma, RationalFunction
-    return hessian_components(
-        gamma, h.entries, _partials(h, n, lift), _partial_of_c, n, identity
-    )
+        gamma, dh = levi_civita(g).gamma, _partials(h, n, RationalFunction)
+    return hessian_components(gamma, h.entries, dh, _partial_of_c, n)
 
 
 @dataclass
@@ -502,7 +497,7 @@ def obstruction_tensor(g: LinearMetric, h: LinearMetric) -> ObstructionTensor:
 T_NAMES = ("T1", "T2", "T3", "T4", "T5")
 
 
-def mokhov_identities(R, dR, b, h, n: int, red):
+def mokhov_identities(R, dR, b, h, n: int):
     """Mokhov's obstruction identities T1..T5 (arXiv 1312.0475, section 2)
     for a constant metric g and a metric h, on the contravariant
     Christoffel symbols b[i][j][k] = b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
@@ -521,12 +516,12 @@ def mokhov_identities(R, dR, b, h, n: int, red):
     nabla~_r R^{ijk} = 0 contracted with the invertible h (module
     docstring), so they vanish iff those do.
 
-    Written once for every scalar representation: the entries need only +,
-    -, * (int 0 included) and truthiness, and ``red`` brings a sum of
-    products into canonical form.  ``dR(r, i, j, k)`` is the representation's
-    d_r R^{ijk} and h[m][r] = h^{mr}.  Yields (name, stream) in order; a
-    stream lazily yields (1-based indices, residual), so a scan can stop at
-    its first nonzero residual.  Zero products are skipped."""
+    Written once for every exact scalar representation: the entries need
+    only +, -, * (int 0 included) and truthiness.  ``dR(r, i, j, k)`` is
+    the representation's d_r R^{ijk} and h[m][r] = h^{mr}.  Yields (name,
+    stream) in order; a stream lazily yields (1-based indices, residual), so
+    a scan can stop at its first nonzero residual.  Zero products are
+    skipped."""
     rng = range(n)
     # (r, h^{mr}) of the nonzero entries of each row m of h
     h_rows = [[(r, x) for r, x in enumerate(row) if x] for row in h]
@@ -535,13 +530,13 @@ def mokhov_identities(R, dR, b, h, n: int, red):
         for i in rng:
             for j in rng:
                 for k in rng:
-                    yield (i + 1, j + 1, k + 1), red(R[i][j][k] - R[k][j][i])
+                    yield (i + 1, j + 1, k + 1), R[i][j][k] - R[k][j][i]
 
     def t2():
         for i in rng:
             for j in rng:
                 for k in rng:
-                    yield (i + 1, j + 1, k + 1), red(R[i][j][k] + R[j][k][i] + R[k][i][j])
+                    yield (i + 1, j + 1, k + 1), R[i][j][k] + R[j][k][i] + R[k][i][j]
 
     def t3():
         for i in rng:
@@ -554,14 +549,14 @@ def mokhov_identities(R, dR, b, h, n: int, red):
                                 acc = acc + R[i][r][s] * b[m][j][s]
                             if R[i][j][s] and b[m][r][s]:
                                 acc = acc - R[i][j][s] * b[m][r][s]
-                        yield (i + 1, j + 1, r + 1, m + 1), red(acc)
+                        yield (i + 1, j + 1, r + 1, m + 1), acc
 
     def t4():
         for r in rng:
             for i in rng:
                 for j in rng:
                     for k in rng:
-                        yield (r + 1, i + 1, j + 1, k + 1), red(dR(r, i, j, k))
+                        yield (r + 1, i + 1, j + 1, k + 1), dR(r, i, j, k)
 
     def t5():
         for m in rng:
@@ -581,7 +576,7 @@ def mokhov_identities(R, dR, b, h, n: int, red):
                                 acc = acc - bm[j][l] * R[i][l][k]
                             if bm[k][l] and R[i][j][l]:
                                 acc = acc - bm[k][l] * R[i][j][l]
-                        yield (m + 1, i + 1, j + 1, k + 1), red(acc)
+                        yield (m + 1, i + 1, j + 1, k + 1), acc
 
     yield from zip(T_NAMES, (t1(), t2(), t3(), t4(), t5()))
 

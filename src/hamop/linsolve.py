@@ -1,13 +1,12 @@
-"""Exact linear algebra over any ``Field``: Q by default, which also serves
-Q(i) (GaussianRational entries have field arithmetic too), and F_p from
-``pointcheck``.
+"""Exact linear algebra over Q, which also serves Q(i) (GaussianRational
+entries have field arithmetic too).
 
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
 ``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
-F_p for ``pointcheck``'s frames, over plain ints for the powers in the
-Segre rank sequences of ``spectral``, and over Q for the unit columns of
-``families``.  Ranks are taken over Z only: ``int_rank`` is fraction-free
+Q for ``pointcheck``'s frames and the unit columns of ``families``, and
+over plain ints for the powers in the Segre rank sequences of ``spectral``.
+Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
 off the real embedding.  ``SparseSystem``
@@ -28,32 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class Field:
-    """Scalar operations the field-generic routines are written against:
-    ``of`` (the image of a rational), ``red`` (the canonical form of a sum
-    of products), ``inv`` and ``half``."""
-
-    __slots__ = ("of", "red", "inv", "half")
-
-    def __init__(self, of, red, inv, half):
-        self.of = of
-        self.red = red
-        self.inv = inv
-        self.half = half
-
-
-def identity(x):
-    """The reduction of exact representations, which are already canonical."""
-    return x
-
-
-# Fraction(1) / x, not 1 / x: an int x must give an exact inverse, not a float
-Q = Field(Fraction, identity, lambda x: Fraction(1) / x, Fraction(1, 2))
-
-
-def rref(rows: list[list], F: Field = Q) -> tuple[list[list], list[int]]:
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rref rows, pivot columns)."""
-    red = F.red
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -64,12 +39,13 @@ def rref(rows: list[list], F: Field = Q) -> tuple[list[list], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [red(x * inv) for x in m[r]]
+        # Fraction(1) / x, not 1 / x: an int x must give an exact inverse
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [red(a - f * b) for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -118,24 +94,22 @@ def gaussian_rank(x: list[list[int]], y: list[list[int]]) -> int:
     return int_rank(upper + lower) // 2
 
 
-def mat_mul(a: list[list], b: list[list], F: Field = Q) -> list[list]:
-    """The product of two matrices of elements of ``F``."""
-    red = F.red
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """The product of two matrices."""
     rng = range(len(b))
     return [
-        [red(sum(a[i][s] * b[s][j] for s in rng)) for j in range(len(b[0]))]
+        [sum(a[i][s] * b[s][j] for s in rng) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
 
-def inverse(a: list[list], F: Field = Q) -> list[list] | None:
-    """Inverse of a square matrix of elements of ``F``, or None if it is
-    singular: the right half of the reduced [A | I]."""
+def inverse(a: list[list]) -> list[list] | None:
+    """Inverse of a square matrix over Q, or None if it is singular: the
+    right half of the reduced [A | I]."""
     n = len(a)
-    one, zero = F.of(1), F.of(0)
+    one, zero = Fraction(1), Fraction(0)
     red, pivots = rref(
-        [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)],
-        F,
+        [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     )
     if pivots != list(range(n)):
         return None

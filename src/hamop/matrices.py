@@ -10,13 +10,13 @@ list of rows over any ring, such as the integer coefficient arrays of
 ``geometry.coefficient_arrays``.  Inverses are returned in adjugate/determinant
 form with gcd-normalized rational-function entries, so m * m^-1 is exactly
 the identity.
-``PolyMatrix.at_point`` evaluates polynomial entries in any
-``linsolve.Field`` through ``MultiPoly.eval``, the one polynomial evaluator;
-``pointcheck``'s frames read it.  ``PolyMatrix.int_at`` gives the value at
+``PolyMatrix.at_point`` evaluates polynomial entries over Q through
+``MultiPoly.eval``, the one polynomial evaluator; ``pointcheck``'s frames
+read it.  ``PolyMatrix.int_at`` gives the value at
 an integer point as an integer matrix A = D M(pt) with its scale D, in int
 arithmetic only: ``metrics.degenerate_at`` and ``spectral``'s point spectra
 read that one.  Dense products of the evaluated matrices are
-``linsolve.mat_mul``: over F_p in the frames, and over Z in ``spectral``'s
+``linsolve.mat_mul``: over Q in the frames, and over Z in ``spectral``'s
 rank sequences.
 """
 
@@ -26,7 +26,6 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .errors import IdenticallySingular
-from .linsolve import Q, Field
 from .poly import MultiPoly, RationalFunction
 from .roots import char_poly
 
@@ -164,10 +163,10 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
 
-    def at_point(self, point, F: Field = Q) -> list[list]:
-        """Polynomial entries evaluated at ``point`` (one element of ``F``
-        per variable) by ``MultiPoly.eval``, as elements of ``F``."""
-        return [[x.eval(point, F) for x in row] for row in self.entries]
+    def at_point(self, point) -> list[list]:
+        """Polynomial entries evaluated at ``point`` (ints or Fractions) by
+        ``MultiPoly.eval``, as Fractions."""
+        return [[x.eval(point) for x in row] for row in self.entries]
 
     def int_at(self, point) -> tuple[list[list[int]], int]:
         """(A, D) with A = D M(point) an int matrix, at a point with integer

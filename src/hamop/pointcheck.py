@@ -1,49 +1,34 @@
 """Exact evaluation of the verification conditions at sample points.
 
 Every per-point formula here (metric jets, Christoffel symbols, the
-contravariant connection of h and its derivative) is written once against a
-``linsolve.Field`` ``F`` that supplies ``of`` (the image of a rational),
-``red`` (the canonical form of a sum of products), ``inv`` and ``half``.
-The conditions themselves are not restated here: ``flat_at``,
-``mokhov_at``, ``nijenhuis_at``, ``killing_at`` and ``linearity_at`` feed
-point values (and the derivative each needs) to the one statement of their
-condition in ``geometry`` (``riemann_components``, ``mokhov_identities``,
-``nijenhuis_components``, ``killing_components``, ``hessian_components``),
-written once for every scalar representation, and return its first hit.
+contravariant connection of h and its derivative) is written once, over Q:
+jets are Fractions.  The conditions themselves are not restated here:
+``flat_at``, ``mokhov_at``, ``nijenhuis_at``, ``killing_at`` and
+``linearity_at`` feed point values (and the derivative each needs) to the
+one statement of their condition in ``geometry`` (``riemann_components``,
+``mokhov_identities``, ``nijenhuis_components``, ``killing_components``,
+``hessian_components``), written once for every exact scalar
+representation, and return its first hit.  A hit is exact: its residual is
+the condition's rational value at the point, and it is the witness.
 
-The jets are computed as a condition reads them, in both fields and by the
-same formulas.  ``PointFrame`` builds G^-1, its first derivatives and the
-Christoffel symbols whole on first read, the second derivatives of G^-1 one
-direction r at a time, and d_r Gamma^i_{jk} one entry at a time; the second
-jets serve flatness and linearity only.  The Mokhov side reads first jets
-only: ``obstruction_at`` builds b and R whole from G, A and G^-1 of h, and
-their derivatives one entry at a time from the same jets.  A stream
-that stops at its first failing component so computes no jet past it: the
-Q recomputation of a certified hit (see ``verify._scan_points``) pays for
-the entries its witness reads, and a passing F_p scan reads every entry
-once.
-
-There are two fields:
-
-* ``FP``: plain ints modulo P = 2^61 - 1.  Products are reduced with
-  ``% P`` once per contraction, inverses come from ``pow(x, -1, P)``.
-  Every point scan of ``verify`` runs on it.  At an integer point where
-  every coefficient denominator and every metric determinant is a unit
-  mod P, the F_p value of a condition is its Q value reduced mod P.  So a
-  nonzero residue certifies a nonzero rational value: a failure at a point
-  is exact, and its witness is recomputed over Q there.  A condition with
-  no hit is not decided here: ``verify`` proves it by its exact identity.
-* ``Q``: ``fractions.Fraction``, with ``red`` the identity.  It gives the
-  exact rational witnesses, the fallback where F_p cannot stand in for Q
-  (see ``FrameCache``), and the reference the tests compare F_p against.
+The jets are computed as a condition reads them.  ``PointFrame`` builds
+G^-1, its first derivatives and the Christoffel symbols whole on first
+read, the second derivatives of G^-1 one direction r at a time, and
+d_r Gamma^i_{jk} one entry at a time; the second jets serve flatness and
+linearity only.  The Mokhov side reads first jets only: ``obstruction_at``
+builds b and R whole from G, A and G^-1 of h, and their derivatives one
+entry at a time from the same jets.  A stream that stops at its first
+failing component so computes no jet past it, and a passing scan reads
+every entry once.
 
 Sample points are seeded integer points (as Fractions); those where any
 metric is singular are rejected and redrawn, and after 100 rejections
 DegenerateEverywhere is raised.  Rejection is integer work: each
 metric's value at the point is scaled to an integer matrix and its Bareiss
-rank read (``metrics.degenerate_at``).  ``FrameCache`` maps a drawn point
-into F_p.  ``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits``
-pins the symbolic and the point feeds component by component.
+rank read (``metrics.degenerate_at``).  ``FrameCache`` shares the frames of
+one point between conditions and criteria.
+``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits`` pins
+the symbolic and the point feeds component by component.
 """
 
 from __future__ import annotations
@@ -52,7 +37,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .errors import DegenerateEverywhere, NonUnitDenominator
+from .errors import DegenerateEverywhere
 from .geometry import (
     T_NAMES,
     connection_numerators,
@@ -63,41 +48,18 @@ from .geometry import (
     raised_obstruction,
     riemann_components,
 )
-from .linsolve import Q, Field, inverse, mat_mul
+from .linsolve import inverse, mat_mul
 from .metrics import LinearMetric, degenerate_at
 
 SAMPLE_RANGE = 10**6
 MAX_REJECT = 100
-
-P = 2**61 - 1
-
-
-def _fp_of(q):
-    """Image of an int or Fraction in F_p."""
-    den = q.denominator
-    if den == 1:
-        return q.numerator % P
-    if den % P == 0:
-        raise NonUnitDenominator(f"denominator {den} is not a unit mod 2^61 - 1")
-    return q.numerator * pow(den, -1, P) % P
+HALF = Fraction(1, 2)
 
 
-FP = Field(_fp_of, lambda x: x % P, lambda x: pow(x, -1, P), (P + 1) // 2)
-
-
-def _zeros(F, *shape):
-    z = F.of(0)
+def _zeros(*shape):
     if len(shape) == 1:
-        return [z] * shape[0]
-    return [_zeros(F, *shape[1:]) for _ in range(shape[0])]
-
-
-def _mat_neg(F, a):
-    return [[F.red(-x) for x in row] for row in a]
-
-
-def _mat_add(F, a, b):
-    return [[F.red(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+        return [Fraction(0)] * shape[0]
+    return [_zeros(*shape[1:]) for _ in range(shape[0])]
 
 
 def sample_points(nvars: int, metrics, seed: int, count: int):
@@ -128,16 +90,14 @@ class PointFrame:
     derivatives dGinv and the Christoffel symbols Gamma whole; the second
     derivatives d_r d_m G^-1 one direction r at a time (``ddGinv(r)``, a
     slice of n matrices); d_r Gamma^i_{jk} one entry at a time
-    (``dgamma``).  A kernel that stops at its first failing component, like
-    the recomputation of a certified hit over Q, so pays only for the
-    slices and entries it read."""
+    (``dgamma``).  A kernel that stops at its first failing component so
+    pays only for the slices and entries it read."""
 
-    def __init__(self, g: LinearMetric, point, field=Q):
-        self.F = field
+    def __init__(self, g: LinearMetric, point):
         self.n = g.n
         self.point = point
-        self.G = g.mat.at_point(point, field)
-        self.A = [m.at_point(point, field) for m in g.derivative_matrices()]
+        self.G = g.mat.at_point(point)
+        self.A = [m.at_point(point) for m in g.derivative_matrices()]
         self.constant = all(
             all(all(x == 0 for x in row) for row in a) for a in self.A
         )
@@ -152,7 +112,7 @@ class PointFrame:
     @property
     def Ginv(self):
         if self._ginv is None:
-            inv = inverse(self.G, self.F)
+            inv = inverse(self.G)
             if inv is None:
                 raise ZeroDivisionError("metric degenerate at sample point")
             self._ginv = inv
@@ -161,14 +121,15 @@ class PointFrame:
     @property
     def dGinv(self):
         if self._dginv is None:
-            F, n = self.F, self.n
+            n = self.n
             if self.constant:
-                self._ai = self._dginv = _zeros(F, n, n, n)
+                self._ai = self._dginv = _zeros(n, n, n)
             else:
                 # d_k Ginv = -Ginv A[k] Ginv; A[k] Ginv is kept for ddGinv
                 inv = self.Ginv
-                self._ai = [mat_mul(a, inv, F) for a in self.A]
-                self._dginv = [_mat_neg(F, mat_mul(inv, ai, F)) for ai in self._ai]
+                self._ai = [mat_mul(a, inv) for a in self.A]
+                self._dginv = [[[-x for x in row] for row in mat_mul(inv, ai)]
+                               for ai in self._ai]
         return self._dginv
 
     def ddGinv(self, r):
@@ -181,27 +142,22 @@ class PointFrame:
         # One product per unordered pair, shared by the slices r and m
         dd = self._dd.get((r, m))
         if dd is None:
-            F, rng = self.F, range(self.n)
-            B = mat_mul(self.dGinv[r], self._ai[m], F)
-            dd = self._dd[r, m] = [
-                [F.red(-(B[a][b] + B[b][a])) for b in rng] for a in rng
-            ]
+            rng = range(self.n)
+            B = mat_mul(self.dGinv[r], self._ai[m])
+            dd = self._dd[r, m] = [[-(B[a][b] + B[b][a]) for b in rng] for a in rng]
         return dd
 
     @property
     def Gamma(self):
         if self._gamma is None:
-            F, n = self.F, self.n
+            n = self.n
             if self.constant:
-                self._gamma = _zeros(F, n, n, n)
+                self._gamma = _zeros(n, n, n)
             else:
-                red, half, rng = F.red, F.half, range(n)
+                rng = range(n)
                 G, C = self.G, self._first_kind(None)
                 self._gamma = [
-                    [
-                        [red(half * sum(G[i][l] * C[l][j][k] for l in rng)) for k in rng]
-                        for j in rng
-                    ]
+                    [[HALF * sum(G[i][l] * C[l][j][k] for l in rng) for k in rng] for j in rng]
                     for i in rng
                 ]
         return self._gamma
@@ -212,10 +168,10 @@ class PointFrame:
         its derivative d_r, with d = ddGinv(r); memoised."""
         C = self._chris.get(r)
         if C is None:
-            red, rng = self.F.red, range(self.n)
+            rng = range(self.n)
             d = self.dGinv if r is None else self.ddGinv(r)
             C = self._chris[r] = [
-                [[red(d[j][l][k] + d[k][l][j] - d[l][j][k]) for k in rng] for j in rng]
+                [[d[j][l][k] + d[k][l][j] - d[l][j][k] for k in rng] for j in rng]
                 for l in rng
             ]
         return C
@@ -231,58 +187,30 @@ class PointFrame:
         return v
 
     def _dgamma_entry(self, r, i, j, k):
-        F = self.F
         if self.constant:
-            return F.of(0)
+            return Fraction(0)
         C, dC = self._first_kind(None), self._first_kind(r)
         Ar, G = self.A[r][i], self.G[i]
-        return F.red(
-            F.half * sum(Ar[l] * C[l][j][k] + G[l] * dC[l][j][k] for l in range(self.n))
-        )
+        return HALF * sum(Ar[l] * C[l][j][k] + G[l] * dC[l][j][k] for l in range(self.n))
 
 
 class FrameCache:
-    """Shares PointFrames between conditions and criteria at fixed points.
+    """Shares PointFrames between conditions and criteria at fixed points:
+    one frame per metric and point, keyed by identity."""
 
-    Points are rational (as ``sample_points`` draws them over Q); each one is
-    mapped into the cache's field only here.  This is the one place where
-    F_p falls back to Q: with ``field=FP``, a frame that cannot be built mod
-    P at a point sends that point to Q, from then on every frame at it is
-    built over Q, and ``frames`` never mixes the two fields within one
-    condition.  A frame cannot be built mod P when its metric is singular
-    mod P at a point where it is not singular over Q, or when a coefficient
-    denominator is not a unit mod P (NonUnitDenominator; then every point
-    goes to Q).  ``frame(..., field=Q)`` gives the exact frames a witness is
-    recomputed on."""
-
-    def __init__(self, field=Q):
-        self.field = field
+    def __init__(self):
         self._frames = {}
-        self._on_q = set()  # ids of points sent to Q
 
-    def frame(self, metric: LinearMetric, point, field=None) -> PointFrame:
-        F = field or (Q if id(point) in self._on_q else self.field)
-        key = (id(metric), id(point), id(F))
+    def frame(self, metric: LinearMetric, point) -> PointFrame:
+        key = (id(metric), id(point))
         f = self._frames.get(key)
         if f is None:
-            if F is Q:
-                f = PointFrame(metric, point, Q)
-            else:
-                try:
-                    f = PointFrame(metric, [F.of(x) for x in point], F)
-                    f.Ginv
-                except (ZeroDivisionError, NonUnitDenominator):
-                    self._on_q.add(id(point))
-                    return self.frame(metric, point, Q)
-            self._frames[key] = f
+            f = self._frames[key] = PointFrame(metric, point)
         return f
 
-    def frames(self, point, *metrics, field=None) -> list:
-        """Frames of ``metrics`` at ``point``, all over one field."""
-        fs = [self.frame(m, point, field) for m in metrics]
-        if any(f.F is not fs[-1].F for f in fs):  # the point went to Q midway
-            fs = [self.frame(m, point, Q) for m in metrics]
-        return fs
+    def frames(self, point, *metrics) -> list:
+        """Frames of ``metrics`` at ``point``."""
+        return [self.frame(m, point) for m in metrics]
 
 
 def _first(stream):
@@ -294,7 +222,7 @@ def flat_at(f: PointFrame):
     """First failing (indices, residual) of R = 0, or None."""
     if f.constant:
         return None
-    return _first(riemann_components(f.Gamma, f.dgamma, f.n, f.F.red))
+    return _first(riemann_components(f.Gamma, f.dgamma, f.n))
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
@@ -307,25 +235,25 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     2b = A + e - e^T with e^{ij}_k = H^{is} f[s][j][k], and d_r b its
     product rule with d_r H = A[r] and d_r f[s] = A[s] d_r H^-1 =
     -f[s] f[r], where -(e - e^T) f[r] = -(2b - A) f[r]."""
-    F, n = fh.F, fh.n
-    red, half, rng = F.red, F.half, range(n)
+    n = fh.n
+    rng = range(n)
     H, A, Gg = fh.G, fh.A, fg.G
-    f = [mat_mul(a, fh.Ginv, F) for a in A]
-    b2 = connection_numerators(H, f, A, 1, red)
-    b = [[[red(half * x) for x in row] for row in plane] for plane in b2]
-    w = [[[red(b2[i][j][s] - A[s][i][j]) for s in rng] for j in rng] for i in rng]
+    f = [mat_mul(a, fh.Ginv) for a in A]
+    b2 = connection_numerators(H, f, A, 1)
+    b = [[[HALF * x for x in row] for row in plane] for plane in b2]
+    w = [[[b2[i][j][s] - A[s][i][j] for s in rng] for j in rng] for i in rng]
 
     @functools.cache
     def db(r, i, j, k):
         Ar, wij, fr = A[r], w[i][j], f[r]
-        return red(half * sum(Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k]
-                              - wij[s] * fr[s][k] for s in rng))
+        return HALF * sum(Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k]
+                          - wij[s] * fr[s][k] for s in rng)
 
     @functools.cache
     def dR(r, i, j, k):
-        return red(-sum(Gg[i][s] * db(r, k, j, s) for s in rng if Gg[i][s]))
+        return -sum(Gg[i][s] * db(r, k, j, s) for s in rng if Gg[i][s])
 
-    return b, raised_obstruction(Gg, b, n, red), db, dR
+    return b, raised_obstruction(Gg, b, n), db, dR
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):
@@ -337,7 +265,7 @@ def mokhov_at(fg: PointFrame, fh: PointFrame):
     @functools.cache
     def streams():
         b, R, _, dR = obstruction_at(fg, fh)
-        return dict(mokhov_identities(R, dR, b, fh.G, fg.n, fg.F.red))
+        return dict(mokhov_identities(R, dR, b, fh.G, fg.n))
 
     for name in T_NAMES:
         yield name, lambda name=name: _first(streams()[name])
@@ -345,21 +273,22 @@ def mokhov_at(fg: PointFrame, fh: PointFrame):
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
     """First failing (indices, residual) of N(L) = 0 for L = H (G_gamma)^-1."""
-    F, n = fh.F, fh.n
+    n = fh.n
     H, Ah = fh.G, fh.A
     ginv = fgamma.Ginv
     dginv = fgamma.dGinv
-    L = mat_mul(H, ginv, F)
+    L = mat_mul(H, ginv)
     dL = [
-        _mat_add(F, mat_mul(Ah[k], ginv, F), mat_mul(H, dginv[k], F))
+        [[x + y for x, y in zip(r1, r2)]
+         for r1, r2 in zip(mat_mul(Ah[k], ginv), mat_mul(H, dginv[k]))]
         for k in range(n)
     ]
-    return _first(nijenhuis_components(L, dL, n, F.red))
+    return _first(nijenhuis_components(L, dL, n))
 
 
 def killing_at(fg: PointFrame, fh: PointFrame):
     """First failing (indices, residual) of the Killing residual of (g, h)."""
-    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n, fg.F.red))
+    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n))
 
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame):
@@ -382,4 +311,4 @@ def linearity_at(fgamma: PointFrame, fh: PointFrame):
             for m in rng
         )
 
-    return _first(hessian_components(G, H, Ah, dC, fh.n, fh.F.red))
+    return _first(hessian_components(G, H, Ah, dC, fh.n))

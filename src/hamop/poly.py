@@ -27,8 +27,8 @@ exponent tuple -> Fraction view built on first read, which no arithmetic goes
 through.  Serialization emits terms in descending canonical order with
 coefficients written "p/q".
 
-``MultiPoly.eval`` is the one polynomial evaluator, in any ``linsolve.Field``
-(Q by default; ``PolyMatrix.at_point`` evaluates over F_p through it).
+``MultiPoly.eval`` is the one polynomial evaluator over Q
+(``PolyMatrix.at_point``, and so ``pointcheck``'s frames, read it).
 ``MultiPoly.int_eval`` is its int form at a point of ints: the numerator
 sum and the common denominator, with no Fraction (``PolyMatrix.int_at``).
 Both unpack a polynomial's exponents once, on its first evaluation.
@@ -56,8 +56,6 @@ from functools import cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
-
-from .linsolve import Q, Field
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -401,21 +399,14 @@ class MultiPoly:
             total += t
         return total, self._den
 
-    def eval(self, point: Sequence, F: Field = Q):
-        """Value at a full point (one element of ``F`` per variable, ints
-        for Q too), as an element of ``F``."""
-        red = F.red
+    def eval(self, point: Sequence):
+        """Value at a full point of ints or Fractions, as a Fraction."""
         total = 0
         for t, mono in self._monomials(point):
             for i, x in mono:
-                t = red(t * point[i] ** x)
+                t *= point[i] ** x
             total += t
-        value = F.of(total)
-        if self._den != 1:
-            # F.of of 1/den, not of total/den: a denominator that is no unit
-            # of F must raise even where the numerator cancels it
-            value = red(value * F.of(Fraction(1, self._den)))
-        return value
+        return Fraction(total, self._den)
 
     def substitute(self, values: Mapping[int, Fraction]) -> "MultiPoly":
         """Replace the given 1-based variables by rational values."""

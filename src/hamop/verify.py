@@ -44,12 +44,11 @@ decided there too.  A condition proven there passes and builds no frame;
 the arrays claim only passes, so a failing condition's witness comes from
 the pipeline below, as it would without them.
 
-Every other condition is evaluated at seeded integer points over F_p,
-p = 2^61 - 1 (see pointcheck).  A hit there is certified, since a nonzero
-residue proves a nonzero rational value, and its witness is recomputed over
-Q at that point, which evaluates only the conditions that hit, and of each
-only the jets up to its first failing component (see pointcheck).  A
-condition without a hit is then decided by its exact identity:
+Every other condition is evaluated exactly, over Q, at seeded integer
+points (see pointcheck).  At each point only the conditions not yet decided
+are evaluated, each once and only up to its first failing component; a hit
+there is a nonzero rational value, and it is the witness.  A condition
+without a hit is then decided by its exact identity:
 flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
 reduced rational connection b of h, and the lazy linearity / Nijenhuis /
 Killing streams of geometry.  A failure found there carries a witness with
@@ -58,22 +57,20 @@ no point.
 Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
 holds for the constant first metric, as for d >= 3; the rest of the Mokhov
 cross-check (flat(g2), T1..T5) is scanned at the same points only after a
-failing triple, since after a passing one a certified hit could only end in
+failing triple, since after a passing one a hit could only end in
 DisagreementBug, which the proofs raise just the same.  A Hamiltonian
 pencil satisfies the triple, which the arrays prove, and T4, which for
 constant g says that the contravariant connection b of h is constant
 (Dubrovin-Novikov), so there every condition is proven on constants, with
 no point scan and no rational stream.
 
-A point where a frame cannot be built mod p (a metric singular mod p there,
-or a coefficient denominator that is not a unit mod p) is scanned over Q
-instead; ``pointcheck.FrameCache`` makes that one fallback.  Witnesses
-always report the lexicographically first failing index tuple, at the first
-failing point when one is given.  Some inputs get no point scan and are
-decided by their identities alone: a bivector passed to
-theorem2_conditions that is not linear in u or is degenerate everywhere,
-and callers that pass no points to pair_conditions, such as the formal
-families of ``families``.
+``pointcheck.FrameCache`` shares the frames of a point between the
+conditions and the two criteria.  Witnesses always report the
+lexicographically first failing index tuple, at the first failing point
+when one is given.  Some inputs get no point scan and are decided by their
+identities alone: a bivector passed to theorem2_conditions that is not
+linear in u or is degenerate everywhere, and callers that pass no points to
+pair_conditions, such as the formal families of ``families``.
 """
 
 from __future__ import annotations
@@ -106,7 +103,7 @@ from .geometry import (
     raised_obstruction,
     riemann_components,
 )
-from .linsolve import identity, mat_mul
+from .linsolve import mat_mul
 from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric, OperatorSpec
 from .poly import MultiPoly
@@ -195,15 +192,6 @@ def _scan(name: str, gen) -> ConditionResult:
     return ConditionResult(name, True)
 
 
-def _certified(name: str, pt, hit):
-    """The Q hit at a point where F_p found one: a nonzero residue mod p
-    proves a nonzero rational value, so a miss is a defect."""
-    if hit is None:
-        where = ", ".join(format_rational(x) for x in pt)
-        raise DisagreementBug(f"{name} is nonzero mod p but zero over Q at ({where})")
-    return hit
-
-
 def _hits(pairs, names) -> dict:
     """name -> hit for each of ``names`` whose hit is not None.  ``pairs``
     yields (name, thunk), and ``thunk()`` computes that condition's hit at
@@ -229,23 +217,18 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, proven=()) -> list[Co
     point yields (name, thunk) for the others, where ``thunk()`` gives the
     condition's hit there, (indices, value) of its first failing component,
     or None.  At each point only the conditions not yet decided are
-    evaluated, over F_p; a hit is recomputed over Q at the same point for
-    the witness, and that Q pass evaluates only the conditions that hit, on
-    Q frames whose jets are built as the hit's first failing component
-    reads them.  Points are scanned until every condition is decided, so a
-    scan with every condition proven builds no frame.  A condition without
-    a hit is then decided by ``proofs[name]()``, its exact identity as a
-    lazy (indices, residual) stream.  A condition's first failing point and
-    index tuple do not depend on which conditions share the scan."""
+    evaluated, each once, over Q, on frames whose jets are built as the
+    conditions read them; a hit is the condition's witness.  Points are
+    scanned until every condition is decided, so a scan with every
+    condition proven builds no frame.  A condition without a hit is then
+    decided by ``proofs[name]()``, its exact identity as a lazy (indices,
+    residual) stream.  A condition's first failing point and index tuple do
+    not depend on which conditions share the scan."""
     decided = {name: ConditionResult(name, True) for name in proven}
     for pt in points:
         if len(decided) == len(proofs):
             break
-        frames = cache.frames(pt, *metrics)
-        hits = _hits(fn(*frames), proofs.keys() - decided.keys())
-        if hits and frames[0].F is not pc.Q:
-            exact = _hits(fn(*cache.frames(pt, *metrics, field=pc.Q)), hits)
-            hits = {name: _certified(name, pt, exact.get(name)) for name in hits}
+        hits = _hits(fn(*cache.frames(pt, *metrics)), proofs.keys() - decided.keys())
         for name, hit in hits.items():
             decided[name] = ConditionResult(name, False, _wit(*hit, pt))
     return [decided.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
@@ -265,13 +248,13 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     """name -> the lazy stream of that identity on the reduced rational
     contravariant connection of h."""
     b = levi_civita(h).b_upper
-    R = raised_obstruction(g.mat.entries, b, g.n, identity)
+    R = raised_obstruction(g.mat.entries, b, g.n)
 
     @functools.cache
     def d_raised(r, i, j, k):
         return R[i][j][k] and R[i][j][k].partial(r + 1)
 
-    return dict(mokhov_identities(R, d_raised, b, h.mat.entries, g.n, identity))
+    return dict(mokhov_identities(R, d_raised, b, h.mat.entries, g.n))
 
 
 def _zero(*_):
@@ -295,9 +278,9 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     c, _ = conn
     n = g.n
     _, (G, *_) = coefficient_arrays(g.mat, n)
-    R = raised_obstruction(G, c, n, identity)
-    streams = dict(mokhov_identities(R, _zero, c, h.mat.entries, n, identity))
-    streams["flat(g2)"] = riemann_components(c, _zero, n, identity)
+    R = raised_obstruction(G, c, n)
+    streams = dict(mokhov_identities(R, _zero, c, h.mat.entries, n))
+    streams["flat(g2)"] = riemann_components(c, _zero, n)
     return {name for name, stream in streams.items() if not any(r for _, r in stream)}
 
 
@@ -334,7 +317,7 @@ def mokhov_conditions(
         **{name: lambda name=name: t_streams()[name] for name in T_NAMES},
     }
     report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(
-        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(pc.FP),
+        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(),
         _constant_connection_proofs(g, h, u0),
     )
     return report
@@ -403,13 +386,13 @@ def _triple_proofs(g: LinearMetric, hm: PolyMatrix, u0=None) -> set:
     flat = constant(G)
     proven = set()
     ks = range(1 if flat else n + 1)
-    if not any(r for k in ks for _, r in killing_components(G[k], G[1:], H[k], H[1:], n, identity)):
+    if not any(r for k in ks for _, r in killing_components(G[k], G[1:], H[k], H[1:], n)):
         proven.add("killing")
     A, B = (H, G) if flat else (G, H)
     if flat or constant(H):
         adj, det = adjugate_det(B[0])
         L = [mat_mul(m, adj) for m in A]
-        if det and not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n, identity)):
+        if det and not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n)):
             proven.add("nijenhuis")
     if flat:
         proven.add("linearity")
@@ -465,9 +448,7 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
         yield lin, lambda: None if flat else pc.linearity_at(fg, fh)
 
     hw = _wrap_metric(h, g) if points else None
-    return _scan_points(
-        proofs, at, (g, hw), points or (), cache or pc.FrameCache(pc.FP), proven
-    )
+    return _scan_points(proofs, at, (g, hw), points or (), cache or pc.FrameCache(), proven)
 
 
 def _wrap_metric(h, like: LinearMetric) -> LinearMetric:
@@ -517,7 +498,7 @@ def verify_operator(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> Verificatio
             "operator spec must present the first metric in constant form"
         )
     points = _sample(spec.nvars, spec.metrics, seed)
-    return _check_operator(spec, seed, points, pc.FrameCache(pc.FP))
+    return _check_operator(spec, seed, points, pc.FrameCache())
 
 
 def _check_operator(spec: OperatorSpec, seed: int, points, cache):
@@ -529,7 +510,7 @@ def _check_operator(spec: OperatorSpec, seed: int, points, cache):
     if spec.d == 2:
         th2 = theorem2_conditions(spec.g, spec.gt, seed, points, cache)
         # after a proven triple a Mokhov scan cannot hit (the paper's
-        # theorem; a hit is certified), so it goes to its proofs
+        # theorem; a hit is exact), so it goes to its proofs
         mok_points = () if th2.verdict else points
         mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, cache)
         if mok.verdict != th2.verdict:

@@ -23,10 +23,14 @@ coefficient arrays whose entries are polynomials in the parameter), a
 passing n = 6 entry (mokhov-n6), a passing n = 4 entry with Segre type
 [2,2] (s22-case2-b4p), whose Mokhov side, like
 mokhov-n6's, is proven on the constant contravariant connection without a
-scan, and three failing specs: an n = 2 and an n = 3 pencil (witnesses in
-eight conditions, found at the scan points), and an n = 2, d = 3 spec (one
-linearity / Nijenhuis / Killing triple per unordered pair, with witnesses
-against the constant and against a non-constant reference metric).
+scan, and four failing specs: an n = 2 and an n = 3 pencil (witnesses in
+eight conditions, found at the scan points), an n = 4 Killing-space pencil
+over the antidiagonal metric (pencil-n4-killing, the ``killing`` kind of
+``perfbench/pencils.py`` drawn from ``random.Random(400)``, whose flat(g2),
+T1..T5 and Nijenhuis witnesses come from the scan), and an n = 2, d = 3
+spec (one linearity / Nijenhuis / Killing triple per unordered pair, with
+witnesses against the constant and against a non-constant reference
+metric).
 
 The classify cases cover an affine eigenvalue fit over Q (mokhov-n3), ranks
 over Q(i) with a conjugate pair of eigenvalues (complex-2x2, whose
@@ -48,7 +52,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     "mokhov-n3", "pencil-n2-raw", "thm5-3d-1", "exampleN-N4", "mokhov-n6",
-    "s22-case2-b4p", "pencil-n3-raw", "pencil-n2-d3",
+    "s22-case2-b4p", "pencil-n3-raw", "pencil-n2-d3", "pencil-n4-killing",
 ]
 
 

@@ -9,7 +9,6 @@ from hamop.catalog import catalog
 from hamop.linsolve import inverse
 from hamop.matrices import PolyMatrix, determinant
 from hamop.metrics import degenerate_at, identically_degenerate, probe_point
-from hamop.pointcheck import FP
 from hamop.poly import MultiPoly
 
 from conftest import random_linear_bivector, u_vars
@@ -100,6 +99,5 @@ def test_degenerate_at_is_the_value_of_the_determinant():
     for m, pt in pairs:
         value = determinant(m).eval(pt)
         assert degenerate_at(m, pt) == (value == 0)
-        # the same Q point mapped into F_p, as ``pointcheck.FrameCache`` maps it
-        fp_value = m.at_point([FP.of(x) for x in pt], FP)
-        assert (inverse(fp_value, FP) is None) == (FP.of(value) == 0)
+        # the inverse a ``pointcheck.PointFrame`` takes at the point
+        assert (inverse(m.at_point(pt)) is None) == (value == 0)

@@ -147,7 +147,7 @@ def test_both_criteria_are_proven_without_scan_points():
     # Mokhov side is proven too: the criteria agree (no DisagreementBug),
     # and every failure carries a witness with no point
     g, h = _killing_pencil()
-    rep = _check_operator(OperatorSpec([g, h]), 0, [], pc.FrameCache(pc.FP))
+    rep = _check_operator(OperatorSpec([g, h]), 0, [], pc.FrameCache())
     assert not rep.verdict
     assert "nijenhuis" in rep.failed_names() and "T1" in rep.failed_names()
     assert all(c.witness.point is None for c in rep.conditions if not c.passed)
@@ -332,7 +332,7 @@ def test_unordered_pairs_give_the_ordered_pairs_verdict():
         for h1, h2 in itertools.combinations(hs, 2):
             spec = OperatorSpec([g, h1, h2])
             points = _sample(spec.nvars, spec.metrics, 0)
-            cache = pc.FrameCache(pc.FP)
+            cache = pc.FrameCache()
             ordered = all(
                 r.passed
                 for gb, gc in itertools.permutations(spec.metrics, 2)
