@@ -55,18 +55,21 @@ from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric
 from .poly import MultiPoly, RationalFunction
 
+HALF = Fraction(1, 2)
+
 
 @dataclass
 class Connection:
     """Levi-Civita data of the metric ``mat``: Christoffel symbols and
-    contravariant symbols.
+    contravariant symbols, both read off ``connection_numerators``.
 
     gamma[i][j][k] = Gamma^i_{jk} (symmetric in j,k);
     b_upper[i][j][k] = b^{ij}_k = -g^{is} Gamma^j_{sk}, built on first read.
 
-    For non-constant metrics the polynomial numerators gamma_num (with
-    Gamma = gamma_num / det^2) are kept alongside: curvature scans assemble
-    their residual numerators from them without rational-function division.
+    For non-constant metrics the polynomial numerators are kept alongside:
+    c = connection_numerators of g, that is 2 det b, and gamma_num = det^2
+    Gamma.  Curvature scans assemble their residual numerators from
+    gamma_num without rational-function division.
     """
 
     n: int
@@ -74,35 +77,28 @@ class Connection:
     mat: PolyMatrix
     gamma_num: list | None = None
     det: MultiPoly | None = None
+    c: list | None = None
 
     @functools.cached_property
     def b_upper(self) -> list:
-        n, nvars = self.n, self.mat.nvars
-        if self.gamma_num is None:  # constant metric
-            zero = RationalFunction(MultiPoly.zero(nvars))
-            return [[[zero] * n for _ in range(n)] for _ in range(n)]
-        p_num, det = self.gamma_num, self.det
+        if self.c is None:  # constant metric
+            zero = RationalFunction(MultiPoly.zero(self.mat.nvars))
+            return [[[zero] * self.n for _ in range(self.n)] for _ in range(self.n)]
+        det = self.det
         det2 = det * det
-        b_upper = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = MultiPoly.zero(nvars)
-                    for s in range(n):
-                        gis = self.mat[i, s]
-                        if gis and p_num[j][s][k]:
-                            acc = acc - gis * p_num[j][s][k]
-                    b_upper[i][j][k] = RationalFunction(acc, det2, base=det)
-        return b_upper
+        return [[[RationalFunction(det * x * HALF, det2, base=det) for x in row]
+                 for row in plane] for plane in self.c]
 
 
 def levi_civita(g: LinearMetric) -> Connection:
     """Connection of a non-degenerate linear metric, exact rational entries.
 
-    Christoffel numerators are assembled polynomially over the shared
-    denominator det(g)^2 (g_cov = adj/det, d_m g_cov = -g_cov A_m g_cov), so
-    each entry is normalized exactly once; for passing families the trial
-    division inside the normalization collapses the denominator."""
+    With adj, det = adj(g), det(g) and A_s = d_s g, c =
+    ``connection_numerators`` of g on f[s] = A_s adj is 2 det b, and
+    Gamma^j_{sk} = -g_{si} b^{ij}_k = P^j_{sk} / det^2 with the polynomial
+    numerator P^j_{sk} = -adj_{si} c^{ij}_k / 2.  So each entry is
+    normalized exactly once, over the shared denominator det^2; for passing
+    families the trial division inside the normalization collapses it."""
     if g._conn is not None:
         return g._conn
     n = g.n
@@ -114,27 +110,20 @@ def levi_civita(g: LinearMetric) -> Connection:
         return conn
     adj, det = adjugate_det(g.mat)
     derivs = g.derivative_matrices()
-    a_adj = [a @ adj for a in derivs]        # det * (A_m g_cov)
-    b_cov = [adj @ m for m in a_adj]         # det^2 * (g_cov A_m g_cov)
+    c = connection_numerators(g.mat.entries, [(a @ adj).entries for a in derivs],
+                              [a.entries for a in derivs], det)
     det2 = det * det
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     p_num = [[[None] * n for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = (-a_adj[j][i, k] - a_adj[k][i, j]) * det
-                for l in range(n):
-                    gil = g.mat[i, l]
-                    if gil and b_cov[l][j, k]:
-                        acc = acc + gil * b_cov[l][j, k]
-                num = acc * half
-                p_num[i][j][k] = num
-                p_num[i][k][j] = num
-                val = RationalFunction(num, det2, base=det)
-                gamma[i][j][k] = val
-                gamma[i][k][j] = val
-    conn = Connection(n, gamma, g.mat, gamma_num=p_num, det=det)
+    for j in range(n):
+        for s in range(n):
+            row = adj.entries[s]
+            for k in range(s, n):
+                num = sum((x * c[i][j][k] for i, x in enumerate(row) if x and c[i][j][k]),
+                          MultiPoly.zero(nvars)) * -HALF
+                p_num[j][s][k] = p_num[j][k][s] = num
+                gamma[j][s][k] = gamma[j][k][s] = RationalFunction(num, det2, base=det)
+    conn = Connection(n, gamma, g.mat, gamma_num=p_num, det=det, c=c)
     g._conn = conn
     return conn
 
@@ -194,7 +183,10 @@ def connection_numerators(h0, f, dh, det):
     the contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma^j_{sk} of
     h at u:
 
-        2 b^{ij}_k = d_k h^{ij} + h^{is} d_s h^{jq} h_{qk} - h^{js} d_s h^{iq} h_{qk}."""
+        2 b^{ij}_k = d_k h^{ij} + h^{is} d_s h^{jq} h_{qk} - h^{js} d_s h^{iq} h_{qk}.
+
+    It is the one formula for a Levi-Civita connection: ``levi_civita``,
+    ``constant_connection`` and ``pointcheck``'s frames read theirs off it."""
     rng = range(len(h0))
     f_s = [[[f[s][j][k] for s in rng] for k in rng] for j in rng]
     e = [[[_dot(h0[i], f_s[j][k]) for k in rng] for j in rng] for i in rng]

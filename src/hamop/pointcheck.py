@@ -11,15 +11,17 @@ one statement of their condition in ``geometry`` (``riemann_components``,
 representation, and return its first hit.  A hit is exact: its residual is
 the condition's rational value at the point, and it is the witness.
 
-The jets are computed as a condition reads them.  ``PointFrame`` builds
-G^-1, its first derivatives and the Christoffel symbols whole on first
-read, the second derivatives of G^-1 one direction r at a time, and
-d_r Gamma^i_{jk} one entry at a time; the second jets serve flatness and
-linearity only.  The Mokhov side reads first jets only: ``obstruction_at``
-builds b and R whole from G, A and G^-1 of h, and their derivatives one
-entry at a time from the same jets.  A stream that stops at its first
-failing component so computes no jet past it, and a passing scan reads
-every entry once.
+The jets are computed as a condition reads them, from first jets only:
+the connection has one formula.  ``PointFrame`` builds G^-1, its first
+derivatives and the contravariant Christoffel symbols b^{ij}_k =
+-G^{is} Gamma^j_{sk} whole on first read, 2b being
+``geometry.connection_numerators`` on G, A and G^-1, and d_r b one entry
+at a time by its product rule.  Gamma and d_r Gamma, which flatness and
+linearity read, are b and d_r b lowered by G^-1; the Mokhov side reads b
+and d_r b themselves (``obstruction_at`` adds R), so at a point the
+connection of a metric is built once for both.  A stream that stops at
+its first failing component so computes no jet past it, and a passing scan
+reads every entry once.
 
 Sample points are seeded integer points (as Fractions); those where any
 metric is singular are rejected and redrawn, and after 100 rejections
@@ -86,12 +88,15 @@ class PointFrame:
     """Jets of one linear metric at one point.
 
     G (the bivector) and A[r] = d_r G are evaluated on construction.  Every
-    other jet is computed on first read and memoised: G^-1, its first
-    derivatives dGinv and the Christoffel symbols Gamma whole; the second
-    derivatives d_r d_m G^-1 one direction r at a time (``ddGinv(r)``, a
-    slice of n matrices); d_r Gamma^i_{jk} one entry at a time
-    (``dgamma``).  A kernel that stops at its first failing component so
-    pays only for the slices and entries it read."""
+    other jet is computed on first read and memoised: G^-1, f[s] =
+    A[s] G^-1, the first derivatives dGinv, the contravariant Christoffel
+    symbols b and the Christoffel symbols Gamma whole; d_r b^{ij}_k
+    (``db``) and d_r Gamma^i_{jk} (``dgamma``) one entry at a time.  The
+    connection has one formula: 2b is ``geometry.connection_numerators`` on
+    G and f, and Gamma^i_{jk} = -g_{js} b^{si}_k with g_{js} = Ginv, so
+    d_r Gamma^i_{jk} = -(d_r g_{js} b^{si}_k + g_{js} d_r b^{si}_k).  A
+    kernel that stops at its first failing component so pays only for the
+    entries it read."""
 
     def __init__(self, g: LinearMetric, point):
         self.n = g.n
@@ -101,97 +106,76 @@ class PointFrame:
         self.constant = all(
             all(all(x == 0 for x in row) for row in a) for a in self.A
         )
-        self._ginv = None
-        self._dginv = None
-        self._gamma = None
-        self._ai = None  # A[k] Ginv, set with dGinv
-        self._dd = {}  # (r, m), r <= m -> d_r d_m Ginv
-        self._chris = {}  # None, or a direction r -> _first_kind(r)
+        self._db = {}  # (r, i, j, k) -> d_r b^{ij}_k
         self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk}
 
-    @property
+    @functools.cached_property
     def Ginv(self):
-        if self._ginv is None:
-            inv = inverse(self.G)
-            if inv is None:
-                raise ZeroDivisionError("metric degenerate at sample point")
-            self._ginv = inv
-        return self._ginv
+        inv = inverse(self.G)
+        if inv is None:
+            raise ZeroDivisionError("metric degenerate at sample point")
+        return inv
 
-    @property
+    @functools.cached_property
+    def f(self):
+        """f[s] = A[s] G^-1, so d_s G^-1 = -G^-1 f[s] and d_r f[s] = -f[s] f[r]."""
+        if self.constant:
+            return _zeros(self.n, self.n, self.n)
+        return [mat_mul(a, self.Ginv) for a in self.A]
+
+    @functools.cached_property
     def dGinv(self):
-        if self._dginv is None:
-            n = self.n
-            if self.constant:
-                self._ai = self._dginv = _zeros(n, n, n)
-            else:
-                # d_k Ginv = -Ginv A[k] Ginv; A[k] Ginv is kept for ddGinv
-                inv = self.Ginv
-                self._ai = [mat_mul(a, inv) for a in self.A]
-                self._dginv = [[[-x for x in row] for row in mat_mul(inv, ai)]
-                               for ai in self._ai]
-        return self._dginv
+        if self.constant:
+            return self.f
+        return [[[-x for x in row] for row in mat_mul(self.Ginv, fk)] for fk in self.f]
 
-    def ddGinv(self, r):
-        """[d_r d_m Ginv for m in 0..n-1], the slice of direction r."""
-        return [self._ddpair(min(r, m), max(r, m)) for m in range(self.n)]
+    @functools.cached_property
+    def _b2(self):
+        # 2b = A + e - e^T with e^{ij}_k = G^{is} f[s][j][k]
+        return connection_numerators(self.G, self.f, self.A, 1)
 
-    def _ddpair(self, r, m):
-        # d_r d_m Ginv = -(B + B^T) with B = d[r] A[m] Ginv: d[r] = -Ginv
-        # A[r] Ginv with Ginv and A[m] symmetric makes B^T = d[m] A[r] Ginv.
-        # One product per unordered pair, shared by the slices r and m
-        dd = self._dd.get((r, m))
-        if dd is None:
-            rng = range(self.n)
-            B = mat_mul(self.dGinv[r], self._ai[m])
-            dd = self._dd[r, m] = [[-(B[a][b] + B[b][a]) for b in rng] for a in rng]
-        return dd
+    @functools.cached_property
+    def b(self):
+        """b[i][j][k] = b^{ij}_k = -G^{is} Gamma^j_{sk}."""
+        return [[[HALF * x for x in row] for row in plane] for plane in self._b2]
 
-    @property
+    def db(self, r, i, j, k):
+        """d_r b^{ij}_k, memoised: the product rule on 2b = A + e - e^T with
+        d_r G = A[r] and d_r f[s] = -f[s] f[r], where -(e - e^T) f[r] =
+        -(2b - A) f[r]."""
+        v = self._db.get((r, i, j, k))
+        if v is None:
+            A, f, b2 = self.A, self.f, self._b2[i][j]
+            Ar, fr = A[r], f[r]
+            v = self._db[r, i, j, k] = HALF * sum(
+                Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k] - (b2[s] - A[s][i][j]) * fr[s][k]
+                for s in range(self.n))
+        return v
+
+    @functools.cached_property
     def Gamma(self):
-        if self._gamma is None:
-            n = self.n
-            if self.constant:
-                self._gamma = _zeros(n, n, n)
-            else:
-                rng = range(n)
-                G, C = self.G, self._first_kind(None)
-                self._gamma = [
-                    [[HALF * sum(G[i][l] * C[l][j][k] for l in rng) for k in rng] for j in rng]
-                    for i in rng
-                ]
-        return self._gamma
-
-    def _first_kind(self, r):
-        """C[l][j][k] = d[j][l][k] + d[k][l][j] - d[l][j][k], twice the
-        Christoffel symbols of the first kind, with d = dGinv (r = None), or
-        its derivative d_r, with d = ddGinv(r); memoised."""
-        C = self._chris.get(r)
-        if C is None:
-            rng = range(self.n)
-            d = self.dGinv if r is None else self.ddGinv(r)
-            C = self._chris[r] = [
-                [[d[j][l][k] + d[k][l][j] - d[l][j][k] for k in rng] for j in rng]
-                for l in rng
-            ]
-        return C
+        """Gamma[i][j][k] = Gamma^i_{jk} = -g_{js} b^{si}_k."""
+        n = self.n
+        if self.constant:
+            return _zeros(n, n, n)
+        b = self.b
+        return [[[-x for x in row] for row in mat_mul(self.Ginv, [b[s][i] for s in range(n)])]
+                for i in range(n)]
 
     def dgamma(self, r, i, j, k):
-        """d_r Gamma^i_{jk} = (A[r]^{il} C[l][j][k] + G^{il} d_r C[l][j][k]) / 2,
+        """d_r Gamma^i_{jk} = -(d_r g_{js} b^{si}_k + g_{js} d_r b^{si}_k),
         memoised (it is symmetric in j, k)."""
         if j > k:
             j, k = k, j
         v = self._dgamma.get((r, i, j, k))
         if v is None:
-            v = self._dgamma[r, i, j, k] = self._dgamma_entry(r, i, j, k)
+            if self.constant:
+                v = Fraction(0)
+            else:
+                dg, g, b = self.dGinv[r][j], self.Ginv[j], self.b
+                v = -sum(dg[s] * b[s][i][k] + g[s] * self.db(r, s, i, k) for s in range(self.n))
+            self._dgamma[r, i, j, k] = v
         return v
-
-    def _dgamma_entry(self, r, i, j, k):
-        if self.constant:
-            return Fraction(0)
-        C, dC = self._first_kind(None), self._first_kind(r)
-        Ar, G = self.A[r][i], self.G[i]
-        return HALF * sum(Ar[l] * C[l][j][k] + G[l] * dC[l][j][k] for l in range(self.n))
 
 
 class FrameCache:
@@ -227,33 +211,19 @@ def flat_at(f: PointFrame):
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
     """(b, R, db, dR) at the point, for a constant metric g: the
-    contravariant Christoffel symbols b^{ij}_k of h and the raised
-    obstruction R^{ijk} = -Gg^{ir} b^{kj}_r whole, and their derivatives as
-    memoised entries, db(r, i, j, k) = d_r b^{ij}_k and
-    dR(r, i, j, k) = d_r R^{ijk}.  Only first jets are read: 2b is
-    ``geometry.connection_numerators`` on H and f[s] = A[s] H^-1, that is
-    2b = A + e - e^T with e^{ij}_k = H^{is} f[s][j][k], and d_r b its
-    product rule with d_r H = A[r] and d_r f[s] = A[s] d_r H^-1 =
-    -f[s] f[r], where -(e - e^T) f[r] = -(2b - A) f[r]."""
-    n = fh.n
+    contravariant Christoffel symbols b^{ij}_k of h and their derivatives
+    db(r, i, j, k) = d_r b^{ij}_k (``fh.b``, ``fh.db``), the raised
+    obstruction R^{ijk} = -Gg^{ir} b^{kj}_r whole and its derivatives as
+    memoised entries dR(r, i, j, k) = d_r R^{ijk}.  Only first jets of h
+    are read."""
+    n, Gg, db = fh.n, fg.G, fh.db
     rng = range(n)
-    H, A, Gg = fh.G, fh.A, fg.G
-    f = [mat_mul(a, fh.Ginv) for a in A]
-    b2 = connection_numerators(H, f, A, 1)
-    b = [[[HALF * x for x in row] for row in plane] for plane in b2]
-    w = [[[b2[i][j][s] - A[s][i][j] for s in rng] for j in rng] for i in rng]
-
-    @functools.cache
-    def db(r, i, j, k):
-        Ar, wij, fr = A[r], w[i][j], f[r]
-        return HALF * sum(Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k]
-                          - wij[s] * fr[s][k] for s in rng)
 
     @functools.cache
     def dR(r, i, j, k):
         return -sum(Gg[i][s] * db(r, k, j, s) for s in rng if Gg[i][s])
 
-    return b, raised_obstruction(Gg, b, n), db, dR
+    return fh.b, raised_obstruction(Gg, fh.b, n), db, dR
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):

@@ -6,9 +6,9 @@ Two independent criteria are implemented for d = 2:
   flatness of both metrics.  The first metric is constant, so the
   identities depend only on the contravariant connection
   b^{ij}_k = -h^{is} Gamma~^j_{sk} of h, and geometry.mokhov_identities
-  states them once on b; three feeds supply it: the constant connection,
-  the rational b_upper of levi_civita(h), and b at a point from first jets
-  (pointcheck.obstruction_at);
+  states them once on b; three feeds supply it, each from the one formula
+  geometry.connection_numerators: the constant connection, the rational
+  b_upper of levi_civita(h), and b at a point (pointcheck.PointFrame.b);
 * the equivalent triple: linearity of h in the flat coordinates of g,
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 

@@ -101,13 +101,13 @@ def test_q_kernel_is_symbolic():
 
 
 def test_mokhov_kernel_reads_first_jets_only(monkeypatch):
-    # b, R and their derivatives come from G, A, G^-1 and d G^-1 of h; the
-    # second jets of either frame are never read
+    # b, R and their derivatives come from G, A and G^-1 of h; neither
+    # frame's Christoffel symbols Gamma nor their derivatives are read
     def refuse(*args):
-        raise AssertionError("second jet read")
+        raise AssertionError("Christoffel symbols read")
 
     monkeypatch.setattr(pc.PointFrame, "dgamma", refuse)
-    monkeypatch.setattr(pc.PointFrame, "ddGinv", refuse)
+    monkeypatch.setattr(pc.PointFrame, "Gamma", property(refuse))
     hits = set()
     for name, g, h in _small_corpus(2, 11) + _small_corpus(3, 12):
         qpt = pc.sample_points(g.nvars, [g, h], seed=7, count=1)[0]
@@ -177,26 +177,33 @@ def test_point_singular_mod_p_runs_on_q(h22):
 
 
 def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
-    # a flat(g2) hit builds d_r Gamma entry by entry, as the curvature
-    # components up to the first failing one read them, not all n^4; the
-    # witness is the numerator oracle's
+    # a flat(g2) hit builds d_r Gamma and the d_r b it reads entry by entry,
+    # as the curvature components up to the first failing one read them, not
+    # all n^4; the witness is the numerator oracle's.  h's connection is
+    # built once at the point: by flat(g2), and T1-T5 read the same b
     g, (h,) = corpus_pairs(4, random.Random(43), raw=1, killing=0, family=0, constant=0)
-    entries = []
-    entry = pc.PointFrame._dgamma_entry
+    built = []
+    numerators = pc.connection_numerators
 
-    def counted(f, *idx):
-        entries.append(idx)
-        return entry(f, *idx)
+    def counted(*args):
+        built.append(args)
+        return numerators(*args)
 
-    monkeypatch.setattr(pc.PointFrame, "_dgamma_entry", counted)
+    monkeypatch.setattr(pc, "connection_numerators", counted)
     points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
-    (flat,) = _scan_points({"flat(g2)": list}, _mokhov_at, (g, h), points, pc.FrameCache())
+    cache = pc.FrameCache()
+    (flat,) = _scan_points({"flat(g2)": list}, _mokhov_at, (g, h), points, cache)
     assert not flat.passed
     assert flat.witness.point == tuple(f"{x}/1" for x in points[0])
-    assert 0 < len(entries) < g.n**4
+    fh = cache.frame(h, points[0])
+    assert 0 < len(fh._dgamma) < g.n**4 and 0 < len(fh._db) < g.n**4
     idx, value = _riemann_numerator_hit(h, [Fraction(x) for x in flat.witness.point])
     assert flat.witness.indices == idx
     assert flat.witness.residual == f"{value.numerator}/{value.denominator}"
+    assert len(built) == 1
+    mokhov = _scan_points(dict.fromkeys(T_NAMES, list), _mokhov_at, (g, h), points[:1], cache)
+    assert not any(c.passed for c in mokhov)
+    assert len(built) == 1
 
 
 def test_each_pending_condition_is_evaluated_once_per_point(monkeypatch):
