@@ -35,7 +35,7 @@ representation (ints, Fractions, MultiPoly, RationalFunction):
 derivatives; ``flatness_witness``, ``covariant_hessian``,
 ``nijenhuis_stream`` and ``killing_stream`` run the symbolic streams
 lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
-from them, ``pointcheck`` feeds them Fraction values at a point, and
+from them, ``pointcheck`` feeds them int numerators at a point, and
 ``families`` the constant derivatives of one unknown coefficient at a time.
 
 Index conventions: public tensors are returned as nested 0-based lists;

@@ -4,8 +4,9 @@ entries have field arithmetic too).
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
 ``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
-Q for ``pointcheck``'s frames and the unit columns of ``families``, and
-over plain ints for the powers in the Segre rank sequences of ``spectral``.
+Q for the unit columns of ``families``, and over plain ints for
+``pointcheck``'s frames and the powers in the Segre rank sequences of
+``spectral``.
 Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY

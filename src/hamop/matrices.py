@@ -10,14 +10,11 @@ list of rows over any ring, such as the integer coefficient arrays of
 ``geometry.coefficient_arrays``.  Inverses are returned in adjugate/determinant
 form with gcd-normalized rational-function entries, so m * m^-1 is exactly
 the identity.
-``PolyMatrix.at_point`` evaluates polynomial entries over Q through
-``MultiPoly.eval``, the one polynomial evaluator; ``pointcheck``'s frames
-read it.  ``PolyMatrix.int_at`` gives the value at
-an integer point as an integer matrix A = D M(pt) with its scale D, in int
-arithmetic only: ``metrics.degenerate_at`` and ``spectral``'s point spectra
-read that one.  Dense products of the evaluated matrices are
-``linsolve.mat_mul``: over Q in the frames, and over Z in ``spectral``'s
-rank sequences.
+``PolyMatrix.int_at`` gives the value at an integer point as an integer
+matrix A = D M(pt) with its scale D, in int arithmetic only: it is the one
+point evaluation of a matrix, read by ``pointcheck``'s frames,
+``metrics.degenerate_at`` and ``spectral``'s point spectra.  Dense products
+of the evaluated matrices are ``linsolve.mat_mul``, over Z.
 """
 
 from __future__ import annotations
@@ -162,11 +159,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
-
-    def at_point(self, point) -> list[list]:
-        """Polynomial entries evaluated at ``point`` (ints or Fractions) by
-        ``MultiPoly.eval``, as Fractions."""
-        return [[x.eval(point) for x in row] for row in self.entries]
 
     def int_at(self, point) -> tuple[list[list[int]], int]:
         """(A, D) with A = D M(point) an int matrix, at a point with integer

@@ -1,36 +1,41 @@
-"""Exact evaluation of the verification conditions at sample points.
+"""Exact evaluation of the verification conditions at sample points, over Z.
 
-Every per-point formula here (metric jets, Christoffel symbols, the
-contravariant connection of h and its derivative) is written once, over Q:
-jets are Fractions.  The conditions themselves are not restated here:
-``flat_at``, ``mokhov_at``, ``nijenhuis_at``, ``killing_at`` and
-``linearity_at`` feed point values (and the derivative each needs) to the
-one statement of their condition in ``geometry`` (``riemann_components``,
-``mokhov_identities``, ``nijenhuis_components``, ``killing_components``,
-``hessian_components``), written once for every exact scalar
-representation, and return its first hit.  A hit is exact: its residual is
-the condition's rational value at the point, and it is the witness.
+Every per-point formula here (metric jets, the contravariant connection
+of a metric, its Christoffel symbols and their derivatives) is written
+once, in int arithmetic: a jet is an int numerator over a known power of
+det and D, where D g(pt) = G is the metric's value at the integer point
+scaled to an int matrix and det = det G.  The conditions themselves are
+not restated here: ``flat_at``, ``mokhov_at``, ``nijenhuis_at``,
+``killing_at`` and ``linearity_at`` feed numerators of one uniform weight
+(and the derivative each needs) to the one statement of their condition in
+``geometry`` (``riemann_components``, ``mokhov_identities``,
+``nijenhuis_components``, ``killing_components``, ``hessian_components``),
+written once for every exact scalar representation, and return its first
+hit.  A hit is exact: the stream's numerator is nonzero iff the condition's
+value is, and the residual is that numerator over the kernel's denominator,
+the condition's rational value at the point.  It is the one Fraction a scan
+builds, and it is the witness.
 
 The jets are computed as a condition reads them, from first jets only:
-the connection has one formula.  ``PointFrame`` builds G^-1, its first
-derivatives and the contravariant Christoffel symbols b^{ij}_k =
--G^{is} Gamma^j_{sk} whole on first read, 2b being
-``geometry.connection_numerators`` on G, A and G^-1, and d_r b one entry
-at a time by its product rule.  Gamma and d_r Gamma, which flatness and
-linearity read, are b and d_r b lowered by G^-1; the Mokhov side reads b
-and d_r b themselves (``obstruction_at`` adds R), so at a point the
-connection of a metric is built once for both.  A stream that stops at
-its first failing component so computes no jet past it, and a passing scan
-reads every entry once.
+the connection has one formula.  ``PointFrame`` reads 2 det D b, the
+numerator c of the contravariant Christoffel symbols b^{ij}_k =
+-g^{is} Gamma^j_{sk}, off ``geometry.connection_numerators`` on G, A[s] adj
+and A[s] = D d_s g, and d_r b one entry at a time by its product rule.
+Gamma and d_r Gamma, which flatness and linearity read, are b and d_r b
+lowered by g^-1 = D adj / det, Gamma by rows and d_r Gamma by entries;
+the Mokhov side reads c and d_r b themselves (``obstruction_at`` adds R),
+so at a point the connection of a metric is built once for both.  A stream
+that stops at its first failing component so computes no jet past it, and
+a passing scan reads every entry once.
 
-Sample points are seeded integer points (as Fractions); those where any
-metric is singular are rejected and redrawn, and after 100 rejections
-DegenerateEverywhere is raised.  Rejection is integer work: each
-metric's value at the point is scaled to an integer matrix and its Bareiss
-rank read (``metrics.degenerate_at``).  ``FrameCache`` shares the frames of
-one point between conditions and criteria.
-``tests/test_pointcheck.py::test_symbolic_tensors_match_point_hits`` pins
-the symbolic and the point feeds component by component.
+Sample points are seeded integer points (as Fractions with denominator 1);
+those where any metric is singular are rejected and redrawn, and after
+100 rejections DegenerateEverywhere is raised.  Rejection is integer work:
+each metric's value at the point is scaled to an integer matrix and its
+Bareiss rank read (``metrics.degenerate_at``).  ``FrameCache`` shares the
+frames of one point between conditions and criteria.
+``tests/test_pointcheck.py`` pins every jet and every hit to the symbolic
+streams at the point.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateEverywhere
 from .geometry import (
@@ -50,18 +56,12 @@ from .geometry import (
     raised_obstruction,
     riemann_components,
 )
-from .linsolve import inverse, mat_mul
+from .linsolve import mat_mul
+from .matrices import adjugate_det
 from .metrics import LinearMetric, degenerate_at
 
 SAMPLE_RANGE = 10**6
 MAX_REJECT = 100
-HALF = Fraction(1, 2)
-
-
-def _zeros(*shape):
-    if len(shape) == 1:
-        return [Fraction(0)] * shape[0]
-    return [_zeros(*shape[1:]) for _ in range(shape[0])]
 
 
 def sample_points(nvars: int, metrics, seed: int, count: int):
@@ -84,97 +84,125 @@ def sample_points(nvars: int, metrics, seed: int, count: int):
     return pts
 
 
-class PointFrame:
-    """Jets of one linear metric at one point.
+class _Rows:
+    """Read-only sequence whose item i is ``make(i)``, built on first read."""
 
-    G (the bivector) and A[r] = d_r G are evaluated on construction.  Every
-    other jet is computed on first read and memoised: G^-1, f[s] =
-    A[s] G^-1, the first derivatives dGinv, the contravariant Christoffel
-    symbols b and the Christoffel symbols Gamma whole; d_r b^{ij}_k
-    (``db``) and d_r Gamma^i_{jk} (``dgamma``) one entry at a time.  The
-    connection has one formula: 2b is ``geometry.connection_numerators`` on
-    G and f, and Gamma^i_{jk} = -g_{js} b^{si}_k with g_{js} = Ginv, so
-    d_r Gamma^i_{jk} = -(d_r g_{js} b^{si}_k + g_{js} d_r b^{si}_k).  A
-    kernel that stops at its first failing component so pays only for the
+    __slots__ = ("_make", "_items")
+
+    def __init__(self, make):
+        self._make = make
+        self._items = {}
+
+    def __getitem__(self, i):
+        v = self._items.get(i)
+        if v is None:
+            v = self._items[i] = self._make(i)
+        return v
+
+
+class PointFrame:
+    """Integer jets of one linear metric g at one integer point.
+
+    G = D g(pt) and A[s] = D d_s g, int matrices with D the lcm of the
+    coefficient denominators of g's entries and their partials
+    (``PolyMatrix.int_at``), are evaluated on construction.  Every other jet
+    is an int, or an int numerator over a known denominator, computed on
+    first read and memoised:
+
+    * ``adj``, ``det``: adj G and det G, so g^-1 = D adj / det;
+    * ``F[s]`` = A[s] adj, so d_s g g^-1 = F[s] / det;
+    * ``c``: b^{ij}_k = c[i][j][k] / (2 det D), whole
+      (``geometry.connection_numerators`` on G, F and A);
+    * ``db(r, i, j, k)``: d_r b^{ij}_k = db / (2 det^2 D), one entry at a
+      time;
+    * ``gamma``: Gamma^i_{jk} = gamma[i][j][k] / (2 det^2), with
+      gamma = -adj c as Gamma^i_{jk} = -g_{js} b^{si}_k, one row
+      gamma[i][j] at a time;
+    * ``dgamma(r, i, j, k)``: d_r Gamma^i_{jk} = dgamma / (2 det^3), one
+      entry at a time, from d_r g_{js} = -D (adj F[r])_{js} / det^2.
+
+    A kernel that stops at its first failing component so pays only for the
     entries it read."""
 
     def __init__(self, g: LinearMetric, point):
         self.n = g.n
         self.point = point
-        self.G = g.mat.at_point(point)
-        self.A = [m.at_point(point) for m in g.derivative_matrices()]
-        self.constant = all(
-            all(all(x == 0 for x in row) for row in a) for a in self.A
-        )
-        self._db = {}  # (r, i, j, k) -> d_r b^{ij}_k
-        self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk}
+        (G, dg), *A = [m.int_at(point) for m in (g.mat, *g.derivative_matrices())]
+        self.D = lcm(dg, *(d for _, d in A))
+        self.G = [[x * (self.D // dg) for x in row] for row in G]
+        self.A = [[[x * (self.D // d) for x in row] for row in a] for a, d in A]
+        self.constant = not any(x for a in self.A for row in a for x in row)
+        self._db = {}  # (r, i, j, k) -> d_r b^{ij}_k numerator
+        self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk} numerator
 
     @functools.cached_property
-    def Ginv(self):
-        inv = inverse(self.G)
-        if inv is None:
+    def _adj_det(self):
+        adj, det = adjugate_det(self.G)
+        if not det:
             raise ZeroDivisionError("metric degenerate at sample point")
-        return inv
+        return adj, det
+
+    @property
+    def adj(self):
+        return self._adj_det[0]
+
+    @property
+    def det(self):
+        return self._adj_det[1]
 
     @functools.cached_property
-    def f(self):
-        """f[s] = A[s] G^-1, so d_s G^-1 = -G^-1 f[s] and d_r f[s] = -f[s] f[r]."""
-        if self.constant:
-            return _zeros(self.n, self.n, self.n)
-        return [mat_mul(a, self.Ginv) for a in self.A]
+    def F(self):
+        return [mat_mul(a, self.adj) for a in self.A]
 
     @functools.cached_property
-    def dGinv(self):
-        if self.constant:
-            return self.f
-        return [[[-x for x in row] for row in mat_mul(self.Ginv, fk)] for fk in self.f]
-
-    @functools.cached_property
-    def _b2(self):
-        # 2b = A + e - e^T with e^{ij}_k = G^{is} f[s][j][k]
-        return connection_numerators(self.G, self.f, self.A, 1)
-
-    @functools.cached_property
-    def b(self):
-        """b[i][j][k] = b^{ij}_k = -G^{is} Gamma^j_{sk}."""
-        return [[[HALF * x for x in row] for row in plane] for plane in self._b2]
+    def c(self):
+        return connection_numerators(self.G, self.F, self.A, self.det)
 
     def db(self, r, i, j, k):
-        """d_r b^{ij}_k, memoised: the product rule on 2b = A + e - e^T with
-        d_r G = A[r] and d_r f[s] = -f[s] f[r], where -(e - e^T) f[r] =
-        -(2b - A) f[r]."""
+        """Numerator of d_r b^{ij}_k over 2 det^2 D, memoised: the product
+        rule on 2b = d g + e - e^T with e^{ij}_k = g^{is} (d_s g g^-1)^j_k and
+        d_r (d_s g g^-1) = -(d_s g g^-1)(d_r g g^-1), where
+        e - e^T = (c - det A) / (det D)."""
         v = self._db.get((r, i, j, k))
         if v is None:
-            A, f, b2 = self.A, self.f, self._b2[i][j]
-            Ar, fr = A[r], f[r]
-            v = self._db[r, i, j, k] = HALF * sum(
-                Ar[i][s] * f[s][j][k] - Ar[j][s] * f[s][i][k] - (b2[s] - A[s][i][j]) * fr[s][k]
+            A, F, det, ci = self.A, self.F, self.det, self.c[i][j]
+            Ar, Fr, Aij = A[r], F[r], [a[i][j] for a in A]
+            v = self._db[r, i, j, k] = sum(
+                det * (Ar[i][s] * F[s][j][k] - Ar[j][s] * F[s][i][k])
+                - (ci[s] - det * Aij[s]) * Fr[s][k]
                 for s in range(self.n))
         return v
 
     @functools.cached_property
-    def Gamma(self):
-        """Gamma[i][j][k] = Gamma^i_{jk} = -g_{js} b^{si}_k."""
-        n = self.n
-        if self.constant:
-            return _zeros(n, n, n)
-        b = self.b
-        return [[[-x for x in row] for row in mat_mul(self.Ginv, [b[s][i] for s in range(n)])]
-                for i in range(n)]
+    def gamma(self):
+        adj, c, rng = self.adj, self.c, range(self.n)
+
+        def row(i, j):
+            return [-sum(adj[j][s] * c[s][i][k] for s in rng) for k in rng]
+
+        return _Rows(lambda i: _Rows(lambda j: row(i, j)))
+
+    @functools.cached_property
+    def _q(self):
+        # _q[r][j] is row j of adj F[r] = adj A[r] adj
+        adj, F, rng = self.adj, self.F, range(self.n)
+
+        def row(r, j):
+            return [sum(adj[j][m] * F[r][m][k] for m in rng) for k in rng]
+
+        return _Rows(lambda r: _Rows(lambda j: row(r, j)))
 
     def dgamma(self, r, i, j, k):
-        """d_r Gamma^i_{jk} = -(d_r g_{js} b^{si}_k + g_{js} d_r b^{si}_k),
-        memoised (it is symmetric in j, k)."""
+        """Numerator of d_r Gamma^i_{jk} over 2 det^3,
+        (adj F[r])_{js} c^{si}_k - adj_{js} db(r, s, i, k), memoised (it is
+        symmetric in j, k)."""
         if j > k:
             j, k = k, j
         v = self._dgamma.get((r, i, j, k))
         if v is None:
-            if self.constant:
-                v = Fraction(0)
-            else:
-                dg, g, b = self.dGinv[r][j], self.Ginv[j], self.b
-                v = -sum(dg[s] * b[s][i][k] + g[s] * self.db(r, s, i, k) for s in range(self.n))
-            self._dgamma[r, i, j, k] = v
+            q, adj_j, c = self._q[r][j], self.adj[j], self.c
+            v = self._dgamma[r, i, j, k] = sum(
+                q[s] * c[s][i][k] - adj_j[s] * self.db(r, s, i, k) for s in range(self.n))
         return v
 
 
@@ -197,25 +225,34 @@ class FrameCache:
         return [self.frame(m, point) for m in metrics]
 
 
-def _first(stream):
-    """First (indices, residual) of a stream with a nonzero residual, or None."""
-    return next((hit for hit in stream if hit[1]), None)
+def _first(stream, den, scale=1):
+    """(indices, scale * numerator / den) of the first component of a
+    stream of int numerators that is nonzero, or None."""
+    hit = next((hit for hit in stream if hit[1]), None)
+    return hit and (hit[0], Fraction(scale * hit[1], den))
 
 
 def flat_at(f: PointFrame):
-    """First failing (indices, residual) of R = 0, or None."""
+    """First failing (indices, residual) of R = 0, or None: with
+    Gamma = gamma / (2 det^2) and d Gamma = dgamma / (2 det^3), the stream
+    on gamma and 2 det dgamma is 4 det^4 R."""
     if f.constant:
         return None
-    return _first(riemann_components(f.Gamma, f.dgamma, f.n))
+    det, dgamma = f.det, f.dgamma
+
+    def d(r, i, j, k):
+        return 2 * det * dgamma(r, i, j, k)
+
+    return _first(riemann_components(f.gamma, d, f.n), 4 * det**4)
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
-    """(b, R, db, dR) at the point, for a constant metric g: the
-    contravariant Christoffel symbols b^{ij}_k of h and their derivatives
-    db(r, i, j, k) = d_r b^{ij}_k (``fh.b``, ``fh.db``), the raised
-    obstruction R^{ijk} = -Gg^{ir} b^{kj}_r whole and its derivatives as
-    memoised entries dR(r, i, j, k) = d_r R^{ijk}.  Only first jets of h
-    are read."""
+    """(R, dR) at the point, for a constant metric g: the raised obstruction
+    R^{ijk} = -g^{ir} b^{kj}_r = R[i][j][k] / (2 det D Dg) whole, and its
+    derivatives as memoised entries d_r R^{ijk} = dR(r, i, j, k) /
+    (2 det^2 D Dg), where b = ``fh.c`` / (2 det D) and d_r b = ``fh.db`` /
+    (2 det^2 D) are h's, and Dg g = ``fg.G``.  Only first jets of h are
+    read."""
     n, Gg, db = fh.n, fg.G, fh.db
     rng = range(n)
 
@@ -223,62 +260,86 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     def dR(r, i, j, k):
         return -sum(Gg[i][s] * db(r, k, j, s) for s in rng if Gg[i][s])
 
-    return fh.b, raised_obstruction(Gg, fh.b, n), db, dR
+    return raised_obstruction(Gg, fh.c, n), dR
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):
     """Yield (name, thunk) for T1..T5 at the frames' point, in order;
     ``thunk()`` is the hit, (indices, residual) of the first failing index
-    tuple, or None.  b and R are built by the first thunk called, and only
-    the derivative entries that T4 and T5 read are."""
+    tuple, or None.  The streams run on the numerators c of b, R and 2 dR
+    of ``obstruction_at`` and h's G: with B = 2 det D, b = c / B and
+    R^{ijk} = R[i][j][k] / (B Dg), T1 and T2 are over B Dg, T3 and T5 over
+    B^2 Dg, and T4 over 2 B det Dg.  c and R are built by the first thunk
+    called, and only the derivative entries that T4 and T5 read are."""
+    B, Dg = 2 * fh.det * fh.D, fg.D
+    dens = dict(zip(T_NAMES, (B * Dg, B * Dg, B * B * Dg, 2 * B * fh.det * Dg, B * B * Dg)))
 
     @functools.cache
     def streams():
-        b, R, _, dR = obstruction_at(fg, fh)
-        return dict(mokhov_identities(R, dR, b, fh.G, fg.n))
+        R, dR = obstruction_at(fg, fh)
+        return dict(mokhov_identities(R, lambda *idx: 2 * dR(*idx), fh.c, fh.G, fg.n))
 
     for name in T_NAMES:
-        yield name, lambda name=name: _first(streams()[name])
+        yield name, lambda name=name: _first(streams()[name], dens[name])
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
-    """First failing (indices, residual) of N(L) = 0 for L = H (G_gamma)^-1."""
-    n = fh.n
+    """First failing (indices, residual) of N(L) = 0 for L = h g^-1,
+    g the metric of ``fgamma``.  With Dh h = H and Dg g = G:
+    L = Dg / (Dh det) H adj and d_k L = Dg / (Dh det^2)
+    (det A_h[k] adj - H adj A_g[k] adj), and N is bilinear in (L, d L), so
+    the stream on the int numerators is Dh^2 det^3 / Dg^2 N.  Rows of the
+    numerators are built on first read."""
+    n, rng = fh.n, range(fh.n)
     H, Ah = fh.G, fh.A
-    ginv = fgamma.Ginv
-    dginv = fgamma.dGinv
-    L = mat_mul(H, ginv)
-    dL = [
-        [[x + y for x, y in zip(r1, r2)]
-         for r1, r2 in zip(mat_mul(Ah[k], ginv), mat_mul(H, dginv[k]))]
-        for k in range(n)
-    ]
-    return _first(nijenhuis_components(L, dL, n))
+    adj, det = fgamma.adj, fgamma.det
+    Fg = None if fgamma.constant else fgamma.F
+
+    def row(m):
+        return [sum(m[s] * adj[s][b] for s in rng if m[s]) for b in rng]
+
+    L = _Rows(lambda a: row(H[a]))
+
+    def d_row(k, a):
+        out = [det * x for x in row(Ah[k][a])]
+        if Fg is not None:
+            La, Fk = L[a], Fg[k]
+            out = [x - sum(La[s] * Fk[s][b] for s in rng) for b, x in enumerate(out)]
+        return out
+
+    dL = _Rows(lambda k: _Rows(lambda a: d_row(k, a)))
+    return _first(nijenhuis_components(L, dL, n), fh.D**2 * det**3, fgamma.D**2)
 
 
 def killing_at(fg: PointFrame, fh: PointFrame):
-    """First failing (indices, residual) of the Killing residual of (g, h)."""
-    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n))
+    """First failing (indices, residual) of the Killing residual of (g, h):
+    each term is one of g, d g times one of h, d h, so the stream on the
+    int arrays is Dg Dh times it."""
+    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n), fg.D * fh.D)
 
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame):
     """First failing (indices, residual) of the covariant Hessian of h with
-    respect to the frame's connection."""
+    respect to the frame's connection.  With Gamma = gamma / (2 det^2),
+    d Gamma = dgamma / (2 det^3) and Dh h = H, the stream on gamma, H and
+    2 det^2 d H (so that C is 2 det^2 Dh C) is 4 det^4 Dh times it."""
     rng = range(fh.n)
     H, Ah = fh.G, fh.A
-    G = fgamma.Gamma
+    G, det = fgamma.gamma, fgamma.det
+    two_det2 = 2 * det * det
+    dh = [[[two_det2 * x for x in row] for row in a] for a in Ah]
 
     @functools.cache
     def dG(r, i, s):
-        # [d_r Gamma^i_{sm} for every m], read n times per row
+        # [d_r Gamma^i_{sm} numerators for every m], read n times per row
         return [fgamma.dgamma(r, i, s, m) for m in rng]
 
     def dC(C, r, s, i, j):
         # product rule on C[s]^{ij}; d_r d_s h = 0 as h is linear
         dGi, dGj, Gi, Gj, Ar = dG(r, i, s), dG(r, j, s), G[i][s], G[j][s], Ah[r]
-        return sum(
-            dGi[m] * H[m][j] + Gi[m] * Ar[m][j] + dGj[m] * H[i][m] + Gj[m] * Ar[i][m]
+        return 2 * det * sum(
+            dGi[m] * H[m][j] + det * Gi[m] * Ar[m][j] + dGj[m] * H[i][m] + det * Gj[m] * Ar[i][m]
             for m in rng
         )
 
-    return _first(hessian_components(G, H, Ah, dC, fh.n))
+    return _first(hessian_components(G, H, dh, dC, fh.n), 4 * det**4 * fh.D)

@@ -28,10 +28,11 @@ through.  Serialization emits terms in descending canonical order with
 coefficients written "p/q".
 
 ``MultiPoly.eval`` is the one polynomial evaluator over Q
-(``PolyMatrix.at_point``, and so ``pointcheck``'s frames, read it).
-``MultiPoly.int_eval`` is its int form at a point of ints: the numerator
-sum and the common denominator, with no Fraction (``PolyMatrix.int_at``).
-Both unpack a polynomial's exponents once, on its first evaluation.
+(``RationalFunction.eval`` reads it).  ``MultiPoly.int_eval`` is its int
+form at a point of ints: the numerator sum and the common denominator,
+with no Fraction (``PolyMatrix.int_at``, and so ``pointcheck``'s frames,
+read it).  Both unpack a polynomial's exponents once, on its first
+evaluation.
 ``MultiPoly.affine_parts`` splits a polynomial of degree <= 1 in the
 u-block into integer-coefficient parts over its common denominator
 (``geometry.coefficient_arrays``).

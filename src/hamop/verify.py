@@ -8,7 +8,8 @@ Two independent criteria are implemented for d = 2:
   b^{ij}_k = -h^{is} Gamma~^j_{sk} of h, and geometry.mokhov_identities
   states them once on b; three feeds supply it, each from the one formula
   geometry.connection_numerators: the constant connection, the rational
-  b_upper of levi_civita(h), and b at a point (pointcheck.PointFrame.b);
+  b_upper of levi_civita(h), and the int numerator 2 det D b at a point
+  (pointcheck.PointFrame.c);
 * the equivalent triple: linearity of h in the flat coordinates of g,
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 
@@ -44,10 +45,16 @@ decided there too.  A condition proven there passes and builds no frame;
 the arrays claim only passes, so a failing condition's witness comes from
 the pipeline below, as it would without them.
 
-Every other condition is evaluated exactly, over Q, at seeded integer
-points (see pointcheck).  At each point only the conditions not yet decided
-are evaluated, each once and only up to its first failing component; a hit
-there is a nonzero rational value, and it is the witness.  A condition
+Every other condition is evaluated exactly at seeded integer points, in
+int arithmetic (see pointcheck).  A point frame scales a metric's value
+there to the int matrix G = D g(pt), and every jet a condition reads is an
+int numerator over a known power of det G and D: b = c / (2 det D),
+d_r b = db / (2 det^2 D), Gamma = gamma / (2 det^2) and
+d_r Gamma = dgamma / (2 det^3).  At each point only the conditions not
+yet decided are evaluated, each once and only up to its first failing
+component, on numerators of one weight; a hit is a nonzero numerator, and
+its quotient by the condition's denominator, the one Fraction the scan
+builds, is the rational value there and the witness.  A condition
 without a hit is then decided by its exact identity:
 flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
 reduced rational connection b of h, and the lazy linearity / Nijenhuis /
@@ -216,13 +223,15 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, proven=()) -> list[Co
     without a scan, and ``fn(*frames)`` on the frames of ``metrics`` at a
     point yields (name, thunk) for the others, where ``thunk()`` gives the
     condition's hit there, (indices, value) of its first failing component,
-    or None.  At each point only the conditions not yet decided are
-    evaluated, each once, over Q, on frames whose jets are built as the
-    conditions read them; a hit is the condition's witness.  Points are
-    scanned until every condition is decided, so a scan with every
-    condition proven builds no frame.  A condition without a hit is then
-    decided by ``proofs[name]()``, its exact identity as a lazy (indices,
-    residual) stream.  A condition's first failing point and index tuple do
+    or None.  ``points`` are integer points, as Fractions.  At each point
+    only the conditions not yet decided are evaluated, each once, in int
+    arithmetic on frames whose jets are int numerators over known powers of
+    det and D (``pointcheck.PointFrame``), built as the conditions read them;
+    a hit's value, its numerator over the condition's denominator, is the
+    witness.  Points are scanned until every condition is decided, so a
+    scan with every condition proven builds no frame.  A condition without
+    a hit is then decided by ``proofs[name]()``, its exact identity as a
+    lazy (indices, residual) stream.  A condition's first failing point and index tuple do
     not depend on which conditions share the scan."""
     decided = {name: ConditionResult(name, True) for name in proven}
     for pt in points:

@@ -8,8 +8,8 @@ import pytest
 
 from hamop import geometry, matrices
 from hamop import pointcheck as pc
-from hamop.matrices import PolyMatrix, determinant
-from hamop.metrics import LinearMetric
+from hamop.matrices import PolyMatrix
+from hamop.metrics import LinearMetric, identically_degenerate
 from hamop.poly import MultiPoly
 
 
@@ -45,7 +45,7 @@ def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50, nvars=None)
                 rows[i][j] = p
                 rows[j][i] = p
         mat = PolyMatrix(rows)
-        if not nondegenerate or not determinant(mat).is_zero():
+        if not nondegenerate or not identically_degenerate(mat):
             return mat
     raise AssertionError("could not draw a non-degenerate bivector")
 
@@ -114,7 +114,7 @@ def corpus_pairs(n, rng, raw=8, killing=6, family=6, constant=5):
                 continue
             term = b.scale(c)
             mat = term if mat is None else mat + term
-        if mat is None or determinant(mat).is_zero():
+        if mat is None or identically_degenerate(mat):
             continue
         out.append(LinearMetric(n, mat))
         made += 1
@@ -129,7 +129,7 @@ def corpus_pairs(n, rng, raw=8, killing=6, family=6, constant=5):
         for k, b in zip(kappas, fam.basis):
             if k:
                 mat = mat + b.scale(k)
-        if determinant(mat).is_zero():
+        if identically_degenerate(mat):
             continue
         out.append(LinearMetric(n, mat))
         made += 1
@@ -140,7 +140,7 @@ def corpus_pairs(n, rng, raw=8, killing=6, family=6, constant=5):
         vals = [[random_rational(rng, bound=4) for _ in range(n)] for _ in range(n)]
         sym = [[vals[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         mat = PolyMatrix.from_scalars(n, sym)
-        if determinant(mat).is_zero():
+        if identically_degenerate(mat):
             continue
         out.append(LinearMetric(n, mat))
         made += 1

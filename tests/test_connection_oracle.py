@@ -11,7 +11,9 @@ of the bivector g^{ij}, with g_{lk} = adj_{lk} / det, as polynomial
 numerators over det^2, and their partials by the quotient rule; the
 contravariant symbols are b^{ij}_k = -g^{is} Gamma^j_{sk}.  At a seeded
 sample point they must equal ``levi_civita(m).gamma`` and ``b_upper`` and
-their partials, and the frame's ``Gamma``, ``dgamma``, ``b`` and ``db``."""
+their partials, and the frame's int numerators over their denominators:
+``gamma`` / (2 det^2), ``dgamma`` / (2 det^3), ``c`` / (2 det D) and
+``db`` / (2 det^2 D)."""
 
 import itertools
 from fractions import Fraction
@@ -85,7 +87,11 @@ def test_connection_is_the_textbook_christoffel_symbols():
             conn, frame = levi_civita(m), pc.PointFrame(m, pt)
             assert [[[x.eval(pt) for x in row] for row in plane] for plane in conn.gamma] == gamma, name
             assert [[[x.eval(pt) for x in row] for row in plane] for plane in conn.b_upper] == b, name
-            assert frame.Gamma == gamma and frame.b == b, name
+            det, D, rng = frame.det, frame.D, range(m.n)
+            assert [[[Fraction(x, 2 * det**2) for x in frame.gamma[i][j]] for j in rng]
+                    for i in rng] == gamma, name
+            assert [[[Fraction(x, 2 * det * D) for x in row] for row in plane]
+                    for plane in frame.c] == b, name
             for idx in dgamma:
-                assert frame.dgamma(*idx) == dgamma[idx], (name, "dgamma", idx)
-                assert frame.db(*idx) == db[idx], (name, "db", idx)
+                assert Fraction(frame.dgamma(*idx), 2 * det**3) == dgamma[idx], (name, "dgamma", idx)
+                assert Fraction(frame.db(*idx), 2 * det**2 * D) == db[idx], (name, "db", idx)

@@ -78,10 +78,8 @@ def test_matrix_ops():
     assert m.is_symmetric()
     assert (m - m).is_zero()
     assert m.transpose() == m
-    assert m.at_point([Fraction(1), Fraction(2)]) == [
-        [Fraction(1), Fraction(2)],
-        [Fraction(2), Fraction(0)],
-    ]
+    assert m.int_at([Fraction(1), Fraction(2)]) == ([[1, 2], [2, 0]], 1)
+    assert m.scale(Fraction(1, 3)).int_at([Fraction(1), Fraction(2)]) == ([[1, 2], [2, 0]], 3)
     with pytest.raises(ValueError):
         PolyMatrix([[u1], [u2, u1]])
 

@@ -1,14 +1,18 @@
-"""The point kernel over Q and the point scans of verify.
+"""The integer point kernel and the point scans of verify.
 
-At a seeded integer point every jet of a ``PointFrame`` and every
-obstruction component is the value of its symbolic counterpart there, the
-symbolic residual streams are pinned to the point hits component by
-component, and a scan evaluates each pending condition once per point.
+At a seeded integer point every jet of a ``PointFrame``, an int numerator
+over its stated denominator, and every obstruction component is the value
+of its symbolic counterpart there; the symbolic residual streams are pinned
+to the point hits component by component; a scan evaluates each pending
+condition once per point, in int arithmetic, and builds one Fraction per
+hit.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +30,13 @@ from hamop.geometry import (
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.poly import MultiPoly
-from hamop.specfile import default_param_values, specialize_spec
+from hamop.scalars import format_rational
+from hamop.specfile import default_param_values, load_operator_spec, specialize_spec
 from hamop.verify import (
     SCAN_POINTS,
     _mokhov_at,
     _scan_points,
+    _t_streams,
     constant_inverse,
     mokhov_conditions,
     theorem2_conditions,
@@ -38,6 +44,7 @@ from hamop.verify import (
 )
 
 from conftest import corpus_pairs, operator5_pair, u_vars
+from test_spectral import FRACTION_ARITHMETIC
 
 # the Mersenne prime 2^61 - 1: a coefficient denominator and a scan point
 # coordinate far outside the seeded sample range
@@ -53,6 +60,16 @@ def _value(x, pt):
 def _partial(x, r):
     """d_r of a symbolic entry, int 0 for a zero entry."""
     return x.partial(r + 1) if x else 0
+
+
+def _at(t, pt):
+    """Values at ``pt`` of a nested list of symbolic entries."""
+    return [_at(x, pt) for x in t] if isinstance(t, list) else _value(t, pt)
+
+
+def _over(t, den):
+    """Nested list of int numerators over ``den``, as Fractions."""
+    return [_over(x, den) for x in t] if isinstance(t, list) else Fraction(t, den)
 
 
 def _catalog_spec(e):
@@ -71,10 +88,13 @@ def _small_corpus(n, seed):
 
 
 def test_q_kernel_is_symbolic():
-    # every jet of a frame is its symbolic counterpart at the point: G^-1
-    # the inverse metric, Gamma and d_r Gamma the Levi-Civita symbols and
-    # their partials, b and d_r b the contravariant b_upper of h and its
-    # partials, R and d_r R the raised obstruction on b_upper and its partials
+    # every jet of a frame is an int numerator over its stated denominator,
+    # and that quotient is its symbolic counterpart at the point: G / D the
+    # metric, D adj / det the inverse metric, gamma / (2 det^2) and
+    # dgamma / (2 det^3) the Levi-Civita symbols and their partials,
+    # c / (2 det D) and db / (2 det^2 D) the contravariant b_upper of h and
+    # its partials, R / (2 det D Dg) and dR / (2 det^2 D Dg) the raised
+    # obstruction on b_upper and its partials
     pairs = _small_corpus(2, 11) + _small_corpus(3, 12)
     pairs += [_catalog_pair(get_entry(i)) for i in ("mokhov-n3", "thm3-case1", "s22-case1")]
     for name, g, h in pairs:
@@ -82,39 +102,45 @@ def test_q_kernel_is_symbolic():
         qg, qh = pc.PointFrame(g, qpt), pc.PointFrame(h, qpt)
         rng = range(g.n)
         for m, f in ((g, qg), (h, qh)):
+            D, det = f.D, f.det
+            assert all(isinstance(x, int) for row in f.G + f.adj for x in row), name
             gamma = levi_civita(m).gamma
             inv = constant_inverse(m) if m.is_constant() else m.inverse()
-            assert f.Ginv == [[_value(x, qpt) for x in row] for row in inv.entries], name
-            assert f.Gamma == [[[_value(x, qpt) for x in row] for row in plane]
-                               for plane in gamma], (name, "Gamma")
+            assert _over(f.G, D) == _at(m.mat.entries, qpt), name
+            assert _over(f.adj, Fraction(det, D)) == _at(inv.entries, qpt), name
+            assert [[_over(f.gamma[i][j], 2 * det**2) for j in rng] for i in rng] == _at(
+                gamma, qpt), (name, "Gamma")
             for r, i, j, k in itertools.product(rng, repeat=4):
                 want = _value(_partial(gamma[i][j][k], r), qpt)
-                assert f.dgamma(r, i, j, k) == want, (name, "dGamma", (r, i, j, k))
-        b, R, db, dR = pc.obstruction_at(qg, qh)
+                assert Fraction(f.dgamma(r, i, j, k), 2 * det**3) == want, (name, "dGamma")
+        R, dR = pc.obstruction_at(qg, qh)
+        D, det = qh.D, qh.det
         b_upper = levi_civita(h).b_upper
         raised = raised_obstruction(g.mat.entries, b_upper, g.n)
-        assert b == [[[x.eval(qpt) for x in row] for row in plane] for plane in b_upper], name
-        assert R == [[[_value(x, qpt) for x in row] for row in plane] for plane in raised], name
+        assert _over(qh.c, 2 * det * D) == _at(b_upper, qpt), name
+        assert _over(R, 2 * det * D * qg.D) == _at(raised, qpt), name
         for r, i, j, k in itertools.product(rng, repeat=4):
-            assert db(r, i, j, k) == b_upper[i][j][k].partial(r + 1).eval(qpt), (name, "db")
-            assert dR(r, i, j, k) == _value(_partial(raised[i][j][k], r), qpt), (name, "dR")
+            want = b_upper[i][j][k].partial(r + 1).eval(qpt)
+            assert Fraction(qh.db(r, i, j, k), 2 * det**2 * D) == want, (name, "db")
+            want = _value(_partial(raised[i][j][k], r), qpt)
+            assert Fraction(dR(r, i, j, k), 2 * det**2 * D * qg.D) == want, (name, "dR")
 
 
 def test_mokhov_kernel_reads_first_jets_only(monkeypatch):
-    # b, R and their derivatives come from G, A and G^-1 of h; neither
-    # frame's Christoffel symbols Gamma nor their derivatives are read
+    # c, R and their derivatives come from G, A and adj G of h; neither
+    # frame's Christoffel symbols gamma nor their derivatives are read
     def refuse(*args):
         raise AssertionError("Christoffel symbols read")
 
     monkeypatch.setattr(pc.PointFrame, "dgamma", refuse)
-    monkeypatch.setattr(pc.PointFrame, "Gamma", property(refuse))
+    monkeypatch.setattr(pc.PointFrame, "gamma", property(refuse))
     hits = set()
     for name, g, h in _small_corpus(2, 11) + _small_corpus(3, 12):
         qpt = pc.sample_points(g.nvars, [g, h], seed=7, count=1)[0]
         fg, fh = pc.PointFrame(g, qpt), pc.PointFrame(h, qpt)
-        _, _, db, dR = pc.obstruction_at(fg, fh)
+        _, dR = pc.obstruction_at(fg, fh)
         for idx in itertools.product(range(g.n), repeat=4):
-            db(*idx), dR(*idx)
+            fh.db(*idx), dR(*idx)
         hits |= {t for t, thunk in pc.mokhov_at(fg, fh) if thunk() is not None}
     assert hits == set(T_NAMES)
 
@@ -136,7 +162,7 @@ def test_non_unit_denominator_keeps_verdict(failing):
 
 
 @pytest.mark.parametrize("failing", [False, True])
-def test_sampled_non_unit_denominator_runs_on_q(failing):
+def test_non_unit_denominator_keeps_the_report(failing):
     # a coefficient 1/P: scaling h by a constant keeps every condition's
     # zero pattern, so the report matches the unscaled pencil's (exactly,
     # when it passes)
@@ -159,7 +185,7 @@ def test_sampled_non_unit_denominator_runs_on_q(failing):
 
 
 @pytest.mark.parametrize("h22", ["one", "u1"])
-def test_point_singular_mod_p_runs_on_q(h22):
+def test_scan_point_with_a_large_coordinate(h22):
     # a scan point with u1 = P, far outside the sample range: both pencils
     # fail there, and every witness is at that first point
     u1, _ = u_vars(2)
@@ -177,10 +203,11 @@ def test_point_singular_mod_p_runs_on_q(h22):
 
 
 def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
-    # a flat(g2) hit builds d_r Gamma and the d_r b it reads entry by entry,
-    # as the curvature components up to the first failing one read them, not
-    # all n^4; the witness is the numerator oracle's.  h's connection is
-    # built once at the point: by flat(g2), and T1-T5 read the same b
+    # a flat(g2) hit builds the rows of Gamma and the entries of d_r Gamma
+    # and d_r b that it reads, as the curvature components up to the first
+    # failing one read them, not all of them; the witness is the numerator
+    # oracle's.  h's connection is built once at the point: by flat(g2), and
+    # T1-T5 read the same c
     g, (h,) = corpus_pairs(4, random.Random(43), raw=1, killing=0, family=0, constant=0)
     built = []
     numerators = pc.connection_numerators
@@ -197,6 +224,8 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
     assert flat.witness.point == tuple(f"{x}/1" for x in points[0])
     fh = cache.frame(h, points[0])
     assert 0 < len(fh._dgamma) < g.n**4 and 0 < len(fh._db) < g.n**4
+    rows = sum(len(plane._items) for plane in fh.gamma._items.values())
+    assert 0 < rows < g.n**2
     idx, value = _riemann_numerator_hit(h, [Fraction(x) for x in flat.witness.point])
     assert flat.witness.indices == idx
     assert flat.witness.residual == f"{value.numerator}/{value.denominator}"
@@ -320,3 +349,87 @@ def test_symbolic_tensors_match_point_hits():
             assert w[0] == sym["flat"][0] and at(w[1]) == sym["flat"][1], name
         verdicts.add(all(hit is None for hit in sym.values()))
     assert verdicts == {True, False}
+
+
+def _triple_at(fg, fh):
+    """(name, thunk) of the triple's kernels for the reference g of ``fg``."""
+    yield "nijenhuis", lambda: pc.nijenhuis_at(fh, fg)
+    yield "killing", lambda: pc.killing_at(fg, fh)
+    yield "linearity", lambda: pc.linearity_at(fg, fh)
+
+
+def test_point_scan_builds_one_fraction_per_hit(monkeypatch):
+    # between the integer points and the hits every jet is an int numerator.
+    # With Fraction's arithmetic refused, flat(g2), T1-T5 and the triple of
+    # both orders (so linearity and Nijenhuis also run on a non-constant
+    # reference) are scanned at the seed's points of two failing pencils, and
+    # the only Fraction built is each hit's residual, one per hit
+    golden = Path(__file__).parent / "golden" / "pencil-n3-raw.spec.json"
+    spec = load_operator_spec(golden.read_text())
+    g4, (h4,) = corpus_pairs(4, random.Random(43), raw=1, killing=0, family=0, constant=0)
+    cases = []
+    for g, h in ((spec.g, spec.gt), (g4, h4)):
+        points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
+        cases.append((g, h, points, [m.derivative_matrices() for m in (g, h)]))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a point scan")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    scanned = []
+    for g, h, points, _ in cases:
+        cache = pc.FrameCache()
+        mokhov = dict.fromkeys(("flat(g2)", *T_NAMES), list)
+        triple = dict.fromkeys(("nijenhuis", "killing", "linearity"), list)
+        scanned += _scan_points(mokhov, _mokhov_at, (g, h), points, cache)
+        scanned += _scan_points(triple, _triple_at, (g, h), points, cache)
+        scanned += _scan_points(triple, _triple_at, (h, g), points, cache)
+    monkeypatch.undo()
+    hits = [c for c in scanned if not c.passed]
+    assert len(built) == len(hits) >= 20
+    assert {c.name for c in hits} == {"flat(g2)", *T_NAMES, "nijenhuis", "killing", "linearity"}
+
+
+@pytest.mark.parametrize("n, seeds", [(2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1,)),
+                                      (5, (1, 2, 3)), (6, (1, 2, 3))])
+def test_scan_witnesses_are_the_symbolic_streams_at_their_points(n, seeds):
+    # differential test of the integer frame on raw and Killing-space
+    # pencils: each witness of verify's point scan is the first component
+    # of the symbolic stream that is nonzero at the witness point, with its
+    # value there.  Nijenhuis and Killing are checked at every n; flat(g2)
+    # (the Riemann numerators over det^4) and T1-T5 (the rational streams of
+    # the proofs, ``_t_streams``) up to n = 4, as levi_civita's rational
+    # connection of a dense n = 5 pencil alone takes seconds
+    witnessed = set()
+    for seed in seeds:
+        g, hs = corpus_pairs(n, random.Random(seed), raw=1, killing=1, family=0, constant=0)
+        for h in hs:
+            L = h.mat @ constant_inverse(g)
+            t_streams = functools.cache(lambda h=h: _t_streams(g, h))
+            streams = {"nijenhuis": lambda: nijenhuis_stream(L, n),
+                       "killing": lambda h=h: killing_stream(g, h, n)}
+            if n <= 4:
+                streams.update({t: lambda t=t: t_streams()[t] for t in T_NAMES})
+            for c in verify_operator(OperatorSpec([g, h])).conditions:
+                if c.passed or c.witness.point is None:
+                    continue
+                pt = [Fraction(x) for x in c.witness.point]
+                if c.name == "flat(g2)" and n <= 4:
+                    hit = _riemann_numerator_hit(h, pt)
+                elif c.name in streams:
+                    hit = _first_hit(streams[c.name](), lambda r: r.eval(pt))
+                else:
+                    continue
+                assert (c.witness.indices, c.witness.residual) == (
+                    hit[0], format_rational(hit[1])), (n, seed, c.name)
+                witnessed.add(c.name)
+    expected = {"nijenhuis", "killing"} | ({"flat(g2)", *T_NAMES} if n <= 4 else set())
+    assert witnessed == expected

@@ -265,13 +265,14 @@ FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", 
 def test_segre_path_and_sample_rejection_do_no_fraction_arithmetic(monkeypatch):
     # between L(pt) and the partitions, and in the rejection of sample
     # points, everything is int arithmetic: PolyMatrix.int_at, Berkowitz,
-    # Yun over Z, Bareiss ranks.  Only the Fraction evaluation could feed a
-    # Fraction path, so it must not be called at all; the Fraction operators
-    # are refused too once the affinors (which invert g over Q) are built
+    # Yun over Z, Bareiss ranks.  Only the Fraction evaluation of a
+    # polynomial could feed a Fraction path, so it must not be called at all;
+    # the Fraction operators are refused too once the affinors (which invert
+    # g over Q) are built
     def refuse(*args):
         raise AssertionError("Fraction arithmetic on the integer path")
 
-    monkeypatch.setattr(PolyMatrix, "at_point", refuse)
+    monkeypatch.setattr(MultiPoly, "eval", refuse)
     specs = [e.spec for e in catalog() if e.n <= 5]
     pencils = [(s, affinor(s.metrics[0], s.metrics[1])) for s in specs if s.d >= 2]
     types = [segre_of_spec(s, seed=11).segre_type for s, _ in pencils]

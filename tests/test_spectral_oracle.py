@@ -235,7 +235,8 @@ def _check_points(L, metrics, n):
     many of them split over Q(i)."""
     split = 0
     for pt in segre_sample_points(L.nvars, seed=7, count=2, metrics=metrics):
-        lp = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in L.at_point(pt)]
+        lp = [[sympy.Rational(v.numerator, v.denominator) for v in (x.eval(pt) for x in row)]
+              for row in L.entries]
         got = spectrum_at_point(L, pt, n)
         if not _splits_over_q_i(lp):
             assert got is None

@@ -113,24 +113,24 @@ def test_sampled_and_symbolic_agree_conditionwise():
 
 def _killing_pencil():
     """A failing Killing-space pencil over the antidiagonal metric, whose
-    Nijenhuis torsion (-9 u1 - 9/2, 9 u2) vanishes at (-1/2, 0)."""
+    Nijenhuis torsion (-9 u1, 9 u2) vanishes at the origin."""
     u1, u2 = u_vars(2)
     g = LinearMetric.antidiagonal(2)
-    off = u1 * Fraction(-3, 4) + u2 * Fraction(3, 2) + Fraction(1, 2)
-    return g, LinearMetric(2, PolyMatrix([[u1 * -3 + Fraction(-3, 2), off], [off, u2 * Fraction(3, 2)]]))
+    off = u1 * Fraction(-3, 4) + u2 * Fraction(3, 2) + Fraction(7, 8)
+    return g, LinearMetric(2, PolyMatrix([[u1 * -3, off], [off, u2 * Fraction(3, 2)]]))
 
 
 def test_proof_catches_a_failure_the_scan_misses():
-    # a scan of (-1/2, 0) alone has no Nijenhuis hit, and the proof still
+    # a scan of the origin alone has no Nijenhuis hit, and the proof still
     # finds the failure, with a witness that has no point
     g, h = _killing_pencil()
-    points = [[Fraction(-1, 2), Fraction(0)]]
+    points = [[Fraction(0), Fraction(0)]]
     fg, fh = (pc.PointFrame(m, points[0]) for m in (g, h))
     assert pc.nijenhuis_at(fh, fg) is None
     rep = theorem2_conditions(g, h, points=points)
     assert rep.failed_names() == ["nijenhuis"]
     w = rep.condition("nijenhuis").witness
-    assert w.indices == (1, 1, 2) and w.residual == "-9/1*u1 + -9/2" and w.point is None
+    assert w.indices == (1, 1, 2) and w.residual == "-9/1*u1" and w.point is None
     # with the seed's own scan points the failure is found at a point; with
     # none at all, flatness, T1..T5 and the triple are decided by their proofs
     scanned = verify_operator(OperatorSpec([g, h]))
