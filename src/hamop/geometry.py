@@ -6,14 +6,15 @@ torsion, the Killing residual in its polynomial form,
 second-covariant-derivative (linearity) residuals, obstruction tensors, the
 obstruction identities T1..T5 and Lie derivatives of bivectors.  Everything
 is exact: entries are MultiPoly or RationalFunction, and a condition
-"holds" iff the residual is identically zero.  ``coefficient_arrays``
-writes a matrix at most linear in u as D m = M0 + u_s M_s with int entries
-(integer-coefficient polynomials in the formal parameters, where they
-occur).  For a constant metric and a linear one every condition is an
-identity among these constants, and so is every condition of a pair whose
-linear metric has a constant contravariant connection
-(``constant_connection``, ``contravariant_derivative``) and whose other
-metric is constant; ``verify``'s proofs check them in int arithmetic.
+"holds" iff the residual is identically zero.  A metric's integer form,
+its coefficient arrays D m = M0 + u_s M_s (``LinearMetric.arrays``, from
+``metrics.coefficient_arrays``), has int entries (integer-coefficient
+polynomials in the formal parameters, where they occur).  For a constant
+metric and a linear one every condition is an identity among these
+constants, and so is every condition of a pair whose linear metric has a
+constant contravariant connection (``constant_connection``,
+``contravariant_derivative``) and whose other metric is constant;
+``verify``'s proofs check them in int arithmetic.
 
 ``mokhov_identities`` states T1..T5 for a constant metric g on the
 contravariant Christoffel symbols b^{ij}_k = -h^{is} Gamma~^j_{sk} of h
@@ -37,6 +38,11 @@ derivatives; ``flatness_witness``, ``covariant_hessian``,
 lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
 from them, ``pointcheck`` feeds them int numerators at a point, and
 ``families`` the constant derivatives of one unknown coefficient at a time.
+The streams that sum over an index (T3, T5 and Nijenhuis) visit only the
+index values where some term has a nonzero factor, read off bitmasks of the
+nonzero entries, and add the nonzero terms in index order.  On a constant
+connection d R = 0, and ``mokhov_identities`` and ``riemann_components``
+take None for the derivative and skip its terms.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -49,8 +55,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
+from .linsolve import mat_mul
 from .matrices import PolyMatrix, adjugate_det
 from .metrics import LinearMetric
 from .poly import MultiPoly, RationalFunction
@@ -128,27 +134,12 @@ def levi_civita(g: LinearMetric) -> Connection:
     return conn
 
 
-def coefficient_arrays(m: PolyMatrix, n: int):
-    """(D, [M0, M1, ..., Mn]) with D m = M0 + u1 M1 + ... + un Mn, D the
-    lcm of the entries' coefficient denominators, or None when an entry has
-    degree > 1 in the u-block.  The arrays' entries are free of u: ints, or
-    integer-coefficient MultiPolys where an entry involves the formal
-    parameters.  So d_s m = M_(s+1) / D, and every condition of a constant
-    metric and a linear one is an identity among these constants."""
-    split = [[p.affine_parts(n) for p in row] for row in m.entries]
-    if any(x is None for row in split for x in row):
-        return None
-    D = lcm(*(den for row in split for den, _ in row))
-    return D, [[[parts[k] * (D // den) for den, parts in row] for row in split]
-               for k in range(n + 1)]
-
-
 def constant_connection(h: LinearMetric, u0):
     """(c, den) with c[i][j][k] / den = b^{ij}_k = -h^{is} Gamma^j_{sk}, the
     contravariant Levi-Civita connection of h, when it does not depend on u;
     else None.  c and den are ints, or integer-coefficient polynomials in
     h's formal parameters.  Everything runs on the coefficient arrays
-    D h = H0 + u_s H_s (``coefficient_arrays``).  The candidate is
+    D h = H0 + u_s H_s (``LinearMetric.arrays``).  The candidate is
     ``connection_numerators`` of D h at the integer point u0 of the u-block,
     from one adjugate of D h(u0) (the parameters stay symbolic).  d h is
     constant, so it is metric-compatible, b^{ij}_k + b^{ji}_k = d_k h^{ij},
@@ -160,19 +151,20 @@ def constant_connection(h: LinearMetric, u0):
     n, rng = h.n, range(h.n)
     if any(x.denominator != 1 for x in u0[:n]):
         raise ValueError("constant_connection needs an integer point")
-    u = [x.numerator for x in u0[:n]]
-    D, (H0, *dH) = coefficient_arrays(h.mat, n)
-    h0 = [[H0[i][j] + _dot(u, [m[i][j] for m in dH]) for j in rng] for i in rng]
+    D, (H0, *dH) = h.arrays
+    h0 = h.affine().at([x.numerator for x in u0[:n]])
     adj, det = adjugate_det(h0)
     if not det:
         return None
-    adj_q = list(zip(*adj))
-    f = [[[_dot(row, col) for col in adj_q] for row in m] for m in dH]  # d_s h adj
-    c = connection_numerators(h0, f, dH, det)
-    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s for H = H0 and each H_s
-    if any(_dot(m[i], c[j][k]) != _dot(m[j], c[i][k])
-           for m in (H0, *dH) for i in rng for j in range(i + 1, n) for k in rng):
-        return None
+    c = connection_numerators(h0, [mat_mul(m, adj) for m in dH], dH, det)
+    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s for H = H0 and each H_s;
+    # p[i][j n + k] = H^{is} c^{jk}_s
+    cs = [[c[j][k][s] for j in rng for k in rng] for s in rng]
+    for m in (H0, *dH):
+        p = mat_mul(m, cs)
+        if any(p[i][j * n + k] != p[j][i * n + k]
+               for i in rng for j in range(i + 1, n) for k in rng):
+            return None
     return c, 2 * det * D
 
 
@@ -187,10 +179,11 @@ def connection_numerators(h0, f, dh, det):
 
     It is the one formula for a Levi-Civita connection: ``levi_civita``,
     ``constant_connection`` and ``pointcheck``'s frames read theirs off it."""
-    rng = range(len(h0))
-    f_s = [[[f[s][j][k] for s in rng] for k in rng] for j in rng]
-    e = [[[_dot(h0[i], f_s[j][k]) for k in rng] for j in rng] for i in rng]
-    return [[[det * dh[k][i][j] + e[i][j][k] - e[j][i][k] for k in rng]
+    n = len(h0)
+    rng = range(n)
+    # e[i][j n + k] = e^{ij}_k
+    e = mat_mul(h0, [[x for row in fs for x in row] for fs in f])
+    return [[[det * dh[k][i][j] + e[i][j * n + k] - e[j][i * n + k] for k in rng]
              for j in rng] for i in rng]
 
 
@@ -222,12 +215,20 @@ def raised_obstruction(g, b, n: int) -> list:
     g^{ir} h^{ks} T^j_{rs} of a constant metric g (T = Gamma~, and
     h^{ks} Gamma~^j_{sr} = -b^{kj}_r); g[i][r] = g^{ir}, b[i][j][k] = b^{ij}_k."""
     rng = range(n)
-    return [[[-_dot(g[i], b[k][j]) for k in rng] for j in rng] for i in rng]
+    # gb[i][k n + j] = g^{ir} b^{kj}_r
+    gb = mat_mul(g, [[b[k][j][r] for k in rng for j in rng] for r in rng])
+    return [[[-gb[i][k * n + j] for k in rng] for j in rng] for i in rng]
 
 
-def _dot(xs, ys):
-    """sum x * y over the pairs of nonzero entries (int 0 if there is none)."""
-    return sum((x * y for x, y in zip(xs, ys) if x and y), 0)
+@functools.cache
+def _bits(mask: int) -> tuple:
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
+
+
+def _masks(rows) -> list:
+    """For each row, the bitmask of its nonzero entries."""
+    return [sum(1 << s for s, x in enumerate(row) if x) for row in rows]
 
 
 def _partials(m: PolyMatrix, n: int, lift=lambda x: x) -> list:
@@ -270,7 +271,8 @@ def riemann_components(gamma, d_gamma, n: int):
     """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj} for k < l (R is
     antisymmetric in k, l), lazily as (1-based indices, residual) in
-    lexicographic order; ``d_gamma(r, i, j, k)`` is d_r Gamma^i_{jk}.
+    lexicographic order; ``d_gamma(r, i, j, k)`` is d_r Gamma^i_{jk}, or
+    None when Gamma is constant.
 
     Like every stream below (and ``mokhov_identities``) it is written once
     for every exact scalar representation: entries need only +, -, * (int 0
@@ -280,7 +282,7 @@ def riemann_components(gamma, d_gamma, n: int):
         for j in rng:
             for k in rng:
                 for l in range(k + 1, n):
-                    acc = d_gamma(k, i, l, j) - d_gamma(l, i, k, j)
+                    acc = 0 if d_gamma is None else d_gamma(k, i, l, j) - d_gamma(l, i, k, j)
                     for s in rng:
                         if gamma[i][k][s] and gamma[s][l][j]:
                             acc = acc + gamma[i][k][s] * gamma[s][l][j]
@@ -292,13 +294,17 @@ def riemann_components(gamma, d_gamma, n: int):
 def nijenhuis_components(L, dL, n: int):
     """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
     + L^k_s (d_j L^s_i - d_i L^s_j) for i < j (N is antisymmetric in i, j);
-    L[a][b] = L^a_b and dL[s][a][b] = d_s L^a_b."""
+    L[a][b] = L^a_b and dL[s][a][b] = d_s L^a_b.  Each term has a factor
+    L^s_i, L^s_j or L^k_s, so only the s where one of them is nonzero are
+    visited."""
     rng = range(n)
+    cols = _masks([[L[s][i] for s in rng] for i in rng])
+    rows = _masks([L[k] for k in rng])
     for k in rng:
         for i in rng:
             for j in range(i + 1, n):
                 acc = 0
-                for s in rng:
+                for s in _bits(cols[i] | cols[j] | rows[k]):
                     if L[s][i] and dL[s][k][j]:
                         acc = acc + L[s][i] * dL[s][k][j]
                     if L[s][j] and dL[s][k][i]:
@@ -510,10 +516,12 @@ def mokhov_identities(R, dR, b, h, n: int):
 
     Written once for every exact scalar representation: the entries need
     only +, -, * (int 0 included) and truthiness.  ``dR(r, i, j, k)`` is
-    the representation's d_r R^{ijk} and h[m][r] = h^{mr}.  Yields (name,
-    stream) in order; a stream lazily yields (1-based indices, residual), so
-    a scan can stop at its first nonzero residual.  Zero products are
-    skipped."""
+    the representation's d_r R^{ijk}, or None when R is constant (on a
+    constant connection), and h[m][r] = h^{mr}.  Yields (name, stream) in
+    order; a stream lazily yields (1-based indices, residual), so a scan can
+    stop at its first nonzero residual.  Zero products are skipped: T3 and
+    T5 visit only the s (or l) where some term has two nonzero factors, and
+    T5 reads no d R when there is none."""
     rng = range(n)
     # (r, h^{mr}) of the nonzero entries of each row m of h
     h_rows = [[(r, x) for r, x in enumerate(row) if x] for row in h]
@@ -531,12 +539,15 @@ def mokhov_identities(R, dR, b, h, n: int):
                     yield (i + 1, j + 1, k + 1), R[i][j][k] + R[j][k][i] + R[k][i][j]
 
     def t3():
+        # bits[m][j]: the s with b^{mj}_s != 0; rbits[i][r]: with R^{irs} != 0
+        bits, rbits = [_masks(plane) for plane in b], [_masks(plane) for plane in R]
         for i in rng:
             for j in rng:
                 for r in rng:
+                    rir, rij = rbits[i][r], rbits[i][j]
                     for m in rng:
                         acc = 0
-                        for s in rng:
+                        for s in _bits(rir & bits[m][j] | rij & bits[m][r]):
                             if R[i][r][s] and b[m][j][s]:
                                 acc = acc + R[i][r][s] * b[m][j][s]
                             if R[i][j][s] and b[m][r][s]:
@@ -548,20 +559,26 @@ def mokhov_identities(R, dR, b, h, n: int):
             for i in rng:
                 for j in rng:
                     for k in rng:
-                        yield (r + 1, i + 1, j + 1, k + 1), dR(r, i, j, k)
+                        yield (r + 1, i + 1, j + 1, k + 1), 0 if dR is None else dR(r, i, j, k)
 
     def t5():
+        # r1[j][k], r2[i][k], r3[i][j]: the l with R^{ljk}, R^{ilk}, R^{ijl} != 0
+        r1 = [_masks([[R[l][j][k] for l in rng] for k in rng]) for j in rng]
+        r2 = [_masks([[R[i][l][k] for l in rng] for k in rng]) for i in rng]
+        r3 = [_masks(plane) for plane in R]
         for m in rng:
-            bm = b[m]
+            bm, bits = b[m], _masks(b[m])
+            hm = () if dR is None else h_rows[m]
             for i in rng:
                 for j in rng:
                     for k in rng:
                         acc = 0
-                        for r, x in h_rows[m]:
+                        for r, x in hm:
                             d = dR(r, i, j, k)
                             if d:
                                 acc = acc + x * d
-                        for l in rng:
+                        mask = bits[i] & r1[j][k] | bits[j] & r2[i][k] | bits[k] & r3[i][j]
+                        for l in _bits(mask):
                             if bm[i][l] and R[l][j][k]:
                                 acc = acc - bm[i][l] * R[l][j][k]
                             if bm[j][l] and R[i][l][k]:

@@ -3,10 +3,12 @@ entries have field arithmetic too).
 
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
-``span_rref`` read it.  ``mat_mul`` is the one dense matrix product: over
-Q for the unit columns of ``families``, and over plain ints for
-``pointcheck``'s frames and the powers in the Segre rank sequences of
-``spectral``.
+``span_rref`` read it.  ``mat_mul`` is the one matrix product, summing only
+products of nonzero entries: over Q for the unit columns of ``families``,
+over plain ints for ``pointcheck``'s frames, the powers in the Segre rank
+sequences of ``spectral`` and the Segre affinor's arrays, and over ints or
+parameter polynomials for the connection and torsion contractions of
+``geometry`` and the Nijenhuis arrays of ``verify``'s proofs.
 Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
@@ -96,12 +98,15 @@ def gaussian_rank(x: list[list[int]], y: list[list[int]]) -> int:
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    """The product of two matrices."""
-    rng = range(len(b))
-    return [
-        [sum(a[i][s] * b[s][j] for s in rng) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    """The product of two matrices.  Each row of ``a`` is read once for its
+    nonzero entries, and only products of two nonzero entries are summed, in
+    column order (int 0 where there is none)."""
+    cols = range(len(b[0]))
+    out = []
+    for row in a:
+        nz = [(s, x) for s, x in enumerate(row) if x]
+        out.append([sum((x * b[s][j] for s, x in nz if b[s][j]), 0) for j in cols])
+    return out
 
 
 def inverse(a: list[list]) -> list[list] | None:

@@ -6,15 +6,17 @@ the characteristic polynomial by Berkowitz's algorithm (``roots.char_poly``),
 whose constant term gives the determinant and whose coefficients give the
 adjugate by Cayley-Hamilton.  On a PolyMatrix they take polynomial entries
 only (anything else raises ValueError); ``adjugate_det`` also takes a plain
-list of rows over any ring, such as the integer coefficient arrays of
-``geometry.coefficient_arrays``.  Inverses are returned in adjugate/determinant
-form with gcd-normalized rational-function entries, so m * m^-1 is exactly
-the identity.
-``PolyMatrix.int_at`` gives the value at an integer point as an integer
-matrix A = D M(pt) with its scale D, in int arithmetic only: it is the one
-point evaluation of a matrix, read by ``pointcheck``'s frames,
-``metrics.degenerate_at`` and ``spectral``'s point spectra.  Dense products
-of the evaluated matrices are ``linsolve.mat_mul``, over Z.
+list of rows over any ring, such as the integer coefficient arrays of a
+metric (``metrics.coefficient_arrays``).  Inverses are returned in
+adjugate/determinant form with gcd-normalized rational-function entries, so
+m * m^-1 is exactly the identity.
+``PolyMatrix.int_at`` gives the value of any polynomial matrix at an
+integer point as an integer matrix A = D M(pt) with its scale D, in int
+arithmetic only; ``metrics.degenerate_at`` reads it for matrices that are
+not metrics (the probe of a metric built from a matrix).  Metrics and the
+Segre affinor are evaluated on their coefficient arrays instead
+(``metrics.AffineArrays``).  Dense products of the evaluated matrices are
+``linsolve.mat_mul``, over Z.
 """
 
 from __future__ import annotations

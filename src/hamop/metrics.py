@@ -7,29 +7,44 @@ kappa_i or lambda); derivatives and contractions only ever run over the
 u-block, so a family statement "for all kappa" is a single polynomial
 identity.
 
+Each LinearMetric has one integer form, its coefficient arrays
+``(D, [M0, M1, ..., Mn])`` with D g = M0 + u_s M_s (``coefficient_arrays``):
+int entries, or integer-coefficient polynomials in the formal parameters
+where they occur.  The spec loader builds them straight from the file's
+constant and linear parts (``from_g0_c``); a metric built from a matrix
+computes them on first read.  Every integer consumer reads them:
+``is_constant``, point values (``jets_at``: G = D g(pt) and A[s] = D d_s g,
+which ``pointcheck``'s frames and ``degenerate_at`` read), the value at an
+integer u with the parameters kept (``affine().at``, for
+``geometry.constant_connection``), the adjugate of a constant metric
+(``constant_adjugate``), and ``verify``'s proofs and ``spectral``'s affinor.
+
 An OperatorSpec is the d-tuple of metrics defining a first-order operator
 P^{ij} = sum_a ( g^{ij,a} d/dx^a + b^{ij,a}_k u^k_{x^a} ) with the b's the
 contravariant Christoffel symbols of the corresponding metric.
 
 Non-degeneracy is decided here, once and exactly, over Z.  ``degenerate_at``
-scales a matrix's value at an integer point to an integer matrix
-(``PolyMatrix.int_at``) and compares its fraction-free Bareiss rank
-(``linsolve.int_rank``) with n; ``pointcheck`` and ``spectral`` reject
-sample points with it.  ``identically_degenerate`` (the check every
-LinearMetric makes) evaluates at one seeded integer point: a nonzero value
-there proves det g is not the zero polynomial, and only a zero there falls
-back to the symbolic (Berkowitz) determinant.  A spec needs no further check
-on its generic combination of metrics (see OperatorSpec).
+takes the integer matrix D m(pt) at an integer point and compares its
+fraction-free Bareiss rank (``linsolve.int_rank``) with n: a metric's from its
+arrays, with the rank of a constant parameter-free metric decided once (its
+value does not depend on the point), and any other square matrix's from
+``PolyMatrix.int_at``.  ``pointcheck`` and ``spectral`` reject sample points
+with it.  ``identically_degenerate`` (the check every LinearMetric makes)
+evaluates at one seeded integer point: a nonzero value there proves det g is
+not the zero polynomial, and only a zero there falls back to the symbolic
+(Berkowitz) determinant.  A spec needs no further check on its generic
+combination of metrics (see OperatorSpec).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .linsolve import int_rank
-from .matrices import PolyMatrix, determinant, matrix_inverse
+from .matrices import PolyMatrix, adjugate_det, determinant, matrix_inverse
 from .poly import MultiPoly
 
 PROBE_SEED = 0
@@ -43,25 +58,103 @@ def probe_point(nvars: int) -> list[Fraction]:
     return [Fraction(rng.randint(-PROBE_RANGE, PROBE_RANGE)) for _ in range(nvars)]
 
 
-def degenerate_at(mat: PolyMatrix, point) -> bool:
-    """Whether the square polynomial matrix ``mat`` is singular at the
-    integer point ``point``: the integer matrix D mat(point) has rank < n."""
-    return int_rank(mat.int_at(point)[0]) < mat.rows
+def coefficient_arrays(m: PolyMatrix, n: int):
+    """(D, [M0, M1, ..., Mn]) with D m = M0 + u1 M1 + ... + un Mn, D the
+    lcm of the entries' coefficient denominators, or None when an entry has
+    degree > 1 in the u-block.  The arrays' entries are free of u: ints, or
+    integer-coefficient MultiPolys where an entry involves the formal
+    parameters.  So d_s m = M_(s+1) / D, and every condition of a constant
+    metric and a linear one is an identity among these constants."""
+    split = [[p.affine_parts(n) for p in row] for row in m.entries]
+    if any(x is None for row in split for x in row):
+        return None
+    D = lcm(*(den for row in split for den, _ in row))
+    return D, [[[parts[k] * (D // den) for den, parts in row] for row in split]
+               for k in range(n + 1)]
 
 
-def identically_degenerate(mat: PolyMatrix) -> bool:
-    """Whether det(mat) is the zero polynomial, decided exactly: a nonzero
-    value at ``probe_point`` proves it is not; only a zero there is settled
-    by the symbolic determinant."""
-    return degenerate_at(mat, probe_point(mat.nvars)) and determinant(mat).is_zero()
+def _int_point(point) -> list[int]:
+    if any(x.denominator != 1 for x in point):
+        raise ValueError("a point value needs a point with integer coordinates")
+    return [x.numerator for x in point]
+
+
+class AffineArrays:
+    """Coefficient arrays [M0, M1, ..., Mk] of an integer matrix form
+    M0 + u1 M1 + ... + uk Mk, with the nonzero entries of each M_s listed
+    once.  Entries are ints, or integer-coefficient polynomials in the
+    formal parameters (``symbolic``).  It is the one point evaluation of
+    metrics (``LinearMetric.jets_at``) and of the Segre affinor
+    (``spectral.IntegerAffinor``)."""
+
+    __slots__ = ("arrays", "terms", "symbolic")
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+        M0, *M = arrays
+        terms = [(s, [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x])
+                 for s, m in enumerate(M)]
+        self.terms = [t for t in terms if t[1]]
+        # a zero entry is the int 0, so only the nonzero ones can be polynomials
+        self.symbolic = any(type(x) is not int for row in M0 for x in row) or any(
+            type(x) is not int for _, entries in self.terms for _, _, x in entries)
+
+    def at(self, u) -> list[list]:
+        """M0 + u_s M_s at the integer values u of u1..uk, with the formal
+        parameters kept; only the nonzero entries of the M_s are read."""
+        M0 = self.arrays[0]
+        if not self.terms:
+            return M0
+        out = [row[:] for row in M0]
+        for s, entries in self.terms:
+            x = u[s]
+            if x:
+                for i, j, v in entries:
+                    out[i][j] += x * v
+        return out
+
+    def evaluate(self, m, u) -> list[list[int]]:
+        """The int matrix of ``m`` (one of the arrays, or a value of the
+        form) at the integer point u: entries in the formal parameters are
+        evaluated there (``MultiPoly.int_eval``), ints are read as they are."""
+        if not self.symbolic:
+            return m
+        return [[x if isinstance(x, int) else x.int_eval(u)[0] for x in row] for row in m]
+
+    def int_at(self, point) -> list[list[int]]:
+        """The int matrix M0 + u_s M_s at an integer point (ints or
+        Fractions, one coordinate per ring variable)."""
+        u = _int_point(point)
+        return self.evaluate(self.at(u), u)
+
+
+def degenerate_at(m, point) -> bool:
+    """Whether the square matrix ``m``, a LinearMetric (read on its
+    coefficient arrays) or a polynomial matrix, is singular at the integer
+    point ``point``: the integer matrix D m(point) has rank < n."""
+    if isinstance(m, LinearMetric):
+        return m.degenerate_at(point)
+    return int_rank(m.int_at(point)[0]) < m.rows
+
+
+def identically_degenerate(m) -> bool:
+    """Whether det(m) is the zero polynomial, decided exactly for a
+    LinearMetric or a polynomial matrix: a nonzero value at ``probe_point``
+    proves it is not; only a zero there is settled by the symbolic
+    determinant."""
+    mat = m.mat if isinstance(m, LinearMetric) else m
+    return degenerate_at(m, probe_point(mat.nvars)) and determinant(mat).is_zero()
 
 
 class LinearMetric:
     """Non-degenerate symmetric bivector, degree <= 1 in the u-block."""
 
-    __slots__ = ("n", "nvars", "mat", "_inv", "_conn", "_derivs")
+    __slots__ = ("n", "nvars", "mat", "_inv", "_conn", "_derivs", "_arrays", "_affine", "_adj0")
 
-    def __init__(self, n: int, mat: PolyMatrix, check_nondegenerate: bool = True):
+    def __init__(self, n: int, mat: PolyMatrix, check_nondegenerate: bool = True,
+                 arrays=None):
+        """``arrays``, when given, are the matrix's ``coefficient_arrays``;
+        otherwise they are computed on first read."""
         if mat.rows != n or mat.cols != n:
             raise ValueError("metric matrix must be n x n")
         if mat.nvars < n:
@@ -71,7 +164,8 @@ class LinearMetric:
                 e = mat.entries[i][j]
                 if not isinstance(e, MultiPoly):
                     raise TypeError("metric entries must be polynomials")
-                if e.degree_in_block(n) > 1:
+                # given arrays already write the entry as affine in u
+                if arrays is None and e.degree_in_block(n) > 1:
                     raise ValueError(f"entry ({i+1},{j+1}) has degree > 1 in u")
         if not mat.is_symmetric():
             raise ValueError("metric matrix must be symmetric")
@@ -81,7 +175,10 @@ class LinearMetric:
         self._inv = None
         self._conn = None
         self._derivs = None
-        if check_nondegenerate and identically_degenerate(mat):
+        self._arrays = arrays
+        self._affine = None
+        self._adj0 = None
+        if check_nondegenerate and identically_degenerate(mat if arrays is None else self):
             raise ValueError("metric is identically degenerate (det = 0)")
 
     # -- constructors ---------------------------------------------------
@@ -94,26 +191,69 @@ class LinearMetric:
     @staticmethod
     def from_g0_c(g0: Sequence[Sequence], c, nvars: int | None = None) -> "LinearMetric":
         """Build from constant part g0[i][j] and coefficients c[i][j][k]
-        (all 0-based lists of rationals); entries with k > n are dropped."""
+        (all 0-based lists of ints or Fractions).  The coefficient arrays
+        come straight from them, and the entries from the arrays."""
         n = len(g0)
         nvars = nvars or n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                p = MultiPoly.const(nvars, g0[i][j])
-                for k in range(n):
-                    coeff = c[i][j][k]
-                    if coeff:
-                        p = p + MultiPoly.variable(nvars, k + 1) * Fraction(coeff)
-                row.append(p)
-            rows.append(row)
-        return LinearMetric(n, PolyMatrix(rows))
+        parts = [[[g0[i][j], *c[i][j][:n]] for j in range(n)] for i in range(n)]
+        D = lcm(*(x.denominator for row in parts for entry in row for x in entry if x))
+        ints = [[[x.numerator * (D // x.denominator) if x else 0 for x in entry] for entry in row]
+                for row in parts]
+        mat = PolyMatrix([[MultiPoly.from_affine_parts(nvars, D, entry) for entry in row]
+                          for row in ints])
+        arrays = [[[entry[k] for entry in row] for row in ints] for k in range(n + 1)]
+        return LinearMetric(n, mat, arrays=(D, arrays))
 
     @staticmethod
     def antidiagonal(n: int, nvars: int | None = None, sign: int = 1) -> "LinearMetric":
         vals = [[sign if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
         return LinearMetric.constant(vals, nvars)
+
+    # -- the integer form ------------------------------------------------
+
+    @property
+    def arrays(self):
+        """(D, [M0, M1, ..., Mn]) with D g = M0 + u_s M_s
+        (``coefficient_arrays``), memoised."""
+        if self._arrays is None:
+            self._arrays = coefficient_arrays(self.mat, self.n)
+        return self._arrays
+
+    def affine(self) -> AffineArrays:
+        """The arrays M0, ..., Mn with their nonzero entries indexed,
+        memoised."""
+        if self._affine is None:
+            self._affine = AffineArrays(self.arrays[1])
+        return self._affine
+
+    def is_constant(self) -> bool:
+        return not self.affine().terms
+
+    def jets_at(self, point):
+        """(D, G, A) at an integer point (ints or Fractions, one coordinate
+        per ring variable): the int matrices G = D g(point) and
+        A[s] = D d_s g = M_(s+1), with the formal parameters evaluated
+        there."""
+        form, u = self.affine(), _int_point(point)
+        return self.arrays[0], form.evaluate(form.at(u), u), [
+            form.evaluate(m, u) for m in form.arrays[1:]]
+
+    def constant_adjugate(self):
+        """(adj M0, det M0) of the constant coefficient array, memoised: for
+        a constant metric g^-1 = D adj / det."""
+        if self._adj0 is None:
+            self._adj0 = adjugate_det(self.arrays[1][0])
+        return self._adj0
+
+    def degenerate_at(self, point) -> bool:
+        """Whether g is singular at the integer point: rank D g(point) < n.
+        A constant metric free of formal parameters has one value, so its
+        answer is the determinant of M0, taken once."""
+        form = self.affine()
+        if not form.terms and not form.symbolic:
+            _int_point(point)
+            return not self.constant_adjugate()[1]
+        return int_rank(form.int_at(point)) < self.n
 
     # -- cached geometry ---------------------------------------------------
 
@@ -132,9 +272,6 @@ class LinearMetric:
         return self._derivs
 
     # -- views ---------------------------------------------------------
-
-    def is_constant(self) -> bool:
-        return all(m.is_zero() for m in self.derivative_matrices())
 
     def u_constant_part(self) -> PolyMatrix:
         """The u-independent part (may still involve formal parameters)."""

@@ -30,9 +30,12 @@ a passing scan reads every entry once.
 
 Sample points are seeded integer points (as Fractions with denominator 1);
 those where any metric is singular are rejected and redrawn, and after
-100 rejections DegenerateEverywhere is raised.  Rejection is integer work:
-each metric's value at the point is scaled to an integer matrix and its
-Bareiss rank read (``metrics.degenerate_at``).  ``FrameCache`` shares the
+``MAX_REJECT`` rejections DegenerateEverywhere is raised (``spectral``'s
+Segre points share the bound).  Rejection is integer work: each metric's
+value at the point is read off its coefficient arrays as an integer matrix
+and its Bareiss rank taken (``metrics.degenerate_at``).  Every point value
+of a metric, in a frame or a rejection, comes from those arrays
+(``LinearMetric.jets_at``).  ``FrameCache`` shares the
 frames of one point between conditions and criteria.
 ``tests/test_pointcheck.py`` pins every jet and every hit to the symbolic
 streams at the point.
@@ -43,7 +46,6 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import lcm
 
 from .errors import DegenerateEverywhere
 from .geometry import (
@@ -61,7 +63,7 @@ from .matrices import adjugate_det
 from .metrics import LinearMetric, degenerate_at
 
 SAMPLE_RANGE = 10**6
-MAX_REJECT = 100
+MAX_REJECT = 100  # redraws of a sample point, here and in spectral
 
 
 def sample_points(nvars: int, metrics, seed: int, count: int):
@@ -73,7 +75,7 @@ def sample_points(nvars: int, metrics, seed: int, count: int):
     rejects = 0
     while len(pts) < count:
         pt = [Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
-        if not any(degenerate_at(m.mat, pt) for m in metrics):
+        if not any(degenerate_at(m, pt) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1
@@ -103,11 +105,11 @@ class _Rows:
 class PointFrame:
     """Integer jets of one linear metric g at one integer point.
 
-    G = D g(pt) and A[s] = D d_s g, int matrices with D the lcm of the
-    coefficient denominators of g's entries and their partials
-    (``PolyMatrix.int_at``), are evaluated on construction.  Every other jet
-    is an int, or an int numerator over a known denominator, computed on
-    first read and memoised:
+    G = D g(pt) = M0 + u_s M_s and A[s] = D d_s g = M_(s+1), int matrices
+    read off the metric's coefficient arrays (``LinearMetric.jets_at``; D is
+    the lcm of the coefficient denominators of g's entries), are taken on
+    construction.  Every other jet is an int, or an int numerator over a
+    known denominator, computed on first read and memoised:
 
     * ``adj``, ``det``: adj G and det G, so g^-1 = D adj / det;
     * ``F[s]`` = A[s] adj, so d_s g g^-1 = F[s] / det;
@@ -127,10 +129,7 @@ class PointFrame:
     def __init__(self, g: LinearMetric, point):
         self.n = g.n
         self.point = point
-        (G, dg), *A = [m.int_at(point) for m in (g.mat, *g.derivative_matrices())]
-        self.D = lcm(dg, *(d for _, d in A))
-        self.G = [[x * (self.D // dg) for x in row] for row in G]
-        self.A = [[[x * (self.D // d) for x in row] for row in a] for a, d in A]
+        self.D, self.G, self.A = g.jets_at(point)
         self.constant = not any(x for a in self.A for row in a for x in row)
         self._db = {}  # (r, i, j, k) -> d_r b^{ij}_k numerator
         self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk} numerator

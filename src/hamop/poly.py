@@ -30,12 +30,14 @@ coefficients written "p/q".
 ``MultiPoly.eval`` is the one polynomial evaluator over Q
 (``RationalFunction.eval`` reads it).  ``MultiPoly.int_eval`` is its int
 form at a point of ints: the numerator sum and the common denominator,
-with no Fraction (``PolyMatrix.int_at``, and so ``pointcheck``'s frames,
-read it).  Both unpack a polynomial's exponents once, on its first
-evaluation.
+with no Fraction (``PolyMatrix.int_at`` reads it, and so do the
+coefficient arrays of ``metrics.AffineArrays`` where their entries involve
+formal parameters).  Both unpack a polynomial's exponents once, on its
+first evaluation.
 ``MultiPoly.affine_parts`` splits a polynomial of degree <= 1 in the
 u-block into integer-coefficient parts over its common denominator
-(``geometry.coefficient_arrays``).
+(``metrics.coefficient_arrays``), and ``MultiPoly.from_affine_parts``
+builds the polynomial back from such parts (``LinearMetric.from_g0_c``).
 
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.
@@ -226,6 +228,27 @@ class MultiPoly:
         return self._den, [
             p.get(0, 0) if p.keys() <= {0} else MultiPoly._raw(self.nvars, p) for p in parts
         ]
+
+    @staticmethod
+    def from_affine_parts(nvars: int, den: int, parts) -> "MultiPoly":
+        """(parts[0] + u1 parts[1] + ... + uk parts[k]) / den, the inverse of
+        ``affine_parts``: each part is an int or an integer-coefficient
+        polynomial free of u1..uk, and the u_s parts only shift exponents."""
+        shifts = _layout(nvars)[0]
+        ts = FIELD_BITS * nvars
+        coeffs = {}
+        for k, x in enumerate(parts):
+            if not x:
+                continue
+            mono = k and (1 << shifts[k - 1] | 1 << ts)
+            if isinstance(x, MultiPoly):
+                if x._den != 1:
+                    raise ValueError("parts must have integer coefficients")
+                for e, c in x._coeffs.items():
+                    coeffs[e + mono] = c
+            else:
+                coeffs[mono] = x
+        return _canon(nvars, coeffs, den)
 
     def leading(self) -> tuple[tuple, Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""

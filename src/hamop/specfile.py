@@ -104,7 +104,7 @@ def load_operator_spec(data) -> OperatorSpec:
                     raise SpecFileError(
                         f"{where}: constant matrix not symmetric at ({i+1},{j+1})"
                     )
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
         seen = set()
         linear = mraw.get("linear", [])
         if not isinstance(linear, list):

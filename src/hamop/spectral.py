@@ -1,18 +1,27 @@
 """Affinor construction and Jordan/Segre classification at sample points.
 
-The affinor of a pair (g constant, h linear) is L^i_j = h^{ik} g_{kj}, a
-polynomial matrix.  Its Segre type at a point is the multiset of Jordan
-block-size partitions per eigenvalue, computed from the rank sequence
+The affinor of a pair (g constant, h linear) is L^i_j = h^{ik} g_{kj}.  It
+is built in integer form (``IntegerAffinor``) from the metrics' coefficient
+arrays D_g g = G0 and D_h h = H0 + u_s H_s: g^-1 = D_g adj(G0) / det G0, so
+L = D_g / (D_h |det G0|) (L0 + u_s L_s) with the int arrays
+L_s = sign(det G0) H_s adj(G0) and a positive rational scale.  L g = h, so
+L is g-self-adjoint iff every H_s is symmetric.  ``affinor`` returns the
+polynomial matrix of the same arrays.
+
+The Segre type of L at a point is the multiset of Jordan block-size
+partitions per eigenvalue, computed from the rank sequence
 r_k = rank((L - lambda I)^k): the number of blocks of size >= k equals
 r_{k-1} - r_k.  Eigenvalues are extracted exactly over Q and Q(i); anything
 outside those fields raises UnsupportedEigenvalueField rather than degrading.
 
 The whole point spectrum is computed over the integers.  The value of L at
-an integer point is the integer matrix A = D L(pt) (``PolyMatrix.int_at``,
-D the lcm of the entries' coefficient denominators); the characteristic
-polynomial of A is Berkowitz's, over Z, and ``roots.rational_roots`` splits
-it over Z (Yun's algorithm, integer Horner, integer discriminants).  A root
-mu of chi_A is the eigenvalue mu / D of L.  For mu = p/q the rank sequence
+an integer point is the scale times the integer matrix A = L0 + u_s L_s
+(``metrics.AffineArrays.int_at``); the characteristic polynomial of A is
+Berkowitz's, over Z, and ``roots.rational_roots`` splits it over Z (Yun's
+algorithm, integer Horner, integer discriminants).  A root mu of chi_A is
+the eigenvalue (scale) mu of L.  A polynomial affinor that is given as a
+matrix is first written in the same integer form, with scale 1 / D
+(``metrics.coefficient_arrays``).  For mu = p/q the rank sequence
 is that of the powers of the integer matrix q A - p I, a nonzero multiple
 of L - lambda I.  For mu = (r + s i)/q it is that of X + iY with
 X = q A - r I and Y = -s I, whose powers are kept as pairs of integer
@@ -20,7 +29,8 @@ matrices; their ranks over Q(i) are half the ranks of the real embeddings
 (``linsolve.gaussian_rank``).  Only the reported eigenvalues are Fractions.
 
 Sampling uses 5 deterministic seeded points, redrawn where any metric of
-the pair or spec is singular (``metrics.degenerate_at``, an integer rank).
+the pair or spec is singular (``metrics.degenerate_at``, an integer rank),
+at most ``pointcheck.MAX_REJECT`` times.
 The generic type is the maximum of the types seen by semicontinuity
 (``_genericity``): a special point can only merge eigenvalues or lower the
 ranks, never split or raise them.  ``observed_types`` lists the types seen in that order, and
@@ -42,26 +52,78 @@ from .errors import (
 )
 from .linsolve import gaussian_rank, int_rank, mat_mul, solve
 from .matrices import PolyMatrix
-from .metrics import LinearMetric, degenerate_at
+from .metrics import AffineArrays, LinearMetric, coefficient_arrays, degenerate_at
+from .pointcheck import MAX_REJECT
+from .poly import MultiPoly
 from .roots import char_poly, rational_roots
 from .scalars import GaussianRational
-from .verify import constant_inverse
+from .verify import constant_inverse_parts
 
 SEGRE_POINTS = 5
 SEGRE_RANGE = 9
 
 
-def affinor(g: LinearMetric, h) -> PolyMatrix:
-    """L = h g^{-1} with polynomial entries; requires g constant.
+class IntegerAffinor:
+    """An affinor L = num / den (L0 + u_s L_s) in integer form: ``form``
+    holds the arrays L0, L1, ..., Lk (int entries, or integer-coefficient
+    polynomials in the formal parameters), and num, den > 0 are ints."""
 
-    The result is g-self-adjoint by construction (L g = h = h^T)."""
+    __slots__ = ("num", "den", "form", "nvars")
+
+    def __init__(self, num: int, den: int, form: AffineArrays, nvars: int):
+        self.num, self.den, self.form, self.nvars = num, den, form, nvars
+
+    @staticmethod
+    def of_matrix(L: PolyMatrix, n: int) -> "IntegerAffinor":
+        """The integer form of a polynomial matrix at most linear in
+        u1..un: its coefficient arrays with scale 1 / D."""
+        arrays = coefficient_arrays(L, n)
+        if arrays is None:
+            raise ValueError("an affinor must be at most linear in u")
+        return IntegerAffinor(1, arrays[0], AffineArrays(arrays[1]), L.nvars)
+
+    def matrix(self) -> PolyMatrix:
+        """L with polynomial entries."""
+        arrays, num = self.form.arrays, self.num
+        return PolyMatrix([
+            [MultiPoly.from_affine_parts(self.nvars, self.den, [num * m[i][j] for m in arrays])
+             for j in range(len(row))]
+            for i, row in enumerate(arrays[0])
+        ])
+
+
+def integer_affinor(g: LinearMetric, h) -> IntegerAffinor:
+    """L = h g^{-1} in integer form, for constant g and a metric or
+    bivector h at most linear in u: L_s = sign(det G0) H_s adj(G0) with
+    scale D_g / (D_h |det G0|) (module docstring).  g^-1 is read off g's
+    memoised adjugate (``verify.constant_inverse_parts``).  L g = h, so L is
+    g-self-adjoint iff h is symmetric, which is checked on the H_s."""
     if not g.is_constant():
         raise FirstMetricNotConstant("affinor needs the first metric constant")
-    hm = h.mat if isinstance(h, LinearMetric) else h
-    L = hm @ constant_inverse(g)
-    if not (L @ g.mat).is_symmetric():
+    Dg, adj, det = constant_inverse_parts(g)
+    arrays = h.arrays if isinstance(h, LinearMetric) else coefficient_arrays(h, g.n)
+    if arrays is None:
+        raise ValueError("affinor needs a bivector at most linear in u")
+    Dh, H = arrays
+    rng = range(g.n)
+    if any(m[i][j] != m[j][i] for m in H for i in rng for j in range(i + 1, g.n)):
         raise ValueError("affinor is not g-self-adjoint; bivector not symmetric?")
-    return L
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
+    L = AffineArrays([mat_mul(m, adj) for m in H])
+    return IntegerAffinor(Dg, Dh * abs(det), L, g.nvars)
+
+
+def affinor(g: LinearMetric, h) -> PolyMatrix:
+    """L = h g^{-1} with polynomial entries, the matrix of
+    ``integer_affinor``; requires g constant."""
+    return integer_affinor(g, h).matrix()
+
+
+def _integer(L, n: int) -> IntegerAffinor:
+    """An affinor given as an IntegerAffinor or as a polynomial matrix, in
+    integer form."""
+    return L if isinstance(L, IntegerAffinor) else IntegerAffinor.of_matrix(L, n)
 
 
 @dataclass(frozen=True)
@@ -173,29 +235,31 @@ def _shifted(a: list[list[int]], c: int, s: int) -> list[list[int]]:
     ]
 
 
-def _over(x: Fraction, d: int) -> Fraction:
-    """x / d for a positive int d, with no Fraction arithmetic."""
-    return Fraction(x.numerator, x.denominator * d)
+def _scaled(x: Fraction, num: int, den: int) -> Fraction:
+    """x num / den for positive ints num, den, with no Fraction arithmetic."""
+    return Fraction(x.numerator * num, x.denominator * den)
 
 
-def spectrum_at_point(L: PolyMatrix, point, n: int) -> PointSpectrum | None:
-    """Eigenvalues and partitions at one integer point; None when the
-    characteristic polynomial does not split over Q(i)."""
-    a, d = L.int_at(point)
+def spectrum_at_point(L, point, n: int) -> PointSpectrum | None:
+    """Eigenvalues and partitions of an affinor (an IntegerAffinor, or a
+    polynomial matrix at most linear in u1..un) at one integer point; None
+    when the characteristic polynomial does not split over Q(i)."""
+    L = _integer(L, n)
+    a, num, den = L.form.int_at(point), L.num, L.den
     report = rational_roots(char_poly(a))
     if not report.fully_split:
         return None
     blocks = []
     for r, mult in sorted(report.rational.items()):
         b = _shifted(a, r.denominator, r.numerator)
-        blocks.append(EigenBlock(_over(r, d), _partition_for(_real_ranks(b), mult, n)))
+        blocks.append(EigenBlock(_scaled(r, num, den), _partition_for(_real_ranks(b), mult, n)))
     gauss = sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im))
     for z, mult in gauss:
         re, im = z.re, z.im
         q = lcm(re.denominator, im.denominator)
         x = _shifted(a, q, re.numerator * (q // re.denominator))
         ranks = _gaussian_ranks(x, -im.numerator * (q // im.denominator))
-        lam = GaussianRational(_over(re, d), _over(im, d))
+        lam = GaussianRational(_scaled(re, num, den), _scaled(im, num, den))
         blocks.append(EigenBlock(lam, _partition_for(ranks, mult, n)))
     return PointSpectrum(tuple(point), blocks)
 
@@ -221,11 +285,11 @@ def segre_sample_points(
             while x == 0:
                 x = rng.randint(-SEGRE_RANGE, SEGRE_RANGE)
             pt.append(Fraction(x))
-        if not any(degenerate_at(m.mat, pt) for m in metrics):
+        if not any(degenerate_at(m, pt) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1
-            if rejects > 100:
+            if rejects > MAX_REJECT:
                 raise DegenerateEverywhere("no generic sample point found")
     return pts
 
@@ -239,15 +303,18 @@ def _genericity(key: tuple):
 
 
 def segre_type(
-    L: PolyMatrix,
+    L,
     points=None,
     seed: int = 0,
     n: int | None = None,
     metrics=(),
 ) -> SegreReport:
-    """Segre classification of an affinor at sample points (drawn, when not
-    given, away from the points where any of ``metrics`` is singular)."""
-    n = n or L.rows
+    """Segre classification of an affinor (an IntegerAffinor, or a
+    polynomial matrix at most linear in u1..un) at sample points (drawn,
+    when not given, away from the points where any of ``metrics`` is
+    singular)."""
+    n = n or (L.rows if isinstance(L, PolyMatrix) else len(L.form.arrays[0]))
+    L = _integer(L, n)
     if points is None:
         points = segre_sample_points(L.nvars, seed, metrics=metrics)
     spectra = []
@@ -272,7 +339,7 @@ def segre_of_pair(g: LinearMetric, h, points=None, seed: int = 0) -> SegreReport
     """Segre report of the affinor of a pair; sample points are rejected
     where either metric degenerates."""
     metrics = [g, h] if isinstance(h, LinearMetric) else [g]
-    return segre_type(affinor(g, h), points=points, seed=seed, n=g.n, metrics=metrics)
+    return segre_type(integer_affinor(g, h), points=points, seed=seed, n=g.n, metrics=metrics)
 
 
 def segre_of_spec(spec, points=None, seed: int = 0) -> SegreReport:
@@ -282,7 +349,7 @@ def segre_of_spec(spec, points=None, seed: int = 0) -> SegreReport:
     if spec.d < 2:
         raise SingleMetric("a Segre type needs two metrics; the spec has d = 1")
     return segre_type(
-        affinor(spec.metrics[0], spec.metrics[1]),
+        integer_affinor(spec.metrics[0], spec.metrics[1]),
         points=points,
         seed=seed,
         n=spec.n,

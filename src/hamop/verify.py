@@ -27,12 +27,13 @@ function, pair_conditions, checks an ordered pair.
 Every condition runs through one pipeline, and one function, _scan_points,
 runs it for the conditions that share a set of frames (the Mokhov
 conditions; the triple of a pair).  Each condition is first decided on
-integer coefficient arrays, before any point scan:
-geometry.coefficient_arrays writes D m = M0 + u_s M_s for a metric that is
-at most linear in u, with int entries (integer-coefficient polynomials in
-the formal parameters where they occur).  The triple of a pair (linear g,
-h) is decided there by _triple_proofs, where each residual is affine in u
-and so vanishes iff its n + 1 coefficient arrays do: Killing is the sum of
+integer coefficient arrays, before any point scan: each metric's one
+integer form, D m = M0 + u_s M_s (LinearMetric.arrays, memoised; the spec
+loader builds it straight from the file), with int entries
+(integer-coefficient polynomials in the formal parameters where they
+occur).  The triple of a pair (linear g, h) is decided there by
+_triple_proofs, where each residual is affine in u and so vanishes iff its
+n + 1 coefficient arrays do: Killing is the sum of
 u_k K(G_k, H_k); Nijenhuis is nijenhuis_components on L = H adj(G0) for
 constant g, or on L^-1 up to a factor, G adj(H0), for constant h with
 det H0 != 0; linearity is the contravariant Hessian of h on the constant
@@ -46,11 +47,11 @@ the arrays claim only passes, so a failing condition's witness comes from
 the pipeline below, as it would without them.
 
 Every other condition is evaluated exactly at seeded integer points, in
-int arithmetic (see pointcheck).  A point frame scales a metric's value
-there to the int matrix G = D g(pt), and every jet a condition reads is an
-int numerator over a known power of det G and D: b = c / (2 det D),
-d_r b = db / (2 det^2 D), Gamma = gamma / (2 det^2) and
-d_r Gamma = dgamma / (2 det^3).  At each point only the conditions not
+int arithmetic (see pointcheck).  A point frame reads a metric's value
+there off its arrays, the int matrix G = D g(pt) = M0 + u_s M_s, and every
+jet a condition reads is an int numerator over a known power of det G and
+D: b = c / (2 det D), d_r b = db / (2 det^2 D), Gamma = gamma / (2 det^2)
+and d_r Gamma = dgamma / (2 det^3).  At each point only the conditions not
 yet decided are evaluated, each once and only up to its first failing
 component, on numerators of one weight; a hit is a nonzero numerator, and
 its quotient by the condition's denominator, the one Fraction the scan
@@ -95,7 +96,6 @@ from .errors import (
 )
 from .geometry import (
     T_NAMES,
-    coefficient_arrays,
     constant_connection,
     contravariant_derivative,
     covariant_hessian,
@@ -111,8 +111,8 @@ from .geometry import (
     riemann_components,
 )
 from .linsolve import mat_mul
-from .matrices import PolyMatrix, adjugate_det
-from .metrics import LinearMetric, OperatorSpec
+from .matrices import PolyMatrix
+from .metrics import LinearMetric, OperatorSpec, coefficient_arrays
 from .poly import MultiPoly
 from .scalars import format_rational
 
@@ -266,30 +266,25 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     return dict(mokhov_identities(R, d_raised, b, h.mat.entries, g.n))
 
 
-def _zero(*_):
-    return 0
-
-
 def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     """The Mokhov conditions that hold for constant g on the constant
     contravariant connection of h: when b^{ij}_k = -h^{is} Gamma~^j_{sk} is
     constant (``constant_connection`` with candidate point u0, giving
-    c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0,
-    and on R = -G c for the constant coefficient array G = D g
-    (``coefficient_arrays``), all in the arithmetic of c: ints, or
-    polynomials in the formal parameters.  flat(g2) is Dubrovin's
-    contravariant curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the
-    invertible h.  Each identity is homogeneous in b and in R, so it holds
+    c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0
+    (so d R = 0, and no derivative term is evaluated), and on R = -G c for
+    the constant coefficient array G = D g (``LinearMetric.arrays``), all in
+    the arithmetic of c: ints, or polynomials in the formal parameters.
+    flat(g2) is Dubrovin's contravariant curvature
+    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h.  Each identity is homogeneous in b and in R, so it holds
     on b and g iff on c and G."""
     conn = constant_connection(h, u0)
     if conn is None:
         return set()
     c, _ = conn
     n = g.n
-    _, (G, *_) = coefficient_arrays(g.mat, n)
-    R = raised_obstruction(G, c, n)
-    streams = dict(mokhov_identities(R, _zero, c, h.mat.entries, n))
-    streams["flat(g2)"] = riemann_components(c, _zero, n)
+    R = raised_obstruction(g.arrays[1][0], c, n)
+    streams = dict(mokhov_identities(R, None, c, h.mat.entries, n))
+    streams["flat(g2)"] = riemann_components(c, None, n)
     return {name for name, stream in streams.items() if not any(r for _, r in stream)}
 
 
@@ -337,35 +332,47 @@ def mokhov_conditions(
 # ---------------------------------------------------------------------------
 
 
-def _as_bivector(h) -> PolyMatrix:
-    return h.mat if isinstance(h, LinearMetric) else h
+def _as_metric(h, n: int):
+    """A bivector ``h`` as a LinearMetric when it is one, or a matrix at
+    most linear in u (wrapped with its coefficient arrays and no
+    non-degeneracy check); else the matrix itself."""
+    if isinstance(h, LinearMetric):
+        return h
+    arrays = coefficient_arrays(h, n)
+    return h if arrays is None else LinearMetric(n, h, check_nondegenerate=False, arrays=arrays)
 
 
-def constant_inverse(g: LinearMetric) -> PolyMatrix:
-    """Inverse of a constant metric with polynomial (constant) entries:
-    D adj(G) / det(G) for the coefficient array G = D g
-    (``coefficient_arrays``), from one integer adjugate."""
+def constant_inverse_parts(g: LinearMetric):
+    """(D, adj, det) with g^-1 = D adj / det for a constant metric g: the
+    metric's memoised adjugate of its coefficient array G = D g
+    (``LinearMetric.constant_adjugate``), with det an int."""
     if not g.is_constant():
         raise FirstMetricNotConstant("metric must be constant")
-    D, (G, *_) = coefficient_arrays(g.mat, g.n)
-    adj, det = adjugate_det(G)
+    adj, det = g.constant_adjugate()
     if not det:
         raise IdenticallySingular("matrix determinant is identically zero")
     if not isinstance(det, int):
         if not det.is_constant():
             raise ValueError("not a polynomial")
-        det = det.constant_value()
+        det = det.constant_value().numerator
+    return g.arrays[0], adj, det
+
+
+def constant_inverse(g: LinearMetric) -> PolyMatrix:
+    """Inverse of a constant metric with polynomial (constant) entries:
+    D adj(G) / det(G) (``constant_inverse_parts``)."""
+    D, adj, det = constant_inverse_parts(g)
     zero = MultiPoly.zero(g.nvars)
-    return PolyMatrix([[zero + x * Fraction(D) / det for x in row] for row in adj])
+    return PolyMatrix([[zero + x * Fraction(D, det) for x in row] for row in adj])
 
 
-def _triple_proofs(g: LinearMetric, hm: PolyMatrix, u0=None) -> set:
+def _triple_proofs(g: LinearMetric, h, u0=None) -> set:
     """Which of linearity, nijenhuis and killing hold for the linear
-    reference g and the bivector hm, decided on their coefficient arrays
-    D' g = G0 + u_s G_s and D h = H0 + u_s H_s (``coefficient_arrays``)
-    before any point scan; without the arrays of h nothing is proven.  Each
-    residual is affine in u, so it vanishes iff each of its n + 1
-    coefficient arrays does (u_0 = 1):
+    reference g and the bivector h, decided on their coefficient arrays
+    D' g = G0 + u_s G_s and D h = H0 + u_s H_s (``LinearMetric.arrays``)
+    before any point scan; for an h that is not linear in u nothing is
+    proven.  Each residual is affine in u, so it vanishes iff each of its
+    n + 1 coefficient arrays does (u_0 = 1):
 
     * Killing is linear in (g, h) for fixed derivatives, so its arrays are
       ``killing_components(G_k, [G_s], H_k, [H_s])``; those with k >= 1
@@ -383,26 +390,22 @@ def _triple_proofs(g: LinearMetric, hm: PolyMatrix, u0=None) -> set:
       b = 0 and d g = 0, so it is d d h = 0: linearity holds iff the arrays
       exist.  Without u0, or when b is not constant, it is not proven."""
     n = g.n
-    arrays = coefficient_arrays(hm, n)
-    if arrays is None:
+    h = _as_metric(h, n)
+    if not isinstance(h, LinearMetric):
         return set()
-    _, H = arrays
-    Dg, G = coefficient_arrays(g.mat, n)
-
-    def constant(M):
-        return not any(x for m in M[1:] for row in m for x in row)
-
-    flat = constant(G)
+    Dg, G = g.arrays
+    _, H = h.arrays
+    flat = g.is_constant()
     proven = set()
     ks = range(1 if flat else n + 1)
     if not any(r for k in ks for _, r in killing_components(G[k], G[1:], H[k], H[1:], n)):
         proven.add("killing")
-    A, B = (H, G) if flat else (G, H)
-    if flat or constant(H):
-        adj, det = adjugate_det(B[0])
-        L = [mat_mul(m, adj) for m in A]
-        if det and not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n)):
-            proven.add("nijenhuis")
+    if flat or h.is_constant():
+        A, (adj, det) = (H, g.constant_adjugate()) if flat else (G, h.constant_adjugate())
+        if det:
+            L = [mat_mul(m, adj) for m in A]
+            if not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n)):
+                proven.add("nijenhuis")
     if flat:
         proven.add("linearity")
     elif u0 is not None and (conn := constant_connection(g, u0)):
@@ -435,9 +438,12 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
     there, proven by their lazy streams, which stop at the first nonzero
     component.  Linearity is the covariant Hessian of h for g's
     connection; for constant g that is the plain second partials, which
-    are not scanned."""
+    are not scanned.  A bivector that is not linear in u gets neither the
+    proofs on arrays nor a scan."""
     n = g.n
-    hm = _as_bivector(h)
+    h = _as_metric(h, n)
+    linear = isinstance(h, LinearMetric)
+    hm = h.mat if linear else h
     lin, nij, kil = "linearity", "nijenhuis", "killing"
     if tag:
         b, c = tag
@@ -449,21 +455,15 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
         kil: lambda: killing_stream(g, hm, n),
     }
     names = dict(zip(("linearity", "nijenhuis", "killing"), proofs))
-    proven = {names[k] for k in _triple_proofs(g, hm, points[0] if points else None)}
+    proven = {names[k] for k in _triple_proofs(g, h, points[0] if points else None)}
 
     def at(fg, fh):
         yield nij, lambda: pc.nijenhuis_at(fh, fg)
         yield kil, lambda: pc.killing_at(fg, fh)
         yield lin, lambda: None if flat else pc.linearity_at(fg, fh)
 
-    hw = _wrap_metric(h, g) if points else None
-    return _scan_points(proofs, at, (g, hw), points or (), cache or pc.FrameCache(), proven)
-
-
-def _wrap_metric(h, like: LinearMetric) -> LinearMetric:
-    if isinstance(h, LinearMetric):
-        return h
-    return LinearMetric(like.n, h, check_nondegenerate=False)
+    points = (points or ()) if linear else ()
+    return _scan_points(proofs, at, (g, h), points, cache or pc.FrameCache(), proven)
 
 
 def theorem2_conditions(
@@ -477,11 +477,12 @@ def theorem2_conditions(
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
-    if coefficient_arrays(_as_bivector(h), g.n) is None:  # not linear in u
+    h = _as_metric(h, g.n)
+    if not isinstance(h, LinearMetric):  # not linear in u
         points = ()
     elif points is None:
         try:
-            points = _sample(g.nvars, [g, _wrap_metric(h, g)], seed)
+            points = _sample(g.nvars, [g, h], seed)
         except DegenerateEverywhere:
             points = ()
     report.conditions = pair_conditions(g, h, points, cache)
