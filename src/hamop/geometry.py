@@ -145,22 +145,22 @@ def constant_connection(h: LinearMetric, u0):
     constant, so it is metric-compatible, b^{ij}_k + b^{ji}_k = d_k h^{ij},
     at every u.  The result rests only on the torsion-free identity
     h^{is} b^{jk}_s = h^{js} b^{ik}_s, which is affine in u and so is checked
-    on H0 and each H_s: with it the candidate is the connection, which is
-    unique.  The connection of D h is D b, as Gamma does not change when h
-    is scaled."""
+    on each H_s (at u0 it holds by construction): with it the candidate is
+    the connection, which is unique.  The connection of D h is D b, as
+    Gamma does not change when h is scaled."""
     n, rng = h.n, range(h.n)
     if any(x.denominator != 1 for x in u0[:n]):
         raise ValueError("constant_connection needs an integer point")
-    D, (H0, *dH) = h.arrays
+    D, (_, *dH) = h.arrays
     h0 = h.affine().at([x.numerator for x in u0[:n]])
     adj, det = adjugate_det(h0)
     if not det:
         return None
     c = connection_numerators(h0, [mat_mul(m, adj) for m in dH], dH, det)
-    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s for H = H0 and each H_s;
-    # p[i][j n + k] = H^{is} c^{jk}_s
+    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s, p[i][j n + k] = H^{is} c^{jk}_s;
+    # not on H0: c is h's connection at u0, so it holds there, and H0 = D h(u0) - u0_s H_s
     cs = [[c[j][k][s] for j in rng for k in rng] for s in rng]
-    for m in (H0, *dH):
+    for m in dH:
         p = mat_mul(m, cs)
         if any(p[i][j * n + k] != p[j][i * n + k]
                for i in rng for j in range(i + 1, n) for k in rng):

@@ -73,7 +73,14 @@ def coefficient_arrays(m: PolyMatrix, n: int):
                for k in range(n + 1)]
 
 
-def _int_point(point) -> list[int]:
+def int_value(x, u) -> int:
+    """An array entry at the integer point u: an int as it is, an
+    integer-coefficient polynomial in the formal parameters evaluated there."""
+    return x if isinstance(x, int) else x.int_eval(u)[0]
+
+
+def int_point(point) -> list[int]:
+    """An integer point's coordinates (ints or Fractions) as ints."""
     if any(x.denominator != 1 for x in point):
         raise ValueError("a point value needs a point with integer coordinates")
     return [x.numerator for x in point]
@@ -119,12 +126,12 @@ class AffineArrays:
         evaluated there (``MultiPoly.int_eval``), ints are read as they are."""
         if not self.symbolic:
             return m
-        return [[x if isinstance(x, int) else x.int_eval(u)[0] for x in row] for row in m]
+        return [[int_value(x, u) for x in row] for row in m]
 
     def int_at(self, point) -> list[list[int]]:
         """The int matrix M0 + u_s M_s at an integer point (ints or
         Fractions, one coordinate per ring variable)."""
-        u = _int_point(point)
+        u = int_point(point)
         return self.evaluate(self.at(u), u)
 
 
@@ -234,7 +241,7 @@ class LinearMetric:
         per ring variable): the int matrices G = D g(point) and
         A[s] = D d_s g = M_(s+1), with the formal parameters evaluated
         there."""
-        form, u = self.affine(), _int_point(point)
+        form, u = self.affine(), int_point(point)
         return self.arrays[0], form.evaluate(form.at(u), u), [
             form.evaluate(m, u) for m in form.arrays[1:]]
 
@@ -251,7 +258,7 @@ class LinearMetric:
         answer is the determinant of M0, taken once."""
         form = self.affine()
         if not form.terms and not form.symbolic:
-            _int_point(point)
+            int_point(point)
             return not self.constant_adjugate()[1]
         return int_rank(form.int_at(point)) < self.n
 

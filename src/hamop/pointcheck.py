@@ -5,16 +5,17 @@ of a metric, its Christoffel symbols and their derivatives) is written
 once, in int arithmetic: a jet is an int numerator over a known power of
 det and D, where D g(pt) = G is the metric's value at the integer point
 scaled to an int matrix and det = det G.  The conditions themselves are
-not restated here: ``flat_at``, ``mokhov_at``, ``nijenhuis_at``,
-``killing_at`` and ``linearity_at`` feed numerators of one uniform weight
-(and the derivative each needs) to the one statement of their condition in
-``geometry`` (``riemann_components``, ``mokhov_identities``,
-``nijenhuis_components``, ``killing_components``, ``hessian_components``),
-written once for every exact scalar representation, and return its first
-hit.  A hit is exact: the stream's numerator is nonzero iff the condition's
-value is, and the residual is that numerator over the kernel's denominator,
-the condition's rational value at the point.  It is the one Fraction a scan
-builds, and it is the witness.
+not restated here: ``flat_at``, ``mokhov_at``, ``nijenhuis_at`` and
+``linearity_at`` feed numerators of one uniform weight (and the derivative
+each needs) to the one statement of their condition in ``geometry``
+(``riemann_components``, ``mokhov_identities``, ``nijenhuis_components``,
+``hessian_components``), written once for every exact scalar
+representation, and return its first hit.  A hit is exact: the stream's
+numerator is nonzero iff the condition's value is, and the residual is
+that numerator over the kernel's denominator, the condition's rational
+value at the point.  It is the one Fraction a scan builds, and it is the
+witness.  Killing, and the triple of a constant reference, are decided on
+coefficient arrays in ``verify``: the other kernels serve the rest.
 
 The jets are computed as a condition reads them, from first jets only:
 the connection has one formula.  ``PointFrame`` reads 2 det D b, the
@@ -52,7 +53,6 @@ from .geometry import (
     T_NAMES,
     connection_numerators,
     hessian_components,
-    killing_components,
     mokhov_identities,
     nijenhuis_components,
     raised_obstruction,
@@ -130,7 +130,6 @@ class PointFrame:
         self.n = g.n
         self.point = point
         self.D, self.G, self.A = g.jets_at(point)
-        self.constant = not any(x for a in self.A for row in a for x in row)
         self._db = {}  # (r, i, j, k) -> d_r b^{ij}_k numerator
         self._dgamma = {}  # (r, i, j, k), j <= k -> d_r Gamma^i_{jk} numerator
 
@@ -235,8 +234,6 @@ def flat_at(f: PointFrame):
     """First failing (indices, residual) of R = 0, or None: with
     Gamma = gamma / (2 det^2) and d Gamma = dgamma / (2 det^3), the stream
     on gamma and 2 det dgamma is 4 det^4 R."""
-    if f.constant:
-        return None
     det, dgamma = f.det, f.dgamma
 
     def d(r, i, j, k):
@@ -291,8 +288,7 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
     numerators are built on first read."""
     n, rng = fh.n, range(fh.n)
     H, Ah = fh.G, fh.A
-    adj, det = fgamma.adj, fgamma.det
-    Fg = None if fgamma.constant else fgamma.F
+    adj, det, Fg = fgamma.adj, fgamma.det, fgamma.F
 
     def row(m):
         return [sum(m[s] * adj[s][b] for s in rng if m[s]) for b in rng]
@@ -300,21 +296,12 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
     L = _Rows(lambda a: row(H[a]))
 
     def d_row(k, a):
-        out = [det * x for x in row(Ah[k][a])]
-        if Fg is not None:
-            La, Fk = L[a], Fg[k]
-            out = [x - sum(La[s] * Fk[s][b] for s in rng) for b, x in enumerate(out)]
-        return out
+        La, Fk = L[a], Fg[k]
+        return [det * x - sum(La[s] * Fk[s][b] for s in rng)
+                for b, x in enumerate(row(Ah[k][a]))]
 
     dL = _Rows(lambda k: _Rows(lambda a: d_row(k, a)))
     return _first(nijenhuis_components(L, dL, n), fh.D**2 * det**3, fgamma.D**2)
-
-
-def killing_at(fg: PointFrame, fh: PointFrame):
-    """First failing (indices, residual) of the Killing residual of (g, h):
-    each term is one of g, d g times one of h, d h, so the stream on the
-    int arrays is Dg Dh times it."""
-    return _first(killing_components(fg.G, fg.A, fh.G, fh.A, fg.n), fg.D * fh.D)
 
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame):

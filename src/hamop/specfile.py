@@ -47,7 +47,8 @@ def _is_int(v) -> bool:
 
 
 def load_operator_spec(data) -> OperatorSpec:
-    """Parse and validate a spec file (dict, JSON text, or path)."""
+    """Parse and validate a spec file given as a dict or as JSON text (a str
+    is always parsed as JSON, never read as a path)."""
     if isinstance(data, str):
         try:
             data = json.loads(data)

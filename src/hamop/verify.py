@@ -31,20 +31,15 @@ integer coefficient arrays, before any point scan: each metric's one
 integer form, D m = M0 + u_s M_s (LinearMetric.arrays, memoised; the spec
 loader builds it straight from the file), with int entries
 (integer-coefficient polynomials in the formal parameters where they
-occur).  The triple of a pair (linear g, h) is decided there by
-_triple_proofs, where each residual is affine in u and so vanishes iff its
-n + 1 coefficient arrays do: Killing is the sum of
-u_k K(G_k, H_k); Nijenhuis is nijenhuis_components on L = H adj(G0) for
-constant g, or on L^-1 up to a factor, G adj(H0), for constant h with
-det H0 != 0; linearity is the contravariant Hessian of h on the constant
-contravariant connection of g (geometry.constant_connection, whose
-candidate point is the first scan point; for constant g it is 0).  The
-Mokhov conditions are decided on the constant contravariant connection of h,
-over the same arrays.  A Hamiltonian pair (g1, g2) has a constant
-connection on g2 (T4), so the d >= 3 pairs of g2 with a constant metric are
-decided there too.  A condition proven there passes and builds no frame;
-the arrays claim only passes, so a failing condition's witness comes from
-the pipeline below, as it would without them.
+occur).  Each residual of the triple of a pair (linear g, h) is affine in
+u, so it vanishes iff its n + 1 coefficient arrays do (_triple_proofs).
+Where they are the reported residual's arrays, for Killing of every linear
+pair and every condition against a constant g, the arrays refute as well
+as prove: one pass over them gives the witness a point scan would, so the
+triple of a constant reference builds no frame.  The Mokhov conditions, and
+the d >= 3 pairs of g2 with a constant metric, are proven on the constant
+contravariant connection of h (a Hamiltonian pair (g1, g2) has one on g2,
+by T4), over the same arrays; only passes are decided there.
 
 Every other condition is evaluated exactly at seeded integer points, in
 int arithmetic (see pointcheck).  A point frame reads a metric's value
@@ -84,6 +79,7 @@ pair_conditions, such as the formal families of ``families``.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -112,7 +108,7 @@ from .geometry import (
 )
 from .linsolve import mat_mul
 from .matrices import PolyMatrix
-from .metrics import LinearMetric, OperatorSpec, coefficient_arrays
+from .metrics import LinearMetric, OperatorSpec, coefficient_arrays, int_point, int_value
 from .poly import MultiPoly
 from .scalars import format_rational
 
@@ -191,56 +187,36 @@ def _wit(indices, residual, point=None) -> Witness:
     return Witness(tuple(indices), residual, point)
 
 
+_residual = operator.itemgetter(1)
+
+
 def _scan(name: str, gen) -> ConditionResult:
     """Symbolic condition from a generator of (indices, residual)."""
-    for indices, residual in gen:
-        if residual:
-            return ConditionResult(name, False, _wit(indices, residual))
-    return ConditionResult(name, True)
+    hit = next(filter(_residual, gen), None)
+    return ConditionResult(name, False, _wit(*hit)) if hit else ConditionResult(name, True)
 
 
-def _hits(pairs, names) -> dict:
-    """name -> hit for each of ``names`` whose hit is not None.  ``pairs``
-    yields (name, thunk), and ``thunk()`` computes that condition's hit at
-    the point: it is called only for a name in ``names``, and reading stops
-    once every name has been seen, so no other condition is evaluated."""
-    pending = set(names)
-    hits = {}
-    for name, thunk in pairs:
-        if name in pending:
-            pending.discard(name)
-            hit = thunk()
-            if hit is not None:
-                hits[name] = hit
-            if not pending:
-                break
-    return hits
-
-
-def _scan_points(proofs: dict, fn, metrics, points, cache, proven=()) -> list[ConditionResult]:
+def _scan_points(proofs: dict, fn, metrics, points, cache, decided=()) -> list[ConditionResult]:
     """The conditions named by ``proofs``, in its order, scanned at points
-    together: the conditions in ``proven``, already shown to hold, pass
-    without a scan, and ``fn(*frames)`` on the frames of ``metrics`` at a
-    point yields (name, thunk) for the others, where ``thunk()`` gives the
-    condition's hit there, (indices, value) of its first failing component,
-    or None.  ``points`` are integer points, as Fractions.  At each point
-    only the conditions not yet decided are evaluated, each once, in int
-    arithmetic on frames whose jets are int numerators over known powers of
-    det and D (``pointcheck.PointFrame``), built as the conditions read them;
-    a hit's value, its numerator over the condition's denominator, is the
-    witness.  Points are scanned until every condition is decided, so a
-    scan with every condition proven builds no frame.  A condition without
-    a hit is then decided by ``proofs[name]()``, its exact identity as a
-    lazy (indices, residual) stream.  A condition's first failing point and index tuple do
-    not depend on which conditions share the scan."""
-    decided = {name: ConditionResult(name, True) for name in proven}
+    together: the ``decided`` ConditionResults are reported as they are, and
+    ``fn(*frames)`` on the frames of ``metrics`` at a point yields
+    (name, thunk) for the conditions it scans, ``thunk()`` the hit there,
+    (indices, value) of its first failing component, or None.  At each
+    integer point only the conditions not yet decided are evaluated, each
+    once, in int arithmetic on frames (``pointcheck.PointFrame``) built as
+    they are read, so a scan with every condition decided builds none.  A
+    condition without a hit is then decided by ``proofs[name]()``, its exact
+    identity as a lazy (indices, residual) stream.  A condition's first
+    failing point and index do not depend on which conditions share a scan."""
+    done = {c.name: c for c in decided}
     for pt in points:
-        if len(decided) == len(proofs):
+        pending = proofs.keys() - done.keys()
+        if not pending:
             break
-        hits = _hits(fn(*cache.frames(pt, *metrics)), proofs.keys() - decided.keys())
-        for name, hit in hits.items():
-            decided[name] = ConditionResult(name, False, _wit(*hit, pt))
-    return [decided.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
+        for name, thunk in fn(*cache.frames(pt, *metrics)):
+            if name in pending and (hit := thunk()):
+                done[name] = ConditionResult(name, False, _wit(*hit, pt))
+    return [done.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
 
 
 def _flatness_proof(g: LinearMetric):
@@ -274,9 +250,10 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     (so d R = 0, and no derivative term is evaluated), and on R = -G c for
     the constant coefficient array G = D g (``LinearMetric.arrays``), all in
     the arithmetic of c: ints, or polynomials in the formal parameters.
-    flat(g2) is Dubrovin's contravariant curvature
-    b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h.  Each identity is homogeneous in b and in R, so it holds
-    on b and g iff on c and G."""
+    T4, d R = 0, holds by construction and its stream is not read.  flat(g2)
+    is Dubrovin's contravariant curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j
+    of the invertible h.  Each identity is homogeneous in b and in R, so it
+    holds on b and g iff on c and G."""
     conn = constant_connection(h, u0)
     if conn is None:
         return set()
@@ -285,7 +262,8 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     R = raised_obstruction(g.arrays[1][0], c, n)
     streams = dict(mokhov_identities(R, None, c, h.mat.entries, n))
     streams["flat(g2)"] = riemann_components(c, None, n)
-    return {name for name, stream in streams.items() if not any(r for _, r in stream)}
+    del streams["T4"]
+    return {"T4"} | {name for name, stream in streams.items() if not any(map(_residual, stream))}
 
 
 def _mokhov_at(fg, fh):
@@ -320,10 +298,9 @@ def mokhov_conditions(
         "flat(g2)": lambda: _flatness_proof(h),
         **{name: lambda name=name: t_streams()[name] for name in T_NAMES},
     }
+    proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
     report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(
-        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(),
-        _constant_connection_proofs(g, h, u0),
-    )
+        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(), proven)
     return report
 
 
@@ -366,49 +343,78 @@ def constant_inverse(g: LinearMetric) -> PolyMatrix:
     return PolyMatrix([[zero + x * Fraction(D, det) for x in row] for row in adj])
 
 
-def _triple_proofs(g: LinearMetric, h, u0=None) -> set:
-    """Which of linearity, nijenhuis and killing hold for the linear
-    reference g and the bivector h, decided on their coefficient arrays
-    D' g = G0 + u_s G_s and D h = H0 + u_s H_s (``LinearMetric.arrays``)
-    before any point scan; for an h that is not linear in u nothing is
-    proven.  Each residual is affine in u, so it vanishes iff each of its
-    n + 1 coefficient arrays does (u_0 = 1):
+def _decide(name, streams, points, value, poly) -> ConditionResult:
+    """Condition ``name`` decided on the arrays r_0, ..., r_n of a residual
+    that is a nonzero multiple of r_0 + u_s r_s: one pass over their
+    component ``streams``, in lockstep, up to the first point's first hit.
+    A failure's witness is a scan's: at the first of the integer ``points``
+    where a component's value v is nonzero, its first such index, residual
+    ``value(v, u)``; with no hit, ``poly(parts)`` at the first nonzero one."""
+    first = hit = None
+    best = len(points)
+    # a lone stream is filtered in C: only its nonzero components are read here
+    rows = zip(*streams) if len(streams) > 1 else zip(filter(_residual, streams[0]))
+    for comps in rows:
+        if not any(map(_residual, comps)):
+            continue
+        idx, parts = comps[0][0], [r for _, r in comps]
+        if first is None:
+            first, us = (idx, parts), [int_point(pt) for pt in points]
+        for p in range(best):
+            if v := sum(x * int_value(r, us[p]) for x, r in zip((1, *us[p]), parts) if r):
+                best, hit = p, (idx, v)
+                break
+        if not best:
+            break
+    if hit:
+        return ConditionResult(name, False, _wit(hit[0], value(hit[1], us[best]), points[best]))
+    if first:
+        return ConditionResult(name, False, _wit(first[0], poly(first[1])))
+    return ConditionResult(name, True)
 
-    * Killing is linear in (g, h) for fixed derivatives, so its arrays are
-      ``killing_components(G_k, [G_s], H_k, [H_s])``; those with k >= 1
-      vanish for constant g.
-    * Nijenhuis is linear in L for fixed d L.  For constant g,
-      L = H adj(G0) is a nonzero multiple of h g^-1; for constant h with
-      det H0 != 0, L = G adj(H0) is a nonzero multiple of its inverse
-      g h^-1, and N(L) = 0 iff N(L^-1) = 0.  With both non-constant
-      nothing is proven.
-    * Linearity is the contravariant Hessian nabla^a nabla^b h
-      (``contravariant_derivative``), g^{ar} g^{bs} nabla_r nabla_s h for
-      the invertible g, on g's contravariant connection b = c / den
-      (``constant_connection`` with candidate point u0).  With b constant
-      both nabla^b h and the Hessian are affine in u.  For constant g,
-      b = 0 and d g = 0, so it is d d h = 0: linearity holds iff the arrays
-      exist.  Without u0, or when b is not constant, it is not proven."""
+
+def _triple_proofs(g: LinearMetric, h, points=(), names=("linearity", "nijenhuis", "killing")):
+    """The ConditionResults of linearity, Nijenhuis and Killing (``names``)
+    that the coefficient arrays D' g = G0 + u_s G_s and D h = H0 + u_s H_s
+    (``LinearMetric.arrays``) of the linear reference g and a bivector h
+    linear in u decide.  Each residual is affine in u, so it vanishes iff
+    its n + 1 coefficient arrays do (u_0 = 1):
+
+    * Killing has the arrays ``killing_components(G_k, [G_s], H_k, [H_s])``
+      (k = 0 alone for constant g): decided both ways (``_decide``),
+      residual v / (Dg Dh).
+    * Nijenhuis, for constant g: L = H adj(G0) is Dh det / Dg times h g^-1
+      (det = det G0), decided both ways, residual Dg^2 v / (Dh^2 det^2).
+      For constant h with det H0 != 0, L = G adj(H0) is a multiple of
+      g h^-1, and N(L) = 0 iff N(L^-1) = 0: only a pass.
+    * Linearity, the contravariant Hessian of h (``contravariant_derivative``)
+      on g's connection b = c / den (``constant_connection`` at the first of
+      ``points``), is affine in u when b is constant: only a pass, but
+      always for constant g, where b = 0 and it is d d h."""
     n = g.n
     h = _as_metric(h, n)
     if not isinstance(h, LinearMetric):
-        return set()
-    Dg, G = g.arrays
-    _, H = h.arrays
-    flat = g.is_constant()
-    proven = set()
+        return []
+    lin, nij, kil = names
+    (Dg, G), (Dh, H) = g.arrays, h.arrays
+    nvars, flat = g.nvars, g.is_constant()
     ks = range(1 if flat else n + 1)
-    if not any(r for k in ks for _, r in killing_components(G[k], G[1:], H[k], H[1:], n)):
-        proven.add("killing")
+    decided = [_decide(kil, [killing_components(G[k], G[1:], H[k], H[1:], n) for k in ks], points,
+                       lambda v, u: Fraction(v, Dg * Dh),
+                       lambda parts: MultiPoly.from_affine_parts(nvars, Dg * Dh, parts))]
     if flat or h.is_constant():
         A, (adj, det) = (H, g.constant_adjugate()) if flat else (G, h.constant_adjugate())
-        if det:
-            L = [mat_mul(m, adj) for m in A]
-            if not any(r for m in L for _, r in nijenhuis_components(m, L[1:], n)):
-                proven.add("nijenhuis")
-    if flat:
-        proven.add("linearity")
-    elif u0 is not None and (conn := constant_connection(g, u0)):
+        L = [mat_mul(m, adj) for m in A]
+        streams = [nijenhuis_components(m, L[1:], n) for m in L]
+        if flat:
+            return decided + [ConditionResult(lin, True), _decide(
+                nij, streams, points,
+                lambda v, u: Fraction(Dg * Dg * v, Dh * Dh * int_value(det, u) ** 2),
+                lambda parts: MultiPoly.from_affine_parts(
+                    nvars, (Dh * constant_inverse_parts(g)[2]) ** 2, [Dg * Dg * r for r in parts]))]
+        if det and not any(any(map(_residual, s)) for s in streams):
+            decided.append(ConditionResult(nij, True))
+    if points and (conn := constant_connection(g, points[0])):
         c, den = conn
         gs = [[[den * x for x in row] for row in m] for m in G]
         cs = [[[Dg * x for x in row] for row in plane] for plane in c]
@@ -419,8 +425,8 @@ def _triple_proofs(g: LinearMetric, h, u0=None) -> set:
         sparse = [{(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
                   for m in H]
         if not any(nabla(nabla(sparse))):
-            proven.add("linearity")
-    return proven
+            decided.append(ConditionResult(lin, True))
+    return decided
 
 
 def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[ConditionResult]:
@@ -429,17 +435,13 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
     ``tag`` = (b, c), the 1-based positions of h and g in a d >= 3 spec,
     names them linearity[b|c], nijenhuis[b|c] and killing[c|b]; the Killing
     residual is always K(g, h), reference first.  Each condition is first
-    decided on integer coefficient arrays (``_triple_proofs``, whose
-    candidate point for g's contravariant connection is the first of
-    ``points``), and one proven there passes without a scan: every
-    condition of a linear h against a constant g, and of a linear g with a
-    constant contravariant connection against a constant invertible h.
-    The others are scanned at ``points`` (none: no scan) and, without a hit
-    there, proven by their lazy streams, which stop at the first nonzero
-    component.  Linearity is the covariant Hessian of h for g's
-    connection; for constant g that is the plain second partials, which
-    are not scanned.  A bivector that is not linear in u gets neither the
-    proofs on arrays nor a scan."""
+    decided on integer coefficient arrays (``_triple_proofs``): against a
+    constant g every condition of a linear h, a failure with the witness a
+    scan of ``points`` would give, so no point frame is built; Killing of
+    every linear pair; and passes of linearity and Nijenhuis against a
+    linear g.  The others are scanned at ``points`` (none: no scan) and,
+    without a hit there, proven by their lazy streams.  A bivector that is
+    not linear in u gets neither the arrays nor a scan."""
     n = g.n
     h = _as_metric(h, n)
     linear = isinstance(h, LinearMetric)
@@ -454,26 +456,25 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
         nij: lambda: nijenhuis_stream(hm @ (constant_inverse(g) if flat else g.inverse()), n),
         kil: lambda: killing_stream(g, hm, n),
     }
-    names = dict(zip(("linearity", "nijenhuis", "killing"), proofs))
-    proven = {names[k] for k in _triple_proofs(g, h, points[0] if points else None)}
+    points = (points or ()) if linear else ()
 
     def at(fg, fh):
         yield nij, lambda: pc.nijenhuis_at(fh, fg)
-        yield kil, lambda: pc.killing_at(fg, fh)
-        yield lin, lambda: None if flat else pc.linearity_at(fg, fh)
+        yield lin, lambda: pc.linearity_at(fg, fh)
 
-    points = (points or ()) if linear else ()
-    return _scan_points(proofs, at, (g, h), points, cache or pc.FrameCache(), proven)
+    decided = _triple_proofs(g, h, points, (lin, nij, kil))
+    return _scan_points(proofs, at, (g, h), points, cache or pc.FrameCache(), decided)
 
 
 def theorem2_conditions(
     g: LinearMetric, h, seed: int = DEFAULT_SEED, points=None, cache=None
 ) -> VerificationReport:
-    """Linearity + Nijenhuis + Killing for constant g, scanned at ``points``
-    (by default the first SCAN_POINTS of the seed's sample) and proven.
-    Flatness of h follows from them (Theorem 2) and is checked by
+    """Linearity + Nijenhuis + Killing for constant g, decided on the
+    coefficient arrays (``pair_conditions``), a failure with the witness of
+    a scan at ``points`` (by default the first SCAN_POINTS of the seed's
+    sample).  Flatness of h follows from them (Theorem 2) and is checked by
     mokhov_conditions.  A bivector that is not linear in u, or that is
-    degenerate at every sample point, gets no point scan."""
+    degenerate at every sample point, gets no point witness."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)

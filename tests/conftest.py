@@ -52,7 +52,7 @@ def random_linear_bivector(rng, n, nondegenerate=True, max_tries=50, nvars=None)
 
 def refuse_symbolic_work(monkeypatch, message):
     """Make the passing path's forbidden symbolic work raise AssertionError:
-    the linearity, Nijenhuis and Killing point kernels,
+    the linearity and Nijenhuis point kernels,
     ``LinearMetric.inverse``, and, in every hamop module that binds them,
     ``adjugate_det`` of a PolyMatrix and ``levi_civita`` of a non-constant
     metric.  ``adjugate_det`` on coefficient arrays (lists of rows) and the
@@ -73,7 +73,7 @@ def refuse_symbolic_work(monkeypatch, message):
             refuse()
         return levi_civita(g)
 
-    for kernel in ("linearity_at", "nijenhuis_at", "killing_at"):
+    for kernel in ("linearity_at", "nijenhuis_at"):
         monkeypatch.setattr(pc, kernel, refuse)
     monkeypatch.setattr(LinearMetric, "inverse", refuse)
     guards = (("adjugate_det", adjugate_det, arrays_only),

@@ -7,11 +7,11 @@ contracted with h, on b; its symbolic feed (``verify._t_streams``) and
 condition, against Mokhov's identities as the paper states them, written
 here from ``obstruction_tensor`` and the Christoffel symbols of h, and
 against ``flatness_witness``.  ``verify._triple_proofs`` (linearity,
-Nijenhuis and Killing on the arrays) is checked against the symbolic
-streams ``covariant_hessian``, ``nijenhuis_stream`` (of h times the
-symbolic inverse of g) and ``killing_stream``, for constant reference
-metrics and for the linear g2 of the d >= 3 entries, whose contravariant
-connection is constant.
+Nijenhuis and Killing on the arrays, a failure with its witness) is
+checked against the symbolic streams ``covariant_hessian``,
+``nijenhuis_stream`` (of h times the symbolic inverse of g) and
+``killing_stream``, for constant reference metrics and for the linear g2
+of the d >= 3 entries, whose contravariant connection is constant.
 """
 
 import functools
@@ -222,29 +222,38 @@ def _shifted_operator5():
     return "operator5+diag(0,1)", g, h.mat + PolyMatrix.from_scalars(2, [[0, 0], [0, 1]])
 
 
-def _triple_stream_passes(g, hm) -> set:
+def _triple_streams(g, hm) -> dict:
+    """name -> the condition decided by its symbolic stream alone."""
     n = g.n
     streams = {
         "linearity": covariant_hessian(hm, n, None if g.is_constant() else g),
         "nijenhuis": nijenhuis_stream(hm @ g.inverse(), n),
         "killing": killing_stream(g, hm, n),
     }
-    return {name for name, stream in streams.items() if not any(r for _, r in stream)}
+    return {name: vf._scan(name, stream) for name, stream in streams.items()}
+
+
+def _triple_stream_passes(g, hm) -> set:
+    return {name for name, c in _triple_streams(g, hm).items() if c.passed}
 
 
 def test_triple_proofs_agree_with_the_streams():
-    # the arrays prove exactly the conditions whose streams pass, for
-    # every pencil linear in u; for one that is not, they prove nothing,
-    # and its linearity stream fails
+    # the arrays decide exactly as the streams do, for every pencil linear
+    # in u against a constant g, and a failure, without scan points, has
+    # the stream's witness (its first nonzero component, as a polynomial);
+    # for a pencil not linear in u they decide nothing, and its linearity
+    # stream fails
     pairs = (_catalog_pairs(5, dims=(2, 3, 4, 5)) + _corpus_pencils()
              + _catalog_h_against_constant_g(3))
     pairs = [(name, g, h.mat) for name, g, h in pairs] + [_shifted_operator5(), _quadratic_bivector()]
     outcomes = set()
     for name, g, hm in pairs:
-        proven = vf._triple_proofs(g, hm)
-        passing = _triple_stream_passes(g, hm)
+        decided = vf._triple_proofs(g, hm)
+        streams = _triple_streams(g, hm)
+        passing = {c for c, r in streams.items() if r.passed}
         linear = all(p.degree_in_block(g.n) <= 1 for row in hm.entries for p in row)
-        assert proven == (passing if linear else set()), name
+        assert len(decided) == (3 if linear else 0), name
+        assert all(c == streams[c.name] for c in decided), name
         assert linear == ("linearity" in passing), name
         assert vf.constant_inverse(g) == g.inverse(), name
         outcomes |= {(c, c in passing) for c in ("linearity", "nijenhuis", "killing")}
@@ -331,13 +340,16 @@ def test_linear_reference_proofs_agree_with_the_streams():
             hms += _vanishing_at_origin(g, lambda g, hm: killing_stream(g, hm, g.n))
             hms += _vanishing_at_origin(g, lambda g, hm: covariant_hessian(hm, g.n, g))
         for hm in hms:
-            proven = vf._triple_proofs(g, hm, u0)
+            results = vf._triple_proofs(g, hm, [u0])
+            proven = {c.name for c in results if c.passed}
             passing = _triple_stream_passes(g, hm)
             constant = all(p.is_constant() for row in hm.entries for p in row)
             invertible = constant and not determinant(hm).is_zero()
             decided = conditions - ({"nijenhuis"} if not invertible else set())
             assert proven <= passing, (name, hm)
             assert proven & decided == passing & decided, (name, hm)
+            # of the conditions the arrays refute against a linear g, Killing is the one
+            assert {c.name for c in results if not c.passed} == {"killing"} - passing
             if constant and not invertible:
                 assert "nijenhuis" not in proven, (name, hm)
                 singular += "nijenhuis" not in passing

@@ -3,9 +3,9 @@
 At a seeded integer point every jet of a ``PointFrame``, an int numerator
 over its stated denominator, and every obstruction component is the value
 of its symbolic counterpart there; the symbolic residual streams are pinned
-to the point hits component by component; a scan evaluates each pending
-condition once per point, in int arithmetic, and builds one Fraction per
-hit.
+to the point hits, and to the witnesses of the coefficient arrays,
+component by component; a scan evaluates each pending condition once per
+point, in int arithmetic, and builds one Fraction per hit.
 """
 
 import functools
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from hamop import pointcheck as pc
-from hamop.catalog import get_entry
+from hamop.catalog import catalog, get_entry
 from hamop.geometry import (
     T_NAMES,
     covariant_hessian,
@@ -28,7 +28,7 @@ from hamop.geometry import (
     raised_obstruction,
 )
 from hamop.matrices import PolyMatrix
-from hamop.metrics import LinearMetric, OperatorSpec
+from hamop.metrics import LinearMetric, OperatorSpec, identically_degenerate
 from hamop.poly import MultiPoly
 from hamop.scalars import format_rational
 from hamop.specfile import default_param_values, load_operator_spec, specialize_spec
@@ -36,9 +36,13 @@ from hamop.verify import (
     SCAN_POINTS,
     _mokhov_at,
     _scan_points,
+    _sample,
+    _scan,
     _t_streams,
+    _triple_proofs,
     constant_inverse,
     mokhov_conditions,
+    pair_conditions,
     theorem2_conditions,
     verify_operator,
 )
@@ -311,7 +315,9 @@ def _riemann_numerator_hit(h, point):
 def test_symbolic_tensors_match_point_hits():
     # component-level link between the symbolic and the point feeds: at one
     # Q point per ordered (reference g, other h) pair, the first component of
-    # each symbolic residual stream that is nonzero there is the point hit.
+    # each symbolic residual stream that is nonzero there is the point hit,
+    # and, for the conditions the coefficient arrays decide (Killing always),
+    # their witness of a scan at that point.
     # The curvature is the Riemann numerator over det^4, and the
     # symbolic flatness witness is the first curvature component that is
     # nonzero at the point
@@ -339,10 +345,12 @@ def test_symbolic_tensors_match_point_hits():
         point = {
             "flat": pc.flat_at(fh),
             "nijenhuis": pc.nijenhuis_at(fh, fg),
-            "killing": pc.killing_at(fg, fh),
             "linearity": pc.linearity_at(fg, fh),
         }
-        assert point == sym, name
+        assert point == {k: sym[k] for k in point}, name
+        # the arrays decide Killing for every pair, with a scan's witness at qpt
+        arrays = {c.name: _point_hit(c) for c in _triple_proofs(g, h, [qpt])}
+        assert "killing" in arrays and all(arrays[k] == sym[k] for k in arrays), name
         w = flatness_witness(h)
         assert (w is None) == (sym["flat"] is None), name
         if w is not None:
@@ -351,19 +359,20 @@ def test_symbolic_tensors_match_point_hits():
     assert verdicts == {True, False}
 
 
-def _triple_at(fg, fh):
-    """(name, thunk) of the triple's kernels for the reference g of ``fg``."""
-    yield "nijenhuis", lambda: pc.nijenhuis_at(fh, fg)
-    yield "killing", lambda: pc.killing_at(fg, fh)
-    yield "linearity", lambda: pc.linearity_at(fg, fh)
+def _point_hit(c):
+    """(indices, residual) of a condition's witness at a point, or None."""
+    w = c.witness
+    return (w.indices, Fraction(w.residual)) if w and w.point else None
 
 
 def test_point_scan_builds_one_fraction_per_hit(monkeypatch):
-    # between the integer points and the hits every jet is an int numerator.
-    # With Fraction's arithmetic refused, flat(g2), T1-T5 and the triple of
-    # both orders (so linearity and Nijenhuis also run on a non-constant
-    # reference) are scanned at the seed's points of two failing pencils, and
-    # the only Fraction built is each hit's residual, one per hit
+    # between the integer points and the hits every jet and every value of
+    # a coefficient array is an int numerator.  With Fraction's arithmetic
+    # refused, flat(g2) and T1-T5 are scanned, and the triple of both orders
+    # is decided by pair_conditions (on the arrays for the constant
+    # reference; linearity and Nijenhuis scanned on the non-constant one),
+    # at the seed's points of two failing pencils, and the only Fraction
+    # built is each hit's residual, one per hit
     golden = Path(__file__).parent / "golden" / "pencil-n3-raw.spec.json"
     spec = load_operator_spec(golden.read_text())
     g4, (h4,) = corpus_pairs(4, random.Random(43), raw=1, killing=0, family=0, constant=0)
@@ -388,23 +397,24 @@ def test_point_scan_builds_one_fraction_per_hit(monkeypatch):
     for g, h, points, _ in cases:
         cache = pc.FrameCache()
         mokhov = dict.fromkeys(("flat(g2)", *T_NAMES), list)
-        triple = dict.fromkeys(("nijenhuis", "killing", "linearity"), list)
         scanned += _scan_points(mokhov, _mokhov_at, (g, h), points, cache)
-        scanned += _scan_points(triple, _triple_at, (g, h), points, cache)
-        scanned += _scan_points(triple, _triple_at, (h, g), points, cache)
+        scanned += pair_conditions(g, h, points, cache)
+        scanned += pair_conditions(h, g, points, cache)
     monkeypatch.undo()
     hits = [c for c in scanned if not c.passed]
+    assert all(c.witness.point for c in hits)
     assert len(built) == len(hits) >= 20
     assert {c.name for c in hits} == {"flat(g2)", *T_NAMES, "nijenhuis", "killing", "linearity"}
 
 
 @pytest.mark.parametrize("n, seeds", [(2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1,)),
-                                      (5, (1, 2, 3)), (6, (1, 2, 3))])
+                                      (5, (1, 2, 3)), (6, (1, 2, 3)), (7, (1,)), (8, (1, 2))])
 def test_scan_witnesses_are_the_symbolic_streams_at_their_points(n, seeds):
-    # differential test of the integer frame on raw and Killing-space
-    # pencils: each witness of verify's point scan is the first component
-    # of the symbolic stream that is nonzero at the witness point, with its
-    # value there.  Nijenhuis and Killing are checked at every n; flat(g2)
+    # differential test of the integer frame and of the coefficient arrays
+    # on raw and Killing-space pencils: each witness of verify's point scan
+    # is the first component of the symbolic stream that is nonzero at the
+    # witness point, with its value there.  Nijenhuis and Killing, which
+    # the arrays decide, are checked at every n; flat(g2)
     # (the Riemann numerators over det^4) and T1-T5 (the rational streams of
     # the proofs, ``_t_streams``) up to n = 4, as levi_civita's rational
     # connection of a dense n = 5 pencil alone takes seconds
@@ -433,3 +443,88 @@ def test_scan_witnesses_are_the_symbolic_streams_at_their_points(n, seeds):
                 witnessed.add(c.name)
     expected = {"nijenhuis", "killing"} | ({"flat(g2)", *T_NAMES} if n <= 4 else set())
     assert witnessed == expected
+
+
+def _near_miss_mutants():
+    """(name, spec) of one-coefficient mutants of the d = 2 catalog entries
+    with n <= 6, formal parameters kept: one entry h^{ij} = h^{ji} raised by
+    1 or by a u_k, four seeded draws per entry; a draw that makes h
+    identically degenerate is skipped."""
+    rng = random.Random(171)
+    out = []
+    for e in catalog():
+        if e.spec.d != 2 or e.n > 6:
+            continue
+        n, nvars, g, h = e.n, e.spec.nvars, e.spec.g, e.spec.gt
+        for _ in range(4):
+            i, j = sorted((rng.randrange(n), rng.randrange(n)))
+            k = rng.randrange(n + 1)
+            bump = MultiPoly.variable(nvars, k) if k else MultiPoly.const(nvars, 1)
+            z = MultiPoly.zero(nvars)
+            mat = h.mat + PolyMatrix([[bump if {a, b} == {i, j} else z for b in range(n)]
+                                      for a in range(n)])
+            if not identically_degenerate(mat):
+                spec = OperatorSpec([g, LinearMetric(n, mat)])
+                out.append((f"{e.id}+{bump}@{i + 1}{j + 1}", spec))
+    return out
+
+
+def _check_triple_witnesses(g, h, points, conditions) -> set:
+    """Check each failing Nijenhuis or Killing condition of the pencil
+    (g, h) scanned at ``points`` against its symbolic stream: a witness at a
+    point is the stream's first component nonzero there, with its value
+    there, and no earlier scan point has one; a witness with no point is the
+    stream's first nonzero component, nonzero at no scan point.  Returns
+    the (name, has a point) of the witnesses checked."""
+    n = g.n
+    streams = {"nijenhuis": lambda: nijenhuis_stream(h.mat @ constant_inverse(g), n),
+               "killing": lambda: killing_stream(g, h, n)}
+    seen = set()
+    for c in conditions:
+        if c.passed or c.name not in streams:
+            continue
+        w = c.witness
+        scanned = points[:points.index([Fraction(x) for x in w.point])] if w.point else points
+        for pt in scanned:
+            assert _first_hit(streams[c.name](), lambda r: r.eval(pt)) is None, c.name
+        if w.point:
+            pt = points[len(scanned)]
+            hit = _first_hit(streams[c.name](), lambda r: r.eval(pt))
+            assert (w.indices, w.residual) == (hit[0], format_rational(hit[1])), c.name
+        else:
+            assert c == _scan(c.name, streams[c.name]()), c.name
+        seen.add((c.name, w.point is not None))
+    return seen
+
+
+def test_near_miss_witnesses_are_the_symbolic_streams_at_their_points():
+    # the refuting direction of the coefficient arrays on pencils one
+    # coefficient away from a catalogued Hamiltonian one, some with formal
+    # parameters: every Nijenhuis and Killing witness is its stream's
+    mutants = _near_miss_mutants()
+    failing, witnessed = 0, set()
+    for name, spec in mutants:
+        rep = verify_operator(spec)
+        failing += not rep.verdict
+        points = _sample(spec.nvars, spec.metrics, 0)
+        witnessed |= _check_triple_witnesses(spec.g, spec.gt, points, rep.conditions)
+    assert len(mutants) >= 150 and failing > len(mutants) // 2
+    assert {"nijenhuis", "killing"} == {c for c, _ in witnessed}
+    assert any(spec.nvars > spec.n for _, spec in mutants)
+
+
+def test_array_witnesses_carry_the_denominators():
+    # a witness residual is the value of the residual, whatever the metrics'
+    # coefficient denominators: failing corpus pencils with g scaled by 2/3
+    # and h by 7/5 (which keeps each condition's zero pattern), scanned at
+    # the seed's points and with none, have their streams' witnesses
+    witnessed = set()
+    for n in (2, 3, 4):
+        g, hs = corpus_pairs(n, random.Random(n), raw=2, killing=2, family=0, constant=0)
+        g = LinearMetric(n, g.mat.scale(Fraction(2, 3)))
+        for h in hs:
+            h = LinearMetric(n, h.mat.scale(Fraction(7, 5)))
+            for points in (_sample(g.nvars, [g, h], 0), []):
+                rep = theorem2_conditions(g, h, points=points)
+                witnessed |= _check_triple_witnesses(g, h, points, rep.conditions)
+    assert witnessed == {(c, p) for c in ("nijenhuis", "killing") for p in (True, False)}

@@ -142,6 +142,24 @@ def test_proof_catches_a_failure_the_scan_misses():
     assert all(c.witness.point is None for c in proven if not c.passed)
 
 
+def test_a_failing_triple_against_a_constant_metric_builds_no_point_frame(monkeypatch):
+    # the coefficient arrays refute as well as prove: against the constant
+    # antidiagonal metric every condition of the triple is decided on them,
+    # a failure with the witness of a scan at the points, so no point
+    # frame is built and no point kernel runs
+    pencils = []
+    for n in range(2, 7):
+        g, hs = corpus_pairs(n, random.Random(n), raw=2, killing=2, family=0, constant=0)
+        pencils += [(g, h, _sample(g.nvars, [g, h], 0)) for h in hs]
+    expected = [theorem2_conditions(g, h, points=pts).to_dict() for g, h, pts in pencils]
+    refuse = refuse_symbolic_work(monkeypatch, "triple of a constant reference left its arrays")
+    monkeypatch.setattr(pc.PointFrame, "__init__", refuse)
+    for (g, h, pts), want in zip(pencils, expected):
+        rep = theorem2_conditions(g, h, points=pts)
+        assert not rep.verdict and rep.to_dict() == want
+        assert all(c.witness.point for c in rep.conditions if not c.passed)
+
+
 def test_both_criteria_are_proven_without_scan_points():
     # with no scan point at all, the triple fails by its proofs and the
     # Mokhov side is proven too: the criteria agree (no DisagreementBug),
