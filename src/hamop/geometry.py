@@ -33,11 +33,12 @@ representation (ints, Fractions, MultiPoly, RationalFunction):
 ``riemann_components`` (flatness), ``nijenhuis_components``,
 ``killing_components``, ``hessian_components`` (linearity) and
 ``mokhov_identities`` (T1..T5).  The caller passes the entries and their
-derivatives; ``flatness_witness``, ``covariant_hessian``,
-``nijenhuis_stream`` and ``killing_stream`` run the symbolic streams
-lazily, ``nijenhuis_torsion`` and ``killing_residual`` fill whole tensors
-from them, ``pointcheck`` feeds them int numerators at a point, and
-``families`` the constant derivatives of one unknown coefficient at a time.
+derivatives; ``covariant_hessian``, ``nijenhuis_stream`` and
+``killing_stream`` run the symbolic streams lazily, ``nijenhuis_torsion``
+and ``killing_residual`` fill whole tensors from them, ``pointcheck`` feeds
+them int numerators at a point and polynomial numerators at the generic
+point (``flatness_witness`` reads the curvature there), and ``families``
+the constant derivatives of one unknown coefficient at a time.
 The streams that sum over an index (T3, T5 and Nijenhuis) visit only the
 index values where some term has a nonzero factor, read off bitmasks of the
 nonzero entries, and add the nonzero terms in index order.  On a constant
@@ -72,16 +73,13 @@ class Connection:
     gamma[i][j][k] = Gamma^i_{jk} (symmetric in j,k);
     b_upper[i][j][k] = b^{ij}_k = -g^{is} Gamma^j_{sk}, built on first read.
 
-    For non-constant metrics the polynomial numerators are kept alongside:
-    c = connection_numerators of g, that is 2 det b, and gamma_num = det^2
-    Gamma.  Curvature scans assemble their residual numerators from
-    gamma_num without rational-function division.
+    For non-constant metrics the polynomial numerator
+    c = connection_numerators of g, that is 2 det b, is kept alongside.
     """
 
     n: int
     gamma: list
     mat: PolyMatrix
-    gamma_num: list | None = None
     det: MultiPoly | None = None
     c: list | None = None
 
@@ -120,16 +118,14 @@ def levi_civita(g: LinearMetric) -> Connection:
                               [a.entries for a in derivs], det)
     det2 = det * det
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    p_num = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for s in range(n):
             row = adj.entries[s]
             for k in range(s, n):
                 num = sum((x * c[i][j][k] for i, x in enumerate(row) if x and c[i][j][k]),
                           MultiPoly.zero(nvars)) * -HALF
-                p_num[j][s][k] = p_num[j][k][s] = num
                 gamma[j][s][k] = gamma[j][k][s] = RationalFunction(num, det2, base=det)
-    conn = Connection(n, gamma, g.mat, gamma_num=p_num, det=det, c=c)
+    conn = Connection(n, gamma, g.mat, det=det, c=c)
     g._conn = conn
     return conn
 
@@ -374,45 +370,22 @@ def hessian_components(gamma, h, dh, dC, n: int):
                     yield (r + 1, s + 1, i + 1, j + 1), acc
 
 
-def det2_quotient_derivative(T, det: MultiPoly, n: int):
-    """Memoised d(r, i, j, k) = det^4 d_r (T[i][j][k] / det^2)
-    = (d_r T det - 2 T d_r det) det for polynomial numerators T."""
-    ddet = [det.partial(m + 1) for m in range(n)]
-
-    @functools.cache
-    def d(r, i, j, k):
-        t = T[i][j][k]
-        return (t.partial(r + 1) * det - t * (2 * ddet[r])) * det
-
-    return d
-
-
-def _riemann_numerators(g: LinearMetric):
-    """det^4 R^i_{jkl} (k < l) of a non-constant g as polynomials, from the
-    Christoffel numerators P = det^2 Gamma, det = det g."""
-    conn = levi_civita(g)
-    P = conn.gamma_num
-    d = det2_quotient_derivative(P, conn.det, g.n)
-
-    def d_gamma(r, i, j, k):
-        # Gamma^i_{jk} = Gamma^i_{kj}: both orders share one memo entry
-        return d(r, i, j, k) if j <= k else d(r, i, k, j)
-
-    return riemann_components(P, d_gamma, g.n)
-
-
 def flatness_witness(g: LinearMetric):
     """None when g is flat, else ((i,j,k,l), residual) at the first failing
-    index tuple in lexicographic order (1-based indices); components are
-    computed lazily so a non-flat metric is rejected at its first nonzero
-    component."""
+    index tuple in lexicographic order (1-based indices).  The components
+    are ``pointcheck``'s curvature numerators 4 det^4 R at the generic point
+    (``PointFrame(g, None)``, det = det(D g)), polynomials computed lazily,
+    so a non-flat metric is rejected at its first nonzero one; its residual
+    is that numerator over 4 det^4, reduced."""
     if g.is_constant():
         return None
-    for idx, num in _riemann_numerators(g):
-        if num:
-            det = levi_civita(g).det
-            return idx, RationalFunction(num, det ** 4, base=det)
-    return None
+    from .pointcheck import PointFrame, flat_numerators  # pointcheck builds on this module
+
+    f = PointFrame(g, None)
+    hit = next((hit for hit in flat_numerators(f) if hit[1]), None)
+    # a RationalFunction is normalised up to constant factors, so this is
+    # det(g)^4 R over det(g)^4, det(D g) = D^n det(g), as it prints
+    return hit and (hit[0], RationalFunction(hit[1], 4 * f.det**4, base=f.det))
 
 
 def nijenhuis_stream(L: PolyMatrix, n: int):

@@ -240,7 +240,14 @@ class LinearMetric:
         """(D, G, A) at an integer point (ints or Fractions, one coordinate
         per ring variable): the int matrices G = D g(point) and
         A[s] = D d_s g = M_(s+1), with the formal parameters evaluated
-        there."""
+        there.  At the generic point, ``point`` None, G = D g is the matrix
+        of integer-coefficient polynomials M0 + u_s M_s and A the arrays
+        M_(s+1) as they are."""
+        if point is None:
+            D, M = self.arrays
+            rng = range(self.n)
+            return D, [[MultiPoly.from_affine_parts(self.nvars, 1, [m[i][j] for m in M])
+                        for j in rng] for i in rng], M[1:]
         form, u = self.affine(), int_point(point)
         return self.arrays[0], form.evaluate(form.at(u), u), [
             form.evaluate(m, u) for m in form.arrays[1:]]

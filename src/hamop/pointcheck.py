@@ -1,4 +1,5 @@
-"""Exact evaluation of the verification conditions at sample points, over Z.
+"""Exact evaluation of the verification conditions at sample points, over Z,
+and at the generic point, over Z[u].
 
 Every per-point formula here (metric jets, the contravariant connection
 of a metric, its Christoffel symbols and their derivatives) is written
@@ -16,6 +17,15 @@ that numerator over the kernel's denominator, the condition's rational
 value at the point.  It is the one Fraction a scan builds, and it is the
 witness.  Killing, and the triple of a constant reference, are decided on
 coefficient arrays in ``verify``: the other kernels serve the rest.
+
+The same formulas run at the generic point: a frame with point None
+(``LinearMetric.jets_at(None)``) has G = D g = M0 + u_s M_s with
+integer-coefficient polynomial entries, and its jets are polynomial
+numerators over the same powers of the polynomial det G and D.  A
+condition's stream there is its numerator as a polynomial, so it holds iff
+every component is the zero polynomial: ``verify`` proves T1..T5
+(``mokhov_streams``) and flatness (``flat_numerators``, through
+``geometry.flatness_witness``) that way, with no rational function.
 
 The jets are computed as a condition reads them, from first jets only:
 the connection has one formula.  ``PointFrame`` reads 2 det D b, the
@@ -103,13 +113,15 @@ class _Rows:
 
 
 class PointFrame:
-    """Integer jets of one linear metric g at one integer point.
+    """Integer jets of one linear metric g at one integer point, or
+    polynomial jets at the generic point (``point`` None).
 
     G = D g(pt) = M0 + u_s M_s and A[s] = D d_s g = M_(s+1), int matrices
     read off the metric's coefficient arrays (``LinearMetric.jets_at``; D is
     the lcm of the coefficient denominators of g's entries), are taken on
-    construction.  Every other jet is an int, or an int numerator over a
-    known denominator, computed on first read and memoised:
+    construction; at the generic point G has integer-coefficient polynomial
+    entries.  Every other jet is an int (a polynomial), or such a numerator
+    over a known denominator, computed on first read and memoised:
 
     * ``adj``, ``det``: adj G and det G, so g^-1 = D adj / det;
     * ``F[s]`` = A[s] adj, so d_s g g^-1 = F[s] / det;
@@ -230,16 +242,22 @@ def _first(stream, den, scale=1):
     return hit and (hit[0], Fraction(scale * hit[1], den))
 
 
-def flat_at(f: PointFrame):
-    """First failing (indices, residual) of R = 0, or None: with
-    Gamma = gamma / (2 det^2) and d Gamma = dgamma / (2 det^3), the stream
-    on gamma and 2 det dgamma is 4 det^4 R."""
+def flat_numerators(f: PointFrame):
+    """The stream of 4 det^4 R^i_{jkl}: with Gamma = gamma / (2 det^2) and
+    d Gamma = dgamma / (2 det^3), ``riemann_components`` on gamma and
+    2 det dgamma."""
     det, dgamma = f.det, f.dgamma
 
     def d(r, i, j, k):
         return 2 * det * dgamma(r, i, j, k)
 
-    return _first(riemann_components(f.gamma, d, f.n), 4 * det**4)
+    return riemann_components(f.gamma, d, f.n)
+
+
+def flat_at(f: PointFrame):
+    """First failing (indices, residual) of R = 0, or None
+    (``flat_numerators`` over 4 det^4)."""
+    return _first(flat_numerators(f), 4 * f.det**4)
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
@@ -259,21 +277,26 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     return raised_obstruction(Gg, fh.c, n), dR
 
 
+def mokhov_streams(fg: PointFrame, fh: PointFrame) -> dict:
+    """name -> the stream of numerators of T1..T5, for a constant metric g:
+    ``mokhov_identities`` on the numerators c of b, R and 2 dR of
+    ``obstruction_at`` and h's G.  With B = 2 det D, b = c / B and
+    R^{ijk} = R[i][j][k] / (B Dg), T1 and T2 are over B Dg, T3 and T5 over
+    B^2 Dg, and T4 over 2 B det Dg.  At the generic frames the numerators
+    are polynomials, and a condition holds iff each is the zero polynomial."""
+    R, dR = obstruction_at(fg, fh)
+    return dict(mokhov_identities(R, lambda *idx: 2 * dR(*idx), fh.c, fh.G, fg.n))
+
+
 def mokhov_at(fg: PointFrame, fh: PointFrame):
     """Yield (name, thunk) for T1..T5 at the frames' point, in order;
     ``thunk()`` is the hit, (indices, residual) of the first failing index
-    tuple, or None.  The streams run on the numerators c of b, R and 2 dR
-    of ``obstruction_at`` and h's G: with B = 2 det D, b = c / B and
-    R^{ijk} = R[i][j][k] / (B Dg), T1 and T2 are over B Dg, T3 and T5 over
-    B^2 Dg, and T4 over 2 B det Dg.  c and R are built by the first thunk
-    called, and only the derivative entries that T4 and T5 read are."""
+    tuple, or None: the first nonzero numerator of ``mokhov_streams`` over
+    its denominator.  c and R are built by the first thunk called, and only
+    the derivative entries that T4 and T5 read are."""
     B, Dg = 2 * fh.det * fh.D, fg.D
     dens = dict(zip(T_NAMES, (B * Dg, B * Dg, B * B * Dg, 2 * B * fh.det * Dg, B * B * Dg)))
-
-    @functools.cache
-    def streams():
-        R, dR = obstruction_at(fg, fh)
-        return dict(mokhov_identities(R, lambda *idx: 2 * dR(*idx), fh.c, fh.G, fg.n))
+    streams = functools.cache(lambda: mokhov_streams(fg, fh))
 
     for name in T_NAMES:
         yield name, lambda name=name: _first(streams()[name], dens[name])

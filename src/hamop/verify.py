@@ -6,10 +6,12 @@ Two independent criteria are implemented for d = 2:
   flatness of both metrics.  The first metric is constant, so the
   identities depend only on the contravariant connection
   b^{ij}_k = -h^{is} Gamma~^j_{sk} of h, and geometry.mokhov_identities
-  states them once on b; three feeds supply it, each from the one formula
-  geometry.connection_numerators: the constant connection, the rational
-  b_upper of levi_civita(h), and the int numerator 2 det D b at a point
-  (pointcheck.PointFrame.c);
+  states them once on b; they are homogeneous in b, so each holds iff it
+  holds on a numerator of b.  Two feeds decide them, each from the one
+  formula geometry.connection_numerators: the constant connection, and the
+  numerator c = 2 det D b of pointcheck.PointFrame, ints at an integer
+  point and polynomials at the generic point.  The rational b_upper of
+  levi_civita(h) only prints the witness of a failure no scan point shows;
 * the equivalent triple: linearity of h in the flat coordinates of g,
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 
@@ -51,11 +53,11 @@ yet decided are evaluated, each once and only up to its first failing
 component, on numerators of one weight; a hit is a nonzero numerator, and
 its quotient by the condition's denominator, the one Fraction the scan
 builds, is the rational value there and the witness.  A condition
-without a hit is then decided by its exact identity:
-flatness_witness, the T1..T5 streams of geometry.mokhov_identities on the
-reduced rational connection b of h, and the lazy linearity / Nijenhuis /
-Killing streams of geometry.  A failure found there carries a witness with
-no point.
+without a hit is then decided by its exact identity: flatness_witness and
+the T1..T5 numerators, the same kernels run on the polynomial jets of the
+generic point (a PointFrame with point None), and the lazy linearity /
+Nijenhuis / Killing streams of geometry.  A failure found there carries a
+witness with no point.
 
 Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
 holds for the constant first metric, as for d >= 3; the rest of the Mokhov
@@ -231,7 +233,8 @@ def _flatness_proof(g: LinearMetric):
 
 def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     """name -> the lazy stream of that identity on the reduced rational
-    contravariant connection of h."""
+    contravariant connection of h: the witness of a failure that no scan
+    point shows."""
     b = levi_civita(h).b_upper
     R = raised_obstruction(g.mat.entries, b, g.n)
 
@@ -285,18 +288,30 @@ def mokhov_conditions(
     candidate point is the first of ``points`` (by default the first
     SCAN_POINTS of the seed's sample), or the seed's first sample point when
     ``points`` is empty; a condition proven there passes without a scan.
-    The rest are scanned at ``points`` and, without a hit there, proven by
-    ``flatness_witness`` or the condition's T1..T5 stream."""
+    The rest are scanned at ``points`` and, without a hit there, decided
+    by ``flatness_witness`` or by the condition's numerators at the generic
+    point (``pointcheck.mokhov_streams`` on the frames of g and h at point
+    None, built once, on first need): it holds iff each is the zero
+    polynomial.  Only a nonzero one reads the rational stream
+    (``_t_streams``), for the witness."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
     u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
+    numerators = functools.cache(
+        lambda: pc.mokhov_streams(pc.PointFrame(g, None), pc.PointFrame(h, None)))
     t_streams = functools.cache(lambda: _t_streams(g, h))
+
+    def proof(name):
+        # T1..T5 are homogeneous in b: one holds iff its numerators on
+        # c = 2 det(D h) b at the generic point are zero polynomials
+        return t_streams()[name] if any(map(_residual, numerators()[name])) else ()
+
     proofs = {
         "flat(g2)": lambda: _flatness_proof(h),
-        **{name: lambda name=name: t_streams()[name] for name in T_NAMES},
+        **{name: lambda name=name: proof(name) for name in T_NAMES},
     }
     proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
     report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(

@@ -2,7 +2,9 @@
 
 ``geometry.constant_connection`` is checked against the symbolic reference
 ``levi_civita(h).b_upper``.  ``geometry.mokhov_identities`` states T3 and T5
-contracted with h, on b; its symbolic feed (``verify._t_streams``) and
+contracted with h, on b; its rational feed (``verify._t_streams``, the
+witness of a failure that no scan point shows; the numerators at the generic
+point that decide T1..T5 are pinned to it in ``test_generic_point.py``) and
 ``verify``'s proofs on the constant connection are checked, condition by
 condition, against Mokhov's identities as the paper states them, written
 here from ``obstruction_tensor`` and the Christoffel symbols of h, and

@@ -29,7 +29,7 @@ from hamop.geometry import (
 )
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec, identically_degenerate
-from hamop.poly import MultiPoly
+from hamop.poly import MultiPoly, divide_exact
 from hamop.scalars import format_rational
 from hamop.specfile import default_param_values, load_operator_spec, specialize_spec
 from hamop.verify import (
@@ -291,25 +291,35 @@ def _first_hit(stream, value):
     return next(((idx, value(r)) for idx, r in stream if r and value(r)), None)
 
 
-def _riemann_numerator_hit(h, point):
-    """First (1-based indices, value) of R^i_{jkl} = N_{ijkl} / det^4 nonzero
-    at ``point``, N assembled lazily from the Christoffel numerators
-    P = det^2 Gamma of h (det = det h)."""
+def _riemann_numerators(h):
+    """Lazy (1-based indices, N) of R^i_{jkl} = N / det^4 for k < l, N
+    assembled from the Christoffel numerators P = det^2 Gamma of a
+    non-constant h (det = det h), read off levi_civita's reduced rational
+    Gamma."""
     conn = levi_civita(h)
-    if conn.det is None:
-        return None
-    n, P, det = h.n, conn.gamma_num, conn.det
+    n, det = h.n, conn.det
+    det2 = det * det
+    P = [[[x.num * divide_exact(det2, x.den) for x in row] for row in plane]
+         for plane in conn.gamma]
     dd = [det.partial(m + 1) for m in range(n)]
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        a = P[i][l][j].partial(k + 1) * det - P[i][l][j] * (2 * dd[k])
-        b = P[i][k][j].partial(l + 1) * det - P[i][k][j] * (2 * dd[l])
-        num = (a - b) * det
-        for s in range(n):
-            num = num + P[i][k][s] * P[s][l][j] - P[i][l][s] * P[s][k][j]
-        value = num.eval(point)
-        if value:
-            return (i + 1, j + 1, k + 1, l + 1), value / det.eval(point) ** 4
-    return None
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for l in range(k + 1, n):
+            a = P[i][l][j].partial(k + 1) * det - P[i][l][j] * (2 * dd[k])
+            b = P[i][k][j].partial(l + 1) * det - P[i][k][j] * (2 * dd[l])
+            num = (a - b) * det
+            for s in range(n):
+                num = num + P[i][k][s] * P[s][l][j] - P[i][l][s] * P[s][k][j]
+            yield (i + 1, j + 1, k + 1, l + 1), num
+
+
+def _riemann_numerator_hit(h, point):
+    """First (1-based indices, value) of R^i_{jkl} nonzero at ``point``
+    (``_riemann_numerators`` over det^4), or None."""
+    if h.is_constant():
+        return None
+    det = levi_civita(h).det.eval(point)
+    return next(((idx, value / det**4) for idx, num in _riemann_numerators(h)
+                 if (value := num.eval(point))), None)
 
 
 def test_symbolic_tensors_match_point_hits():

@@ -223,8 +223,9 @@ def test_d3_catalog_pairs_are_proven_on_their_arrays(monkeypatch):
 def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
     # the proofs that replace the scan still cross-check the triple: a
     # nonzero T3 or flat(g2) residual on a passing spec raises.  The
-    # constant-connection proof and the streams it falls back to both run
-    # geometry's one statement of each condition
+    # constant-connection proof, the numerator proof it falls back to
+    # (pointcheck's streams at the generic point) and the rational witness
+    # stream all run geometry's one statement of each condition
     g, h = operator5_pair()
     spec = OperatorSpec([g, h])
     identities = vf.mokhov_identities
@@ -235,6 +236,7 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(vf, "mokhov_identities", t3_fails)
+        m.setattr(pc, "mokhov_identities", t3_fails)
         with pytest.raises(DisagreementBug, match="criteria disagree"):
             verify_operator(spec)
     witness = vf.flatness_witness
