@@ -4,9 +4,13 @@ normalization, scaling, and complexification.
 Over a constant first metric g the Hamiltonian conditions on a linear second
 metric are linear in its coefficients c^{ij}_k, apart from the quadratic
 part of the Nijenhuis torsion.  The bivector solvers state no condition of
-their own: column t of their equation system is ``geometry.killing_components``
-or ``geometry.nijenhuis_components`` evaluated on unit unknown t, and the
-nullspace of the system spans the linear parts.
+their own: they run ``geometry.killing_components`` and
+``geometry.nijenhuis_components`` once, on derivatives d_k E whose entries
+are the unknowns themselves, as variables of a polynomial ring.  Each
+nonzero component is then a linear form in the unknowns, one equation row,
+and the nullspace of the rows spans the linear parts.  The streams read
+integer data (the metrics' coefficient arrays and the adjugate of g), which
+scales every row by one nonzero constant and leaves the nullspace as it is.
 
 The shifted symmetric bivectors
 
@@ -23,16 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from itertools import chain
+from math import factorial, lcm
 
 from .errors import NonSquareGamma, ScalingNotNormalized
 from .geometry import killing_components, nijenhuis_components
-from .linsolve import mat_mul, nullspace, same_span
+from .linsolve import SparseSystem, mat_mul, nullspace, same_span
 from .matrices import PolyMatrix
-from .metrics import LinearMetric
+from .metrics import AffineArrays, LinearMetric, coefficient_arrays
 from .poly import MultiPoly
 from .scalars import rational_sqrt
-from .verify import constant_inverse, pair_conditions
+from .verify import constant_inverse_parts, pair_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -118,33 +124,27 @@ class KillingBasis:
         return len(self.vectors)
 
 
-def _const_value(p: MultiPoly) -> Fraction:
-    if not p.is_constant():
+def _integer_constant(arrays) -> list[list[int]]:
+    """The int matrix M0 = D m of a rational constant matrix m, from its
+    coefficient arrays (D, [M0, ..., Mn]) (``coefficient_arrays``); an
+    entry that involves u or a formal parameter is refused."""
+    form = arrays and AffineArrays(arrays[1])
+    if not form or form.terms or form.symbolic:
         raise ValueError("metric entry is not a plain rational constant")
-    return p.constant_value()
-
-
-def _const_matrix(m: PolyMatrix, n: int) -> list:
-    """Values of a constant n x n matrix, as ints where they are integers:
-    the condition streams then run on int arithmetic."""
-
-    def value(p):
-        v = _const_value(p)
-        return v.numerator if v.denominator == 1 else v
-
-    return [[value(m[i, j]) for j in range(n)] for i in range(n)]
+    return arrays[1][0]
 
 
 def killing_vector_basis(g: LinearMetric) -> KillingBasis:
-    """All affine fields with Lie_X g = 0: solve A g + g A^T = 0, c free."""
+    """All affine fields with Lie_X g = 0: solve A G + G A^T = 0 on G = D g,
+    c free."""
     if not g.is_constant():
         raise ValueError("killing_vector_basis needs a constant metric")
     n = g.n
-    gv = _const_matrix(g.mat, n)
+    gv = _integer_constant(g.arrays)
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for s in range(n):
                 row[i * n + s] += gv[s][j]
                 row[j * n + s] += gv[i][s]
@@ -182,7 +182,9 @@ def proposition_field(n: int, alpha: int, beta: int, nvars: int | None = None):
 
 class _BivectorIndex:
     """Flat layout for linear-bivector unknowns: c^{ij}_k for i<=j, k=1..n,
-    followed (optionally) by constant entries g0^{ij} for i<=j."""
+    followed (optionally) by constant entries g0^{ij} for i<=j.  Unknown t
+    is also variable t + 1 of a polynomial ring in ``total`` variables,
+    which is how the condition streams carry it (``dE``)."""
 
     def __init__(self, n: int, with_constant: bool = False):
         self.n = n
@@ -202,36 +204,53 @@ class _BivectorIndex:
             i, j = j, i
         return self.c_count + self.pair_pos[(i, j)]
 
-    def to_bivector(self, vec, nvars: int) -> PolyMatrix:
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                p = MultiPoly.zero(nvars)
-                for k in range(n):
-                    coeff = vec[self.c_idx(i, j, k)]
-                    if coeff:
-                        p = p + MultiPoly.variable(nvars, k + 1) * coeff
-                if self.with_constant:
-                    c0 = vec[self.g0_idx(i, j)]
-                    if c0:
-                        p = p + MultiPoly.const(nvars, c0)
-                row.append(p)
-            rows.append(row)
-        return PolyMatrix(rows)
+    @cached_property
+    def dE(self) -> list:
+        """[d_1 E, ..., d_n E] of the unknown bivector E: d_{k+1} E^{ij} is
+        the ring variable of c^{ij}_k."""
+        n, total = self.n, self.total
+        return [[[MultiPoly.variable(total, self.c_idx(i, j, k) + 1) for j in range(n)]
+                 for i in range(n)] for k in range(n)]
 
-    def from_bivector(self, mat: PolyMatrix):
+    def solve(self, stream, nvars: int) -> list[PolyMatrix]:
+        """Bivectors in ``nvars`` variables spanning the solutions of a
+        condition stream that is linear in the unknowns: each nonzero
+        component is one equation row, read off its linear part, and each
+        vector of the nullspace basis gives one bivector."""
+        system = SparseSystem(self.total)
+        for _, form in stream:
+            if form:
+                parts = form.affine_parts(self.total)[1]
+                system.add_row({t: x for t, x in enumerate(parts[1:]) if x})
+        return [self.to_bivector(v, nvars) for v in system.nullspace_basis()]
+
+    def to_bivector(self, vec: dict, nvars: int) -> PolyMatrix:
+        """The bivector in ``nvars`` variables of a sparse vector of the
+        unknowns' values, each entry built from its arrays over the
+        vector's common denominator."""
         n = self.n
+        D = lcm(*(x.denominator for x in vec.values()))
+        parts = {}
+        for t, x in vec.items():
+            pos, k = divmod(t, n) if t < self.c_count else (t - self.c_count, -1)
+            entry = parts.setdefault(self.pairs[pos], [0] * (n + 1))
+            entry[k + 1] = x.numerator * (D // x.denominator)
+        entries = {p: MultiPoly.from_affine_parts(nvars, D, v) for p, v in parts.items()}
+        zero = MultiPoly.zero(nvars)
+        return PolyMatrix(
+            [[entries.get((min(i, j), max(i, j)), zero) for j in range(n)] for i in range(n)]
+        )
+
+    def from_bivector(self, mat: PolyMatrix) -> list[Fraction]:
+        """The unknowns' values for a rational bivector at most linear in u,
+        read off its coefficient arrays."""
+        D, M = coefficient_arrays(mat, self.n)
         vec = [Fraction(0)] * self.total
-        zeros = {k: Fraction(0) for k in range(1, n + 1)}
-        for i in range(n):
-            for j in range(i, n):
-                p = mat[i, j]
-                for k in range(n):
-                    vec[self.c_idx(i, j, k)] = _const_value(p.partial(k + 1))
-                if self.with_constant:
-                    vec[self.g0_idx(i, j)] = _const_value(p.substitute(zeros))
+        for i, j in self.pairs:
+            for k in range(self.n):
+                vec[self.c_idx(i, j, k)] = Fraction(M[k + 1][i][j], D)
+            if self.with_constant:
+                vec[self.g0_idx(i, j)] = Fraction(M[0][i][j], D)
         return vec
 
 
@@ -244,8 +263,7 @@ def killing_bivector_space(g: LinearMetric) -> list[PolyMatrix]:
     if not g.is_constant():
         raise ValueError("killing_bivector_space needs a constant metric")
     idx = _BivectorIndex(g.n, with_constant=True)
-    basis = nullspace(_killing_rows(g, idx), idx.total)
-    return [idx.to_bivector(v, g.nvars) for v in basis]
+    return idx.solve(_killing_stream(g, idx), g.nvars)
 
 
 def symmetrized_product(X, Y) -> PolyMatrix:
@@ -296,52 +314,25 @@ class SolutionFamily:
         return self.g.extended(self.g.nvars + len(self.basis))
 
 
-def _slices(n: int, k: int, m) -> list:
-    """[d_1, ..., d_n] of a bivector whose only nonzero derivative is d_{k+1} = m."""
-    zero = [[0] * n for _ in range(n)]
-    return [m if s == k else zero for s in range(n)]
-
-
-def _condition_rows(idx: _BivectorIndex, condition) -> list:
-    """Equation rows of a condition that is linear in the unknowns c^{ij}_k
-    of ``idx``.  Column t holds the values of the stream ``condition(k, dE)``
-    on unit unknown t, E^{ij} = E^{ji} = u^{k+1}, whose one nonzero
-    derivative d_{k+1} E is the constant unit bivector dE on {i, j}.  Zero
-    rows are dropped, and the constant unknowns (if any) get zero columns."""
-    n = idx.n
-    columns = []
-    for i, j in idx.pairs:
-        dE = [[int({a, b} == {i, j}) for b in range(n)] for a in range(n)]
-        for k in range(n):
-            columns.append([value for _, value in condition(k, dE)])
-    pad = [0] * (idx.total - idx.c_count)
-    return [list(row) + pad for row in zip(*columns) if any(row)]
-
-
-def _killing_rows(g: LinearMetric, idx: _BivectorIndex) -> list:
-    """``killing_components`` of the constant g and the unknown bivector E:
-    the terms E d g vanish because dg = 0, so E enters only through dE, and
-    zero stands in for its values."""
+def _killing_stream(g: LinearMetric, idx: _BivectorIndex):
+    """``killing_components`` of the constant g, read as G0 = D g, and the
+    unknown bivector E: the terms E d g vanish because dg = 0, so E enters
+    only through dE, and zero stands in for its values."""
     n = g.n
-    gv = _const_matrix(g.mat, n)
     zero = [[0] * n for _ in range(n)]
-    return _condition_rows(
-        idx,
-        lambda k, dE: killing_components(gv, [zero] * n, zero, _slices(n, k, dE), n),
-    )
+    return killing_components(_integer_constant(g.arrays), [zero] * n, zero, idx.dE, n)
 
 
-def _nijenhuis_rows(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex) -> list:
+def _nijenhuis_stream(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex):
     """The Nijenhuis condition linearized around the constant affinor
     L0 = gt0 g^{-1}: since d L0 = 0, ``nijenhuis_components(L0, d L_E)`` is
-    N(L0 + L_E) - N(L_E) for L_E = E g^{-1}."""
+    N(L0 + L_E) - N(L_E) for L_E = E g^{-1}.  It reads the integer
+    multiples (D' gt0) adj G and d E adj G of L0 and d L_E (G = D g), so
+    every component is scaled by one nonzero constant."""
     n = g.n
-    ginv = _const_matrix(constant_inverse(g), n)
-    L0 = mat_mul(_const_matrix(gt0, n), ginv)
-    return _condition_rows(
-        idx,
-        lambda k, dE: nijenhuis_components(L0, _slices(n, k, mat_mul(dE, ginv)), n),
-    )
+    adj = constant_inverse_parts(g)[1]
+    L0 = mat_mul(_integer_constant(coefficient_arrays(gt0, n)), adj)
+    return nijenhuis_components(L0, [mat_mul(d, adj) for d in idx.dE], n)
 
 
 def _verify_family(family: SolutionFamily) -> None:
@@ -367,9 +358,8 @@ def solve_linear_conditions(
     if not g.is_constant():
         raise ValueError("solve_linear_conditions needs a constant first metric")
     idx = _BivectorIndex(g.n)
-    rows = _killing_rows(g, idx) + _nijenhuis_rows(g, gt0, idx)
-    basis = [idx.to_bivector(v, g.nvars) for v in nullspace(rows, idx.c_count)]
-    family = SolutionFamily(g, gt0, basis)
+    stream = chain(_killing_stream(g, idx), _nijenhuis_stream(g, gt0, idx))
+    family = SolutionFamily(g, gt0, idx.solve(stream, g.nvars))
     if verify:
         _verify_family(family)
     return family

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations, product
 
 from .families import mu_bivector
 from .linsolve import inverse
@@ -29,8 +30,8 @@ class FrobeniusData:
     """Constant-structure Frobenius data on n components."""
 
     n: int
-    g_cov: list        # g_{ij} rationals
-    c: list            # c^i_{jk} rationals
+    g_cov: list        # g_{ij}, rationals (ints for the projective-space data)
+    c: list            # c^i_{jk}, likewise
     e_index: int       # unity direction (1-based)
     euler_coeffs: list # E^k = euler_coeffs[k-1] * u^k
     charge: Fraction = Fraction(3)
@@ -39,21 +40,10 @@ class FrobeniusData:
 def build_cp_frobenius(n: int) -> FrobeniusData:
     if n < 2:
         raise ValueError("need n >= 2")
-    g_cov = [
-        [Fraction(1) if i + j == n + 1 else Fraction(0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    c = [
-        [
-            [
-                Fraction(1) if j + k - i == n else Fraction(0)
-                for k in range(1, n + 1)
-            ]
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    euler = [Fraction(3 * k - 2 * n - 1) for k in range(1, n + 1)]
+    rng = range(1, n + 1)
+    g_cov = [[int(i + j == n + 1) for j in rng] for i in rng]
+    c = [[[int(j + k - i == n) for k in rng] for j in rng] for i in rng]
+    euler = [3 * k - 2 * n - 1 for k in rng]
     return FrobeniusData(n, g_cov, c, n, euler)
 
 
@@ -75,7 +65,9 @@ class FrobeniusReport:
                 name: {"pass": ok, **({"witness": str(w)} if w else {})}
                 for name, (ok, w) in self.axioms.items()
             },
-            "euler_scalings": {k: str(v) for k, v in self.scalings.items()},
+            "euler_scalings": {
+                k: None if v is None else str(v) for k, v in self.scalings.items()
+            },
         }
 
 
@@ -134,20 +126,10 @@ def check_frobenius_axioms(f: FrobeniusData) -> FrobeniusReport:
         ]
         for i in range(n)
     ]
-
-    def sym_fail():
-        import itertools
-
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = c_low[i][j][k]
-                    for p in itertools.permutations((i, j, k)):
-                        if c_low[p[0]][p[1]][p[2]] != base:
-                            return (False, (i, j, k))
-        return (True, None)
-
-    rep.axioms["potential"] = sym_fail()
+    rep.axioms["potential"] = first_fail(
+        ((i, j, k), any(c_low[a][b][d] != c_low[i][j][k] for a, b, d in permutations((i, j, k))))
+        for i, j, k in product(range(n), repeat=3)
+    )
     # compatibility nabla_l c = nabla_j c is automatic for constant c in flat
     # coordinates; record it for completeness
     rep.axioms["connection-compatible"] = (True, None)
@@ -157,43 +139,33 @@ def check_frobenius_axioms(f: FrobeniusData) -> FrobeniusReport:
     #   normalization Lie e = -e after dividing E by w_e)
     #   (Lie_E c)^i_{jk} = c^i_{jk} (w_j + w_k - w_i)
     #   (Lie_E g_cov)_{ij} = g_{ij} (w_i + w_j)
+    # Each tensor's factor is read on its first nonzero entry (None when it
+    # has none), and it is an eigentensor if every nonzero entry agrees.
     w = f.euler_coeffs
+
+    def scaling(factors):
+        factors = list(factors)
+        return all(x == factors[0] for x in factors), factors[0] if factors else None
+
     lie_e = w[eidx]
     rep.scalings["e"] = lie_e
-    ok = True
-    factor_c = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if c[i][j][k]:
-                    fct = w[j] + w[k] - w[i]
-                    if factor_c is None:
-                        factor_c = fct
-                    elif fct != factor_c:
-                        ok = False
+    ok, factor_c = scaling(
+        w[j] + w[k] - w[i] for i, j, k in product(range(n), repeat=3) if c[i][j][k]
+    )
     rep.axioms["euler-c-eigentensor"] = (ok, None)
     rep.scalings["c"] = factor_c
-    ok = True
-    factor_g = None
-    for i in range(n):
-        for j in range(n):
-            if g[i][j]:
-                fct = w[i] + w[j]
-                if factor_g is None:
-                    factor_g = fct
-                elif fct != factor_g:
-                    ok = False
+    ok, factor_g = scaling(w[i] + w[j] for i, j in product(range(n), repeat=2) if g[i][j])
     rep.axioms["euler-g-eigentensor"] = (ok, None)
     rep.scalings["g_cov"] = factor_g
     # normalized Euler field E/(n-1) must realize the charge-3 normalization:
-    # Lie e = -e, Lie c = c, Lie g = (2-d) g = -g
-    nrm = Fraction(n - 1)
+    # Lie e = -e, Lie c = c, Lie g = (2-d) g = -g; a c or g_cov with no
+    # nonzero entry has no scaling factor and fails it
+    nrm = n - 1
     rep.axioms["euler-normalized"] = (
-        (
-            lie_e / nrm == 1
-            and factor_c / nrm == 1
-            and factor_g / nrm == Fraction(2) - f.charge
-        ),
+        None not in (factor_c, factor_g)
+        and lie_e == nrm
+        and factor_c == nrm
+        and factor_g == (2 - f.charge) * nrm,
         None,
     )
     return rep
@@ -235,6 +207,6 @@ def cohomology_ring_correspondence(n: int) -> bool:
             for k in range(1, n + 1):
                 ring = 1 if j + k - i == 1 else 0
                 relabeled = f.c[n - i][n - j][n - k]
-                if Fraction(ring) != relabeled:
+                if ring != relabeled:
                     return False
     return True

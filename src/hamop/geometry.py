@@ -342,7 +342,8 @@ def hessian_components(gamma, h, dh, dC, n: int):
             + Gamma^j_{rm} C[s]^{im} - Gamma^m_{rs} C[m]^{ij}
 
     with dh[s][i][j] = d_s h^{ij} and ``dC(C, r, s, i, j)`` = d_r C[s]^{ij},
-    where ``C(s, i, j)`` is the memoised C[s]^{ij}."""
+    where the callable C passed to dC gives the memoised C[s]^{ij} as
+    C(s, i, j)."""
     rng = range(n)
 
     @functools.cache

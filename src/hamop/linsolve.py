@@ -4,11 +4,12 @@ entries have field arithmetic too).
 Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
 ``inverse`` (the right half of the reduced [A | I]), ``solve`` and
 ``span_rref`` read it.  ``mat_mul`` is the one matrix product, summing only
-products of nonzero entries: over Q for the unit columns of ``families``,
-over plain ints for ``pointcheck``'s frames, the powers in the Segre rank
-sequences of ``spectral`` and the Segre affinor's arrays, and over ints or
-parameter polynomials for the connection and torsion contractions of
-``geometry`` and the Nijenhuis arrays of ``verify``'s proofs.
+products of nonzero entries: over ints and linear forms in the unknowns for
+the condition streams of ``families``, over plain ints for ``pointcheck``'s
+frames, the powers in the Segre rank sequences of ``spectral`` and the
+Segre affinor's arrays, and over ints or parameter polynomials for the
+connection and torsion contractions of ``geometry`` and the Nijenhuis
+arrays of ``verify``'s proofs.
 Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY

@@ -265,7 +265,7 @@ def obstruction_at(fg: PointFrame, fh: PointFrame):
     R^{ijk} = -g^{ir} b^{kj}_r = R[i][j][k] / (2 det D Dg) whole, and its
     derivatives as memoised entries d_r R^{ijk} = dR(r, i, j, k) /
     (2 det^2 D Dg), where b = ``fh.c`` / (2 det D) and d_r b = ``fh.db`` /
-    (2 det^2 D) are h's, and Dg g = ``fg.G``.  Only first jets of h are
+    (2 det^2 D) are h's, and Dg g is the G of ``fg``.  Only first jets of h are
     read."""
     n, Gg, db = fh.n, fg.G, fh.db
     rng = range(n)
@@ -289,9 +289,9 @@ def mokhov_streams(fg: PointFrame, fh: PointFrame) -> dict:
 
 
 def mokhov_at(fg: PointFrame, fh: PointFrame):
-    """Yield (name, thunk) for T1..T5 at the frames' point, in order;
-    ``thunk()`` is the hit, (indices, residual) of the first failing index
-    tuple, or None: the first nonzero numerator of ``mokhov_streams`` over
+    """Yield (name, thunk) for T1..T5 at the frames' point, in order; a
+    thunk's call gives the hit, (indices, residual) of the first failing
+    index tuple, or None: the first nonzero numerator of ``mokhov_streams`` over
     its denominator.  c and R are built by the first thunk called, and only
     the derivative entries that T4 and T5 read are."""
     B, Dg = 2 * fh.det * fh.D, fg.D

@@ -19,7 +19,7 @@ denominator.
   wrapping into the next field.
 * Canonical form.  The gcd of the numerators and the denominator is 1, and
   the zero polynomial has denominator 1.  So equal polynomials have equal
-  dicts and denominators, which is what ``==`` and ``hash`` compare.
+  dicts and denominators, which is what ``__eq__`` and ``__hash__`` compare.
 
 Coefficients leave the module as Fractions: ``leading``, ``sorted_terms``,
 ``constant_value``, ``univariate_coeffs`` and ``terms``, a read-only
@@ -213,21 +213,25 @@ class MultiPoly:
         each part free of u1..u_nblock: an int where it is a constant, else
         an integer-coefficient polynomial.  None when the degree in
         u1..u_nblock exceeds 1."""
-        shifts = _layout(self.nvars)[0][:nblock]
-        ts = FIELD_BITS * self.nvars
-        parts = [{} for _ in range(nblock + 1)]
+        nvars = self.nvars
+        ts = FIELD_BITS * nvars
+        # the u-block's fields are the contiguous bits just below the total degree
+        width = min(nblock, nvars)
+        block = ((1 << FIELD_BITS * width) - 1) << FIELD_BITS * (nvars - width)
+        parts = {}
         for e, c in self._coeffs.items():
             k = 0
-            for s, shift in enumerate(shifts, 1):
-                x = (e >> shift) & FIELD_MASK
-                if x:
-                    if k or x > 1:
-                        return None
-                    k, e = s, e - (1 << shift) - (1 << ts)
-            parts[k][e] = c
-        return self._den, [
-            p.get(0, 0) if p.keys() <= {0} else MultiPoly._raw(self.nvars, p) for p in parts
-        ]
+            if u := e & block:
+                shift = u.bit_length() - 1
+                # one bit at the foot of a field: exactly one u_k, to the power 1
+                if u != 1 << shift or shift % FIELD_BITS:
+                    return None
+                k, e = nvars - shift // FIELD_BITS, e - u - (1 << ts)
+            parts.setdefault(k, {})[e] = c
+        out = [0] * (nblock + 1)
+        for k, p in parts.items():
+            out[k] = p[0] if p.keys() == {0} else MultiPoly._raw(nvars, p)
+        return self._den, out
 
     @staticmethod
     def from_affine_parts(nvars: int, den: int, parts) -> "MultiPoly":

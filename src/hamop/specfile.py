@@ -42,7 +42,8 @@ def _rational(text, where: str) -> Fraction:
 
 
 def _is_int(v) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not, though bool is an int."""
+    """A JSON integer; the JSON literals true and false are not, though bool
+    is an int."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 

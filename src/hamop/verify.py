@@ -202,8 +202,8 @@ def _scan_points(proofs: dict, fn, metrics, points, cache, decided=()) -> list[C
     """The conditions named by ``proofs``, in its order, scanned at points
     together: the ``decided`` ConditionResults are reported as they are, and
     ``fn(*frames)`` on the frames of ``metrics`` at a point yields
-    (name, thunk) for the conditions it scans, ``thunk()`` the hit there,
-    (indices, value) of its first failing component, or None.  At each
+    (name, thunk) for the conditions it scans, the thunk's call giving the
+    hit there, (indices, value) of its first failing component, or None.  At each
     integer point only the conditions not yet decided are evaluated, each
     once, in int arithmetic on frames (``pointcheck.PointFrame``) built as
     they are read, so a scan with every condition decided builds none.  A
@@ -531,7 +531,8 @@ def _check_operator(spec: OperatorSpec, seed: int, points, cache):
     """verify_operator at the seed's scan ``points``: the triple and the
     d >= 3 pairs scan them; the d = 2 Mokhov side scans them after a failing
     triple and goes straight to its proofs after a passing one.
-    ``report.conditions`` lists the Mokhov conditions before the triple's."""
+    The report lists the Mokhov conditions before the triple's
+    (``VerificationReport.conditions``)."""
     report = VerificationReport(spec.n, spec.d, seed)
     if spec.d == 2:
         th2 = theorem2_conditions(spec.g, spec.gt, seed, points, cache)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hamop.errors import NonSquareGamma, ScalingNotNormalized
 from hamop.families import (
@@ -24,8 +25,13 @@ from hamop.families import (
     symmetrized_product,
     _BivectorIndex,
 )
-from hamop.geometry import killing_residual, lie_derivative_bivector
-from hamop.linsolve import SparseSystem, nullspace, same_span, span_rref
+from hamop.geometry import (
+    killing_components,
+    killing_residual,
+    lie_derivative_bivector,
+    nijenhuis_components,
+)
+from hamop.linsolve import SparseSystem, inverse, mat_mul, nullspace, same_span, span_rref
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric
 from hamop.poly import MultiPoly
@@ -299,6 +305,90 @@ def test_jordan_family_dimension_and_span(n):
     assert same_span(mu_span, got)
     # the geometry streams give the family of the paper's affinor systems
     assert same_span(quoted_affinor_family(n), got)
+
+
+# -- the one-pass equation rows against unit-unknown columns ------------------
+
+
+def unit_column_rows(idx, condition):
+    """Reference rows of a condition linear in the unknowns of ``idx``:
+    column t holds the stream ``condition(dE)`` on unit unknown t = c^{ij}_k,
+    whose one nonzero derivative d_{k+1} E is the unit bivector on {i, j}.
+    Zero rows are dropped, and constant unknowns get zero columns."""
+    n = idx.n
+    zero = [[0] * n for _ in range(n)]
+    columns = []
+    for i, j in idx.pairs:
+        unit = [[int({a, b} == {i, j}) for b in range(n)] for a in range(n)]
+        for k in range(n):
+            columns.append([v for _, v in condition([unit if s == k else zero for s in range(n)])])
+    pad = [0] * (idx.total - idx.c_count)
+    return [list(row) + pad for row in zip(*columns) if any(row)]
+
+
+_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _constant_symmetric(draw, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(draw(_ENTRY))
+    return m
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_constant_symmetric(n), _constant_symmetric(n))))
+def test_one_pass_rows_match_unit_columns(pair):
+    """The solvers' bases, the nullspaces of the rows read off one stream
+    pass over the unknowns, are the nullspaces of the unit-unknown columns
+    computed on the rational g^-1 and gt0 g^-1, vector for vector: the two
+    systems have the same RREF."""
+    gv, gt0v = pair
+    n = len(gv)
+    ginv = inverse(gv)
+    assume(ginv is not None)
+    g, gt0 = LinearMetric.constant(gv), PolyMatrix.from_scalars(n, gt0v)
+    zero = [[0] * n for _ in range(n)]
+    L0 = mat_mul(gt0v, ginv)
+
+    def killing(dE):
+        return killing_components(gv, [zero] * n, zero, dE, n)
+
+    def nijenhuis(dE):
+        return nijenhuis_components(L0, [mat_mul(d, ginv) for d in dE], n)
+
+    space = _BivectorIndex(n, with_constant=True)
+    expect = nullspace(unit_column_rows(space, killing), space.total)
+    assert [space.from_bivector(b) for b in killing_bivector_space(g)] == expect
+
+    idx = _BivectorIndex(n)
+    expect = nullspace(unit_column_rows(idx, killing) + unit_column_rows(idx, nijenhuis), idx.total)
+    family = solve_linear_conditions(g, gt0, verify=False)
+    assert [idx.from_bivector(b) for b in family.basis] == expect
+
+
+def _formal_parameter_inputs():
+    """Metrics and gt0 with a formal parameter kappa = u3 of a ring over
+    two components: not plain rational constants."""
+    kappa, one, zero = MultiPoly.variable(3, 3), MultiPoly.const(3, 1), MultiPoly.zero(3)
+    g = LinearMetric(2, PolyMatrix([[kappa, one], [one, zero]]))
+    plain_gt0 = PolyMatrix.from_scalars(3, [[1, 0], [0, 0]])
+    antidiagonal = LinearMetric.antidiagonal(2, 3)
+    return {
+        "killing-vectors": lambda: killing_vector_basis(g),
+        "killing-space": lambda: killing_bivector_space(g),
+        "family-g": lambda: solve_linear_conditions(g, plain_gt0),
+        "family-gt0": lambda: solve_linear_conditions(antidiagonal, jordan_gt0(2, kappa, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_formal_parameter_inputs()))
+def test_formal_parameters_are_refused(case):
+    with pytest.raises(ValueError, match="metric entry is not a plain rational constant"):
+        _formal_parameter_inputs()[case]()
 
 
 def test_jordan_family_member_eigenvalue():

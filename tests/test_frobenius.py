@@ -122,12 +122,52 @@ def test_ring_relabel_controls():
         assert relabeled_twice == f.c
 
 
+def _failures(f):
+    return {name: w for name, (ok, w) in check_frobenius_axioms(f).axioms.items() if not ok}
+
+
 def test_perturbed_constants_fail_associativity():
     f = build_cp_frobenius(3)
-    f.c[0][0][0] = Fraction(1)
+    f.c[0][0][0] = 1
+    assert _failures(f) == {
+        "associative": (0, 0, 1, 1),
+        "invariant": (0, 2, 0),
+        "potential": (0, 0, 2),
+        "euler-c-eigentensor": None,
+        "euler-normalized": None,
+    }
+
+
+def test_metric_off_the_antidiagonal_fails_at_pinned_indices():
+    f = build_cp_frobenius(3)
+    f.g_cov[0][0] = 1
+    assert _failures(f) == {
+        "invariant": (0, 1, 1),
+        "potential": (0, 0, 2),
+        "euler-g-eigentensor": None,
+        "euler-normalized": None,
+    }
+
+
+def test_wrong_unity_fails_at_pinned_indices():
+    f = build_cp_frobenius(3)
+    f.e_index = 1
+    assert _failures(f) == {"flat-unity": (0, 0), "euler-normalized": None}
+
+
+@pytest.mark.parametrize("zeroed", ["c", "g_cov"])
+def test_tensor_without_nonzero_entry_has_no_scaling(zeroed):
+    # no nonzero entry, no measured Lie_E factor: euler-normalized fails
+    # and the scaling is recorded as null instead of raising
+    def zero(x):
+        return [zero(y) for y in x] if isinstance(x, list) else 0
+
+    f = build_cp_frobenius(3)
+    setattr(f, zeroed, zero(getattr(f, zeroed)))
     rep = check_frobenius_axioms(f)
-    assert not rep.axioms["associative"][0]
-    assert rep.axioms["associative"][1] is not None
+    assert rep.axioms["euler-normalized"] == (False, None)
+    assert rep.scalings[zeroed] is None
+    assert rep.to_dict()["euler_scalings"][zeroed] is None
 
 
 def test_n_below_range_rejected():

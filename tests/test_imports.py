@@ -1,17 +1,35 @@
 """Every name a ``hamop`` module imports, and every private function and
-method it defines, is read somewhere in that module.
+method it defines, is read somewhere in that module; every name a docstring
+quotes exists.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` (``__future__`` aside)
 must occur as a name that the module reads, or as the root of an attribute
 chain.  A module-level function or a method whose name starts with ``_``
 (dunders aside) must occur as a name the module reads or as an attribute.
-``__init__`` re-exports the public API and is not checked."""
+``__init__`` re-exports the public API and is not checked for these two.
+
+A name or dotted name in double backticks in any docstring, alone or
+followed by an argument list, must resolve: to a ``hamop`` module, a
+module attribute, a member or dataclass field of a ``hamop`` class, or a
+builtin or standard-library name, with each further part an attribute of
+the part before it; or to a parameter of the documented function (or of
+the documented class's ``__init__``), or a class member, followed only by
+class member names.  A docstring that still names a deleted helper fails."""
 
 import ast
+import builtins
+import dataclasses
+import functools
+import importlib
+import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import hamop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hamop"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -81,3 +99,103 @@ def test_unused_private_definition_is_found():
         "    def public(self):\n        return self._read()\n"
     )
     assert unused_private(source) == ["_pair (line 11)", "_unused (line 4)"]
+
+
+# -- docstring names ----------------------------------------------------------
+
+QUOTED_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?``")
+HAMOP_MODULES = {"hamop": hamop} | {
+    p.stem: importlib.import_module(f"hamop.{p.stem}") for p in MODULES
+}
+
+
+@functools.cache
+def class_members(cls) -> frozenset:
+    """Attributes, dataclass fields and the ``self.x`` its methods assign."""
+    names = set(dir(cls))
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    for node in ast.walk(ast.parse(inspect.getsource(cls))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return frozenset(names)
+
+
+@functools.cache
+def all_members() -> frozenset:
+    return frozenset().union(*(
+        class_members(obj) for module in HAMOP_MODULES.values() for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__.startswith("hamop")
+    ))
+
+
+def _objects(head: str) -> list:
+    """What a first name part can denote outside the documented function."""
+    objs = [HAMOP_MODULES[head]] if head in HAMOP_MODULES else []
+    objs += [vars(m)[head] for m in HAMOP_MODULES.values() if head in vars(m)]
+    if hasattr(builtins, head):
+        objs.append(getattr(builtins, head))
+    if head in sys.stdlib_module_names:
+        objs.append(importlib.import_module(head))
+    return objs
+
+
+def _walks(obj, rest) -> bool:
+    for i, part in enumerate(rest):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif inspect.isclass(obj) and part in class_members(obj):
+            return all_members().issuperset(rest[i + 1:])
+        else:
+            return False
+    return True
+
+
+def resolves(name: str, params: set) -> bool:
+    head, *rest = name.split(".")
+    if any(_walks(obj, rest) for obj in _objects(head)):
+        return True
+    return (head in params or head in all_members()) and all_members().issuperset(rest)
+
+
+def _params(fn) -> set:
+    a = fn.args
+    return {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x}
+
+
+def unresolved_docstring_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    documented = [(tree, set())]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            documented.append((node, _params(node)))
+        elif isinstance(node, ast.ClassDef):
+            init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            documented.append((node, _params(init[0]) if init else set()))
+    return [
+        f"{m.group(1)} (line {getattr(node, 'lineno', 1)})"
+        for node, params in documented
+        for m in QUOTED_NAME.finditer(ast.get_docstring(node) or "")
+        if not resolves(m.group(1), params)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_docstring_names_resolve(path):
+    assert unresolved_docstring_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_unresolved_docstring_name_is_found():
+    source = (
+        '"""Rows from ``families._condition_rows`` and ``geometry.killing_components``."""\n\n'
+        "def solve(idx, stream):\n"
+        '    """``idx.rows(stream)`` read by ``_const_matrix``, ``SparseSystem.add_row``,\n'
+        '    ``Fraction``, ``fractions.Fraction``, ``report.conditions`` and ``true``."""\n'
+    )
+    assert unresolved_docstring_names(source) == [
+        "families._condition_rows (line 1)",
+        "_const_matrix (line 3)",
+        "report.conditions (line 3)",
+        "true (line 3)",
+    ]

@@ -125,6 +125,9 @@ def test_affine_parts_split_the_u_block():
     for nonlinear in (u1 * u1, u1 * u2 * k, u2 * u2 + u1):
         assert nonlinear.affine_parts(2) is None
     assert (u1 * k * k).affine_parts(2) == (1, [0, k * k, 0])
+    # a block wider than the ring reads every variable and pads with zeros
+    v1, v2 = u_vars(2)
+    assert (3 * v1 - v2 + 2).affine_parts(4) == (1, [2, 3, -1, 0, 0])
 
 
 def test_divide_exact():
