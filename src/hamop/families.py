@@ -338,7 +338,12 @@ def _nijenhuis_stream(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex):
 def _verify_family(family: SolutionFamily) -> None:
     """Check the three pair conditions identically in the formal parameters
     (this includes the full quadratic part of the Nijenhuis condition)."""
-    gt = family.formal_metric()
+    try:
+        gt = family.formal_metric()
+    except ValueError as ex:
+        raise ValueError(
+            f"the family's formal second metric gt0 + sum kappa_t b_t (dimension "
+            f"{family.dimension}) is identically degenerate (det = 0)") from ex
     g = family.formal_g()
     results = pair_conditions(g, gt, None)
     bad = [r.name for r in results if not r.passed]

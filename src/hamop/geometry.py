@@ -34,11 +34,13 @@ representation (ints, Fractions, MultiPoly, RationalFunction):
 ``killing_components``, ``hessian_components`` (linearity) and
 ``mokhov_identities`` (T1..T5).  The caller passes the entries and their
 derivatives; ``covariant_hessian``, ``nijenhuis_stream`` and
-``killing_stream`` run the symbolic streams lazily, ``nijenhuis_torsion``
-and ``killing_residual`` fill whole tensors from them, ``pointcheck`` feeds
-them int numerators at a point and polynomial numerators at the generic
-point (``flatness_witness`` reads the curvature there), and ``families``
-the constant derivatives of one unknown coefficient at a time.
+``killing_stream`` run the symbolic streams lazily (``verify`` reads them
+only for a bivector that is not linear in u), ``nijenhuis_torsion`` and
+``killing_residual`` fill whole tensors from them, ``pointcheck`` feeds
+them int numerators at each integer point of a scan and polynomial
+numerators at the generic point, the last point of every scan
+(``flatness_witness`` is its curvature check there), and ``families``
+derivatives whose entries are the unknowns themselves.
 The streams that sum over an index (T3, T5 and Nijenhuis) visit only the
 index values where some term has a nonzero factor, read off bitmasks of the
 nonzero entries, and add the nonzero terms in index order.  On a constant
@@ -373,20 +375,14 @@ def hessian_components(gamma, h, dh, dC, n: int):
 
 def flatness_witness(g: LinearMetric):
     """None when g is flat, else ((i,j,k,l), residual) at the first failing
-    index tuple in lexicographic order (1-based indices).  The components
-    are ``pointcheck``'s curvature numerators 4 det^4 R at the generic point
-    (``PointFrame(g, None)``, det = det(D g)), polynomials computed lazily,
-    so a non-flat metric is rejected at its first nonzero one; its residual
-    is that numerator over 4 det^4, reduced."""
-    if g.is_constant():
-        return None
-    from .pointcheck import PointFrame, flat_numerators  # pointcheck builds on this module
+    index tuple in lexicographic order (1-based indices): ``pointcheck``'s
+    ``flat_at`` at the generic point (``PointFrame(g, None)``), whose
+    curvature numerators 4 det^4 R (det = det(D g)) are polynomials computed
+    lazily, so a non-flat metric is rejected at its first nonzero one; its
+    residual is that numerator over 4 det^4, reduced."""
+    from .pointcheck import PointFrame, flat_at  # pointcheck builds on this module
 
-    f = PointFrame(g, None)
-    hit = next((hit for hit in flat_numerators(f) if hit[1]), None)
-    # a RationalFunction is normalised up to constant factors, so this is
-    # det(g)^4 R over det(g)^4, det(D g) = D^n det(g), as it prints
-    return hit and (hit[0], RationalFunction(hit[1], 4 * f.det**4, base=f.det))
+    return flat_at(PointFrame(g, None))
 
 
 def nijenhuis_stream(L: PolyMatrix, n: int):

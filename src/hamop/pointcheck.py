@@ -21,11 +21,16 @@ coefficient arrays in ``verify``: the other kernels serve the rest.
 The same formulas run at the generic point: a frame with point None
 (``LinearMetric.jets_at(None)``) has G = D g = M0 + u_s M_s with
 integer-coefficient polynomial entries, and its jets are polynomial
-numerators over the same powers of the polynomial det G and D.  A
-condition's stream there is its numerator as a polynomial, so it holds iff
-every component is the zero polynomial: ``verify`` proves T1..T5
-(``mokhov_streams``) and flatness (``flat_numerators``, through
-``geometry.flatness_witness``) that way, with no rational function.
+numerators over the same powers of the polynomial det G and D.  It is the
+last point of every scan in ``verify``: a condition's stream there is its
+numerator as a polynomial, so it holds iff every component is the zero
+polynomial, and ``flat_at``, ``mokhov_at``, ``nijenhuis_at`` and
+``linearity_at`` decide it as an identity.  A hit there is the first
+nonzero numerator over the kernel's denominator as a RationalFunction,
+reduced by powers of the det that denominator is built on (h's for
+flatness and T1..T5, the reference's for Nijenhuis and linearity); no other
+rational function is built.  ``geometry.flatness_witness`` is ``flat_at``
+at the generic point.
 
 The jets are computed as a condition reads them, from first jets only:
 the connection has one formula.  ``PointFrame`` reads 2 det D b, the
@@ -71,6 +76,7 @@ from .geometry import (
 from .linsolve import mat_mul
 from .matrices import adjugate_det
 from .metrics import LinearMetric, degenerate_at
+from .poly import RationalFunction
 
 SAMPLE_RANGE = 10**6
 MAX_REJECT = 100  # redraws of a sample point, here and in spectral
@@ -235,29 +241,32 @@ class FrameCache:
         return [self.frame(m, point) for m in metrics]
 
 
-def _first(stream, den, scale=1):
-    """(indices, scale * numerator / den) of the first component of a
-    stream of int numerators that is nonzero, or None."""
+def _first(f: PointFrame, stream, den, scale=1):
+    """(indices, scale * numerator / den()) of the first nonzero component
+    of a stream of numerators, or None: a Fraction at an integer point, and
+    at the generic point a RationalFunction reduced by powers of ``f.det``,
+    the det of the frame ``f`` that the denominator is built on.  ``den``
+    is called only on a hit: at the generic point it is a power of a
+    polynomial."""
     hit = next((hit for hit in stream if hit[1]), None)
-    return hit and (hit[0], Fraction(scale * hit[1], den))
+    if not hit:
+        return None
+    if f.point is None:
+        return hit[0], RationalFunction(scale * hit[1], den(), base=f.det)
+    return hit[0], Fraction(scale * hit[1], den())
 
 
-def flat_numerators(f: PointFrame):
-    """The stream of 4 det^4 R^i_{jkl}: with Gamma = gamma / (2 det^2) and
-    d Gamma = dgamma / (2 det^3), ``riemann_components`` on gamma and
-    2 det dgamma."""
+def flat_at(f: PointFrame):
+    """First failing (indices, residual) of R = 0, or None: with
+    Gamma = gamma / (2 det^2) and d Gamma = dgamma / (2 det^3),
+    ``riemann_components`` on gamma and 2 det dgamma is the stream of
+    4 det^4 R^i_{jkl}."""
     det, dgamma = f.det, f.dgamma
 
     def d(r, i, j, k):
         return 2 * det * dgamma(r, i, j, k)
 
-    return riemann_components(f.gamma, d, f.n)
-
-
-def flat_at(f: PointFrame):
-    """First failing (indices, residual) of R = 0, or None
-    (``flat_numerators`` over 4 det^4)."""
-    return _first(flat_numerators(f), 4 * f.det**4)
+    return _first(f, riemann_components(f.gamma, d, f.n), lambda: 4 * det**4)
 
 
 def obstruction_at(fg: PointFrame, fh: PointFrame):
@@ -294,12 +303,15 @@ def mokhov_at(fg: PointFrame, fh: PointFrame):
     index tuple, or None: the first nonzero numerator of ``mokhov_streams`` over
     its denominator.  c and R are built by the first thunk called, and only
     the derivative entries that T4 and T5 read are."""
-    B, Dg = 2 * fh.det * fh.D, fg.D
-    dens = dict(zip(T_NAMES, (B * Dg, B * Dg, B * B * Dg, 2 * B * fh.det * Dg, B * B * Dg)))
+
+    def den(name):
+        B = 2 * fh.det * fh.D
+        return B * fg.D * {"T3": B, "T4": 2 * fh.det, "T5": B}.get(name, 1)
+
     streams = functools.cache(lambda: mokhov_streams(fg, fh))
 
     for name in T_NAMES:
-        yield name, lambda name=name: _first(streams()[name], dens[name])
+        yield name, lambda name=name: _first(fh, streams()[name], lambda: den(name))
 
 
 def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
@@ -324,7 +336,7 @@ def nijenhuis_at(fh: PointFrame, fgamma: PointFrame):
                 for b, x in enumerate(row(Ah[k][a]))]
 
     dL = _Rows(lambda k: _Rows(lambda a: d_row(k, a)))
-    return _first(nijenhuis_components(L, dL, n), fh.D**2 * det**3, fgamma.D**2)
+    return _first(fgamma, nijenhuis_components(L, dL, n), lambda: fh.D**2 * det**3, fgamma.D**2)
 
 
 def linearity_at(fgamma: PointFrame, fh: PointFrame):
@@ -351,4 +363,4 @@ def linearity_at(fgamma: PointFrame, fh: PointFrame):
             for m in rng
         )
 
-    return _first(hessian_components(G, H, dh, dC, fh.n), 4 * det**4 * fh.D)
+    return _first(fgamma, hessian_components(G, H, dh, dC, fh.n), lambda: 4 * det**4 * fh.D)

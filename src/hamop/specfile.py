@@ -152,28 +152,13 @@ def dump_operator_spec(spec: OperatorSpec, variables=None) -> dict:
         out["variables"] = list(variables)
     ms = []
     for m in spec.metrics:
-        zeros = {k: Fraction(0) for k in range(1, n + 1)}
-        const = [
-            [
-                format_rational(m.mat[i, j].substitute(zeros).constant_value())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        linear = []
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(1, n + 1):
-                    coeff = m.mat[i, j].partial(k)
-                    if not coeff.is_zero():
-                        linear.append(
-                            {
-                                "i": i + 1,
-                                "j": j + 1,
-                                "k": k,
-                                "coeff": format_rational(coeff.constant_value()),
-                            }
-                        )
+        # D m = M0 + u_s M_s with int entries: the constant part is M0 / D
+        # and d_k m^{ij} = M_k[i][j] / D
+        D, M = m.arrays
+        const = [[format_rational(Fraction(x, D)) for x in row] for row in M[0]]
+        linear = [{"i": i + 1, "j": j + 1, "k": k,
+                   "coeff": format_rational(Fraction(M[k][i][j], D))}
+                  for i in range(n) for j in range(i, n) for k in range(1, n + 1) if M[k][i][j]]
         ms.append({"constant": const, "linear": linear})
     out["metrics"] = ms
     return out

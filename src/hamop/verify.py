@@ -11,7 +11,8 @@ Two independent criteria are implemented for d = 2:
   formula geometry.connection_numerators: the constant connection, and the
   numerator c = 2 det D b of pointcheck.PointFrame, ints at an integer
   point and polynomials at the generic point.  The rational b_upper of
-  levi_civita(h) only prints the witness of a failure no scan point shows;
+  levi_civita(h) only prints the witness of a T failure first seen at the
+  generic point;
 * the equivalent triple: linearity of h in the flat coordinates of g,
   vanishing Nijenhuis torsion of L = h g^{-1}, and the Killing condition.
 
@@ -52,30 +53,36 @@ and d_r Gamma = dgamma / (2 det^3).  At each point only the conditions not
 yet decided are evaluated, each once and only up to its first failing
 component, on numerators of one weight; a hit is a nonzero numerator, and
 its quotient by the condition's denominator, the one Fraction the scan
-builds, is the rational value there and the witness.  A condition
-without a hit is then decided by its exact identity: flatness_witness and
-the T1..T5 numerators, the same kernels run on the polynomial jets of the
-generic point (a PointFrame with point None), and the lazy linearity /
-Nijenhuis / Killing streams of geometry.  A failure found there carries a
-witness with no point.
+builds, is the rational value there and the witness.  The last point of
+every scan is the generic point (point None): the same kernels run on the
+polynomial jets of a PointFrame with point None, a numerator there is a
+polynomial, and a nonzero one over the condition's denominator, a
+RationalFunction reduced by powers of the frame's det, is the witness,
+with no point.  A condition with no hit at any point, the generic one
+included, holds.  One exception stays explicit: a T failure first seen at
+the generic point prints the witness of the rational stream (_t_streams),
+since a quotient reduced by powers of det(D h) alone prints differently
+when det(D h) is reducible.  Only a bivector that is not linear in u, which
+has no arrays and no frames, is decided by the lazy symbolic streams of
+geometry.
 
 Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
 holds for the constant first metric, as for d >= 3; the rest of the Mokhov
 cross-check (flat(g2), T1..T5) is scanned at the same points only after a
 failing triple, since after a passing one a hit could only end in
-DisagreementBug, which the proofs raise just the same.  A Hamiltonian
-pencil satisfies the triple, which the arrays prove, and T4, which for
-constant g says that the contravariant connection b of h is constant
-(Dubrovin-Novikov), so there every condition is proven on constants, with
-no point scan and no rational stream.
+DisagreementBug, which the generic point, then its only point, raises just
+the same.  A Hamiltonian pencil satisfies the triple, which the arrays
+prove, and T4, which for constant g says that the contravariant connection
+b of h is constant (Dubrovin-Novikov), so there every condition is proven
+on constants, with no point scan and no rational stream.
 
 ``pointcheck.FrameCache`` shares the frames of a point between the
 conditions and the two criteria.  Witnesses always report the
 lexicographically first failing index tuple, at the first failing point
-when one is given.  Some inputs get no point scan and are decided by their
-identities alone: a bivector passed to theorem2_conditions that is not
-linear in u or is degenerate everywhere, and callers that pass no points to
-pair_conditions, such as the formal families of ``families``.
+when one is given.  Some inputs get no integer point and are scanned at
+the generic point alone: a bivector passed to theorem2_conditions that is
+degenerate everywhere, and callers that pass no points to pair_conditions,
+such as the formal families of ``families``.
 """
 
 from __future__ import annotations
@@ -97,7 +104,6 @@ from .geometry import (
     constant_connection,
     contravariant_derivative,
     covariant_hessian,
-    flatness_witness,
     killing_components,
     killing_stream,
     levi_civita,
@@ -115,7 +121,7 @@ from .poly import MultiPoly
 from .scalars import format_rational
 
 DEFAULT_SEED = 0
-# points scanned before the exact identities
+# integer points scanned before the generic point
 SCAN_POINTS = 2
 
 
@@ -198,32 +204,29 @@ def _scan(name: str, gen) -> ConditionResult:
     return ConditionResult(name, False, _wit(*hit)) if hit else ConditionResult(name, True)
 
 
-def _scan_points(proofs: dict, fn, metrics, points, cache, decided=()) -> list[ConditionResult]:
-    """The conditions named by ``proofs``, in its order, scanned at points
-    together: the ``decided`` ConditionResults are reported as they are, and
-    ``fn(*frames)`` on the frames of ``metrics`` at a point yields
-    (name, thunk) for the conditions it scans, the thunk's call giving the
-    hit there, (indices, value) of its first failing component, or None.  At each
-    integer point only the conditions not yet decided are evaluated, each
-    once, in int arithmetic on frames (``pointcheck.PointFrame``) built as
-    they are read, so a scan with every condition decided builds none.  A
-    condition without a hit is then decided by ``proofs[name]()``, its exact
-    identity as a lazy (indices, residual) stream.  A condition's first
-    failing point and index do not depend on which conditions share a scan."""
+def _scan_points(names, fn, metrics, points, cache, decided=()) -> list[ConditionResult]:
+    """The conditions ``names``, in their order, scanned together at
+    ``points`` and then at the generic point (point None): the ``decided``
+    ConditionResults are reported as they are, and ``fn(*frames)`` on the
+    frames of ``metrics`` at a point yields (name, thunk) for the conditions
+    it scans, the thunk's call giving the hit there, (indices, value) of its
+    first failing component, or None.  At each point only the conditions not
+    yet decided are evaluated, each once, on frames
+    (``pointcheck.PointFrame``) built as they are read, so a scan with every
+    condition decided builds none: in int arithmetic at an integer point, on
+    polynomial numerators at the generic point, where a hit is the
+    condition's rational value.  A condition with no hit anywhere holds.  A
+    condition's first failing point and index do not depend on which
+    conditions share a scan."""
     done = {c.name: c for c in decided}
-    for pt in points:
-        pending = proofs.keys() - done.keys()
+    for pt in (*points, None):
+        pending = set(names) - done.keys()
         if not pending:
             break
         for name, thunk in fn(*cache.frames(pt, *metrics)):
             if name in pending and (hit := thunk()):
                 done[name] = ConditionResult(name, False, _wit(*hit, pt))
-    return [done.get(name) or _scan(name, proof()) for name, proof in proofs.items()]
-
-
-def _flatness_proof(g: LinearMetric):
-    w = flatness_witness(g)
-    return [w] if w else []
+    return [done.get(name) or ConditionResult(name, True) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +236,8 @@ def _flatness_proof(g: LinearMetric):
 
 def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
     """name -> the lazy stream of that identity on the reduced rational
-    contravariant connection of h: the witness of a failure that no scan
-    point shows."""
+    contravariant connection of h: the witness of a T failure first seen
+    at the generic point."""
     b = levi_civita(h).b_upper
     R = raised_obstruction(g.mat.entries, b, g.n)
 
@@ -288,34 +291,26 @@ def mokhov_conditions(
     candidate point is the first of ``points`` (by default the first
     SCAN_POINTS of the seed's sample), or the seed's first sample point when
     ``points`` is empty; a condition proven there passes without a scan.
-    The rest are scanned at ``points`` and, without a hit there, decided
-    by ``flatness_witness`` or by the condition's numerators at the generic
-    point (``pointcheck.mokhov_streams`` on the frames of g and h at point
-    None, built once, on first need): it holds iff each is the zero
-    polynomial.  Only a nonzero one reads the rational stream
-    (``_t_streams``), for the witness."""
+    The rest are scanned at ``points`` and then at the generic point, where
+    each holds iff its numerators are zero polynomials (``_scan_points``).
+    A T failure first seen at the generic point takes its witness from the
+    rational stream (``_t_streams``): the numerator's quotient, reduced by
+    powers of det(D h) alone, prints differently when det(D h) is
+    reducible."""
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
     u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
-    numerators = functools.cache(
-        lambda: pc.mokhov_streams(pc.PointFrame(g, None), pc.PointFrame(h, None)))
-    t_streams = functools.cache(lambda: _t_streams(g, h))
-
-    def proof(name):
-        # T1..T5 are homogeneous in b: one holds iff its numerators on
-        # c = 2 det(D h) b at the generic point are zero polynomials
-        return t_streams()[name] if any(map(_residual, numerators()[name])) else ()
-
-    proofs = {
-        "flat(g2)": lambda: _flatness_proof(h),
-        **{name: lambda name=name: proof(name) for name in T_NAMES},
-    }
     proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
-    report.conditions = [_scan("flat(g1)", _flatness_proof(g))] + _scan_points(
-        proofs, _mokhov_at, (g, h), points, cache or pc.FrameCache(), proven)
+    scanned = _scan_points(("flat(g2)", *T_NAMES), _mokhov_at, (g, h), points,
+                           cache or pc.FrameCache(), proven)
+    t_streams = functools.cache(lambda: _t_streams(g, h))
+    report.conditions = [ConditionResult("flat(g1)", True)] + [
+        _scan(c.name, t_streams()[c.name])
+        if c.name in T_NAMES and c.witness and c.witness.point is None else c
+        for c in scanned]
     return report
 
 
@@ -454,31 +449,28 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
     constant g every condition of a linear h, a failure with the witness a
     scan of ``points`` would give, so no point frame is built; Killing of
     every linear pair; and passes of linearity and Nijenhuis against a
-    linear g.  The others are scanned at ``points`` (none: no scan) and,
-    without a hit there, proven by their lazy streams.  A bivector that is
-    not linear in u gets neither the arrays nor a scan."""
+    linear g.  The others are scanned at ``points`` (none: no integer
+    point) and at the generic point.  A bivector that is not linear in u
+    gets neither arrays nor frames: its symbolic streams decide it."""
     n = g.n
     h = _as_metric(h, n)
-    linear = isinstance(h, LinearMetric)
-    hm = h.mat if linear else h
     lin, nij, kil = "linearity", "nijenhuis", "killing"
     if tag:
         b, c = tag
         lin, nij, kil = f"{lin}[{b}|{c}]", f"{nij}[{b}|{c}]", f"{kil}[{c}|{b}]"
-    flat = g.is_constant()
-    proofs = {
-        lin: lambda: covariant_hessian(hm, n, None if flat else g),
-        nij: lambda: nijenhuis_stream(hm @ (constant_inverse(g) if flat else g.inverse()), n),
-        kil: lambda: killing_stream(g, hm, n),
-    }
-    points = (points or ()) if linear else ()
+    if not isinstance(h, LinearMetric):
+        flat = g.is_constant()
+        return [_scan(lin, covariant_hessian(h, n, None if flat else g)),
+                _scan(nij, nijenhuis_stream(h @ (constant_inverse(g) if flat else g.inverse()), n)),
+                _scan(kil, killing_stream(g, h, n))]
+    points = points or ()
 
     def at(fg, fh):
         yield nij, lambda: pc.nijenhuis_at(fh, fg)
         yield lin, lambda: pc.linearity_at(fg, fh)
 
     decided = _triple_proofs(g, h, points, (lin, nij, kil))
-    return _scan_points(proofs, at, (g, h), points, cache or pc.FrameCache(), decided)
+    return _scan_points((lin, nij, kil), at, (g, h), points, cache or pc.FrameCache(), decided)
 
 
 def theorem2_conditions(
@@ -530,14 +522,14 @@ def verify_operator(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> Verificatio
 def _check_operator(spec: OperatorSpec, seed: int, points, cache):
     """verify_operator at the seed's scan ``points``: the triple and the
     d >= 3 pairs scan them; the d = 2 Mokhov side scans them after a failing
-    triple and goes straight to its proofs after a passing one.
+    triple and has the generic point alone after a passing one.
     The report lists the Mokhov conditions before the triple's
     (``VerificationReport.conditions``)."""
     report = VerificationReport(spec.n, spec.d, seed)
     if spec.d == 2:
         th2 = theorem2_conditions(spec.g, spec.gt, seed, points, cache)
-        # after a proven triple a Mokhov scan cannot hit (the paper's
-        # theorem; a hit is exact), so it goes to its proofs
+        # after a proven triple an integer point cannot hit (the paper's
+        # theorem; a hit is exact), so only the generic point is scanned
         mok_points = () if th2.verdict else points
         mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, cache)
         if mok.verdict != th2.verdict:
@@ -549,7 +541,7 @@ def _check_operator(spec: OperatorSpec, seed: int, points, cache):
         return report
     # d = 1, or d >= 3 with one triple per unordered pair, against the
     # earlier metric; the first metric is constant, so flat(g1) is proven
-    report.conditions.append(_scan("flat(g1)", _flatness_proof(spec.g)))
+    report.conditions.append(ConditionResult("flat(g1)", True))
     for b, gb in enumerate(spec.metrics, 1):
         for c, gc in enumerate(spec.metrics[: b - 1], 1):
             report.conditions.extend(pair_conditions(gc, gb, points, cache, (b, c)))

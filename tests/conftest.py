@@ -9,7 +9,7 @@ import pytest
 from hamop import geometry, matrices
 from hamop import pointcheck as pc
 from hamop.matrices import PolyMatrix
-from hamop.metrics import LinearMetric, identically_degenerate
+from hamop.metrics import LinearMetric, OperatorSpec, identically_degenerate
 from hamop.poly import MultiPoly
 
 
@@ -84,6 +84,41 @@ def refuse_symbolic_work(monkeypatch, message):
                 if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, guard)
     return refuse
+
+
+def one_coefficient_mutants(spec, b):
+    """(label, spec) of every one-coefficient mutant of metric ``b``
+    (0-based) of ``spec``: one entry m^{ij} = m^{ji}, i <= j, raised by 1
+    or by a u_k, labelled "{bump}@{i}{j}" (1-based); a mutant that makes
+    the metric identically degenerate is skipped."""
+    n, nvars = spec.n, spec.nvars
+    z = MultiPoly.zero(nvars)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n + 1):
+                bump = MultiPoly.variable(nvars, k) if k else MultiPoly.const(nvars, 1)
+                mat = spec.metrics[b].mat + PolyMatrix(
+                    [[bump if {a, c} == {i, j} else z for c in range(n)] for a in range(n)])
+                if not identically_degenerate(mat):
+                    metrics = list(spec.metrics)
+                    metrics[b] = LinearMetric(n, mat)
+                    out.append((f"{bump}@{i + 1}{j + 1}", OperatorSpec(metrics)))
+    return out
+
+
+def specialized_catalog(d=None, max_n=None):
+    """(id, spec) of the catalog entries, formal parameters replaced by
+    their ``default_param_values``; ``d`` selects d = 2 (2) or d >= 3 (3)."""
+    from hamop.catalog import catalog
+    from hamop.specfile import default_param_values, specialize_spec
+
+    out = []
+    for e in catalog():
+        if (d is None or (e.spec.d >= 3) == (d >= 3)) and (max_n is None or e.n <= max_n):
+            values = default_param_values(e.spec)
+            out.append((e.id, specialize_spec(e.spec, values) if values else e.spec))
+    return out
 
 
 @pytest.fixture

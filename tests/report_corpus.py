@@ -1,0 +1,147 @@
+"""Reports of the CLI and of the library on a fixed corpus, for a byte
+comparison of two versions of the code.
+
+    python tests/report_corpus.py OUT.json
+
+writes one JSON object to OUT.json, mapping each case to its output:
+
+* ``cli:<command>:<spec>:seed<s>``: exit code, stdout and stderr of
+  ``hamop verify`` and ``hamop classify --output json`` at seeds 0 and 11,
+  run in process on the catalog entries (formal parameters at their
+  ``default_param_values``), the pencil-corpus specs of seeds 1-3
+  (``perfbench/pencils.py``) and the golden specs;
+* ``spec:<spec>``: the text of each spec file written for those runs
+  (``dump_operator_spec``);
+* ``mokhov:<mutant>``: ``mokhov_conditions(g, h, points=[])`` on every
+  one-coefficient mutant of h of the d = 2 entries with n <= 3;
+* ``pair:<mutant>:<b>|<c>:<points>``: ``pair_conditions`` of every pair of
+  every one-coefficient mutant of a later metric of the d >= 3 entries,
+  with no points and at the seed-0 scan points;
+* ``corpus-pair:n<n>:<ref>|<h>``: ``pair_conditions(points=[])`` on seeded
+  corpus pencils over the antidiagonal metric g at n = 2 and 3, with g, h
+  or a neighbouring pencil as the reference.
+
+Spec files are written to a temporary directory and named by basename, and
+the CLI runs there, so no path reaches a key or an output: the files of two
+checkouts compare with ``cmp``.  The script imports ``hamop`` from the
+``src`` next to its own directory.  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(TESTS)]
+
+from hamop import cli  # noqa: E402
+from hamop.specfile import dump_operator_spec  # noqa: E402
+from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
+
+from conftest import corpus_pairs, one_coefficient_mutants, specialized_catalog  # noqa: E402
+from perfbench.pencils import write_corpus  # noqa: E402
+
+SEEDS = (0, 11)
+
+
+def _spec_files(directory: Path) -> list[str]:
+    """Write the specs the CLI runs on into ``directory``; their basenames."""
+    names = []
+    for eid, spec in specialized_catalog():
+        name = f"catalog-{eid}.json"
+        (directory / name).write_text(json.dumps(dump_operator_spec(spec), indent=1))
+        names.append(name)
+    for seed in (1, 2, 3):
+        sub = directory / f"corpus{seed}"
+        for p in write_corpus(str(sub), seed):
+            name = f"corpus{seed}-{p['file']}"
+            (sub / p["file"]).rename(directory / name)
+            names.append(name)
+    for path in sorted((TESTS / "golden").glob("*.spec.json")):
+        (directory / path.name).write_text(path.read_text())
+        names.append(path.name)
+    return names
+
+
+def _run(argv) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _cli_reports(report: dict) -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name in _spec_files(Path(tmp)):
+                report[f"spec:{name}"] = Path(name).read_text()
+                for seed in SEEDS:
+                    for command in ("verify", "classify"):
+                        report[f"cli:{command}:{name}:seed{seed}"] = _run(
+                            [command, name, "--output", "json", "--seed", str(seed)])
+        finally:
+            os.chdir(cwd)
+
+
+def _outcome(fn):
+    """The JSON-ready result of ``fn()``, or its exception as text."""
+    try:
+        return fn()
+    except Exception as ex:  # a report of either version may raise
+        return f"{type(ex).__name__}: {ex}"
+
+
+def _conditions(results) -> list:
+    return [c.to_dict() for c in results]
+
+
+def _library_reports(report: dict) -> None:
+    for eid, spec in specialized_catalog(d=2, max_n=3):
+        for label, mutant in one_coefficient_mutants(spec, 1):
+            report[f"mokhov:{eid}+{label}"] = _outcome(
+                lambda: mokhov_conditions(mutant.g, mutant.gt, points=[]).to_dict())
+    for eid, spec in specialized_catalog(d=3):
+        for m in range(1, spec.d):
+            for label, mutant in one_coefficient_mutants(spec, m):
+                points = _outcome(lambda: _sample(mutant.nvars, mutant.metrics, 0))
+                for b, gb in enumerate(mutant.metrics, 1):
+                    for c, gc in enumerate(mutant.metrics[: b - 1], 1):
+                        key = f"pair:{eid}+{label}#{m + 1}:{b}|{c}"
+                        report[f"{key}:none"] = _outcome(
+                            lambda: _conditions(pair_conditions(gc, gb, [], None, (b, c))))
+                        if not isinstance(points, str):
+                            report[f"{key}:seeded"] = _outcome(
+                                lambda: _conditions(pair_conditions(gc, gb, points, None, (b, c))))
+    for n in (2, 3):
+        g, hs = corpus_pairs(n, random.Random(n))
+        named = [("g", g)] + [(f"h{i}", h) for i, h in enumerate(hs)]
+        pairs = [(named[0], x) for x in named[1:]] + [(x, named[0]) for x in named[1:]]
+        pairs += [p for x, y in zip(named[1:], named[2:]) for p in ((x, y), (y, x))]
+        for (rname, ref), (hname, h) in pairs:
+            report[f"corpus-pair:n{n}:{rname}|{hname}"] = _outcome(
+                lambda: _conditions(pair_conditions(ref, h, [])))
+
+
+def main(out_path: str) -> None:
+    report = {}
+    _cli_reports(report)
+    _library_reports(report)
+    with open(out_path, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

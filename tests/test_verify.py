@@ -188,7 +188,8 @@ def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
     # a certified nonzero value against the paper's theorem.  flat(g1)
     # holds for the constant g, and on a Hamiltonian pencil the
     # contravariant connection of h is constant, so flat(g2) and T1..T5 are
-    # proven on it, without a point scan or a rational stream.  The triple
+    # proven on it, without a point scan (not even at the generic point) or
+    # a rational stream.  The triple
     # itself is proven on the integer coefficient arrays of g and h, with no
     # point kernel and no symbolic adjugate
     specs = _passing_specs()
@@ -198,7 +199,6 @@ def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
     monkeypatch.setattr(pc, "flat_at", _refuse)
     monkeypatch.setattr(vf, "_t_streams", _refuse)
     for spec, expected in zip(specs, reports):
-        monkeypatch.setattr(vf, "flatness_witness", lambda m: m is spec.gt and _refuse())
         rep = verify_operator(spec)
         assert rep.verdict and rep.to_dict() == expected
 
@@ -221,17 +221,19 @@ def test_d3_catalog_pairs_are_proven_on_their_arrays(monkeypatch):
 
 
 def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
-    # the proofs that replace the scan still cross-check the triple: a
-    # nonzero T3 or flat(g2) residual on a passing spec raises.  The
-    # constant-connection proof, the numerator proof it falls back to
-    # (pointcheck's streams at the generic point) and the rational witness
-    # stream all run geometry's one statement of each condition
+    # the proofs that replace the integer-point scan still cross-check the
+    # triple: a nonzero T3 or flat(g2) residual on a passing spec raises.
+    # The constant-connection proof, the scan's generic point (pointcheck's
+    # kernels on polynomial numerators) and the rational witness stream all
+    # run geometry's one statement of each condition
     g, h = operator5_pair()
     spec = OperatorSpec([g, h])
     identities = vf.mokhov_identities
+    # a polynomial residual, as the generic point's numerators are
+    one = MultiPoly.const(g.nvars, 1)
 
     def t3_fails(*args):
-        return [(name, [((1, 1, 1, 1), 1)] if name == "T3" else stream)
+        return [(name, [((1, 1, 1, 1), one)] if name == "T3" else stream)
                 for name, stream in identities(*args)]
 
     with monkeypatch.context() as m:
@@ -239,11 +241,12 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
         m.setattr(pc, "mokhov_identities", t3_fails)
         with pytest.raises(DisagreementBug, match="criteria disagree"):
             verify_operator(spec)
-    witness = vf.flatness_witness
-    monkeypatch.setattr(vf, "riemann_components", lambda *args: [((1, 2, 1, 2), 1)])
-    monkeypatch.setattr(
-        vf, "flatness_witness", lambda m: ((1, 2, 1, 2), 1) if m is h else witness(m)
-    )
+
+    def curvature(*args):
+        return [((1, 2, 1, 2), one)]
+
+    monkeypatch.setattr(vf, "riemann_components", curvature)
+    monkeypatch.setattr(pc, "riemann_components", curvature)
     with pytest.raises(DisagreementBug, match="criteria disagree"):
         verify_operator(spec)
 
