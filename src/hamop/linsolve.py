@@ -8,8 +8,9 @@ products of nonzero entries: over ints and linear forms in the unknowns for
 the condition streams of ``families``, over plain ints for ``pointcheck``'s
 frames, the powers in the Segre rank sequences of ``spectral`` and the
 Segre affinor's arrays, and over ints or parameter polynomials for the
-connection and torsion contractions of ``geometry`` and the Nijenhuis
-arrays of ``verify``'s proofs.
+connection and torsion contractions of ``geometry``, the Nijenhuis
+arrays of ``verify``'s proofs and the Horner steps of
+``matrices.adjugate_det``.
 Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
@@ -99,14 +100,19 @@ def gaussian_rank(x: list[list[int]], y: list[list[int]]) -> int:
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    """The product of two matrices.  Each row of ``a`` is read once for its
-    nonzero entries, and only products of two nonzero entries are summed, in
-    column order (int 0 where there is none)."""
-    cols = range(len(b[0]))
+    """The product of two matrices, in row form: output row i starts as int
+    0s, and each nonzero a[i][s] adds x * b[s][j] into it, only where
+    b[s][j] is nonzero.  These are the additions of the sum over s of the
+    products of two nonzero entries, in the same order from int 0, so an
+    entry is int 0 exactly where no such product exists."""
+    zero = [0] * len(b[0])
     out = []
     for row in a:
-        nz = [(s, x) for s, x in enumerate(row) if x]
-        out.append([sum((x * b[s][j] for s, x in nz if b[s][j]), 0) for j in cols])
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                acc = [r + x * y if y else r for r, y in zip(acc, brow)]
+        out.append(acc if acc is not zero else zero[:])
     return out
 
 

@@ -4,10 +4,11 @@ Entries are homogeneous per matrix (all MultiPoly or all RationalFunction).
 ``determinant`` and ``adjugate_det`` share one division-free computation:
 the characteristic polynomial by Berkowitz's algorithm (``roots.char_poly``),
 whose constant term gives the determinant and whose coefficients give the
-adjugate by Cayley-Hamilton.  On a PolyMatrix they take polynomial entries
-only (anything else raises ValueError); ``adjugate_det`` also takes a plain
-list of rows over any ring, such as the integer coefficient arrays of a
-metric (``metrics.coefficient_arrays``).  Inverses are returned in
+adjugate by Cayley-Hamilton, in Horner steps of ``linsolve.mat_mul``.  On a
+PolyMatrix they take polynomial entries only (anything else raises
+ValueError); ``adjugate_det`` also takes a plain list of rows over any ring,
+such as the integer coefficient arrays of a metric
+(``metrics.coefficient_arrays``).  Inverses are returned in
 adjugate/determinant form with gcd-normalized rational-function entries, so
 m * m^-1 is exactly the identity.
 ``PolyMatrix.int_at`` gives the value of any polynomial matrix at an
@@ -25,6 +26,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .errors import IdenticallySingular
+from .linsolve import mat_mul
 from .poly import MultiPoly, RationalFunction
 from .roots import char_poly
 
@@ -200,7 +202,9 @@ def adjugate_det(m):
     """(adjugate, determinant) of a square matrix, both from one
     characteristic polynomial chi(x) = x^n + c_(n-1) x^(n-1) + ... + c_0.
     By Cayley-Hamilton A (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
-    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner.
+    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner:
+    each step is one ``linsolve.mat_mul`` by A, then c_k (-1)^(n-1) added on
+    the diagonal.
 
     ``m`` is a PolyMatrix of polynomials, giving (PolyMatrix, MultiPoly),
     or a square list of rows over any commutative ring (ints, or
@@ -208,19 +212,24 @@ def adjugate_det(m):
     int 0 standing in for zero."""
     if isinstance(m, PolyMatrix):
         c, det = _char_poly(m, "adjugate_det")
-        zero, one = MultiPoly.zero(m.nvars), MultiPoly.const(m.nvars, 1)
+        one = MultiPoly.const(m.nvars, 1)
         a = m.entries
     else:
-        a, zero, one = m, 0, 1
+        a, one = m, 1
         c = char_poly(a)
         det = c[0] if len(a) % 2 == 0 else -c[0]
     n = len(a)
     sign = 1 if n % 2 else -1
-    b = [[sign * one if i == j else zero for j in range(n)] for i in range(n)]
+    b = [[sign * one if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n - 1, 0, -1):
-        b = [[sum((a[i][s] * b[s][j] for s in range(n) if a[i][s] and b[s][j]),
-                  c[k] * sign if i == j else zero) for j in range(n)] for i in range(n)]
-    return (PolyMatrix(b) if isinstance(m, PolyMatrix) else b), det
+        b = mat_mul(a, b)
+        for i, row in enumerate(b):
+            row[i] += c[k] * sign
+    if isinstance(m, PolyMatrix):
+        zero = MultiPoly.zero(m.nvars)
+        return PolyMatrix([[x if isinstance(x, MultiPoly) else zero for x in row]
+                           for row in b]), det
+    return b, det
 
 
 def matrix_inverse(m: PolyMatrix) -> PolyMatrix:

@@ -11,8 +11,12 @@ polynomial matrix of the same arrays.
 The Segre type of L at a point is the multiset of Jordan block-size
 partitions per eigenvalue, computed from the rank sequence
 r_k = rank((L - lambda I)^k): the number of blocks of size >= k equals
-r_{k-1} - r_k.  Eigenvalues are extracted exactly over Q and Q(i); anything
-outside those fields raises UnsupportedEigenvalueField rather than degrading.
+r_{k-1} - r_k, so there are n - r_1 blocks.  Only the ranks that decide the
+partition are read (``_partition_for``): none for a simple eigenvalue, r_1
+alone when it gives one block or m blocks for multiplicity m, and r_1, r_2,
+... until r_k = n - m only for a mixed partition.  Eigenvalues are
+extracted exactly over Q and Q(i); anything outside those fields raises
+UnsupportedEigenvalueField rather than degrading.
 
 The whole point spectrum is computed over the integers.  The value of L at
 an integer point is the scale times the integer matrix A = L0 + u_s L_s
@@ -189,12 +193,21 @@ def format_segre_type(key: tuple) -> str:
 
 def _partition_for(ranks, multiplicity: int, n: int) -> tuple:
     """Block-size partition from the ranks of the powers M, M^2, ... of a
-    multiple of L - lambda I (an iterator, read until it stabilises)."""
-    seq = [n]
-    for r in ranks:
-        seq.append(r)
-        if r <= n - multiplicity or len(seq) > n + 1:
-            break
+    multiple of L - lambda I (an iterator, read only as far as needed).
+    The number of blocks is n - rank(M).  Multiplicity 1 gives (1) with no
+    rank read; otherwise rank(M) is read, and one block gives (m) and m
+    blocks give (1, ..., 1).  Only a mixed partition reads the ranks of the
+    higher powers, until they stabilise."""
+    if multiplicity == 1:
+        return (1,)
+    seq = [n, next(ranks)]
+    blocks = n - seq[1]
+    if blocks == 1:
+        return (multiplicity,)
+    if blocks == multiplicity:
+        return (1,) * multiplicity
+    while seq[-1] > n - multiplicity and len(seq) <= n + 1:
+        seq.append(next(ranks))
     ge = [seq[k - 1] - seq[k] for k in range(1, len(seq))]
     partition = []
     for k in range(1, len(ge) + 1):

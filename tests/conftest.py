@@ -11,6 +11,7 @@ from hamop import pointcheck as pc
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec, identically_degenerate
 from hamop.poly import MultiPoly
+from hamop.scalars import GaussianRational
 
 
 def u_vars(nvars):
@@ -180,3 +181,102 @@ def corpus_pairs(n, rng, raw=8, killing=6, family=6, constant=5):
         out.append(LinearMetric(n, mat))
         made += 1
     return g, out
+
+
+def jordan_block(lam, size):
+    return [[lam if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
+
+
+def real_jordan_block(re, im, size):
+    """The real Jordan block of the pair re +- i im with size x size complex
+    blocks: [[C, I], [0, C]] with C = [[re, -im], [im, re]]."""
+    out = [[0] * (2 * size) for _ in range(2 * size)]
+    for k in range(size):
+        out[2 * k][2 * k : 2 * k + 2] = [re, -im]
+        out[2 * k + 1][2 * k : 2 * k + 2] = [im, re]
+        if k + 1 < size:
+            out[2 * k][2 * k + 2] = out[2 * k + 1][2 * k + 3] = 1
+    return out
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[k + i][k : k + len(b)] = row
+        k += len(b)
+    return out
+
+
+def unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its integer inverse:
+    a product of elementary row additions."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    pinv = [row[:] for row in p]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in pinv:  # right-multiply by the inverse elementary matrix
+            row[j] -= c * row[i]
+    return p, pinv
+
+
+def jordan_conjugate(blocks, rng):
+    """(A, partitions) for the integer matrix A = P J P^-1 with a seeded
+    unimodular P.  J is the direct sum of ``blocks``: ("R", lam, k) is the
+    k x k Jordan block of the integer lam, and ("C", a, b, k) the real
+    Jordan block of a +- b i with k x k complex blocks.  ``partitions`` maps
+    each eigenvalue, a Fraction or a GaussianRational, to its descending
+    Jordan block sizes."""
+    parts, partitions = [], {}
+    for kind, *values, k in blocks:
+        if kind == "R":
+            parts.append(jordan_block(values[0], k))
+            keys = [Fraction(values[0])]
+        else:
+            a, b = values
+            parts.append(real_jordan_block(a, b, k))
+            keys = [GaussianRational.of(a, b), GaussianRational.of(a, -b)]
+        for key in keys:
+            partitions[key] = tuple(sorted(partitions.get(key, ()) + (k,), reverse=True))
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+    j = block_diag(*parts)
+    p, pinv = unimodular(rng, len(j))
+    return mul(mul(p, j), pinv), partitions
+
+
+# Jordan structures at n <= 6, one for every kind of partition (simple, one
+# block, all 1s, mixed), with rational and with Gaussian eigenvalues:
+# ("R", lam, k) is a k-block of the integer lam, ("C", a, b, k) a k-block of
+# each of a +- b i
+JORDAN_CASES = [
+    [("R", 2, 1), ("R", -1, 1), ("R", 0, 1)],
+    [("C", 1, 2, 1), ("R", 3, 1)],
+    *([("R", 2, m)] for m in range(2, 7)),
+    [("R", -1, 2), ("C", -1, 3, 1)],
+    [("C", 1, 1, 2)],
+    [("C", 0, 1, 3)],
+    [("R", 2, 1), ("R", 2, 1), ("R", -1, 1)],
+    [("R", 1, 1)] * 4,
+    [("C", 2, 1, 1)] * 2,
+    [("C", 1, 1, 1)] * 3,
+    [("R", 3, 2), ("R", 3, 1)],
+    [("R", -1, 2), ("R", -1, 2), ("C", 0, 2, 1)],
+    [("R", 2, 3), ("R", 2, 1)],
+    [("R", 1, 2), ("R", 1, 1), ("R", 1, 1), ("R", 4, 1)],
+    [("R", 0, 3), ("R", 0, 2)],
+    [("R", 1, 2), ("R", 1, 2), ("R", 1, 1), ("R", -2, 1)],
+    [("C", 1, 2, 2), ("C", 1, 2, 1)],
+]
+
+
+def jordan_id(blocks):
+    """A test id for the blocks of ``jordan_conjugate``, e.g. "J2(3)+J1(1+-2i)"."""
+    return "+".join(f"J{k}({v[0]})" if kind == "R" else f"J{k}({v[0]}+-{v[1]}i)"
+                    for kind, *v, k in blocks)

@@ -9,14 +9,16 @@ built once and read by every point value, proof and Segre affinor.
   come from: the loader's arrays, point values, ``is_constant`` and
   ``degenerate_at``, and the point spectra of the integer affinor against
   those of the polynomial affinor h g^-1.
-* Properties of the zero-skipping integer kernels (``linsolve.mat_mul``,
-  the T3 / T5 / Nijenhuis streams, the torsion decision of
-  ``geometry.constant_connection``) against the dense formulas written out
-  here.
+* Properties of the zero-skipping integer kernels (``linsolve.mat_mul``
+  and its entry types, ``matrices.adjugate_det``, the T3 / T5 / Nijenhuis
+  streams, the torsion decision of ``geometry.constant_connection``)
+  against the dense formulas written out here (cofactors for the
+  adjugate).
 """
 
 import contextlib
 import io
+import itertools
 import json
 import random
 from collections import Counter
@@ -36,7 +38,7 @@ from hamop.geometry import (
     nijenhuis_components,
 )
 from hamop.linsolve import mat_mul
-from hamop.matrices import adjugate_det
+from hamop.matrices import PolyMatrix, adjugate_det
 from hamop.metrics import LinearMetric, OperatorSpec, coefficient_arrays, degenerate_at
 from hamop.poly import MultiPoly
 from hamop.specfile import (
@@ -196,6 +198,7 @@ _U1, _U2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
 # mostly zeros, both the int 0 and the zero polynomial
 _INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5])
 _POLYS = st.sampled_from([0, 0, 0, MultiPoly.zero(2), 1, -2, _U1, _U2 - 1, 3 * _U1 * _U2])
+_FRACS = st.sampled_from([0, 0, 0, Fraction(0), 1, -2, Fraction(1, 2), Fraction(-3, 4)])
 
 
 def _arrays(entries, *shape):
@@ -210,13 +213,70 @@ def _dense_mat_mul(a, b):
             for i in range(len(a))]
 
 
+def _product_type(terms):
+    """The type of a sum of products: MultiPoly if any term is one, else
+    Fraction if any term is one, else int."""
+    for t in (MultiPoly, Fraction):
+        if any(isinstance(x, t) for x in terms):
+            return t
+    return int
+
+
 @PROPERTY
-@given(st.sampled_from([_INTS, _POLYS]).flatmap(
+@given(st.sampled_from([_INTS, _FRACS, _POLYS]).flatmap(
     lambda e: st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
         lambda s: st.tuples(_arrays(e, s[0], s[1]), _arrays(e, s[1], s[2])))))
 def test_mat_mul_is_the_dense_product(ab):
+    # the values of the dense product; each entry is int 0 exactly where no
+    # product of two nonzero entries exists, and otherwise of their ring's type
     a, b = ab
-    assert mat_mul(a, b) == _dense_mat_mul(a, b)
+    got = mat_mul(a, b)
+    assert got == _dense_mat_mul(a, b)
+    for i, row in enumerate(got):
+        for j, x in enumerate(row):
+            terms = [a[i][s] * b[s][j] for s in range(len(b)) if a[i][s] and b[s][j]]
+            want = _product_type(terms) if terms else int
+            assert type(x) is want and (terms or x == 0), (i, j, x, terms)
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def _cofactor_adjugate(m):
+    """adj(m)[i][j] = (-1)^(i+j) det of m without row j and column i."""
+    n = len(m)
+    return [[(-1) ** (i + j) * _leibniz_det([[x for c, x in enumerate(row) if c != i]
+                                             for r, row in enumerate(m) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: _arrays(st.integers(-4, 4), n, n)))
+def test_adjugate_det_is_the_cofactor_adjugate_over_ints(m):
+    adj, det = adjugate_det(m)
+    assert (adj, det) == (_cofactor_adjugate(m), _leibniz_det(m))
+    assert all(type(x) is int for row in adj for x in row)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: _arrays(_POLYS, n, n)))
+def test_adjugate_det_is_the_cofactor_adjugate_over_polynomials(m):
+    # a PolyMatrix gets MultiPoly entries only, the zero polynomial included
+    pm = PolyMatrix([[MultiPoly.zero(2) + x for x in row] for row in m])
+    adj, det = adjugate_det(pm)
+    assert isinstance(adj, PolyMatrix) and isinstance(det, MultiPoly)
+    assert all(type(x) is MultiPoly for row in adj.entries for x in row)
+    want = _cofactor_adjugate(pm.entries)
+    assert adj.entries == want and det == _leibniz_det(pm.entries)
 
 
 def _dense_t3(R, b, n):

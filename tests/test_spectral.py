@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hamop import spectral
 from hamop.catalog import catalog, direct_sum, get_entry, mokhov_operator
 from hamop.errors import FirstMetricNotConstant, UnsupportedEigenvalueField
 from hamop.linsolve import inverse, mat_mul
@@ -14,6 +16,7 @@ from hamop.specfile import default_param_values, specialize_spec
 from hamop.spectral import (
     affinor,
     format_segre_type,
+    integer_affinor,
     segre_of_pair,
     segre_of_spec,
     segre_type,
@@ -21,7 +24,17 @@ from hamop.spectral import (
 )
 from hamop.verify import _sample
 
-from conftest import operator5_pair, u_vars
+from conftest import (
+    JORDAN_CASES,
+    block_diag,
+    jordan_block,
+    jordan_conjugate,
+    jordan_id,
+    operator5_pair,
+    real_jordan_block,
+    u_vars,
+    unimodular,
+)
 
 
 def test_affinor_identity():
@@ -171,50 +184,9 @@ def test_report_shape():
     assert len(d["points"]) == 5
 
 
-def _block_diag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    k = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[k + i][k : k + len(b)] = [Fraction(x) for x in row]
-        k += len(b)
-    return out
-
-
-def _jordan(lam, size):
-    return [[lam if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
-
-
-def _real_jordan(re, im, size):
-    """The real Jordan block of the pair re +- i im with size x size complex
-    blocks: [[C, I], [0, C]] with C = [[re, -im], [im, re]]."""
-    out = [[0] * (2 * size) for _ in range(2 * size)]
-    for k in range(size):
-        out[2 * k][2 * k : 2 * k + 2] = [re, -im]
-        out[2 * k + 1][2 * k : 2 * k + 2] = [im, re]
-        if k + 1 < size:
-            out[2 * k][2 * k + 2] = out[2 * k + 1][2 * k + 3] = 1
-    return out
-
-
-def _unimodular(rng, n):
-    """A seeded integer matrix of determinant 1 and its integer inverse:
-    a product of elementary row additions."""
-    p = [[int(i == j) for j in range(n)] for i in range(n)]
-    pinv = [row[:] for row in p]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
-        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
-        for row in pinv:  # right-multiply by the inverse elementary matrix
-            row[j] -= c * row[i]
-    return p, pinv
-
-
 def _planted(rng, j):
     """P J P^-1 for a seeded unimodular P, as a constant PolyMatrix."""
-    p, pinv = _unimodular(rng, len(j))
+    p, pinv = unimodular(rng, len(j))
     assert mat_mul(p, pinv) == [[int(a == b) for b in range(len(j))] for a in range(len(j))]
     m = mat_mul(mat_mul(p, j), pinv)
     return PolyMatrix.from_scalars(1, m), m
@@ -223,23 +195,23 @@ def _planted(rng, j):
 PLANTED = {
     # [3, 1] at a non-unit denominator: the rank sequence is that of 3A + 5D I
     "rational": (
-        lambda: _block_diag(_jordan(Fraction(-5, 3), 3), _jordan(Fraction(-5, 3), 1),
-                            _jordan(Fraction(7), 2)),
+        lambda: block_diag(jordan_block(Fraction(-5, 3), 3), jordan_block(Fraction(-5, 3), 1),
+                           jordan_block(Fraction(7), 2)),
         {Fraction(-5, 3): (3, 1), Fraction(7): (2,)},
     ),
     # one 2 x 2 complex Jordan block per conjugate, beside a rational block
     "gaussian": (
-        lambda: _block_diag(_real_jordan(Fraction(1, 2), Fraction(3, 2), 2),
-                            _jordan(Fraction(-1), 1)),
+        lambda: block_diag(real_jordan_block(Fraction(1, 2), Fraction(3, 2), 2),
+                           jordan_block(Fraction(-1), 1)),
         {GaussianRational.of(Fraction(1, 2), Fraction(3, 2)): (2,),
          GaussianRational.of(Fraction(1, 2), Fraction(-3, 2)): (2,),
          Fraction(-1): (1,)},
     ),
     # eigenvalues near 10^6 over coprime denominators: D^n is about 10^19
     "large": (
-        lambda: _block_diag(_jordan(Fraction(10**6 + 1, 999), 2),
-                            _jordan(Fraction(10**6 + 1, 999), 2),
-                            _jordan(Fraction(-(10**6), 7), 1)),
+        lambda: block_diag(jordan_block(Fraction(10**6 + 1, 999), 2),
+                           jordan_block(Fraction(10**6 + 1, 999), 2),
+                           jordan_block(Fraction(-(10**6), 7), 1)),
         {Fraction(10**6 + 1, 999): (2, 2), Fraction(-(10**6), 7): (1,)},
     ),
 }
@@ -255,6 +227,49 @@ def test_planted_jordan_structure(case, seed):
     assert {b.value: b.partition for b in s.blocks} == expected
     rep = segre_type(L, points=[[Fraction(1)], [Fraction(-2)]])
     assert rep.consistent
+
+
+def _count_rank_reads(monkeypatch):
+    """Counter of the rank reads of the Segre rank sequences."""
+    counts = Counter()
+    for name in ("int_rank", "gaussian_rank"):
+        def counted(*args, rank=getattr(spectral, name), name=name):
+            counts[name] += 1
+            return rank(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    return counts
+
+
+def _ranks_read(partition):
+    """How many ranks rank(M^k) a partition takes: none for a simple
+    eigenvalue, rank(M) alone for one block or for m blocks of size 1, and
+    otherwise rank(M), ..., rank(M^k) up to the largest block size k."""
+    if partition == (1,):
+        return 0
+    return 1 if len(partition) in (1, sum(partition)) else partition[0]
+
+
+@pytest.mark.parametrize("case", JORDAN_CASES, ids=[jordan_id(c) for c in JORDAN_CASES])
+def test_each_partition_reads_the_fewest_ranks(monkeypatch, case):
+    a, partitions = jordan_conjugate(case, random.Random(2))
+    n = len(a)
+    counts = _count_rank_reads(monkeypatch)
+    s = spectrum_at_point(PolyMatrix.from_scalars(n, a), [Fraction(1)] * n, n)
+    assert {b.value: b.partition for b in s.blocks} == partitions
+    for name, field in (("int_rank", Fraction), ("gaussian_rank", GaussianRational)):
+        assert counts[name] == sum(_ranks_read(p) for v, p in partitions.items()
+                                   if isinstance(v, field)), name
+
+
+def test_one_block_takes_one_rank_at_each_mokhov_n6_segre_point(monkeypatch):
+    spec = get_entry("mokhov-n6").spec
+    report = segre_of_spec(spec)
+    L = integer_affinor(spec.metrics[0], spec.metrics[1])
+    counts = _count_rank_reads(monkeypatch)
+    for s in report.spectra:
+        counts.clear()
+        assert [b.partition for b in spectrum_at_point(L, s.point, spec.n).blocks] == [(6,)]
+        assert counts == {"int_rank": 1}
 
 
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

@@ -7,8 +7,11 @@ against ``Matrix.rank``, ``roots.rational_roots`` and
 ``roots`` and ``sqf_list``, and the per-point partitions of
 ``spectral.spectrum_at_point`` against ``Matrix.jordan_form`` on every
 catalog entry with n <= 4 and on seeded corpus pencils at n = 2 and 3, at
-two seeded points each; at a point where the characteristic polynomial
-does not split over Q(i), ``spectrum_at_point`` must give None."""
+two seeded points each, and on integer matrices P J P^-1 with unimodular P
+and a known Jordan form J, one for every kind of partition (simple, one
+block, all 1s, mixed) with rational and with Gaussian eigenvalues; at a
+point where the characteristic polynomial does not split over Q(i),
+``spectrum_at_point`` must give None."""
 
 import random
 from fractions import Fraction
@@ -20,11 +23,13 @@ sympy = pytest.importorskip("sympy")
 
 from hamop.catalog import catalog  # noqa: E402
 from hamop.linsolve import gaussian_rank, int_rank  # noqa: E402
+from hamop.matrices import PolyMatrix  # noqa: E402
+from hamop.poly import MultiPoly  # noqa: E402
 from hamop.roots import char_poly, rational_roots, squarefree_decomposition  # noqa: E402
 from hamop.scalars import GaussianRational  # noqa: E402
 from hamop.spectral import affinor, segre_sample_points, spectrum_at_point  # noqa: E402
 
-from conftest import corpus_pairs  # noqa: E402
+from conftest import JORDAN_CASES, corpus_pairs, jordan_conjugate, jordan_id  # noqa: E402
 
 SEEDS = range(6)
 
@@ -263,3 +268,42 @@ def test_corpus_point_partitions_are_sympy_jordan_forms(n):
     # the corpus reaches both branches: split points and points where the
     # characteristic polynomial has a factor outside Q(i)
     assert sum(split) > 0 and sum(2 - s for s in split) > 0
+
+
+def _kind(partition):
+    if partition == (1,):
+        return "simple"
+    if len(partition) == 1:
+        return f"one block ({partition[0]})"
+    return "all 1s" if set(partition) == {1} else f"mixed {partition}"
+
+
+def test_jordan_cases_cover_every_kind_of_partition():
+    kinds = {(_kind(p), type(v).__name__)
+             for case in JORDAN_CASES for v, p in jordan_conjugate(case, random.Random(0))[1].items()}
+    want = {(k, f) for k in ("simple", "one block (2)", "one block (3)", "all 1s")
+            for f in ("Fraction", "GaussianRational")}
+    want |= {(f"one block ({m})", "Fraction") for m in range(4, 7)}
+    want |= {(f"mixed {p}", "Fraction")
+             for p in ((2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 1))}
+    want.add(("mixed (2, 1)", "GaussianRational"))
+    assert want <= kinds, want - kinds
+
+
+def _scaled_partitions(partitions, q):
+    """The partitions of A / q: every eigenvalue divided by q."""
+    return {(GaussianRational(v.re / q, v.im / q) if isinstance(v, GaussianRational)
+             else v / q): p for v, p in partitions.items()}
+
+
+@pytest.mark.parametrize("case", JORDAN_CASES, ids=[jordan_id(c) for c in JORDAN_CASES])
+def test_jordan_conjugates_are_sympy_jordan_forms(case):
+    # the affinor A / q, constant in u, at one point; q = 3 gives
+    # eigenvalues outside the integers
+    a, partitions = jordan_conjugate(case, random.Random(1))
+    assert _jordan_partitions(a) == partitions
+    n = len(a)
+    for q in (1, 3):
+        L = PolyMatrix([[MultiPoly.const(n, Fraction(x, q)) for x in row] for row in a])
+        got = spectrum_at_point(L, [Fraction(1)] * n, n)
+        assert {b.value: b.partition for b in got.blocks} == _scaled_partitions(partitions, q)
