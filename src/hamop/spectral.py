@@ -197,15 +197,15 @@ def _partition_for(ranks, multiplicity: int, n: int) -> tuple:
     The number of blocks is n - rank(M).  Multiplicity 1 gives (1) with no
     rank read; otherwise rank(M) is read, and one block gives (m) and m
     blocks give (1, ..., 1).  Only a mixed partition reads the ranks of the
-    higher powers, until they stabilise."""
+    higher powers, until they reach n - m.  The partition is checked to sum
+    to m except on the two shortcuts, simple and one block, which trust the
+    multiplicity of ``roots.rational_roots`` (checked against sympy in the
+    spectral oracle tests)."""
     if multiplicity == 1:
         return (1,)
     seq = [n, next(ranks)]
-    blocks = n - seq[1]
-    if blocks == 1:
+    if seq[1] == n - 1:
         return (multiplicity,)
-    if blocks == multiplicity:
-        return (1,) * multiplicity
     while seq[-1] > n - multiplicity and len(seq) <= n + 1:
         seq.append(next(ranks))
     ge = [seq[k - 1] - seq[k] for k in range(1, len(seq))]

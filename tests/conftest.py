@@ -251,8 +251,10 @@ def jordan_conjugate(blocks, rng):
     return mul(mul(p, j), pinv), partitions
 
 
-# Jordan structures at n <= 6, one for every kind of partition (simple, one
-# block, all 1s, mixed), with rational and with Gaussian eigenvalues:
+# Jordan structures at n <= 6, one for every kind of partition: simple, one
+# block (m = 2..6), all 1s, and mixed (2,1), (2,2), (3,1), (2,1,1), (3,2),
+# (2,2,1); with Gaussian eigenvalues also simple, one block (m = 2, 3), all 1s
+# and (2,1):
 # ("R", lam, k) is a k-block of the integer lam, ("C", a, b, k) a k-block of
 # each of a +- b i
 JORDAN_CASES = [

@@ -270,26 +270,6 @@ def test_corpus_point_partitions_are_sympy_jordan_forms(n):
     assert sum(split) > 0 and sum(2 - s for s in split) > 0
 
 
-def _kind(partition):
-    if partition == (1,):
-        return "simple"
-    if len(partition) == 1:
-        return f"one block ({partition[0]})"
-    return "all 1s" if set(partition) == {1} else f"mixed {partition}"
-
-
-def test_jordan_cases_cover_every_kind_of_partition():
-    kinds = {(_kind(p), type(v).__name__)
-             for case in JORDAN_CASES for v, p in jordan_conjugate(case, random.Random(0))[1].items()}
-    want = {(k, f) for k in ("simple", "one block (2)", "one block (3)", "all 1s")
-            for f in ("Fraction", "GaussianRational")}
-    want |= {(f"one block ({m})", "Fraction") for m in range(4, 7)}
-    want |= {(f"mixed {p}", "Fraction")
-             for p in ((2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 1))}
-    want.add(("mixed (2, 1)", "GaussianRational"))
-    assert want <= kinds, want - kinds
-
-
 def _scaled_partitions(partitions, q):
     """The partitions of A / q: every eigenvalue divided by q."""
     return {(GaussianRational(v.re / q, v.im / q) if isinstance(v, GaussianRational)
