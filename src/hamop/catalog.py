@@ -6,7 +6,15 @@ of 2D/3D operators), the expected Segre data at generic points, and the
 expected affinor eigenvalues as exact polynomials.  Free constants (lambda,
 kappa_i) are carried as formal polynomial variables appended after u1..un,
 so "passes for all parameter values" is a single polynomial identity; the
-CLI specializes them to rationals when emitting spec files.
+CLI specializes them to rationals when emitting spec files.  A constructor
+parameter given as None is such a formal variable, and any other value is
+that constant; free parameters take the ring slots after u1..un in the
+order the constructor lists them (kappa before lambda).
+
+The single-Jordan-block normal forms mu(n;alpha) + kappa mu(n;alpha+m) +
+gt0(lambda) of Theorems 4 and 7 and of the N-dimensional example come from
+one builder; the kappa term sits on ``families.modulus_rung(n, alpha)``,
+the rung the Lie-flow normalizer skips, and is absent when there is none.
 
 Entries whose published form has degenerate individual metrics (the 3D
 operators and the N-dimensional example, where some coefficient matrices are
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import complexify_matrix, jordan_gt0, mu_bivector
+from .families import complexify_matrix, jordan_gt0, modulus_rung, mu_bivector
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
 from .poly import MultiPoly
@@ -49,6 +57,14 @@ class CatalogEntry:
 
 def _vars(nvars: int):
     return [MultiPoly.variable(nvars, k) for k in range(1, nvars + 1)]
+
+
+def _formal_or(value, nvars: int, slots) -> MultiPoly:
+    """The constant ``value``, or, if it is None, the formal variable on the
+    next ring slot of the iterator ``slots``."""
+    if value is None:
+        return MultiPoly.variable(nvars, next(slots))
+    return MultiPoly.const(nvars, value)
 
 
 def _sym(rows) -> PolyMatrix:
@@ -81,86 +97,56 @@ def example2_operator(n: int, lam=None) -> OperatorSpec:
         raise ValueError("example2_operator needs n >= 3 (n = 2 is trivial)")
     nvars = n + (1 if lam is None else 0)
     g = LinearMetric.antidiagonal(n, nvars)
-    lam_poly = (
-        MultiPoly.variable(nvars, n + 1) if lam is None else MultiPoly.const(nvars, lam)
-    )
+    lam_poly = _formal_or(lam, nvars, iter([n + 1]))
     gt = LinearMetric(n, mu_bivector(n, 1, nvars) + g.mat.scale(lam_poly))
     return OperatorSpec([g, gt])
 
 
+def _single_block(n: int, alpha: int, kappa=None, lam=None, gt0: bool = True,
+                  names=("kappa", "lambda")):
+    """(spec, free parameter names) of the normal form
+    mu(n;alpha) + kappa mu(n;alpha+m) + gt0(lam) over the antidiagonal metric.
+
+    The kappa term is there only when m = ``modulus_rung(n, alpha)`` exists,
+    the gt0 term only when ``gt0``.  A parameter given as None is formal;
+    the free ones take ring slots n+1, n+2, ... in the order kappa, lambda,
+    and ``names`` are their names."""
+    m = modulus_rung(n, alpha)
+    given = [(names[0], kappa)] if m is not None else []
+    if gt0:
+        given.append((names[1], lam))
+    free = [name for name, value in given if value is None]
+    nvars = n + len(free)
+    slots = iter(range(n + 1, nvars + 1))
+    mat = mu_bivector(n, alpha, nvars)
+    if m is not None:
+        mat = mat + mu_bivector(n, alpha + m, nvars).scale(_formal_or(kappa, nvars, slots))
+    if gt0:
+        mat = mat + jordan_gt0(n, _formal_or(lam, nvars, slots), nvars)
+    return OperatorSpec([LinearMetric.antidiagonal(n, nvars), LinearMetric(n, mat)]), free
+
+
 def theorem4_metric(n: int, kappa1=None, lam=None) -> OperatorSpec:
     """Single-Jordan-block normal forms with non-constant eigenvalue:
-    mu(n;0) for n != 1 mod 3; mu(n;0) + kappa1*mu(n;(n-1)/3) for n = 1 mod 3
-    (n != 4); mu(4;0) + kappa1*mu(4;1) + gt0(lam) for n = 4."""
+    mu(n;0) + kappa1*mu(n;m) on the rung m = ``modulus_rung(n, 0)`` (n = 1
+    mod 3), mu(n;0) when there is none; n = 4 adds gt0(lam)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    params = []
-    if n % 3 == 1:
-        params.append("kappa1")
-        if n == 4:
-            params.append("lambda")
-    nvars = n + sum(
-        1
-        for name, val in zip(params, [kappa1, lam])
-        if val is None
-    )
-    # assign formal slots in order for the params actually free
-    slot = n
-    g = LinearMetric.antidiagonal(n, nvars)
-    mat = mu_bivector(n, 0, nvars)
-    if n % 3 == 1:
-        if kappa1 is None:
-            slot += 1
-            k_poly = MultiPoly.variable(nvars, slot)
-        else:
-            k_poly = MultiPoly.const(nvars, kappa1)
-        shift = 1 if n == 4 else (n - 1) // 3
-        mat = mat + mu_bivector(n, shift, nvars).scale(k_poly)
-        if n == 4:
-            if lam is None:
-                slot += 1
-                l_poly = MultiPoly.variable(nvars, slot)
-            else:
-                l_poly = MultiPoly.const(nvars, lam)
-            mat = mat + jordan_gt0(4, l_poly, nvars)
-    gt = LinearMetric(n, mat)
-    return OperatorSpec([g, gt])
+    return _theorem4(n, kappa1, lam)[0]
+
+
+def _theorem4(n: int, kappa1=None, lam=None):
+    """(spec, free parameter names) of Theorem 4's normal form."""
+    return _single_block(n, 0, kappa1, lam, gt0=n == 4, names=("kappa1", "lambda"))
 
 
 def theorem7_metric(n: int, alpha: int, kappa=None, lam=None) -> OperatorSpec:
     """Constant-eigenvalue single-block normal forms:
-    mu(n;alpha) + kappa*mu(n;alpha+m) + gt0 with m = (n-1+2 alpha)/3 when m is
-    a positive integer <= n-2-alpha, else mu(n;alpha) + gt0."""
+    mu(n;alpha) + kappa*mu(n;alpha+m) + gt0 on the rung m =
+    ``modulus_rung(n, alpha)``, mu(n;alpha) + gt0 when there is none."""
     if not 1 <= alpha <= n - 2:
         raise ValueError("need 1 <= alpha <= n-2")
-    m3 = n - 1 + 2 * alpha
-    m = m3 // 3 if m3 % 3 == 0 else None
-    if m is not None and not (1 <= m <= n - 2 - alpha):
-        m = None
-    free = []
-    if m is not None and kappa is None:
-        free.append("kappa")
-    if lam is None:
-        free.append("lambda")
-    nvars = n + len(free)
-    slot = n
-    g = LinearMetric.antidiagonal(n, nvars)
-    mat = mu_bivector(n, alpha, nvars)
-    if m is not None:
-        if kappa is None:
-            slot += 1
-            k_poly = MultiPoly.variable(nvars, slot)
-        else:
-            k_poly = MultiPoly.const(nvars, kappa)
-        mat = mat + mu_bivector(n, alpha + m, nvars).scale(k_poly)
-    if lam is None:
-        slot += 1
-        l_poly = MultiPoly.variable(nvars, slot)
-    else:
-        l_poly = MultiPoly.const(nvars, lam)
-    mat = mat + jordan_gt0(n, l_poly, nvars)
-    gt = LinearMetric(n, mat)
-    return OperatorSpec([g, gt])
+    return _single_block(n, alpha, kappa, lam)[0]
 
 
 def direct_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec:
@@ -404,19 +390,13 @@ def exampleN_operator(N: int, lam=None) -> OperatorSpec:
     e_mm + eta to keep each metric non-degenerate)."""
     if N < 3:
         raise ValueError("need N >= 3")
-    nvars = N + (1 if lam is None else 0)
-    eta = LinearMetric.antidiagonal(N, nvars)
-    lam_poly = (
-        MultiPoly.variable(nvars, N + 1) if lam is None else MultiPoly.const(nvars, lam)
-    )
-    gmat = mu_bivector(N, N - 2, nvars) + jordan_gt0(N, lam_poly, nvars)
-    g = LinearMetric(N, gmat)
-    metrics = [eta, g]
+    spec = _single_block(N, N - 2, lam=lam)[0]
+    metrics = list(spec.metrics)
     for m in range(1, N - 1):
         emm = PolyMatrix.from_scalars(
-            nvars, [[1 if (i == j == m - 1) else 0 for j in range(N)] for i in range(N)]
+            spec.nvars, [[1 if (i == j == m - 1) else 0 for j in range(N)] for i in range(N)]
         )
-        metrics.append(LinearMetric(N, emm + eta.mat))
+        metrics.append(LinearMetric(N, emm + spec.g.mat))
     return OperatorSpec(metrics)
 
 
@@ -436,12 +416,12 @@ def _eig(re: MultiPoly, im: MultiPoly | None = None):
     return (re, im if im is not None else MultiPoly.zero(re.nvars))
 
 
-def _theorem3_entries() -> list[CatalogEntry]:
+def theorem3_operators() -> list[CatalogEntry]:
     # case 1 (constant eigenvalue) with formal lambda
     nvars = 4
     u = _vars(nvars)
     lam = u[3]
-    g = LinearMetric.constant([[0, 0, 1], [0, 1, 0], [1, 0, 0]], nvars)
+    g = LinearMetric.antidiagonal(3, nvars)
     z = MultiPoly.zero(nvars)
     gt1 = PolyMatrix(
         [[-2 * u[1], u[2], lam], [u[2], lam, z], [lam, z, z]]
@@ -459,7 +439,7 @@ def _theorem3_entries() -> list[CatalogEntry]:
     u3 = _vars(3)
     z3 = MultiPoly.zero(3)
     h = Fraction(1, 2)
-    g3 = LinearMetric.constant([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    g3 = LinearMetric.antidiagonal(3)
     gt2 = PolyMatrix(
         [
             [-2 * u3[0], -h * u3[1], u3[2]],
@@ -478,161 +458,69 @@ def _theorem3_entries() -> list[CatalogEntry]:
     return [case1, case2]
 
 
-def theorem3_operators() -> list[CatalogEntry]:
-    return _theorem3_entries()
+def _segre4_branches():
+    """(id, location, data(nvars), combo) of each 4-component normal form
+    gt0(lam) + sum factor * gts[index], combo listing (factor, index) pairs;
+    a factor "k<t>" is the formal kappa_t, any other is that constant."""
+    yield "s22-case1", "Segre [2,2], case 1 normal form", lambda nv: _s22_data(1, nv), [
+        ("k1", 0), ("k2", 1)]
+    for name, combo in [
+        ("b1", [("k1", 0), ("k2", 3)]),
+        ("b2", [("k1", 1), ("k2", 2)]),
+        ("b3p", [(1, 1), (1, 3)]),
+        ("b3m", [(1, 1), (-1, 3)]),
+        ("b4p", [(1, 0), (1, 2), ("k1", 3)]),
+        ("b4m", [(1, 0), (-1, 2), ("k1", 3)]),
+    ]:
+        yield (f"s22-case2-{name}", f"Segre [2,2], case 2 normal form, branch {name}",
+               lambda nv: _s22_data(2, nv), combo)
+    for case in (1, 2):
+        for name, combo in [
+            ("b1", [("k1", 1), ("k2", 2)]),
+            ("b2", [("k1", 2), ("k2", 3)]),
+            ("b3", [("k1", 0), ("k2", 1), ("k3", 3)]),
+        ]:
+            yield (f"s31-case{case}-{name}", f"Segre [3,1], case {case} normal form, branch {name}",
+                   lambda nv, case=case: _s31_data(case, nv), combo)
+    yield "s4-nonconstant", "Segre [4], non-constant eigenvalue normal form", _s4_data, [
+        (1, 0), ("k1", 1)]
+    yield "s4-const-b1", "Segre [4], constant eigenvalue, branch 1", _s4_data, [(1, 1)]
+    yield "s4-const-b2", "Segre [4], constant eigenvalue, branch 2", _s4_data, [("k1", 2)]
 
 
 def segre4_families() -> list[CatalogEntry]:
     """All 4-component normal-form branches with formal parameters."""
     entries = []
     h = Fraction(1, 2)
-
-    # ---- [2,2] case 1: gt0 + k1 gt1 + k2 gt2
-    nvars = 7  # u1..u4, kappa1, kappa2, lambda
-    k1, k2, lam = (MultiPoly.variable(nvars, s) for s in (5, 6, 7))
-    g, gt0, gts = _s22_data(1, nvars)
-    mat = gt0(lam) + gts[0].scale(k1) + gts[1].scale(k2)
-    u4 = MultiPoly.variable(nvars, 2)
-    entries.append(
-        CatalogEntry(
-            "s22-case1",
-            "s22",
-            "four-component, Segre [2,2], case 1 normal form",
-            OperatorSpec([g, LinearMetric(4, mat)]),
-            params=["kappa1", "kappa2", "lambda"],
-            expected_segre=_type_key(((2, 2), "R")),
-            expected_eigenvalues=[_eig(-h * k1 * u4 + lam)],
-        )
-    )
-    # ---- [2,2] case 2 branches
-    branch_defs = [
-        ("b1", [("k1", 0), ("k2", 3)], 2),
-        ("b2", [("k1", 1), ("k2", 2)], 2),
-        ("b3p", [(1, 1), (1, 3)], 0),
-        ("b3m", [(1, 1), (-1, 3)], 0),
-        ("b4p", [(1, 0), (1, 2), ("k1", 3)], 1),
-        ("b4m", [(1, 0), (-1, 2), ("k1", 3)], 1),
-    ]
-    for name, combo, nk in branch_defs:
+    # family -> (partition, eigenvalue from the factors c of gts, u and lam)
+    families = {
+        "s22": ((2, 2), lambda c, u, lam: h * (c[2] * u[3] - c[0] * u[1]) + lam),
+        "s31": ((3, 1), lambda c, u, lam: lam - c[0] * u[2]),
+        "s4": ((4,), lambda c, u, lam: h * c[0] * u[3] + lam),
+    }
+    for eid, location, data, combo in _segre4_branches():
+        nk = sum(isinstance(k, str) for k, _ in combo)
         nvars = 4 + nk + 1
-        g, gt0, gts = _s22_data(2, nvars)
-        kvars = [MultiPoly.variable(nvars, 5 + t) for t in range(nk)]
-        lam = MultiPoly.variable(nvars, 4 + nk + 1)
-        mat = gt0(lam)
-        kmap = {"k1": 0, "k2": 1}
-        for coeff, idx in combo:
-            factor = (
-                kvars[kmap[coeff]]
-                if isinstance(coeff, str)
-                else MultiPoly.const(nvars, coeff)
-            )
-            mat = mat + gts[idx].scale(factor)
-        u2 = MultiPoly.variable(nvars, 2)
-        u4v = MultiPoly.variable(nvars, 4)
-        # family eigenvalue: (k[gt3] u4 - k[gt1] u2)/2 + lambda
-        coef = {0: MultiPoly.zero(nvars), 2: MultiPoly.zero(nvars)}
-        for coeff, idx in combo:
-            if idx in (0, 2):
-                coef[idx] = (
-                    kvars[kmap[coeff]]
-                    if isinstance(coeff, str)
-                    else MultiPoly.const(nvars, coeff)
-                )
-        eig = h * (coef[2] * u4v - coef[0] * u2) + lam
+        g, gt0, gts = data(nvars)
+        u = _vars(nvars)
+        c = [MultiPoly.zero(nvars)] * len(gts)
+        mat = gt0(u[-1])
+        for k, idx in combo:
+            c[idx] = u[3 + int(k[1:])] if isinstance(k, str) else MultiPoly.const(nvars, k)
+            mat = mat + gts[idx].scale(c[idx])
+        family = eid.split("-")[0]
+        partition, eig = families[family]
         entries.append(
             CatalogEntry(
-                f"s22-case2-{name}",
-                "s22",
-                f"four-component, Segre [2,2], case 2 normal form, branch {name}",
+                eid,
+                family,
+                "four-component, " + location,
                 OperatorSpec([g, LinearMetric(4, mat)]),
                 params=[f"kappa{t+1}" for t in range(nk)] + ["lambda"],
-                expected_segre=_type_key(((2, 2), "R")),
-                expected_eigenvalues=[_eig(eig)],
+                expected_segre=_type_key((partition, "R")),
+                expected_eigenvalues=[_eig(eig(c, u, u[-1]))],
             )
         )
-    # ---- [3,1] cases 1-2, three branches each
-    branch31 = [
-        ("b1", [("k1", 1), ("k2", 2)], 2),
-        ("b2", [("k1", 2), ("k2", 3)], 2),
-        ("b3", [("k1", 0), ("k2", 1), ("k3", 3)], 3),
-    ]
-    for case in (1, 2):
-        for name, combo, nk in branch31:
-            nvars = 4 + nk + 1
-            g, gt0, gts = _s31_data(case, nvars)
-            kvars = [MultiPoly.variable(nvars, 5 + t) for t in range(nk)]
-            lam = MultiPoly.variable(nvars, 4 + nk + 1)
-            kmap = {"k1": 0, "k2": 1, "k3": 2}
-            mat = gt0(lam)
-            gt1_coeff = MultiPoly.zero(nvars)
-            for coeff, idx in combo:
-                factor = (
-                    kvars[kmap[coeff]]
-                    if isinstance(coeff, str)
-                    else MultiPoly.const(nvars, coeff)
-                )
-                mat = mat + gts[idx].scale(factor)
-                if idx == 0:
-                    gt1_coeff = factor
-            u3v = MultiPoly.variable(nvars, 3)
-            eig = lam - gt1_coeff * u3v
-            entries.append(
-                CatalogEntry(
-                    f"s31-case{case}-{name}",
-                    "s31",
-                    f"four-component, Segre [3,1], case {case} normal form, branch {name}",
-                    OperatorSpec([g, LinearMetric(4, mat)]),
-                    params=[f"kappa{t+1}" for t in range(nk)] + ["lambda"],
-                    expected_segre=_type_key(((3, 1), "R")),
-                    expected_eigenvalues=[_eig(eig)],
-                )
-            )
-    # ---- [4]: non-constant branch and the two constant-eigenvalue branches
-    nvars = 6  # u1..u4, kappa1, lambda
-    g, gt0, gts = _s4_data(nvars)
-    k1 = MultiPoly.variable(nvars, 5)
-    lam = MultiPoly.variable(nvars, 6)
-    u4v = MultiPoly.variable(nvars, 4)
-    entries.append(
-        CatalogEntry(
-            "s4-nonconstant",
-            "s4",
-            "four-component, Segre [4], non-constant eigenvalue normal form",
-            OperatorSpec([g, LinearMetric(4, gt0(lam) + gts[0] + gts[1].scale(k1))]),
-            params=["kappa1", "lambda"],
-            expected_segre=_type_key(((4,), "R")),
-            expected_eigenvalues=[_eig(h * u4v + lam)],
-        )
-    )
-    nvars = 5
-    g, gt0, gts = _s4_data(nvars)
-    lam = MultiPoly.variable(nvars, 5)
-    entries.append(
-        CatalogEntry(
-            "s4-const-b1",
-            "s4",
-            "four-component, Segre [4], constant eigenvalue, branch 1",
-            OperatorSpec([g, LinearMetric(4, gt0(lam) + gts[1])]),
-            params=["lambda"],
-            expected_segre=_type_key(((4,), "R")),
-            expected_eigenvalues=[_eig(lam)],
-        )
-    )
-    nvars = 6
-    g, gt0, gts = _s4_data(nvars)
-    k1 = MultiPoly.variable(nvars, 5)
-    lam = MultiPoly.variable(nvars, 6)
-    entries.append(
-        CatalogEntry(
-            "s4-const-b2",
-            "s4",
-            "four-component, Segre [4], constant eigenvalue, branch 2",
-            OperatorSpec([g, LinearMetric(4, gt0(lam) + gts[2].scale(k1))]),
-            params=["kappa1", "lambda"],
-            expected_segre=_type_key(((4,), "R")),
-            expected_eigenvalues=[_eig(lam)],
-        )
-    )
     # ---- complex-conjugate case, normal form gt1
     spec = complexified_2d_operator()
     u = _vars(4)
@@ -700,17 +588,10 @@ def _example2_entries() -> list[CatalogEntry]:
 def _theorem4_entries() -> list[CatalogEntry]:
     out = []
     for n in range(3, 8):
-        spec = theorem4_metric(n)
-        nv = spec.nvars
-        params = []
-        if n % 3 == 1:
-            params.append("kappa1")
-            if n == 4:
-                params.append("lambda")
-        un = MultiPoly.variable(nv, n)
-        eig = un * (n - 1)
-        if n == 4:
-            eig = eig + MultiPoly.variable(nv, 6)
+        spec, params = _theorem4(n)
+        eig = MultiPoly.variable(spec.nvars, n) * (n - 1)
+        if "lambda" in params:
+            eig = eig + MultiPoly.variable(spec.nvars, spec.nvars)
         out.append(
             CatalogEntry(
                 f"thm4-n{n}",
@@ -729,13 +610,7 @@ def _theorem7_entries() -> list[CatalogEntry]:
     out = []
     for n in range(3, 7):
         for alpha in range(1, n - 1):
-            spec = theorem7_metric(n, alpha)
-            params = []
-            m3 = n - 1 + 2 * alpha
-            m = m3 // 3 if m3 % 3 == 0 else None
-            if m is not None and 1 <= m <= n - 2 - alpha:
-                params.append("kappa")
-            params.append("lambda")
+            spec, params = _single_block(n, alpha)
             lam = MultiPoly.variable(spec.nvars, spec.nvars)
             out.append(
                 CatalogEntry(
@@ -827,7 +702,7 @@ def catalog() -> list[CatalogEntry]:
     if _CATALOG_CACHE is None:
         entries = []
         entries.extend(_mokhov_entries())
-        entries.extend(_theorem3_entries())
+        entries.extend(theorem3_operators())
         entries.extend(_example2_entries())
         entries.extend(_theorem4_entries())
         entries.extend(_theorem7_entries())
@@ -864,7 +739,8 @@ def find_entries(
 MANIFEST_VERSION = 1
 
 
-def catalog_manifest() -> dict:
+def catalog_manifest(entries: list[CatalogEntry] | None = None) -> dict:
+    """The manifest of ``entries``, by default the whole catalog."""
     from .spectral import format_segre_type
 
     return {
@@ -882,6 +758,6 @@ def catalog_manifest() -> dict:
                 else None,
                 "reducible": e.reducible,
             }
-            for e in catalog()
+            for e in (catalog() if entries is None else entries)
         ],
     }

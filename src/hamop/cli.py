@@ -26,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .catalog import catalog, find_entries
+from .catalog import catalog, catalog_manifest, find_entries
 from .errors import (
     DegenerateEverywhere,
     DisagreementBug,
@@ -281,14 +281,7 @@ def cmd_catalog(args) -> int:
         if not args.out:
             print(f"# {meta}", file=sys.stderr)
         return EXIT_PASS
-    from .catalog import catalog_manifest
-
-    manifest = catalog_manifest()
-    manifest["entries"] = [
-        m
-        for m in manifest["entries"]
-        if any(e.id == m["id"] for e in entries)
-    ]
+    manifest = catalog_manifest(entries)
     lines = []
     for m in manifest["entries"]:
         seg = m["segre"] or "?"

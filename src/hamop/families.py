@@ -19,8 +19,12 @@ The shifted symmetric bivectors
 (u^a = 0 for a > n, and mu(n;k) = 0 for k > n-2) span, for each n, the linear
 parts of all single-Jordan-block solutions over the antidiagonal metric; the
 k = 0 member is the second metric of the Mokhov operator.  The flow fields
-X_(k) act on that span with the ladder coefficients p[n,k,a] = 3k+1-n-2a,
-which is what the normalization pipeline exploits.
+X_(k) act on that span with the ladder coefficients p[n,k,a] = 3k+1-n-2a
+(``p_coeff``, the one statement of the ladder rule).  The normalization
+pipeline kills the coefficient of mu(n;a+k) on every rung k whose ladder
+coefficient is nonzero; the rung where it vanishes (``modulus_rung``) keeps
+the one surviving modulus kappa of the normal forms of Theorems 4 (a = 0)
+and 7 (a >= 1), which the catalog builds from the same rung.
 """
 
 from __future__ import annotations
@@ -90,6 +94,15 @@ def jordan_gt0(n: int, lam, nvars: int | None = None) -> PolyMatrix:
 def p_coeff(n: int, k: int, alpha: int) -> int:
     """Ladder coefficient p[n,k,alpha] = 3k + 1 - n - 2*alpha."""
     return 3 * k + 1 - n - 2 * alpha
+
+
+def modulus_rung(n: int, alpha: int) -> int | None:
+    """The rung k in 1..n-2-alpha with p[n,k,alpha] = 0, or None.
+
+    The flow X_(k) cannot move the coefficient of mu(n;alpha+k) on this rung,
+    so it is the surviving modulus kappa of the single-block normal form
+    mu(n;alpha) + kappa mu(n;alpha+k) (+ gt0)."""
+    return next((k for k in range(1, n - 1 - alpha) if not p_coeff(n, k, alpha)), None)
 
 
 def flow_field(n: int, k: int, nvars: int | None = None) -> list[MultiPoly]:
@@ -471,8 +484,8 @@ def lie_flow_normalize(coeffs: JordanFamilyCoeffs):
     """Normal form of a non-constant-eigenvalue family member with xi_0 = 1.
 
     Successively kills the coefficient of mu(n;k) with the flow exp(t_k
-    Lie_{X_(k)}) whenever p[n,k,0] != 0; the skipped rung (k = (n-1)/3 when n
-    = 1 mod 3) carries the one surviving modulus."""
+    Lie_{X_(k)}) whenever p[n,k,0] != 0; the skipped rung
+    (``modulus_rung(n, 0)``) carries the one surviving modulus."""
     if coeffs.xi[0] != 1:
         raise ScalingNotNormalized("xi_0 must be normalized to 1")
     xi, transcript = _flow_loop(coeffs.n, coeffs.xi, 0)
@@ -483,8 +496,9 @@ def lie_flow_normalize_constant_eig(coeffs: JordanFamilyCoeffs):
     """Constant-eigenvalue normal form: leading nonzero xi_alpha must be 1.
 
     Returns (normalized coeffs, transcript, alpha, m) where the family is
-    mu(n;alpha) + kappa*mu(n;alpha+m) + gt0 when m = (n-1+2 alpha)/3 is a
-    positive integer with alpha+m <= n-2, and mu(n;alpha) + gt0 otherwise."""
+    mu(n;alpha) + kappa*mu(n;alpha+m) + gt0 when the ladder has a rung m =
+    ``modulus_rung(n, alpha)`` whose coefficient vanishes (the one flow the
+    transcript skips), and mu(n;alpha) + gt0 when it has none (m is None)."""
     alpha = next((i for i, x in enumerate(coeffs.xi) if x), None)
     if alpha is None or alpha == 0:
         raise ScalingNotNormalized(
@@ -494,11 +508,7 @@ def lie_flow_normalize_constant_eig(coeffs: JordanFamilyCoeffs):
         raise ScalingNotNormalized("leading coefficient xi_alpha must be 1")
     n = coeffs.n
     xi, transcript = _flow_loop(n, coeffs.xi, alpha)
-    m3 = n - 1 + 2 * alpha
-    m = m3 // 3 if m3 % 3 == 0 else None
-    if m is not None and not (1 <= m <= n - 2 - alpha):
-        m = None
-    return JordanFamilyCoeffs(n, xi, coeffs.lam), transcript, alpha, m
+    return JordanFamilyCoeffs(n, xi, coeffs.lam), transcript, alpha, modulus_rung(n, alpha)
 
 
 def scaling_action(n: int, k: int, gamma) -> Fraction:

@@ -202,9 +202,9 @@ def adjugate_det(m):
     """(adjugate, determinant) of a square matrix, both from one
     characteristic polynomial chi(x) = x^n + c_(n-1) x^(n-1) + ... + c_0.
     By Cayley-Hamilton A (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
-    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner:
-    each step is one ``linsolve.mat_mul`` by A, then c_k (-1)^(n-1) added on
-    the diagonal.
+    so adj(A) = (-1)^(n-1) (A^(n-1) + ... + c_1 I), evaluated by Horner
+    from (-1)^(n-1) (A + c_(n-1) I): each further step is one
+    ``linsolve.mat_mul`` by A, then c_k (-1)^(n-1) added on the diagonal.
 
     ``m`` is a PolyMatrix of polynomials, giving (PolyMatrix, MultiPoly),
     or a square list of rows over any commutative ring (ints, or
@@ -220,9 +220,10 @@ def adjugate_det(m):
         det = c[0] if len(a) % 2 == 0 else -c[0]
     n = len(a)
     sign = 1 if n % 2 else -1
-    b = [[sign * one if i == j else 0 for j in range(n)] for i in range(n)]
+    b = [[x * sign if x else 0 for x in row] for row in a] if n > 1 else [[one]]
     for k in range(n - 1, 0, -1):
-        b = mat_mul(a, b)
+        if k < n - 1:
+            b = mat_mul(a, b)
         for i, row in enumerate(b):
             row[i] += c[k] * sign
     if isinstance(m, PolyMatrix):

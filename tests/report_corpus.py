@@ -19,7 +19,18 @@ writes one JSON object to OUT.json, mapping each case to its output:
   with no points and at the seed-0 scan points;
 * ``corpus-pair:n<n>:<ref>|<h>``: ``pair_conditions(points=[])`` on seeded
   corpus pencils over the antidiagonal metric g at n = 2 and 3, with g, h
-  or a neighbouring pencil as the reference.
+  or a neighbouring pencil as the reference;
+* ``manifest`` and ``entry:<id>``: ``catalog_manifest()``, and each catalog
+  entry before specialisation (metric polynomials, ring size, parameters,
+  expected eigenvalues and Segre type, notes);
+* ``ctor:<constructor>(<args>)``: the metric polynomials of the normal-form
+  constructors at n <= 8, with formal and with given parameters;
+* ``cli:catalog:<args>``: exit code, stdout and stderr of ``hamop catalog``
+  (text and JSON, filtered by n and d) and of ``hamop catalog --id X
+  --output json`` for every id and family;
+* ``cli:normalize:<args>``: the same of ``hamop normalize`` (text and JSON)
+  on a grid of n = 3..10 with xi_0 = 1, and with xi_0 = 0 at every leading
+  index alpha.
 
 Spec files are written to a temporary directory and named by basename, and
 the CLI runs there, so no path reaches a key or an output: the files of two
@@ -43,6 +54,15 @@ ROOT = TESTS.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(TESTS)]
 
 from hamop import cli  # noqa: E402
+from hamop.catalog import (  # noqa: E402
+    catalog,
+    catalog_manifest,
+    example2_operator,
+    exampleN_operator,
+    mokhov_operator,
+    theorem4_metric,
+    theorem7_metric,
+)
 from hamop.specfile import dump_operator_spec  # noqa: E402
 from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
 
@@ -132,10 +152,72 @@ def _library_reports(report: dict) -> None:
                 lambda: _conditions(pair_conditions(ref, h, [])))
 
 
+def _spec_text(spec) -> dict:
+    return {"nvars": spec.nvars,
+            "metrics": [[[p.to_str() for p in row] for row in m.mat.entries]
+                        for m in spec.metrics]}
+
+
+def _constructor_specs():
+    """(label, thunk) of each normal-form constructor call."""
+    values = (None, 2)
+    for n in range(2, 9):
+        yield f"mokhov_operator({n})", lambda: mokhov_operator(n)
+        for k in values:
+            for lam in values:
+                yield (f"theorem4_metric({n}, {k}, {lam})",
+                       lambda: theorem4_metric(n, k, lam))
+                for alpha in range(1, n - 1):
+                    yield (f"theorem7_metric({n}, {alpha}, {k}, {lam})",
+                           lambda: theorem7_metric(n, alpha, k, lam))
+        if n >= 3:
+            for lam in values:
+                yield f"example2_operator({n}, {lam})", lambda: example2_operator(n, lam)
+                yield f"exampleN_operator({n}, {lam})", lambda: exampleN_operator(n, lam)
+
+
+def _catalog_reports(report: dict) -> None:
+    report["manifest"] = catalog_manifest()
+    for e in catalog():
+        report[f"entry:{e.id}"] = {
+            "family": e.family, "location": e.location, **_spec_text(e.spec),
+            "params": e.params, "segre": repr(e.expected_segre),
+            "eigenvalues": [[re.to_str(), im.to_str()] for re, im in e.expected_eigenvalues],
+            "reducible": e.reducible, "notes": e.notes}
+    for label, thunk in _constructor_specs():
+        report[f"ctor:{label}"] = _outcome(lambda: _spec_text(thunk()))
+    runs = [["catalog"], ["catalog", "--output", "json"], ["catalog", "--id", "nonesuch"]]
+    runs += [["catalog", "--n", str(n)] for n in range(1, 9)]
+    runs += [["catalog", "--d", str(d), "--output", "json"] for d in range(1, 6)]
+    names = sorted({x for e in catalog() for x in (e.id, e.family)})
+    runs += [["catalog", "--id", x, "--output", "json"] for x in names]
+    for argv in runs:
+        report["cli:" + " ".join(argv)] = _run(argv)
+
+
+def _normalize_reports(report: dict) -> None:
+    runs = [["--n", "4", "--xi", "0,1,2"], ["--n", "4", "--xi", "0,1,2", "--alpha", "2"],
+            ["--n", "4", "--xi", "2,1,2"], ["--n", "4", "--xi", "1,1"]]
+    for n in range(3, 11):
+        rest = n - 2
+        runs.append(["--n", str(n), "--xi", ",".join(["1"] + [str(k) for k in range(1, rest + 1)])])
+        runs.append(["--n", str(n), "--xi", ",".join(
+            ["1"] + [f"{(-1) ** k}/{k + 1}" for k in range(1, rest + 1)]), "--lam", "3"])
+        for alpha in range(1, n - 1):
+            xi = ["0"] * alpha + ["1"] + [str(k) for k in range(1, n - 1 - alpha)]
+            runs.append(["--n", str(n), "--xi", ",".join(xi), "--alpha", str(alpha)])
+    for argv in runs:
+        for output in ("text", "json"):
+            argv2 = ["normalize", *argv, "--output", output]
+            report["cli:" + " ".join(argv2)] = _run(argv2)
+
+
 def main(out_path: str) -> None:
     report = {}
     _cli_reports(report)
     _library_reports(report)
+    _catalog_reports(report)
+    _normalize_reports(report)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

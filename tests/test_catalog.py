@@ -15,7 +15,15 @@ from hamop.catalog import (
     theorem5_3d_operators,
     theorem7_metric,
 )
-from hamop.families import jordan_gt0, mu_bivector, _BivectorIndex
+from hamop.families import (
+    JordanFamilyCoeffs,
+    _BivectorIndex,
+    jordan_gt0,
+    lie_flow_normalize,
+    lie_flow_normalize_constant_eig,
+    modulus_rung,
+    mu_bivector,
+)
 from hamop.linsolve import same_span
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
@@ -182,9 +190,6 @@ def test_theorem4_branches():
     k1 = MultiPoly.variable(nv, 5)
     lam = MultiPoly.variable(nv, 6)
     mubar = jordan_gt0(4, lam, nv)
-    for i in range(1, 5):
-        for j in range(1, 5):
-            expected = Fraction(1 if i + j == 4 else 0) * MultiPoly.const(nv, 1)
     expected_mat = (
         mu_bivector(4, 0, nv)
         + mu_bivector(4, 1, nv).scale(k1)
@@ -205,16 +210,50 @@ def test_theorem4_branches():
     spec7 = theorem4_metric(7)
     k7 = MultiPoly.variable(8, 8)
     assert spec7.gt.mat == mu_bivector(7, 0, 8) + mu_bivector(7, 2, 8).scale(k7)
+    # kappa1 sits on the rung the Lie-flow normalizer skips (ladder
+    # coefficient 0); there is a kappa1 slot only when it skips one
+    for n in range(3, 13):
+        transcript = lie_flow_normalize(JordanFamilyCoeffs(n, [1] + [0] * (n - 2)))[1]
+        skipped = [k for k, t in transcript if t is None]
+        assert theorem4_metric(n, lam=1).nvars == n + len(skipped), n
+        for m in skipped:
+            diff = theorem4_metric(n, 1, 1).gt.mat - theorem4_metric(n, 0, 1).gt.mat
+            assert diff == mu_bivector(n, m)
 
 
 def test_theorem7_kappa_branch_only_for_valid_m():
-    # only (n, alpha) = (5, 1) has m = (n-1+2a)/3 a positive integer within
-    # range for n <= 6
-    for n in range(3, 7):
+    # kappa sits on the rung m that the constant-eigenvalue normalizer reports
+    # and skips (ladder coefficient 0); there is a kappa slot only when it has one
+    for n in range(3, 13):
         for alpha in range(1, n - 1):
-            spec = theorem7_metric(n, alpha)
-            has_kappa = spec.nvars - n == 2
-            assert has_kappa == ((n, alpha) == (5, 1)), (n, alpha)
+            xi = [0] * alpha + [1] + [0] * (n - 2 - alpha)
+            _, transcript, a, m = lie_flow_normalize_constant_eig(JordanFamilyCoeffs(n, xi))
+            assert a == alpha
+            assert [k for k, t in transcript if t is None] == ([] if m is None else [m])
+            assert theorem7_metric(n, alpha, lam=1).nvars == n + (m is not None), (n, alpha)
+            if m is not None:
+                diff = theorem7_metric(n, alpha, 1, 1).gt.mat - theorem7_metric(n, alpha, 0, 1).gt.mat
+                assert diff == mu_bivector(n, alpha + m)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_normal_forms_are_fixed_points_of_their_normalizer(n):
+    kappa, lam = Fraction(-3, 2), Fraction(5)
+    for alpha in range(n - 1):
+        xi = [0] * alpha + [1] + [0] * (n - 2 - alpha)
+        m = modulus_rung(n, alpha)
+        if m is not None:
+            xi[alpha + m] = kappa
+        coeffs = JordanFamilyCoeffs(n, xi, lam)
+        if alpha == 0:
+            spec = theorem4_metric(n, kappa, lam)
+            norm = lie_flow_normalize(coeffs)[0]
+        else:
+            spec = theorem7_metric(n, alpha, kappa, lam)
+            norm = lie_flow_normalize_constant_eig(coeffs)[0]
+        # the catalog form is this family member, and the normalizer keeps it
+        assert coeffs.to_bivector(include_gt0=alpha > 0 or n == 4) == spec.gt.mat
+        assert norm.xi == coeffs.xi, (n, alpha)
 
 
 def test_theorem3_case2_in_mokhov_ray():

@@ -16,6 +16,7 @@ from hamop.families import (
     killing_vector_basis,
     lie_flow_normalize,
     lie_flow_normalize_constant_eig,
+    modulus_rung,
     mu_bivector,
     p_coeff,
     proposition_field,
@@ -478,6 +479,16 @@ def test_normalize_requires_unit_leading_coefficient():
         lie_flow_normalize_constant_eig(JordanFamilyCoeffs(5, [0, 3, 0, 0]))
     with pytest.raises(ScalingNotNormalized):
         lie_flow_normalize_constant_eig(JordanFamilyCoeffs(5, [1, 0, 0, 0]))
+
+
+def test_modulus_rung_is_the_integer_solution_of_the_ladder_rule():
+    # the paper's index m = (n - 1 + 2 alpha)/3, when it is an integer with
+    # 1 <= m <= n - 2 - alpha (Theorem 4 at alpha = 0, Theorem 7 above)
+    for n in range(2, 14):
+        for alpha in range(n - 1):
+            m, r = divmod(n - 1 + 2 * alpha, 3)
+            expected = m if r == 0 and 1 <= m <= n - 2 - alpha else None
+            assert modulus_rung(n, alpha) == expected, (n, alpha)
 
 
 def test_normalize_constant_eig_branches():
