@@ -10,10 +10,11 @@ dimensions), normalizes single-Jordan-block families by terminating Lie
 flows, and exposes everything through a CLI with deterministic JSON reports.
 
 All arithmetic is exact: rationals, Gaussian rationals, sparse multivariate
-polynomials, and normalized rational functions; the point scans that
-``verify`` runs before its proofs work over Q, where a nonzero value is a
-failure's witness.  No floating point enters any
-verification path.  Every condition of a verdict is exact: the linearity /
+polynomials, and normalized rational functions.  The point scans of
+``verify`` evaluate int numerators at seeded integer points, and polynomial
+numerators at the generic point, which is the last point of every scan; a
+nonzero numerator over its known denominator is a failure's witness.  No
+floating point enters any verification path.  Every condition of a verdict is exact: the linearity /
 Nijenhuis / Killing triple of the paper's main theorem and the Mokhov
 cross-check (flatness of both metrics and T1..T5) are proven, the latter on
 the constant contravariant connection of the second metric where it has

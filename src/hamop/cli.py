@@ -8,12 +8,23 @@ seed produce byte-identical output) or as human-readable text.
 verify decides every condition exactly: the linearity / Nijenhuis /
 Killing triple and, for d = 2, the Mokhov cross-check (flatness and T1..T5).
 
-Exit codes: 0 success / verification passed; 1 verification failed;
-2 parse or usage error; 3 internal error; 4 input outside what the command
-supports (a well-formed spec whose affinor has eigenvalues outside Q(i) at
-every sample point, or with no point where every metric is non-degenerate,
-or, for classify, a spec with one metric, which has no affinor; verify
-reports that in its "segre" field and exits 0 or 1 on its verdict).
+Exit codes: 0 success / verification passed; 1 verification failed.
+Commands only compute and render: on an error they raise, and ``main`` maps
+the error through one table, ``_EXITS``, to one stderr line and a code:
+
+* 2, "error:": a usage error (``_UsageError``), a spec file that cannot be
+  read or parsed (``SpecFileError``), a first metric not in constant form
+  (``FirstMetricNotConstant``), or normalize coefficients whose leading one
+  is not 1 (``ScalingNotNormalized``); argparse also exits 2 on a bad
+  command line;
+* 4, "error:": a well-formed input outside what the command supports
+  (``UNSUPPORTED``): a spec whose affinor has eigenvalues outside Q(i) at
+  every sample point, or with no point where every metric is
+  non-degenerate, or, for classify, a spec with one metric, which has no
+  affinor; verify reports these in its "segre" field and exits 0 or 1 on
+  its verdict;
+* 3, "internal error:": any other ``HamopError``, and any other exception,
+  named with its class.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from fractions import Fraction
 from .catalog import catalog, catalog_manifest, find_entries
 from .errors import (
     DegenerateEverywhere,
-    DisagreementBug,
     FirstMetricNotConstant,
     HamopError,
     ScalingNotNormalized,
@@ -70,8 +80,22 @@ UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere, SingleMetric)
 
 
 class _UsageError(Exception):
-    """A bad option value, or a report that could not be written to the
-    --out path."""
+    """A bad command-line value that argparse cannot see: a malformed
+    --xi or --lam value (``_rational_option``), an --out path that cannot be
+    written (``_write``), --n below 2 for normalize or frobenius
+    (``_n_option``), an unknown catalog --id (``cmd_catalog``), and the wrong
+    number of xi values, xi_0 = 0 without --alpha or a wrong --alpha
+    (``cmd_normalize``)."""
+
+
+# (error classes, stderr prefix, exit code); ``main`` takes the first row
+# whose classes match the error a command raised
+_EXITS = (
+    ((_UsageError, SpecFileError, FirstMetricNotConstant, ScalingNotNormalized),
+     "error", EXIT_USAGE),
+    (UNSUPPORTED, "error", EXIT_UNSUPPORTED),
+    (HamopError, "internal error", EXIT_INTERNAL),
+)
 
 
 def _write(args, payload: dict, text_lines) -> None:
@@ -89,6 +113,13 @@ def _write(args, payload: dict, text_lines) -> None:
         sys.stdout.write(body)
 
 
+def _report(args, command: str, fields: dict, lines) -> None:
+    """Write a command's report: ``fields`` under the tool, report version
+    and command name."""
+    payload = {"tool": "hamop", "report_version": REPORT_VERSION, "command": command}
+    _write(args, payload | fields, lines)
+
+
 def _load_spec_file(path: str) -> OperatorSpec:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -100,12 +131,11 @@ def _load_spec_file(path: str) -> OperatorSpec:
     return load_operator_spec(raw)
 
 
-def _segre_payload(spec: OperatorSpec, seed: int):
+def _segre_payload(spec: OperatorSpec, seed: int) -> dict:
     try:
-        report = segre_of_spec(spec, seed=seed)
-        return report, report.to_dict()
+        return segre_of_spec(spec, seed=seed).to_dict()
     except UNSUPPORTED as ex:
-        return None, {"error": str(ex)}
+        return {"error": str(ex)}
 
 
 # ---------------------------------------------------------------------------
@@ -115,31 +145,10 @@ def _segre_payload(spec: OperatorSpec, seed: int):
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    try:
-        spec = _load_spec_file(args.input)
-    except SpecFileError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = verify_operator(spec, seed=args.seed)
-    except DisagreementBug as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except UNSUPPORTED as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except HamopError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    _, segre = _segre_payload(spec, args.seed)
-    payload = {
-        "tool": "hamop",
-        "report_version": REPORT_VERSION,
-        "command": "verify",
-        **report.to_dict(),
-        "segre": segre,
-        "timing_ms": int((time.monotonic() - t0) * 1000) if args.timing else None,
-    }
+    spec = _load_spec_file(args.input)
+    report = verify_operator(spec, seed=args.seed)
+    segre = _segre_payload(spec, args.seed)
+    timing_ms = int((time.monotonic() - t0) * 1000) if args.timing else None
     lines = [f"seed: {report.seed}"]
     for c in report.conditions:
         mark = "PASS" if c.passed else "FAIL"
@@ -151,8 +160,8 @@ def cmd_verify(args) -> int:
         lines.append(line)
     lines.append(f"verdict: {'pass' if report.verdict else 'fail'}")
     if args.timing:
-        lines.append(f"timing_ms: {payload['timing_ms']}")
-    _write(args, payload, lines)
+        lines.append(f"timing_ms: {timing_ms}")
+    _report(args, "verify", {**report.to_dict(), "segre": segre, "timing_ms": timing_ms}, lines)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -162,78 +171,38 @@ def cmd_verify(args) -> int:
 
 
 def _render_eigen_fit(fit, nvars: int) -> dict:
-    re_coeffs, im_coeffs = fit
-
-    def poly_of(coeffs):
-        terms = {}
-        for t, c in enumerate(coeffs[:-1]):
-            if c:
-                e = [0] * nvars
-                e[t] = 1
-                terms[tuple(e)] = c
-        if coeffs[-1]:
-            terms[(0,) * nvars] = coeffs[-1]
-        return MultiPoly(nvars, terms)
-
-    re_p = poly_of(re_coeffs)
-    im_p = poly_of(im_coeffs)
-    out = {"re": re_p.to_str()}
-    if not im_p.is_zero():
-        out["im"] = im_p.to_str()
+    """The real and (if nonzero) imaginary parts of an affine eigenvalue
+    fit c_1 u_1 + ... + c_nvars u_nvars + c_0, coefficients constant last."""
+    out = {}
+    for part, (*linear, constant) in zip(("re", "im"), fit):
+        poly = sum((MultiPoly.variable(nvars, k) * c for k, c in enumerate(linear, 1)),
+                   MultiPoly.const(nvars, constant))
+        if part == "re" or poly:
+            out[part] = poly.to_str()
     return out
 
 
 def cmd_classify(args) -> int:
-    try:
-        spec = _load_spec_file(args.input)
-    except SpecFileError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_spec_file(args.input)
     # classification is independent of Hamiltonianity; it only needs the
     # affinor of the first two metrics
     npts = max(SEGRE_POINTS, spec.nvars + 2)
-    try:
-        points = segre_sample_points(
-            spec.nvars, args.seed, count=npts, metrics=spec.metrics
-        )
-        report = segre_of_spec(spec, points=points, seed=args.seed)
-    except UNSUPPORTED as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except FirstMetricNotConstant as ex:
-        # as in verify: the spec file breaks the input contract
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    points = segre_sample_points(spec.nvars, args.seed, count=npts, metrics=spec.metrics)
+    report = segre_of_spec(spec, points=points, seed=args.seed)
     fits = interpolate_affine_eigenvalues(report, spec.n, spec.nvars)
+    eigenvalues = [_render_eigen_fit(f, spec.nvars) for f in fits] if fits else None
     matches = [
         e.id
         for e in catalog()
         if e.n == spec.n and e.d == spec.d and e.expected_segre == report.segre_type
     ]
-    payload = {
-        "tool": "hamop",
-        "report_version": REPORT_VERSION,
-        "command": "classify",
-        "n": spec.n,
-        "d": spec.d,
-        "seed": args.seed,
-        "segre": report.to_dict(),
-        "eigenvalues": [_render_eigen_fit(f, spec.nvars) for f in fits]
-        if fits
-        else None,
-        "reducible_hint": len(report.segre_type) > 1,
-        "matches": matches,
-    }
     lines = [
         f"segre type: {format_segre_type(report.segre_type)}"
         + ("" if report.consistent else "   (inconsistent across points)"),
     ]
-    if fits:
-        for f in fits:
-            rendered = _render_eigen_fit(f, spec.nvars)
-            text = rendered["re"]
-            if "im" in rendered:
-                text = f"({text}) + i*({rendered['im']})"
+    if eigenvalues:
+        for e in eigenvalues:
+            text = f"({e['re']}) + i*({e['im']})" if "im" in e else e["re"]
             lines.append(f"eigenvalue: {text}")
     else:
         lines.append("eigenvalues: per-point values (no affine fit)")
@@ -245,7 +214,15 @@ def cmd_classify(args) -> int:
     if len(report.segre_type) > 1:
         lines.append("hint: multiple eigenvalues; operator may be reducible")
     lines.append("catalog matches: " + (", ".join(matches) if matches else "none"))
-    _write(args, payload, lines)
+    _report(args, "classify", {
+        "n": spec.n,
+        "d": spec.d,
+        "seed": args.seed,
+        "segre": report.to_dict(),
+        "eigenvalues": eigenvalues,
+        "reducible_hint": len(report.segre_type) > 1,
+        "matches": matches,
+    }, lines)
     return EXIT_PASS
 
 
@@ -258,12 +235,9 @@ def cmd_catalog(args) -> int:
     entries = find_entries(args.id, args.n, args.d)
     if args.id is not None and not entries:
         available = sorted({e.id for e in catalog()})
-        print(
-            f"error: no catalog entry matches id {args.id!r}; available: "
-            + ", ".join(available),
-            file=sys.stderr,
+        raise _UsageError(
+            f"no catalog entry matches id {args.id!r}; available: " + ", ".join(available)
         )
-        return EXIT_USAGE
     if args.id is not None and len(entries) == 1:
         e = entries[0]
         values = default_param_values(e.spec)
@@ -297,7 +271,7 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _normal_form_text(n: int, xi, lam=None, with_gt0: bool = False) -> str:
+def _normal_form_text(n: int, xi, with_gt0: bool = False) -> str:
     parts = []
     for m, x in enumerate(xi):
         if not x:
@@ -311,6 +285,12 @@ def _normal_form_text(n: int, xi, lam=None, with_gt0: bool = False) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _n_option(args) -> int:
+    if args.n < 2:
+        raise _UsageError("--n must be at least 2")
+    return args.n
+
+
 def _rational_option(name: str, text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -319,63 +299,40 @@ def _rational_option(name: str, text: str) -> Fraction:
 
 
 def cmd_normalize(args) -> int:
-    n = args.n
-    if n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+    n = _n_option(args)
     xi = [_rational_option("--xi", x.strip()) for x in args.xi.split(",") if x.strip()]
     if len(xi) != n - 1:
-        print(f"error: --xi needs n-1 = {n-1} values", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--xi needs n-1 = {n-1} values")
     lam = _rational_option("--lam", args.lam) if args.lam is not None else Fraction(0)
     coeffs = JordanFamilyCoeffs(n, xi, lam)
-    constant_mode = xi[0] == 0
-    if constant_mode and args.alpha is None:
-        print(
-            "error: xi_0 = 0 is the constant-eigenvalue case; pass --alpha "
-            "with the leading index (xi_alpha = 1)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        if constant_mode:
-            norm, transcript, alpha, m = lie_flow_normalize_constant_eig(coeffs)
-            if alpha != args.alpha:
-                print(
-                    f"error: leading nonzero coefficient is xi_{alpha}, "
-                    f"not xi_{args.alpha}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            form = _normal_form_text(n, norm.xi, with_gt0=True)
-            extra = {"alpha": alpha, "m": m}
-        else:
-            norm, transcript = lie_flow_normalize(coeffs)
-            form = _normal_form_text(n, norm.xi)
-            extra = {}
-    except ScalingNotNormalized as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = {
-        "tool": "hamop",
-        "report_version": REPORT_VERSION,
-        "command": "normalize",
+    if xi[0] == 0:
+        if args.alpha is None:
+            raise _UsageError(
+                "xi_0 = 0 is the constant-eigenvalue case; pass --alpha "
+                "with the leading index (xi_alpha = 1)"
+            )
+        norm, transcript, alpha, m = lie_flow_normalize_constant_eig(coeffs)
+        if alpha != args.alpha:
+            raise _UsageError(f"leading nonzero coefficient is xi_{alpha}, not xi_{args.alpha}")
+        form = _normal_form_text(n, norm.xi, with_gt0=True)
+        extra = {"alpha": alpha, "m": m}
+    else:
+        norm, transcript = lie_flow_normalize(coeffs)
+        form = _normal_form_text(n, norm.xi)
+        extra = {}
+    flows = [{"k": k, "t": format_rational(t) if t is not None else None} for k, t in transcript]
+    lines = [f"normal form: {form}"]
+    for f in flows:
+        lines.append(f"flow k={f['k']}: "
+                     + ("skipped (ladder coefficient 0)" if f["t"] is None else f"t = {f['t']}"))
+    _report(args, "normalize", {
         "n": n,
         "input_xi": [format_rational(x) for x in xi],
         **extra,
         "normal_form": form,
         "coefficients": [format_rational(x) for x in norm.xi],
-        "flows": [
-            {"k": k, "t": format_rational(t) if t is not None else None}
-            for k, t in transcript
-        ],
-    }
-    lines = [f"normal form: {form}"]
-    for k, t in transcript:
-        lines.append(
-            f"flow k={k}: " + ("skipped (ladder coefficient 0)" if t is None else f"t = {format_rational(t)}")
-        )
-    _write(args, payload, lines)
+        "flows": flows,
+    }, lines)
     return EXIT_PASS
 
 
@@ -385,19 +342,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
-    if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    data = build_cp_frobenius(args.n)
+    data = build_cp_frobenius(_n_option(args))
     report = check_frobenius_axioms(data)
     matches = intersection_matches_mu(data)
-    payload = {
-        "tool": "hamop",
-        "report_version": REPORT_VERSION,
-        "command": "frobenius",
-        **report.to_dict(),
-        "intersection_form_equals_mu": matches,
-    }
     lines = []
     for name, (ok, w) in report.axioms.items():
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}" + (f"   witness {w}" if w else ""))
@@ -407,7 +354,7 @@ def cmd_frobenius(args) -> int:
     )
     lines.append(f"intersection form equals mu({args.n};0): {matches}")
     lines.append(f"verdict: {'pass' if report.verdict and matches else 'fail'}")
-    _write(args, payload, lines)
+    _report(args, "frobenius", {**report.to_dict(), "intersection_form_equals_mu": matches}, lines)
     return EXIT_PASS if report.verdict and matches else EXIT_FAIL
 
 
@@ -492,13 +439,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except _UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except HamopError as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as ex:
+        for types, prefix, code in _EXITS:
+            if isinstance(ex, types):
+                print(f"{prefix}: {ex}", file=sys.stderr)
+                return code
         # no traceback may pass for "verification failed" (exit 1)
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL

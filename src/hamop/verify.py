@@ -559,20 +559,9 @@ def exactness_check(g: LinearMetric, h: LinearMetric) -> bool:
     if not g.is_constant():
         raise FirstMetricNotConstant("first metric must be constant")
     n = g.n
-    nvars = g.nvars
     g1 = h.u_linear_part()
-    gcov = constant_inverse(g)
-    u = [MultiPoly.variable(nvars, k + 1) for k in range(n)]
-    X = []
-    for i in range(n):
-        acc = MultiPoly.zero(nvars)
-        for s in range(n):
-            if not g1[i, s]:
-                continue
-            for l in range(n):
-                if gcov[s, l] and u[l]:
-                    acc = acc - g1[i, s] * gcov[s, l] * u[l]
-        X.append(acc)
+    u = PolyMatrix([[MultiPoly.variable(g.nvars, k + 1)] for k in range(n)])
+    X = [-x for (x,) in (g1 @ constant_inverse(g) @ u).entries]
     lie_g = lie_derivative_bivector(g.mat, X, n)
     if not (lie_g - g1).is_zero():
         return False

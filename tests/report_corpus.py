@@ -30,7 +30,14 @@ writes one JSON object to OUT.json, mapping each case to its output:
   --output json`` for every id and family;
 * ``cli:normalize:<args>``: the same of ``hamop normalize`` (text and JSON)
   on a grid of n = 3..10 with xi_0 = 1, and with xi_0 = 0 at every leading
-  index alpha.
+  index alpha;
+* ``cli:frobenius:<args>``: the same of ``hamop frobenius --n N`` (text and
+  JSON) for N = 1..12;
+* ``cli:<command>:<args>`` on the error paths: ``verify`` and ``classify`` of
+  malformed JSON, a non-UTF-8 file, a missing file, an identically
+  degenerate metric, a non-constant first metric, a d = 1 spec and a spec
+  whose eigenvalues lie outside Q(i); ``normalize`` with bad option values;
+  and every command with an ``--out`` path it cannot write.
 
 Spec files are written to a temporary directory and named by basename, and
 the CLI runs there, so no path reaches a key or an output: the files of two
@@ -63,11 +70,13 @@ from hamop.catalog import (  # noqa: E402
     theorem4_metric,
     theorem7_metric,
 )
+from hamop.metrics import LinearMetric, OperatorSpec  # noqa: E402
 from hamop.specfile import dump_operator_spec  # noqa: E402
 from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
 
 from conftest import corpus_pairs, one_coefficient_mutants, specialized_catalog  # noqa: E402
 from perfbench.pencils import write_corpus  # noqa: E402
+from test_specfile import op5_file  # noqa: E402
 
 SEEDS = (0, 11)
 
@@ -212,12 +221,73 @@ def _normalize_reports(report: dict) -> None:
             report["cli:" + " ".join(argv2)] = _run(argv2)
 
 
+def _frobenius_reports(report: dict) -> None:
+    for n in range(1, 13):
+        for output in ("text", "json"):
+            argv = ["frobenius", "--n", str(n), "--output", output]
+            report["cli:" + " ".join(argv)] = _run(argv)
+
+
+def _error_specs(directory: Path) -> None:
+    """Write op5 and the specs that reach the CLI's error paths."""
+    data = {"op5.json": op5_file()}
+    for slot in (0, 1):
+        # [[u1, u1], [u1, u1]]: non-constant, with det = 0 identically
+        data[f"degenerate{slot}.json"] = op5_file()
+        data[f"degenerate{slot}.json"]["metrics"][slot] = {
+            "constant": [["0/1", "0/1"], ["0/1", "0/1"]],
+            "linear": [{"i": i, "j": j, "k": 1, "coeff": "1/1"}
+                       for i, j in ((1, 1), (1, 2), (2, 2))]}
+    data["swapped.json"] = op5_file()
+    data["swapped.json"]["metrics"].reverse()
+    data["single.json"] = {"n": 2, "d": 1, "metrics": [op5_file()["metrics"][0]]}
+    # L = diag(2, 1) J: its characteristic polynomial x^2 - 2 splits over no Q(i)
+    data["sqrt2.json"] = dump_operator_spec(OperatorSpec(
+        [LinearMetric.antidiagonal(2), LinearMetric.constant([[2, 0], [0, 1]])]))
+    for name, value in data.items():
+        (directory / name).write_text(json.dumps(value))
+    (directory / "malformed.json").write_text("{ not json")
+    (directory / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+
+
+def _error_reports(report: dict) -> None:
+    names = ["malformed.json", "latin1.json", "missing.json", "degenerate0.json",
+             "degenerate1.json", "swapped.json", "single.json", "sqrt2.json"]
+    runs = [[command, name, "--output", "json"]
+            for name in names for command in ("verify", "classify")]
+    runs += [["normalize", "--n", "3", "--xi", "1,abc"],
+             ["normalize", "--n", "3", "--xi", "1e3,2"],
+             ["normalize", "--n", "3", "--xi", "1,2", "--lam", "abc"],
+             ["normalize", "--n", "3", "--xi", "1,2", "--lam", "1/0"],
+             ["normalize", "--n", "3", "--xi", "1,2,3"],
+             ["normalize", "--n", "3", "--xi", "0,1"],
+             ["normalize", "--n", "4", "--xi", "0,0,1", "--alpha", "1"],
+             ["normalize", "--n", "3", "--xi", "3,1"],
+             ["normalize", "--n", "1", "--xi", ","]]
+    unwritable = ["--out", "missing/x.json"]
+    runs += [argv + unwritable for argv in (
+        ["verify", "op5.json"], ["classify", "op5.json", "--output", "json"],
+        ["catalog"], ["catalog", "--id", "mokhov-n3"],
+        ["normalize", "--n", "3", "--xi", "1,2"], ["frobenius", "--n", "2"])]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _error_specs(Path(tmp))
+            for argv in runs:
+                report["cli:" + " ".join(argv)] = _run(argv)
+        finally:
+            os.chdir(cwd)
+
+
 def main(out_path: str) -> None:
     report = {}
     _cli_reports(report)
     _library_reports(report)
     _catalog_reports(report)
     _normalize_reports(report)
+    _frobenius_reports(report)
+    _error_reports(report)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,12 @@ from pathlib import Path
 import pytest
 
 from hamop.cli import main
+from hamop.errors import (
+    DisagreementBug,
+    FirstMetricNotConstant,
+    IdenticallySingular,
+    UnsupportedEigenvalueField,
+)
 from hamop.specfile import dump_operator_spec
 from hamop.catalog import mokhov_operator
 
@@ -59,15 +65,29 @@ def test_unwritable_out_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unexpected_exception_exit3(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, target", [
+    ("verify", "verify_operator"), ("classify", "segre_of_spec"),
+], ids=["verify", "classify"])
+@pytest.mark.parametrize("error, line, code", [
+    pytest.param(error, line, code, id=error.__name__) for error, line, code in (
+        (RuntimeError, "internal error: RuntimeError: boom", 3),
+        (IdenticallySingular, "internal error: boom", 3),
+        (DisagreementBug, "internal error: boom", 3),
+        (UnsupportedEigenvalueField, "error: boom", 4),
+        (FirstMetricNotConstant, "error: boom", 2),
+    )
+])
+def test_raised_error_exit_table(tmp_path, capsys, monkeypatch, command, target, error, line, code):
+    # an error a command raises gets the same stderr line and exit code
+    # from every command: any HamopError outside the table is internal
     def boom(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise error("boom")
 
-    monkeypatch.setattr("hamop.cli.verify_operator", boom)
+    monkeypatch.setattr(f"hamop.cli.{target}", boom)
     path = write(tmp_path, "op5.json", op5_file())
-    assert main(["verify", path]) == 3
-    err = capsys.readouterr().err
-    assert err.strip() == "internal error: RuntimeError: boom"
+    assert main([command, path]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
 
 
 def test_verify_json_deterministic(tmp_path):

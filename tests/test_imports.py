@@ -1,6 +1,6 @@
 """Every name a ``hamop`` module imports, and every private function and
 method it defines, is read somewhere in that module; every name a docstring
-quotes exists.
+quotes exists; no CLI command handles an error itself.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` (``__future__`` aside)
@@ -15,7 +15,11 @@ module attribute, a member or dataclass field of a ``hamop`` class, or a
 builtin or standard-library name, with each further part an attribute of
 the part before it; or to a parameter of the documented function (or of
 the documented class's ``__init__``), or a class member, followed only by
-class member names.  A docstring that still names a deleted helper fails."""
+class member names.  A docstring that still names a deleted helper fails.
+
+A ``cmd_*`` function of ``hamop.cli`` contains no ``try`` statement and
+names no error exit code: commands raise, and ``main`` maps each error to
+its stderr line and exit code through the one table ``cli._EXITS``."""
 
 import ast
 import builtins
@@ -198,4 +202,39 @@ def test_unresolved_docstring_name_is_found():
         "_const_matrix (line 3)",
         "report.conditions (line 3)",
         "true (line 3)",
+    ]
+
+
+# -- CLI error handling ---------------------------------------------------------
+
+ERROR_EXITS = {"EXIT_USAGE", "EXIT_INTERNAL", "EXIT_UNSUPPORTED"}
+
+
+def command_error_handling(source: str) -> list[str]:
+    """Each ``try`` statement and error exit code name in a ``cmd_*`` function."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Try, ast.TryStar)):
+                found.append(f"{fn.name}: try (line {node.lineno})")
+            elif isinstance(node, ast.Name) and node.id in ERROR_EXITS:
+                found.append(f"{fn.name}: {node.id} (line {node.lineno})")
+    return found
+
+
+def test_cli_commands_leave_errors_to_main():
+    assert command_error_handling((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_command_error_handling_is_found():
+    source = (
+        "def cmd_a(args):\n"
+        "    try:\n        run()\n    except E:\n        return EXIT_USAGE\n\n"
+        "def cmd_b(args):\n    return EXIT_PASS if run() else EXIT_INTERNAL\n\n"
+        "def _helper():\n    try:\n        return EXIT_UNSUPPORTED\n    finally:\n        pass\n"
+    )
+    assert command_error_handling(source) == [
+        "cmd_a: try (line 2)", "cmd_a: EXIT_USAGE (line 5)", "cmd_b: EXIT_INTERNAL (line 8)",
     ]
