@@ -84,7 +84,8 @@ class _UsageError(Exception):
     --xi or --lam value (``_rational_option``), an --out path that cannot be
     written (``_write``), --n below 2 for normalize or frobenius
     (``_n_option``), an unknown catalog --id (``cmd_catalog``), and the wrong
-    number of xi values, xi_0 = 0 without --alpha or a wrong --alpha
+    number of xi values, xi_0 = 0 without --alpha, or an --alpha that is
+    not the index of the leading nonzero xi (0 when xi_0 != 0)
     (``cmd_normalize``)."""
 
 
@@ -305,6 +306,9 @@ def cmd_normalize(args) -> int:
         raise _UsageError(f"--xi needs n-1 = {n-1} values")
     lam = _rational_option("--lam", args.lam) if args.lam is not None else Fraction(0)
     coeffs = JordanFamilyCoeffs(n, xi, lam)
+    leading = next((i for i, x in enumerate(xi) if x), None)
+    if args.alpha is not None and leading is not None and leading != args.alpha:
+        raise _UsageError(f"leading nonzero coefficient is xi_{leading}, not xi_{args.alpha}")
     if xi[0] == 0:
         if args.alpha is None:
             raise _UsageError(
@@ -312,8 +316,6 @@ def cmd_normalize(args) -> int:
                 "with the leading index (xi_alpha = 1)"
             )
         norm, transcript, alpha, m = lie_flow_normalize_constant_eig(coeffs)
-        if alpha != args.alpha:
-            raise _UsageError(f"leading nonzero coefficient is xi_{alpha}, not xi_{args.alpha}")
         form = _normal_form_text(n, norm.xi, with_gt0=True)
         extra = {"alpha": alpha, "m": m}
     else:
@@ -406,7 +408,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
     sp.add_argument("--xi", required=True,
                     help="comma-separated rationals xi_0..xi_{n-2}")
     sp.add_argument("--alpha", type=int, default=None,
-                    help="leading index for the constant-eigenvalue case")
+                    help="index of the leading nonzero xi (required when xi_0 = 0)")
     sp.add_argument("--lam", dest="lam", default=None,
                     help="constant part parameter lambda (default 0)")
     common(sp)

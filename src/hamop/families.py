@@ -149,7 +149,9 @@ def _integer_constant(arrays) -> list[list[int]]:
 
 def killing_vector_basis(g: LinearMetric) -> KillingBasis:
     """All affine fields with Lie_X g = 0: solve A G + G A^T = 0 on G = D g,
-    c free."""
+    c free.  Each nullspace vector holds the entries of one A, and its
+    field X = A u is built from them over their common denominator
+    (``MultiPoly.from_affine_parts``); the n translations follow."""
     if not g.is_constant():
         raise ValueError("killing_vector_basis needs a constant metric")
     n = g.n
@@ -162,24 +164,16 @@ def killing_vector_basis(g: LinearMetric) -> KillingBasis:
                 row[i * n + s] += gv[s][j]
                 row[j * n + s] += gv[i][s]
             rows.append(row)
-    basis = nullspace(rows, n * n)
     nvars = g.nvars
-    u = [MultiPoly.variable(nvars, k + 1) for k in range(n)]
     vectors = []
-    for vec in basis:
-        X = []
-        for i in range(n):
-            acc = MultiPoly.zero(nvars)
-            for j in range(n):
-                if vec[i * n + j]:
-                    acc = acc + u[j] * vec[i * n + j]
-            X.append(acc)
-        vectors.append(X)
+    for vec in nullspace(rows, n * n):
+        D = lcm(*(x.denominator for x in vec))
+        a = [x.numerator * (D // x.denominator) for x in vec]
+        vectors.append([MultiPoly.from_affine_parts(nvars, D, [0, *a[i * n:i * n + n]])
+                        for i in range(n)])
     rotational = len(vectors)
     for gamma in range(n):
-        X = [MultiPoly.zero(nvars) for _ in range(n)]
-        X[gamma] = MultiPoly.const(nvars, 1)
-        vectors.append(X)
+        vectors.append([MultiPoly.const(nvars, int(i == gamma)) for i in range(n)])
     return KillingBasis(n, vectors, rotational)
 
 

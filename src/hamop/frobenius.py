@@ -31,9 +31,9 @@ class FrobeniusData:
 
     n: int
     g_cov: list        # g_{ij}, rationals (ints for the projective-space data)
-    c: list            # c^i_{jk}, likewise
+    c: list            # c^i_{jk}, ints
     e_index: int       # unity direction (1-based)
-    euler_coeffs: list # E^k = euler_coeffs[k-1] * u^k
+    euler_coeffs: list # E^k = euler_coeffs[k-1] * u^k, ints
     charge: Fraction = Fraction(3)
 
 
@@ -172,26 +172,17 @@ def check_frobenius_axioms(f: FrobeniusData) -> FrobeniusReport:
 
 
 def intersection_form(f: FrobeniusData) -> PolyMatrix:
-    """gt^{ij} = g^{il} c^j_{lk} E^k with the printed (unnormalized) E."""
+    """gt^{ij} = g^{il} c^j_{lk} E^k with the printed (unnormalized) E: the
+    product of g^-1 and b^{lj} = c^j_{lk} E^k, each entry of b built from
+    its integer arrays (``MultiPoly.from_affine_parts``)."""
     n = f.n
     g_up = inverse(f.g_cov)
     if g_up is None:
         raise ValueError("metric is singular")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MultiPoly.zero(n)
-            for l in range(n):
-                if not g_up[i][l]:
-                    continue
-                for k in range(n):
-                    coeff = g_up[i][l] * f.c[j][l][k] * f.euler_coeffs[k]
-                    if coeff:
-                        acc = acc + MultiPoly.variable(n, k + 1) * coeff
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(rows)
+    w = f.euler_coeffs
+    b = [[MultiPoly.from_affine_parts(n, 1, [0] + [f.c[j][l][k] * w[k] for k in range(n)])
+          for j in range(n)] for l in range(n)]
+    return PolyMatrix.from_scalars(n, g_up) @ PolyMatrix(b)
 
 
 def intersection_matches_mu(f: FrobeniusData) -> bool:

@@ -1,26 +1,29 @@
 """Exact linear algebra over Q, which also serves Q(i) (GaussianRational
 entries have field arithmetic too).
 
-Each job has one routine.  ``rref`` is the one Gauss-Jordan elimination:
-``inverse`` (the right half of the reduced [A | I]), ``solve`` and
-``span_rref`` read it.  ``mat_mul`` is the one matrix product, summing only
+Each job has one routine.  ``SparseSystem`` is the one Gauss-Jordan
+elimination: it reduces rows one at a time, sparse in the columns.
+``rref`` reads its reduced rows back as dense rows; ``inverse`` (the right
+half of the reduced [A | I]), ``solve``, ``span_rref`` and ``same_span``
+read ``rref``, and ``nullspace`` reads the system's nullspace basis.  The
+elimination is sparse because the coefficient equations of metric families
+are: the n = 8 Jordan-block family of ``families`` has 344 rows over 288
+unknowns, with about three nonzeros a row.  Its nullspace takes 0.04 s
+sparse and 2.7-3.9 s by a dense Gauss-Jordan loop (Python 3.11, one core
+of a shared 2-core host).
+``mat_mul`` is the one matrix product, summing only
 products of nonzero entries: over ints and linear forms in the unknowns for
 the condition streams of ``families``, over plain ints for ``pointcheck``'s
 frames, the powers in the Segre rank sequences of ``spectral`` and the
-Segre affinor's arrays, and over ints or parameter polynomials for the
+Segre affinor's arrays, over ints or parameter polynomials for the
 connection and torsion contractions of ``geometry``, the Nijenhuis
 arrays of ``verify``'s proofs and the Horner steps of
-``matrices.adjugate_det``.
+``matrices.adjugate_det``, and over polynomials or rational functions for
+``PolyMatrix @`` and ``frobenius.intersection_form``.
 Ranks are taken over Z only: ``int_rank`` is fraction-free
 Bareiss elimination, which also decides singularity at a point
 (``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
-off the real embedding.  ``SparseSystem``
-eliminates homogeneous systems over Q row by row, sparse in the columns, and
-``nullspace`` is built on it.  The coefficient equations of metric families
-are sparse: the n = 8 Jordan-block family of ``families`` has 344 rows over
-288 unknowns, with about three nonzeros a row.  Its nullspace takes 0.04 s
-by ``SparseSystem`` and 2.7-3.9 s by a dense ``rref`` (Python 3.11, one
-core of a shared 2-core host).
+off the real embedding.
 
 Dense routines take lists of lists of field elements.  Nullspace bases are
 deterministic: the reduced row echelon form is unique, and each free column
@@ -33,29 +36,19 @@ from fractions import Fraction
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rref rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row echelon form; returns (nonzero rref rows, pivot columns):
+    the reduced rows of a ``SparseSystem`` in pivot order, as dense rows
+    with ``Fraction(0)`` where a row has no entry."""
+    if not rows:
         return [], []
-    pivots = []
-    r = 0
-    for c in range(len(m[0])):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        # Fraction(1) / x, not 1 / x: an int x must give an exact inverse
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    ncols = len(rows[0])
+    system = SparseSystem(ncols)
+    for row in rows:
+        system.add_row(dict(enumerate(row)))
+    reduced = system.reduced()
+    pivots = sorted(reduced)
+    zero = Fraction(0)
+    return [[reduced[c].get(k, zero) for k in range(ncols)] for c in pivots], pivots
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -158,64 +151,63 @@ def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
     ]
 
 
-class SparseSystem:
-    """Incremental sparse Gaussian elimination over Q for homogeneous systems.
+def _subtract(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row, in place, dropping the entries that vanish."""
+    for k, v in pivot_row.items():
+        s = row.get(k, Fraction(0)) - f * v
+        if s:
+            row[k] = s
+        elif k in row:
+            del row[k]
 
-    Rows are dicts column->coefficient.  Columns are integers; pivot choice is
-    the smallest column in a row, which together with the fixed unknown
-    ordering makes the resulting nullspace basis deterministic.
+
+class SparseSystem:
+    """Incremental sparse Gauss-Jordan elimination over Q (and Q(i)).
+
+    Rows are dicts column->coefficient, entries kept as given; a pivot is
+    inverted as ``Fraction(1) / x``, so int rows give exact rationals.
+    Pivot choice is the smallest column in a row, which together with the
+    fixed unknown ordering makes the nullspace basis deterministic.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self.pivot_rows: dict[int, dict] = {}
 
-    def add_row(self, row: dict[int, Fraction]) -> None:
-        row = {c: Fraction(v) for c, v in row.items() if v}
+    def add_row(self, row: dict) -> None:
+        row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             piv = self.pivot_rows.get(c)
             if piv is None:
-                inv = 1 / row[c]
+                inv = Fraction(1) / row[c]
                 self.pivot_rows[c] = {k: v * inv for k, v in row.items()}
                 return
-            f = row[c]
-            for k, v in piv.items():
-                s = row.get(k, Fraction(0)) - f * v
-                if s:
-                    row[k] = s
-                elif k in row:
-                    del row[k]
+            _subtract(row, row[c], piv)
 
-    def nullspace_basis(self) -> list[dict[int, Fraction]]:
-        """Deterministic basis, one sparse vector per free column."""
-        # back-substitute to fully reduced form
+    def reduced(self) -> dict[int, dict]:
+        """The pivot rows, back-substituted in place to the reduced form:
+        pivot column -> row, each row zero at every other pivot column."""
         for c in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[c]
             for c2 in [k for k in row if k != c and k in self.pivot_rows]:
-                f = row[c2]
-                for k, v in self.pivot_rows[c2].items():
-                    s = row.get(k, Fraction(0)) - f * v
-                    if s:
-                        row[k] = s
-                    elif k in row:
-                        del row[k]
+                _subtract(row, row[c2], self.pivot_rows[c2])
+        return self.pivot_rows
+
+    def nullspace_basis(self) -> list[dict[int, Fraction]]:
+        """Deterministic basis, one sparse vector per free column."""
+        reduced = self.reduced()
         basis = []
-        pivot_cols = set(self.pivot_rows)
         for free in range(self.ncols):
-            if free in pivot_cols:
+            if free in reduced:
                 continue
             v = {free: Fraction(1)}
-            for pc, row in self.pivot_rows.items():
+            for pc, row in reduced.items():
                 coef = row.get(free)
                 if coef:
                     v[pc] = -coef
             basis.append(v)
         return basis
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
 
 
 def span_rref(vectors: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -16,8 +16,8 @@ integer point as an integer matrix A = D M(pt) with its scale D, in int
 arithmetic only; ``metrics.degenerate_at`` reads it for matrices that are
 not metrics (the probe of a metric built from a matrix).  Metrics and the
 Segre affinor are evaluated on their coefficient arrays instead
-(``metrics.AffineArrays``).  Dense products of the evaluated matrices are
-``linsolve.mat_mul``, over Z.
+(``metrics.AffineArrays``).  ``PolyMatrix @`` is ``linsolve.mat_mul`` on
+the entries, and so are dense products of the evaluated matrices, over Z.
 """
 
 from __future__ import annotations
@@ -114,25 +114,13 @@ class PolyMatrix:
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """``linsolve.mat_mul`` on the entries, with the zero polynomial
+        where no product of two nonzero entries exists."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a or not b:
-                        continue
-                    t = a * b
-                    acc = t if acc is None else acc + t
-                if acc is None:
-                    acc = MultiPoly.zero(self.nvars)
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        zero = MultiPoly.zero(self.nvars)
+        return PolyMatrix([[zero if isinstance(x, int) else x for x in row]
+                           for row in mat_mul(self.entries, other.entries)])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

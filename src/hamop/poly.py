@@ -245,13 +245,13 @@ class MultiPoly:
             if not x:
                 continue
             mono = k and (1 << shifts[k - 1] | 1 << ts)
-            if isinstance(x, MultiPoly):
-                if x._den != 1:
-                    raise ValueError("parts must have integer coefficients")
+            if isinstance(x, MultiPoly) and x._den == 1:
                 for e, c in x._coeffs.items():
                     coeffs[e + mono] = c
-            else:
+            elif isinstance(x, int):
                 coeffs[mono] = x
+            else:
+                raise ValueError("parts must have integer coefficients")
         return _canon(nvars, coeffs, den)
 
     def leading(self) -> tuple[tuple, Fraction]:

@@ -30,9 +30,16 @@ writes one JSON object to OUT.json, mapping each case to its output:
   --output json`` for every id and family;
 * ``cli:normalize:<args>``: the same of ``hamop normalize`` (text and JSON)
   on a grid of n = 3..10 with xi_0 = 1, and with xi_0 = 0 at every leading
-  index alpha;
+  index alpha, and of xi_0 = 1 with a right and a wrong ``--alpha``;
 * ``cli:frobenius:<args>``: the same of ``hamop frobenius --n N`` (text and
   JSON) for N = 1..12;
+* ``linalg:<routine>:<case>``: for n = 2..12, ``killing_vector_basis`` and
+  ``killing_bivector_space`` of the antidiagonal metric, the basis of
+  ``solve_jordan_family(n, 5/3, verify=False)`` and
+  ``intersection_form(build_cp_frobenius(n))``, each polynomial with its
+  type and ring size; and ``rref``, ``nullspace``, ``inverse`` and
+  ``solve`` on seeded rational and integer matrices (dense, mostly zero,
+  rank-deficient, rectangular), each entry with its type name;
 * ``cli:<command>:<args>`` on the error paths: ``verify`` and ``classify`` of
   malformed JSON, a non-UTF-8 file, a missing file, an identically
   degenerate metric, a non-constant first metric, a d = 1 spec and a spec
@@ -54,6 +61,7 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -70,6 +78,13 @@ from hamop.catalog import (  # noqa: E402
     theorem4_metric,
     theorem7_metric,
 )
+from hamop.families import (  # noqa: E402
+    killing_bivector_space,
+    killing_vector_basis,
+    solve_jordan_family,
+)
+from hamop.frobenius import build_cp_frobenius, intersection_form  # noqa: E402
+from hamop.linsolve import inverse, nullspace, rref, solve  # noqa: E402
 from hamop.metrics import LinearMetric, OperatorSpec  # noqa: E402
 from hamop.specfile import dump_operator_spec  # noqa: E402
 from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
@@ -206,7 +221,9 @@ def _catalog_reports(report: dict) -> None:
 
 def _normalize_reports(report: dict) -> None:
     runs = [["--n", "4", "--xi", "0,1,2"], ["--n", "4", "--xi", "0,1,2", "--alpha", "2"],
-            ["--n", "4", "--xi", "2,1,2"], ["--n", "4", "--xi", "1,1"]]
+            ["--n", "4", "--xi", "2,1,2"], ["--n", "4", "--xi", "1,1"],
+            ["--n", "4", "--xi", "1,1,2", "--alpha", "0"],
+            ["--n", "4", "--xi", "1,1,2", "--alpha", "2"]]
     for n in range(3, 11):
         rest = n - 2
         runs.append(["--n", str(n), "--xi", ",".join(["1"] + [str(k) for k in range(1, rest + 1)])])
@@ -226,6 +243,66 @@ def _frobenius_reports(report: dict) -> None:
         for output in ("text", "json"):
             argv = ["frobenius", "--n", str(n), "--output", output]
             report["cli:" + " ".join(argv)] = _run(argv)
+
+
+def _typed(values) -> list:
+    return [f"{type(x).__name__}:{x}" for x in values]
+
+
+def _poly_text(p) -> str:
+    return f"{type(p).__name__}[{p.nvars}]:{p.to_str()}"
+
+
+def _matrix_text(m) -> list:
+    return [[_poly_text(x) for x in row] for row in m.entries]
+
+
+def _seeded_matrices():
+    """(label, rows) of seeded rational and integer matrices: dense, with
+    about 70 % zeros, with a last row that combines the others, and of every
+    shape up to 6 x 7."""
+    rng = random.Random(2024)
+    out = []
+    for t in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        if t % 5 == 4:
+            cols = rows
+        zeros = (0.0, 0.7)[t % 2]
+        m = [[Fraction(0) if rng.random() < zeros
+              else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(cols)] for _ in range(rows)]
+        if t % 3 == 2 and rows > 1:
+            c = [rng.randint(-2, 2) for _ in range(rows - 1)]
+            m[-1] = [sum(ci * row[j] for ci, row in zip(c, m)) for j in range(cols)]
+        if t % 7 == 6:
+            m = [[int(x * 12) for x in row] for row in m]
+        out.append((f"{t}:{rows}x{cols}", m))
+    return out
+
+
+def _linalg_reports(report: dict) -> None:
+    for n in range(2, 13):
+        g = LinearMetric.antidiagonal(n)
+        basis = killing_vector_basis(g)
+        report[f"linalg:killing_vector_basis:n{n}"] = {
+            "rotational": basis.rotational_count,
+            "vectors": [[_poly_text(x) for x in v] for v in basis.vectors]}
+        report[f"linalg:killing_bivector_space:n{n}"] = [
+            _matrix_text(b) for b in killing_bivector_space(g)]
+        report[f"linalg:jordan_family:n{n}"] = [
+            _matrix_text(b) for b in solve_jordan_family(n, Fraction(5, 3), verify=False).basis]
+        report[f"linalg:intersection_form:n{n}"] = _matrix_text(
+            intersection_form(build_cp_frobenius(n)))
+    for label, m in _seeded_matrices():
+        red, pivots = rref(m)
+        report[f"linalg:rref:{label}"] = {"rows": [_typed(r) for r in red], "pivots": pivots}
+        report[f"linalg:nullspace:{label}"] = [_typed(v) for v in nullspace(m)]
+        rhs = [row[0] - row[-1] + 1 for row in m]
+        sol = solve(m, rhs)
+        report[f"linalg:solve:{label}"] = None if sol is None else _typed(sol)
+        if len(m) == len(m[0]):
+            inv = inverse(m)
+            report[f"linalg:inverse:{label}"] = None if inv is None else [_typed(r) for r in inv]
 
 
 def _error_specs(directory: Path) -> None:
@@ -287,6 +364,7 @@ def main(out_path: str) -> None:
     _catalog_reports(report)
     _normalize_reports(report)
     _frobenius_reports(report)
+    _linalg_reports(report)
     _error_reports(report)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

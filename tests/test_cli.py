@@ -212,6 +212,15 @@ def test_normalize_commands(capsys):
     assert main(["normalize", "--n", "5", "--xi", "1,2"]) == 2
 
 
+def test_normalize_checks_a_given_alpha(capsys):
+    # --alpha must name the leading nonzero xi, which is xi_0 here
+    assert main(["normalize", "--n", "4", "--xi", "1,1,2", "--alpha", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: leading nonzero coefficient is xi_0, not xi_2\n"
+    assert main(["normalize", "--n", "4", "--xi", "1,1,2", "--alpha", "0"]) == 0
+    assert capsys.readouterr().out.startswith("normal form: mu(4;0) + mu(4;1)\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n", "3", "--xi", "1,2", "--lam", "abc"], "bad --lam value 'abc': expected an integer or p/q"),
     (["--n", "3", "--xi", "1,2", "--lam", "1/0"], "bad --lam value '1/0': zero denominator"),

@@ -1,18 +1,26 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 
+from hamop import linsolve
+from hamop.frobenius import build_cp_frobenius, intersection_form
 from hamop.linsolve import (
+    SparseSystem,
     gaussian_rank,
     int_rank,
     inverse,
     mat_mul,
     nullspace,
     rref,
+    same_span,
     solve,
 )
+from hamop.matrices import PolyMatrix
 from hamop.roots import char_poly
 from hamop.scalars import GaussianRational
 
@@ -166,3 +174,100 @@ def test_gaussian_rank_is_the_rank_over_q_i(seed):
         assert gaussian_rank(x, y) == len(rref(z)[1])
     # rank 1 over Q(i), rank 2 over Q for the real and imaginary parts alone
     assert gaussian_rank([[1, 0], [0, -1]], [[0, 1], [1, 0]]) == 1
+
+
+def _oracle_cases(seed):
+    """Seeded matrices of each kind the elimination meets: dense, at least
+    60 % zeros, rank-deficient, rectangular (wide and tall), and over
+    Q(i)."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def sparse(rows, cols):
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        m = [[Fraction(0)] * cols for _ in range(rows)]
+        for i, j in rng.sample(cells, (2 * len(cells)) // 5):
+            m[i][j] = entry()
+        return m
+
+    def low_rank(rows, cols, k):
+        left = [[entry() for _ in range(k)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(k)]
+        return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                for row in left]
+
+    cases = {
+        "dense": [[[entry() for _ in range(n)] for _ in range(n)] for n in (1, 3, 5)],
+        "sparse": [sparse(r, c) for r, c in ((4, 4), (5, 7), (7, 5), (6, 6))],
+        "rank-deficient": [low_rank(r, c, k) for r, c, k in ((4, 4, 2), (5, 6, 3), (6, 3, 1))],
+        "rectangular": [[[entry() for _ in range(c)] for _ in range(r)]
+                        for r, c in ((2, 6), (6, 2), (3, 5), (5, 3))],
+        "gaussian": [[[GaussianRational(entry(), entry() if rng.random() < 0.6 else Fraction(0))
+                       for _ in range(c)] for _ in range(r)]
+                     for r, c in ((3, 3), (3, 5), (4, 2))],
+    }
+    cases["gaussian"].append([row[:] for row in cases["gaussian"][0]] + [
+        [x + y for x, y in zip(*cases["gaussian"][0][:2])]])
+    return cases
+
+
+def _sympy(x):
+    if isinstance(x, GaussianRational):
+        return _sympy(x.re) + sympy.I * _sympy(x.im)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rref_is_sympy_rref(seed):
+    for kind, matrices in _oracle_cases(seed).items():
+        for m in matrices:
+            red, pivots = rref(m)
+            want, want_pivots = sympy.Matrix([[_sympy(x) for x in row] for row in m]).rref()
+            assert tuple(pivots) == want_pivots, kind
+            assert len(red) == len(pivots) and all(len(row) == len(m[0]) for row in red)
+            for i, row in enumerate(red):
+                for j, x in enumerate(row):
+                    assert sympy.simplify(_sympy(x) - want[i, j]) == 0, (kind, i, j)
+            if kind != "gaussian":
+                assert all(type(x) is Fraction for row in red for x in row), kind
+
+
+@pytest.fixture
+def routine_calls(monkeypatch):
+    """Counts of the calls to ``SparseSystem.add_row`` and of every binding
+    of ``mat_mul`` in the library."""
+    calls = Counter()
+    add_row, product = SparseSystem.add_row, linsolve.mat_mul
+
+    def counted_add_row(self, row):
+        calls["add_row"] += 1
+        return add_row(self, row)
+
+    def counted_mat_mul(a, b):
+        calls["mat_mul"] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(SparseSystem, "add_row", counted_add_row)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hamop") and getattr(module, "mat_mul", None) is product:
+            monkeypatch.setattr(module, "mat_mul", counted_mat_mul)
+    return calls
+
+
+_A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+
+
+@pytest.mark.parametrize("routine, run", [
+    ("add_row", lambda: rref(_A)),
+    ("add_row", lambda: inverse(_A)),
+    ("add_row", lambda: solve(_A, [Fraction(1), Fraction(0)])),
+    ("add_row", lambda: same_span(_A, _A[:1])),
+    ("mat_mul", lambda: PolyMatrix.from_scalars(2, _A) @ PolyMatrix.identity(2, 2)),
+    ("mat_mul", lambda: intersection_form(build_cp_frobenius(3))),
+], ids=["rref", "inverse", "solve", "same_span", "PolyMatrix-matmul", "intersection_form"])
+def test_each_job_runs_its_one_routine(routine_calls, routine, run):
+    # one elimination (SparseSystem) and one matrix product (mat_mul)
+    run()
+    assert routine_calls[routine] > 0

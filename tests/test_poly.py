@@ -128,6 +128,11 @@ def test_affine_parts_split_the_u_block():
     # a block wider than the ring reads every variable and pads with zeros
     v1, v2 = u_vars(2)
     assert (3 * v1 - v2 + 2).affine_parts(4) == (1, [2, 3, -1, 0, 0])
+    # from_affine_parts is the inverse, and refuses a part that is not integral
+    assert MultiPoly.from_affine_parts(3, den, parts) == p
+    for part in (Fraction(1, 2), k / 2):
+        with pytest.raises(ValueError):
+            MultiPoly.from_affine_parts(3, 1, [0, part])
 
 
 def test_divide_exact():
