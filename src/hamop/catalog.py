@@ -32,6 +32,7 @@ from .families import complexify_matrix, jordan_gt0, modulus_rung, mu_bivector
 from .matrices import PolyMatrix
 from .metrics import LinearMetric, OperatorSpec
 from .poly import MultiPoly
+from .spectral import format_segre_type, segre_key
 
 
 @dataclass
@@ -405,13 +406,6 @@ def exampleN_operator(N: int, lam=None) -> OperatorSpec:
 # ---------------------------------------------------------------------------
 
 
-def _type_key(*blocks) -> tuple:
-    """blocks: (partition tuple, 'R'|'C') pairs."""
-    return tuple(
-        sorted(blocks, key=lambda t: (sum(t[0]), t[0], t[1]), reverse=True)
-    )
-
-
 def _eig(re: MultiPoly, im: MultiPoly | None = None):
     return (re, im if im is not None else MultiPoly.zero(re.nvars))
 
@@ -432,7 +426,7 @@ def theorem3_operators() -> list[CatalogEntry]:
         "three-component classification, case 1 (constant eigenvalue)",
         OperatorSpec([g, LinearMetric(3, gt1)]),
         params=["lambda"],
-        expected_segre=_type_key(((3,), "R")),
+        expected_segre=segre_key(((3,), "R")),
         expected_eigenvalues=[_eig(lam)],
     )
     # case 2 (non-constant eigenvalue), parameter-free
@@ -452,7 +446,7 @@ def theorem3_operators() -> list[CatalogEntry]:
         "thm3",
         "three-component classification, case 2 (non-constant eigenvalue)",
         OperatorSpec([g3, LinearMetric(3, gt2)]),
-        expected_segre=_type_key(((3,), "R")),
+        expected_segre=segre_key(((3,), "R")),
         expected_eigenvalues=[_eig(u3[2])],
     )
     return [case1, case2]
@@ -517,7 +511,7 @@ def segre4_families() -> list[CatalogEntry]:
                 "four-component, " + location,
                 OperatorSpec([g, LinearMetric(4, mat)]),
                 params=[f"kappa{t+1}" for t in range(nk)] + ["lambda"],
-                expected_segre=_type_key((partition, "R")),
+                expected_segre=segre_key((partition, "R")),
                 expected_eigenvalues=[_eig(eig(c, u, u[-1]))],
             )
         )
@@ -531,7 +525,7 @@ def segre4_families() -> list[CatalogEntry]:
             "four-component, complex-conjugate eigenvalues (complexified "
             "two-component operator)",
             spec,
-            expected_segre=_type_key(((2,), "C"), ((2,), "C")),
+            expected_segre=segre_key(((2,), "C"), ((2,), "C")),
             expected_eigenvalues=[
                 _eig(u[2], u[3]),
                 _eig(u[2], -u[3]),
@@ -548,9 +542,9 @@ def _mokhov_entries() -> list[CatalogEntry]:
         nv = spec.nvars
         un = MultiPoly.variable(nv, n)
         if n == 4:
-            segre = _type_key(((2, 2), "R"))
+            segre = segre_key(((2, 2), "R"))
         else:
-            segre = _type_key(((n,), "R"))
+            segre = segre_key(((n,), "R"))
         note = "the classical two-component operator" if n == 2 else ""
         out.append(
             CatalogEntry(
@@ -578,7 +572,7 @@ def _example2_entries() -> list[CatalogEntry]:
                 f"constant-eigenvalue {n}-component operator (second family)",
                 spec,
                 params=["lambda"],
-                expected_segre=_type_key(((n,), "R")),
+                expected_segre=segre_key(((n,), "R")),
                 expected_eigenvalues=[_eig(lam)],
             )
         )
@@ -599,7 +593,7 @@ def _theorem4_entries() -> list[CatalogEntry]:
                 f"single Jordan block, non-constant eigenvalue, n={n} normal form",
                 spec,
                 params=params,
-                expected_segre=_type_key(((n,), "R")),
+                expected_segre=segre_key(((n,), "R")),
                 expected_eigenvalues=[_eig(eig)],
             )
         )
@@ -620,7 +614,7 @@ def _theorem7_entries() -> list[CatalogEntry]:
                     f"coefficient at mu({n};{alpha})",
                     spec,
                     params=params,
-                    expected_segre=_type_key(((n,), "R")),
+                    expected_segre=segre_key(((n,), "R")),
                     expected_eigenvalues=[_eig(lam)],
                 )
             )
@@ -637,7 +631,7 @@ def _theorem5_entries() -> list[CatalogEntry]:
             "thm5",
             "three-component 3D operator, irreducible case",
             first,
-            expected_segre=_type_key(((3,), "R")),
+            expected_segre=segre_key(((3,), "R")),
             expected_eigenvalues=[_eig(one3)],
             notes="metrics stored as (eta, mu(3;1)+eta, e11+eta); adding eta "
             "is a linear change of independent variables",
@@ -647,7 +641,7 @@ def _theorem5_entries() -> list[CatalogEntry]:
             "thm5",
             "three-component 3D operator, reducible case",
             second,
-            expected_segre=_type_key(((2,), "R"), ((1,), "R")),
+            expected_segre=segre_key(((2,), "R"), ((1,), "R")),
             expected_eigenvalues=[_eig(u2 + 1), _eig(one3)],
             reducible=True,
             notes="direct sum of the two-component operator and a "
@@ -668,7 +662,7 @@ def _exampleN_entries() -> list[CatalogEntry]:
                 f"irreducible {N}-component operator in {N} dimensions",
                 spec,
                 params=["lambda"],
-                expected_segre=_type_key(((N,), "R")),
+                expected_segre=segre_key(((N,), "R")),
                 expected_eigenvalues=[_eig(lam)],
                 notes="constant bivectors e_mm stored as e_mm + eta "
                 "(linear change of independent variables)",
@@ -686,7 +680,7 @@ def _constant_entry() -> CatalogEntry:
         "constant",
         "constant-coefficient two-component representative (diagonal affinor)",
         OperatorSpec([g, gt]),
-        expected_segre=_type_key(((1,), "R"), ((1,), "R")),
+        expected_segre=segre_key(((1,), "R"), ((1,), "R")),
         expected_eigenvalues=[_eig(one), _eig(-one)],
         notes="representative of the constant-reducible class used in "
         "negative/property tests",
@@ -741,8 +735,6 @@ MANIFEST_VERSION = 1
 
 def catalog_manifest(entries: list[CatalogEntry] | None = None) -> dict:
     """The manifest of ``entries``, by default the whole catalog."""
-    from .spectral import format_segre_type
-
     return {
         "version": MANIFEST_VERSION,
         "entries": [

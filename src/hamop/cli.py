@@ -52,12 +52,13 @@ from .frobenius import build_cp_frobenius, check_frobenius_axioms, intersection_
 from .metrics import OperatorSpec
 from .poly import MultiPoly
 from .scalars import format_rational, parse_rational
+from .pointcheck import sample_points
 from .spectral import (
     SEGRE_POINTS,
+    SEGRE_RANGE,
     format_segre_type,
     interpolate_affine_eigenvalues,
     segre_of_spec,
-    segre_sample_points,
 )
 from .specfile import (
     default_param_values,
@@ -188,9 +189,9 @@ def cmd_classify(args) -> int:
     # classification is independent of Hamiltonianity; it only needs the
     # affinor of the first two metrics
     npts = max(SEGRE_POINTS, spec.nvars + 2)
-    points = segre_sample_points(spec.nvars, args.seed, count=npts, metrics=spec.metrics)
+    points = sample_points(spec.nvars, spec.metrics, args.seed, npts, SEGRE_RANGE)
     report = segre_of_spec(spec, points=points, seed=args.seed)
-    fits = interpolate_affine_eigenvalues(report, spec.n, spec.nvars)
+    fits = interpolate_affine_eigenvalues(report, spec.nvars)
     eigenvalues = [_render_eigen_fit(f, spec.nvars) for f in fits] if fits else None
     matches = [
         e.id

@@ -20,10 +20,10 @@ connection and torsion contractions of ``geometry``, the Nijenhuis
 arrays of ``verify``'s proofs and the Horner steps of
 ``matrices.adjugate_det``, and over polynomials or rational functions for
 ``PolyMatrix @`` and ``frobenius.intersection_form``.
-Ranks are taken over Z only: ``int_rank`` is fraction-free
-Bareiss elimination, which also decides singularity at a point
-(``metrics.degenerate_at``), and ``gaussian_rank`` reads the rank of X + iY
-off the real embedding.
+``int_rank`` is the one rank, over Z by fraction-free Bareiss elimination:
+it decides singularity at a point (``metrics.degenerate_at``) and gives the
+Segre rank sequences of ``spectral``, whose Gaussian eigenvalues are ranked
+through their real quadratic factor.
 
 Dense routines take lists of lists of field elements.  Nullspace bases are
 deterministic: the reduced row echelon form is unique, and each free column
@@ -81,15 +81,6 @@ def int_rank(rows: list[list[int]]) -> int:
         if r == len(m):
             break
     return r
-
-
-def gaussian_rank(x: list[list[int]], y: list[list[int]]) -> int:
-    """Rank over Q(i) of X + iY with integer X, Y: half the rank of the
-    real embedding [[X, -Y], [Y, X]], which is similar over C to
-    (X + iY) (+) (X - iY)."""
-    upper = [xr + [-v for v in yr] for xr, yr in zip(x, y)]
-    lower = [yr + xr for xr, yr in zip(x, y)]
-    return int_rank(upper + lower) // 2
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:

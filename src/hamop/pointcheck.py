@@ -44,15 +44,18 @@ so at a point the connection of a metric is built once for both.  A stream
 that stops at its first failing component so computes no jet past it, and
 a passing scan reads every entry once.
 
-Sample points are seeded integer points (as Fractions with denominator 1);
-those where any metric is singular are rejected and redrawn, and after
-``MAX_REJECT`` rejections DegenerateEverywhere is raised (``spectral``'s
-Segre points share the bound).  Rejection is integer work: each metric's
-value at the point is read off its coefficient arrays as an integer matrix
-and its Bareiss rank taken (``metrics.degenerate_at``).  Every point value
-of a metric, in a frame or a rejection, comes from those arrays
-(``LinearMetric.jets_at``).  ``FrameCache`` shares the
-frames of one point between conditions and criteria.
+Sample points are seeded integer points (as Fractions with denominator 1)
+from the one sampler ``sample_points``: the scans of ``verify`` draw their
+coordinates from [-SAMPLE_RANGE, SAMPLE_RANGE] and ``spectral``'s Segre
+points from [-9, 9] (radius 9), and a 0 coordinate is redrawn.
+Points where any metric is singular are rejected and redrawn, and after
+``MAX_REJECT`` rejections DegenerateEverywhere is raised.  Rejection is
+integer work: each metric's value at the point is read off its coefficient
+arrays as an integer matrix and its Bareiss rank taken
+(``metrics.degenerate_at``).  Every point value of a metric, in a frame or
+a rejection, comes from those arrays (``LinearMetric.jets_at``).
+``FrameCache`` shares the frames of one point between the conditions of a
+scan, and between the pairs of a d >= 3 operator.
 ``tests/test_pointcheck.py`` pins every jet and every hit to the symbolic
 streams at the point.
 """
@@ -79,26 +82,31 @@ from .metrics import LinearMetric, degenerate_at
 from .poly import RationalFunction
 
 SAMPLE_RANGE = 10**6
-MAX_REJECT = 100  # redraws of a sample point, here and in spectral
+MAX_REJECT = 100  # redraws of a sample point
 
 
-def sample_points(nvars: int, metrics, seed: int, count: int):
-    """The first ``count`` seeded points with integer coordinates in
-    [-SAMPLE_RANGE, SAMPLE_RANGE], as Fractions, at which every given metric
-    is invertible (decided over Z by ``metrics.degenerate_at``)."""
+def sample_points(nvars: int, metrics, seed: int, count: int, radius: int = SAMPLE_RANGE):
+    """The first ``count`` seeded points with nonzero integer coordinates in
+    [-radius, radius], as Fractions, at which every given metric is
+    invertible (decided over Z by ``metrics.degenerate_at``).  A 0
+    coordinate is redrawn: 0 lies on the degeneration subvarieties of most
+    catalog families."""
     rng = random.Random(seed)
     pts = []
     rejects = 0
     while len(pts) < count:
-        pt = [Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)) for _ in range(nvars)]
+        pt = []
+        for _ in range(nvars):
+            x = 0
+            while not x:
+                x = rng.randint(-radius, radius)
+            pt.append(Fraction(x))
         if not any(degenerate_at(m, pt) for m in metrics):
             pts.append(pt)
         else:
             rejects += 1
             if rejects > MAX_REJECT:
-                raise DegenerateEverywhere(
-                    "no sample point with all metrics non-degenerate"
-                )
+                raise DegenerateEverywhere("no generic sample point found")
     return pts
 
 
@@ -223,8 +231,8 @@ class PointFrame:
 
 
 class FrameCache:
-    """Shares PointFrames between conditions and criteria at fixed points:
-    one frame per metric and point, keyed by identity."""
+    """Shares PointFrames between the conditions, and the pairs, scanned at
+    fixed points: one frame per metric and point, keyed by identity."""
 
     def __init__(self):
         self._frames = {}

@@ -419,7 +419,8 @@ class MultiPoly:
 
     def int_eval(self, point: Sequence[int]) -> tuple[int, int]:
         """(N, den) at a point of ints: the value there is N / den, with
-        ``den`` the polynomial's common denominator.  Int arithmetic only."""
+        ``den`` the polynomial's common denominator.  Int arithmetic only; at
+        a point of Fractions N is a Fraction (``eval``)."""
         total = 0
         for t, mono in self._monomials(point):
             for i, x in mono:
@@ -428,13 +429,9 @@ class MultiPoly:
         return total, self._den
 
     def eval(self, point: Sequence):
-        """Value at a full point of ints or Fractions, as a Fraction."""
-        total = 0
-        for t, mono in self._monomials(point):
-            for i, x in mono:
-                t *= point[i] ** x
-            total += t
-        return Fraction(total, self._den)
+        """Value at a full point of ints or Fractions, as a Fraction: N / den
+        of ``int_eval``."""
+        return Fraction(*self.int_eval(point))
 
     def substitute(self, values: Mapping[int, Fraction]) -> "MultiPoly":
         """Replace the given 1-based variables by rational values."""

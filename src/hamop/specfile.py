@@ -30,6 +30,7 @@ from .scalars import format_rational, parse_rational
 _TOP_FIELDS = {"n", "d", "variables", "metrics"}
 _METRIC_FIELDS = {"constant", "linear"}
 _LINEAR_FIELDS = {"i", "j", "k", "coeff"}
+PARAM_TRIES = 100  # parameter bases tried by default_param_values
 
 
 def _rational(text, where: str) -> Fraction:
@@ -179,18 +180,17 @@ def specialize_spec(spec: OperatorSpec, values) -> OperatorSpec:
     return OperatorSpec(metrics)
 
 
-def default_param_values(spec: OperatorSpec, max_tries: int = 100):
+def default_param_values(spec: OperatorSpec):
     """Deterministic rational values for the formal parameters such that the
     specialized spec is valid (all metrics non-degenerate)."""
     nparams = spec.nvars - spec.n
     if nparams == 0:
         return []
-    base = 0
-    while base < max_tries:
+    for base in range(PARAM_TRIES):
         values = [Fraction(base + t + 1) for t in range(nparams)]
         try:
             specialize_spec(spec, values)
-            return values
         except ValueError:
-            base += 1
+            continue
+        return values
     raise ValueError("could not find non-degenerate parameter values")

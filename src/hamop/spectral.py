@@ -27,14 +27,19 @@ the eigenvalue (scale) mu of L.  A polynomial affinor that is given as a
 matrix is first written in the same integer form, with scale 1 / D
 (``metrics.coefficient_arrays``).  For mu = p/q the rank sequence
 is that of the powers of the integer matrix q A - p I, a nonzero multiple
-of L - lambda I.  For mu = (r + s i)/q it is that of X + iY with
-X = q A - r I and Y = -s I, whose powers are kept as pairs of integer
-matrices; their ranks over Q(i) are half the ranks of the real embeddings
-(``linsolve.gaussian_rank``).  Only the reported eigenvalues are Fractions.
+of L - lambda I.  For mu = (r + s i)/q it is read off the real quadratic
+factor of the pair mu, mu-bar: with X = q A - r I, the integer matrix
+B = (X - s i)(X + s i) = X^2 + s^2 I.  The two factors are coprime, so
+ker B^k is the sum of the kernels of their k-th powers, which conjugation
+swaps: rank (X - s i)^k = n - (n - rank B^k) / 2 over Q(i).  One rank
+sequence of B (``linsolve.int_rank``, the one rank) gives the partition of
+both mu and mu-bar.  Only the reported eigenvalues are Fractions.
 
-Sampling uses 5 deterministic seeded points, redrawn where any metric of
-the pair or spec is singular (``metrics.degenerate_at``, an integer rank),
-at most ``pointcheck.MAX_REJECT`` times.
+The sample points are ``pointcheck.sample_points``, the one sampler, with
+radius SEGRE_RANGE: SEGRE_POINTS seeded points with nonzero coordinates in
+[-9, 9], redrawn where any metric of the pair or spec is singular
+(``metrics.degenerate_at``, an integer rank), at most
+``pointcheck.MAX_REJECT`` times.
 The generic type is the maximum of the types seen by semicontinuity
 (``_genericity``): a special point can only merge eigenvalues or lower the
 ranks, never split or raise them.  ``observed_types`` lists the types seen in that order, and
@@ -43,21 +48,19 @@ ranks, never split or raise them.  ``observed_types`` lists the types seen in th
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import (
-    DegenerateEverywhere,
     FirstMetricNotConstant,
     SingleMetric,
     UnsupportedEigenvalueField,
 )
-from .linsolve import gaussian_rank, int_rank, mat_mul, solve
+from .linsolve import int_rank, mat_mul, solve
 from .matrices import PolyMatrix
-from .metrics import AffineArrays, LinearMetric, coefficient_arrays, degenerate_at
-from .pointcheck import MAX_REJECT
+from .metrics import AffineArrays, LinearMetric, coefficient_arrays
+from .pointcheck import sample_points
 from .poly import MultiPoly
 from .roots import char_poly, rational_roots
 from .scalars import GaussianRational
@@ -142,18 +145,20 @@ class EigenBlock:
         return isinstance(self.value, GaussianRational) and self.value.im != 0
 
 
+def segre_key(*blocks) -> tuple:
+    """Canonical Segre type of (partition, "R" | "C") pairs, one per
+    eigenvalue: sorted coarsest first."""
+    return tuple(sorted(blocks, key=lambda t: (sum(t[0]), t[0], t[1]), reverse=True))
+
+
 @dataclass
 class PointSpectrum:
     point: tuple
     blocks: list  # list[EigenBlock]
 
     def type_key(self) -> tuple:
-        """Canonical Segre type: per-eigenvalue partitions with a real/complex
-        marker, sorted coarsest first."""
-        keys = []
-        for b in self.blocks:
-            keys.append((b.partition, "C" if b.is_complex else "R"))
-        return tuple(sorted(keys, key=lambda t: (sum(t[0]), t[0], t[1]), reverse=True))
+        """The Segre type of the point (``segre_key``)."""
+        return segre_key(*((b.partition, "C" if b.is_complex else "R") for b in self.blocks))
 
 
 @dataclass
@@ -162,7 +167,6 @@ class SegreReport:
     segre_type: tuple        # generic type key
     consistent: bool
     observed_types: list     # distinct type keys seen, most generic first
-    unsupported_points: int = 0
 
     def to_dict(self):
         return {
@@ -227,20 +231,6 @@ def _real_ranks(b: list[list[int]]):
         power = mat_mul(power, b)
 
 
-def _gaussian_ranks(x: list[list[int]], t: int):
-    """rank((X + i t I)^k) for k = 1, 2, ...; the power P + iQ is a pair of
-    integer matrices, and (P + iQ)(X + i t I) = (P X - t Q) + i (Q X + t P)."""
-    n = len(x)
-    p, q = x, [[t if i == j else 0 for j in range(n)] for i in range(n)]
-    while True:
-        yield gaussian_rank(p, q)
-        px, qx = mat_mul(p, x), mat_mul(q, x)
-        p, q = (
-            [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(px, q)],
-            [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(qx, p)],
-        )
-
-
 def _shifted(a: list[list[int]], c: int, s: int) -> list[list[int]]:
     """c A - s I."""
     return [
@@ -266,45 +256,20 @@ def spectrum_at_point(L, point, n: int) -> PointSpectrum | None:
     for r, mult in sorted(report.rational.items()):
         b = _shifted(a, r.denominator, r.numerator)
         blocks.append(EigenBlock(_scaled(r, num, den), _partition_for(_real_ranks(b), mult, n)))
-    gauss = sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im))
-    for z, mult in gauss:
+    pairs = {}  # (re, |im|) -> the partition of both lambda and its conjugate
+    for z, mult in sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im)):
         re, im = z.re, z.im
-        q = lcm(re.denominator, im.denominator)
-        x = _shifted(a, q, re.numerator * (q // re.denominator))
-        ranks = _gaussian_ranks(x, -im.numerator * (q // im.denominator))
+        partition = pairs.get((re, abs(im)))
+        if partition is None:
+            q = lcm(re.denominator, im.denominator)
+            x = _shifted(a, q, re.numerator * (q // re.denominator))
+            t = im.numerator * (q // im.denominator)
+            # B = (X - i t)(X + i t); ker B^k = ker (X - i t)^k + ker (X + i t)^k
+            ranks = (n - (n - r) // 2 for r in _real_ranks(_shifted(mat_mul(x, x), 1, -t * t)))
+            partition = pairs[(re, abs(im))] = _partition_for(ranks, mult, n)
         lam = GaussianRational(_scaled(re, num, den), _scaled(im, num, den))
-        blocks.append(EigenBlock(lam, _partition_for(ranks, mult, n)))
+        blocks.append(EigenBlock(lam, partition))
     return PointSpectrum(tuple(point), blocks)
-
-
-def segre_sample_points(
-    nvars: int,
-    seed: int,
-    count: int = SEGRE_POINTS,
-    metrics=(),
-):
-    """Seeded small-coordinate points; points where any of the given metrics
-    is singular are rejected and redrawn."""
-
-    rng = random.Random(seed)
-    pts = []
-    rejects = 0
-    while len(pts) < count:
-        # zero coordinates sit on the degeneration subvarieties of most
-        # catalog families, so draw from the punctured range
-        pt = []
-        for _ in range(nvars):
-            x = 0
-            while x == 0:
-                x = rng.randint(-SEGRE_RANGE, SEGRE_RANGE)
-            pt.append(Fraction(x))
-        if not any(degenerate_at(m, pt) for m in metrics):
-            pts.append(pt)
-        else:
-            rejects += 1
-            if rejects > MAX_REJECT:
-                raise DegenerateEverywhere("no generic sample point found")
-    return pts
 
 
 def _genericity(key: tuple):
@@ -329,7 +294,7 @@ def segre_type(
     n = n or (L.rows if isinstance(L, PolyMatrix) else len(L.form.arrays[0]))
     L = _integer(L, n)
     if points is None:
-        points = segre_sample_points(L.nvars, seed, metrics=metrics)
+        points = sample_points(L.nvars, metrics, seed, SEGRE_POINTS, SEGRE_RANGE)
     spectra = []
     unsupported = 0
     for pt in points:
@@ -345,7 +310,7 @@ def segre_type(
     observed = sorted({s.type_key() for s in spectra}, key=_genericity, reverse=True)
     consistent = len(observed) == 1 and unsupported == 0
     generic = observed[0]
-    return SegreReport(spectra, generic, consistent, observed, unsupported)
+    return SegreReport(spectra, generic, consistent, observed)
 
 
 def segre_of_pair(g: LinearMetric, h, points=None, seed: int = 0) -> SegreReport:
@@ -370,7 +335,7 @@ def segre_of_spec(spec, points=None, seed: int = 0) -> SegreReport:
     )
 
 
-def interpolate_affine_eigenvalues(report: SegreReport, n: int, nvars: int):
+def interpolate_affine_eigenvalues(report: SegreReport, nvars: int):
     """Try to express each eigenvalue slot as an affine function of u (and any
     trailing parameters).  Returns a list of (re_coeffs, im_coeffs) vectors of
     length nvars+1 (constant last), or None when no consistent affine fit

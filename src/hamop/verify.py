@@ -77,7 +77,9 @@ b of h is constant (Dubrovin-Novikov), so there every condition is proven
 on constants, with no point scan and no rational stream.
 
 ``pointcheck.FrameCache`` shares the frames of a point between the
-conditions and the two criteria.  Witnesses always report the
+conditions of a scan, and between the pairs of a d >= 3 operator; the
+d = 2 triple is decided on arrays and builds no frame, so the two criteria
+have none to share.  Witnesses always report the
 lexicographically first failing index tuple, at the first failing point
 when one is given.  Some inputs get no integer point and are scanned at
 the generic point alone: a bivector passed to theorem2_conditions that is
@@ -283,7 +285,6 @@ def mokhov_conditions(
     h: LinearMetric,
     seed: int = DEFAULT_SEED,
     points=None,
-    cache=None,
 ) -> VerificationReport:
     """Flatness of both metrics plus the five obstruction-tensor identities
     for constant g.  flat(g1) holds for the constant g.  The others are
@@ -305,7 +306,7 @@ def mokhov_conditions(
     u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
     proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
     scanned = _scan_points(("flat(g2)", *T_NAMES), _mokhov_at, (g, h), points,
-                           cache or pc.FrameCache(), proven)
+                           pc.FrameCache(), proven)
     t_streams = functools.cache(lambda: _t_streams(g, h))
     report.conditions = [ConditionResult("flat(g1)", True)] + [
         _scan(c.name, t_streams()[c.name])
@@ -474,7 +475,7 @@ def pair_conditions(g: LinearMetric, h, points, cache=None, tag=None) -> list[Co
 
 
 def theorem2_conditions(
-    g: LinearMetric, h, seed: int = DEFAULT_SEED, points=None, cache=None
+    g: LinearMetric, h, seed: int = DEFAULT_SEED, points=None
 ) -> VerificationReport:
     """Linearity + Nijenhuis + Killing for constant g, decided on the
     coefficient arrays (``pair_conditions``), a failure with the witness of
@@ -493,7 +494,7 @@ def theorem2_conditions(
             points = _sample(g.nvars, [g, h], seed)
         except DegenerateEverywhere:
             points = ()
-    report.conditions = pair_conditions(g, h, points, cache)
+    report.conditions = pair_conditions(g, h, points)
     return report
 
 
@@ -516,10 +517,10 @@ def verify_operator(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> Verificatio
             "operator spec must present the first metric in constant form"
         )
     points = _sample(spec.nvars, spec.metrics, seed)
-    return _check_operator(spec, seed, points, pc.FrameCache())
+    return _check_operator(spec, seed, points)
 
 
-def _check_operator(spec: OperatorSpec, seed: int, points, cache):
+def _check_operator(spec: OperatorSpec, seed: int, points):
     """verify_operator at the seed's scan ``points``: the triple and the
     d >= 3 pairs scan them; the d = 2 Mokhov side scans them after a failing
     triple and has the generic point alone after a passing one.
@@ -527,11 +528,11 @@ def _check_operator(spec: OperatorSpec, seed: int, points, cache):
     (``VerificationReport.conditions``)."""
     report = VerificationReport(spec.n, spec.d, seed)
     if spec.d == 2:
-        th2 = theorem2_conditions(spec.g, spec.gt, seed, points, cache)
+        th2 = theorem2_conditions(spec.g, spec.gt, seed, points)
         # after a proven triple an integer point cannot hit (the paper's
         # theorem; a hit is exact), so only the generic point is scanned
         mok_points = () if th2.verdict else points
-        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, cache)
+        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points)
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "
@@ -542,6 +543,7 @@ def _check_operator(spec: OperatorSpec, seed: int, points, cache):
     # d = 1, or d >= 3 with one triple per unordered pair, against the
     # earlier metric; the first metric is constant, so flat(g1) is proven
     report.conditions.append(ConditionResult("flat(g1)", True))
+    cache = pc.FrameCache()
     for b, gb in enumerate(spec.metrics, 1):
         for c, gc in enumerate(spec.metrics[: b - 1], 1):
             report.conditions.extend(pair_conditions(gc, gb, points, cache, (b, c)))

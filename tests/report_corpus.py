@@ -40,6 +40,9 @@ writes one JSON object to OUT.json, mapping each case to its output:
   type and ring size; and ``rref``, ``nullspace``, ``inverse`` and
   ``solve`` on seeded rational and integer matrices (dense, mostly zero,
   rank-deficient, rectangular), each entry with its type name;
+* ``spectrum:<blocks>:<point>``: ``spectrum_at_point`` of
+  L = (u1 I + u2 A) / 2 for each ``JORDAN_CASES`` conjugate A at three
+  points, each block's value and partition, and the point's Segre type;
 * ``cli:<command>:<args>`` on the error paths: ``verify`` and ``classify`` of
   malformed JSON, a non-UTF-8 file, a missing file, an identically
   degenerate metric, a non-constant first metric, a d = 1 spec and a spec
@@ -85,11 +88,21 @@ from hamop.families import (  # noqa: E402
 )
 from hamop.frobenius import build_cp_frobenius, intersection_form  # noqa: E402
 from hamop.linsolve import inverse, nullspace, rref, solve  # noqa: E402
+from hamop.matrices import PolyMatrix  # noqa: E402
 from hamop.metrics import LinearMetric, OperatorSpec  # noqa: E402
+from hamop.poly import MultiPoly  # noqa: E402
 from hamop.specfile import dump_operator_spec  # noqa: E402
+from hamop.spectral import format_segre_type, spectrum_at_point  # noqa: E402
 from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
 
-from conftest import corpus_pairs, one_coefficient_mutants, specialized_catalog  # noqa: E402
+from conftest import (  # noqa: E402
+    JORDAN_CASES,
+    corpus_pairs,
+    jordan_conjugate,
+    jordan_id,
+    one_coefficient_mutants,
+    specialized_catalog,
+)
 from perfbench.pencils import write_corpus  # noqa: E402
 from test_specfile import op5_file  # noqa: E402
 
@@ -305,6 +318,21 @@ def _linalg_reports(report: dict) -> None:
             report[f"linalg:inverse:{label}"] = None if inv is None else [_typed(r) for r in inv]
 
 
+def _spectrum_reports(report: dict) -> None:
+    for case in JORDAN_CASES:
+        a, _ = jordan_conjugate(case, random.Random(2))
+        n = len(a)
+        # (u1 I + u2 A) / 2 has the eigenvalues (u1 + u2 lambda) / 2 and, for
+        # u2 != 0, the partitions of A
+        L = PolyMatrix([[MultiPoly.from_affine_parts(n, 2, [0, int(i == j), x] + [0] * (n - 2))
+                         for j, x in enumerate(row)] for i, row in enumerate(a)])
+        for pt in ((0, 1), (3, -2), (-5, 7)):
+            s = spectrum_at_point(L, [Fraction(x) for x in pt] + [Fraction(1)] * (n - 2), n)
+            report[f"spectrum:{jordan_id(case)}:{pt[0]},{pt[1]}"] = None if s is None else {
+                "blocks": [[str(b.value), list(b.partition)] for b in s.blocks],
+                "type": format_segre_type(s.type_key())}
+
+
 def _error_specs(directory: Path) -> None:
     """Write op5 and the specs that reach the CLI's error paths."""
     data = {"op5.json": op5_file()}
@@ -365,6 +393,7 @@ def main(out_path: str) -> None:
     _normalize_reports(report)
     _frobenius_reports(report)
     _linalg_reports(report)
+    _spectrum_reports(report)
     _error_reports(report)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

@@ -40,6 +40,7 @@ from hamop.geometry import (
 from hamop.linsolve import mat_mul
 from hamop.matrices import PolyMatrix, adjugate_det
 from hamop.metrics import LinearMetric, OperatorSpec, coefficient_arrays, degenerate_at
+from hamop.pointcheck import sample_points
 from hamop.poly import MultiPoly
 from hamop.specfile import (
     default_param_values,
@@ -48,9 +49,10 @@ from hamop.specfile import (
     specialize_spec,
 )
 from hamop.spectral import (
+    SEGRE_POINTS,
+    SEGRE_RANGE,
     affinor,
     integer_affinor,
-    segre_sample_points,
     spectrum_at_point,
 )
 from hamop.verify import constant_inverse
@@ -175,7 +177,7 @@ def test_arrays_are_the_matrix(name, spec):
     assert affinor(g, h) == old
     L = integer_affinor(g, h)
     try:
-        points = segre_sample_points(spec.nvars, 0, metrics=spec.metrics)
+        points = sample_points(spec.nvars, spec.metrics, 0, SEGRE_POINTS, SEGRE_RANGE)
     except DegenerateEverywhere:
         return
     for pt in points:

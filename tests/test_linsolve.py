@@ -11,7 +11,6 @@ from hamop import linsolve
 from hamop.frobenius import build_cp_frobenius, intersection_form
 from hamop.linsolve import (
     SparseSystem,
-    gaussian_rank,
     int_rank,
     inverse,
     mat_mul,
@@ -148,32 +147,6 @@ def test_int_rank_is_the_rref_rank(seed):
         assert int_rank(m) == len(rref(m)[1])
     assert int_rank([]) == 0
     assert int_rank([[10**30, 1], [10**30 + 1, 1]]) == 2
-
-
-def _gaussian_low_rank(rng, n, k):
-    """X, Y with X + iY a sum of k outer products u v^T of Gaussian integer
-    vectors u = (ur, ui), v = (vr, vi): rank at most k over Q(i)."""
-    x = [[0] * n for _ in range(n)]
-    y = [[0] * n for _ in range(n)]
-    for _ in range(k):
-        ur, ui, vr, vi = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(4))
-        for i in range(n):
-            for j in range(n):
-                x[i][j] += ur[i] * vr[j] - ui[i] * vi[j]
-                y[i][j] += ur[i] * vi[j] + ui[i] * vr[j]
-    return x, y
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_gaussian_rank_is_the_rank_over_q_i(seed):
-    rng = random.Random(seed)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        x, y = _gaussian_low_rank(rng, n, rng.randint(0, n))
-        z = [[GaussianRational.of(p, q) for p, q in zip(xr, yr)] for xr, yr in zip(x, y)]
-        assert gaussian_rank(x, y) == len(rref(z)[1])
-    # rank 1 over Q(i), rank 2 over Q for the real and imaginary parts alone
-    assert gaussian_rank([[1, 0], [0, -1]], [[0, 1], [1, 0]]) == 1
 
 
 def _oracle_cases(seed):

@@ -198,9 +198,8 @@ def test_scan_point_with_a_large_coordinate(h22):
     g = LinearMetric.antidiagonal(2)
     h = LinearMetric(2, PolyMatrix([[u1, z], [z, second]]))
     points = [[Fraction(P), Fraction(1)], [Fraction(3), Fraction(5)]]
-    cache = pc.FrameCache()
-    mok = mokhov_conditions(g, h, points=points, cache=cache)
-    th2 = theorem2_conditions(g, h, points=points, cache=cache)
+    mok = mokhov_conditions(g, h, points=points)
+    th2 = theorem2_conditions(g, h, points=points)
     failed = [c for c in mok.conditions + th2.conditions if not c.passed]
     assert failed
     assert all(c.witness.point == (f"{P}/1", "1/1") for c in failed)

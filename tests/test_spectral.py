@@ -6,10 +6,11 @@ import pytest
 
 from hamop import spectral
 from hamop.catalog import catalog, direct_sum, get_entry, mokhov_operator
-from hamop.errors import FirstMetricNotConstant, UnsupportedEigenvalueField
+from hamop.errors import DegenerateEverywhere, FirstMetricNotConstant, UnsupportedEigenvalueField
 from hamop.linsolve import inverse, mat_mul
 from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
+from hamop.pointcheck import sample_points
 from hamop.poly import MultiPoly
 from hamop.scalars import GaussianRational
 from hamop.specfile import default_param_values, specialize_spec
@@ -175,6 +176,22 @@ def test_unsupported_eigenvalue_field():
         segre_of_pair(g, h)
 
 
+def test_segre_points_can_be_singular_everywhere():
+    # h = diag(u1 - k) over the 18 nonzero k in [-9, 9] is singular at every
+    # point with a nonzero u1 in the Segre range, and at none of the scan
+    # sampler's first points
+    n = 18
+    u1 = MultiPoly.variable(n, 1)
+    h = LinearMetric(n, PolyMatrix([[u1 - k if i == j else MultiPoly.zero(n) for j in range(n)]
+                                    for i, k in enumerate(x for x in range(-9, 10) if x)]))
+    g = LinearMetric.antidiagonal(n)
+    with pytest.raises(DegenerateEverywhere, match="^no generic sample point found$"):
+        segre_of_pair(g, h)
+    assert len(sample_points(n, [g, h], 0, 5)) == 5
+    # a 0 coordinate is redrawn
+    assert {abs(x) for pt in sample_points(n, [g], 0, 5, 1) for x in pt} == {1}
+
+
 def test_report_shape():
     g, gt = operator5_pair()
     rep = segre_of_pair(g, gt)
@@ -232,11 +249,12 @@ def test_planted_jordan_structure(case, seed):
 def _count_rank_reads(monkeypatch):
     """Counter of the rank reads of the Segre rank sequences."""
     counts = Counter()
-    for name in ("int_rank", "gaussian_rank"):
-        def counted(*args, rank=getattr(spectral, name), name=name):
-            counts[name] += 1
-            return rank(*args)
-        monkeypatch.setattr(spectral, name, counted)
+    rank = spectral.int_rank
+
+    def counted(*args):
+        counts["int_rank"] += 1
+        return rank(*args)
+    monkeypatch.setattr(spectral, "int_rank", counted)
     return counts
 
 
@@ -256,9 +274,9 @@ def test_each_partition_reads_the_fewest_ranks(monkeypatch, case):
     counts = _count_rank_reads(monkeypatch)
     s = spectrum_at_point(PolyMatrix.from_scalars(n, a), [Fraction(1)] * n, n)
     assert {b.value: b.partition for b in s.blocks} == partitions
-    for name, field in (("int_rank", Fraction), ("gaussian_rank", GaussianRational)):
-        assert counts[name] == sum(_ranks_read(p) for v, p in partitions.items()
-                                   if isinstance(v, field)), name
+    # one rank sequence per real eigenvalue and per conjugate pair
+    assert counts["int_rank"] == sum(_ranks_read(p) for v, p in partitions.items()
+                                     if not isinstance(v, GaussianRational) or v.im > 0)
 
 
 def test_one_block_takes_one_rank_at_each_mokhov_n6_segre_point(monkeypatch):

@@ -1,8 +1,9 @@
 """sympy as a differential oracle for the integer Segre path.
 
 ``roots.char_poly`` (Berkowitz over Z) is checked against
-``Matrix.charpoly``, ``linsolve.int_rank`` and ``linsolve.gaussian_rank``
-against ``Matrix.rank``, ``roots.rational_roots`` and
+``Matrix.charpoly``, ``linsolve.int_rank`` against ``Matrix.rank``, the
+ranks of a Gaussian eigenvalue read off its real quadratic factor against
+the ranks over Q(i) of the powers of A - lambda I, ``roots.rational_roots`` and
 ``roots.squarefree_decomposition`` (Yun over Z) against ``factor_list``,
 ``roots`` and ``sqf_list``, and the per-point partitions of
 ``spectral.spectrum_at_point`` against ``Matrix.jordan_form`` on every
@@ -22,12 +23,13 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hamop.catalog import catalog  # noqa: E402
-from hamop.linsolve import gaussian_rank, int_rank  # noqa: E402
+from hamop.linsolve import int_rank, mat_mul  # noqa: E402
 from hamop.matrices import PolyMatrix  # noqa: E402
 from hamop.poly import MultiPoly  # noqa: E402
 from hamop.roots import char_poly, rational_roots, squarefree_decomposition  # noqa: E402
 from hamop.scalars import GaussianRational  # noqa: E402
-from hamop.spectral import affinor, segre_sample_points, spectrum_at_point  # noqa: E402
+from hamop.pointcheck import sample_points  # noqa: E402
+from hamop.spectral import SEGRE_RANGE, affinor, spectrum_at_point  # noqa: E402
 
 from conftest import JORDAN_CASES, corpus_pairs, jordan_conjugate, jordan_id  # noqa: E402
 
@@ -64,18 +66,29 @@ def test_integer_ranks_are_sympy_ranks(seed):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = _low_rank(rng, rows, cols, rng.choice((3, 10**6)))
         assert int_rank(m) == sympy.Matrix(m).rank()
-    for _ in range(8):
-        # a sum of k outer products of Gaussian integer vectors
-        n = rng.randint(1, 4)
-        z = sympy.zeros(n, n)
-        for _ in range(rng.randint(0, n)):
-            u, v = (sympy.Matrix([rng.randint(-3, 3) + rng.randint(-3, 3) * sympy.I
-                                  for _ in range(n)]) for _ in "uv")
-            z += u * v.T
-        z = z.expand()
-        x = [[int(sympy.re(v)) for v in z.row(i)] for i in range(n)]
-        y = [[int(sympy.im(v)) for v in z.row(i)] for i in range(n)]
-        assert gaussian_rank(x, y) == z.rank()
+
+
+GAUSSIAN_CASES = [c for c in JORDAN_CASES if any(kind == "C" for kind, *_ in c)]
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_CASES, ids=[jordan_id(c) for c in GAUSSIAN_CASES])
+def test_gaussian_ranks_are_the_quadratic_factor_ranks(case):
+    # for lambda = r + s i, rank over Q(i) of (A - lambda I)^k is
+    # n - (n - rank B^k) / 2 with the integer B = (A - r I)^2 + s^2 I, for
+    # k = 1..n: the identity by which spectrum_at_point ranks lambda
+    a, partitions = jordan_conjugate(case, random.Random(2))
+    n = len(a)
+    for v in (v for v in partitions if isinstance(v, GaussianRational)):
+        assert v.re.denominator == v.im.denominator == 1
+        r, s = v.re.numerator, v.im.numerator
+        x = [[e - r * (i == j) for j, e in enumerate(row)] for i, row in enumerate(a)]
+        b = [[e + s * s * (i == j) for j, e in enumerate(row)]
+             for i, row in enumerate(mat_mul(x, x))]
+        shifted = sympy.Matrix(a) - (r + s * sympy.I) * sympy.eye(n)
+        power, bk = shifted, b
+        for k in range(1, n + 1):
+            assert power.rank() == n - (n - int_rank(bk)) // 2, (v, k)
+            power, bk = (power * shifted).applyfunc(sympy.expand), mat_mul(bk, b)
 
 
 X = sympy.Symbol("x")
@@ -239,7 +252,7 @@ def _check_points(L, metrics, n):
     """spectrum_at_point against sympy at two seeded points; returns how
     many of them split over Q(i)."""
     split = 0
-    for pt in segre_sample_points(L.nvars, seed=7, count=2, metrics=metrics):
+    for pt in sample_points(L.nvars, metrics, 7, 2, SEGRE_RANGE):
         lp = [[sympy.Rational(v.numerator, v.denominator) for v in (x.eval(pt) for x in row)]
               for row in L.entries]
         got = spectrum_at_point(L, pt, n)

@@ -165,7 +165,7 @@ def test_both_criteria_are_proven_without_scan_points():
     # Mokhov side is proven too: the criteria agree (no DisagreementBug),
     # and every failure carries a witness with no point
     g, h = _killing_pencil()
-    rep = _check_operator(OperatorSpec([g, h]), 0, [], pc.FrameCache())
+    rep = _check_operator(OperatorSpec([g, h]), 0, [])
     assert not rep.verdict
     assert "nijenhuis" in rep.failed_names() and "T1" in rep.failed_names()
     assert all(c.witness.point is None for c in rep.conditions if not c.passed)
