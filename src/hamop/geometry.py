@@ -224,9 +224,17 @@ def _bits(mask: int) -> tuple:
     return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
+@functools.cache
+def _bit_values(width: int) -> tuple:
+    """(1, 2, 4, ..., 2^(width - 1))."""
+    return tuple(1 << s for s in range(width))
+
+
 def _masks(rows) -> list:
-    """For each row, the bitmask of its nonzero entries."""
-    return [sum(1 << s for s, x in enumerate(row) if x) for row in rows]
+    """For each row (all of one width), the bitmask of its nonzero entries:
+    the sum of the bit values that ``itertools.compress`` keeps."""
+    bits = _bit_values(len(rows[0]))
+    return [sum(itertools.compress(bits, row)) for row in rows]
 
 
 def _partials(m: PolyMatrix, n: int, lift=lambda x: x) -> list:
@@ -487,14 +495,15 @@ def mokhov_identities(R, dR, b, h, n: int):
     Written once for every exact scalar representation: the entries need
     only +, -, * (int 0 included) and truthiness.  ``dR(r, i, j, k)`` is
     the representation's d_r R^{ijk}, or None when R is constant (on a
-    constant connection), and h[m][r] = h^{mr}.  Yields (name, stream) in
-    order; a stream lazily yields (1-based indices, residual), so a scan can
-    stop at its first nonzero residual.  Zero products are skipped: T3 and
+    constant connection), and h[m][r] = h^{mr}, read only when dR is
+    given (None will do otherwise).  Yields (name, stream) in order; a
+    stream lazily yields (1-based indices, residual), so a scan can stop at
+    its first nonzero residual.  Zero products are skipped: T3 and
     T5 visit only the s (or l) where some term has two nonzero factors, and
     T5 reads no d R when there is none."""
     rng = range(n)
-    # (r, h^{mr}) of the nonzero entries of each row m of h
-    h_rows = [[(r, x) for r, x in enumerate(row) if x] for row in h]
+    # (r, h^{mr}) of the nonzero entries of each row m of h; T5's only use of h
+    h_rows = None if dR is None else [[(r, x) for r, x in enumerate(row) if x] for row in h]
 
     def t1():
         for i in rng:

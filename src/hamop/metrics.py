@@ -11,8 +11,9 @@ Each LinearMetric has one integer form, its coefficient arrays
 ``(D, [M0, M1, ..., Mn])`` with D g = M0 + u_s M_s (``coefficient_arrays``):
 int entries, or integer-coefficient polynomials in the formal parameters
 where they occur.  The spec loader builds them straight from the file's
-constant and linear parts (``from_g0_c``); a metric built from a matrix
-computes them on first read.  Every integer consumer reads them:
+constant and linear parts (``from_g0_c``), and such a metric builds its
+matrix of polynomials (``mat``) only on first read; a metric built from a
+matrix computes its arrays on first read.  Every integer consumer reads them:
 ``is_constant``, point values (``jets_at``: G = D g(pt) and A[s] = D d_s g,
 which ``pointcheck``'s frames and ``degenerate_at`` read), the value at an
 integer u with the parameters kept (``affine().at``, for
@@ -30,9 +31,10 @@ arrays, with the rank of a constant parameter-free metric decided once (its
 value does not depend on the point), and any other square matrix's from
 ``PolyMatrix.int_at``.  ``pointcheck`` and ``spectral`` reject sample points
 with it.  ``identically_degenerate`` (the check every LinearMetric makes)
-evaluates at one seeded integer point: a nonzero value there proves det g is
-not the zero polynomial, and only a zero there falls back to the symbolic
-(Berkowitz) determinant.  A spec needs no further check on its generic
+evaluates at one seeded integer point (``probe_point``, int coordinates): a
+nonzero value there proves det g is not the zero polynomial, and only a zero
+there falls back to the symbolic (Berkowitz) determinant, the one place it
+reads ``mat``.  A spec needs no further check on its generic
 combination of metrics (see OperatorSpec).
 """
 
@@ -51,11 +53,11 @@ PROBE_SEED = 0
 PROBE_RANGE = 10**6
 
 
-def probe_point(nvars: int) -> list[Fraction]:
-    """The seeded integer point at which ``identically_degenerate`` first
-    evaluates a matrix in ``nvars`` variables."""
+def probe_point(nvars: int) -> list[int]:
+    """The seeded integer point, as ints, at which ``identically_degenerate``
+    first evaluates a matrix in ``nvars`` variables."""
     rng = random.Random(PROBE_SEED)
-    return [Fraction(rng.randint(-PROBE_RANGE, PROBE_RANGE)) for _ in range(nvars)]
+    return [rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(nvars)]
 
 
 def coefficient_arrays(m: PolyMatrix, n: int):
@@ -149,36 +151,46 @@ def identically_degenerate(m) -> bool:
     LinearMetric or a polynomial matrix: a nonzero value at ``probe_point``
     proves it is not; only a zero there is settled by the symbolic
     determinant."""
-    mat = m.mat if isinstance(m, LinearMetric) else m
-    return degenerate_at(m, probe_point(mat.nvars)) and determinant(mat).is_zero()
+    return degenerate_at(m, probe_point(m.nvars)) and determinant(
+        m.mat if isinstance(m, LinearMetric) else m).is_zero()
 
 
 class LinearMetric:
     """Non-degenerate symmetric bivector, degree <= 1 in the u-block."""
 
-    __slots__ = ("n", "nvars", "mat", "_inv", "_conn", "_derivs", "_arrays", "_affine", "_adj0")
+    __slots__ = ("n", "nvars", "_mat", "_inv", "_conn", "_derivs", "_arrays", "_affine",
+                 "_adj0")
 
-    def __init__(self, n: int, mat: PolyMatrix, check_nondegenerate: bool = True,
-                 arrays=None):
+    def __init__(self, n: int, mat: PolyMatrix | None, check_nondegenerate: bool = True,
+                 arrays=None, nvars: int | None = None):
         """``arrays``, when given, are the matrix's ``coefficient_arrays``;
-        otherwise they are computed on first read."""
-        if mat.rows != n or mat.cols != n:
-            raise ValueError("metric matrix must be n x n")
-        if mat.nvars < n:
+        otherwise they are computed on first read.  A metric given by its
+        arrays alone (``mat`` None, in ``nvars`` ring variables) builds its
+        matrix on first read of ``mat``."""
+        if mat is not None:
+            if mat.rows != n or mat.cols != n:
+                raise ValueError("metric matrix must be n x n")
+            nvars = mat.nvars
+        if nvars < n:
             raise ValueError("polynomial ring smaller than component count")
-        for i in range(n):
-            for j in range(n):
-                e = mat.entries[i][j]
-                if not isinstance(e, MultiPoly):
-                    raise TypeError("metric entries must be polynomials")
-                # given arrays already write the entry as affine in u
-                if arrays is None and e.degree_in_block(n) > 1:
-                    raise ValueError(f"entry ({i+1},{j+1}) has degree > 1 in u")
-        if not mat.is_symmetric():
-            raise ValueError("metric matrix must be symmetric")
+        if mat is None:
+            rng = range(n)
+            if any(m[i][j] != m[j][i] for m in arrays[1] for i in rng for j in range(i + 1, n)):
+                raise ValueError("metric matrix must be symmetric")
+        else:
+            for i in range(n):
+                for j in range(n):
+                    e = mat.entries[i][j]
+                    if not isinstance(e, MultiPoly):
+                        raise TypeError("metric entries must be polynomials")
+                    # given arrays already write the entry as affine in u
+                    if arrays is None and e.degree_in_block(n) > 1:
+                        raise ValueError(f"entry ({i+1},{j+1}) has degree > 1 in u")
+            if not mat.is_symmetric():
+                raise ValueError("metric matrix must be symmetric")
         self.n = n
-        self.nvars = mat.nvars
-        self.mat = mat
+        self.nvars = nvars
+        self._mat = mat
         self._inv = None
         self._conn = None
         self._derivs = None
@@ -198,23 +210,33 @@ class LinearMetric:
     @staticmethod
     def from_g0_c(g0: Sequence[Sequence], c, nvars: int | None = None) -> "LinearMetric":
         """Build from constant part g0[i][j] and coefficients c[i][j][k]
-        (all 0-based lists of ints or Fractions).  The coefficient arrays
-        come straight from them, and the entries from the arrays."""
+        (0-based lists of rationals p/q given as int pairs (p, q), q > 0, as
+        ``scalars.parse_ratio`` reads them).  The coefficient arrays come
+        straight from them, in int arithmetic; the polynomial matrix is
+        built on first read of ``mat``."""
         n = len(g0)
-        nvars = nvars or n
         parts = [[[g0[i][j], *c[i][j][:n]] for j in range(n)] for i in range(n)]
-        D = lcm(*(x.denominator for row in parts for entry in row for x in entry if x))
-        ints = [[[x.numerator * (D // x.denominator) if x else 0 for x in entry] for entry in row]
-                for row in parts]
-        mat = PolyMatrix([[MultiPoly.from_affine_parts(nvars, D, entry) for entry in row]
-                          for row in ints])
+        D = lcm(*(q for row in parts for entry in row for _, q in entry))
+        ints = [[[p * (D // q) for p, q in entry] for entry in row] for row in parts]
         arrays = [[[entry[k] for entry in row] for row in ints] for k in range(n + 1)]
-        return LinearMetric(n, mat, arrays=(D, arrays))
+        return LinearMetric(n, None, arrays=(D, arrays), nvars=nvars or n)
 
     @staticmethod
     def antidiagonal(n: int, nvars: int | None = None, sign: int = 1) -> "LinearMetric":
         vals = [[sign if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
         return LinearMetric.constant(vals, nvars)
+
+    @property
+    def mat(self) -> PolyMatrix:
+        """The matrix of polynomials g^{ij}, memoised: a metric given by its
+        coefficient arrays builds it from them."""
+        if self._mat is None:
+            D, M = self._arrays
+            rng = range(self.n)
+            self._mat = PolyMatrix([
+                [MultiPoly.from_affine_parts(self.nvars, D, [m[i][j] for m in M]) for j in rng]
+                for i in rng])
+        return self._mat
 
     # -- the integer form ------------------------------------------------
 

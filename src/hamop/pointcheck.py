@@ -44,8 +44,8 @@ so at a point the connection of a metric is built once for both.  A stream
 that stops at its first failing component so computes no jet past it, and
 a passing scan reads every entry once.
 
-Sample points are seeded integer points (as Fractions with denominator 1)
-from the one sampler ``sample_points``: the scans of ``verify`` draw their
+Sample points are seeded integer points, lists of ints, from the one
+sampler ``sample_points``: the scans of ``verify`` draw their
 coordinates from [-SAMPLE_RANGE, SAMPLE_RANGE] and ``spectral``'s Segre
 points from [-9, 9] (radius 9), and a 0 coordinate is redrawn.
 Points where any metric is singular are rejected and redrawn, and after
@@ -87,7 +87,7 @@ MAX_REJECT = 100  # redraws of a sample point
 
 def sample_points(nvars: int, metrics, seed: int, count: int, radius: int = SAMPLE_RANGE):
     """The first ``count`` seeded points with nonzero integer coordinates in
-    [-radius, radius], as Fractions, at which every given metric is
+    [-radius, radius], as lists of ints, at which every given metric is
     invertible (decided over Z by ``metrics.degenerate_at``).  A 0
     coordinate is redrawn: 0 lies on the degeneration subvarieties of most
     catalog families."""
@@ -100,7 +100,7 @@ def sample_points(nvars: int, metrics, seed: int, count: int, radius: int = SAMP
             x = 0
             while not x:
                 x = rng.randint(-radius, radius)
-            pt.append(Fraction(x))
+            pt.append(x)
         if not any(degenerate_at(m, pt) for m in metrics):
             pts.append(pt)
         else:

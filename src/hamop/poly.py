@@ -37,7 +37,8 @@ first evaluation.
 ``MultiPoly.affine_parts`` splits a polynomial of degree <= 1 in the
 u-block into integer-coefficient parts over its common denominator
 (``metrics.coefficient_arrays``), and ``MultiPoly.from_affine_parts``
-builds the polynomial back from such parts (``LinearMetric.from_g0_c``).
+builds the polynomial back from such parts (``LinearMetric.mat`` of a
+metric loaded from its arrays).
 
 Rational functions are stored as normalized pairs num/den: gcd(num, den) a
 unit, den with coprime integer coefficients and positive leading coefficient.

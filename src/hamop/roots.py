@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
+from operator import mul
 
 from .poly import MultiPoly
 from .scalars import GaussianRational
@@ -318,7 +319,9 @@ def char_poly(a: list[list]) -> list:
     With A_k the leading k x k block, [[A_(k-1), c], [r, a]], the
     coefficients of det(x*I - A_k), highest first, are a lower-triangular
     Toeplitz matrix with first column (1, -a, -r c, -r A_(k-1) c, ...,
-    -r A_(k-1)^(k-2) c) times those of det(x*I - A_(k-1))."""
+    -r A_(k-1)^(k-2) c) times those of det(x*I - A_(k-1)).  Its zero
+    products are skipped, so over a polynomial ring a zero coefficient may
+    be the int 0 (``matrices`` normalises them)."""
     p = [1]  # det(x*I - A_0), highest coefficient first
     for k in range(len(a)):
         lead = [r[:k] for r in a[:k]]
@@ -326,8 +329,14 @@ def char_poly(a: list[list]) -> list:
         v = [r[k] for r in a[:k]]
         t = [1, -a[k][k]]
         for _ in range(k):
-            t.append(-sum(x * y for x, y in zip(row, v)))
-            v = [sum(x * y for x, y in zip(r, v)) for r in lead]
-        p = [sum(t[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-             for i in range(k + 2)]
+            t.append(-sum(map(mul, row, v)))
+            v = [sum(map(mul, r, v)) for r in lead]
+        # the Toeplitz product, truncated to its k + 2 rows; zero products skipped
+        out = [0] * (k + 2)
+        for j, y in enumerate(p):
+            if y:
+                for i, x in enumerate(t[:k + 2 - j], j):
+                    if x:
+                        out[i] += x * y
+        p = out
     return p[::-1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 # p/q scalars used everywhere; no floating point enters the verification path.
 Rational = Fraction
@@ -33,17 +33,25 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational written as an integer or "p/q" (ASCII digits, optional
-    sign).  Any other text raises ValueError, a zero denominator too; the
-    exponent forms that ``Fraction`` also reads are refused, so a short
-    string cannot stand for a huge number."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, for the rational written as an integer
+    or "p/q" (ASCII digits, optional sign).  Any other text raises
+    ValueError, a zero denominator too; the exponent forms that ``Fraction``
+    also reads are refused, so a short string cannot stand for a huge
+    number."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError("expected an integer or p/q")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
+    p, _, q = text.partition("/")
+    p, q = int(p), int(q or 1)
+    if not q:
+        raise ValueError("zero denominator")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """``parse_ratio`` as a Fraction."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(x: Fraction) -> str:

@@ -16,6 +16,13 @@ An operator spec file carries exact rationals as "p/q" or integer strings
 Unknown fields are rejected, the constant part must be symmetric, the sparse
 linear list is symmetrized in (i, j) on load, and a second entry for the same
 (i, j, k) slot (in either index order) is a duplicate error.
+
+Each rational is read as an int pair (p, q) in lowest terms
+(``scalars.parse_ratio``), so "2/4" and "1/2" are the same pair to the
+symmetry check.  ``LinearMetric.from_g0_c`` builds the metric's integer
+coefficient arrays D g = M0 + u_s M_s straight from the pairs: loading
+builds no Fraction and no polynomial matrix (the metric builds ``mat`` on
+first read).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 
 from .errors import SpecFileError
 from .metrics import LinearMetric, OperatorSpec
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_ratio
 
 _TOP_FIELDS = {"n", "d", "variables", "metrics"}
 _METRIC_FIELDS = {"constant", "linear"}
@@ -33,11 +40,12 @@ _LINEAR_FIELDS = {"i", "j", "k", "coeff"}
 PARAM_TRIES = 100  # parameter bases tried by default_param_values
 
 
-def _rational(text, where: str) -> Fraction:
+def _rational(text, where: str) -> tuple[int, int]:
+    """The rational ``text`` as (p, q) in lowest terms (``parse_ratio``)."""
     if isinstance(text, bool) or isinstance(text, float):
         raise SpecFileError(f"{where}: rationals must be strings \"p/q\"")
     try:
-        return parse_rational(str(text))
+        return parse_ratio(str(text))
     except ValueError as ex:
         raise SpecFileError(f"{where}: bad rational {text!r}: {ex}") from None
 
@@ -107,7 +115,7 @@ def load_operator_spec(data) -> OperatorSpec:
                     raise SpecFileError(
                         f"{where}: constant matrix not symmetric at ({i+1},{j+1})"
                     )
-        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        c = [[[(0, 1)] * n for _ in range(n)] for _ in range(n)]
         seen = set()
         linear = mraw.get("linear", [])
         if not isinstance(linear, list):

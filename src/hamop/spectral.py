@@ -25,15 +25,20 @@ Berkowitz's, over Z, and ``roots.rational_roots`` splits it over Z (Yun's
 algorithm, integer Horner, integer discriminants).  A root mu of chi_A is
 the eigenvalue (scale) mu of L.  A polynomial affinor that is given as a
 matrix is first written in the same integer form, with scale 1 / D
-(``metrics.coefficient_arrays``).  For mu = p/q the rank sequence
-is that of the powers of the integer matrix q A - p I, a nonzero multiple
-of L - lambda I.  For mu = (r + s i)/q it is read off the real quadratic
-factor of the pair mu, mu-bar: with X = q A - r I, the integer matrix
-B = (X - s i)(X + s i) = X^2 + s^2 I.  The two factors are coprime, so
-ker B^k is the sum of the kernels of their k-th powers, which conjugation
-swaps: rank (X - s i)^k = n - (n - rank B^k) / 2 over Q(i).  One rank
-sequence of B (``linsolve.int_rank``, the one rank) gives the partition of
-both mu and mu-bar.  Only the reported eigenvalues are Fractions.
+(``metrics.coefficient_arrays``).  chi_A is monic with integer
+coefficients, so every root of it in Q or Q(i) is an integer or a Gaussian
+integer (a Gaussian pair (-c1 +- s i)/2 of a factor x^2 + c1 x + c0 has
+c1^2 + s^2 = 4 c0, which makes c1 and s even); a root that is not raises
+AssertionError.  For an integer root mu the rank sequence is that of the
+powers of the integer matrix A - mu I, a nonzero multiple of L - lambda I.
+For mu = r + s i it is read off the real quadratic factor of the pair mu,
+mu-bar: with X = A - r I, the integer matrix B = (X - s i)(X + s i) =
+X^2 + s^2 I.  The two factors are coprime, so ker B^k is the sum of the
+kernels of their k-th powers, which conjugation swaps:
+rank (X - s i)^k = n - (n - rank B^k) / 2 over Q(i).  One rank sequence of
+B (``linsolve.int_rank``, the one rank) gives the partition of both mu and
+mu-bar.  Only the reported eigenvalues are Fractions; the points are lists
+of ints.
 
 The sample points are ``pointcheck.sample_points``, the one sampler, with
 radius SEGRE_RANGE: SEGRE_POINTS seeded points with nonzero coordinates in
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     FirstMetricNotConstant,
@@ -231,11 +235,17 @@ def _real_ranks(b: list[list[int]]):
         power = mat_mul(power, b)
 
 
-def _shifted(a: list[list[int]], c: int, s: int) -> list[list[int]]:
-    """c A - s I."""
-    return [
-        [c * x - (s if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(a)
-    ]
+def _shifted(a: list[list[int]], s: int) -> list[list[int]]:
+    """A - s I."""
+    return [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _root_int(x: Fraction) -> int:
+    """A root (or a Gaussian root's part) of the monic integer chi_A, which
+    is an integer (module docstring)."""
+    if x.denominator != 1:
+        raise AssertionError(f"root {x} of a monic integer polynomial is not an integer")
+    return x.numerator
 
 
 def _scaled(x: Fraction, num: int, den: int) -> Fraction:
@@ -245,8 +255,10 @@ def _scaled(x: Fraction, num: int, den: int) -> Fraction:
 
 def spectrum_at_point(L, point, n: int) -> PointSpectrum | None:
     """Eigenvalues and partitions of an affinor (an IntegerAffinor, or a
-    polynomial matrix at most linear in u1..un) at one integer point; None
-    when the characteristic polynomial does not split over Q(i)."""
+    polynomial matrix at most linear in u1..un) at one integer point (ints,
+    or Fractions with denominator 1); None when the characteristic
+    polynomial does not split over Q(i).  Its roots are integers or
+    Gaussian integers (module docstring)."""
     L = _integer(L, n)
     a, num, den = L.form.int_at(point), L.num, L.den
     report = rational_roots(char_poly(a))
@@ -254,18 +266,16 @@ def spectrum_at_point(L, point, n: int) -> PointSpectrum | None:
         return None
     blocks = []
     for r, mult in sorted(report.rational.items()):
-        b = _shifted(a, r.denominator, r.numerator)
+        b = _shifted(a, _root_int(r))
         blocks.append(EigenBlock(_scaled(r, num, den), _partition_for(_real_ranks(b), mult, n)))
     pairs = {}  # (re, |im|) -> the partition of both lambda and its conjugate
     for z, mult in sorted(report.gaussian.items(), key=lambda t: (t[0].re, t[0].im)):
         re, im = z.re, z.im
         partition = pairs.get((re, abs(im)))
         if partition is None:
-            q = lcm(re.denominator, im.denominator)
-            x = _shifted(a, q, re.numerator * (q // re.denominator))
-            t = im.numerator * (q // im.denominator)
+            x, t = _shifted(a, _root_int(re)), _root_int(im)
             # B = (X - i t)(X + i t); ker B^k = ker (X - i t)^k + ker (X + i t)^k
-            ranks = (n - (n - r) // 2 for r in _real_ranks(_shifted(mat_mul(x, x), 1, -t * t)))
+            ranks = (n - (n - r) // 2 for r in _real_ranks(_shifted(mat_mul(x, x), -t * t)))
             partition = pairs[(re, abs(im))] = _partition_for(ranks, mult, n)
         lam = GaussianRational(_scaled(re, num, den), _scaled(im, num, den))
         blocks.append(EigenBlock(lam, partition))
@@ -298,7 +308,7 @@ def segre_type(
     spectra = []
     unsupported = 0
     for pt in points:
-        s = spectrum_at_point(L, [Fraction(x) for x in pt], n)
+        s = spectrum_at_point(L, pt, n)
         if s is None:
             unsupported += 1
         else:

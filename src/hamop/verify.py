@@ -258,7 +258,8 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     (so d R = 0, and no derivative term is evaluated), and on R = -G c for
     the constant coefficient array G = D g (``LinearMetric.arrays``), all in
     the arithmetic of c: ints, or polynomials in the formal parameters.
-    T4, d R = 0, holds by construction and its stream is not read.  flat(g2)
+    T4, d R = 0, holds by construction and its stream is not read, and h
+    itself is not read: with d R = 0 no identity contracts with it.  flat(g2)
     is Dubrovin's contravariant curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j
     of the invertible h.  Each identity is homogeneous in b and in R, so it
     holds on b and g iff on c and G."""
@@ -268,7 +269,7 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     c, _ = conn
     n = g.n
     R = raised_obstruction(g.arrays[1][0], c, n)
-    streams = dict(mokhov_identities(R, None, c, h.mat.entries, n))
+    streams = dict(mokhov_identities(R, None, c, None, n))
     streams["flat(g2)"] = riemann_components(c, None, n)
     del streams["T4"]
     return {"T4"} | {name for name, stream in streams.items() if not any(map(_residual, stream))}

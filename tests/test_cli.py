@@ -12,8 +12,11 @@ from hamop.errors import (
     IdenticallySingular,
     UnsupportedEigenvalueField,
 )
-from hamop.specfile import dump_operator_spec
-from hamop.catalog import mokhov_operator
+from hamop import pointcheck as pc
+from hamop import spectral
+from hamop.poly import MultiPoly
+from hamop.specfile import default_param_values, dump_operator_spec, specialize_spec
+from hamop.catalog import catalog, mokhov_operator
 
 from test_specfile import op5_file
 
@@ -400,3 +403,31 @@ def test_many_digit_residuals_print_exactly(tmp_path, capsys):
     killing = conditions["killing"]["witness"]
     assert killing["indices"] == [1, 1, 3] and killing["residual"] == f"{10**2500 + 4}/1"
     assert max(len(c.get("witness", {}).get("residual", "")) for c in conditions.values()) > 4300
+
+
+def test_passing_verify_builds_no_polynomial_matrix(tmp_path, capsys, monkeypatch):
+    # a loaded metric is its integer arrays: a passing verify of a catalog
+    # entry builds no LinearMetric.mat (each would be n^2 from_affine_parts
+    # calls) and draws its scan points as ints
+    built, points = [], []
+    from_affine_parts, sample_points = MultiPoly.from_affine_parts, pc.sample_points
+    monkeypatch.setattr(MultiPoly, "from_affine_parts",
+                        staticmethod(lambda *a: built.append(a) or from_affine_parts(*a)))
+
+    def spy(*args, **kwargs):
+        pts = sample_points(*args, **kwargs)
+        points.extend(pts)
+        return pts
+
+    monkeypatch.setattr(pc, "sample_points", spy)
+    monkeypatch.setattr(spectral, "sample_points", spy)
+    for e in catalog():
+        if e.n > 5:
+            continue
+        values = default_param_values(e.spec)
+        spec = specialize_spec(e.spec, values) if values else e.spec
+        path = write(tmp_path, e.id + ".json", dump_operator_spec(spec))
+        assert main(["verify", path, "--output", "json"]) == 0, e.id
+        assert not built, e.id
+    capsys.readouterr()
+    assert points and all(type(x) is int for pt in points for x in pt)

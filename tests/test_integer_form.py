@@ -375,8 +375,8 @@ def test_torsion_decision_is_the_dense_formula(inputs):
     H0, *dH = (_symmetric(m) for m in arrays)
     if constant:
         dH = [[[0] * n for _ in range(n)] for _ in range(n)]
-    g0 = [[Fraction(x, D) for x in row] for row in H0]
-    c = [[[Fraction(dH[k][i][j], D) for k in range(n)] for j in range(n)] for i in range(n)]
+    g0 = [[(x, D) for x in row] for row in H0]
+    c = [[[(dH[k][i][j], D) for k in range(n)] for j in range(n)] for i in range(n)]
     try:
         h = LinearMetric.from_g0_c(g0, c)
     except ValueError:  # identically degenerate

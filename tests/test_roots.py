@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamop.matrices import PolyMatrix, _char_poly
 from hamop.poly import MultiPoly
 from hamop.roots import char_poly, rational_roots, squarefree_decomposition
 from hamop.scalars import GaussianRational
@@ -133,3 +134,28 @@ def test_integer_root_test_on_candidates():
     rep = rational_roots(p)
     assert rep.rational == {Fraction(10**6, 999): 1, Fraction(-(10**6 + 1), 7): 1}
     assert rep.residual == [1, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_charpoly_of_polynomial_matrices(n):
+    # chi of a polynomial matrix evaluates to chi of its value at a point,
+    # and matrices._char_poly keeps every coefficient a MultiPoly, even a
+    # zero one (a traceless matrix, a matrix with zero blocks)
+    rng = random.Random(n)
+    u = [MultiPoly.variable(n, k) for k in range(1, n + 1)]
+    zero = MultiPoly.zero(n)
+    cases = [[[sum((rng.randint(-3, 3) * v for v in u), zero) + rng.randint(-2, 2)
+               for _ in range(n)] for _ in range(n)] for _ in range(4)]
+    traceless = [[u[(i + j) % n] if i != j else zero for j in range(n)] for i in range(n)]
+    cases += [traceless, [[zero] * n for _ in range(n)]]
+    for a in cases:
+        cp = char_poly(a)
+        for pt in ([1, -2, 3][:n], [5, 0, -1][:n]):
+            value = [[x.int_eval(pt)[0] for x in row] for row in a]
+            assert [c.int_eval(pt)[0] if isinstance(c, MultiPoly) else c for c in cp] \
+                == char_poly(value)
+        c, det = _char_poly(PolyMatrix(a), "determinant")
+        assert all(isinstance(x, MultiPoly) and x.nvars == n for x in c)
+        assert isinstance(det, MultiPoly)
+        assert [x.int_eval([2, 3, 4][:n])[0] for x in c] == \
+            char_poly([[x.int_eval([2, 3, 4][:n])[0] for x in row] for row in a])

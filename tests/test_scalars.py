@@ -1,9 +1,19 @@
 import random
 from fractions import Fraction
 
-import pytest
+import re
+from math import gcd
 
-from hamop.scalars import GaussianRational, format_rational, parse_rational, rational_sqrt
+import pytest
+from hypothesis import given, strategies as st
+
+from hamop.scalars import (
+    GaussianRational,
+    format_rational,
+    parse_ratio,
+    parse_rational,
+    rational_sqrt,
+)
 
 
 def random_gaussian(rng):
@@ -72,3 +82,49 @@ def test_parse_rational_takes_only_integers_and_p_over_q(text):
 def test_parse_rational_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def _fraction_parse(text):
+    """The parser as it read rationals through ``Fraction(text)``: the same
+    regex in front, and a zero denominator mapped to ValueError."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError("expected an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as ex:
+        return str(ex)
+
+
+_RATIONAL_LIKE = st.one_of(
+    st.text(alphabet="0123456789+-/ e._\u0663\u00b2\uff11", max_size=9),
+    st.builds(lambda sign, p, slash, q: f"{sign}{p}{slash}{q}",
+              st.sampled_from(["", "+", "-", "--", " "]), st.integers(0, 10**30),
+              st.sampled_from(["", "/", "//", "e", " / "]),
+              st.one_of(st.just(""), st.integers(0, 10**12).map(str))),
+)
+
+
+@given(_RATIONAL_LIKE)
+def test_integer_parser_reads_what_fraction_read(text):
+    old = _outcome(_fraction_parse, text)
+    new = _outcome(parse_ratio, text)
+    if isinstance(old, str):
+        assert new == old and _outcome(parse_rational, text) == old
+    else:
+        p, q = new
+        assert q > 0 and gcd(p, q) == 1 and Fraction(p, q) == old
+        assert parse_rational(text) == old
+
+
+def test_integer_parser_gives_lowest_terms():
+    assert parse_ratio("-6/4") == (-3, 2)
+    assert parse_ratio("2/4") == parse_ratio("1/2") == (1, 2)
+    assert parse_ratio("-0/7") == (0, 1)
+    assert parse_ratio("+12") == (12, 1)

@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from hamop.catalog import get_entry, mokhov_operator
+from hamop.catalog import catalog, get_entry, mokhov_operator
 from hamop.errors import SpecFileError
+from hamop.metrics import LinearMetric, coefficient_arrays
 from hamop.specfile import (
     default_param_values,
     dump_operator_spec,
@@ -131,3 +133,53 @@ def test_json_stability():
     d1 = json.dumps(dump_operator_spec(spec))
     d2 = json.dumps(dump_operator_spec(load_operator_spec(json.loads(d1))))
     assert d1 == d2
+
+
+def test_constant_part_is_compared_in_lowest_terms():
+    data = op5_file()
+    data["metrics"][0]["constant"] = [["0/1", "2/4"], ["1/2", "0/1"]]
+    g = load_operator_spec(data).g
+    assert g.mat == LinearMetric.constant([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]).mat
+    data["metrics"][0]["constant"][0][1] = "2/3"
+    with pytest.raises(SpecFileError, match="not symmetric at"):
+        load_operator_spec(data)
+
+
+def _rational_spec(rng, n):
+    """A spec file of two metrics with seeded rational entries over several
+    denominators, written unreduced ("2/4")."""
+    def q():
+        d = rng.choice([1, 2, 3, 4, 6])
+        return f"{rng.randint(-3, 3) * rng.choice([1, 2])}/{d * rng.choice([1, 2])}"
+    metrics = []
+    for _ in range(2):
+        const = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                const[i][j] = const[j][i] = q()
+        linear = [{"i": i, "j": j, "k": k, "coeff": q()} for i in range(1, n + 1)
+                  for j in range(i, n + 1) for k in range(1, n + 1) if rng.random() < 0.4]
+        metrics.append({"constant": const, "linear": linear})
+    metrics[0] = {"constant": [["1/1" if i + j == n - 1 else "0/1" for j in range(n)]
+                               for i in range(n)], "linear": []}
+    return {"n": n, "d": 2, "metrics": metrics}
+
+
+def test_loaded_arrays_are_the_arrays_of_the_matrix():
+    files = [op5_file()]
+    for e in catalog():
+        if e.n <= 4:
+            values = default_param_values(e.spec)
+            files.append(dump_operator_spec(specialize_spec(e.spec, values) if values else e.spec))
+    rng = random.Random(3)
+    while len(files) < 60:
+        try:
+            files.append(_rational_spec(rng, rng.randint(1, 4)))
+            load_operator_spec(files[-1])
+        except SpecFileError:  # identically degenerate
+            files.pop()
+    for data in files:
+        for m in load_operator_spec(data).metrics:
+            D, M = m.arrays
+            assert all(type(x) is int for k in M for row in k for x in row)
+            assert (D, M) == coefficient_arrays(m.mat, m.n)

@@ -12,6 +12,7 @@ from hamop.matrices import PolyMatrix
 from hamop.metrics import LinearMetric, OperatorSpec
 from hamop.pointcheck import sample_points
 from hamop.poly import MultiPoly
+from hamop.roots import RootReport
 from hamop.scalars import GaussianRational
 from hamop.specfile import default_param_values, specialize_spec
 from hamop.spectral import (
@@ -318,3 +319,18 @@ def test_segre_path_and_sample_rejection_do_no_fraction_arithmetic(monkeypatch):
         if seed == 11:
             assert got == types
     assert len(pencils) >= 40
+
+
+@pytest.mark.parametrize("root", [
+    ({Fraction(1, 2): 2}, {}),
+    ({}, {GaussianRational(Fraction(1, 2), Fraction(3, 2)): 1,
+          GaussianRational(Fraction(1, 2), Fraction(-3, 2)): 1}),
+])
+def test_a_non_integer_root_of_chi_is_refused(monkeypatch, root):
+    # chi of the integer matrix A is monic, so its roots in Q(i) are
+    # integers; a root with a denominator is a fault, not a value to scale
+    g, h = get_entry("mokhov-n2").spec.metrics
+    L = integer_affinor(g, h)
+    monkeypatch.setattr(spectral, "rational_roots", lambda c: RootReport(*root, [1]))
+    with pytest.raises(AssertionError, match="not an integer"):
+        spectrum_at_point(L, [1, 2], 2)

@@ -60,6 +60,21 @@ def test_berkowitz_is_sympy_charpoly(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_berkowitz_skips_zeros_exactly(seed):
+    # dense and mostly zero matrices: zero entries and zero Toeplitz
+    # coefficients are skipped, every coefficient stays an int
+    rng = random.Random(1000 + seed)
+    x = sympy.Symbol("x")
+    for n in range(1, 7):
+        for density in (1.0, 0.3, 0.1):
+            a = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            cp = char_poly(a)
+            assert all(type(c) is int for c in cp)
+            assert cp == [int(c) for c in sympy.Matrix(a).charpoly(x).all_coeffs()[::-1]]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_integer_ranks_are_sympy_ranks(seed):
     rng = random.Random(seed)
     for _ in range(15):
