@@ -6,10 +6,27 @@ coefficients are scaled to integers once, and Yun's square-free
 decomposition runs on integer polynomials (``squarefree_decomposition``).
 Its gcds are primitive pseudo-remainder sequences, content removed at each
 step, and its divisions are exact integer divisions by primitive factors
-(Gauss's lemma).  Each square-free factor then gives up its rational roots
-by the rational root theorem, each candidate p/q tested with integer
-Horner, sum c_k p^k q^(d-k) = 0, and only a confirmed root divided out.  A
-square-free factor that is left as one quadratic is split by its integer
+(Gauss's lemma).
+
+Each square-free factor f of degree d >= 3 gives up its rational roots by
+p-adic lifting (Loos 1983, "Computing rational zeros of integral
+polynomials by p-adic expansion", SIAM J. Comput. 12), with no integer
+factoring.  With a = f[-1], the monic F(y) = a^(d-1) f(y/a) has integer
+coefficients, and each rational root of f is y/a for an integer root y of
+F, with |y| <= B = 1 + max |F_k| (Cauchy's bound).  The roots of F mod p
+are found by evaluation at the odd primes p = 3, 5, 7, ... in turn, until
+every one of them is simple (F'(r) != 0 mod p).  Then each integer root y
+of F reduces to a simple root r mod p, and by Hensel's lemma r has one
+lift mod p^(2^k) for every k, which Newton's iteration finds: that lift is
+y mod p^(2^k).  So once the modulus m exceeds 2B, the symmetric residue of
+some lifted root is y, and no root is missed.  A root that is repeated mod
+p is a common root of F and F' mod p, so p divides the discriminant of F,
+which is nonzero since f is square-free: only the finitely many primes
+dividing it are passed over, and the search ends.  Each symmetric residue
+y is confirmed as a root of f with integer Horner,
+sum f_k y^k a^(d-k) = 0, and only a confirmed root is divided out.
+
+A square-free factor that is left as one quadratic is split by its integer
 discriminant and ``math.isqrt``: into rational roots, or into a Gaussian
 conjugate pair when the discriminant is minus a square.  Whatever is left
 is returned as the residual factor.  A Gaussian pair lands there too when
@@ -145,74 +162,6 @@ def squarefree_decomposition(c: list) -> list[tuple[list[int], int]]:
     return out
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    import random as _random
-
-    rng = _random.Random(0xC0FFEE ^ n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = int_gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    stack = [abs(n)]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _integer_scaled(c: list) -> list[int]:
     """The coefficients (ints or Fractions) times the lcm of their
     denominators."""
@@ -220,14 +169,37 @@ def _integer_scaled(c: list) -> list[int]:
     return [x.numerator * (mult // x.denominator) for x in c]
 
 
-def _root_candidates(ints: list[int]):
-    """Rational root theorem candidates p/q of an integer polynomial with
-    ints[0] != 0, as pairs (p, q) in lowest terms with q > 0."""
-    for q in _divisors(ints[-1]):
-        for p in _divisors(ints[0]):
-            if int_gcd(p, q) == 1:
-                yield p, q
-                yield -p, q
+def _eval_mod(c: list[int], x: int, m: int) -> int:
+    acc = 0
+    for k in reversed(c):
+        acc = (acc * x + k) % m
+    return acc
+
+
+def _lifted_roots(f: list[int]):
+    """The rational roots of a square-free integer polynomial f with
+    f[0] != 0, as Fractions: the roots of F(y) = a^(d-1) f(y/a) mod the
+    first odd prime p where each is simple, lifted by Newton's iteration
+    past twice Cauchy's bound on the integer roots of F (module docstring)."""
+    a, d = f[-1], len(f) - 1
+    monic = [c * a ** (d - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    deriv = univ_deriv(monic)
+    bound = 1 + max(map(abs, monic[:-1]))
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            roots = [r for r in range(p) if not _eval_mod(monic, r, p)]
+            if all(_eval_mod(deriv, r, p) for r in roots):
+                break
+        p += 2
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(monic, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        y = r if 2 * r < m else r - m
+        if _is_root(f, y, a):
+            yield Fraction(y, a)
 
 
 def _is_root(ints: list[int], p: int, q: int) -> bool:
@@ -277,13 +249,9 @@ def rational_roots(p: MultiPoly | list) -> RootReport:
     residual = [1]
     for f, mult in squarefree_decomposition(c):
         if len(f) > 3:
-            # rational root theorem on the square-free factor
-            for num, den in _root_candidates(f):
-                if _is_root(f, num, den):
-                    f = _divide(f, [-num, den])
-                    add(rational, Fraction(num, den), mult)
-                    if len(f) <= 3:
-                        break
+            for r in _lifted_roots(f):
+                f = _divide(f, [-r.numerator, r.denominator])
+                add(rational, r, mult)
         if len(f) == 2:
             add(rational, Fraction(-f[0], f[1]), mult)
             continue

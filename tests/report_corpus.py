@@ -9,7 +9,10 @@ writes one JSON object to OUT.json, mapping each case to its output:
   ``hamop verify`` and ``hamop classify --output json`` at seeds 0 and 11,
   run in process on the catalog entries (formal parameters at their
   ``default_param_values``), the pencil-corpus specs of seeds 1-3
-  (``perfbench/pencils.py``) and the golden specs;
+  (``perfbench/pencils.py``), the golden specs, and the failing raw pencils
+  ``random_linear_bivector(random.Random(100 n), n)`` over the antidiagonal
+  metric at n = 6, 8, 10 and 12, whose Segre payloads split characteristic
+  polynomials with square-free factors of degree up to n;
 * ``spec:<spec>``: the text of each spec file written for those runs
   (``dump_operator_spec``);
 * ``mokhov:<mutant>``: ``mokhov_conditions(g, h, points=[])`` on every
@@ -101,6 +104,7 @@ from conftest import (  # noqa: E402
     jordan_conjugate,
     jordan_id,
     one_coefficient_mutants,
+    random_linear_bivector,
     specialized_catalog,
 )
 from perfbench.pencils import write_corpus  # noqa: E402
@@ -125,6 +129,12 @@ def _spec_files(directory: Path) -> list[str]:
     for path in sorted((TESTS / "golden").glob("*.spec.json")):
         (directory / path.name).write_text(path.read_text())
         names.append(path.name)
+    for n in (6, 8, 10, 12):
+        h = random_linear_bivector(random.Random(100 * n), n)
+        spec = OperatorSpec([LinearMetric.antidiagonal(n), LinearMetric(n, h)])
+        name = f"raw-n{n}.json"
+        (directory / name).write_text(json.dumps(dump_operator_spec(spec), indent=1))
+        names.append(name)
     return names
 
 

@@ -19,7 +19,11 @@ class member names.  A docstring that still names a deleted helper fails.
 
 A ``cmd_*`` function of ``hamop.cli`` contains no ``try`` statement and
 names no error exit code: commands raise, and ``main`` maps each error to
-its stderr line and exit code through the one table ``cli._EXITS``."""
+its stderr line and exit code through the one table ``cli._EXITS``.
+
+Only ``metrics`` and ``pointcheck``, the seeded samplers, import ``random``,
+at module level or inside a function: exact algebra stays deterministic, so
+whether anything probabilistic ran is a question about those two modules."""
 
 import ast
 import builtins
@@ -238,3 +242,29 @@ def test_command_error_handling_is_found():
     assert command_error_handling(source) == [
         "cmd_a: try (line 2)", "cmd_a: EXIT_USAGE (line 5)", "cmd_b: EXIT_INTERNAL (line 8)",
     ]
+
+
+# -- seeded sampling ------------------------------------------------------------
+
+SAMPLERS = {"metrics", "pointcheck"}
+
+
+def random_imports(source: str) -> list[int]:
+    """The line of each import of ``random``, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "random"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_only_the_samplers_import_random(path):
+    if path.stem not in SAMPLERS:
+        assert random_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_random_import_is_found():
+    source = (
+        "import random\nimport randomness\nfrom random import Random\n\n"
+        "def _draw(n):\n    import random as _random\n    return _random.Random(n)\n"
+    )
+    assert random_imports(source) == [1, 3, 6]

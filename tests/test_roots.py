@@ -134,6 +134,12 @@ def test_integer_root_test_on_candidates():
     rep = rational_roots(p)
     assert rep.rational == {Fraction(10**6, 999): 1, Fraction(-(10**6 + 1), 7): 1}
     assert rep.residual == [1, 1, 0, 0, 1]
+    # a constant term 3 P Q with two primes of 26 and 27 digits: no root
+    # search may factor it
+    pq = 10**25 + 13, 3 * 10**26 + 13
+    rep = rational_roots((x - 3) * (x**3 + x + pq[0] * pq[1]))
+    assert rep.rational == {Fraction(3): 1}
+    assert rep.residual == [pq[0] * pq[1], 1, 0, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
