@@ -41,11 +41,16 @@ them int numerators at each integer point of a scan and polynomial
 numerators at the generic point, the last point of every scan
 (``flatness_witness`` is its curvature check there), and ``families``
 derivatives whose entries are the unknowns themselves.
-The streams that sum over an index (T3, T5 and Nijenhuis) visit only the
-index values where some term has a nonzero factor, read off bitmasks of the
-nonzero entries, and add the nonzero terms in index order.  On a constant
-connection d R = 0, and ``mokhov_identities`` and ``riemann_components``
-take None for the derivative and skip its terms.
+Every stream of ``mokhov_identities`` and ``riemann_components`` lists
+only its nonzero components: T3, T5 and a curvature with no derivative
+term sum the products of nonzero entries into one dict per block of
+leading indices (``_blocks``), and derivatives are read one component at a
+time.  ``nijenhuis_components`` (which visits only the index values where
+a term has a nonzero factor, read off bitmasks) and ``killing_components``
+list every component: ``verify._decide`` reads them in lockstep.  On a
+constant connection d R = 0, and ``mokhov_identities`` and
+``riemann_components`` take None for the derivative and skip its terms.
+Each component adds its nonzero terms in the order of the summed index.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -237,6 +242,19 @@ def _masks(rows) -> list:
     return [sum(itertools.compress(bits, row)) for row in rows]
 
 
+def _blocks(block, n: int, jet=None):
+    """Lazily, (1-based indices, value) of the nonzero components of a rank-4
+    stream in lexicographic order, from ``block(a, b)``, a dict (k, l) -> the
+    sum of products of the block of leading indices (a, b).  With ``jet``,
+    each component of a block in turn is jet(a, b, k, l) plus that sum."""
+    rng = range(n)
+    for a, b in itertools.product(rng, rng):
+        acc = block(a, b)
+        for k, l in sorted(acc) if jet is None else itertools.product(rng, rng):
+            if v := (jet(a, b, k, l) if jet else 0) + acc.get((k, l), 0):
+                yield (a + 1, b + 1, k + 1, l + 1), v
+
+
 def _partials(m: PolyMatrix, n: int, lift=lambda x: x) -> list:
     """out[s][a][b] = lift(d_s m[a, b])."""
     return [
@@ -276,25 +294,47 @@ def _tensor(stream, n: int, rank: int, zero, entries) -> list:
 def riemann_components(gamma, d_gamma, n: int):
     """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
     + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj} for k < l (R is
-    antisymmetric in k, l), lazily as (1-based indices, residual) in
-    lexicographic order; ``d_gamma(r, i, j, k)`` is d_r Gamma^i_{jk}, or
-    None when Gamma is constant.
+    antisymmetric in k, l), lazily as (1-based indices, residual) of its
+    nonzero components in lexicographic order; ``d_gamma(r, i, j, k)`` is
+    d_r Gamma^i_{jk}, or None when Gamma is constant.
+
+    With no derivative term the products of nonzero entries are summed into
+    one dict per block (i, j) (``_blocks``).  With one (point frames, the
+    generic point) each component is read in turn, products included: the
+    frames build Gamma rows and d Gamma entries as they are read, so a hit
+    builds no jet past it.  This is the one statement with both reads.
 
     Like every stream below (and ``mokhov_identities``) it is written once
     for every exact scalar representation: entries need only +, -, * (int 0
     included) and truthiness, and zero products are skipped."""
     rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in range(k + 1, n):
-                    acc = 0 if d_gamma is None else d_gamma(k, i, l, j) - d_gamma(l, i, k, j)
-                    for s in rng:
-                        if gamma[i][k][s] and gamma[s][l][j]:
-                            acc = acc + gamma[i][k][s] * gamma[s][l][j]
-                        if gamma[i][l][s] and gamma[s][k][j]:
-                            acc = acc - gamma[i][l][s] * gamma[s][k][j]
-                    yield (i + 1, j + 1, k + 1, l + 1), acc
+    if d_gamma is None:
+        # cols[a][b]: the (k, Gamma^a_{kb}) with Gamma^a_{kb} != 0
+        cols = [[[(k, x) for k in rng if (x := gamma[a][k][b])] for b in rng] for a in rng]
+
+        def block(i, j):
+            acc = {}
+            for s in rng:
+                for k, x in cols[i][s]:
+                    for l, y in cols[s][j]:
+                        if k < l:
+                            acc[k, l] = acc.get((k, l), 0) + x * y
+                        elif l < k:
+                            acc[l, k] = acc.get((l, k), 0) - x * y
+            return acc
+
+        yield from _blocks(block, n)
+        return
+    for i, j, k in itertools.product(rng, rng, rng):
+        for l in range(k + 1, n):
+            acc = d_gamma(k, i, l, j) - d_gamma(l, i, k, j)
+            for s in rng:
+                if gamma[i][k][s] and gamma[s][l][j]:
+                    acc = acc + gamma[i][k][s] * gamma[s][l][j]
+                if gamma[i][l][s] and gamma[s][k][j]:
+                    acc = acc - gamma[i][l][s] * gamma[s][k][j]
+            if acc:
+                yield (i + 1, j + 1, k + 1, l + 1), acc
 
 
 def nijenhuis_components(L, dL, n: int):
@@ -497,76 +537,67 @@ def mokhov_identities(R, dR, b, h, n: int):
     the representation's d_r R^{ijk}, or None when R is constant (on a
     constant connection), and h[m][r] = h^{mr}, read only when dR is
     given (None will do otherwise).  Yields (name, stream) in order; a
-    stream lazily yields (1-based indices, residual), so a scan can stop at
-    its first nonzero residual.  Zero products are skipped: T3 and
-    T5 visit only the s (or l) where some term has two nonzero factors, and
-    T5 reads no d R when there is none."""
+    stream lazily yields (1-based indices, residual) of its nonzero
+    components in lexicographic order, so a scan stops at its first one.
+    T3 and T5 read only the nonzero entries of their factors, and sum the
+    products into one dict per block of leading indices, (i, j) for T3 and
+    (m, i) for T5 (``_blocks``).  T5's h^{mr} d_r R^{ijk} is read per
+    component after its block's products, so a hit reads no d R past it."""
     rng = range(n)
-    # (r, h^{mr}) of the nonzero entries of each row m of h; T5's only use of h
-    h_rows = None if dR is None else [[(r, x) for r, x in enumerate(row) if x] for row in h]
+    ijk = list(itertools.product(rng, repeat=3))
+    t1 = (((i + 1, j + 1, k + 1), v) for i, j, k in ijk if (v := R[i][j][k] - R[k][j][i]))
+    t2 = (((i + 1, j + 1, k + 1), v) for i, j, k in ijk
+          if (v := R[i][j][k] + R[j][k][i] + R[k][i][j]))
+    t4 = iter(()) if dR is None else ((tuple(x + 1 for x in idx), v) for idx in
+                                itertools.product(rng, repeat=4) if (v := dR(*idx)))
+    # the nonzero entries: rc[i][s] the (r, R^{irs}), rrows[i][l] the (k, R^{ilk}),
+    # rplanes[l] the ((j, k), R^{ljk}), bcols[j][s] the (m, b^{mj}_s), brows[m][l]
+    # the (j, b^{mj}_l), bslices[s] the ((r, m), b^{mr}_s), h_rows[m] the (r, h^{mr})
+    rc = [[[(r, x) for r in rng if (x := R[i][r][s])] for s in rng] for i in rng]
+    rrows = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in R]
+    rplanes = [[((j, k), x) for j in rng for k in rng if (x := R[l][j][k])] for l in rng]
+    bcols = [[[(m, y) for m in rng if (y := b[m][j][s])] for s in rng] for j in rng]
+    brows = [[[(j, y) for j in rng if (y := b[m][j][l])] for l in rng] for m in rng]
+    bslices = [[((r, m), y) for r in rng for m in rng if (y := b[m][r][s])] for s in rng]
+    h_rows = dR and [[(r, x) for r, x in enumerate(row) if x] for row in h]
 
-    def t1():
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    yield (i + 1, j + 1, k + 1), R[i][j][k] - R[k][j][i]
+    def t3(i, j):
+        # (r, m) -> the sum over s of R^{irs} b^{mj}_s - R^{ijs} b^{mr}_s
+        acc = {}
+        for s in rng:
+            for r, x in rc[i][s]:
+                for m, y in bcols[j][s]:
+                    acc[r, m] = acc.get((r, m), 0) + x * y
+            if x := R[i][j][s]:
+                for key, y in bslices[s]:
+                    acc[key] = acc.get(key, 0) - x * y
+        return acc
 
-    def t2():
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    yield (i + 1, j + 1, k + 1), R[i][j][k] + R[j][k][i] + R[k][i][j]
+    def t5(m, i):
+        # (j, k) -> minus the sum over l of
+        # b^{mi}_l R^{ljk} + b^{mj}_l R^{ilk} + b^{mk}_l R^{ijl}
+        acc = {}
+        for l in rng:
+            if y := b[m][i][l]:
+                for key, x in rplanes[l]:
+                    acc[key] = acc.get(key, 0) - y * x
+            for j, y in brows[m][l]:
+                for k, x in rrows[i][l]:
+                    acc[j, k] = acc.get((j, k), 0) - y * x
+            for k, y in brows[m][l]:
+                for j, x in rc[i][l]:
+                    acc[j, k] = acc.get((j, k), 0) - y * x
+        return acc
 
-    def t3():
-        # bits[m][j]: the s with b^{mj}_s != 0; rbits[i][r]: with R^{irs} != 0
-        bits, rbits = [_masks(plane) for plane in b], [_masks(plane) for plane in R]
-        for i in rng:
-            for j in rng:
-                for r in rng:
-                    rir, rij = rbits[i][r], rbits[i][j]
-                    for m in rng:
-                        acc = 0
-                        for s in _bits(rir & bits[m][j] | rij & bits[m][r]):
-                            if R[i][r][s] and b[m][j][s]:
-                                acc = acc + R[i][r][s] * b[m][j][s]
-                            if R[i][j][s] and b[m][r][s]:
-                                acc = acc - R[i][j][s] * b[m][r][s]
-                        yield (i + 1, j + 1, r + 1, m + 1), acc
+    def h_term(m, i, j, k):
+        # h^{mr} d_r R^{ijk}, read one component at a time
+        acc = 0
+        for r, x in h_rows[m]:
+            if d := dR(r, i, j, k):
+                acc = acc + x * d
+        return acc
 
-    def t4():
-        for r in rng:
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        yield (r + 1, i + 1, j + 1, k + 1), 0 if dR is None else dR(r, i, j, k)
-
-    def t5():
-        # r1[j][k], r2[i][k], r3[i][j]: the l with R^{ljk}, R^{ilk}, R^{ijl} != 0
-        r1 = [_masks([[R[l][j][k] for l in rng] for k in rng]) for j in rng]
-        r2 = [_masks([[R[i][l][k] for l in rng] for k in rng]) for i in rng]
-        r3 = [_masks(plane) for plane in R]
-        for m in rng:
-            bm, bits = b[m], _masks(b[m])
-            hm = () if dR is None else h_rows[m]
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        acc = 0
-                        for r, x in hm:
-                            d = dR(r, i, j, k)
-                            if d:
-                                acc = acc + x * d
-                        mask = bits[i] & r1[j][k] | bits[j] & r2[i][k] | bits[k] & r3[i][j]
-                        for l in _bits(mask):
-                            if bm[i][l] and R[l][j][k]:
-                                acc = acc - bm[i][l] * R[l][j][k]
-                            if bm[j][l] and R[i][l][k]:
-                                acc = acc - bm[j][l] * R[i][l][k]
-                            if bm[k][l] and R[i][j][l]:
-                                acc = acc - bm[k][l] * R[i][j][l]
-                        yield (m + 1, i + 1, j + 1, k + 1), acc
-
-    yield from zip(T_NAMES, (t1(), t2(), t3(), t4(), t5()))
+    yield from zip(T_NAMES, (t1, t2, _blocks(t3, n), t4, _blocks(t5, n, dR and h_term)))
 
 
 def lie_derivative_bivector(h, X: list, n: int | None = None) -> PolyMatrix:

@@ -150,7 +150,8 @@ class PointFrame:
       entry at a time, from d_r g_{js} = -D (adj F[r])_{js} / det^2.
 
     A kernel that stops at its first failing component so pays only for the
-    entries it read."""
+    entries it read: T3 and T5 sum a block of products of c and R before
+    their first hit, and read d b one component at a time."""
 
     def __init__(self, g: LinearMetric, point):
         self.n = g.n

@@ -258,11 +258,13 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     (so d R = 0, and no derivative term is evaluated), and on R = -G c for
     the constant coefficient array G = D g (``LinearMetric.arrays``), all in
     the arithmetic of c: ints, or polynomials in the formal parameters.
-    T4, d R = 0, holds by construction and its stream is not read, and h
-    itself is not read: with d R = 0 no identity contracts with it.  flat(g2)
-    is Dubrovin's contravariant curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j
-    of the invertible h.  Each identity is homogeneous in b and in R, so it
-    holds on b and g iff on c and G."""
+    Each stream lists only its nonzero components (T3, T5 and flat(g2) sum
+    products of the nonzero entries of c and R); T4, d R = 0, holds by
+    construction and lists none, and h itself is not read: with d R = 0 no
+    identity contracts with it.  flat(g2) is Dubrovin's contravariant
+    curvature b^{ik}_s b^{sl}_j - b^{il}_s b^{sk}_j of the invertible h.
+    Each identity is homogeneous in b and in R, so it holds on b and g iff
+    on c and G."""
     conn = constant_connection(h, u0)
     if conn is None:
         return set()
@@ -271,8 +273,7 @@ def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     R = raised_obstruction(g.arrays[1][0], c, n)
     streams = dict(mokhov_identities(R, None, c, None, n))
     streams["flat(g2)"] = riemann_components(c, None, n)
-    del streams["T4"]
-    return {"T4"} | {name for name, stream in streams.items() if not any(map(_residual, stream))}
+    return {name for name, stream in streams.items() if not any(map(_residual, stream))}
 
 
 def _mokhov_at(fg, fh):
@@ -286,13 +287,15 @@ def mokhov_conditions(
     h: LinearMetric,
     seed: int = DEFAULT_SEED,
     points=None,
+    candidate=None,
 ) -> VerificationReport:
     """Flatness of both metrics plus the five obstruction-tensor identities
     for constant g.  flat(g1) holds for the constant g.  The others are
-    first tried on the constant contravariant connection of h, whose
-    candidate point is the first of ``points`` (by default the first
-    SCAN_POINTS of the seed's sample), or the seed's first sample point when
-    ``points`` is empty; a condition proven there passes without a scan.
+    first tried on the constant contravariant connection of h, at the
+    integer point ``candidate``: by default the first of ``points`` (by
+    default the first SCAN_POINTS of the seed's sample), or the seed's
+    first sample point when ``points`` is empty; a condition proven there
+    passes without a scan.
     The rest are scanned at ``points`` and then at the generic point, where
     each holds iff its numerators are zero polynomials (``_scan_points``).
     A T failure first seen at the generic point takes its witness from the
@@ -304,7 +307,7 @@ def mokhov_conditions(
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
-    u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
+    u0 = candidate or (points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0])
     proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
     scanned = _scan_points(("flat(g2)", *T_NAMES), _mokhov_at, (g, h), points,
                            pc.FrameCache(), proven)
@@ -531,9 +534,10 @@ def _check_operator(spec: OperatorSpec, seed: int, points):
     if spec.d == 2:
         th2 = theorem2_conditions(spec.g, spec.gt, seed, points)
         # after a proven triple an integer point cannot hit (the paper's
-        # theorem; a hit is exact), so only the generic point is scanned
+        # theorem; a hit is exact), so only the generic point is scanned; the
+        # first scan point is still the constant connection's candidate
         mok_points = () if th2.verdict else points
-        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points)
+        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, points and points[0])
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "

@@ -17,6 +17,11 @@ writes one JSON object to OUT.json, mapping each case to its output:
   (``dump_operator_spec``);
 * ``mokhov:<mutant>``: ``mokhov_conditions(g, h, points=[])`` on every
   one-coefficient mutant of h of the d = 2 entries with n <= 3;
+* ``connection:<case>``: the first nonzero component, or null, of each of
+  flat(g2), T1, T2, T3 and T5 on the constant contravariant connection of h
+  (``geometry.constant_connection`` at the seed-0 candidate point, with no
+  derivative term), for every d = 2 catalog entry and for each of those
+  mutants that has one; null for an entry without one;
 * ``pair:<mutant>:<b>|<c>:<points>``: ``pair_conditions`` of every pair of
   every one-coefficient mutant of a later metric of the d >= 3 entries,
   with no points and at the seed-0 scan points;
@@ -90,9 +95,16 @@ from hamop.families import (  # noqa: E402
     solve_jordan_family,
 )
 from hamop.frobenius import build_cp_frobenius, intersection_form  # noqa: E402
+from hamop.geometry import (  # noqa: E402
+    constant_connection,
+    mokhov_identities,
+    raised_obstruction,
+    riemann_components,
+)
 from hamop.linsolve import inverse, nullspace, rref, solve  # noqa: E402
 from hamop.matrices import PolyMatrix  # noqa: E402
 from hamop.metrics import LinearMetric, OperatorSpec  # noqa: E402
+from hamop.pointcheck import sample_points  # noqa: E402
 from hamop.poly import MultiPoly  # noqa: E402
 from hamop.specfile import dump_operator_spec  # noqa: E402
 from hamop.spectral import format_segre_type, spectrum_at_point  # noqa: E402
@@ -172,11 +184,34 @@ def _conditions(results) -> list:
     return [c.to_dict() for c in results]
 
 
+def _connection_hits(g, h):
+    """name -> the first nonzero (indices, value) of flat(g2), T1, T2, T3 and
+    T5 on the constant contravariant connection of h, or None when h has
+    none at the seed-0 candidate point."""
+    conn = constant_connection(h, sample_points(g.nvars, [g, h], 0, 1)[0])
+    if conn is None:
+        return None
+    c, _ = conn
+    streams = dict(mokhov_identities(raised_obstruction(g.arrays[1][0], c, g.n), None, c, None, g.n))
+    streams["flat(g2)"] = riemann_components(c, None, g.n)
+    hits = {}
+    for name in ("flat(g2)", "T1", "T2", "T3", "T5"):
+        hit = next((hit for hit in streams[name] if hit[1]), None)
+        hits[name] = hit and [list(hit[0]), str(hit[1])]
+    return hits
+
+
 def _library_reports(report: dict) -> None:
+    for eid, spec in specialized_catalog(d=2):
+        if spec.d == 2:
+            report[f"connection:{eid}"] = _outcome(lambda: _connection_hits(spec.g, spec.gt))
     for eid, spec in specialized_catalog(d=2, max_n=3):
         for label, mutant in one_coefficient_mutants(spec, 1):
             report[f"mokhov:{eid}+{label}"] = _outcome(
                 lambda: mokhov_conditions(mutant.g, mutant.gt, points=[]).to_dict())
+            hits = _outcome(lambda: _connection_hits(mutant.g, mutant.gt))
+            if hits is not None:
+                report[f"connection:{eid}+{label}"] = hits
     for eid, spec in specialized_catalog(d=3):
         for m in range(1, spec.d):
             for label, mutant in one_coefficient_mutants(spec, m):

@@ -10,10 +10,13 @@ built once and read by every point value, proof and Segre affinor.
   ``degenerate_at``, and the point spectra of the integer affinor against
   those of the polynomial affinor h g^-1.
 * Properties of the zero-skipping integer kernels (``linsolve.mat_mul``
-  and its entry types, ``matrices.adjugate_det``, the T3 / T5 / Nijenhuis
-  streams, the torsion decision of ``geometry.constant_connection``)
-  against the dense formulas written out here (cofactors for the
-  adjugate).
+  and its entry types, ``matrices.adjugate_det``, the T1..T5, curvature
+  and Nijenhuis streams, the torsion decision of
+  ``geometry.constant_connection``) against the dense formulas written out
+  here (cofactors for the adjugate).  The T1..T5 and curvature streams list
+  only their nonzero components, so they are compared with the nonzero
+  components of the dense formulas, in order; entries of +-1 make products
+  that cancel to 0 inside a block, and such a component is left out.
 """
 
 import contextlib
@@ -36,6 +39,7 @@ from hamop.geometry import (
     constant_connection,
     mokhov_identities,
     nijenhuis_components,
+    riemann_components,
 )
 from hamop.linsolve import mat_mul
 from hamop.matrices import PolyMatrix, adjugate_det
@@ -200,6 +204,8 @@ _U1, _U2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
 # mostly zeros, both the int 0 and the zero polynomial
 _INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5])
 _POLYS = st.sampled_from([0, 0, 0, MultiPoly.zero(2), 1, -2, _U1, _U2 - 1, 3 * _U1 * _U2])
+# mostly zeros and +-1, so that products cancel
+_UNITS = st.sampled_from([0, 0, 0, 0, 1, -1])
 _FRACS = st.sampled_from([0, 0, 0, Fraction(0), 1, -2, Fraction(1, 2), Fraction(-3, 4)])
 
 
@@ -281,6 +287,22 @@ def test_adjugate_det_is_the_cofactor_adjugate_over_polynomials(m):
     assert adj.entries == want and det == _leibniz_det(pm.entries)
 
 
+def _dense_t1(R, n):
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                yield (i + 1, j + 1, k + 1), R[i][j][k] - R[k][j][i]
+
+
+def _dense_t2(R, n):
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                yield (i + 1, j + 1, k + 1), R[i][j][k] + R[j][k][i] + R[k][i][j]
+
+
 def _dense_t3(R, b, n):
     rng = range(n)
     for i in rng:
@@ -289,6 +311,15 @@ def _dense_t3(R, b, n):
                 for m in rng:
                     yield (i + 1, j + 1, r + 1, m + 1), sum(
                         R[i][r][s] * b[m][j][s] - R[i][j][s] * b[m][r][s] for s in rng)
+
+
+def _dense_t4(dR, n):
+    rng = range(n)
+    for r in rng:
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    yield (r + 1, i + 1, j + 1, k + 1), 0 if dR is None else dR[r][i][j][k]
 
 
 def _dense_t5(R, dR, b, h, n):
@@ -301,6 +332,22 @@ def _dense_t5(R, dR, b, h, n):
                     yield (m + 1, i + 1, j + 1, k + 1), d - sum(
                         b[m][i][l] * R[l][j][k] + b[m][j][l] * R[i][l][k]
                         + b[m][k][l] * R[i][j][l] for l in rng)
+
+
+def _dense_riemann(gamma, d_gamma, n):
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in range(k + 1, n):
+                    d = 0 if d_gamma is None else d_gamma[k][i][l][j] - d_gamma[l][i][k][j]
+                    yield (i + 1, j + 1, k + 1, l + 1), d + sum(
+                        gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
+                        for s in rng)
+
+
+def _nonzero(stream):
+    return [(idx, v) for idx, v in stream if v]
 
 
 def _dense_nijenhuis(L, dL, n):
@@ -320,16 +367,39 @@ def _stream_inputs(entries):
 
 
 @PROPERTY
-@given(st.sampled_from([_INTS, _POLYS]).flatmap(_stream_inputs))
+@given(st.sampled_from([_INTS, _UNITS, _POLYS]).flatmap(_stream_inputs))
 def test_mokhov_streams_are_the_dense_formulas(inputs):
+    # each stream is the nonzero components of its dense formula, in order
     n, R, b, h, dR = inputs
     streams = dict(mokhov_identities(R, dR and (lambda r, i, j, k: dR[r][i][j][k]), b, h, n))
-    assert list(streams["T3"]) == list(_dense_t3(R, b, n))
-    assert list(streams["T5"]) == list(_dense_t5(R, dR, b, h, n))
-    t4 = [0 if dR is None else dR[r][i][j][k]
-          for r in range(n) for i in range(n) for j in range(n) for k in range(n)]
-    assert [v for _, v in streams["T4"]] == t4
     assert list(streams) == list(T_NAMES)
+    assert list(streams["T1"]) == _nonzero(_dense_t1(R, n))
+    assert list(streams["T2"]) == _nonzero(_dense_t2(R, n))
+    assert list(streams["T3"]) == _nonzero(_dense_t3(R, b, n))
+    assert list(streams["T4"]) == _nonzero(_dense_t4(dR, n))
+    assert list(streams["T5"]) == _nonzero(_dense_t5(R, dR, b, h, n))
+
+
+@PROPERTY
+@given(st.sampled_from([_INTS, _UNITS, _POLYS]).flatmap(lambda e: st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _arrays(e, n, n, n),
+                        st.one_of(st.none(), _arrays(e, n, n, n, n))))))
+def test_riemann_stream_is_the_dense_formula(inputs):
+    # with and without a derivative term: the nonzero components, in order
+    n, gamma, dg = inputs
+    stream = riemann_components(gamma, dg and (lambda r, i, j, k: dg[r][i][j][k]), n)
+    assert list(stream) == _nonzero(_dense_riemann(gamma, dg, n))
+
+
+def test_products_that_cancel_leave_no_component():
+    # every product below is nonzero, and each block sums them to 0
+    one = [[[1]]]
+    assert list(dict(mokhov_identities(one, None, one, None, 1))["T3"]) == []
+    gamma = [[[1] * 2 for _ in range(2)] for _ in range(2)]
+    assert list(riemann_components(gamma, None, 2)) == []
+    streams = dict(mokhov_identities(one, lambda *idx: 1, one, [[3]], 1))
+    assert list(streams["T4"]) == [((1, 1, 1, 1), 1)]
+    assert list(streams["T5"]) == []
 
 
 @PROPERTY

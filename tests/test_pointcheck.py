@@ -24,6 +24,7 @@ from hamop.geometry import (
     flatness_witness,
     killing_stream,
     levi_civita,
+    mokhov_identities,
     nijenhuis_stream,
     raised_obstruction,
 )
@@ -236,6 +237,24 @@ def test_q_witness_of_a_flatness_hit_reads_only_its_jets(monkeypatch):
     mokhov = _scan_points(T_NAMES, _mokhov_at, (g, h), points[:1], cache)
     assert not any(c.passed for c in mokhov)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("n, seed", [(3, 44), (4, 43)])
+def test_a_t5_hit_reads_only_its_jets(n, seed):
+    # T5's derivative term h^{mr} d_r R is read one component at a time, as
+    # the stream reaches it, not a block of them: a hit at a point reads the
+    # d_r R^{ijk} of the components (m, i, j, k) up to it with h^{mr} != 0,
+    # and no more
+    g, (h,) = corpus_pairs(n, random.Random(seed), raw=1, killing=0, family=0, constant=0)
+    (point, _) = pc.sample_points(g.nvars, [g, h], seed=0, count=SCAN_POINTS)
+    fg, fh = pc.PointFrame(g, point), pc.PointFrame(h, point)
+    R, dR = pc.obstruction_at(fg, fh)
+    streams = dict(mokhov_identities(R, dR, fh.c, fh.G, n))
+    idx, _ = next(streams["T5"])
+    upto = itertools.takewhile(lambda c: c <= tuple(x - 1 for x in idx),
+                               itertools.product(range(n), repeat=4))
+    read = {(r, i, j, k) for m, i, j, k in upto for r in range(n) if fh.G[m][r]}
+    assert 0 < dR.cache_info().currsize == len(read) < n**4
 
 
 def test_each_pending_condition_is_evaluated_once_per_point(monkeypatch):

@@ -253,13 +253,14 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
 
 @pytest.mark.parametrize("spec, draws", [
     (theorem5_3d_operators()[0], [SCAN_POINTS]),
-    (OperatorSpec(list(operator5_pair())), [SCAN_POINTS, 1]),
+    (OperatorSpec(list(operator5_pair())), [SCAN_POINTS]),
 ], ids=["d3", "d2"])
 def test_verify_draws_only_the_points_it_scans(monkeypatch, spec, draws):
-    # verify draws the first SCAN_POINTS points of the seed's sample; after
-    # a passing triple the unscanned Mokhov side draws only the first, the
-    # candidate point of the constant connection.  The seeded draw is a
-    # prefix, so that is the first scan point
+    # verify draws the first SCAN_POINTS points of the seed's sample once;
+    # after a passing triple the unscanned Mokhov side draws none, and the
+    # first scan point is the candidate point of its constant connection.
+    # The seeded draw is a prefix, so that is the seed's first sample point,
+    # which mokhov_conditions draws when it is given no point
     counts = []
     sample_points = pc.sample_points
 
