@@ -9,16 +9,17 @@ reproduces the known canonical families (with their solution-space
 dimensions), normalizes single-Jordan-block families by terminating Lie
 flows, and exposes everything through a CLI with deterministic JSON reports.
 
-All arithmetic is exact: rationals, Gaussian rationals, sparse multivariate
-polynomials, and normalized rational functions.  The point scans of
-``verify`` evaluate int numerators at seeded integer points, and polynomial
-numerators at the generic point, which is the last point of every scan; a
-nonzero numerator over its known denominator is a failure's witness.  No
-floating point enters any verification path.  Every condition of a verdict is exact: the linearity /
-Nijenhuis / Killing triple of the paper's main theorem and the Mokhov
-cross-check (flatness of both metrics and T1..T5) are proven, the latter on
-the constant contravariant connection of the second metric where it has
-one.
+All arithmetic is exact: ints, rationals, sparse multivariate polynomials,
+and normalized rational functions; a complex eigenvalue is a Gaussian
+rational, a value that is printed and compared but never computed with.
+The point scans of ``verify`` evaluate int numerators at seeded integer
+points, and polynomial numerators at the generic point, which is the last
+point of every scan; a nonzero numerator over its known denominator is a
+failure's witness.  No floating point enters any verification path.  Every
+condition of a verdict is exact: the linearity / Nijenhuis / Killing triple
+of the paper's main theorem and the Mokhov cross-check (flatness of both
+metrics and T1..T5) are proven, the latter on the constant contravariant
+connection of the second metric where it has one.
 """
 
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     SpecFileError,
     UnsupportedEigenvalueField,
 )
-from .scalars import GaussianRational, Rational
+from .scalars import GaussianRational
 from .poly import MultiPoly, RationalFunction, divide_exact, poly_gcd
 from .matrices import PolyMatrix, determinant, matrix_inverse
 from .roots import rational_roots
@@ -69,7 +70,6 @@ from .families import (
 )
 from .catalog import (
     CatalogEntry,
-    catalog,
     direct_sum,
     example2_operator,
     exampleN_operator,

@@ -42,7 +42,7 @@ from .matrices import PolyMatrix
 from .metrics import AffineArrays, LinearMetric, coefficient_arrays
 from .poly import MultiPoly
 from .scalars import rational_sqrt
-from .verify import constant_inverse_parts, pair_conditions
+from .verify import pair_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def _nijenhuis_stream(g: LinearMetric, gt0: PolyMatrix, idx: _BivectorIndex):
     multiples (D' gt0) adj G and d E adj G of L0 and d L_E (G = D g), so
     every component is scaled by one nonzero constant."""
     n = g.n
-    adj = constant_inverse_parts(g)[1]
+    adj = g.constant_inverse_parts()[1]
     L0 = mat_mul(_integer_constant(coefficient_arrays(gt0, n)), adj)
     return nijenhuis_components(L0, [mat_mul(d, adj) for d in idx.dE], n)
 

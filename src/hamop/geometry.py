@@ -41,16 +41,19 @@ them int numerators at each integer point of a scan and polynomial
 numerators at the generic point, the last point of every scan
 (``flatness_witness`` is its curvature check there), and ``families``
 derivatives whose entries are the unknowns themselves.
-Every stream of ``mokhov_identities`` and ``riemann_components`` lists
-only its nonzero components: T3, T5 and a curvature with no derivative
-term sum the products of nonzero entries into one dict per block of
-leading indices (``_blocks``), and derivatives are read one component at a
-time.  ``nijenhuis_components`` (which visits only the index values where
-a term has a nonzero factor, read off bitmasks) and ``killing_components``
-list every component: ``verify._decide`` reads them in lockstep.  On a
-constant connection d R = 0, and ``mokhov_identities`` and
-``riemann_components`` take None for the derivative and skip its terms.
-Each component adds its nonzero terms in the order of the summed index.
+Sparsity has one idiom: a stream that contracts over the rows or columns
+of an array lists the nonzero entries of each once, as (index, entry)
+pairs, and its sums run over those lists; elsewhere a product is skipped
+when a factor is zero.  Every stream of ``mokhov_identities`` and
+``riemann_components`` lists only its nonzero components: T3, T5 and a
+curvature with no derivative term sum the products of nonzero entries into
+one dict per block of leading indices (``_blocks``), and derivatives are
+read one component at a time.  ``nijenhuis_components`` and
+``killing_components`` list every component: ``verify._decide`` reads
+them in lockstep.  On a constant connection d R = 0, and
+``mokhov_identities`` and ``riemann_components`` take None for the
+derivative and skip its terms.  Each sum adds its nonzero terms in the
+order of the summed index.
 
 Index conventions: public tensors are returned as nested 0-based lists;
 contractions always run over the u-block 1..n, never over trailing formal
@@ -223,25 +226,6 @@ def raised_obstruction(g, b, n: int) -> list:
     return [[[-gb[i][k * n + j] for k in rng] for j in rng] for i in rng]
 
 
-@functools.cache
-def _bits(mask: int) -> tuple:
-    """The positions of the set bits of ``mask``, ascending."""
-    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
-
-
-@functools.cache
-def _bit_values(width: int) -> tuple:
-    """(1, 2, 4, ..., 2^(width - 1))."""
-    return tuple(1 << s for s in range(width))
-
-
-def _masks(rows) -> list:
-    """For each row (all of one width), the bitmask of its nonzero entries:
-    the sum of the bit values that ``itertools.compress`` keeps."""
-    bits = _bit_values(len(rows[0]))
-    return [sum(itertools.compress(bits, row)) for row in rows]
-
-
 def _blocks(block, n: int, jet=None):
     """Lazily, (1-based indices, value) of the nonzero components of a rank-4
     stream in lexicographic order, from ``block(a, b)``, a dict (k, l) -> the
@@ -341,24 +325,27 @@ def nijenhuis_components(L, dL, n: int):
     """N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
     + L^k_s (d_j L^s_i - d_i L^s_j) for i < j (N is antisymmetric in i, j);
     L[a][b] = L^a_b and dL[s][a][b] = d_s L^a_b.  Each term has a factor
-    L^s_i, L^s_j or L^k_s, so only the s where one of them is nonzero are
-    visited."""
+    L^s_i, L^s_j or L^k_s, so each sum runs over the nonzero entries of
+    column i, column j and row k of L, in that order and each in the order
+    of s: a component adds its L^s_i, then its L^s_j, then its L^k_s terms.
+    Every component is listed, zero ones included."""
     rng = range(n)
-    cols = _masks([[L[s][i] for s in rng] for i in rng])
-    rows = _masks([L[k] for k in rng])
+    # cols[i]: the (s, L^s_i) with L^s_i != 0; rows[k]: the (s, L^k_s) with L^k_s != 0
+    cols = [[(s, x) for s in rng if (x := L[s][i])] for i in rng]
+    rows = [[(s, x) for s in rng if (x := L[k][s])] for k in rng]
     for k in rng:
         for i in rng:
             for j in range(i + 1, n):
                 acc = 0
-                for s in _bits(cols[i] | cols[j] | rows[k]):
-                    if L[s][i] and dL[s][k][j]:
-                        acc = acc + L[s][i] * dL[s][k][j]
-                    if L[s][j] and dL[s][k][i]:
-                        acc = acc - L[s][j] * dL[s][k][i]
-                    if L[k][s]:
-                        d = dL[j][s][i] - dL[i][s][j]
-                        if d:
-                            acc = acc + L[k][s] * d
+                for s, x in cols[i]:
+                    if d := dL[s][k][j]:
+                        acc = acc + x * d
+                for s, x in cols[j]:
+                    if d := dL[s][k][i]:
+                        acc = acc - x * d
+                for s, x in rows[k]:
+                    if d := dL[j][s][i] - dL[i][s][j]:
+                        acc = acc + x * d
                 yield (k + 1, i + 1, j + 1), acc
 
 

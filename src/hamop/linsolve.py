@@ -1,5 +1,4 @@
-"""Exact linear algebra over Q, which also serves Q(i) (GaussianRational
-entries have field arithmetic too).
+"""Exact linear algebra over Q, and ranks over Z.
 
 Each job has one routine.  ``SparseSystem`` is the one Gauss-Jordan
 elimination: it reduces rows one at a time, sparse in the columns.
@@ -25,9 +24,9 @@ it decides singularity at a point (``metrics.degenerate_at``) and gives the
 Segre rank sequences of ``spectral``, whose Gaussian eigenvalues are ranked
 through their real quadratic factor.
 
-Dense routines take lists of lists of field elements.  Nullspace bases are
-deterministic: the reduced row echelon form is unique, and each free column
-gives one basis vector, with a unit at that column.
+The eliminations take rows of rationals (ints or Fractions).  Nullspace
+bases are deterministic: the reduced row echelon form is unique, and each
+free column gives one basis vector, with a unit at that column.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def _subtract(row: dict, f, pivot_row: dict) -> None:
 
 
 class SparseSystem:
-    """Incremental sparse Gauss-Jordan elimination over Q (and Q(i)).
+    """Incremental sparse Gauss-Jordan elimination over Q.
 
     Rows are dicts column->coefficient, entries kept as given; a pivot is
     inverted as ``Fraction(1) / x``, so int rows give exact rationals.

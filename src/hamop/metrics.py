@@ -18,7 +18,8 @@ matrix computes its arrays on first read.  Every integer consumer reads them:
 which ``pointcheck``'s frames and ``degenerate_at`` read), the value at an
 integer u with the parameters kept (``affine().at``, for
 ``geometry.constant_connection``), the adjugate of a constant metric
-(``constant_adjugate``), and ``verify``'s proofs and ``spectral``'s affinor.
+(``constant_adjugate``, and g^-1 from it, ``constant_inverse_parts``), and
+``verify``'s proofs and ``spectral``'s affinor.
 
 An OperatorSpec is the d-tuple of metrics defining a first-order operator
 P^{ij} = sum_a ( g^{ij,a} d/dx^a + b^{ij,a}_k u^k_{x^a} ) with the b's the
@@ -45,6 +46,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .errors import FirstMetricNotConstant, IdenticallySingular
 from .linsolve import int_rank
 from .matrices import PolyMatrix, adjugate_det, determinant, matrix_inverse
 from .poly import MultiPoly
@@ -280,6 +282,21 @@ class LinearMetric:
         if self._adj0 is None:
             self._adj0 = adjugate_det(self.arrays[1][0])
         return self._adj0
+
+    def constant_inverse_parts(self):
+        """(D, adj, det) with g^-1 = D adj / det for a constant metric g:
+        ``constant_adjugate`` of its coefficient array G = D g, with det an
+        int."""
+        if not self.is_constant():
+            raise FirstMetricNotConstant("metric must be constant")
+        adj, det = self.constant_adjugate()
+        if not det:
+            raise IdenticallySingular("matrix determinant is identically zero")
+        if not isinstance(det, int):
+            if not det.is_constant():
+                raise ValueError("not a polynomial")
+            det = det.constant_value().numerator
+        return self.arrays[0], adj, det
 
     def degenerate_at(self, point) -> bool:
         """Whether g is singular at the integer point: rank D g(point) < n.

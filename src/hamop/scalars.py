@@ -1,10 +1,13 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalars: rationals, and Gaussian rationals as values.
 
 Rational numbers are ``fractions.Fraction`` (arbitrary precision, stored in
 lowest terms with positive denominator, which is exactly the invariant we
-need).  Gaussian rationals a + b*i with rational a, b are provided on top of
-that; they appear as eigenvalues of affinors whose characteristic polynomial
-has an irreducible quadratic factor with discriminant minus a square.
+need).  A Gaussian rational a + b*i with rational a, b is a value, not a
+field: it is how ``roots`` reports a conjugate pair of eigenvalues (from an
+irreducible quadratic factor whose discriminant is minus a square) and how
+``spectral`` and the CLI print them.  It compares, hashes and prints, and
+no code path does arithmetic in Q(i): ``spectral`` ranks a Gaussian
+eigenvalue through its real quadratic factor.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-
-# p/q scalars used everywhere; no floating point enters the verification path.
-Rational = Fraction
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -61,7 +61,7 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Element a + b*i of Q(i), closed under +, -, *, / (by nonzero)."""
+    """The element a + b*i of Q(i); equal to the rational a when b = 0."""
 
     re: Fraction
     im: Fraction = Fraction(0)
@@ -69,71 +69,6 @@ class GaussianRational:
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus a^2 + b^2."""
-        return self.re * self.re + self.im * self.im
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

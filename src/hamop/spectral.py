@@ -68,7 +68,6 @@ from .pointcheck import sample_points
 from .poly import MultiPoly
 from .roots import char_poly, rational_roots
 from .scalars import GaussianRational
-from .verify import constant_inverse_parts
 
 SEGRE_POINTS = 5
 SEGRE_RANGE = 9
@@ -107,11 +106,11 @@ def integer_affinor(g: LinearMetric, h) -> IntegerAffinor:
     """L = h g^{-1} in integer form, for constant g and a metric or
     bivector h at most linear in u: L_s = sign(det G0) H_s adj(G0) with
     scale D_g / (D_h |det G0|) (module docstring).  g^-1 is read off g's
-    memoised adjugate (``verify.constant_inverse_parts``).  L g = h, so L is
-    g-self-adjoint iff h is symmetric, which is checked on the H_s."""
+    memoised adjugate (``LinearMetric.constant_inverse_parts``).  L g = h,
+    so L is g-self-adjoint iff h is symmetric, which is checked on the H_s."""
     if not g.is_constant():
         raise FirstMetricNotConstant("affinor needs the first metric constant")
-    Dg, adj, det = constant_inverse_parts(g)
+    Dg, adj, det = g.constant_inverse_parts()
     arrays = h.arrays if isinstance(h, LinearMetric) else coefficient_arrays(h, g.n)
     if arrays is None:
         raise ValueError("affinor needs a bivector at most linear in u")

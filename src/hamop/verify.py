@@ -68,13 +68,14 @@ geometry.
 
 Every condition is exact.  On d = 2 input the triple runs first.  flat(g1)
 holds for the constant first metric, as for d >= 3; the rest of the Mokhov
-cross-check (flat(g2), T1..T5) is scanned at the same points only after a
-failing triple, since after a passing one a hit could only end in
-DisagreementBug, which the generic point, then its only point, raises just
-the same.  A Hamiltonian pencil satisfies the triple, which the arrays
-prove, and T4, which for constant g says that the contravariant connection
-b of h is constant (Dubrovin-Novikov), so there every condition is proven
-on constants, with no point scan and no rational stream.
+cross-check (flat(g2), T1..T5) is first tried on the constant contravariant
+connection of h at the first scan point, and what that leaves is scanned
+at the same points.  A Hamiltonian pencil satisfies the triple, which the
+arrays prove, and T4, which for constant g says that the contravariant
+connection b of h is constant (Dubrovin-Novikov), so there every condition
+is proven on constants, and the scan finds nothing pending: no point frame,
+no rational stream.  On a broken implementation a Mokhov hit after a
+passing triple raises DisagreementBug, at whichever point it is seen.
 
 ``pointcheck.FrameCache`` shares the frames of a point between the
 conditions of a scan, and between the pairs of a d >= 3 operator; the
@@ -99,7 +100,6 @@ from .errors import (
     DegenerateEverywhere,
     DisagreementBug,
     FirstMetricNotConstant,
-    IdenticallySingular,
 )
 from .geometry import (
     T_NAMES,
@@ -253,7 +253,7 @@ def _t_streams(g: LinearMetric, h: LinearMetric) -> dict:
 def _constant_connection_proofs(g: LinearMetric, h: LinearMetric, u0) -> set:
     """The Mokhov conditions that hold for constant g on the constant
     contravariant connection of h: when b^{ij}_k = -h^{is} Gamma~^j_{sk} is
-    constant (``constant_connection`` with candidate point u0, giving
+    constant (``constant_connection`` at the integer point u0, giving
     c = den * b), each of flat(g2) and T1..T5 that holds on c with d b = 0
     (so d R = 0, and no derivative term is evaluated), and on R = -G c for
     the constant coefficient array G = D g (``LinearMetric.arrays``), all in
@@ -287,15 +287,13 @@ def mokhov_conditions(
     h: LinearMetric,
     seed: int = DEFAULT_SEED,
     points=None,
-    candidate=None,
 ) -> VerificationReport:
     """Flatness of both metrics plus the five obstruction-tensor identities
     for constant g.  flat(g1) holds for the constant g.  The others are
     first tried on the constant contravariant connection of h, at the
-    integer point ``candidate``: by default the first of ``points`` (by
-    default the first SCAN_POINTS of the seed's sample), or the seed's
-    first sample point when ``points`` is empty; a condition proven there
-    passes without a scan.
+    first of ``points`` (by default the first SCAN_POINTS of the seed's
+    sample), or at the seed's first sample point when ``points`` is empty;
+    a condition proven there passes without a scan.
     The rest are scanned at ``points`` and then at the generic point, where
     each holds iff its numerators are zero polynomials (``_scan_points``).
     A T failure first seen at the generic point takes its witness from the
@@ -307,7 +305,7 @@ def mokhov_conditions(
     report = VerificationReport(g.n, 2, seed)
     if points is None:
         points = _sample(g.nvars, [g, h], seed)
-    u0 = candidate or (points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0])
+    u0 = points[0] if points else pc.sample_points(g.nvars, [g, h], seed, 1)[0]
     proven = [ConditionResult(name, True) for name in _constant_connection_proofs(g, h, u0)]
     scanned = _scan_points(("flat(g2)", *T_NAMES), _mokhov_at, (g, h), points,
                            pc.FrameCache(), proven)
@@ -334,26 +332,10 @@ def _as_metric(h, n: int):
     return h if arrays is None else LinearMetric(n, h, check_nondegenerate=False, arrays=arrays)
 
 
-def constant_inverse_parts(g: LinearMetric):
-    """(D, adj, det) with g^-1 = D adj / det for a constant metric g: the
-    metric's memoised adjugate of its coefficient array G = D g
-    (``LinearMetric.constant_adjugate``), with det an int."""
-    if not g.is_constant():
-        raise FirstMetricNotConstant("metric must be constant")
-    adj, det = g.constant_adjugate()
-    if not det:
-        raise IdenticallySingular("matrix determinant is identically zero")
-    if not isinstance(det, int):
-        if not det.is_constant():
-            raise ValueError("not a polynomial")
-        det = det.constant_value().numerator
-    return g.arrays[0], adj, det
-
-
 def constant_inverse(g: LinearMetric) -> PolyMatrix:
     """Inverse of a constant metric with polynomial (constant) entries:
-    D adj(G) / det(G) (``constant_inverse_parts``)."""
-    D, adj, det = constant_inverse_parts(g)
+    D adj(G) / det(G) (``LinearMetric.constant_inverse_parts``)."""
+    D, adj, det = g.constant_inverse_parts()
     zero = MultiPoly.zero(g.nvars)
     return PolyMatrix([[zero + x * Fraction(D, det) for x in row] for row in adj])
 
@@ -426,7 +408,7 @@ def _triple_proofs(g: LinearMetric, h, points=(), names=("linearity", "nijenhuis
                 nij, streams, points,
                 lambda v, u: Fraction(Dg * Dg * v, Dh * Dh * int_value(det, u) ** 2),
                 lambda parts: MultiPoly.from_affine_parts(
-                    nvars, (Dh * constant_inverse_parts(g)[2]) ** 2, [Dg * Dg * r for r in parts]))]
+                    nvars, (Dh * g.constant_inverse_parts()[2]) ** 2, [Dg * Dg * r for r in parts]))]
         if det and not any(any(map(_residual, s)) for s in streams):
             decided.append(ConditionResult(nij, True))
     if points and (conn := constant_connection(g, points[0])):
@@ -525,19 +507,13 @@ def verify_operator(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> Verificatio
 
 
 def _check_operator(spec: OperatorSpec, seed: int, points):
-    """verify_operator at the seed's scan ``points``: the triple and the
-    d >= 3 pairs scan them; the d = 2 Mokhov side scans them after a failing
-    triple and has the generic point alone after a passing one.
-    The report lists the Mokhov conditions before the triple's
-    (``VerificationReport.conditions``)."""
+    """verify_operator at the seed's scan ``points``: the triple, the d = 2
+    Mokhov side and the d >= 3 pairs scan them.  The report lists the
+    Mokhov conditions before the triple's (``VerificationReport.conditions``)."""
     report = VerificationReport(spec.n, spec.d, seed)
     if spec.d == 2:
         th2 = theorem2_conditions(spec.g, spec.gt, seed, points)
-        # after a proven triple an integer point cannot hit (the paper's
-        # theorem; a hit is exact), so only the generic point is scanned; the
-        # first scan point is still the constant connection's candidate
-        mok_points = () if th2.verdict else points
-        mok = mokhov_conditions(spec.g, spec.gt, seed, mok_points, points and points[0])
+        mok = mokhov_conditions(spec.g, spec.gt, seed, points)
         if mok.verdict != th2.verdict:
             raise DisagreementBug(
                 f"criteria disagree: obstruction={mok.verdict} "

@@ -397,3 +397,13 @@ def test_catalog_segre_metadata_matches_computation():
                 else:
                     got.add((Fraction(v), Fraction(0)))
             assert got == expected, e.id
+
+
+def test_the_package_attribute_catalog_is_the_module():
+    # ``hamop.catalog`` names the module, so the dotted import binds it and
+    # its functions resolve through it
+    import hamop
+    import hamop.catalog as c
+
+    assert c is hamop.catalog
+    assert c.catalog_manifest is catalog_manifest and c.catalog is catalog

@@ -2,12 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from hamop.errors import IdenticallySingular
 from hamop.families import flow_field, mu_bivector, p_coeff
 from hamop.geometry import (
-    _masks,
     covariant_hessian,
     flatness_witness,
     killing_residual,
@@ -273,13 +271,3 @@ def test_lie_flow_ladder_values():
     assert p_coeff(7, 2, 0) == 0
     X2 = flow_field(7, 2)
     assert lie_derivative_bivector(mu_bivector(7, 0), X2, 7).is_zero()
-
-
-@given(st.integers(1, 70).flatmap(lambda w: st.lists(
-    st.lists(st.integers(-2, 2), min_size=w, max_size=w), min_size=1, max_size=6)))
-def test_masks_are_the_bitmasks_of_the_nonzero_entries(rows):
-    want = [sum(2**s for s, x in enumerate(row) if x != 0) for row in rows]
-    assert _masks(rows) == want
-    # a polynomial entry is nonzero unless it is the zero polynomial
-    polys = [[MultiPoly.const(2, x) for x in row] for row in rows]
-    assert _masks(polys) == want

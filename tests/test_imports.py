@@ -23,7 +23,11 @@ its stderr line and exit code through the one table ``cli._EXITS``.
 
 Only ``metrics`` and ``pointcheck``, the seeded samplers, import ``random``,
 at module level or inside a function: exact algebra stays deterministic, so
-whether anything probabilistic ran is a question about those two modules."""
+whether anything probabilistic ran is a question about those two modules.
+
+``metrics`` and ``spectral`` import nothing from ``verify``: a fact about one
+metric lives with the metric, and the Segre classification reads metrics,
+not the verifier."""
 
 import ast
 import builtins
@@ -268,3 +272,39 @@ def test_random_import_is_found():
         "def _draw(n):\n    import random as _random\n    return _random.Random(n)\n"
     )
     assert random_imports(source) == [1, 3, 6]
+
+
+# -- layering -------------------------------------------------------------------
+
+BELOW_VERIFY = ("metrics", "spectral")
+
+
+def verify_imports(source: str) -> list[int]:
+    """The line of each import of ``hamop.verify`` or of a name from it,
+    relative or absolute, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            targets = [module] + [f"{module}.{a.name}".lstrip(".") for a in node.names]
+        else:
+            continue
+        if any(t in ("verify", "hamop.verify") for t in targets):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("stem", BELOW_VERIFY)
+def test_metrics_and_spectral_import_nothing_from_verify(stem):
+    assert verify_imports((SRC / f"{stem}.py").read_text(encoding="utf-8")) == []
+
+
+def test_verify_import_is_found():
+    source = (
+        "from .verify import pair_conditions\nfrom . import pointcheck, verify\n"
+        "import hamop.verify\nfrom .verifying import check\nfrom .pointcheck import verify_at\n\n"
+        "def _late():\n    from hamop import verify as vf\n    return vf\n"
+    )
+    assert verify_imports(source) == [1, 2, 3, 8]

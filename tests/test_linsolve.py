@@ -21,7 +21,6 @@ from hamop.linsolve import (
 )
 from hamop.matrices import PolyMatrix
 from hamop.roots import char_poly
-from hamop.scalars import GaussianRational
 
 
 def _matrix(rng, rows, cols):
@@ -151,8 +150,7 @@ def test_int_rank_is_the_rref_rank(seed):
 
 def _oracle_cases(seed):
     """Seeded matrices of each kind the elimination meets: dense, at least
-    60 % zeros, rank-deficient, rectangular (wide and tall), and over
-    Q(i)."""
+    60 % zeros, rank-deficient, and rectangular (wide and tall)."""
     rng = random.Random(seed)
 
     def entry():
@@ -177,18 +175,11 @@ def _oracle_cases(seed):
         "rank-deficient": [low_rank(r, c, k) for r, c, k in ((4, 4, 2), (5, 6, 3), (6, 3, 1))],
         "rectangular": [[[entry() for _ in range(c)] for _ in range(r)]
                         for r, c in ((2, 6), (6, 2), (3, 5), (5, 3))],
-        "gaussian": [[[GaussianRational(entry(), entry() if rng.random() < 0.6 else Fraction(0))
-                       for _ in range(c)] for _ in range(r)]
-                     for r, c in ((3, 3), (3, 5), (4, 2))],
     }
-    cases["gaussian"].append([row[:] for row in cases["gaussian"][0]] + [
-        [x + y for x, y in zip(*cases["gaussian"][0][:2])]])
     return cases
 
 
 def _sympy(x):
-    if isinstance(x, GaussianRational):
-        return _sympy(x.re) + sympy.I * _sympy(x.im)
     return sympy.Rational(x.numerator, x.denominator)
 
 
@@ -203,8 +194,7 @@ def test_rref_is_sympy_rref(seed):
             for i, row in enumerate(red):
                 for j, x in enumerate(row):
                     assert sympy.simplify(_sympy(x) - want[i, j]) == 0, (kind, i, j)
-            if kind != "gaussian":
-                assert all(type(x) is Fraction for row in red for x in row), kind
+            assert all(type(x) is Fraction for row in red for x in row), kind
 
 
 @pytest.fixture

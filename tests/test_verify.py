@@ -172,11 +172,15 @@ def test_both_criteria_are_proven_without_scan_points():
 
 
 def _passing_specs():
-    """operator5_pair and the mokhov-n3 catalog entry: d = 2, both pass."""
-    e = get_entry("mokhov-n3")
-    values = default_param_values(e.spec)
-    return [OperatorSpec(list(operator5_pair())),
-            specialize_spec(e.spec, values) if values else e.spec]
+    """operator5_pair and every d = 2 catalog entry with n <= 5, its formal
+    parameters at their ``default_param_values`` as the benchmark's
+    catalog workload writes them: all pass."""
+    specs = [OperatorSpec(list(operator5_pair()))]
+    for e in catalog():
+        if e.spec.d == 2 and e.n <= 5:
+            values = default_param_values(e.spec)
+            specs.append(specialize_spec(e.spec, values) if values else e.spec)
+    return specs
 
 
 def _refuse(*args):
@@ -191,10 +195,13 @@ def test_a_passing_triple_sends_symbolic_mokhov_to_its_proofs(monkeypatch):
     # proven on it, without a point scan (not even at the generic point) or
     # a rational stream.  The triple
     # itself is proven on the integer coefficient arrays of g and h, with no
-    # point kernel and no symbolic adjugate
+    # point kernel and no symbolic adjugate.  So the Mokhov side, handed the
+    # scan points, finds nothing pending there and builds no point frame
     specs = _passing_specs()
+    assert len(specs) > 30
     reports = [verify_operator(spec).to_dict() for spec in specs]
     refuse_symbolic_work(monkeypatch, "passing spec left its integer arrays")
+    monkeypatch.setattr(pc.PointFrame, "__init__", _refuse)
     monkeypatch.setattr(pc, "mokhov_at", _refuse)
     monkeypatch.setattr(pc, "flat_at", _refuse)
     monkeypatch.setattr(vf, "_t_streams", _refuse)
@@ -229,12 +236,16 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
     g, h = operator5_pair()
     spec = OperatorSpec([g, h])
     identities = vf.mokhov_identities
-    # a polynomial residual, as the generic point's numerators are
-    one = MultiPoly.const(g.nvars, 1)
 
-    def t3_fails(*args):
-        return [(name, [((1, 1, 1, 1), one)] if name == "T3" else stream)
-                for name, stream in identities(*args)]
+    def one(entries):
+        # 1 of the stream's own entry type: an int on the constant
+        # connection and at an integer point, a polynomial at the generic one
+        x = next(x for plane in entries for row in plane for x in row if x)
+        return 1 if isinstance(x, int) else MultiPoly.const(g.nvars, 1)
+
+    def t3_fails(R, dR, b, h, n):
+        return [(name, [((1, 1, 1, 1), one(b))] if name == "T3" else stream)
+                for name, stream in identities(R, dR, b, h, n)]
 
     with monkeypatch.context() as m:
         m.setattr(vf, "mokhov_identities", t3_fails)
@@ -242,8 +253,8 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
         with pytest.raises(DisagreementBug, match="criteria disagree"):
             verify_operator(spec)
 
-    def curvature(*args):
-        return [((1, 2, 1, 2), one)]
+    def curvature(gamma, d_gamma, n):
+        return [((1, 2, 1, 2), one(gamma))]
 
     monkeypatch.setattr(vf, "riemann_components", curvature)
     monkeypatch.setattr(pc, "riemann_components", curvature)
@@ -257,10 +268,10 @@ def test_a_failing_mokhov_proof_against_a_passing_triple_is_a_bug(monkeypatch):
 ], ids=["d3", "d2"])
 def test_verify_draws_only_the_points_it_scans(monkeypatch, spec, draws):
     # verify draws the first SCAN_POINTS points of the seed's sample once;
-    # after a passing triple the unscanned Mokhov side draws none, and the
-    # first scan point is the candidate point of its constant connection.
-    # The seeded draw is a prefix, so that is the seed's first sample point,
-    # which mokhov_conditions draws when it is given no point
+    # the Mokhov side draws none: it is handed the scan points, and the first
+    # is the integer point of its constant connection.  The seeded draw is a
+    # prefix, so that is the seed's first sample point, which
+    # mokhov_conditions draws when it is given no point
     counts = []
     sample_points = pc.sample_points
 
