@@ -324,7 +324,8 @@ class SolutionFamily:
 def _killing_stream(g: LinearMetric, idx: _BivectorIndex):
     """``killing_components`` of the constant g, read as G0 = D g, and the
     unknown bivector E: the terms E d g vanish because dg = 0, so E enters
-    only through dE, and zero stands in for its values."""
+    only through dE, and zero stands in for its values (its rows list no
+    nonzero entry)."""
     n = g.n
     zero = [[0] * n for _ in range(n)]
     return killing_components(_integer_constant(g.arrays), [zero] * n, zero, idx.dE, n)

@@ -43,16 +43,18 @@ numerators at the generic point, the last point of every scan
 derivatives whose entries are the unknowns themselves.
 Sparsity has one idiom: a stream that contracts over the rows or columns
 of an array lists the nonzero entries of each once, as (index, entry)
-pairs, and its sums run over those lists; elsewhere a product is skipped
-when a factor is zero.  Every stream of ``mokhov_identities`` and
-``riemann_components`` lists only its nonzero components: T3, T5 and a
-curvature with no derivative term sum the products of nonzero entries into
-one dict per block of leading indices (``_blocks``), and derivatives are
-read one component at a time.  ``nijenhuis_components`` and
-``killing_components`` list every component: ``verify._decide`` reads
-them in lockstep.  On a constant connection d R = 0, and
-``mokhov_identities`` and ``riemann_components`` take None for the
-derivative and skip its terms.  Each sum adds its nonzero terms in the
+pairs, and its sums run over those lists (``nijenhuis_components`` over
+L's columns and rows, ``killing_components`` over g's and h's rows);
+elsewhere a product is skipped when a factor is zero.  Every stream of
+``mokhov_identities`` and ``riemann_components`` lists only its nonzero
+components: T3, T5 and a curvature with no derivative term sum the
+products of nonzero entries into one dict per block of leading indices
+(``_blocks``), and derivatives are read one component at a time; the
+torsion check of ``constant_connection`` sums them into one dict per H_s.
+``nijenhuis_components`` and ``killing_components`` list every
+component: ``verify._decide`` reads them in lockstep.  On a constant
+connection d R = 0, and ``mokhov_identities`` and ``riemann_components``
+take None for the derivative and skip its terms.  Each sum adds its nonzero terms in the
 order of the summed index.
 
 Index conventions: public tensors are returned as nested 0-based lists;
@@ -152,7 +154,9 @@ def constant_connection(h: LinearMetric, u0):
     at every u.  The result rests only on the torsion-free identity
     h^{is} b^{jk}_s = h^{js} b^{ik}_s, which is affine in u and so is checked
     on each H_s (at u0 it holds by construction): with it the candidate is
-    the connection, which is unique.  The connection of D h is D b, as
+    the connection, which is unique.  The check sums the products of the
+    nonzero entries of H_s and c into one dict keyed (i, j, k), and it holds
+    iff that dict is symmetric in i, j.  The connection of D h is D b, as
     Gamma does not change when h is scaled."""
     n, rng = h.n, range(h.n)
     if any(x.denominator != 1 for x in u0[:n]):
@@ -163,13 +167,18 @@ def constant_connection(h: LinearMetric, u0):
     if not det:
         return None
     c = connection_numerators(h0, [mat_mul(m, adj) for m in dH], dH, det)
-    # torsion-free: H^{is} c^{jk}_s = H^{js} c^{ik}_s, p[i][j n + k] = H^{is} c^{jk}_s;
-    # not on H0: c is h's connection at u0, so it holds there, and H0 = D h(u0) - u0_s H_s
-    cs = [[c[j][k][s] for j in rng for k in rng] for s in rng]
+    # torsion-free: p[i, j, k] = H^{it} c^{jk}_t is symmetric in i, j; not on H0: c is
+    # h's connection at u0, so it holds there, and H0 = D h(u0) - u0_t H_t.
+    # by_t[t]: the (j, k, c^{jk}_t) with c^{jk}_t != 0
+    by_t = [[(j, k, x) for j in rng for k in rng if (x := c[j][k][t])] for t in rng]
     for m in dH:
-        p = mat_mul(m, cs)
-        if any(p[i][j * n + k] != p[j][i * n + k]
-               for i in rng for j in range(i + 1, n) for k in rng):
+        p = {}
+        for i, row in enumerate(m):
+            for t, y in enumerate(row):
+                if y:
+                    for j, k, x in by_t[t]:
+                        p[i, j, k] = p.get((i, j, k), 0) + y * x
+        if any(v != p.get((j, i, k), 0) for (i, j, k), v in p.items()):
             return None
     return c, 2 * det * D
 
@@ -356,18 +365,25 @@ def killing_components(g, dg, h, dh, n: int):
         g^{is} d_s h^{jk} + g^{js} d_s h^{ik} + g^{ks} d_s h^{ij}
       - h^{is} d_s g^{jk} - h^{js} d_s g^{ik} - h^{ks} d_s g^{ij},
 
-    with dg[s][a][b] = d_s g^{ab} and dh likewise."""
+    with dg[s][a][b] = d_s g^{ab} and dh likewise.  The sums run over the
+    nonzero entries of g's and h's rows: a component adds, for each of its
+    three slots in turn, its g dh terms and then its h dg terms, each in the
+    order of s.  Every component is listed, zero ones included."""
     rng = range(n)
+    # grows[a]: the (s, g^{as}) with g^{as} != 0; hrows[a] likewise for h
+    grows = [[(s, x) for s, x in enumerate(row) if x] for row in g]
+    hrows = [[(s, x) for s, x in enumerate(row) if x] for row in h]
     for i in rng:
         for j in range(i, n):
             for k in range(j, n):
                 acc = 0
-                for s in rng:
-                    for (a, b, c) in ((i, j, k), (j, i, k), (k, i, j)):
-                        if g[a][s] and dh[s][b][c]:
-                            acc = acc + g[a][s] * dh[s][b][c]
-                        if h[a][s] and dg[s][b][c]:
-                            acc = acc - h[a][s] * dg[s][b][c]
+                for a, b, c in ((i, j, k), (j, i, k), (k, i, j)):
+                    for s, x in grows[a]:
+                        if d := dh[s][b][c]:
+                            acc = acc + x * d
+                    for s, x in hrows[a]:
+                        if d := dg[s][b][c]:
+                            acc = acc - x * d
                 yield (i + 1, j + 1, k + 1), acc
 
 

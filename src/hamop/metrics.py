@@ -41,6 +41,7 @@ combination of metrics (see OperatorSpec).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -55,11 +56,13 @@ PROBE_SEED = 0
 PROBE_RANGE = 10**6
 
 
-def probe_point(nvars: int) -> list[int]:
+@functools.cache
+def probe_point(nvars: int) -> tuple[int, ...]:
     """The seeded integer point, as ints, at which ``identically_degenerate``
-    first evaluates a matrix in ``nvars`` variables."""
+    first evaluates a matrix in ``nvars`` variables; drawn once per
+    ``nvars``."""
     rng = random.Random(PROBE_SEED)
-    return [rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(nvars)]
+    return tuple(rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(nvars))
 
 
 def coefficient_arrays(m: PolyMatrix, n: int):

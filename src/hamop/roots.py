@@ -2,36 +2,42 @@
 
 The entry point rational_roots() takes a univariate MultiPoly or dense
 coefficients (ints or Fractions) and works over Z throughout: the
-coefficients are scaled to integers once, and Yun's square-free
-decomposition runs on integer polynomials (``squarefree_decomposition``).
-Its gcds are primitive pseudo-remainder sequences, content removed at each
-step, and its divisions are exact integer divisions by primitive factors
-(Gauss's lemma).
+coefficients are scaled to an integer polynomial c once.  Its gcds are
+primitive pseudo-remainder sequences, content removed at each step, and
+its divisions are exact integer divisions by primitive factors (Gauss's
+lemma).  The distinct rational roots of c are those of its square-free
+part sq = c / gcd(c, c'), and each root p/q gets its multiplicity by
+dividing c by q x - p while the division is exact.  The cofactor C that
+is left has no rational root, so a repeated factor of C has degree >= 2.
+Then C is square-free iff its degree is that of sq once sq's roots are
+divided out, as it always is for a square-free c or a C of degree <= 3,
+and it is its own factor; only otherwise does Yun's square-free
+decomposition run (``squarefree_decomposition``), on C.
 
-Each square-free factor f of degree d >= 3 gives up its rational roots by
+A square-free sq of degree d >= 3 gives up its rational roots by
 p-adic lifting (Loos 1983, "Computing rational zeros of integral
 polynomials by p-adic expansion", SIAM J. Comput. 12), with no integer
-factoring.  With a = f[-1], the monic F(y) = a^(d-1) f(y/a) has integer
-coefficients, and each rational root of f is y/a for an integer root y of
-F, with |y| <= B = 1 + max |F_k| (Cauchy's bound).  The roots of F mod p
-are found by evaluation at the odd primes p = 3, 5, 7, ... in turn, until
-every one of them is simple (F'(r) != 0 mod p).  Then each integer root y
-of F reduces to a simple root r mod p, and by Hensel's lemma r has one
-lift mod p^(2^k) for every k, which Newton's iteration finds: that lift is
-y mod p^(2^k).  So once the modulus m exceeds 2B, the symmetric residue of
-some lifted root is y, and no root is missed.  A root that is repeated mod
-p is a common root of F and F' mod p, so p divides the discriminant of F,
-which is nonzero since f is square-free: only the finitely many primes
+factoring.  With f = sq and a = f[-1], the monic F(y) = a^(d-1) f(y/a) has
+integer coefficients, and each rational root of f is y/a for an integer
+root y of F, with |y| <= B = 1 + max |F_k| (Cauchy's bound).  The roots of
+F mod p are found by evaluation at the odd primes p = 3, 5, 7, ... in turn,
+until every one of them is simple (F'(r) != 0 mod p).  Then each integer
+root y of F reduces to a simple root r mod p, and by Hensel's lemma r has
+one lift mod p^(2^k) for every k, which Newton's iteration finds: that lift
+is y mod p^(2^k).  So once the modulus m exceeds 2B, the symmetric residue
+of some lifted root is y, and no root is missed.  A root that is repeated
+mod p is a common root of F and F' mod p, so p divides the discriminant of
+F, which is nonzero since f is square-free: only the finitely many primes
 dividing it are passed over, and the search ends.  Each symmetric residue
 y is confirmed as a root of f with integer Horner,
-sum f_k y^k a^(d-k) = 0, and only a confirmed root is divided out.
+sum f_k y^k a^(d-k) = 0.  An sq of degree 2 is split by its integer
+discriminant and ``math.isqrt``.
 
-A square-free factor that is left as one quadratic is split by its integer
-discriminant and ``math.isqrt``: into rational roots, or into a Gaussian
-conjugate pair when the discriminant is minus a square.  Whatever is left
-is returned as the residual factor.  A Gaussian pair lands there too when
-its square-free factor holds another factor with no rational root, for
-example a second Gaussian pair of the same multiplicity.
+A square-free factor of C that is one quadratic whose discriminant is minus
+a square gives a Gaussian conjugate pair.  Every other factor is returned
+in the residual.  A Gaussian pair lands there too when its square-free
+factor holds another factor with no rational root, for example a second
+Gaussian pair of the same multiplicity.
 
 char_poly() is Berkowitz's division-free algorithm, so an integer matrix
 gives an integer characteristic polynomial with no rational arithmetic;
@@ -235,10 +241,6 @@ def rational_roots(p: MultiPoly | list) -> RootReport:
         raise ValueError("zero polynomial has no root structure")
     rational: dict[Fraction, int] = {}
     gaussian: dict[GaussianRational, int] = {}
-
-    def add(roots, r, mult):
-        roots[r] = roots.get(r, 0) + mult
-
     # strip x^k
     k = 0
     while c[0] == 0:
@@ -246,30 +248,53 @@ def rational_roots(p: MultiPoly | list) -> RootReport:
         k += 1
     if k:
         rational[Fraction(0)] = k
+    c = _primitive(_integer_scaled(c))
+    if len(c) == 1:
+        return RootReport(rational, gaussian, [Fraction(1)])
+    # the distinct rational roots are those of the square-free part sq
+    g = _gcd(c, univ_deriv(c))
+    sq = _divide(c, g) if len(g) > 1 else c
+    if len(sq) > 3:
+        roots = list(_lifted_roots(sq))
+    elif len(sq) == 2:
+        roots = [Fraction(-sq[0], sq[1])]
+    elif (s := _exact_sqrt(sq[1] * sq[1] - 4 * sq[2] * sq[0])) is not None:
+        roots = [Fraction(-sq[1] + s, 2 * sq[2]), Fraction(-sq[1] - s, 2 * sq[2])]
+    else:
+        roots = []
+    for r in roots:
+        linear = [-r.numerator, r.denominator]
+        sq = _divide(sq, linear)
+        c, rational[r] = _divide_out(c, linear)
+    # c has no rational root left, so a repeated factor of it has degree >= 2:
+    # it is square-free iff its degree is that of sq's rest
     residual = [1]
-    for f, mult in squarefree_decomposition(c):
-        if len(f) > 3:
-            for r in _lifted_roots(f):
-                f = _divide(f, [-r.numerator, r.denominator])
-                add(rational, r, mult)
-        if len(f) == 2:
-            add(rational, Fraction(-f[0], f[1]), mult)
-            continue
-        if len(f) == 3:
-            c0, c1, c2 = f
-            disc = c1 * c1 - 4 * c2 * c0
-            s = isqrt(abs(disc))
-            if s * s == abs(disc):
-                if disc >= 0:
-                    add(rational, Fraction(-c1 + s, 2 * c2), mult)
-                    add(rational, Fraction(-c1 - s, 2 * c2), mult)
-                else:
-                    re = Fraction(-c1, 2 * c2)
-                    add(gaussian, GaussianRational(re, Fraction(s, 2 * c2)), mult)
-                    add(gaussian, GaussianRational(re, Fraction(-s, 2 * c2)), mult)
-                continue
-        residual = univ_mul(residual, _power(f, mult))
+    for f, mult in [(c, 1)] if len(c) == len(sq) else squarefree_decomposition(c):
+        if len(f) == 3 and (s := _exact_sqrt(4 * f[2] * f[0] - f[1] * f[1])) is not None:
+            re = Fraction(-f[1], 2 * f[2])
+            gaussian[GaussianRational(re, Fraction(s, 2 * f[2]))] = mult
+            gaussian[GaussianRational(re, Fraction(-s, 2 * f[2]))] = mult
+        else:
+            residual = univ_mul(residual, _power(f, mult))
     return RootReport(rational, gaussian, [Fraction(x, residual[-1]) for x in residual])
+
+
+def _exact_sqrt(d: int) -> int | None:
+    """isqrt(d) when d is a square >= 0, else None."""
+    if d >= 0 and (s := isqrt(d)) * s == d:
+        return s
+    return None
+
+
+def _divide_out(c: list[int], linear: list[int]) -> tuple[list[int], int]:
+    """(c / linear^m, m) for the largest m with linear^m dividing c in Z[x]."""
+    m = 0
+    while True:
+        try:
+            c = _divide(c, linear)
+        except ArithmeticError:
+            return c, m
+        m += 1
 
 
 def _power(c: list[int], k: int) -> list[int]:

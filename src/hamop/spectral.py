@@ -21,8 +21,10 @@ UnsupportedEigenvalueField rather than degrading.
 The whole point spectrum is computed over the integers.  The value of L at
 an integer point is the scale times the integer matrix A = L0 + u_s L_s
 (``metrics.AffineArrays.int_at``); the characteristic polynomial of A is
-Berkowitz's, over Z, and ``roots.rational_roots`` splits it over Z (Yun's
-algorithm, p-adic lifting, integer discriminants).  A root mu of chi_A is
+Berkowitz's, over Z, and ``roots.rational_roots`` splits it over Z
+(p-adic lifting and integer discriminants on the square-free part,
+multiplicities by exact division, Yun's algorithm only on a cofactor with a
+repeated irrational factor).  A root mu of chi_A is
 the eigenvalue (scale) mu of L.  A polynomial affinor that is given as a
 matrix is first written in the same integer form, with scale 1 / D
 (``metrics.coefficient_arrays``).  chi_A is monic with integer

@@ -51,6 +51,15 @@ writes one JSON object to OUT.json, mapping each case to its output:
 * ``spectrum:<blocks>:<point>``: ``spectrum_at_point`` of
   L = (u1 I + u2 A) / 2 for each ``JORDAN_CASES`` conjugate A at three
   points, each block's value and partition, and the point's Segre type;
+* ``roots:<case>``: ``rational_roots`` of characteristic polynomials, each
+  with its rational and Gaussian roots and their multiplicities and its
+  exact residual: chi of the integer affinor at the seed-0 Segre points of
+  every spec above with d >= 2 (``roots:segre:<spec>:<point>``), the planted
+  polynomials of ``test_roots`` (``roots:planted:<label>``), and chi of 300
+  seeded integer matrices, P J P^-1 with unimodular P and J a direct sum of
+  Jordan blocks of rational and Gaussian eigenvalues and of repeated
+  companion blocks of x^2 - d, or dense with small entries
+  (``roots:seeded:<t>:<n>``);
 * ``cli:<command>:<args>`` on the error paths: ``verify`` and ``classify`` of
   malformed JSON, a non-UTF-8 file, a missing file, an identically
   degenerate metric, a non-constant first metric, a d = 1 spec and a spec
@@ -101,25 +110,37 @@ from hamop.geometry import (  # noqa: E402
     raised_obstruction,
     riemann_components,
 )
-from hamop.linsolve import inverse, nullspace, rref, solve  # noqa: E402
+from hamop.linsolve import inverse, mat_mul, nullspace, rref, solve  # noqa: E402
 from hamop.matrices import PolyMatrix  # noqa: E402
 from hamop.metrics import LinearMetric, OperatorSpec  # noqa: E402
 from hamop.pointcheck import sample_points  # noqa: E402
 from hamop.poly import MultiPoly  # noqa: E402
-from hamop.specfile import dump_operator_spec  # noqa: E402
-from hamop.spectral import format_segre_type, spectrum_at_point  # noqa: E402
+from hamop.roots import char_poly, rational_roots  # noqa: E402
+from hamop.specfile import dump_operator_spec, load_operator_spec  # noqa: E402
+from hamop.spectral import (  # noqa: E402
+    SEGRE_POINTS,
+    SEGRE_RANGE,
+    format_segre_type,
+    integer_affinor,
+    spectrum_at_point,
+)
 from hamop.verify import _sample, mokhov_conditions, pair_conditions  # noqa: E402
 
 from conftest import (  # noqa: E402
     JORDAN_CASES,
+    block_diag,
     corpus_pairs,
+    jordan_block,
     jordan_conjugate,
     jordan_id,
     one_coefficient_mutants,
     random_linear_bivector,
+    real_jordan_block,
     specialized_catalog,
+    unimodular,
 )
 from perfbench.pencils import write_corpus  # noqa: E402
+from test_roots import _planted  # noqa: E402
 from test_specfile import op5_file  # noqa: E402
 
 SEEDS = (0, 11)
@@ -378,6 +399,62 @@ def _spectrum_reports(report: dict) -> None:
                 "type": format_segre_type(s.type_key())}
 
 
+def _roots_text(c) -> dict:
+    rep = rational_roots(c)
+    return {"chi": [str(x) for x in c],
+            "rational": [[str(r), m] for r, m in sorted(rep.rational.items())],
+            "gaussian": [[str(z), m] for z, m in
+                         sorted(rep.gaussian.items(), key=lambda t: (t[0].re, t[0].im))],
+            "residual": [str(x) for x in rep.residual]}
+
+
+def _seeded_charpolys():
+    """(label, chi) of 300 seeded integer matrices (module docstring)."""
+    rng = random.Random(39)
+    for t in range(300):
+        if t % 3 == 2:
+            n = rng.randint(1, 7)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            parts = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.3:
+                    parts.append(real_jordan_block(rng.randint(-3, 3), rng.randint(1, 3),
+                                                   rng.randint(1, 2)))
+                else:
+                    parts.append(jordan_block(rng.randint(-4, 4), rng.randint(1, 4)))
+            if t % 3 == 1:
+                d = rng.choice((2, 3, 5, -2))
+                parts += [[[0, d], [1, 0]]] * rng.randint(1, 2)
+            a = block_diag(*parts)
+            if len(a) > 1:
+                p, pinv = unimodular(rng, len(a))
+                a = mat_mul(mat_mul(p, a), pinv)
+        yield f"{t}:{len(a)}", char_poly(a)
+
+
+def _roots_reports(report: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in _spec_files(Path(tmp)):
+            spec = _outcome(lambda: load_operator_spec(json.loads((Path(tmp) / name).read_text())))
+            if isinstance(spec, str) or spec.d < 2:
+                continue
+            L = _outcome(lambda: integer_affinor(spec.metrics[0], spec.metrics[1]))
+            points = _outcome(lambda: sample_points(spec.nvars, spec.metrics, 0, SEGRE_POINTS,
+                                                    SEGRE_RANGE))
+            if isinstance(L, str) or isinstance(points, str):
+                report[f"roots:segre:{name}"] = L if isinstance(L, str) else points
+                continue
+            for pt in points:
+                label = ",".join(str(x) for x in pt)
+                report[f"roots:segre:{name}:{label}"] = _outcome(
+                    lambda: _roots_text(char_poly(L.form.int_at(pt))))
+    for label, poly in _planted(MultiPoly.variable(1, 1)):
+        report[f"roots:planted:{label}"] = _roots_text(poly.univariate_coeffs())
+    for label, c in _seeded_charpolys():
+        report[f"roots:seeded:{label}"] = _roots_text(c)
+
+
 def _error_specs(directory: Path) -> None:
     """Write op5 and the specs that reach the CLI's error paths."""
     data = {"op5.json": op5_file()}
@@ -439,6 +516,7 @@ def main(out_path: str) -> None:
     _frobenius_reports(report)
     _linalg_reports(report)
     _spectrum_reports(report)
+    _roots_reports(report)
     _error_reports(report)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

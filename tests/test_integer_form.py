@@ -10,8 +10,8 @@ built once and read by every point value, proof and Segre affinor.
   ``degenerate_at``, and the point spectra of the integer affinor against
   those of the polynomial affinor h g^-1.
 * Properties of the zero-skipping integer kernels (``linsolve.mat_mul``
-  and its entry types, ``matrices.adjugate_det``, the T1..T5, curvature
-  and Nijenhuis streams, the torsion decision of
+  and its entry types, ``matrices.adjugate_det``, the T1..T5, curvature,
+  Nijenhuis and Killing streams, the torsion decision of
   ``geometry.constant_connection``) against the dense formulas written out
   here (cofactors for the adjugate).  The T1..T5 and curvature streams list
   only their nonzero components, so they are compared with the nonzero
@@ -37,6 +37,7 @@ from hamop.errors import DegenerateEverywhere
 from hamop.geometry import (
     T_NAMES,
     constant_connection,
+    killing_components,
     mokhov_identities,
     nijenhuis_components,
     riemann_components,
@@ -360,6 +361,16 @@ def _dense_nijenhuis(L, dL, n):
                     + L[k][s] * (dL[j][s][i] - dL[i][s][j]) for s in rng)
 
 
+def _dense_killing(g, dg, h, dh, n):
+    rng = range(n)
+    for i in rng:
+        for j in range(i, n):
+            for k in range(j, n):
+                yield (i + 1, j + 1, k + 1), sum(
+                    g[a][s] * dh[s][b][c] - h[a][s] * dg[s][b][c]
+                    for a, b, c in ((i, j, k), (j, i, k), (k, i, j)) for s in rng)
+
+
 def _stream_inputs(entries):
     return st.integers(1, 4).flatmap(lambda n: st.tuples(
         st.just(n), _arrays(entries, n, n, n), _arrays(entries, n, n, n),
@@ -408,6 +419,21 @@ def test_products_that_cancel_leave_no_component():
 def test_nijenhuis_stream_is_the_dense_formula(inputs):
     n, L, dL = inputs
     assert list(nijenhuis_components(L, dL, n)) == list(_dense_nijenhuis(L, dL, n))
+
+
+@PROPERTY
+@given(st.sampled_from([_INTS, _UNITS, _POLYS]).flatmap(lambda e: st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _arrays(e, n, n), _arrays(e, n, n, n), _arrays(e, n, n),
+                        _arrays(e, n, n, n), st.booleans()))))
+def test_killing_stream_is_the_dense_formula(inputs):
+    # every component, zero ones included, in order: verify._decide reads the
+    # streams in lockstep; ``families`` passes h = 0 and dg = 0
+    n, g, dg, h, dh, families = inputs
+    if families:
+        h, dg = [[0] * n for _ in range(n)], [[[0] * n for _ in range(n)]] * n
+    got = list(killing_components(g, dg, h, dh, n))
+    assert len(got) == n * (n + 1) * (n + 2) // 6
+    assert got == list(_dense_killing(g, dg, h, dh, n))
 
 
 def _dense_constant_connection(h, u):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamop import roots
 from hamop.matrices import PolyMatrix, _char_poly
 from hamop.poly import MultiPoly
 from hamop.roots import char_poly, rational_roots, squarefree_decomposition
@@ -165,3 +166,44 @@ def test_charpoly_of_polynomial_matrices(n):
         assert isinstance(det, MultiPoly)
         assert [x.int_eval([2, 3, 4][:n])[0] for x in c] == \
             char_poly([[x.int_eval([2, 3, 4][:n])[0] for x in row] for row in a])
+
+
+def _planted(x):
+    """(label, polynomial) of planted root structures: (x - a)^m for m up to
+    8, rational roots of several multiplicities under a non-monic leading
+    coefficient, Gaussian pairs of different and of equal multiplicities,
+    and irrational cofactors, square-free and repeated."""
+    cases = [(f"(x-{a})^{m}", (x - a) ** m)
+             for m, a in zip(range(1, 9), (3, -2, 5, -1, 7, 2, -4, 11))]
+    cases += [("(2x-3)^5", (2 * x - 3) ** 5),
+              ("5(2x-1)^3(3x+2)^2(x-5)", 5 * (2 * x - 1) ** 3 * (3 * x + 2) ** 2 * (x - 5)),
+              ("-7(x-1)^4(3x-1)(x+4)^2", -7 * (x - 1) ** 4 * (3 * x - 1) * (x + 4) ** 2),
+              ("(x-3)(x^2+1)(x^2+4)^2", (x - 3) * (x**2 + 1) * (x**2 + 4) ** 2),
+              ("(x^2+1)(x^2+4)", (x**2 + 1) * (x**2 + 4)),
+              ("(x-2)^2(x^3-2)", (x - 2) ** 2 * (x**3 - 2)),
+              ("(x-1)^2(x^2+1)^2(x^2-2)^2", (x - 1) ** 2 * (x**2 + 1) ** 2 * (x**2 - 2) ** 2),
+              ("(3x+1)^3(x^2+9)^3", (3 * x + 1) ** 3 * (x**2 + 9) ** 3)]
+    return cases
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _planted(1)])
+def test_planted_roots_are_sympy_roots(label, monkeypatch):
+    # the contract of the spectral oracle (``_reported_roots``), and Yun's
+    # algorithm runs only when the part with no rational root has a repeated
+    # factor
+    oracle = pytest.importorskip("test_spectral_oracle")
+    sympy = oracle.sympy
+    poly = sympy.Poly(sympy.expand(dict(_planted(oracle.X))[label]), oracle.X, domain="QQ")
+    rational, gaussian, residual = oracle._reported_roots(poly)
+    repeated = any(m > 1 and f.degree() > 1 for f, m in sympy.factor_list(poly)[1])
+    calls = []
+    monkeypatch.setattr(roots, "squarefree_decomposition",
+                        lambda c: calls.append(c) or squarefree_decomposition(c))
+    c = oracle._coeffs(poly)
+    for coeffs in (c, oracle._integer_multiple(c)):
+        rep = rational_roots(coeffs)
+        assert (rep.rational, rep.gaussian) == (rational, gaussian)
+        got = sympy.Poly([sympy.Rational(x.numerator, x.denominator)
+                          for x in reversed(rep.residual)], oracle.X, domain="QQ")
+        assert got == residual
+    assert len(calls) == 2 * repeated
