@@ -69,7 +69,7 @@ from .specfile import (
 from .verify import verify_operator
 
 SEED_ENV = "HAMOP_SEED"
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -82,7 +82,7 @@ UNSUPPORTED = (UnsupportedEigenvalueField, DegenerateEverywhere, SingleMetric)
 
 class _UsageError(Exception):
     """A bad command-line value that argparse cannot see: a malformed
-    --xi or --lam value (``_rational_option``), an --out path that cannot be
+    --xi value (``_rational_option``), an --out path that cannot be
     written (``_write``), --n below 2 for normalize or frobenius
     (``_n_option``), an unknown catalog --id (``cmd_catalog``), and the wrong
     number of xi values, xi_0 = 0 without --alpha, or an --alpha that is
@@ -305,8 +305,7 @@ def cmd_normalize(args) -> int:
     xi = [_rational_option("--xi", x.strip()) for x in args.xi.split(",") if x.strip()]
     if len(xi) != n - 1:
         raise _UsageError(f"--xi needs n-1 = {n-1} values")
-    lam = _rational_option("--lam", args.lam) if args.lam is not None else Fraction(0)
-    coeffs = JordanFamilyCoeffs(n, xi, lam)
+    coeffs = JordanFamilyCoeffs(n, xi)
     leading = next((i for i, x in enumerate(xi) if x), None)
     if args.alpha is not None and leading is not None and leading != args.alpha:
         raise _UsageError(f"leading nonzero coefficient is xi_{leading}, not xi_{args.alpha}")
@@ -410,8 +409,6 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
                     help="comma-separated rationals xi_0..xi_{n-2}")
     sp.add_argument("--alpha", type=int, default=None,
                     help="index of the leading nonzero xi (required when xi_0 = 0)")
-    sp.add_argument("--lam", dest="lam", default=None,
-                    help="constant part parameter lambda (default 0)")
     common(sp)
     sp.set_defaults(fn=cmd_normalize)
 

@@ -5,39 +5,53 @@ coefficients (ints or Fractions) and works over Z throughout: the
 coefficients are scaled to an integer polynomial c once.  Its gcds are
 primitive pseudo-remainder sequences, content removed at each step, and
 its divisions are exact integer divisions by primitive factors (Gauss's
-lemma).  The distinct rational roots of c are those of its square-free
-part sq = c / gcd(c, c'), and each root p/q gets its multiplicity by
-dividing c by q x - p while the division is exact.  The cofactor C that
-is left has no rational root, so a repeated factor of C has degree >= 2.
-Then C is square-free iff its degree is that of sq once sq's roots are
-divided out, as it always is for a square-free c or a C of degree <= 3,
-and it is its own factor; only otherwise does Yun's square-free
-decomposition run (``squarefree_decomposition``), on C.
+lemma).  The distinct roots of c in Q(i) are those of its square-free part
+sq = c / gcd(c, c'), and one search finds all of them (below).  Then each
+root gets its multiplicity by dividing c by its primitive factor over Z
+while the division is exact (``_divide_out``): a rational root p/q by
+q x - p, a Gaussian pair (alpha +- beta i)/a by the real quadratic
+a^2 x^2 - 2 a alpha x + alpha^2 + beta^2 over its content.  What is left
+of c has no root in Q(i) and is the residual.
 
-A square-free sq of degree d >= 3 gives up its rational roots by
-p-adic lifting (Loos 1983, "Computing rational zeros of integral
-polynomials by p-adic expansion", SIAM J. Comput. 12), with no integer
-factoring.  With f = sq and a = f[-1], the monic F(y) = a^(d-1) f(y/a) has
-integer coefficients, and each rational root of f is y/a for an integer
-root y of F, with |y| <= B = 1 + max |F_k| (Cauchy's bound).  The roots of
-F mod p are found by evaluation at the odd primes p = 3, 5, 7, ... in turn,
-until every one of them is simple (F'(r) != 0 mod p).  Then each integer
-root y of F reduces to a simple root r mod p, and by Hensel's lemma r has
-one lift mod p^(2^k) for every k, which Newton's iteration finds: that lift
-is y mod p^(2^k).  So once the modulus m exceeds 2B, the symmetric residue
-of some lifted root is y, and no root is missed.  A root that is repeated
-mod p is a common root of F and F' mod p, so p divides the discriminant of
-F, which is nonzero since f is square-free: only the finitely many primes
-dividing it are passed over, and the search ends.  Each symmetric residue
-y is confirmed as a root of f with integer Horner,
-sum f_k y^k a^(d-k) = 0.  An sq of degree 2 is split by its integer
-discriminant and ``math.isqrt``.
+A square-free sq of degree d >= 3 gives up its roots by p-adic lifting
+(Loos 1983, "Computing rational zeros of integral polynomials by p-adic
+expansion", SIAM J. Comput. 12; Hensel lifting as in Zassenhaus 1969), with
+no integer factoring.  With f = sq and a = f[-1], the monic
+F(y) = a^(d-1) f(y/a) has integer coefficients, and each root of f in Q(i)
+is y/a for a root y of F in Z[i] (a root of a monic integer polynomial
+that lies in Q(i) is a Gaussian integer), with |y| <= B = 1 + max |F_k|
+(Cauchy's bound).  The roots of F mod p are found by evaluation at the
+primes p = 5, 13, 17, ... with p = 1 (mod 4), in turn, until every one of
+them is simple (F'(r) != 0 mod p).  For such a p there is an iota with
+iota^2 = -1 (mod p), so i -> iota maps Z[i] onto Z/p and each root y of F
+in Z[i] onto a root r of F mod p; by Hensel's lemma a simple r has one lift
+mod p^(2^k) for every k, which Newton's iteration finds, and that lift is
+the image of y mod m = p^(2^k), with iota lifted to m the same way.  Two
+distinct roots of F in Z[i] with one image would make it a repeated root
+mod p, so each lifted root is the image of at most one root.  A root that
+is repeated mod p is a common root of F and F' mod p, so p divides the
+discriminant of F, which is nonzero since f is square-free: only the
+finitely many primes dividing it are passed over, and as there are
+infinitely many primes p = 1 (mod 4) the search ends.
 
-A square-free factor of C that is one quadratic whose discriminant is minus
-a square gives a Gaussian conjugate pair.  Every other factor is returned
-in the residual.  A Gaussian pair lands there too when its square-free
-factor holds another factor with no rational root, for example a second
-Gaussian pair of the same multiplicity.
+An integer root y of F is its own image, the symmetric residue of one
+lifted root.  A Gaussian pair alpha +- beta i has the images
+r = alpha + beta iota and s = alpha - beta iota, so alpha = (r + s)/2 and
+beta = (r - s)/(2 iota) (mod m); p is odd and iota a unit, so both
+quotients exist.  |alpha|, |beta| <= |y| <= B, so once m > 2B the
+symmetric residues are alpha and beta themselves, and no root is missed.
+The symmetric residue of each lifted root is tried first, and then, if at
+least two lifted roots are left, each pair of them, with iota lifted; one
+Horner over Z[i] on F (``_is_root``) confirms a candidate of either kind.
+A confirmed pair is the image pair of its root, so no root is counted
+twice.
+
+An sq of degree 1 gives its root directly, and one of degree 2 is split in
+closed form: its discriminant is a square (two rational roots), minus a
+square (a Gaussian pair) or neither (no root in Q(i)).  Lifting at degree 2
+as well measured slower: rational_roots on the 200 characteristic
+polynomials of one pencil-corpus pass took 6.47 ms against 3.65 ms (minimum
+of 30 in-process runs, 2-core Intel Xeon host).
 
 char_poly() is Berkowitz's division-free algorithm, so an integer matrix
 gives an integer characteristic polynomial with no rational arithmetic;
@@ -66,25 +80,6 @@ def _trim(c: list) -> list:
 
 def univ_deriv(c: list[int]) -> list[int]:
     return _trim([c[i] * i for i in range(1, len(c))])
-
-
-def univ_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
 
 
 def _primitive(c: list[int]) -> list[int]:
@@ -138,36 +133,6 @@ def _divide(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def squarefree_decomposition(c: list) -> list[tuple[list[int], int]]:
-    """Yun's algorithm over Z on dense ascending coefficients (ints or
-    Fractions, scaled to ints first): [(factor_i, multiplicity_i)] with
-    factor_i primitive, square-free and with a positive leading coefficient,
-    whose product of factor_i^mult_i is c up to a constant.
-
-    A gcd normalised by any constant leaves Yun's invariants intact: w and
-    z are divided by the same factor at each step, so z - w' stays exact."""
-    c = _trim(list(c))
-    if len(c) <= 1:
-        return []
-    c = _primitive(_integer_scaled(c))
-    d = univ_deriv(c)
-    g = _gcd(c, d)
-    if len(g) == 1:
-        return [(c, 1)]
-    w = _divide(c, g)
-    z = _sub(_divide(d, g), univ_deriv(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        f = _gcd(w, z)
-        if len(f) > 1:
-            out.append((f, i))
-        w = _divide(w, f)
-        z = _sub(_divide(z, f), univ_deriv(w))
-        i += 1
-    return out
-
-
 def _integer_scaled(c: list) -> list[int]:
     """The coefficients (ints or Fractions) times the lcm of their
     denominators."""
@@ -182,41 +147,76 @@ def _eval_mod(c: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _lifted_roots(f: list[int]):
-    """The rational roots of a square-free integer polynomial f with
-    f[0] != 0, as Fractions: the roots of F(y) = a^(d-1) f(y/a) mod the
-    first odd prime p where each is simple, lifted by Newton's iteration
-    past twice Cauchy's bound on the integer roots of F (module docstring)."""
+def _lift(c: list[int], deriv: list[int], r: int, p: int, m: int) -> int:
+    """The root of c mod m = p^(2^k) above a simple root r of c mod p, by
+    Newton's iteration, which doubles the exponent at each step."""
+    q = p
+    while q < m:
+        q *= q
+        r = (r - _eval_mod(c, r, q) * pow(_eval_mod(deriv, r, q), -1, q)) % q
+    return r
+
+
+def _symmetric(r: int, m: int) -> int:
+    """The residue of r mod m in (-m/2, m/2]."""
+    return r if 2 * r < m else r - m
+
+
+def _is_root(c: list[int], re: int, im: int) -> bool:
+    """Whether re + im i is a root of c: Horner over Z[i]."""
+    x = y = 0
+    for k in reversed(c):
+        x, y = x * re - y * im + k, x * im + y * re
+    return not (x or y)
+
+
+def _roots_in_q_i(f: list[int]) -> list[tuple[int, int, int]]:
+    """The roots in Q(i) of a square-free integer polynomial f of degree
+    >= 1 with f[0] != 0, one of each conjugate pair: (re, im, a) with
+    im >= 0 for the root (re + im i) / a.  Degree 1 and 2 in closed form,
+    higher degrees by lifting and pairing (module docstring)."""
     a, d = f[-1], len(f) - 1
+    if d == 1:
+        return [(-f[0], 0, a)]
+    if d == 2:
+        disc = f[1] * f[1] - 4 * a * f[0]
+        s = isqrt(abs(disc))
+        if s * s != abs(disc):
+            return []
+        return [(-f[1], s, 2 * a)] if disc < 0 else [(-f[1] + s, 0, 2 * a), (-f[1] - s, 0, 2 * a)]
     monic = [c * a ** (d - 1 - k) for k, c in enumerate(f[:-1])] + [1]
     deriv = univ_deriv(monic)
-    bound = 1 + max(map(abs, monic[:-1]))
-    p = 3
+    p = 5
     while True:
         if all(p % q for q in range(3, isqrt(p) + 1, 2)):
-            roots = [r for r in range(p) if not _eval_mod(monic, r, p)]
-            if all(_eval_mod(deriv, r, p) for r in roots):
+            simple = [r for r in range(p) if not _eval_mod(monic, r, p)]
+            if all(_eval_mod(deriv, r, p) for r in simple):
                 break
-        p += 2
-    for r in roots:
-        m = p
-        while m <= 2 * bound:
-            m *= m
-            r = (r - _eval_mod(monic, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
-        y = r if 2 * r < m else r - m
-        if _is_root(f, y, a):
-            yield Fraction(y, a)
-
-
-def _is_root(ints: list[int], p: int, q: int) -> bool:
-    """Whether p/q is a root: integer Horner on the homogenised form,
-    sum ints[k] p^k q^(d-k) = 0."""
-    acc = ints[-1]
-    qk = 1
-    for c in reversed(ints[:-1]):
-        qk *= q
-        acc = acc * p + c * qk
-    return acc == 0
+        p += 4
+    m = p
+    while m <= 2 * (1 + max(map(abs, monic[:-1]))):
+        m *= m
+    roots, rest = [], []
+    for r in simple:
+        r = _lift(monic, deriv, r, p, m)
+        y = _symmetric(r, m)
+        if _is_root(monic, y, 0):
+            roots.append((y, 0, a))
+        else:
+            rest.append(r)
+    if len(rest) >= 2:
+        iota = _lift([1, 0, 1], [0, 2], next(x for x in range(p) if x * x % p == p - 1), p, m)
+        half, half_iota = pow(2, -1, m), pow(2 * iota, -1, m)
+        while rest:
+            r = rest.pop()
+            for s in rest:
+                re = _symmetric((r + s) * half % m, m)
+                im = _symmetric((r - s) * half_iota % m, m)
+                if _is_root(monic, re, im):
+                    rest.remove(s)
+                    roots.append((re, abs(im), a))
+                    break
+    return roots
 
 
 class RootReport:
@@ -233,9 +233,9 @@ class RootReport:
 
 
 def rational_roots(p: MultiPoly | list) -> RootReport:
-    """All rational roots with multiplicity, Gaussian roots of residual
-    quadratics when available, and the remaining factor, of a univariate
-    MultiPoly or of dense ascending coefficients (ints or Fractions)."""
+    """Every root in Q(i) with its multiplicity, and the monic factor with
+    no root in Q(i) that is left, of a univariate MultiPoly or of dense
+    ascending coefficients (ints or Fractions)."""
     c = _trim(p.univariate_coeffs() if isinstance(p, MultiPoly) else list(p))
     if not c:
         raise ValueError("zero polynomial has no root structure")
@@ -251,57 +251,31 @@ def rational_roots(p: MultiPoly | list) -> RootReport:
     c = _primitive(_integer_scaled(c))
     if len(c) == 1:
         return RootReport(rational, gaussian, [Fraction(1)])
-    # the distinct rational roots are those of the square-free part sq
+    # the distinct roots are those of the square-free part sq
     g = _gcd(c, univ_deriv(c))
     sq = _divide(c, g) if len(g) > 1 else c
-    if len(sq) > 3:
-        roots = list(_lifted_roots(sq))
-    elif len(sq) == 2:
-        roots = [Fraction(-sq[0], sq[1])]
-    elif (s := _exact_sqrt(sq[1] * sq[1] - 4 * sq[2] * sq[0])) is not None:
-        roots = [Fraction(-sq[1] + s, 2 * sq[2]), Fraction(-sq[1] - s, 2 * sq[2])]
-    else:
-        roots = []
-    for r in roots:
-        linear = [-r.numerator, r.denominator]
-        sq = _divide(sq, linear)
-        c, rational[r] = _divide_out(c, linear)
-    # c has no rational root left, so a repeated factor of it has degree >= 2:
-    # it is square-free iff its degree is that of sq's rest
-    residual = [1]
-    for f, mult in [(c, 1)] if len(c) == len(sq) else squarefree_decomposition(c):
-        if len(f) == 3 and (s := _exact_sqrt(4 * f[2] * f[0] - f[1] * f[1])) is not None:
-            re = Fraction(-f[1], 2 * f[2])
-            gaussian[GaussianRational(re, Fraction(s, 2 * f[2]))] = mult
-            gaussian[GaussianRational(re, Fraction(-s, 2 * f[2]))] = mult
+    for re, im, a in _roots_in_q_i(sq):
+        if im:
+            c, mult = _divide_out(c, _primitive([re * re + im * im, -2 * a * re, a * a]))
+            x = Fraction(re, a)
+            gaussian[GaussianRational(x, Fraction(im, a))] = mult
+            gaussian[GaussianRational(x, Fraction(-im, a))] = mult
         else:
-            residual = univ_mul(residual, _power(f, mult))
-    return RootReport(rational, gaussian, [Fraction(x, residual[-1]) for x in residual])
+            r = Fraction(re, a)
+            c, rational[r] = _divide_out(c, [-r.numerator, r.denominator])
+    return RootReport(rational, gaussian, [Fraction(x, c[-1]) for x in c])
 
 
-def _exact_sqrt(d: int) -> int | None:
-    """isqrt(d) when d is a square >= 0, else None."""
-    if d >= 0 and (s := isqrt(d)) * s == d:
-        return s
-    return None
-
-
-def _divide_out(c: list[int], linear: list[int]) -> tuple[list[int], int]:
-    """(c / linear^m, m) for the largest m with linear^m dividing c in Z[x]."""
+def _divide_out(c: list[int], factor: list[int]) -> tuple[list[int], int]:
+    """(c / factor^m, m) for the largest m with factor^m dividing c in
+    Z[x]."""
     m = 0
     while True:
         try:
-            c = _divide(c, linear)
+            c = _divide(c, factor)
         except ArithmeticError:
             return c, m
         m += 1
-
-
-def _power(c: list[int], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = univ_mul(out, c)
-    return out
 
 
 def char_poly(a: list[list]) -> list:

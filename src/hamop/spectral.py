@@ -22,11 +22,10 @@ The whole point spectrum is computed over the integers.  The value of L at
 an integer point is the scale times the integer matrix A = L0 + u_s L_s
 (``metrics.AffineArrays.int_at``); the characteristic polynomial of A is
 Berkowitz's, over Z, and ``roots.rational_roots`` splits it over Z
-(p-adic lifting and integer discriminants on the square-free part,
-multiplicities by exact division, Yun's algorithm only on a cofactor with a
-repeated irrational factor).  A root mu of chi_A is
-the eigenvalue (scale) mu of L.  A polynomial affinor that is given as a
-matrix is first written in the same integer form, with scale 1 / D
+(one p-adic search for the roots in Q(i) of the square-free part, closed
+forms at degree <= 2, multiplicities by exact division).  A root mu of
+chi_A is the eigenvalue (scale) mu of L.  A polynomial affinor that is
+given as a matrix is first written in the same integer form, with scale 1 / D
 (``metrics.coefficient_arrays``).  chi_A is monic with integer
 coefficients, so every root of it in Q or Q(i) is an integer or a Gaussian
 integer (a Gaussian pair (-c1 +- s i)/2 of a factor x^2 + c1 x + c0 has

@@ -254,12 +254,12 @@ def jordan_conjugate(blocks, rng):
 # Jordan structures at n <= 6, one for every kind of partition: simple, one
 # block (m = 2..6), all 1s, and mixed (2,1), (2,2), (3,1), (2,1,1), (3,2),
 # (2,2,1); with Gaussian eigenvalues also simple, one block (m = 2, 3), all 1s
-# and (2,1); and two for root finding: five simple eigenvalues whose pairwise
-# differences are multiples of 35, so that chi has a repeated root mod 3, 5
-# and 7 and the prime search moves past each, and three simple integers
-# beside a Gaussian pair, whose quadratic is what is left after lifting:
-# ("R", lam, k) is a k-block of the integer lam, ("C", a, b, k) a k-block of
-# each of a +- b i
+# and (2,1); and three for root finding: five simple eigenvalues whose
+# pairwise differences are multiples of 35, so that chi has a repeated root
+# mod 5 and the prime search moves past it, three simple integers beside a
+# Gaussian pair, and two Gaussian pairs of the same partition, which the
+# search finds by pairing lifted roots: ("R", lam, k) is a k-block of the
+# integer lam, ("C", a, b, k) a k-block of each of a +- b i
 JORDAN_CASES = [
     [("R", 2, 1), ("R", -1, 1), ("R", 0, 1)],
     [("C", 1, 2, 1), ("R", 3, 1)],
@@ -280,6 +280,7 @@ JORDAN_CASES = [
     [("C", 1, 2, 2), ("C", 1, 2, 1)],
     [("R", 35 * k, 1) for k in range(-2, 3)],
     [("R", 2, 1), ("R", -1, 1), ("R", 4, 1), ("C", 1, 2, 1)],
+    [("C", 0, 1, 1), ("C", 1, 2, 1)],
 ]
 
 

@@ -37,8 +37,9 @@ writes one JSON object to OUT.json, mapping each case to its output:
   (text and JSON, filtered by n and d) and of ``hamop catalog --id X
   --output json`` for every id and family;
 * ``cli:normalize:<args>``: the same of ``hamop normalize`` (text and JSON)
-  on a grid of n = 3..10 with xi_0 = 1, and with xi_0 = 0 at every leading
-  index alpha, and of xi_0 = 1 with a right and a wrong ``--alpha``;
+  on a grid of n = 3..10 with xi_0 = 1 (integer and fractional xi), and
+  with xi_0 = 0 at every leading index alpha, and of xi_0 = 1 with a right
+  and a wrong ``--alpha``;
 * ``cli:frobenius:<args>``: the same of ``hamop frobenius --n N`` (text and
   JSON) for N = 1..12;
 * ``linalg:<routine>:<case>``: for n = 2..12, ``killing_vector_basis`` and
@@ -55,16 +56,19 @@ writes one JSON object to OUT.json, mapping each case to its output:
   with its rational and Gaussian roots and their multiplicities and its
   exact residual: chi of the integer affinor at the seed-0 Segre points of
   every spec above with d >= 2 (``roots:segre:<spec>:<point>``), the planted
-  polynomials of ``test_roots`` (``roots:planted:<label>``), and chi of 300
-  seeded integer matrices, P J P^-1 with unimodular P and J a direct sum of
-  Jordan blocks of rational and Gaussian eigenvalues and of repeated
-  companion blocks of x^2 - d, or dense with small entries
+  polynomials of ``test_roots`` (``roots:planted:<label>``, among them two
+  and three Gaussian pairs of one multiplicity, beside rational roots and
+  beside a cubic whose constant term is a product of two large primes),
+  and chi of 300 seeded integer matrices, P J P^-1 with unimodular P and J
+  a direct sum of Jordan blocks of rational and Gaussian eigenvalues and of
+  repeated companion blocks of x^2 - d, or dense with small entries
   (``roots:seeded:<t>:<n>``);
 * ``cli:<command>:<args>`` on the error paths: ``verify`` and ``classify`` of
   malformed JSON, a non-UTF-8 file, a missing file, an identically
   degenerate metric, a non-constant first metric, a d = 1 spec and a spec
-  whose eigenvalues lie outside Q(i); ``normalize`` with bad option values;
-  and every command with an ``--out`` path it cannot write.
+  whose eigenvalues lie outside Q(i); ``normalize`` with bad option values
+  and with ``--lam``, which it no longer takes; and every command with an
+  ``--out`` path it cannot write.
 
 Spec files are written to a temporary directory and named by basename, and
 the CLI runs there, so no path reaches a key or an output: the files of two
@@ -307,7 +311,7 @@ def _normalize_reports(report: dict) -> None:
         rest = n - 2
         runs.append(["--n", str(n), "--xi", ",".join(["1"] + [str(k) for k in range(1, rest + 1)])])
         runs.append(["--n", str(n), "--xi", ",".join(
-            ["1"] + [f"{(-1) ** k}/{k + 1}" for k in range(1, rest + 1)]), "--lam", "3"])
+            ["1"] + [f"{(-1) ** k}/{k + 1}" for k in range(1, rest + 1)])])
         for alpha in range(1, n - 1):
             xi = ["0"] * alpha + ["1"] + [str(k) for k in range(1, n - 1 - alpha)]
             runs.append(["--n", str(n), "--xi", ",".join(xi), "--alpha", str(alpha)])

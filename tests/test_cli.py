@@ -225,16 +225,21 @@ def test_normalize_checks_a_given_alpha(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n", "3", "--xi", "1,2", "--lam", "abc"], "bad --lam value 'abc': expected an integer or p/q"),
-    (["--n", "3", "--xi", "1,2", "--lam", "1/0"], "bad --lam value '1/0': zero denominator"),
     (["--n", "1", "--xi", ","], "--n must be at least 2"),
     (["--n", "3", "--xi", "1e3,2"], "bad --xi value '1e3': expected an integer or p/q"),
-], ids=["lam-text", "lam-zero-denominator", "n-1", "xi-exponent"])
+], ids=["n-1", "xi-exponent"])
 def test_normalize_bad_values_exit2(capsys, argv, message):
     # a malformed option value is a usage error, never an internal error
     assert main(["normalize", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_normalize_refuses_lam(capsys):
+    # lambda reached no normalize output, so the option is gone
+    assert main(["normalize", "--n", "3", "--xi", "1,2", "--lam", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: unrecognized arguments: --lam 5\n")
 
 
 def test_frobenius_command(capsys):

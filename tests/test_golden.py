@@ -23,7 +23,9 @@ coefficient arrays whose entries are polynomials in the parameter), a
 passing n = 6 entry (mokhov-n6), a passing n = 4 entry with Segre type
 [2,2] (s22-case2-b4p), whose Mokhov side, like
 mokhov-n6's, is proven on the constant contravariant connection without a
-scan, and four failing specs: an n = 2 and an n = 3 pencil (witnesses in
+scan, the constant n = 4 pencil g = [[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]],
+h = diag(1, -1, 2, -2) (two-gaussian-pairs, not a catalog entry), and four
+failing specs: an n = 2 and an n = 3 pencil (witnesses in
 eight conditions, found at the scan points), an n = 4 Killing-space pencil
 over the antidiagonal metric (pencil-n4-killing, the ``killing`` kind of
 ``perfbench/pencils.py`` drawn from ``random.Random(400)``, whose flat(g2),
@@ -36,10 +38,12 @@ The classify cases cover an affine eigenvalue fit over Q (mokhov-n3), ranks
 over Q(i) with a conjugate pair of eigenvalues (complex-2x2, whose
 ``"eigenvalues"`` is null: the conjugate slots are sorted by real and then
 imaginary part, so they swap with the sign of u4 and admit no affine fit),
-and a failing Killing pencil (pencil-n2-killing) whose sample points do not
-all split over Q(i).  The JSON of the same input and seed may change only together
-with ``cli.REPORT_VERSION``; a change that bumps it regenerates these files
-with the commands above.
+a failing Killing pencil (pencil-n2-killing) whose sample points do not
+all split over Q(i), and the eigenvalues +-i and +-2i of two-gaussian-pairs,
+two Gaussian pairs of one multiplicity in one square-free factor of chi
+(type [1]C+[1]C+[1]C+[1]C).  The JSON of the same input and seed may change
+only together with ``cli.REPORT_VERSION``; a change that bumps it
+regenerates these files with the commands above.
 """
 
 from pathlib import Path
@@ -52,7 +56,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     "mokhov-n3", "pencil-n2-raw", "thm5-3d-1", "exampleN-N4", "mokhov-n6",
-    "s22-case2-b4p", "pencil-n3-raw", "pencil-n2-d3", "pencil-n4-killing",
+    "s22-case2-b4p", "pencil-n3-raw", "pencil-n2-d3", "pencil-n4-killing", "two-gaussian-pairs",
 ]
 
 
@@ -66,7 +70,7 @@ def test_verify_report_is_golden(tmp_path, case):
     assert out.read_bytes() == golden
 
 
-CLASSIFY_CASES = ["mokhov-n3", "complex-2x2", "pencil-n2-killing"]
+CLASSIFY_CASES = ["mokhov-n3", "complex-2x2", "pencil-n2-killing", "two-gaussian-pairs"]
 
 
 @pytest.mark.parametrize("spec", CLASSIFY_CASES)

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hamop import roots
 from hamop.matrices import PolyMatrix, _char_poly
 from hamop.poly import MultiPoly
-from hamop.roots import char_poly, rational_roots, squarefree_decomposition
+from hamop.roots import char_poly, rational_roots
 from hamop.scalars import GaussianRational
+
+
+# two primes of 26 and 27 digits: no root search may factor their product
+PRIMES = 10**25 + 13, 3 * 10**26 + 13
 
 
 def x_poly():
@@ -69,14 +72,6 @@ def test_zero_roots_stripped():
     assert rep.rational == {Fraction(0): 2, Fraction(3): 1}
 
 
-def test_squarefree_decomposition():
-    f = [Fraction(x) for x in (4, 0, -4, 0, 1)]  # (x^2-2)^2
-    out = squarefree_decomposition(f)
-    assert len(out) == 1
-    factor, mult = out[0]
-    assert mult == 2 and factor == [Fraction(-2), Fraction(0), Fraction(1)]
-
-
 def test_charpoly_large_entries():
     # Berkowitz is division-free, so it is exact over any ring: big
     # rationals too
@@ -135,12 +130,11 @@ def test_integer_root_test_on_candidates():
     rep = rational_roots(p)
     assert rep.rational == {Fraction(10**6, 999): 1, Fraction(-(10**6 + 1), 7): 1}
     assert rep.residual == [1, 1, 0, 0, 1]
-    # a constant term 3 P Q with two primes of 26 and 27 digits: no root
-    # search may factor it
-    pq = 10**25 + 13, 3 * 10**26 + 13
-    rep = rational_roots((x - 3) * (x**3 + x + pq[0] * pq[1]))
+    # a constant term 3 P Q with the two large PRIMES
+    pq = PRIMES[0] * PRIMES[1]
+    rep = rational_roots((x - 3) * (x**3 + x + pq))
     assert rep.rational == {Fraction(3): 1}
-    assert rep.residual == [pq[0] * pq[1], 1, 0, 1]
+    assert rep.residual == [pq, 1, 0, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -171,8 +165,14 @@ def test_charpoly_of_polynomial_matrices(n):
 def _planted(x):
     """(label, polynomial) of planted root structures: (x - a)^m for m up to
     8, rational roots of several multiplicities under a non-monic leading
-    coefficient, Gaussian pairs of different and of equal multiplicities,
-    and irrational cofactors, square-free and repeated."""
+    coefficient, Gaussian pairs of different and of equal multiplicities
+    (two and three pairs in one square-free factor, and pairs under a
+    non-monic leading coefficient), and irrational cofactors, square-free
+    and repeated, one with a constant term that is a product of the two
+    large PRIMES; and the root 20 of x^3 - 19 x^2 - 19 x - 20, whose
+    Cauchy bound is B = 21, so that lifting mod 25 > B gives its symmetric
+    residue -5 and only a modulus above 2B finds it."""
+    pq = PRIMES[0] * PRIMES[1]
     cases = [(f"(x-{a})^{m}", (x - a) ** m)
              for m, a in zip(range(1, 9), (3, -2, 5, -1, 7, 2, -4, 11))]
     cases += [("(2x-3)^5", (2 * x - 3) ** 5),
@@ -182,23 +182,22 @@ def _planted(x):
               ("(x^2+1)(x^2+4)", (x**2 + 1) * (x**2 + 4)),
               ("(x-2)^2(x^3-2)", (x - 2) ** 2 * (x**3 - 2)),
               ("(x-1)^2(x^2+1)^2(x^2-2)^2", (x - 1) ** 2 * (x**2 + 1) ** 2 * (x**2 - 2) ** 2),
-              ("(3x+1)^3(x^2+9)^3", (3 * x + 1) ** 3 * (x**2 + 9) ** 3)]
+              ("(3x+1)^3(x^2+9)^3", (3 * x + 1) ** 3 * (x**2 + 9) ** 3),
+              ("(x^2+1)(x^2+4)(x^2+9)", (x**2 + 1) * (x**2 + 4) * (x**2 + 9)),
+              ("(4x^2+9)^2(x^2+2x+5)^2", (4 * x**2 + 9) ** 2 * (x**2 + 2 * x + 5) ** 2),
+              ("(x^2+1)(x^2+4)(x-3)(x^3+x+PQ)",
+               (x**2 + 1) * (x**2 + 4) * (x - 3) * (x**3 + x + pq)),
+              ("(x-20)(x^2+x+1)", (x - 20) * (x**2 + x + 1))]
     return cases
 
 
 @pytest.mark.parametrize("label", [label for label, _ in _planted(1)])
-def test_planted_roots_are_sympy_roots(label, monkeypatch):
-    # the contract of the spectral oracle (``_reported_roots``), and Yun's
-    # algorithm runs only when the part with no rational root has a repeated
-    # factor
+def test_planted_roots_are_sympy_roots(label):
+    # every root in Q(i) with its multiplicity, and the monic rest
     oracle = pytest.importorskip("test_spectral_oracle")
     sympy = oracle.sympy
     poly = sympy.Poly(sympy.expand(dict(_planted(oracle.X))[label]), oracle.X, domain="QQ")
-    rational, gaussian, residual = oracle._reported_roots(poly)
-    repeated = any(m > 1 and f.degree() > 1 for f, m in sympy.factor_list(poly)[1])
-    calls = []
-    monkeypatch.setattr(roots, "squarefree_decomposition",
-                        lambda c: calls.append(c) or squarefree_decomposition(c))
+    rational, gaussian, residual = oracle._expected_roots(poly)
     c = oracle._coeffs(poly)
     for coeffs in (c, oracle._integer_multiple(c)):
         rep = rational_roots(coeffs)
@@ -206,4 +205,3 @@ def test_planted_roots_are_sympy_roots(label, monkeypatch):
         got = sympy.Poly([sympy.Rational(x.numerator, x.denominator)
                           for x in reversed(rep.residual)], oracle.X, domain="QQ")
         assert got == residual
-    assert len(calls) == 2 * repeated

@@ -3,16 +3,17 @@
 ``roots.char_poly`` (Berkowitz over Z) is checked against
 ``Matrix.charpoly``, ``linsolve.int_rank`` against ``Matrix.rank``, the
 ranks of a Gaussian eigenvalue read off its real quadratic factor against
-the ranks over Q(i) of the powers of A - lambda I, ``roots.rational_roots`` and
-``roots.squarefree_decomposition`` (Yun over Z) against ``factor_list``,
-``roots`` and ``sqf_list``, and the per-point partitions of
+the ranks over Q(i) of the powers of A - lambda I, ``roots.rational_roots``
+against every root in Q(i) that ``factor_list`` and ``roots`` give, with
+its multiplicity, and the monic rest, and the per-point partitions of
 ``spectral.spectrum_at_point`` against ``Matrix.jordan_form`` on every
 catalog entry with n <= 4 and on seeded corpus pencils at n = 2 and 3, at
 two seeded points each, and on integer matrices P J P^-1 with unimodular P
 and a known Jordan form J, one for every kind of partition (simple, one
-block, all 1s, mixed) with rational and with Gaussian eigenvalues; at a
-point where the characteristic polynomial does not split over Q(i),
-``spectrum_at_point`` must give None."""
+block, all 1s, mixed) with rational and with Gaussian eigenvalues, and two
+Gaussian pairs of the same partition; at a point where the characteristic
+polynomial does not split over Q(i), ``spectrum_at_point`` must give
+None."""
 
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from hamop.catalog import catalog  # noqa: E402
 from hamop.linsolve import int_rank, mat_mul  # noqa: E402
 from hamop.matrices import PolyMatrix  # noqa: E402
 from hamop.poly import MultiPoly  # noqa: E402
-from hamop.roots import char_poly, rational_roots, squarefree_decomposition  # noqa: E402
+from hamop.roots import char_poly, rational_roots  # noqa: E402
 from hamop.scalars import GaussianRational  # noqa: E402
 from hamop.pointcheck import sample_points  # noqa: E402
 from hamop.spectral import SEGRE_RANGE, affinor, spectrum_at_point  # noqa: E402
@@ -154,28 +155,6 @@ def _expected_roots(poly):
     return rational, gaussian, residual.monic()
 
 
-def _reported_roots(poly):
-    """What ``rational_roots`` promises, from sympy's square-free factors:
-    every rational root, and the Gaussian pair of a square-free factor whose
-    rest, once its rational roots are divided out, is one quadratic with
-    roots in Q(i); every other rest stays in the residual."""
-    rational, gaussian, residual = {}, {}, sympy.Poly(1, X, domain="QQ")
-    for f, m in sympy.sqf_list(poly)[1]:
-        rest = sympy.Poly(1, X, domain="QQ")
-        for g, _ in sympy.factor_list(f)[1]:
-            if g.degree() == 1:
-                (v,) = [_field_value(r) for r in sympy.roots(g)]
-                rational[v] = m
-            else:
-                rest *= g
-        values = [_field_value(r) for r in sympy.roots(rest)] if rest.degree() == 2 else [None]
-        if rest.degree() > 0 and None in values:
-            residual *= rest ** m
-        elif rest.degree() > 0:
-            gaussian.update((v, m) for v in values)
-    return rational, gaussian, residual.monic()
-
-
 def _root_factor(v):
     """The monic irreducible factor over Q of a Fraction or of a Gaussian
     rational with its conjugate."""
@@ -187,17 +166,14 @@ def _root_factor(v):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rational_roots_are_sympy_roots(seed):
-    # every rational root is found, and the Gaussian pair of a square-free
-    # factor that is one quadratic once its rational roots are divided out;
-    # the residual is the monic rest
+    # every root in Q(i) with its multiplicity; the residual is the monic
+    # rest
     rng = random.Random(seed)
     kinds = set()
     for k in range(12):
         poly = _seeded_polynomial(rng, split=k < 2)
         c = _coeffs(poly)
-        rational, gaussian, residual = _reported_roots(poly)
-        true_rational, true_gaussian, true_residual = _expected_roots(poly)
-        assert rational == true_rational and gaussian.items() <= true_gaussian.items()
+        rational, gaussian, residual = _expected_roots(poly)
         for coeffs in (c, _integer_multiple(c)):
             rep = rational_roots(coeffs)
             assert (rep.rational, rep.gaussian) == (rational, gaussian), poly
@@ -210,14 +186,9 @@ def test_rational_roots_are_sympy_roots(seed):
             for v, m in [*rep.rational.items(), *((v, m) for v, m in rep.gaussian.items() if v.im > 0)]:
                 split *= _root_factor(v) ** m
             assert got * split == poly.monic(), poly
-        # Yun over Z against sympy's square-free factorisation
-        want = sorted((str(f.monic()), m) for f, m in sympy.sqf_list(poly)[1] if f.degree() > 0)
-        got = sorted((str(sympy.Poly(list(reversed(f)), X, domain="QQ").monic()), m)
-                     for f, m in squarefree_decomposition(c))
-        assert got == want, poly
         kinds |= {("repeated", m > 1) for m in rep.rational.values()}
         kinds |= {("gaussian", m) for m in rep.gaussian.values()}
-        kinds.add(("residual degree >= 3", true_residual.degree() >= 3))
+        kinds.add(("residual degree >= 3", residual.degree() >= 3))
         kinds.add(("non-monic", c[-1] != 1))
     assert {("repeated", True), ("residual degree >= 3", True), ("non-monic", True)} <= kinds
     assert any(k[0] == "gaussian" and k[1] > 1 for k in kinds), kinds
